@@ -20,7 +20,6 @@
 //! harness [--scale N] [--seed N] [--budget-ms N] [--out DIR]
 //!         [--engine NAME]... [--sample-shards N]
 //!         [--repair-strategy linear|core-guided]
-//!         [--solver-profile modern|legacy]
 //!         [--max-cluster-size N] [--compose-repairs on|off]
 //!         [--certify] [--ablations] [--quick]
 //! ```
@@ -37,15 +36,13 @@
 //! (warm-started linear bound search vs. core-guided relaxation); the
 //! per-run `maxsat_probes` / `maxsat_cores` columns of `runs.csv` and the
 //! matching `summary_table.csv` rows report the probe economy.
-//! `--solver-profile` selects the CDCL policy bundle of the Manthan3 oracle's
-//! solvers (the modernized defaults vs. the pre-modernization legacy
-//! behavior); the per-run solver-layer columns of `runs.csv`
+//! The per-run solver-layer columns of `runs.csv`
 //! (`sat_propagations`, `props_per_sec`, `conflicts`, `decisions`,
 //! `sat_restarts`, `reused_levels`, `rephases`, `learnt_clauses_live`,
 //! `glue2_clauses`, the `inprocess_*` / `vivify_*` breakdown,
 //! `arena_collections`, `arena_live_words`, `budget_exhaustions`, and the
 //! `*_solvers_constructed` / `samplers_constructed` provenance counters) and
-//! the matching `summary_table.csv` rows report its effect.
+//! the matching `summary_table.csv` rows report the CDCL core's work.
 //! `--certify` arms the certifying solver layer: every SAT and MaxSAT solver
 //! the Manthan3-family oracles construct logs DRAT proofs, every UNSAT
 //! verdict is checked in-process by the independent `manthan3-drat` checker,
@@ -67,7 +64,7 @@
 //! flag values abort with a diagnostic and a non-zero exit status.
 
 use manthan3_bench::{csvio, report, run_suite_with_options, EngineKind, RunOptions};
-use manthan3_core::{Manthan3, Manthan3Config, RepairStrategy, SolverProfile};
+use manthan3_core::{Manthan3, Manthan3Config, RepairStrategy};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
 use std::path::PathBuf;
@@ -83,7 +80,6 @@ struct Args {
     ablations: bool,
     sample_shards: usize,
     repair_strategy: RepairStrategy,
-    solver_profile: SolverProfile,
     max_cluster_size: Option<usize>,
     compose_repairs: bool,
     certify: bool,
@@ -97,7 +93,6 @@ fn usage_error(message: &str) -> ! {
         "usage: harness [--scale N] [--seed N] [--budget-ms N] [--out DIR] \
          [--engine NAME]... [--sample-shards N] \
          [--repair-strategy linear|core-guided] \
-         [--solver-profile modern|legacy] \
          [--max-cluster-size N] [--compose-repairs on|off] \
          [--certify] [--ablations] [--quick]"
     );
@@ -130,7 +125,6 @@ fn parse_args() -> Args {
         ablations: false,
         sample_shards: 1,
         repair_strategy: RepairStrategy::default(),
-        solver_profile: SolverProfile::default(),
         max_cluster_size: None,
         compose_repairs: true,
         certify: false,
@@ -165,9 +159,6 @@ fn parse_args() -> Args {
                 // Unknown strategy names abort with stderr + exit 2 via
                 // `parse_value`, like every other malformed flag value.
                 args.repair_strategy = parse_value("--repair-strategy", iter.next());
-            }
-            "--solver-profile" => {
-                args.solver_profile = parse_value("--solver-profile", iter.next());
             }
             "--max-cluster-size" => {
                 let size: usize = parse_value("--max-cluster-size", iter.next());
@@ -215,7 +206,6 @@ fn main() {
         RunOptions {
             sample_shards: args.sample_shards,
             repair_strategy: args.repair_strategy,
-            solver_profile: args.solver_profile,
             max_cluster_size: args.max_cluster_size,
             compose_repairs: args.compose_repairs,
             certify: args.certify,

@@ -22,7 +22,7 @@ pub mod report;
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
     CertificationFailure, CompositionalConfig, CompositionalEngine, Manthan3, Manthan3Config,
-    OracleStats, RepairStrategy, SolverProfile, SynthesisOutcome,
+    OracleStats, RepairStrategy, SynthesisOutcome,
 };
 use manthan3_dqbf::verify;
 use manthan3_gen::Instance;
@@ -42,11 +42,6 @@ pub struct RunOptions {
     /// How the Manthan3 repair loop's FindCandidates MaxSAT queries search
     /// for their optimum (`--repair-strategy`).
     pub repair_strategy: RepairStrategy,
-    /// Which solver-policy bundle the Manthan3 oracle hands its SAT and
-    /// MaxSAT solvers (`--solver-profile`): the modernized defaults or the
-    /// pre-modernization legacy behavior. Reaches the Manthan3 engine and
-    /// the portfolio's Manthan3 racer; the baselines keep their defaults.
-    pub solver_profile: SolverProfile,
     /// Upper bound on the outputs per cluster for the compositional engine
     /// (`--max-cluster-size`; `None` keeps the natural partition). Ignored
     /// by every other engine.
@@ -73,7 +68,6 @@ impl Default for RunOptions {
         RunOptions {
             sample_shards: 1,
             repair_strategy: RepairStrategy::default(),
-            solver_profile: SolverProfile::default(),
             max_cluster_size: None,
             compose_repairs: true,
             certify: false,
@@ -258,7 +252,6 @@ pub fn run_engine_with(
                 time_budget: Some(budget),
                 sample_shards,
                 repair_strategy: options.repair_strategy,
-                solver_profile: options.solver_profile,
                 certify: options.certify,
                 ..Manthan3Config::default()
             };
@@ -292,7 +285,6 @@ pub fn run_engine_with(
             let mut config = PortfolioConfig::with_time_budget(budget);
             config.manthan3.sample_shards = sample_shards;
             config.manthan3.repair_strategy = options.repair_strategy;
-            config.manthan3.solver_profile = options.solver_profile;
             config.manthan3.certify = options.certify;
             let result = Portfolio::new(config).run(&instance.dqbf);
             let oracle = result.merged_oracle_stats();
@@ -304,7 +296,6 @@ pub fn run_engine_with(
                     time_budget: Some(budget),
                     sample_shards,
                     repair_strategy: options.repair_strategy,
-                    solver_profile: options.solver_profile,
                     certify: options.certify,
                     ..Manthan3Config::default()
                 },
@@ -520,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_solver_profile_runs_agree_and_bill_solver_counters() {
+    fn manthan3_runs_bill_solver_counters() {
         let params = PlantedParams {
             num_universals: 3,
             num_existentials: 2,
@@ -528,27 +519,12 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        for profile in [SolverProfile::Modern, SolverProfile::Legacy] {
-            let options = RunOptions {
-                solver_profile: profile,
-                ..RunOptions::default()
-            };
-            let record = run_engine_with(
-                EngineKind::Manthan3,
-                &instance,
-                Duration::from_secs(5),
-                options,
-            );
-            assert!(
-                record.synthesized,
-                "manthan3 ({profile}) failed: {}",
-                record.outcome
-            );
-            assert!(
-                record.oracle.sat_propagations > 0,
-                "solver-layer propagation counters must be billed under {profile}"
-            );
-        }
+        let record = run_engine(EngineKind::Manthan3, &instance, Duration::from_secs(5));
+        assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
+        assert!(
+            record.oracle.sat_propagations > 0,
+            "solver-layer propagation counters must be billed"
+        );
     }
 
     #[test]

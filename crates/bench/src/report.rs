@@ -193,8 +193,7 @@ pub struct Summary {
     /// Glue (LBD ≤ 2) learnt clauses alive at the end of each run, summed
     /// across runs.
     pub glue2_clauses: usize,
-    /// Clauses subsumed away by inter-call inprocessing across every run
-    /// (zero under the legacy profile).
+    /// Clauses subsumed away by inter-call inprocessing across every run.
     pub inprocess_subsumed: u64,
     /// Clauses strengthened by inter-call inprocessing across every run.
     pub inprocess_strengthened: u64,

@@ -186,12 +186,11 @@ impl CompositionalEngine {
     }
 
     /// Builds the oracle a cluster pipeline (or the composition verify) runs
-    /// on: the engine configuration's strategy/profile knobs plus the shared
+    /// on: the engine configuration's strategy/restart knobs plus the shared
     /// call pool on top of the shared deadline and token in `budget`.
     fn cluster_oracle(&self, budget: &Budget, pool: &CallBudget) -> Oracle {
         Oracle::new(budget.clone())
             .with_repair_strategy(self.config.engine.repair_strategy)
-            .with_solver_profile(self.config.engine.solver_profile)
             .with_restart_policy(self.config.engine.restart_policy)
             .with_certification(self.config.engine.certify)
             .with_call_allowance(pool.clone())

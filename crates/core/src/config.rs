@@ -1,6 +1,6 @@
 use manthan3_dtree::DecisionTreeConfig;
 use manthan3_maxsat::RepairStrategy;
-use manthan3_sat::{RestartPolicy, SolverProfile};
+use manthan3_sat::RestartPolicy;
 use std::time::Duration;
 
 /// Configuration of the Manthan3 synthesis engine.
@@ -46,15 +46,9 @@ pub struct Manthan3Config {
     /// `#cores + 1` SAT probes however far the optimum jumps between
     /// counterexamples.
     pub repair_strategy: RepairStrategy,
-    /// The solver-policy bundle every oracle-constructed SAT and MaxSAT
-    /// solver starts from: the modernized defaults (EMA restarts,
-    /// LBD-managed reduction, rephasing, incremental watcher repair,
-    /// inter-call inprocessing) or the pre-modernization legacy behavior.
-    /// The `solver_modernization` benchmark races the two.
-    pub solver_profile: SolverProfile,
-    /// Optional restart-policy override on top of the profile (`None` keeps
-    /// the profile's policy). The portfolio's restart-racing dimension sets
-    /// this per racer.
+    /// Optional restart-policy override for every oracle-constructed SAT
+    /// and MaxSAT solver (`None` keeps the solver default, EMA restarts).
+    /// The portfolio's restart-racing dimension sets this per racer.
     pub restart_policy: Option<RestartPolicy>,
     /// Certify UNSAT verdicts in-process: every SAT and MaxSAT solver the
     /// oracle constructs logs DRAT proofs, and every UNSAT answer routed
@@ -91,7 +85,6 @@ impl Default for Manthan3Config {
             use_y_features: true,
             constrain_y_hat: true,
             repair_strategy: RepairStrategy::default(),
-            solver_profile: SolverProfile::default(),
             restart_policy: None,
             certify: false,
             time_budget: None,
@@ -153,9 +146,7 @@ mod tests {
 
     #[test]
     fn solver_defaults_to_the_modern_profile_with_no_override() {
-        let c = Manthan3Config::default();
-        assert_eq!(c.solver_profile, SolverProfile::Modern);
-        assert_eq!(c.restart_policy, None);
+        assert_eq!(Manthan3Config::default().restart_policy, None);
     }
 
     #[test]

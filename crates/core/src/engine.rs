@@ -147,12 +147,11 @@ impl Manthan3 {
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
         // The repair strategy travels Config → Oracle → RepairSession (every
-        // MaxSAT solver the run constructs searches with it), and the solver
-        // profile + restart override travel Config → Oracle → every
-        // constructed solver the same way.
+        // MaxSAT solver the run constructs searches with it), and the restart
+        // override travels Config → Oracle → every constructed solver the
+        // same way.
         let oracle = Oracle::new(budget)
             .with_repair_strategy(self.config.repair_strategy)
-            .with_solver_profile(self.config.solver_profile)
             .with_restart_policy(self.config.restart_policy)
             .with_certification(self.config.certify);
         self.synthesize_with_oracle(dqbf, oracle)

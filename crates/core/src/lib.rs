@@ -166,7 +166,7 @@ pub use compose::{CompositionalConfig, CompositionalEngine};
 pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use manthan3_maxsat::RepairStrategy;
-pub use manthan3_sat::{CallBudget, RestartPolicy, SolverProfile};
+pub use manthan3_sat::{CallBudget, RestartPolicy};
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
 pub use repair::{

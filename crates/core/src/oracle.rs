@@ -20,7 +20,7 @@ use manthan3_maxsat::{MaxSatResult, MaxSatSolver, RepairStrategy};
 use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShardedSampler, ShortfallReason};
 use manthan3_sat::{
     CallBudget, CancelToken, Certificate, RestartPolicy, SolveResult, Solver, SolverConfig,
-    SolverProfile, SolverStats,
+    SolverStats,
 };
 use std::time::{Duration, Instant};
 
@@ -360,10 +360,7 @@ pub struct Oracle {
     /// constructs (`Manthan3Config::repair_strategy`, threaded through to
     /// the persistent repair session).
     repair_strategy: RepairStrategy,
-    /// The solver-policy bundle every constructed SAT and MaxSAT solver
-    /// starts from (`Manthan3Config::solver_profile`).
-    solver_profile: SolverProfile,
-    /// Optional restart-policy override on top of the profile
+    /// Optional restart-policy override on top of the solver defaults
     /// (`Manthan3Config::restart_policy`, the portfolio's restart-racing
     /// dimension).
     restart_policy: Option<RestartPolicy>,
@@ -378,7 +375,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// Creates an oracle enforcing `budget`, constructing linear-search
-    /// MaxSAT solvers with the modern solver profile.
+    /// MaxSAT solvers with the default solver configuration.
     pub fn new(budget: Budget) -> Self {
         let calls = CallBudget::new(budget.max_sat_calls);
         Oracle {
@@ -386,7 +383,6 @@ impl Oracle {
             stats: OracleStats::default(),
             calls,
             repair_strategy: RepairStrategy::default(),
-            solver_profile: SolverProfile::default(),
             restart_policy: None,
             certify: false,
             certification_failure: None,
@@ -410,16 +406,8 @@ impl Oracle {
         self
     }
 
-    /// Selects the [`SolverProfile`] that subsequently constructed SAT and
-    /// MaxSAT solvers derive their configuration from (builder style).
-    pub fn with_solver_profile(mut self, profile: SolverProfile) -> Self {
-        self.solver_profile = profile;
-        self
-    }
-
-    /// Overrides the restart policy of subsequently constructed solvers on
-    /// top of the profile (builder style); `None` keeps the profile's
-    /// policy. This is the knob the portfolio's restart-racing dimension
+    /// Overrides the restart policy of subsequently constructed solvers
+    /// (builder style); `None` keeps the default policy. This is the knob the portfolio's restart-racing dimension
     /// turns.
     pub fn with_restart_policy(mut self, policy: Option<RestartPolicy>) -> Self {
         self.restart_policy = policy;
@@ -466,17 +454,12 @@ impl Oracle {
         self.repair_strategy
     }
 
-    /// The profile constructed solvers derive their configuration from.
-    pub fn solver_profile(&self) -> SolverProfile {
-        self.solver_profile
-    }
-
     /// The base configuration of every solver this oracle constructs: the
-    /// profile's policy bundle with the optional restart override applied.
+    /// solver defaults with the optional restart override applied.
     /// Budget fields (conflict cap, cancellation) are layered on at
     /// construction time.
     fn base_solver_config(&self) -> SolverConfig {
-        let mut config = SolverConfig::for_profile(self.solver_profile);
+        let mut config = SolverConfig::default();
         if let Some(policy) = self.restart_policy {
             config.restart_policy = policy;
         }
@@ -531,7 +514,7 @@ impl Oracle {
         &self.calls
     }
 
-    /// Constructs a CDCL solver from the oracle's profile with the budget's
+    /// Constructs a CDCL solver from the oracle's base configuration with the budget's
     /// per-call conflict limit.
     pub fn new_solver(&mut self) -> Solver {
         let mut config = self.base_solver_config();
@@ -1283,36 +1266,25 @@ mod tests {
         );
     }
 
-    /// The solver profile and restart override flow into every constructed
-    /// solver, and the new solver-layer counters are diff-billed by solves.
+    /// The restart override flows into every constructed SAT and MaxSAT
+    /// solver; without it they keep the default policy.
     #[test]
-    fn solver_profile_and_restart_override_flow_into_constructed_solvers() {
-        use manthan3_sat::ReductionPolicy;
-        let mut oracle =
-            Oracle::new(Budget::unlimited()).with_solver_profile(SolverProfile::Legacy);
-        assert_eq!(oracle.solver_profile(), SolverProfile::Legacy);
-        let solver = oracle.new_solver();
-        assert_eq!(solver.config().restart_policy, RestartPolicy::Luby);
+    fn restart_override_flows_into_constructed_solvers() {
+        let mut oracle = Oracle::new(Budget::unlimited());
         assert_eq!(
-            solver.config().reduction_policy,
-            ReductionPolicy::ActivityHalving
+            oracle.new_solver().config().restart_policy,
+            RestartPolicy::GlucoseEma
         );
-        assert!(!solver.config().enable_inprocessing);
-        // The override beats the profile's restart policy, nothing else.
-        let mut oracle = Oracle::new(Budget::unlimited())
-            .with_solver_profile(SolverProfile::Legacy)
-            .with_restart_policy(Some(RestartPolicy::GlucoseEma));
-        let solver = oracle.new_solver();
-        assert_eq!(solver.config().restart_policy, RestartPolicy::GlucoseEma);
+        let mut oracle =
+            Oracle::new(Budget::unlimited()).with_restart_policy(Some(RestartPolicy::Luby));
         assert_eq!(
-            solver.config().reduction_policy,
-            ReductionPolicy::ActivityHalving
+            oracle.new_solver().config().restart_policy,
+            RestartPolicy::Luby
         );
         // MaxSAT solvers derive from the same base configuration.
-        let maxsat = oracle.new_maxsat();
         assert_eq!(
-            maxsat.solver_config().restart_policy,
-            RestartPolicy::GlucoseEma
+            oracle.new_maxsat().solver_config().restart_policy,
+            RestartPolicy::Luby
         );
     }
 

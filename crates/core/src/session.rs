@@ -309,7 +309,7 @@ impl VerifySession {
     /// Runs an error-solver maintenance pass immediately: halves the learnt
     /// database (resetting its growth threshold), frees the clauses of
     /// retired candidate generations, and runs one bounded inprocessing
-    /// pass (subsumption + vivification; a no-op under the legacy profile).
+    /// pass (subsumption + vivification).
     /// Called automatically every 32 retirements; exposed for callers that
     /// drive the session manually. The pass runs outside any oracle solve
     /// call, so its work is billed to the oracle's statistics here.

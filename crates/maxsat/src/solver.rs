@@ -236,7 +236,7 @@ impl MaxSatSolver {
     }
 
     /// The configuration of the underlying CDCL solver (as constructed —
-    /// the way the oracle layer verifies its profile reached the solver).
+    /// the way the oracle layer verifies its configuration reached the solver).
     pub fn solver_config(&self) -> &SolverConfig {
         self.solver.config()
     }

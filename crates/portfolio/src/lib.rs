@@ -161,10 +161,9 @@ pub struct PortfolioConfig {
     /// racer per listed [`RestartPolicy`] (crossed with the shard counts and
     /// repair strategies when those dimensions are configured too). Each
     /// racer's oracle constructs all its solvers with the listed policy
-    /// overriding the solver profile's default — instances with phase
-    /// transitions favor the adaptive EMA racer, steadily hard ones the
-    /// predictable Luby racer. Empty (the default) races the single policy
-    /// of the configured solver profile.
+    /// overriding the solver default — instances with phase transitions
+    /// favor the adaptive EMA racer, steadily hard ones the predictable Luby
+    /// racer. Empty (the default) races the solver's default policy alone.
     pub manthan3_restart_policies: Vec<RestartPolicy>,
     /// Cluster-merge-threshold diversity for the compositional engine: when
     /// non-empty, every [`PortfolioEngine::Compositional`] entry in

@@ -22,23 +22,6 @@
 //! pointer in each moved clause's old header, so the solver can remap its
 //! watcher lists, reason pointers, and clause lists through the returned
 //! [`Relocation`] without any auxiliary table.
-//!
-//! # Boxed-storage emulation
-//!
-//! [`ClauseArena::new_boxed`] builds an arena that keeps each clause's
-//! literals in a separate per-clause heap allocation, with the header's
-//! literal area replaced by a single slot index into the side table:
-//!
-//! ```text
-//! word 0..2  header as above
-//! word 3     slot index into a Vec<Box<[u32]>> holding the literals
-//! ```
-//!
-//! This reproduces the pre-modernization storage layout — one heap
-//! allocation per clause, a pointer chase per clause access — behind the
-//! same interface, so benchmarks can measure the flat arena against the
-//! configuration it replaced on identical workloads. The legacy solver
-//! profile selects it; nothing else should.
 
 use manthan3_cnf::Lit;
 
@@ -68,10 +51,6 @@ impl ClauseRef {
 #[derive(Debug, Clone, Default)]
 pub struct ClauseArena {
     data: Vec<u32>,
-    /// `Some` in boxed-storage emulation mode: per-clause literal boxes,
-    /// indexed by the slot word stored after each clause header. `None` in
-    /// the flat (modern) layout, where literals follow the header inline.
-    boxed: Option<Vec<Box<[u32]>>>,
     /// Words occupied by deleted clauses and shrunk-away literals, reclaimed
     /// by the next [`ClauseArena::collect`].
     wasted: usize,
@@ -83,22 +62,6 @@ impl ClauseArena {
     /// Creates an empty arena.
     pub fn new() -> Self {
         ClauseArena::default()
-    }
-
-    /// Creates an empty arena in boxed-storage emulation mode: every clause's
-    /// literals live in their own heap allocation, as they did before the
-    /// flat arena existed. See the [module documentation](self).
-    pub fn new_boxed() -> Self {
-        ClauseArena {
-            boxed: Some(Vec::new()),
-            ..ClauseArena::default()
-        }
-    }
-
-    /// `true` if this arena stores literals in per-clause heap boxes rather
-    /// than inline.
-    pub fn boxed_storage(&self) -> bool {
-        self.boxed.is_some()
     }
 
     /// Allocates a clause and returns its reference.
@@ -118,14 +81,7 @@ impl ClauseArena {
         self.data.push(header);
         self.data.push(lits.len() as u32); // initial LBD upper bound: |C|
         self.data.push(0f32.to_bits());
-        match &mut self.boxed {
-            Some(boxed) => {
-                let slot = boxed.len() as u32;
-                boxed.push(lits.iter().map(|l| l.code() as u32).collect());
-                self.data.push(slot);
-            }
-            None => self.data.extend(lits.iter().map(|l| l.code() as u32)),
-        }
+        self.data.extend(lits.iter().map(|l| l.code() as u32));
         cref
     }
 
@@ -145,75 +101,42 @@ impl ClauseArena {
         self.data.is_empty()
     }
 
-    /// The slot index of a boxed-mode clause (stored where inline literals
-    /// would otherwise begin).
-    #[inline]
-    fn slot(&self, cref: ClauseRef) -> usize {
-        self.data[cref.0 as usize + HEADER_WORDS as usize] as usize
-    }
-
     /// The `i`-th literal of the clause.
     #[inline]
     pub fn lit(&self, cref: ClauseRef, i: usize) -> Lit {
-        match &self.boxed {
-            Some(boxed) => Lit::from_code(boxed[self.slot(cref)][i] as usize),
-            None => Lit::from_code(self.data[cref.0 as usize + HEADER_WORDS as usize + i] as usize),
-        }
+        Lit::from_code(self.data[cref.0 as usize + HEADER_WORDS as usize + i] as usize)
     }
 
     /// The literal codes of the clause as a word slice (for iteration without
     /// per-literal bounds checks).
     #[inline]
     pub fn lit_codes(&self, cref: ClauseRef) -> &[u32] {
-        let len = self.len(cref);
-        match &self.boxed {
-            Some(boxed) => &boxed[self.slot(cref)][..len],
-            None => {
-                let start = cref.0 as usize + HEADER_WORDS as usize;
-                &self.data[start..start + len]
-            }
-        }
+        let start = cref.0 as usize + HEADER_WORDS as usize;
+        &self.data[start..start + self.len(cref)]
     }
 
     /// Overwrites the `i`-th literal of the clause.
     #[inline]
     pub fn set_lit(&mut self, cref: ClauseRef, i: usize, lit: Lit) {
-        match &mut self.boxed {
-            Some(boxed) => {
-                let slot = self.data[cref.0 as usize + HEADER_WORDS as usize] as usize;
-                boxed[slot][i] = lit.code() as u32;
-            }
-            None => self.data[cref.0 as usize + HEADER_WORDS as usize + i] = lit.code() as u32,
-        }
+        self.data[cref.0 as usize + HEADER_WORDS as usize + i] = lit.code() as u32;
     }
 
     /// Swaps two literal positions of the clause.
     #[inline]
     pub fn swap_lits(&mut self, cref: ClauseRef, i: usize, j: usize) {
-        match &mut self.boxed {
-            Some(boxed) => {
-                let slot = self.data[cref.0 as usize + HEADER_WORDS as usize] as usize;
-                boxed[slot].swap(i, j);
-            }
-            None => {
-                let base = cref.0 as usize + HEADER_WORDS as usize;
-                self.data.swap(base + i, base + j);
-            }
-        }
+        let base = cref.0 as usize + HEADER_WORDS as usize;
+        self.data.swap(base + i, base + j);
     }
 
     /// Removes the `i`-th literal by swapping the last literal into its place
-    /// and shrinking the clause. The vacated word is booked as wasted (inline
-    /// mode only — a boxed clause's slack lives outside the word buffer).
+    /// and shrinking the clause. The vacated word is booked as wasted.
     pub fn remove_lit(&mut self, cref: ClauseRef, i: usize) {
         let len = self.len(cref);
         debug_assert!(i < len && len > 1);
         self.swap_lits(cref, i, len - 1);
         let h = self.header(cref);
         self.data[cref.0 as usize] = (h & !SIZE_MASK) | (len as u32 - 1);
-        if self.boxed.is_none() {
-            self.wasted += 1;
-        }
+        self.wasted += 1;
     }
 
     /// `true` if the clause was allocated as a learnt clause.
@@ -236,18 +159,11 @@ impl ClauseArena {
         self.header(cref) & DELETED_BIT != 0
     }
 
-    /// Marks the clause deleted and books its word-buffer footprint as
-    /// wasted: header plus inline literals, or header plus the slot word in
-    /// boxed mode (the literal box itself is freed at collection).
+    /// Marks the clause deleted and books its header and literals as wasted.
     pub fn delete(&mut self, cref: ClauseRef) {
         debug_assert!(!self.is_deleted(cref));
         self.data[cref.0 as usize] |= DELETED_BIT;
-        self.wasted += HEADER_WORDS as usize
-            + if self.boxed.is_some() {
-                1
-            } else {
-                self.len(cref)
-            };
+        self.wasted += HEADER_WORDS as usize + self.len(cref);
     }
 
     /// The clause's literal-block distance (glue), as stored.
@@ -316,35 +232,19 @@ impl ClauseArena {
         I: IntoIterator<Item = ClauseRef>,
     {
         let mut old = std::mem::take(&mut self.data);
-        let old_boxed = self.boxed.take();
         self.data = Vec::with_capacity(old.len() - self.wasted.min(old.len()));
-        let mut new_boxed = old_boxed.as_ref().map(|_| Vec::new());
         for cref in live {
             let at = cref.0 as usize;
             debug_assert_eq!(old[at] & (DELETED_BIT | RELOCATED_BIT), 0);
             let len = (old[at] & SIZE_MASK) as usize;
             let new_ref = self.data.len() as u32;
             self.data
-                .extend_from_slice(&old[at..at + HEADER_WORDS as usize]);
-            match (&mut new_boxed, &old_boxed) {
-                (Some(nb), Some(ob)) => {
-                    // Reallocate the literal box, emulating the per-clause
-                    // move the pre-arena store performed when compacting.
-                    let slot = old[at + HEADER_WORDS as usize] as usize;
-                    let new_slot = nb.len() as u32;
-                    nb.push(ob[slot][..len].to_vec().into_boxed_slice());
-                    self.data.push(new_slot);
-                }
-                _ => self.data.extend_from_slice(
-                    &old[at + HEADER_WORDS as usize..at + HEADER_WORDS as usize + len],
-                ),
-            }
+                .extend_from_slice(&old[at..at + HEADER_WORDS as usize + len]);
             // Leave a forwarding pointer in the old header: the relocated bit
             // plus the new offset in the (now unused) LBD slot.
             old[at] |= RELOCATED_BIT;
             old[at + 1] = new_ref;
         }
-        self.boxed = new_boxed;
         self.wasted = 0;
         self.collections += 1;
         Relocation { old }
@@ -454,41 +354,6 @@ mod tests {
         assert!((a.activity(n) - 7.0).abs() < 1e-6);
         assert!(a.is_learnt(n));
         assert_eq!(a.len(n), 3);
-    }
-
-    /// The boxed-storage emulation behaves identically to the flat layout
-    /// through the whole public surface: roundtrip, mutation, shrinking,
-    /// deletion, and compacting collection.
-    #[test]
-    fn boxed_mode_mirrors_inline_semantics() {
-        let mut a = ClauseArena::new_boxed();
-        assert!(a.boxed_storage());
-        let c1 = a.alloc(&lits(&[1, -2, 3, 4]), false);
-        let c2 = a.alloc(&lits(&[-4, 5]), true);
-        assert_eq!(a.len(c1), 4);
-        assert_eq!(a.lit(c1, 1), Lit::from_dimacs(-2));
-        assert!(a.is_learnt(c2));
-        a.swap_lits(c1, 0, 3);
-        assert_eq!(a.lit(c1, 0), Lit::from_dimacs(4));
-        a.set_lit(c1, 0, Lit::from_dimacs(7));
-        assert_eq!(a.lit_codes(c1)[0], Lit::from_dimacs(7).code() as u32);
-        a.remove_lit(c1, 0);
-        assert_eq!(a.len(c1), 3);
-        a.set_lbd(c2, 1);
-        a.set_activity(c2, 3.5);
-        let c3 = a.alloc(&lits(&[6, -7]), false);
-        a.delete(c1);
-        assert!(a.wasted_fraction() > 0.0);
-        let reloc = a.collect([c2, c3]);
-        assert!(a.boxed_storage(), "mode survives collection");
-        assert_eq!(reloc.forward(c1), None);
-        let n2 = reloc.forward(c2).expect("live clause forwards");
-        let n3 = reloc.forward(c3).expect("live clause forwards");
-        assert_eq!(a.lit(n2, 0), Lit::from_dimacs(-4));
-        assert_eq!(a.lbd(n2), 1);
-        assert!((a.activity(n2) - 3.5).abs() < 1e-6);
-        assert_eq!(a.lit(n3, 1), Lit::from_dimacs(-7));
-        assert_eq!(a.wasted_words(), 0);
     }
 
     #[test]

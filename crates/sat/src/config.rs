@@ -1,98 +1,11 @@
 use crate::restart::RestartPolicy;
 use crate::CancelToken;
-use std::fmt;
-use std::str::FromStr;
-
-/// Selects how the learnt-clause database is reduced when it outgrows its
-/// threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReductionPolicy {
-    /// The pre-modernization heuristic: sort by activity, delete the
-    /// lowest-activity half, grow the threshold additively.
-    ActivityHalving,
-    /// Glucose-style management: sort by glue (worst first, activity as the
-    /// tie-breaker), delete half, protect glue ≤ 2 clauses unconditionally,
-    /// grow the threshold geometrically (the default).
-    #[default]
-    LbdGeometric,
-}
-
-impl ReductionPolicy {
-    /// All policies, in racing order.
-    pub const ALL: [ReductionPolicy; 2] = [
-        ReductionPolicy::ActivityHalving,
-        ReductionPolicy::LbdGeometric,
-    ];
-}
-
-impl fmt::Display for ReductionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReductionPolicy::ActivityHalving => write!(f, "activity"),
-            ReductionPolicy::LbdGeometric => write!(f, "lbd"),
-        }
-    }
-}
-
-impl FromStr for ReductionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "activity" => Ok(ReductionPolicy::ActivityHalving),
-            "lbd" => Ok(ReductionPolicy::LbdGeometric),
-            other => Err(format!(
-                "unknown reduction policy {other:?} (expected \"activity\" or \"lbd\")"
-            )),
-        }
-    }
-}
-
-/// A named bundle of solver-layer policies: the modernized defaults or the
-/// pre-modernization behavior, used as the baseline of the
-/// `solver_modernization` benchmark and as an escape hatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverProfile {
-    /// EMA restarts, LBD-managed reduction, rephasing, incremental watcher
-    /// repair, and inter-call inprocessing (the default).
-    #[default]
-    Modern,
-    /// The solver as it behaved before the modernization PR: Luby restarts,
-    /// activity-halving reduction, no rephasing, full watch-list rebuilds on
-    /// every reduction/simplification, no inprocessing, and per-clause
-    /// heap-allocated clause storage instead of the flat arena.
-    Legacy,
-}
-
-impl fmt::Display for SolverProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverProfile::Modern => write!(f, "modern"),
-            SolverProfile::Legacy => write!(f, "legacy"),
-        }
-    }
-}
-
-impl FromStr for SolverProfile {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "modern" => Ok(SolverProfile::Modern),
-            "legacy" => Ok(SolverProfile::Legacy),
-            other => Err(format!(
-                "unknown solver profile {other:?} (expected \"modern\" or \"legacy\")"
-            )),
-        }
-    }
-}
 
 /// Tuning parameters for the CDCL [`Solver`](crate::Solver).
 ///
 /// The defaults follow the modernized (Glucose-style) settings and are
 /// appropriate for the formula sizes produced by the Manthan3 pipeline. The
-/// sampler crate overrides the `random_*` fields to obtain diverse models;
-/// [`SolverConfig::legacy`] reproduces the pre-modernization policies.
+/// sampler crate overrides the `random_*` fields to obtain diverse models.
 ///
 /// # Examples
 ///
@@ -126,31 +39,13 @@ pub struct SolverConfig {
     /// Base interval (in conflicts) of the Luby restart sequence (ignored by
     /// the EMA policy).
     pub restart_base: u64,
-    /// How the learnt-clause database is reduced.
-    pub reduction_policy: ReductionPolicy,
     /// Number of learnt clauses tolerated before the first database
-    /// reduction.
+    /// reduction; each reduction raises the threshold by a quarter.
     pub first_reduce_db: usize,
-    /// Additional learnt clauses tolerated after each reduction (the
-    /// [`ReductionPolicy::ActivityHalving`] growth rule).
-    pub reduce_db_increment: usize,
     /// If `true`, the solver periodically resets decision phases to the
     /// best (deepest-trail) assignment seen, on a restart boundary with a
     /// geometrically growing interval.
     pub rephase: bool,
-    /// If `true`, reductions and simplification repair only the watcher
-    /// lists they touch; if `false`, every pass rebuilds all lists from
-    /// scratch (the pre-modernization behavior).
-    pub incremental_watch_repair: bool,
-    /// If `true`, [`Solver::inprocess`](crate::Solver::inprocess) performs
-    /// bounded self-subsumption and vivification; if `false` it is a no-op.
-    pub enable_inprocessing: bool,
-    /// If `true`, clause literals live in one heap allocation per clause
-    /// instead of the flat arena — the pre-modernization storage layout,
-    /// kept as an emulation so the `solver_modernization` benchmark can
-    /// measure the arena against the representation it replaced. Selected
-    /// by [`SolverConfig::legacy`]; leave `false` everywhere else.
-    pub boxed_clause_storage: bool,
     /// Upper bound on conflicts for a single `solve` call; `None` means no
     /// limit. When the budget is exhausted the solver reports
     /// [`SolveResult::Unknown`](crate::SolveResult::Unknown).
@@ -181,13 +76,8 @@ impl Default for SolverConfig {
             default_polarity: false,
             restart_policy: RestartPolicy::default(),
             restart_base: 100,
-            reduction_policy: ReductionPolicy::default(),
             first_reduce_db: 4000,
-            reduce_db_increment: 1000,
             rephase: true,
-            incremental_watch_repair: true,
-            enable_inprocessing: true,
-            boxed_clause_storage: false,
             max_conflicts: None,
             cancel: None,
             proof_logging: false,
@@ -197,31 +87,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Returns the pre-modernization configuration: Luby restarts,
-    /// activity-halving reduction, no rephasing, full watch-list rebuilds,
-    /// no inprocessing, and per-clause heap storage instead of the flat
-    /// arena. The `solver_modernization` benchmark races this against the
-    /// default to measure the modernization win.
-    pub fn legacy() -> Self {
-        SolverConfig {
-            restart_policy: RestartPolicy::Luby,
-            reduction_policy: ReductionPolicy::ActivityHalving,
-            rephase: false,
-            incremental_watch_repair: false,
-            enable_inprocessing: false,
-            boxed_clause_storage: true,
-            ..SolverConfig::default()
-        }
-    }
-
-    /// Returns the configuration bundle named by `profile`.
-    pub fn for_profile(profile: SolverProfile) -> Self {
-        match profile {
-            SolverProfile::Modern => SolverConfig::default(),
-            SolverProfile::Legacy => SolverConfig::legacy(),
-        }
-    }
-
     /// Returns a configuration suitable for diverse-model sampling:
     /// fully random branching variables and polarities. Rephasing is off —
     /// it would fight the sampler's explicit phase biasing.
@@ -272,34 +137,7 @@ mod tests {
     fn default_is_the_modern_profile() {
         let c = SolverConfig::default();
         assert_eq!(c.restart_policy, RestartPolicy::GlucoseEma);
-        assert_eq!(c.reduction_policy, ReductionPolicy::LbdGeometric);
-        assert!(c.rephase && c.incremental_watch_repair && c.enable_inprocessing);
-        assert_eq!(SolverConfig::for_profile(SolverProfile::Modern), c);
-    }
-
-    #[test]
-    fn legacy_reproduces_the_pre_modernization_policies() {
-        let c = SolverConfig::legacy();
-        assert_eq!(c.restart_policy, RestartPolicy::Luby);
-        assert_eq!(c.reduction_policy, ReductionPolicy::ActivityHalving);
-        assert!(!c.rephase && !c.incremental_watch_repair && !c.enable_inprocessing);
-        assert!(c.boxed_clause_storage && !SolverConfig::default().boxed_clause_storage);
-        // Everything else matches the defaults.
-        assert_eq!(c.restart_base, SolverConfig::default().restart_base);
-        assert_eq!(c.first_reduce_db, SolverConfig::default().first_reduce_db);
-        assert_eq!(SolverConfig::for_profile(SolverProfile::Legacy), c);
-    }
-
-    #[test]
-    fn profile_and_policy_names_roundtrip() {
-        for profile in [SolverProfile::Modern, SolverProfile::Legacy] {
-            assert_eq!(profile.to_string().parse::<SolverProfile>(), Ok(profile));
-        }
-        for policy in ReductionPolicy::ALL {
-            assert_eq!(policy.to_string().parse::<ReductionPolicy>(), Ok(policy));
-        }
-        assert!("eager".parse::<SolverProfile>().is_err());
-        assert!("half".parse::<ReductionPolicy>().is_err());
+        assert!(c.rephase && !c.proof_logging);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod restart;
 mod solver;
 
 pub use cancel::{CallBudget, CancelToken};
-pub use config::{ReductionPolicy, SolverConfig, SolverProfile};
+pub use config::SolverConfig;
 pub use proof::{Certificate, ProofTracer};
 pub use restart::RestartPolicy;
 pub use solver::{SolveResult, Solver, SolverStats};

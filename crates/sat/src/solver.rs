@@ -1,5 +1,5 @@
 use crate::arena::{ClauseArena, ClauseRef};
-use crate::config::{ReductionPolicy, SolverConfig};
+use crate::config::SolverConfig;
 use crate::lbd::GlueStamps;
 use crate::proof::{Certificate, ProofTracer};
 use crate::restart::RestartScheduler;
@@ -40,7 +40,7 @@ pub struct SolverStats {
     /// (assumption-prefix trail reuse).
     pub reused_levels: u64,
     /// Number of learnt clauses with glue ≤ 2 currently in the database
-    /// (protected from reduction under [`ReductionPolicy::LbdGeometric`]).
+    /// (protected from reduction).
     pub glue2_clauses: usize,
     /// Number of rephasing events (decision phases reset to the best trail
     /// seen) performed so far.
@@ -190,15 +190,10 @@ impl Solver {
     pub fn with_config(config: SolverConfig) -> Self {
         let rng = SmallRng::seed_from_u64(config.seed);
         let max_learnts = config.first_reduce_db;
-        let arena = if config.boxed_clause_storage {
-            ClauseArena::new_boxed()
-        } else {
-            ClauseArena::new()
-        };
         let tracer = ProofTracer::new(config.proof_logging);
         Solver {
             config,
-            arena,
+            arena: ClauseArena::new(),
             clause_refs: Vec::new(),
             learnt_refs: Vec::new(),
             watches: Vec::new(),
@@ -770,47 +765,30 @@ impl Solver {
         }
     }
 
-    /// Deletes the lowest-value half of the learnt database according to the
-    /// configured [`ReductionPolicy`]. Sound at any decision level: clauses
+    /// Deletes the lowest-value half of the learnt database: worst glue
+    /// first, least active first among equal glue, never a clause of glue
+    /// ≤ 2 (Glucose-style management). Sound at any decision level: clauses
     /// that are the reason of a current trail literal are locked and never
     /// deleted (a reason clause keeps its propagated literal at slot 0, so
     /// [`Solver::is_locked`] identifies it at any trail depth).
     fn reduce_db(&mut self) {
         let mut refs = self.learnt_refs.clone();
-        match self.config.reduction_policy {
-            ReductionPolicy::ActivityHalving => {
-                let arena = &self.arena;
-                refs.sort_by(|&a, &b| {
-                    arena
-                        .activity(a)
-                        .partial_cmp(&arena.activity(b))
-                        .unwrap_or(Ordering::Equal)
-                });
-            }
-            ReductionPolicy::LbdGeometric => {
-                // Worst glue first; activity breaks ties (least active first).
-                let arena = &self.arena;
-                refs.sort_by(|&a, &b| {
-                    arena.lbd(b).cmp(&arena.lbd(a)).then_with(|| {
-                        arena
-                            .activity(a)
-                            .partial_cmp(&arena.activity(b))
-                            .unwrap_or(Ordering::Equal)
-                    })
-                });
-            }
-        }
-        let protect_glue = self.config.reduction_policy == ReductionPolicy::LbdGeometric;
+        let arena = &self.arena;
+        refs.sort_by(|&a, &b| {
+            arena.lbd(b).cmp(&arena.lbd(a)).then_with(|| {
+                arena
+                    .activity(a)
+                    .partial_cmp(&arena.activity(b))
+                    .unwrap_or(Ordering::Equal)
+            })
+        });
         let to_remove = refs.len() / 2;
         let mut deleted = Vec::new();
         for &cref in refs.iter() {
             if deleted.len() >= to_remove {
                 break;
             }
-            if self.is_locked(cref) || self.arena.len(cref) <= 2 {
-                continue;
-            }
-            if protect_glue && self.arena.lbd(cref) <= 2 {
+            if self.is_locked(cref) || self.arena.len(cref) <= 2 || self.arena.lbd(cref) <= 2 {
                 continue;
             }
             let lits = self.traced_lits(cref);
@@ -842,10 +820,8 @@ impl Solver {
         self.lit_value(first) == VALUE_TRUE && self.reasons[first.var().index()] == Some(cref)
     }
 
-    /// Prunes the clause lists of deleted entries and repairs the watcher
-    /// lists — incrementally (only the lists the deleted clauses actually
-    /// watched) under [`SolverConfig::incremental_watch_repair`], by a full
-    /// rebuild otherwise.
+    /// Prunes the clause lists of deleted entries and repairs only the
+    /// watcher lists the deleted clauses actually watched.
     fn finish_deletions(&mut self, deleted: &[ClauseRef]) {
         if deleted.is_empty() {
             return;
@@ -853,35 +829,14 @@ impl Solver {
         let arena = &self.arena;
         self.learnt_refs.retain(|&c| !arena.is_deleted(c));
         self.clause_refs.retain(|&c| !arena.is_deleted(c));
-        if self.config.incremental_watch_repair {
-            let mut touched: Vec<usize> = deleted
-                .iter()
-                .flat_map(|&c| {
-                    [
-                        (!self.arena.lit(c, 0)).code(),
-                        (!self.arena.lit(c, 1)).code(),
-                    ]
-                })
-                .collect();
-            touched.sort_unstable();
-            touched.dedup();
-            let arena = &self.arena;
-            for code in touched {
-                self.watches[code].retain(|w| !arena.is_deleted(w.cref));
-            }
-        } else {
-            self.rebuild_watches();
-        }
-    }
-
-    fn rebuild_watches(&mut self) {
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for i in 0..self.clause_refs.len() {
-            let cref = self.clause_refs[i];
-            debug_assert!(!self.arena.is_deleted(cref));
-            self.watch_clause(cref);
+        let mut touched: Vec<usize> = deleted
+            .iter()
+            .flat_map(|&c| [(!arena.lit(c, 0)).code(), (!arena.lit(c, 1)).code()])
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for code in touched {
+            self.watches[code].retain(|w| !arena.is_deleted(w.cref));
         }
     }
 
@@ -976,9 +931,9 @@ impl Solver {
         }
     }
 
-    /// Halves the learnt-clause database (worst clauses first, per the
-    /// configured [`ReductionPolicy`]) and resets the automatic reduction
-    /// threshold to its initial value.
+    /// Halves the learnt-clause database (worst glue first, as the automatic
+    /// reduction does) and resets the automatic reduction threshold to its
+    /// initial value.
     ///
     /// The search loop reduces the database on its own, but every automatic
     /// reduction *raises* the threshold, so a solver that lives across
@@ -1072,7 +1027,7 @@ impl Solver {
 
     /// Bounded inter-call inprocessing: subsumption + self-subsumption over
     /// the clause database, then vivification of the worst-glue learnt
-    /// clauses. A no-op unless [`SolverConfig::enable_inprocessing`] is set.
+    /// clauses.
     ///
     /// Backtracks to decision level 0 (abandoning any kept assumption
     /// trail); intended to run from session maintenance between solve
@@ -1085,7 +1040,7 @@ impl Solver {
     /// occurrence lists; otherwise the call returns immediately.
     /// [`SolverStats::inprocess_passes`] counts the passes that ran.
     pub fn inprocess(&mut self) {
-        if !self.config.enable_inprocessing || !self.ok {
+        if !self.ok {
             return;
         }
         if self.clauses_since_inprocess < INPROCESS_MIN_NEW_CLAUSES {
@@ -1521,14 +1476,9 @@ impl Solver {
                 }
                 if self.learnt_refs.len() > self.max_learnts {
                     self.reduce_db();
-                    self.max_learnts = match self.config.reduction_policy {
-                        ReductionPolicy::ActivityHalving => {
-                            self.max_learnts + self.config.reduce_db_increment
-                        }
-                        // Geometric growth: each reduction tolerates 25%
-                        // more clauses than the previous one.
-                        ReductionPolicy::LbdGeometric => self.max_learnts * 5 / 4,
-                    };
+                    // Geometric growth: each reduction tolerates 25% more
+                    // clauses than the previous one.
+                    self.max_learnts = self.max_learnts * 5 / 4;
                 }
                 // Assumptions first, then heuristic decisions.
                 let mut next: Option<Lit> = None;
@@ -2408,20 +2358,6 @@ mod tests {
         assert_eq!(stats.vivify_strengthened, 1, "¬2 is falsified at level 0");
         assert!(stats.vivify_strengthened <= stats.vivify_candidates);
         assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn legacy_profile_agrees_with_modern_on_verdicts() {
-        for holes in [4, 5, 6] {
-            let mut legacy = pigeonhole(holes, SolverConfig::legacy());
-            let mut modern = pigeonhole(holes, SolverConfig::default());
-            assert_eq!(legacy.solve(), SolveResult::Unsat);
-            assert_eq!(modern.solve(), SolveResult::Unsat);
-            let mut legacy = permutation_instance(holes, SolverConfig::legacy());
-            let mut modern = permutation_instance(holes, SolverConfig::default());
-            assert_eq!(legacy.solve(), SolveResult::Sat);
-            assert_eq!(modern.solve(), SolveResult::Sat);
-        }
     }
 
     #[test]

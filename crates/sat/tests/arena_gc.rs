@@ -53,13 +53,9 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Replays `script` against a real arena and the shadow model, checking the
-/// GC properties at every collect. `boxed` selects the storage emulation.
-fn run_script(script: &[Op], boxed: bool) -> Result<(), TestCaseError> {
-    let mut arena = if boxed {
-        ClauseArena::new_boxed()
-    } else {
-        ClauseArena::new()
-    };
+/// GC properties at every collect.
+fn run_script(script: &[Op]) -> Result<(), TestCaseError> {
+    let mut arena = ClauseArena::new();
     let mut live: Vec<Shadow> = Vec::new();
     let mut deleted_since_gc: Vec<ClauseRef> = Vec::new();
     let mut next_lit = 0u32;
@@ -178,13 +174,7 @@ proptest! {
     /// Random alloc/delete/collect interleavings on the flat arena.
     #[test]
     fn gc_preserves_live_clauses_flat(script in ops()) {
-        run_script(&script, false)?;
-    }
-
-    /// The same interleavings on the boxed-storage emulation.
-    #[test]
-    fn gc_preserves_live_clauses_boxed(script in ops()) {
-        run_script(&script, true)?;
+        run_script(&script)?;
     }
 
     /// Solver-level churn: maintenance passes (reduction, simplification,
@@ -196,7 +186,6 @@ proptest! {
         let config = SolverConfig {
             // Tiny thresholds so reductions (and thus GC) actually run.
             first_reduce_db: 2,
-            reduce_db_increment: 1,
             ..SolverConfig::default()
         };
         let mut churned = Solver::with_config(config.clone());

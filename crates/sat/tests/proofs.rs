@@ -1,12 +1,12 @@
 //! End-to-end certification round trips: every UNSAT verdict the solver
 //! produces under proof logging must yield a certificate the independent
 //! `manthan3-drat` checker accepts, across level-0 refutations,
-//! assumption-scoped verdicts, learning, database maintenance, and both
-//! solver profiles.
+//! assumption-scoped verdicts, learning, database maintenance, and every
+//! restart policy.
 
 use manthan3_cnf::Lit;
 use manthan3_drat::{check, parse_text_proof, CheckOutcome, Proof, ProofStep};
-use manthan3_sat::{SolveResult, Solver, SolverConfig};
+use manthan3_sat::{RestartPolicy, SolveResult, Solver, SolverConfig};
 
 fn logging_solver(config: SolverConfig) -> Solver {
     Solver::with_config(config.with_proof_logging(true))
@@ -89,9 +89,12 @@ fn assumption_scoped_certificate_needs_its_assumptions() {
 }
 
 #[test]
-fn pigeonhole_certificate_survives_learning_and_both_profiles() {
-    for config in [SolverConfig::default(), SolverConfig::legacy()] {
-        let mut s = logging_solver(config);
+fn pigeonhole_certificate_survives_learning_under_every_restart_policy() {
+    for restart_policy in RestartPolicy::ALL {
+        let mut s = logging_solver(SolverConfig {
+            restart_policy,
+            ..SolverConfig::default()
+        });
         pigeonhole(&mut s, 4);
         assert_eq!(s.solve(), SolveResult::Unsat);
         let cert = s.certificate().expect("unsat verdict yields a certificate");
