@@ -34,24 +34,16 @@
 //! `summary_table.csv` rows report its effect. `--repair-strategy` selects
 //! how the Manthan3 repair loop's MaxSAT queries search for their optimum
 //! (warm-started linear bound search vs. core-guided relaxation); the
-//! per-run `maxsat_probes` / `maxsat_cores` columns of `runs.csv` and the
-//! matching `summary_table.csv` rows report the probe economy.
-//! The per-run solver-layer columns of `runs.csv`
-//! (`sat_propagations`, `props_per_sec`, `conflicts`, `decisions`,
-//! `sat_restarts`, `reused_levels`, `rephases`, `learnt_clauses_live`,
-//! `glue2_clauses`, the `inprocess_*` / `vivify_*` breakdown,
-//! `arena_collections`, `arena_live_words`, `budget_exhaustions`, and the
-//! `*_solvers_constructed` / `samplers_constructed` provenance counters) and
-//! the matching `summary_table.csv` rows report the CDCL core's work.
-//! `--certify` arms the certifying solver layer: every SAT and MaxSAT solver
-//! the Manthan3-family oracles construct logs DRAT proofs, every UNSAT
-//! verdict is checked in-process by the independent `manthan3-drat` checker,
-//! and the per-run `models_verified` / `certificates_checked` /
-//! `certificates_rejected` / `proof_bytes` / `proof_adds` / `proof_deletes` /
-//! `certify_wall_s` columns of `runs.csv` (with matching `summary_table.csv`
-//! rows) report the proof traffic and checking cost. A rejected certificate
-//! — a soundness alarm — is dumped under the output directory as a
-//! `certify_failure_*.cnf` / `.drat` pair for offline reproduction.
+//! MaxSAT probe and core counters report the probe economy.
+//! Every `OracleStats` counter (MaxSAT, sampling, CDCL solver layer,
+//! certification) is one column of `runs.csv` and one row of
+//! `summary_table.csv`; the `oracle_stats!` table in
+//! `manthan3_core::oracle` lists them. `--certify` arms the certifying
+//! solver layer: every SAT and MaxSAT solver the Manthan3-family oracles
+//! construct logs DRAT proofs, and every UNSAT verdict is checked
+//! in-process by the independent `manthan3-drat` checker. A rejected
+//! certificate — a soundness alarm — is dumped under the output directory
+//! as a `certify_failure_*.cnf` / `.drat` pair for offline reproduction.
 //! `--engine compositional` adds the dependency-driven compositional engine
 //! (partition the outputs into clusters, synthesize them concurrently,
 //! compose with coupled-residue repair); `--max-cluster-size N` caps the
@@ -248,121 +240,11 @@ fn main() {
         );
     }
 
-    // Raw records, including the per-run MaxSAT oracle counters behind the
-    // summary's incremental-vs-fresh aggregates.
-    let raw_rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            vec![
-                r.instance.clone(),
-                r.family.clone(),
-                r.engine.to_string(),
-                r.synthesized.to_string(),
-                r.decided.to_string(),
-                r.outcome.clone(),
-                format!("{:.4}", r.seconds()),
-                r.repair_iterations.to_string(),
-                r.oracle.maxsat_calls.to_string(),
-                r.oracle.maxsat_incremental_calls.to_string(),
-                r.oracle.maxsat_hard_encodings.to_string(),
-                r.oracle.maxsat_probes.to_string(),
-                r.oracle.maxsat_cores.to_string(),
-                format!("{:.4}", r.sample_wall.as_secs_f64()),
-                r.sample_shards.to_string(),
-                r.oracle.sampler_calls.to_string(),
-                r.oracle.sample_shortfalls.to_string(),
-                r.oracle.sat_propagations.to_string(),
-                format!(
-                    "{:.1}",
-                    if r.seconds() > 0.0 {
-                        r.oracle.sat_propagations as f64 / r.seconds()
-                    } else {
-                        0.0
-                    }
-                ),
-                r.oracle.conflicts.to_string(),
-                r.oracle.decisions.to_string(),
-                r.oracle.sat_restarts.to_string(),
-                r.oracle.reused_levels.to_string(),
-                r.oracle.rephases.to_string(),
-                r.oracle.learnt_db_live.to_string(),
-                r.oracle.glue2_clauses.to_string(),
-                r.oracle.inprocess_subsumed.to_string(),
-                r.oracle.inprocess_strengthened.to_string(),
-                r.oracle.inprocess_passes.to_string(),
-                r.oracle.vivify_candidates.to_string(),
-                r.oracle.vivify_strengthened.to_string(),
-                r.oracle.arena_collections.to_string(),
-                r.oracle.arena_live_words.to_string(),
-                r.oracle.models_verified.to_string(),
-                r.oracle.certificates_checked.to_string(),
-                r.oracle.certificates_rejected.to_string(),
-                r.oracle.proof_bytes.to_string(),
-                r.oracle.proof_adds.to_string(),
-                r.oracle.proof_deletes.to_string(),
-                format!("{:.4}", r.oracle.certify_nanos as f64 / 1e9),
-                r.oracle.budget_exhaustions.to_string(),
-                r.oracle.sat_solvers_constructed.to_string(),
-                r.oracle.maxsat_solvers_constructed.to_string(),
-                r.oracle.samplers_constructed.to_string(),
-                r.clusters.to_string(),
-                format!("{:.4}", r.cluster_wall_max.as_secs_f64()),
-                format!("{:.4}", r.cluster_wall_sum.as_secs_f64()),
-            ]
-        })
-        .collect();
+    // Raw records: the per-record columns, then every oracle counter.
     csvio::write_csv(
         &args.out.join("runs.csv"),
-        &[
-            "instance",
-            "family",
-            "engine",
-            "synthesized",
-            "decided",
-            "outcome",
-            "seconds",
-            "repair_iterations",
-            "maxsat_calls",
-            "maxsat_incremental_calls",
-            "maxsat_hard_encodings",
-            "maxsat_probes",
-            "maxsat_cores",
-            "sample_wall_s",
-            "sample_shards",
-            "sampler_calls",
-            "sample_shortfalls",
-            "sat_propagations",
-            "props_per_sec",
-            "conflicts",
-            "decisions",
-            "sat_restarts",
-            "reused_levels",
-            "rephases",
-            "learnt_clauses_live",
-            "glue2_clauses",
-            "inprocess_subsumed",
-            "inprocess_strengthened",
-            "inprocess_passes",
-            "vivify_candidates",
-            "vivify_strengthened",
-            "arena_collections",
-            "arena_live_words",
-            "models_verified",
-            "certificates_checked",
-            "certificates_rejected",
-            "proof_bytes",
-            "proof_adds",
-            "proof_deletes",
-            "certify_wall_s",
-            "budget_exhaustions",
-            "sat_solvers_constructed",
-            "maxsat_solvers_constructed",
-            "samplers_constructed",
-            "clusters",
-            "cluster_wall_max_s",
-            "cluster_wall_sum_s",
-        ],
-        &raw_rows,
+        &report::runs_header(),
+        &report::runs_rows(&records),
     )
     .expect("write runs.csv");
 

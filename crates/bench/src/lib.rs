@@ -56,10 +56,8 @@ pub struct RunOptions {
     /// is checked immediately by the independent `manthan3-drat` checker.
     /// Reaches the Manthan3 engine, the compositional engine, and the
     /// portfolio's Manthan3 racer; the baselines keep their defaults. The
-    /// per-run `certificates_checked` / `certificates_rejected` /
-    /// `proof_bytes` / `proof_adds` / `proof_deletes` / `certify_wall_s`
-    /// columns of `runs.csv` and the matching `summary_table.csv` rows
-    /// report the proof traffic and checking cost.
+    /// certification rows of the `OracleStats` table report the proof
+    /// traffic and checking cost in `runs.csv` and `summary_table.csv`.
     pub certify: bool,
 }
 
@@ -157,9 +155,8 @@ pub struct RunRecord {
     /// Wall-clock runtime of the engine call.
     pub time: Duration,
     /// Oracle-layer counters of the run (for the portfolio: the element-wise
-    /// sum over the racing engines). The MaxSAT columns of
-    /// `summary_table.csv` — incremental hits vs fresh encodes — aggregate
-    /// these across the suite.
+    /// sum over the racing engines). Each is a column of `runs.csv`, and
+    /// `summary_table.csv` sums them across the suite.
     pub oracle: OracleStats,
     /// Number of repair iterations (counterexample rounds) the run took.
     /// Only the Manthan3 engine reports this; baselines and the portfolio

@@ -2,6 +2,7 @@
 //! (the data behind Figures 6–10 and the in-text counts of the paper).
 
 use crate::{EngineKind, RunRecord};
+use manthan3_core::OracleStats;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
@@ -88,6 +89,71 @@ pub fn scatter_rows(
         .collect()
 }
 
+/// The per-record columns of `runs.csv`, ahead of the oracle counter
+/// columns ([`OracleStats::COLUMNS`]).
+pub const RUN_COLUMNS: [&str; 14] = [
+    "instance",
+    "family",
+    "engine",
+    "synthesized",
+    "decided",
+    "outcome",
+    "seconds",
+    "sat_propagations_per_sec",
+    "repair_iterations",
+    "sample_wall_s",
+    "sample_shards",
+    "clusters",
+    "cluster_wall_max_s",
+    "cluster_wall_sum_s",
+];
+
+/// The `runs.csv` header: [`RUN_COLUMNS`] followed by
+/// [`OracleStats::COLUMNS`].
+pub fn runs_header() -> Vec<&'static str> {
+    RUN_COLUMNS
+        .iter()
+        .chain(OracleStats::COLUMNS)
+        .copied()
+        .collect()
+}
+
+/// The `runs.csv` rows, one per record, in [`runs_header`] order.
+pub fn runs_rows(records: &[RunRecord]) -> Vec<Vec<String>> {
+    records
+        .iter()
+        .map(|r| {
+            let mut row = vec![
+                r.instance.clone(),
+                r.family.clone(),
+                r.engine.to_string(),
+                r.synthesized.to_string(),
+                r.decided.to_string(),
+                r.outcome.clone(),
+                format!("{:.4}", r.seconds()),
+                format!("{:.1}", per_second(r.oracle.sat_propagations, r.seconds())),
+                r.repair_iterations.to_string(),
+                format!("{:.4}", r.sample_wall.as_secs_f64()),
+                r.sample_shards.to_string(),
+                r.clusters.to_string(),
+                format!("{:.4}", r.cluster_wall_max.as_secs_f64()),
+                format!("{:.4}", r.cluster_wall_sum.as_secs_f64()),
+            ];
+            row.extend(r.oracle.values());
+            row
+        })
+        .collect()
+}
+
+/// `count` per second of `seconds` (zero for an empty interval).
+fn per_second(count: u64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        count as f64 / seconds
+    } else {
+        0.0
+    }
+}
+
 /// The aggregate counts reported in the text of the paper's evaluation
 /// section.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,102 +204,24 @@ pub struct Summary {
     /// Sum over the compositional runs of their total per-cluster wall
     /// clock — what a sequential schedule would have paid.
     pub cluster_wall_sum_s: Option<f64>,
-    /// Total MaxSAT solve calls across every run of the suite.
-    pub maxsat_calls: usize,
-    /// Full hard-clause MaxSAT encodings constructed across every run (the
-    /// fresh encodes; the persistent repair session pays one per
-    /// repair-exercising run).
-    pub maxsat_fresh_encodes: usize,
-    /// MaxSAT calls served under assumptions on a persistent encoding (the
-    /// incremental hits).
-    pub maxsat_incremental_hits: usize,
-    /// Internal SAT probes issued by MaxSAT optimum searches across every
-    /// run — the unit the linear and core-guided repair strategies compete
-    /// on (`--repair-strategy`).
-    pub maxsat_probes: u64,
-    /// UNSAT cores extracted and relaxed by core-guided MaxSAT searches
-    /// across every run (zero for all-linear suites).
-    pub maxsat_cores: u64,
     /// Total repair iterations across the Manthan3 runs.
     pub repair_iterations: usize,
+    /// MaxSAT calls per repair iteration over the Manthan3 runs (zero when
+    /// the suite needed no repairs). Tracks the one-FindCandidates-per-
+    /// counterexample shape of the incremental loop.
+    pub maxsat_calls_per_repair_iteration: f64,
     /// Total wall-clock seconds the Manthan3 runs spent in their sampling
     /// stage (the `sample_wall_s` summary row).
     pub sample_wall_s: f64,
     /// The sample-shard count the suite ran with (maximum across records;
     /// 1 = the plain single-threaded sampler).
     pub sample_shards: usize,
-    /// Total per-sample solver calls billed to the shared oracle budgets
-    /// across every run.
-    pub sampler_calls: usize,
-    /// Total sampling requests that emitted fewer samples than requested.
-    pub sample_shortfalls: usize,
-    /// MaxSAT calls per repair iteration over the Manthan3 runs (zero when
-    /// the suite needed no repairs). Tracks the one-FindCandidates-per-
-    /// counterexample shape of the incremental loop.
-    pub maxsat_calls_per_repair_iteration: f64,
-    /// Total unit propagations billed to the solver layer across every run.
-    pub sat_propagations: u64,
     /// Propagations per second of engine wall-clock across the suite (the
-    /// solver-modernization throughput headline).
+    /// solver-layer throughput headline).
     pub sat_propagations_per_sec: f64,
-    /// Total CDCL conflicts across every run.
-    pub conflicts: u64,
-    /// Total CDCL decisions across every run.
-    pub decisions: u64,
-    /// Total CDCL restarts across every run.
-    pub sat_restarts: u64,
-    /// Assumption decision levels reused between incremental solve calls
-    /// across every run.
-    pub reused_levels: u64,
-    /// Rephasing events across every run.
-    pub rephases: u64,
-    /// Live learnt clauses left in the solvers at the end of each run,
-    /// summed across runs (for the portfolio: summed across its racers).
-    pub learnt_db_live: usize,
-    /// Glue (LBD ≤ 2) learnt clauses alive at the end of each run, summed
-    /// across runs.
-    pub glue2_clauses: usize,
-    /// Clauses subsumed away by inter-call inprocessing across every run.
-    pub inprocess_subsumed: u64,
-    /// Clauses strengthened by inter-call inprocessing across every run.
-    pub inprocess_strengthened: u64,
-    /// Inprocessing passes that actually ran across every run.
-    pub inprocess_passes: u64,
-    /// Vivification candidates attempted across every run.
-    pub vivify_candidates: u64,
-    /// Vivification attempts that strengthened their clause across every
-    /// run.
-    pub vivify_strengthened: u64,
-    /// Clause-arena compacting garbage collections across every run.
-    pub arena_collections: u64,
-    /// Arena words occupied by live clauses at the end of each run, summed
-    /// across runs.
-    pub arena_live_words: usize,
-    /// SAT models re-verified against the full clause database across every
-    /// run (a debug-build self-check; 0 in release harness runs).
-    pub models_verified: u64,
-    /// DRAT certificates of UNSAT verdicts handed to the in-process checker
-    /// across every run (0 unless `--certify` ran).
-    pub certificates_checked: u64,
-    /// Checked certificates the independent checker rejected across every
-    /// run — any non-zero value is a soundness alarm.
-    pub certificates_rejected: u64,
-    /// Total DRAT proof bytes across all checked certificates.
-    pub proof_bytes: u64,
-    /// Total clause-addition proof steps across all checked certificates.
-    pub proof_adds: u64,
-    /// Total clause-deletion proof steps across all checked certificates.
-    pub proof_deletes: u64,
-    /// Total wall-clock seconds spent inside the in-process proof checker.
-    pub certify_wall_s: f64,
-    /// Calls refused because a budget was exhausted, across every run.
-    pub budget_exhaustions: usize,
-    /// CDCL solvers constructed through the oracles across every run.
-    pub sat_solvers_constructed: usize,
-    /// MaxSAT solvers constructed through the oracles across every run.
-    pub maxsat_solvers_constructed: usize,
-    /// Samplers constructed through the oracles across every run.
-    pub samplers_constructed: usize,
+    /// Every oracle counter summed over every run of the suite (gauges sum
+    /// each run's final value; for the portfolio, across its racers).
+    pub oracle: OracleStats,
 }
 
 /// Computes the summary table from the run records.
@@ -333,14 +321,10 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         )
     };
 
-    let maxsat_calls = records.iter().map(|r| r.oracle.maxsat_calls).sum();
-    let maxsat_fresh_encodes = records.iter().map(|r| r.oracle.maxsat_hard_encodings).sum();
-    let maxsat_incremental_hits = records
-        .iter()
-        .map(|r| r.oracle.maxsat_incremental_calls)
-        .sum();
-    let maxsat_probes = records.iter().map(|r| r.oracle.maxsat_probes).sum();
-    let maxsat_cores = records.iter().map(|r| r.oracle.maxsat_cores).sum();
+    let mut oracle = OracleStats::default();
+    for record in records {
+        oracle.absorb(&record.oracle);
+    }
     // The per-iteration ratio is a Manthan3 shape invariant (one
     // FindCandidates call per counterexample), so it is computed over the
     // Manthan3 records only — the portfolio merges counters across engines
@@ -350,63 +334,18 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         .filter(|r| r.engine == EngineKind::Manthan3)
         .collect();
     let repair_iterations: usize = manthan3_records.iter().map(|r| r.repair_iterations).sum();
-    let sample_wall_s: f64 = manthan3_records
-        .iter()
-        .map(|r| r.sample_wall.as_secs_f64())
-        .sum();
-    let sample_shards = records.iter().map(|r| r.sample_shards).max().unwrap_or(0);
-    let sampler_calls: usize = records.iter().map(|r| r.oracle.sampler_calls).sum();
-    let sample_shortfalls: usize = records.iter().map(|r| r.oracle.sample_shortfalls).sum();
     let manthan3_maxsat_calls: usize = manthan3_records.iter().map(|r| r.oracle.maxsat_calls).sum();
     let maxsat_calls_per_repair_iteration = if repair_iterations == 0 {
         0.0
     } else {
         manthan3_maxsat_calls as f64 / repair_iterations as f64
     };
-    let sat_propagations: u64 = records.iter().map(|r| r.oracle.sat_propagations).sum();
+    let sample_wall_s: f64 = manthan3_records
+        .iter()
+        .map(|r| r.sample_wall.as_secs_f64())
+        .sum();
+    let sample_shards = records.iter().map(|r| r.sample_shards).max().unwrap_or(0);
     let total_seconds: f64 = records.iter().map(|r| r.seconds()).sum();
-    let sat_propagations_per_sec = if total_seconds > 0.0 {
-        sat_propagations as f64 / total_seconds
-    } else {
-        0.0
-    };
-    let conflicts: u64 = records.iter().map(|r| r.oracle.conflicts).sum();
-    let decisions: u64 = records.iter().map(|r| r.oracle.decisions).sum();
-    let sat_restarts: u64 = records.iter().map(|r| r.oracle.sat_restarts).sum();
-    let reused_levels: u64 = records.iter().map(|r| r.oracle.reused_levels).sum();
-    let rephases: u64 = records.iter().map(|r| r.oracle.rephases).sum();
-    let learnt_db_live: usize = records.iter().map(|r| r.oracle.learnt_db_live).sum();
-    let glue2_clauses: usize = records.iter().map(|r| r.oracle.glue2_clauses).sum();
-    let inprocess_subsumed: u64 = records.iter().map(|r| r.oracle.inprocess_subsumed).sum();
-    let inprocess_strengthened: u64 = records
-        .iter()
-        .map(|r| r.oracle.inprocess_strengthened)
-        .sum();
-    let inprocess_passes: u64 = records.iter().map(|r| r.oracle.inprocess_passes).sum();
-    let vivify_candidates: u64 = records.iter().map(|r| r.oracle.vivify_candidates).sum();
-    let vivify_strengthened: u64 = records.iter().map(|r| r.oracle.vivify_strengthened).sum();
-    let arena_collections: u64 = records.iter().map(|r| r.oracle.arena_collections).sum();
-    let arena_live_words: usize = records.iter().map(|r| r.oracle.arena_live_words).sum();
-    let models_verified: u64 = records.iter().map(|r| r.oracle.models_verified).sum();
-    let certificates_checked: u64 = records.iter().map(|r| r.oracle.certificates_checked).sum();
-    let certificates_rejected: u64 = records.iter().map(|r| r.oracle.certificates_rejected).sum();
-    let proof_bytes: u64 = records.iter().map(|r| r.oracle.proof_bytes).sum();
-    let proof_adds: u64 = records.iter().map(|r| r.oracle.proof_adds).sum();
-    let proof_deletes: u64 = records.iter().map(|r| r.oracle.proof_deletes).sum();
-    let certify_wall_s: f64 = records
-        .iter()
-        .map(|r| r.oracle.certify_nanos as f64 / 1e9)
-        .sum();
-    let budget_exhaustions: usize = records.iter().map(|r| r.oracle.budget_exhaustions).sum();
-    let sat_solvers_constructed: usize = records
-        .iter()
-        .map(|r| r.oracle.sat_solvers_constructed)
-        .sum();
-    let maxsat_solvers_constructed: usize = records
-        .iter()
-        .map(|r| r.oracle.maxsat_solvers_constructed)
-        .sum();
-    let samplers_constructed: usize = records.iter().map(|r| r.oracle.samplers_constructed).sum();
 
     Summary {
         total_instances: instances.len(),
@@ -427,44 +366,12 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         compositional_clusters,
         cluster_wall_max_s,
         cluster_wall_sum_s,
-        maxsat_calls,
-        maxsat_fresh_encodes,
-        maxsat_incremental_hits,
-        maxsat_probes,
-        maxsat_cores,
         repair_iterations,
+        maxsat_calls_per_repair_iteration,
         sample_wall_s,
         sample_shards,
-        sampler_calls,
-        sample_shortfalls,
-        maxsat_calls_per_repair_iteration,
-        sat_propagations,
-        sat_propagations_per_sec,
-        conflicts,
-        decisions,
-        sat_restarts,
-        reused_levels,
-        rephases,
-        learnt_db_live,
-        glue2_clauses,
-        inprocess_subsumed,
-        inprocess_strengthened,
-        inprocess_passes,
-        vivify_candidates,
-        vivify_strengthened,
-        arena_collections,
-        arena_live_words,
-        models_verified,
-        certificates_checked,
-        certificates_rejected,
-        proof_bytes,
-        proof_adds,
-        proof_deletes,
-        certify_wall_s,
-        budget_exhaustions,
-        sat_solvers_constructed,
-        maxsat_solvers_constructed,
-        samplers_constructed,
+        sat_propagations_per_sec: per_second(oracle.sat_propagations, total_seconds),
+        oracle,
     }
 }
 
@@ -540,134 +447,37 @@ impl Summary {
             rows.push(vec!["cluster_wall_max_s".into(), format!("{wall_max:.4}")]);
             rows.push(vec!["cluster_wall_sum_s".into(), format!("{wall_sum:.4}")]);
         }
-        // MaxSAT oracle counters: the bench trajectory of the incremental
-        // repair refactor (fresh encodes should stay at ~one per
-        // repair-exercising run, incremental hits carry the rest).
-        rows.push(vec!["maxsat_calls".into(), self.maxsat_calls.to_string()]);
-        rows.push(vec![
-            "maxsat_fresh_encodes".into(),
-            self.maxsat_fresh_encodes.to_string(),
-        ]);
-        rows.push(vec![
-            "maxsat_incremental_hits".into(),
-            self.maxsat_incremental_hits.to_string(),
-        ]);
-        rows.push(vec!["maxsat_probes".into(), self.maxsat_probes.to_string()]);
-        rows.push(vec!["maxsat_cores".into(), self.maxsat_cores.to_string()]);
-        rows.push(vec![
-            "repair_iterations".into(),
-            self.repair_iterations.to_string(),
-        ]);
-        rows.push(vec![
-            "maxsat_calls_per_repair_iteration".into(),
-            format!("{:.3}", self.maxsat_calls_per_repair_iteration),
-        ]);
-        // Sampling counters: the bench trajectory of the sharded-sampling
-        // refactor (wall-clock of the Sample stage, shard width, and the
-        // budget-routed per-sample solver calls with their shortfalls).
-        rows.push(vec![
-            "sample_wall_s".into(),
-            format!("{:.4}", self.sample_wall_s),
-        ]);
-        rows.push(vec!["sample_shards".into(), self.sample_shards.to_string()]);
-        rows.push(vec!["sampler_calls".into(), self.sampler_calls.to_string()]);
-        rows.push(vec![
-            "sample_shortfalls".into(),
-            self.sample_shortfalls.to_string(),
-        ]);
-        // Solver-layer counters: the bench trajectory of the CDCL
-        // modernization (propagation throughput, restart cadence, learnt-DB
-        // hygiene, and the inprocessing/arena-GC work between calls).
-        rows.push(vec![
-            "sat_propagations".into(),
-            self.sat_propagations.to_string(),
-        ]);
-        rows.push(vec![
-            "sat_propagations_per_sec".into(),
-            format!("{:.1}", self.sat_propagations_per_sec),
-        ]);
-        rows.push(vec!["conflicts".into(), self.conflicts.to_string()]);
-        rows.push(vec!["decisions".into(), self.decisions.to_string()]);
-        rows.push(vec!["sat_restarts".into(), self.sat_restarts.to_string()]);
-        rows.push(vec!["reused_levels".into(), self.reused_levels.to_string()]);
-        rows.push(vec!["rephases".into(), self.rephases.to_string()]);
-        // Live learnt-clause gauge: the per-run sum of each solver's final
-        // `learnt_clauses` count.
-        rows.push(vec![
-            "learnt_clauses_live".into(),
-            self.learnt_db_live.to_string(),
-        ]);
-        rows.push(vec!["glue2_clauses".into(), self.glue2_clauses.to_string()]);
-        rows.push(vec![
-            "inprocess_reductions".into(),
-            (self.inprocess_subsumed + self.inprocess_strengthened).to_string(),
-        ]);
-        rows.push(vec![
-            "inprocess_subsumed".into(),
-            self.inprocess_subsumed.to_string(),
-        ]);
-        rows.push(vec![
-            "inprocess_strengthened".into(),
-            self.inprocess_strengthened.to_string(),
-        ]);
-        rows.push(vec![
-            "inprocess_passes".into(),
-            self.inprocess_passes.to_string(),
-        ]);
-        rows.push(vec![
-            "vivify_candidates".into(),
-            self.vivify_candidates.to_string(),
-        ]);
-        rows.push(vec![
-            "vivify_strengthened".into(),
-            self.vivify_strengthened.to_string(),
-        ]);
-        rows.push(vec![
-            "arena_collections".into(),
-            self.arena_collections.to_string(),
-        ]);
-        rows.push(vec![
-            "arena_live_words".into(),
-            self.arena_live_words.to_string(),
-        ]);
-        // Certification counters: the bench trajectory of the certifying
-        // solver layer (`--certify`: DRAT proof traffic and the in-process
-        // checking cost; rejections are a soundness alarm and must be 0).
-        rows.push(vec![
-            "models_verified".into(),
-            self.models_verified.to_string(),
-        ]);
-        rows.push(vec![
-            "certificates_checked".into(),
-            self.certificates_checked.to_string(),
-        ]);
-        rows.push(vec![
-            "certificates_rejected".into(),
-            self.certificates_rejected.to_string(),
-        ]);
-        rows.push(vec!["proof_bytes".into(), self.proof_bytes.to_string()]);
-        rows.push(vec!["proof_adds".into(), self.proof_adds.to_string()]);
-        rows.push(vec!["proof_deletes".into(), self.proof_deletes.to_string()]);
-        rows.push(vec![
-            "certify_wall_s".into(),
-            format!("{:.4}", self.certify_wall_s),
-        ]);
-        rows.push(vec![
-            "budget_exhaustions".into(),
-            self.budget_exhaustions.to_string(),
-        ]);
-        rows.push(vec![
-            "sat_solvers_constructed".into(),
-            self.sat_solvers_constructed.to_string(),
-        ]);
-        rows.push(vec![
-            "maxsat_solvers_constructed".into(),
-            self.maxsat_solvers_constructed.to_string(),
-        ]);
-        rows.push(vec![
-            "samplers_constructed".into(),
-            self.samplers_constructed.to_string(),
-        ]);
+        rows.extend(
+            self.counter_rows()
+                .into_iter()
+                .map(|(metric, value)| vec![metric.to_string(), value]),
+        );
+        rows
+    }
+
+    /// The counter rows of the summary, `(metric, value)`: the run-level
+    /// rows derived from the records, then one row per
+    /// [`OracleStats::COLUMNS`] entry.
+    fn counter_rows(&self) -> Vec<(&'static str, String)> {
+        let mut rows = vec![
+            ("repair_iterations", self.repair_iterations.to_string()),
+            (
+                "maxsat_calls_per_repair_iteration",
+                format!("{:.3}", self.maxsat_calls_per_repair_iteration),
+            ),
+            ("sample_wall_s", format!("{:.4}", self.sample_wall_s)),
+            ("sample_shards", self.sample_shards.to_string()),
+            (
+                "sat_propagations_per_sec",
+                format!("{:.1}", self.sat_propagations_per_sec),
+            ),
+        ];
+        rows.extend(
+            OracleStats::COLUMNS
+                .iter()
+                .copied()
+                .zip(self.oracle.values()),
+        );
         rows
     }
 }
@@ -698,64 +508,15 @@ impl fmt::Display for Summary {
             "Manthan3 within +10s of VBS: {}",
             self.manthan3_within_10s_of_vbs
         )?;
-        write!(
-            f,
-            "\nMaxSAT calls:              {} ({} incremental, {} fresh encodes, \
-             {:.3} per repair iteration; {} probes, {} cores)",
-            self.maxsat_calls,
-            self.maxsat_incremental_hits,
-            self.maxsat_fresh_encodes,
-            self.maxsat_calls_per_repair_iteration,
-            self.maxsat_probes,
-            self.maxsat_cores
-        )?;
-        write!(
-            f,
-            "\nsampling:                  {:.2}s wall across {} shard(s), {} solver calls, \
-             {} shortfalls",
-            self.sample_wall_s, self.sample_shards, self.sampler_calls, self.sample_shortfalls
-        )?;
-        write!(
-            f,
-            "\nSAT solver layer:          {} propagations ({:.0}/s), {} conflicts, \
-             {} decisions, {} restarts ({} reused levels, {} rephases), \
-             {} learnt live ({} glue), {} inprocess reductions \
-             ({} subsumed + {} strengthened over {} passes; vivify {}/{}), \
-             {} arena GCs ({} live words), {} budget refusals, \
-             {}/{}/{} solvers (sat/maxsat/samplers)",
-            self.sat_propagations,
-            self.sat_propagations_per_sec,
-            self.conflicts,
-            self.decisions,
-            self.sat_restarts,
-            self.reused_levels,
-            self.rephases,
-            self.learnt_db_live,
-            self.glue2_clauses,
-            self.inprocess_subsumed + self.inprocess_strengthened,
-            self.inprocess_subsumed,
-            self.inprocess_strengthened,
-            self.inprocess_passes,
-            self.vivify_strengthened,
-            self.vivify_candidates,
-            self.arena_collections,
-            self.arena_live_words,
-            self.budget_exhaustions,
-            self.sat_solvers_constructed,
-            self.maxsat_solvers_constructed,
-            self.samplers_constructed
-        )?;
-        if self.certificates_checked > 0 {
+        for (metric, value) in self.counter_rows() {
+            write!(f, "\n{metric:<34} {value}")?;
+        }
+        // A rejected certificate is a soundness alarm.
+        if self.oracle.certificates_rejected > 0 {
             write!(
                 f,
-                "\ncertification:             {} UNSAT certificates checked, {} rejected \
-                 ({} proof bytes, {} adds + {} deletes, {:.2}s checking)",
-                self.certificates_checked,
-                self.certificates_rejected,
-                self.proof_bytes,
-                self.proof_adds,
-                self.proof_deletes,
-                self.certify_wall_s
+                "\ncertification ALARM:       {} of {} UNSAT certificates rejected",
+                self.oracle.certificates_rejected, self.oracle.certificates_checked
             )?;
         }
         if let (Some(synthesized), Some(decided)) =
@@ -936,45 +697,69 @@ mod tests {
         assert!(s.to_string().contains("compositional:"));
     }
 
+    /// The summary's oracle counters are the records' stats merged with
+    /// `absorb`, and every table column appears exactly once among the rows
+    /// and the Display lines, carrying the merged value.
+    #[test]
+    fn oracle_counters_aggregate_into_the_summary() {
+        let mut records = sample_records();
+        records[0].oracle.maxsat_calls = 5;
+        records[0].oracle.conflicts = 30;
+        records[0].oracle.learnt_db_live = 40;
+        records[0].oracle.vivify_strengthened = 2;
+        records[0].oracle.certify_nanos = 1_500_000_000;
+        records[3].oracle.sampler_calls = 80;
+        records[3].oracle.conflicts = 5;
+        records[3].oracle.learnt_db_live = 10;
+        records[3].oracle.certify_nanos = 500_000_000;
+        records[4].oracle.budget_exhaustions = 1;
+        let s = summary(&records);
+        let mut merged = OracleStats::default();
+        for r in &records {
+            merged.absorb(&r.oracle);
+        }
+        assert_eq!(s.oracle, merged);
+
+        let rows = s.rows();
+        let text = s.to_string();
+        for (column, value) in OracleStats::COLUMNS.iter().zip(merged.values()) {
+            let matching: Vec<&Vec<String>> = rows.iter().filter(|r| r[0] == *column).collect();
+            assert_eq!(matching.len(), 1, "{column}: {rows:?}");
+            assert_eq!(matching[0][1], value, "{column}");
+            let line = format!("\n{column:<34} {value}");
+            assert_eq!(text.matches(&line).count(), 1, "{line:?} in {text}");
+        }
+        // Gauges sum the runs' final values; nanos export in seconds.
+        assert!(rows
+            .iter()
+            .any(|r| r[0] == "learnt_clauses_live" && r[1] == "50"));
+        assert!(rows
+            .iter()
+            .any(|r| r[0] == "certify_wall_s" && r[1] == "2.0000"));
+    }
+
     #[test]
     fn maxsat_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
-        // The two Manthan3 runs did 5 + 3 repair iterations with one fresh
-        // encode each and one incremental FindCandidates call per iteration;
-        // a baseline record contributes nothing.
+        // The two Manthan3 runs did 5 + 3 repair iterations with one
+        // FindCandidates call per iteration; a baseline's MaxSAT calls do
+        // not enter the per-iteration ratio.
         records[0].oracle.maxsat_calls = 5;
-        records[0].oracle.maxsat_incremental_calls = 5;
-        records[0].oracle.maxsat_hard_encodings = 1;
-        records[0].oracle.maxsat_probes = 12;
-        records[0].oracle.maxsat_cores = 4;
         records[0].repair_iterations = 5;
         records[3].oracle.maxsat_calls = 3;
-        records[3].oracle.maxsat_incremental_calls = 3;
-        records[3].oracle.maxsat_hard_encodings = 1;
-        records[3].oracle.maxsat_probes = 7;
-        records[3].oracle.maxsat_cores = 2;
         records[3].repair_iterations = 3;
+        records[1].oracle.maxsat_calls = 4;
         let s = summary(&records);
-        assert_eq!(s.maxsat_calls, 8);
-        assert_eq!(s.maxsat_incremental_hits, 8);
-        assert_eq!(s.maxsat_fresh_encodes, 2);
-        assert_eq!(s.maxsat_probes, 19);
-        assert_eq!(s.maxsat_cores, 6);
+        assert_eq!(s.oracle.maxsat_calls, 12);
         assert_eq!(s.repair_iterations, 8);
         assert!((s.maxsat_calls_per_repair_iteration - 1.0).abs() < 1e-9);
         let rows = s.rows();
         assert!(rows
             .iter()
-            .any(|r| r[0] == "maxsat_incremental_hits" && r[1] == "8"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "maxsat_fresh_encodes" && r[1] == "2"));
-        assert!(rows.iter().any(|r| r[0] == "maxsat_probes" && r[1] == "19"));
-        assert!(rows.iter().any(|r| r[0] == "maxsat_cores" && r[1] == "6"));
+            .any(|r| r[0] == "repair_iterations" && r[1] == "8"));
         assert!(rows
             .iter()
             .any(|r| r[0] == "maxsat_calls_per_repair_iteration" && r[1] == "1.000"));
-        assert!(s.to_string().contains("MaxSAT calls"));
     }
 
     #[test]
@@ -982,191 +767,76 @@ mod tests {
         let mut records = sample_records();
         records[0].sample_wall = Duration::from_millis(250);
         records[0].sample_shards = 4;
-        records[0].oracle.sampler_calls = 120;
         records[3].sample_wall = Duration::from_millis(150);
         records[3].sample_shards = 4;
-        records[3].oracle.sampler_calls = 80;
-        records[3].oracle.sample_shortfalls = 1;
         let s = summary(&records);
         assert!((s.sample_wall_s - 0.4).abs() < 1e-9);
         assert_eq!(s.sample_shards, 4);
-        assert_eq!(s.sampler_calls, 200);
-        assert_eq!(s.sample_shortfalls, 1);
         let rows = s.rows();
         assert!(rows
             .iter()
             .any(|r| r[0] == "sample_wall_s" && r[1] == "0.4000"));
         assert!(rows.iter().any(|r| r[0] == "sample_shards" && r[1] == "4"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "sampler_calls" && r[1] == "200"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "sample_shortfalls" && r[1] == "1"));
-        assert!(s.to_string().contains("sampling:"));
     }
 
     #[test]
     fn solver_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
         records[0].oracle.sat_propagations = 900;
-        records[0].oracle.conflicts = 30;
-        records[0].oracle.decisions = 60;
-        records[0].oracle.sat_restarts = 12;
-        records[0].oracle.reused_levels = 9;
-        records[0].oracle.rephases = 2;
-        records[0].oracle.learnt_db_live = 40;
-        records[0].oracle.glue2_clauses = 7;
-        records[0].oracle.inprocess_subsumed = 3;
-        records[0].oracle.inprocess_strengthened = 2;
-        records[0].oracle.inprocess_passes = 4;
-        records[0].oracle.vivify_candidates = 10;
-        records[0].oracle.vivify_strengthened = 2;
-        records[0].oracle.arena_collections = 2;
-        records[0].oracle.arena_live_words = 512;
-        records[0].oracle.budget_exhaustions = 1;
-        records[0].oracle.sat_solvers_constructed = 2;
-        records[0].oracle.maxsat_solvers_constructed = 1;
-        records[0].oracle.samplers_constructed = 1;
         records[3].oracle.sat_propagations = 100;
-        records[3].oracle.conflicts = 5;
-        records[3].oracle.decisions = 8;
-        records[3].oracle.sat_restarts = 3;
-        records[3].oracle.reused_levels = 1;
-        records[3].oracle.rephases = 1;
-        records[3].oracle.learnt_db_live = 10;
-        records[3].oracle.glue2_clauses = 1;
-        records[3].oracle.inprocess_subsumed = 1;
-        records[3].oracle.inprocess_passes = 1;
-        records[3].oracle.arena_collections = 1;
-        records[3].oracle.arena_live_words = 128;
-        records[3].oracle.sat_solvers_constructed = 2;
         let s = summary(&records);
-        assert_eq!(s.sat_propagations, 1000);
-        assert_eq!(s.conflicts, 35);
-        assert_eq!(s.decisions, 68);
-        assert_eq!(s.sat_restarts, 15);
-        assert_eq!(s.reused_levels, 10);
-        assert_eq!(s.rephases, 3);
-        assert_eq!(s.learnt_db_live, 50);
-        assert_eq!(s.glue2_clauses, 8);
-        assert_eq!(s.inprocess_subsumed, 4);
-        assert_eq!(s.inprocess_strengthened, 2);
-        assert_eq!(s.inprocess_passes, 5);
-        assert_eq!(s.vivify_candidates, 10);
-        assert_eq!(s.vivify_strengthened, 2);
-        assert_eq!(s.arena_collections, 3);
-        assert_eq!(s.arena_live_words, 640);
-        assert_eq!(s.budget_exhaustions, 1);
-        assert_eq!(s.sat_solvers_constructed, 4);
-        assert_eq!(s.maxsat_solvers_constructed, 1);
-        assert_eq!(s.samplers_constructed, 1);
+        assert_eq!(s.oracle.sat_propagations, 1000);
         // sample_records() totals 0.1+0.5+0.9 + 1.0+2.0+2.0 + 2.0+0.2+2.0 = 10.7 s.
         assert!((s.sat_propagations_per_sec - 1000.0 / 10.7).abs() < 1e-6);
-        let rows = s.rows();
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "sat_propagations" && r[1] == "1000"));
-        assert!(rows
+        assert!(s
+            .rows()
             .iter()
             .any(|r| r[0] == "sat_propagations_per_sec" && r[1] == "93.5"));
-        assert!(rows.iter().any(|r| r[0] == "conflicts" && r[1] == "35"));
-        assert!(rows.iter().any(|r| r[0] == "decisions" && r[1] == "68"));
-        assert!(rows.iter().any(|r| r[0] == "sat_restarts" && r[1] == "15"));
-        assert!(rows.iter().any(|r| r[0] == "reused_levels" && r[1] == "10"));
-        assert!(rows.iter().any(|r| r[0] == "rephases" && r[1] == "3"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "learnt_clauses_live" && r[1] == "50"));
-        assert!(rows.iter().any(|r| r[0] == "glue2_clauses" && r[1] == "8"));
-        // The combined reductions row stays alongside the per-kind split.
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "inprocess_reductions" && r[1] == "6"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "inprocess_subsumed" && r[1] == "4"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "inprocess_strengthened" && r[1] == "2"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "inprocess_passes" && r[1] == "5"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "vivify_candidates" && r[1] == "10"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "vivify_strengthened" && r[1] == "2"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "arena_collections" && r[1] == "3"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "arena_live_words" && r[1] == "640"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "budget_exhaustions" && r[1] == "1"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "sat_solvers_constructed" && r[1] == "4"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "maxsat_solvers_constructed" && r[1] == "1"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "samplers_constructed" && r[1] == "1"));
-        assert!(s.to_string().contains("SAT solver layer"));
     }
 
     #[test]
     fn certification_counters_aggregate_into_the_summary() {
-        // No certified runs: the counters stay zero and the Display line is
-        // suppressed.
-        let s = summary(&sample_records());
-        assert_eq!(s.certificates_checked, 0);
-        assert!(!s.to_string().contains("certification:"));
-        assert!(s
-            .rows()
-            .iter()
-            .any(|r| r[0] == "certificates_checked" && r[1] == "0"));
-
+        // Checked certificates alone raise no alarm.
         let mut records = sample_records();
-        records[0].oracle.models_verified = 5;
         records[0].oracle.certificates_checked = 3;
-        records[0].oracle.proof_bytes = 1024;
-        records[0].oracle.proof_adds = 40;
-        records[0].oracle.proof_deletes = 12;
-        records[0].oracle.certify_nanos = 1_500_000_000;
+        let s = summary(&records);
+        assert!(!s.to_string().contains("ALARM"));
+
         records[3].oracle.certificates_checked = 2;
         records[3].oracle.certificates_rejected = 1;
-        records[3].oracle.proof_bytes = 476;
-        records[3].oracle.proof_adds = 10;
-        records[3].oracle.certify_nanos = 500_000_000;
         let s = summary(&records);
-        assert_eq!(s.models_verified, 5);
-        assert_eq!(s.certificates_checked, 5);
-        assert_eq!(s.certificates_rejected, 1);
-        assert_eq!(s.proof_bytes, 1500);
-        assert_eq!(s.proof_adds, 50);
-        assert_eq!(s.proof_deletes, 12);
-        assert!((s.certify_wall_s - 2.0).abs() < 1e-9);
-        let rows = s.rows();
-        assert!(rows
+        assert!(s
+            .to_string()
+            .contains("certification ALARM:       1 of 5 UNSAT certificates rejected"));
+    }
+
+    /// `runs.csv` is the record columns followed by the table's columns,
+    /// one row per record, with the oracle values in table order.
+    #[test]
+    fn runs_csv_is_the_record_columns_then_the_oracle_columns() {
+        let header = runs_header();
+        assert_eq!(&header[..RUN_COLUMNS.len()], RUN_COLUMNS);
+        assert_eq!(&header[RUN_COLUMNS.len()..], OracleStats::COLUMNS);
+        let unique: BTreeSet<_> = header.iter().collect();
+        assert_eq!(unique.len(), header.len());
+
+        let mut records = sample_records();
+        records[0].oracle.sat_propagations = 50;
+        records[0].oracle.certify_nanos = 250_000_000;
+        let rows = runs_rows(&records);
+        assert_eq!(rows.len(), records.len());
+        for (row, record) in rows.iter().zip(&records) {
+            assert_eq!(row.len(), header.len());
+            assert_eq!(row[0], record.instance);
+            let oracle: Vec<String> = record.oracle.values().collect();
+            assert_eq!(&row[RUN_COLUMNS.len()..], oracle);
+        }
+        // 50 propagations over the record's 0.1 s.
+        let rate = header
             .iter()
-            .any(|r| r[0] == "certificates_checked" && r[1] == "5"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "certificates_rejected" && r[1] == "1"));
-        assert!(rows.iter().any(|r| r[0] == "proof_bytes" && r[1] == "1500"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "certify_wall_s" && r[1] == "2.0000"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "models_verified" && r[1] == "5"));
-        assert!(s.to_string().contains("certification:"));
-        assert!(s.to_string().contains("1 rejected"));
+            .position(|c| *c == "sat_propagations_per_sec")
+            .expect("derived rate column");
+        assert_eq!(rows[0][rate], "500.0");
     }
 
     #[test]

@@ -143,187 +143,221 @@ impl Default for Budget {
     }
 }
 
-/// Counters for every oracle interaction of one run.
+/// Declares [`OracleStats`] from one table, one row per counter:
 ///
-/// Fed into [`SynthesisStats`](crate::SynthesisStats) by the engine; the
-/// baseline engines report the same counters on their results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleStats {
+/// ```text
+/// /// doc comment
+/// name: type, kind [from SolverStats field] [as "csv_column"];
+/// ```
+///
+/// `kind` is `counter` (adds up), `gauge` (overwritten from the latest
+/// solver snapshot, added on merge) or `nanos` (adds up, exported in
+/// seconds). A row with a `from` source is billed from [`SolverStats`]
+/// snapshots; `as` renames the CSV column (default: the field name). The
+/// table generates the struct, [`OracleStats::absorb`], the solver billing,
+/// and the CSV layout ([`OracleStats::COLUMNS`], [`OracleStats::values`]),
+/// so adding a counter is one row.
+macro_rules! oracle_stats {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident: $ty:ty, $kind:ident $(from $source:ident)? $(as $column:literal)?;
+    )*) => {
+        /// Counters for every oracle interaction of one run.
+        ///
+        /// Fed into [`SynthesisStats`](crate::SynthesisStats) by the engine;
+        /// the baseline engines report the same counters on their results.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OracleStats {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl OracleStats {
+            /// The CSV column of every counter, in table order — the
+            /// counter columns of `runs.csv` and rows of `summary_table.csv`.
+            pub const COLUMNS: &'static [&'static str] =
+                &[$(stat_column!($name $(as $column)?)),*];
+
+            /// The exported value of every counter, in
+            /// [`OracleStats::COLUMNS`] order (`nanos` rows in seconds).
+            pub fn values(&self) -> impl Iterator<Item = String> {
+                [$(stat_export!($kind, self.$name)),*].into_iter()
+            }
+
+            /// Accumulates `other` into `self`, field by field. Gauges add
+            /// too, so the merged value is the total live footprint across
+            /// the merged oracles' last-observed solvers. Used by the
+            /// portfolio's report merge, the compositional engine's
+            /// per-cluster aggregation and the benchmark summary.
+            pub fn absorb(&mut self, other: &OracleStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Bills the solver-layer work between two [`SolverStats`]
+            /// snapshots to the counters with a solver source, and
+            /// refreshes the gauges from the `after` snapshot. Shared by the
+            /// solve paths and the session maintenance hook so every counter
+            /// means the same thing on both.
+            fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats) {
+                // Exhaustive on purpose: a `SolverStats` field without a
+                // table row is a compile error, not a silently dropped
+                // counter.
+                let SolverStats { $($($source: _,)?)* } = after;
+                $($(stat_bill!($kind, self.$name, before.$source, after.$source);)?)*
+            }
+
+            /// Builds stats from raw values in table order.
+            #[cfg(test)]
+            fn from_raw(raw: &[u64]) -> Self {
+                let mut raw = raw.iter().copied();
+                OracleStats {
+                    $($name: raw.next().unwrap_or(0) as $ty,)*
+                }
+            }
+
+            /// The raw field values in table order.
+            #[cfg(test)]
+            fn raw(&self) -> Vec<u64> {
+                vec![$(self.$name as u64),*]
+            }
+        }
+    };
+}
+
+/// The CSV column of one [`oracle_stats!`] row.
+macro_rules! stat_column {
+    ($name:ident) => {
+        stringify!($name)
+    };
+    ($name:ident as $column:literal) => {
+        $column
+    };
+}
+
+/// The exported CSV value of one [`oracle_stats!`] row.
+macro_rules! stat_export {
+    (counter, $value:expr) => {
+        $value.to_string()
+    };
+    (gauge, $value:expr) => {
+        $value.to_string()
+    };
+    (nanos, $value:expr) => {
+        format!("{:.4}", $value as f64 / 1e9)
+    };
+}
+
+/// Bills one [`oracle_stats!`] row with a `SolverStats` source.
+macro_rules! stat_bill {
+    (counter, $field:expr, $before:expr, $after:expr) => {
+        $field += $after - $before
+    };
+    (gauge, $field:expr, $before:expr, $after:expr) => {
+        $field = $after
+    };
+}
+
+oracle_stats! {
     /// Number of CDCL solvers constructed through the oracle. The persistent
     /// verify–repair session keeps this at two (matrix + error formula) per
     /// run, however many repair iterations execute.
-    pub sat_solvers_constructed: usize,
+    sat_solvers_constructed: usize, counter;
     /// Number of MaxSAT solvers constructed through the oracle.
-    pub maxsat_solvers_constructed: usize,
+    maxsat_solvers_constructed: usize, counter;
     /// Number of samplers constructed through the oracle.
-    pub samplers_constructed: usize,
+    samplers_constructed: usize, counter;
     /// Number of SAT solve calls (with or without assumptions).
-    pub sat_calls: usize,
+    sat_calls: usize, counter;
     /// Number of MaxSAT solve calls.
-    pub maxsat_calls: usize,
+    maxsat_calls: usize, counter;
     /// Number of per-sample solver calls made by oracle-routed samplers.
     /// These draw on the same shared call allowance as SAT and MaxSAT
     /// solves, so `sat_calls + maxsat_calls + sampler_calls` is the total
     /// charge against [`Budget::max_sat_calls`].
-    pub sampler_calls: usize,
+    sampler_calls: usize, counter;
     /// Number of oracle-routed sampling requests that emitted fewer samples
     /// than requested (UNSAT verdicts, budget cuts, or cancellation — the
     /// request's [`SampleOutcome`] says which).
-    pub sample_shortfalls: usize,
+    sample_shortfalls: usize, counter;
     /// Number of full hard-clause MaxSAT encodings constructed. The
     /// persistent repair session keeps this at one per run, however many
     /// FindCandidates calls execute; the from-scratch reference path pays
     /// one per call.
-    pub maxsat_hard_encodings: usize,
+    maxsat_hard_encodings: usize, counter;
     /// Number of MaxSAT solve calls served under assumptions on a persistent
     /// encoding (the incremental hits; `maxsat_calls -
     /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
-    pub maxsat_incremental_calls: usize,
+    maxsat_incremental_calls: usize, counter;
     /// Internal SAT probes issued by MaxSAT optimum searches (bound probes,
     /// hard/optimistic checks, core-guided iterations alike). Each probe
     /// draws one call from the shared allowance, exactly like a top-level
     /// SAT solve — this is the unit the repair strategies compete on.
-    pub maxsat_probes: u64,
+    maxsat_probes: u64, counter;
     /// UNSAT cores extracted and relaxed by core-guided MaxSAT searches.
-    pub maxsat_cores: u64,
+    maxsat_cores: u64, counter;
     /// Total SAT conflicts across all oracle-routed solve calls.
-    pub conflicts: u64,
+    conflicts: u64, counter from conflicts;
     /// Total CDCL decisions across all oracle-routed solve calls.
-    pub decisions: u64,
+    decisions: u64, counter from decisions;
     /// Total unit propagations across all oracle-routed solve calls (SAT and
     /// MaxSAT alike). Together with the harness's wall-clock column this
     /// yields the propagations-per-second throughput metric.
-    pub sat_propagations: u64,
+    sat_propagations: u64, counter from propagations;
     /// Total search restarts across all oracle-routed solve calls.
-    pub sat_restarts: u64,
+    sat_restarts: u64, counter from restarts;
     /// Assumption decision levels carried over between incremental solve
     /// calls instead of being re-decided (trail reuse), across all
     /// oracle-routed solvers.
-    pub reused_levels: u64,
+    reused_levels: u64, counter from reused_levels;
     /// Rephasing events (decision phases reset to the best trail seen)
     /// across all oracle-routed solvers.
-    pub rephases: u64,
+    rephases: u64, counter from rephases;
     /// Learnt clauses live in the most recently observed solver (a gauge,
     /// refreshed after every billed solve or maintenance pass; summed across
     /// racers by the portfolio merge).
-    pub learnt_db_live: usize,
+    learnt_db_live: usize, gauge from learnt_clauses as "learnt_clauses_live";
     /// Glue ≤ 2 learnt clauses in the most recently observed solver (a
     /// gauge, like [`OracleStats::learnt_db_live`]).
-    pub glue2_clauses: usize,
+    glue2_clauses: usize, gauge from glue2_clauses;
     /// Clauses removed by inprocessing subsumption across all oracle-routed
     /// solvers.
-    pub inprocess_subsumed: u64,
+    inprocess_subsumed: u64, counter from inprocess_subsumed;
     /// Clauses strengthened by inprocessing self-subsumption or
     /// vivification across all oracle-routed solvers.
-    pub inprocess_strengthened: u64,
+    inprocess_strengthened: u64, counter from inprocess_strengthened;
     /// Inprocessing passes that actually ran (throttle-skipped calls are not
     /// counted), across all oracle-routed solvers.
-    pub inprocess_passes: u64,
+    inprocess_passes: u64, counter from inprocess_passes;
     /// Vivification candidates attempted across all oracle-routed solvers.
-    pub vivify_candidates: u64,
+    vivify_candidates: u64, counter from vivify_candidates;
     /// Vivification attempts that strengthened their clause, across all
     /// oracle-routed solvers.
-    pub vivify_strengthened: u64,
+    vivify_strengthened: u64, counter from vivify_strengthened;
     /// Compacting clause-arena garbage collections performed by
     /// oracle-routed solvers.
-    pub arena_collections: u64,
+    arena_collections: u64, counter from arena_collections;
     /// Arena words occupied by live clauses in the most recently observed
     /// solver (a gauge, like [`OracleStats::learnt_db_live`]).
-    pub arena_live_words: usize,
+    arena_live_words: usize, gauge from arena_live_words;
     /// SAT models re-verified against the full clause database by
     /// oracle-routed solvers (a debug-build self-check; 0 in release
     /// builds).
-    pub models_verified: u64,
+    models_verified: u64, counter from models_verified;
     /// DRAT certificates of oracle-routed UNSAT verdicts handed to the
     /// independent checker (only under [`Oracle::with_certification`]).
-    pub certificates_checked: u64,
+    certificates_checked: u64, counter;
     /// Checked certificates the checker rejected — always 0 on a sound run;
     /// the first offender is kept in [`Oracle::certification_failure`].
-    pub certificates_rejected: u64,
+    certificates_rejected: u64, counter;
     /// Total DRAT proof bytes across all checked certificates.
-    pub proof_bytes: u64,
+    proof_bytes: u64, counter;
     /// Total clause-addition steps across all checked certificates.
-    pub proof_adds: u64,
+    proof_adds: u64, counter;
     /// Total clause-deletion steps across all checked certificates.
-    pub proof_deletes: u64,
+    proof_deletes: u64, counter;
     /// Wall-clock nanoseconds spent inside the in-process proof checker.
-    pub certify_nanos: u64,
+    certify_nanos: u64, nanos as "certify_wall_s";
     /// Number of calls that gave up because a budget was exhausted.
-    pub budget_exhaustions: usize,
-}
-
-impl OracleStats {
-    /// Accumulates `other` into `self`, field by field. Cumulative counters
-    /// add; the live-database gauges add too, so the merged value is the
-    /// total live footprint across the merged oracles' last-observed
-    /// solvers. Used by the portfolio's report merge and the compositional
-    /// engine's per-cluster aggregation.
-    pub fn absorb(&mut self, other: &OracleStats) {
-        self.sat_solvers_constructed += other.sat_solvers_constructed;
-        self.maxsat_solvers_constructed += other.maxsat_solvers_constructed;
-        self.samplers_constructed += other.samplers_constructed;
-        self.sat_calls += other.sat_calls;
-        self.maxsat_calls += other.maxsat_calls;
-        self.sampler_calls += other.sampler_calls;
-        self.sample_shortfalls += other.sample_shortfalls;
-        self.maxsat_hard_encodings += other.maxsat_hard_encodings;
-        self.maxsat_incremental_calls += other.maxsat_incremental_calls;
-        self.maxsat_probes += other.maxsat_probes;
-        self.maxsat_cores += other.maxsat_cores;
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.sat_propagations += other.sat_propagations;
-        self.sat_restarts += other.sat_restarts;
-        self.reused_levels += other.reused_levels;
-        self.rephases += other.rephases;
-        self.learnt_db_live += other.learnt_db_live;
-        self.glue2_clauses += other.glue2_clauses;
-        self.inprocess_subsumed += other.inprocess_subsumed;
-        self.inprocess_strengthened += other.inprocess_strengthened;
-        self.inprocess_passes += other.inprocess_passes;
-        self.vivify_candidates += other.vivify_candidates;
-        self.vivify_strengthened += other.vivify_strengthened;
-        self.arena_collections += other.arena_collections;
-        self.arena_live_words += other.arena_live_words;
-        self.models_verified += other.models_verified;
-        self.certificates_checked += other.certificates_checked;
-        self.certificates_rejected += other.certificates_rejected;
-        self.proof_bytes += other.proof_bytes;
-        self.proof_adds += other.proof_adds;
-        self.proof_deletes += other.proof_deletes;
-        self.certify_nanos += other.certify_nanos;
-        self.budget_exhaustions += other.budget_exhaustions;
-    }
-
-    /// Total inprocessing reductions (clauses subsumed away plus clauses
-    /// strengthened) — the combined column the benchmark CSVs report next to
-    /// the per-kind breakdown.
-    pub fn inprocess_reductions(&self) -> u64 {
-        self.inprocess_subsumed + self.inprocess_strengthened
-    }
-
-    /// Bills the solver-layer work between two [`SolverStats`] snapshots to
-    /// the cumulative counters, and refreshes the live-database gauges from
-    /// the `after` snapshot. Shared by the solve paths and the session
-    /// maintenance hook so every counter means the same thing on both.
-    fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats) {
-        self.conflicts += after.conflicts - before.conflicts;
-        self.decisions += after.decisions - before.decisions;
-        self.sat_propagations += after.propagations - before.propagations;
-        self.sat_restarts += after.restarts - before.restarts;
-        self.reused_levels += after.reused_levels - before.reused_levels;
-        self.rephases += after.rephases - before.rephases;
-        self.inprocess_subsumed += after.inprocess_subsumed - before.inprocess_subsumed;
-        self.inprocess_strengthened += after.inprocess_strengthened - before.inprocess_strengthened;
-        self.inprocess_passes += after.inprocess_passes - before.inprocess_passes;
-        self.vivify_candidates += after.vivify_candidates - before.vivify_candidates;
-        self.vivify_strengthened += after.vivify_strengthened - before.vivify_strengthened;
-        self.arena_collections += after.arena_collections - before.arena_collections;
-        self.models_verified += after.models_verified - before.models_verified;
-        self.learnt_db_live = after.learnt_clauses;
-        self.glue2_clauses = after.glue2_clauses;
-        self.arena_live_words = after.arena_live_words;
-    }
+    budget_exhaustions: usize, counter;
 }
 
 /// The evidence kept when an in-process certificate check fails: everything
@@ -850,6 +884,7 @@ impl Oracle {
 mod tests {
     use super::*;
     use manthan3_cnf::Var;
+    use proptest::prelude::{collection, prop_assert_eq, proptest};
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -1305,6 +1340,125 @@ mod tests {
         // Gauges reflect the observed solver (no conflicts here: empty DB).
         assert_eq!(stats.learnt_db_live, 0);
         assert_eq!(stats.glue2_clauses, 0);
+    }
+
+    proptest! {
+        /// `absorb` adds every column of the table, field by field.
+        #[test]
+        fn absorb_adds_every_column(
+            a in collection::vec(0..u64::from(u32::MAX), OracleStats::COLUMNS.len()),
+            b in collection::vec(0..u64::from(u32::MAX), OracleStats::COLUMNS.len()),
+        ) {
+            let mut merged = OracleStats::from_raw(&a);
+            merged.absorb(&OracleStats::from_raw(&b));
+            let sums: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+            prop_assert_eq!(merged.raw(), sums);
+        }
+    }
+
+    /// Billing a snapshot pair whose fields all differ (and whose deltas all
+    /// differ): every counter with a solver source grows by its own delta,
+    /// every gauge takes its `after` value, and counters without a source
+    /// stay untouched.
+    #[test]
+    fn bill_solver_delta_adds_deltas_and_refreshes_gauges() {
+        let before = SolverStats {
+            conflicts: 1,
+            decisions: 2,
+            propagations: 3,
+            restarts: 4,
+            learnt_clauses: 5,
+            reused_levels: 6,
+            glue2_clauses: 7,
+            rephases: 8,
+            arena_collections: 9,
+            arena_live_words: 10,
+            inprocess_subsumed: 11,
+            inprocess_strengthened: 12,
+            inprocess_passes: 13,
+            vivify_candidates: 14,
+            vivify_strengthened: 15,
+            models_verified: 16,
+        };
+        let after = SolverStats {
+            conflicts: 101,
+            decisions: 202,
+            propagations: 303,
+            restarts: 404,
+            learnt_clauses: 505,
+            reused_levels: 606,
+            glue2_clauses: 707,
+            rephases: 808,
+            arena_collections: 909,
+            arena_live_words: 1010,
+            inprocess_subsumed: 1111,
+            inprocess_strengthened: 1212,
+            inprocess_passes: 1313,
+            vivify_candidates: 1414,
+            vivify_strengthened: 1515,
+            models_verified: 1616,
+        };
+        // Start from non-zero counters so "adds the delta" differs from
+        // "sets the delta" and from "sets the after value".
+        let mut stats = OracleStats::default();
+        stats.bill_solver_delta(&SolverStats::default(), &after);
+        stats.bill_solver_delta(&before, &after);
+        let delta_over = |b: u64, a: u64| a + (a - b);
+        let expected = OracleStats {
+            conflicts: delta_over(before.conflicts, after.conflicts),
+            decisions: delta_over(before.decisions, after.decisions),
+            sat_propagations: delta_over(before.propagations, after.propagations),
+            sat_restarts: delta_over(before.restarts, after.restarts),
+            reused_levels: delta_over(before.reused_levels, after.reused_levels),
+            rephases: delta_over(before.rephases, after.rephases),
+            learnt_db_live: after.learnt_clauses,
+            glue2_clauses: after.glue2_clauses,
+            inprocess_subsumed: delta_over(before.inprocess_subsumed, after.inprocess_subsumed),
+            inprocess_strengthened: delta_over(
+                before.inprocess_strengthened,
+                after.inprocess_strengthened,
+            ),
+            inprocess_passes: delta_over(before.inprocess_passes, after.inprocess_passes),
+            vivify_candidates: delta_over(before.vivify_candidates, after.vivify_candidates),
+            vivify_strengthened: delta_over(before.vivify_strengthened, after.vivify_strengthened),
+            arena_collections: delta_over(before.arena_collections, after.arena_collections),
+            arena_live_words: after.arena_live_words,
+            models_verified: delta_over(before.models_verified, after.models_verified),
+            ..OracleStats::default()
+        };
+        assert_eq!(stats, expected);
+    }
+
+    #[test]
+    fn columns_are_unique_and_match_the_values() {
+        let unique: std::collections::BTreeSet<_> = OracleStats::COLUMNS.iter().collect();
+        assert_eq!(unique.len(), OracleStats::COLUMNS.len());
+        assert_eq!(
+            OracleStats::default().values().count(),
+            OracleStats::COLUMNS.len()
+        );
+        let stats = OracleStats {
+            sat_calls: 3,
+            learnt_db_live: 4,
+            certify_nanos: 1_500_000_000,
+            ..OracleStats::default()
+        };
+        let exported: Vec<(&str, String)> = OracleStats::COLUMNS
+            .iter()
+            .copied()
+            .zip(stats.values())
+            .collect();
+        // Renamed columns carry their field's value; nanos export in seconds.
+        for (column, value) in [
+            ("sat_calls", "3"),
+            ("learnt_clauses_live", "4"),
+            ("certify_wall_s", "1.5000"),
+        ] {
+            assert!(
+                exported.contains(&(column, value.to_string())),
+                "{column}: {exported:?}"
+            );
+        }
     }
 
     #[test]

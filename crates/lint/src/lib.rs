@@ -3,15 +3,15 @@
 //! A dependency-free, token-level scanner that enforces the cross-cutting
 //! invariants `rustc` and `clippy` cannot see: ClauseRef lifetimes across
 //! arena GC, budget admission before solver invocations, lock-acquisition
-//! ordering, stats-counter parity between the portfolio merge and the
-//! benchmark CSVs, cancellation-poll reachability from public entry points,
-//! justified atomic orderings, panic-free library code, and
-//! `#![forbid(unsafe_code)]` crate headers. The flow-sensitive rules run a
-//! gen/kill worklist analysis (see [`dataflow`]) over per-function CFGs
-//! built straight from the token stream (see [`cfg`]). Run it as
-//! `cargo run -p manthan3-lint -- check`; configuration and allowlists live
-//! in `lint.toml` at the workspace root, and every allowlist entry must
-//! still suppress something — stale entries are themselves violations.
+//! ordering, DRAT proof-logging discipline, cancellation-poll reachability
+//! from public entry points, justified atomic orderings, panic-free library
+//! code, and `#![forbid(unsafe_code)]` crate headers. The flow-sensitive
+//! rules run a gen/kill worklist analysis (see [`dataflow`]) over
+//! per-function CFGs built straight from the token stream (see [`cfg`]).
+//! Run it as `cargo run -p manthan3-lint -- check`; configuration and
+//! allowlists live in `lint.toml` at the workspace root, and every
+//! allowlist entry must still suppress something — stale entries are
+//! themselves violations.
 
 #![forbid(unsafe_code)]
 

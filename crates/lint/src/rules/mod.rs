@@ -10,7 +10,6 @@ mod forbid_unsafe_header;
 mod lock_order;
 mod no_unwrap_in_lib;
 mod proof_discipline;
-mod stats_counter_parity;
 pub(crate) mod support;
 
 pub use atomic_ordering::AtomicOrdering;
@@ -21,7 +20,6 @@ pub use forbid_unsafe_header::ForbidUnsafeHeader;
 pub use lock_order::LockOrder;
 pub use no_unwrap_in_lib::NoUnwrapInLib;
 pub use proof_discipline::ProofDiscipline;
-pub use stats_counter_parity::StatsCounterParity;
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;
@@ -66,6 +64,5 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(BudgetBeforeSolve),
         Box::new(ProofDiscipline),
         Box::new(LockOrder),
-        Box::new(StatsCounterParity),
     ]
 }

@@ -237,27 +237,6 @@ fn lock_order_accepts_a_consistent_total_order() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
-#[test]
-fn stats_counter_parity_requires_merge_and_csv() {
-    let diags = run_rule(
-        &rules::StatsCounterParity,
-        vec![
-            fixture("stats_parity.rs", "crates/core/src/stats.rs"),
-            fixture("stats_parity_csv.rs", "crates/bench/src/report.rs"),
-        ],
-    );
-    let symbols: Vec<_> = diags.iter().filter_map(|d| d.symbol.as_deref()).collect();
-    // `merged_and_exported` satisfies both sides; the other two each miss
-    // exactly one.
-    assert_eq!(
-        symbols,
-        ["OracleStats::never_merged", "OracleStats::never_exported"],
-        "{diags:?}"
-    );
-    assert!(diags[0].message.contains("merge fn"), "{diags:?}");
-    assert!(diags[1].message.contains("CSV scope"), "{diags:?}");
-}
-
 /// The capstone: the real workspace, scanned under the real `lint.toml`,
 /// must be clean. This is the same invocation CI runs.
 #[test]
