@@ -319,10 +319,10 @@ impl Aig {
     /// Inputs are matched by label, so a cone built over CNF-variable labels
     /// in one AIG means the same function after the import. Structural
     /// hashing applies on the way in: shared sub-cones (and cones already
-    /// present in `self`) are reused, not duplicated. This is how the
-    /// compositional engine merges per-cluster Henkin vectors — each grown
-    /// in its own cluster-local AIG — into one shared vector for the
-    /// whole-formula verify.
+    /// present in `self`) are reused, not duplicated. So two vectors imported
+    /// into one AIG are structurally identical exactly when their functions
+    /// import to the same references, which is how a benchmark can tell that
+    /// repeated runs returned the same vector without re-checking it.
     pub fn import(&mut self, source: &Aig, f: AigRef) -> AigRef {
         let mut cache: HashMap<usize, AigRef> = HashMap::new();
         self.import_rec(source, f, &mut cache)

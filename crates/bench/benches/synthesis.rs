@@ -7,11 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_bench::{run_engine, EngineKind, RunRecord};
-use manthan3_cnf::{Assignment, Cnf, Lit, Var};
+use manthan3_cnf::{Lit, Var};
 use manthan3_core::{
-    find_candidates_from_scratch, find_candidates_to_repair, Budget, CompositionalConfig,
-    CompositionalEngine, Manthan3, Manthan3Config, Oracle, RepairSession, RepairStrategy, Sigma,
-    SynthesisOutcome, SynthesisStats, VerifySession,
+    find_candidates_from_scratch, find_candidates_to_repair, Budget, Manthan3, Manthan3Config,
+    Oracle, RepairSession, RepairStrategy, Sigma, SynthesisOutcome, SynthesisStats, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::controller::{controller, ControllerParams};
@@ -22,7 +21,6 @@ use manthan3_gen::succinct::{succinct, SuccinctParams};
 use manthan3_gen::suite::suite;
 use manthan3_gen::Instance;
 use manthan3_portfolio::{Portfolio, PortfolioConfig};
-use manthan3_sampler::{SamplerConfig, ShardedSampler};
 use manthan3_sat::{SolveResult, Solver};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -544,317 +542,6 @@ fn bench_repair_core_guided(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sampling workload for the sharded-sampling acceptance (ISSUE 4): the
-/// satisfiable `suite(7, 1)` matrix with the most clause × variable work per
-/// sample.
-fn sampling_workload() -> Cnf {
-    suite(7, 1)
-        .into_iter()
-        .map(|i| i.dqbf)
-        .filter(|d| {
-            let mut solver = Solver::new();
-            solver.add_cnf(d.matrix());
-            solver.ensure_vars(d.num_vars());
-            solver.solve() == SolveResult::Sat
-        })
-        .max_by_key(|d| d.matrix().clauses().len() * d.num_vars())
-        .map(|d| d.matrix().clone())
-        .expect("the suite contains satisfiable instances")
-}
-
-/// Draws `n` samples through a sharded sampler and returns the batch with
-/// its wall-clock time.
-fn timed_sharded_request(
-    cnf: &Cnf,
-    shards: usize,
-    seed: u64,
-    n: usize,
-) -> (Vec<Assignment>, Duration) {
-    let config = SamplerConfig {
-        seed,
-        shards,
-        ..SamplerConfig::default()
-    };
-    let start = Instant::now();
-    let mut sampler = ShardedSampler::new(cnf, config);
-    let (samples, outcome) = sampler.sample(n);
-    let wall = start.elapsed();
-    assert_eq!(outcome.reason, None, "workload request must be met in full");
-    assert_eq!(samples.len(), n);
-    (samples, wall)
-}
-
-/// Per-variable true-ratios of a merged batch.
-fn batch_ratios(samples: &[Assignment], num_vars: usize) -> Vec<f64> {
-    let mut trues = vec![0usize; num_vars];
-    for sample in samples {
-        for (v, &value) in sample.as_slice().iter().enumerate() {
-            if value {
-                trues[v] += 1;
-            }
-        }
-    }
-    trues
-        .into_iter()
-        .map(|t| t as f64 / samples.len() as f64)
-        .collect()
-}
-
-/// The acceptance benchmark for sharded sampling (ISSUE 4): on a
-/// `suite(7, 1)` sampling workload, 4 shards must keep the merged
-/// per-variable distribution within tolerance of the single sampler's — the
-/// bias-weighted merge contract.
-///
-/// The 4-vs-1-shard wall-clock ratio is printed, not asserted: a 4-shard
-/// run does the same total solver work as a 1-shard run, so the ratio
-/// depends on the host's core count and load.
-fn bench_sharded_sampling(c: &mut Criterion) {
-    const REQUEST: usize = 1200;
-    const ROUNDS: usize = 4;
-    let cnf = sampling_workload();
-
-    let mut single_wall = Duration::ZERO;
-    let mut sharded_wall = Duration::ZERO;
-    let mut max_ratio_gap = 0.0f64;
-    for round in 0..ROUNDS as u64 {
-        let (single, t_single) = timed_sharded_request(&cnf, 1, 4000 + round, REQUEST);
-        let (sharded, t_sharded) = timed_sharded_request(&cnf, 4, 4000 + round, REQUEST);
-        single_wall += t_single;
-        sharded_wall += t_sharded;
-        let single_ratios = batch_ratios(&single, cnf.num_vars());
-        let sharded_ratios = batch_ratios(&sharded, cnf.num_vars());
-        for (a, b) in single_ratios.iter().zip(&sharded_ratios) {
-            max_ratio_gap = max_ratio_gap.max((a - b).abs());
-        }
-    }
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "sharded_sampling acceptance: {REQUEST} samples x {ROUNDS} rounds on {} vars / {} \
-         clauses — 1 shard {:.2}ms, 4 shards {:.2}ms ({:.2}x, {cores} cores), max per-variable \
-         ratio gap {max_ratio_gap:.3}",
-        cnf.num_vars(),
-        cnf.clauses().len(),
-        single_wall.as_secs_f64() * 1e3,
-        sharded_wall.as_secs_f64() * 1e3,
-        single_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9),
-    );
-    assert!(
-        max_ratio_gap <= 0.15,
-        "merged distribution drifted from the single-sampler contract: \
-         max per-variable ratio gap {max_ratio_gap:.3}"
-    );
-
-    let mut group = c.benchmark_group("sharded_sampling");
-    for shards in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            b.iter(|| std::hint::black_box(timed_sharded_request(&cnf, shards, 99, REQUEST / 4)))
-        });
-    }
-    group.finish();
-}
-
-/// The compositional workload (ISSUE 8): `k` disjoint block-offset copies of
-/// a planted-true instance, plus two layers of widened clauses. Each widened
-/// clause is a superset of a per-copy clause (hence implied by it), so the
-/// per-copy Skolem functions already satisfy every one of them — they only
-/// shape the co-occurrence graph. The *glue* layer (template widened with all
-/// of the copy's outputs) welds each copy into a single natural cluster; the
-/// *coupling* layer (left copy's template widened with the first output of
-/// the right copy) then chains the copies into one natural cluster — exactly
-/// the shape `max_cluster_size` exists to split, and a split at the per-copy
-/// output count recovers the copy partition in BFS order. Returns the
-/// instance and that per-copy output count.
-fn compositional_workload(k: usize) -> (Dqbf, usize) {
-    let base = planted_true(
-        &PlantedParams {
-            num_universals: 8,
-            num_existentials: 6,
-            max_dependencies: 5,
-            ..PlantedParams::default()
-        },
-        21,
-    )
-    .dqbf;
-    let n = base.num_vars();
-    let offset = |v: Var, c: usize| Var::new((v.index() + c * n) as u32);
-    let mut dqbf = Dqbf::new();
-    for c in 0..k {
-        for &x in base.universals() {
-            dqbf.add_universal(offset(x, c));
-        }
-    }
-    for c in 0..k {
-        for &y in base.existentials() {
-            let deps: Vec<Var> = base.dependencies(y).iter().map(|&d| offset(d, c)).collect();
-            dqbf.add_existential(offset(y, c), deps);
-        }
-    }
-    for c in 0..k {
-        for clause in base.matrix().clauses() {
-            let mapped: Vec<Lit> = clause
-                .iter()
-                .map(|l| offset(l.var(), c).lit(l.is_positive()))
-                .collect();
-            dqbf.add_clause(mapped);
-        }
-    }
-    let template = base
-        .matrix()
-        .clauses()
-        .iter()
-        .find(|cl| cl.iter().any(|l| base.existentials().contains(&l.var())))
-        .expect("the planted matrix constrains its outputs");
-    let &first_output = base
-        .existentials()
-        .first()
-        .expect("the planted instance has outputs");
-    // The glue layer: the template widened with every output of the copy, so
-    // the copy's outputs form one co-occurrence clique (one natural cluster
-    // per copy instead of whatever the planted matrix fragments into).
-    for c in 0..k {
-        let mut glued: Vec<Lit> = template
-            .iter()
-            .map(|l| offset(l.var(), c).lit(l.is_positive()))
-            .collect();
-        for &y in base.existentials() {
-            let lit = offset(y, c).positive();
-            if !glued.contains(&lit) {
-                glued.push(lit);
-            }
-        }
-        dqbf.add_clause(glued);
-    }
-    // The coupling layer: widen one output-mentioning clause of each copy
-    // with the first output of the next copy.
-    for c in 0..k - 1 {
-        let mut widened: Vec<Lit> = template
-            .iter()
-            .map(|l| offset(l.var(), c).lit(l.is_positive()))
-            .collect();
-        widened.push(offset(first_output, c + 1).positive());
-        dqbf.add_clause(widened);
-    }
-    (dqbf, base.existentials().len())
-}
-
-/// The acceptance benchmark for compositional decomposition (ISSUE 8): on
-/// the `k`-copy coupled workload, the compositional engine (cluster cap =
-/// the per-copy output count, recovering the copy partition) must reach the
-/// same verdict as the monolithic Manthan3 run — both vectors passing the
-/// independent whole-formula certificate check. A capless run on the same
-/// instance must degenerate to the monolithic pipeline (one natural
-/// cluster) with at most one extra whole-formula verify.
-///
-/// The wall-clock ratio against the monolithic run is printed, not
-/// asserted: it depends on the host's core count and load. It is also
-/// written to `target/BENCH_compositional.json` so the perf trajectory is
-/// machine-readable.
-fn bench_compositional(c: &mut Criterion) {
-    const COPIES: usize = 4;
-    const ROUNDS: usize = 5;
-    let (dqbf, per_copy_outputs) = compositional_workload(COPIES);
-
-    let compositional_config = CompositionalConfig {
-        max_cluster_size: Some(per_copy_outputs),
-        ..CompositionalConfig::default()
-    };
-
-    let mut monolithic_wall = Duration::ZERO;
-    let mut compositional_wall = Duration::ZERO;
-    let mut clusters = 0usize;
-    let mut verdict = String::new();
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        let monolithic = Manthan3::new(Manthan3Config::default()).synthesize(&dqbf);
-        monolithic_wall += start.elapsed();
-
-        let start = Instant::now();
-        let compositional =
-            CompositionalEngine::new(compositional_config.clone()).synthesize(&dqbf);
-        compositional_wall += start.elapsed();
-
-        // Identical verdicts, both independently certificate-checked.
-        let SynthesisOutcome::Realizable(mono_vector) = &monolithic.outcome else {
-            panic!(
-                "monolithic engine failed the planted workload: {:?}",
-                monolithic.outcome
-            );
-        };
-        let SynthesisOutcome::Realizable(comp_vector) = &compositional.outcome else {
-            panic!(
-                "compositional engine failed the planted workload: {:?}",
-                compositional.outcome
-            );
-        };
-        assert!(verify::check(&dqbf, mono_vector).is_valid());
-        assert!(verify::check(&dqbf, comp_vector).is_valid());
-        assert!(
-            compositional.stats.clusters >= 2,
-            "the cluster cap must split the coupled workload (got {} clusters)",
-            compositional.stats.clusters
-        );
-        clusters = compositional.stats.clusters;
-        verdict = "realizable".to_string();
-    }
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "compositional acceptance: {COPIES}-copy coupled workload ({} outputs) x {ROUNDS} \
-         rounds — monolithic {:.2}ms, compositional {:.2}ms across {clusters} clusters \
-         ({:.2}x, {cores} cores)",
-        dqbf.existentials().len(),
-        monolithic_wall.as_secs_f64() * 1e3,
-        compositional_wall.as_secs_f64() * 1e3,
-        monolithic_wall.as_secs_f64() / compositional_wall.as_secs_f64().max(1e-9),
-    );
-    // Single-cluster degeneracy: without the cap the coupling chains every
-    // copy into one natural cluster, so the engine must delegate to the
-    // monolithic pipeline — same verdict, at most one extra verify.
-    let capless = CompositionalEngine::default().synthesize(&dqbf);
-    let SynthesisOutcome::Realizable(capless_vector) = &capless.outcome else {
-        panic!("capless compositional run failed: {:?}", capless.outcome);
-    };
-    assert!(verify::check(&dqbf, capless_vector).is_valid());
-    assert_eq!(capless.stats.clusters, 1, "capless run must degenerate");
-    assert!(
-        capless.stats.compose_verifies <= 1,
-        "degenerate run paid {} composition verifies",
-        capless.stats.compose_verifies
-    );
-
-    // The machine-readable perf-trajectory record.
-    let json = format!(
-        "{{\n  \"instance\": \"planted_x{COPIES}_coupled\",\n  \"clusters\": {clusters},\n  \
-         \"monolithic_wall_s\": {:.4},\n  \"compositional_wall_s\": {:.4},\n  \
-         \"verdict\": \"{verdict}\"\n}}\n",
-        monolithic_wall.as_secs_f64(),
-        compositional_wall.as_secs_f64(),
-    );
-    // Anchor on the manifest dir: criterion benches run with the package —
-    // not the workspace — as working directory.
-    let target = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
-    std::fs::write(format!("{target}/BENCH_compositional.json"), json)
-        .expect("write target/BENCH_compositional.json");
-
-    let mut group = c.benchmark_group("compositional");
-    group.bench_function("compositional", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                CompositionalEngine::new(compositional_config.clone()).synthesize(&dqbf),
-            )
-        })
-    });
-    group.bench_function("monolithic", |b| {
-        b.iter(|| std::hint::black_box(Manthan3::new(Manthan3Config::default()).synthesize(&dqbf)))
-    });
-    group.finish();
-}
-
 /// The acceptance benchmark of the certifying solver layer (ISSUE 10): every
 /// UNSAT verdict the engine reaches across the `suite(7, 1)` workload must
 /// come with a DRAT certificate the independent `manthan3-drat` checker accepts.
@@ -980,7 +667,6 @@ criterion_group! {
     name = synthesis;
     config = config();
     targets = bench_engines, bench_verification_session, bench_repair_incremental,
-        bench_repair_core_guided, bench_sharded_sampling, bench_portfolio,
-        bench_compositional, bench_certified
+        bench_repair_core_guided, bench_portfolio, bench_certified
 }
 criterion_main!(synthesis);

@@ -18,9 +18,7 @@
 //!
 //! ```text
 //! harness [--scale N] [--seed N] [--budget-ms N] [--out DIR]
-//!         [--engine NAME]... [--sample-shards N]
-//!         [--repair-strategy linear|core-guided]
-//!         [--max-cluster-size N] [--compose-repairs on|off]
+//!         [--engine NAME]... [--repair-strategy linear|core-guided]
 //!         [--certify] [--ablations] [--quick]
 //! ```
 //!
@@ -28,10 +26,9 @@
 //! defaults to the three sequential engines. `--engine portfolio` is the
 //! interesting use: it adds the parallel portfolio, so `fig6_cactus.csv` and
 //! `summary_table.csv` report its *true wall-clock* numbers next to the
-//! post-hoc VBS columns. `--sample-shards N` splits the Manthan3 sampling
-//! stage across `N` sampler threads (sharded sampling); the per-run
-//! `sample_wall_s` / `sample_shards` columns of `runs.csv` and the matching
-//! `summary_table.csv` rows report its effect. `--repair-strategy` selects
+//! post-hoc VBS columns. The per-run `sample_wall_s` column of `runs.csv`
+//! and the matching `summary_table.csv` row report the Manthan3 sampling
+//! stage's wall clock. `--repair-strategy` selects
 //! how the Manthan3 repair loop's MaxSAT queries search for their optimum
 //! (warm-started linear bound search vs. core-guided relaxation); the
 //! MaxSAT probe and core counters report the probe economy.
@@ -44,16 +41,7 @@
 //! in-process by the independent `manthan3-drat` checker. A rejected
 //! certificate — a soundness alarm — is dumped under the output directory
 //! as a `certify_failure_*.cnf` / `.drat` pair for offline reproduction.
-//! `--engine compositional` adds the dependency-driven compositional engine
-//! (partition the outputs into clusters, synthesize them concurrently,
-//! compose with coupled-residue repair); `--max-cluster-size N` caps the
-//! outputs per cluster (forcing coupling clauses and composition repair
-//! work) and `--compose-repairs on|off` toggles the coupled-residue repair
-//! against a monolithic re-synthesis fallback. The per-run `clusters` /
-//! `cluster_wall_max_s` / `cluster_wall_sum_s` columns of `runs.csv` and the
-//! matching `summary_table.csv` rows report the partition and the critical
-//! path of the concurrent cluster phase. Malformed
-//! flag values abort with a diagnostic and a non-zero exit status.
+//! Malformed flag values abort with a diagnostic and a non-zero exit status.
 
 use manthan3_bench::{csvio, report, run_suite_with_options, EngineKind, RunOptions};
 use manthan3_core::{Manthan3, Manthan3Config, RepairStrategy};
@@ -70,10 +58,7 @@ struct Args {
     out: PathBuf,
     engines: Vec<EngineKind>,
     ablations: bool,
-    sample_shards: usize,
     repair_strategy: RepairStrategy,
-    max_cluster_size: Option<usize>,
-    compose_repairs: bool,
     certify: bool,
 }
 
@@ -83,9 +68,7 @@ fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: harness [--scale N] [--seed N] [--budget-ms N] [--out DIR] \
-         [--engine NAME]... [--sample-shards N] \
-         [--repair-strategy linear|core-guided] \
-         [--max-cluster-size N] [--compose-repairs on|off] \
+         [--engine NAME]... [--repair-strategy linear|core-guided] \
          [--certify] [--ablations] [--quick]"
     );
     std::process::exit(2);
@@ -115,10 +98,7 @@ fn parse_args() -> Args {
         out: PathBuf::from("experiments"),
         engines: EngineKind::ALL.to_vec(),
         ablations: false,
-        sample_shards: 1,
         repair_strategy: RepairStrategy::default(),
-        max_cluster_size: None,
-        compose_repairs: true,
         certify: false,
     };
     let mut iter = std::env::args().skip(1);
@@ -140,33 +120,11 @@ fn parse_args() -> Args {
                     args.engines.push(engine);
                 }
             }
-            "--sample-shards" => {
-                let shards: usize = parse_value("--sample-shards", iter.next());
-                if shards == 0 {
-                    usage_error("--sample-shards must be at least 1");
-                }
-                args.sample_shards = shards;
-            }
             "--repair-strategy" => {
                 // Unknown strategy names abort with stderr + exit 2 via
                 // `parse_value`, like every other malformed flag value.
                 args.repair_strategy = parse_value("--repair-strategy", iter.next());
             }
-            "--max-cluster-size" => {
-                let size: usize = parse_value("--max-cluster-size", iter.next());
-                if size == 0 {
-                    usage_error("--max-cluster-size must be at least 1");
-                }
-                args.max_cluster_size = Some(size);
-            }
-            "--compose-repairs" => match iter.next().as_deref() {
-                Some("on") => args.compose_repairs = true,
-                Some("off") => args.compose_repairs = false,
-                Some(other) => usage_error(&format!(
-                    "invalid value {other:?} for --compose-repairs (expected on or off)"
-                )),
-                None => usage_error("--compose-repairs requires a value"),
-            },
             "--certify" => args.certify = true,
             "--ablations" => args.ablations = true,
             "--quick" => {
@@ -196,10 +154,7 @@ fn main() {
         &args.engines,
         args.budget,
         RunOptions {
-            sample_shards: args.sample_shards,
             repair_strategy: args.repair_strategy,
-            max_cluster_size: args.max_cluster_size,
-            compose_repairs: args.compose_repairs,
             certify: args.certify,
         },
     );

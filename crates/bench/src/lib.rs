@@ -21,8 +21,7 @@ pub mod report;
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
-    CertificationFailure, CompositionalConfig, CompositionalEngine, Manthan3, Manthan3Config,
-    OracleStats, RepairStrategy, SynthesisOutcome,
+    CertificationFailure, Manthan3, Manthan3Config, OracleStats, RepairStrategy, SynthesisOutcome,
 };
 use manthan3_dqbf::verify;
 use manthan3_gen::Instance;
@@ -32,45 +31,20 @@ use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Per-run knobs threaded from the harness flags into the engines (the
-/// Manthan3 sampling-shard width and the MaxSAT repair strategy; baselines
-/// ignore both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// MaxSAT repair strategy and certification; baselines ignore both).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunOptions {
-    /// Number of shards the Manthan3 sampling stage splits its request
-    /// across (`--sample-shards`, clamped to at least 1).
-    pub sample_shards: usize,
     /// How the Manthan3 repair loop's FindCandidates MaxSAT queries search
     /// for their optimum (`--repair-strategy`).
     pub repair_strategy: RepairStrategy,
-    /// Upper bound on the outputs per cluster for the compositional engine
-    /// (`--max-cluster-size`; `None` keeps the natural partition). Ignored
-    /// by every other engine.
-    pub max_cluster_size: Option<usize>,
-    /// Whether a compositional composition counterexample is repaired by
-    /// merging only the offending clusters (`true`, the default) or by one
-    /// monolithic re-synthesis (`--compose-repairs off`). Ignored by every
-    /// other engine.
-    pub compose_repairs: bool,
     /// Certify UNSAT verdicts in-process (`--certify`): every solver the
     /// Manthan3 oracle constructs logs DRAT proofs, and every UNSAT answer
     /// is checked immediately by the independent `manthan3-drat` checker.
-    /// Reaches the Manthan3 engine, the compositional engine, and the
-    /// portfolio's Manthan3 racer; the baselines keep their defaults. The
+    /// Reaches the Manthan3 engine and the portfolio's Manthan3 racer; the
+    /// baselines keep their defaults. The
     /// certification rows of the `OracleStats` table report the proof
     /// traffic and checking cost in `runs.csv` and `summary_table.csv`.
     pub certify: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            sample_shards: 1,
-            repair_strategy: RepairStrategy::default(),
-            max_cluster_size: None,
-            compose_repairs: true,
-            certify: false,
-        }
-    }
 }
 
 /// The synthesis engines taking part in the comparison.
@@ -86,11 +60,6 @@ pub enum EngineKind {
     /// shared budget with cooperative cancellation — the live counterpart
     /// of the post-hoc VBS (`manthan3-portfolio`).
     Portfolio,
-    /// The dependency-driven compositional engine (`manthan3-core`'s
-    /// `CompositionalEngine`): partition the outputs into clusters,
-    /// synthesize them concurrently, compose with coupled-residue repair.
-    /// Opt-in like the portfolio (`--engine compositional`).
-    Compositional,
 }
 
 impl EngineKind {
@@ -111,7 +80,6 @@ impl fmt::Display for EngineKind {
             EngineKind::Hqs2Like => "hqs2like",
             EngineKind::PedantLike => "pedantlike",
             EngineKind::Portfolio => "portfolio",
-            EngineKind::Compositional => "compositional",
         };
         write!(f, "{name}")
     }
@@ -126,10 +94,8 @@ impl FromStr for EngineKind {
             "hqs2like" => Ok(EngineKind::Hqs2Like),
             "pedantlike" => Ok(EngineKind::PedantLike),
             "portfolio" => Ok(EngineKind::Portfolio),
-            "compositional" => Ok(EngineKind::Compositional),
             other => Err(format!(
-                "unknown engine {other:?} (expected manthan3, hqs2like, pedantlike, portfolio \
-                 or compositional)"
+                "unknown engine {other:?} (expected manthan3, hqs2like, pedantlike or portfolio)"
             )),
         }
     }
@@ -166,20 +132,6 @@ pub struct RunRecord {
     /// engine reports this; baselines do not sample and the portfolio does
     /// not surface per-engine stage timings.
     pub sample_wall: Duration,
-    /// Number of sample shards the run's sampling stage used (1 = the plain
-    /// single-threaded sampler; 0 for engines that do not sample).
-    pub sample_shards: usize,
-    /// Number of output clusters the compositional engine synthesized
-    /// concurrently (1 = it degenerated to the monolithic pipeline; 0 for
-    /// every other engine).
-    pub clusters: usize,
-    /// Longest per-cluster synthesis wall clock — the critical path of the
-    /// concurrent cluster phase (zero for non-compositional runs).
-    pub cluster_wall_max: Duration,
-    /// Sum of the per-cluster synthesis wall clocks — the total cluster
-    /// work, i.e. what a sequential schedule would have paid (zero for
-    /// non-compositional runs).
-    pub cluster_wall_sum: Duration,
     /// The first rejected DRAT certificate of a certifying run
     /// ([`RunOptions::certify`]), with the offending CNF and proof — the
     /// harness dumps it for offline reproduction. `None` on sound runs, on
@@ -206,48 +158,23 @@ pub fn run_engine(engine: EngineKind, instance: &Instance, budget: Duration) -> 
     run_engine_with(engine, instance, budget, RunOptions::default())
 }
 
-/// Like [`run_engine`], but with the Manthan3 sampling stage split across
-/// `sample_shards` sampler threads (the harness flag `--sample-shards`).
-pub fn run_engine_sharded(
-    engine: EngineKind,
-    instance: &Instance,
-    budget: Duration,
-    sample_shards: usize,
-) -> RunRecord {
-    run_engine_with(
-        engine,
-        instance,
-        budget,
-        RunOptions {
-            sample_shards,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Like [`run_engine`], but with explicit [`RunOptions`] (shard width and
-/// repair strategy). The options reach the Manthan3 engine directly and the
-/// portfolio's Manthan3 racer; the baselines neither sample nor run MaxSAT
-/// repair and ignore them.
+/// Like [`run_engine`], but with explicit [`RunOptions`] (repair strategy
+/// and certification). The options reach the Manthan3 engine directly and
+/// the portfolio's Manthan3 racer; the baselines run no MaxSAT repair and
+/// ignore them.
 pub fn run_engine_with(
     engine: EngineKind,
     instance: &Instance,
     budget: Duration,
     options: RunOptions,
 ) -> RunRecord {
-    let sample_shards = options.sample_shards.max(1);
     let start = Instant::now();
-    // Per-cluster metadata only the compositional engine fills in.
-    let mut clusters = 0usize;
-    let mut cluster_wall_max = Duration::ZERO;
-    let mut cluster_wall_sum = Duration::ZERO;
-    // Filled in by the certifying Manthan3-family engines on a rejection.
+    // Filled in by a certifying Manthan3 run on a rejection.
     let mut certification_failure = None;
-    let (outcome, oracle, repair_iterations, sample_wall, record_shards) = match engine {
+    let (outcome, oracle, repair_iterations, sample_wall) = match engine {
         EngineKind::Manthan3 => {
             let config = Manthan3Config {
                 time_budget: Some(budget),
-                sample_shards,
                 repair_strategy: options.repair_strategy,
                 certify: options.certify,
                 ..Manthan3Config::default()
@@ -259,7 +186,6 @@ pub fn run_engine_with(
                 result.stats.oracle,
                 result.stats.repair_iterations,
                 result.stats.sampling_time,
-                result.stats.sample_shards,
             )
         }
         EngineKind::Hqs2Like => {
@@ -268,7 +194,7 @@ pub fn run_engine_with(
                 ..ExpansionConfig::default()
             };
             let result = ExpansionSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO, 0)
+            (result.outcome, result.oracle, 0, Duration::ZERO)
         }
         EngineKind::PedantLike => {
             let config = ArbiterConfig {
@@ -276,48 +202,15 @@ pub fn run_engine_with(
                 ..ArbiterConfig::default()
             };
             let result = ArbiterSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO, 0)
+            (result.outcome, result.oracle, 0, Duration::ZERO)
         }
         EngineKind::Portfolio => {
             let mut config = PortfolioConfig::with_time_budget(budget);
-            config.manthan3.sample_shards = sample_shards;
             config.manthan3.repair_strategy = options.repair_strategy;
             config.manthan3.certify = options.certify;
             let result = Portfolio::new(config).run(&instance.dqbf);
             let oracle = result.merged_oracle_stats();
-            (result.outcome, oracle, 0, Duration::ZERO, sample_shards)
-        }
-        EngineKind::Compositional => {
-            let config = CompositionalConfig {
-                engine: Manthan3Config {
-                    time_budget: Some(budget),
-                    sample_shards,
-                    repair_strategy: options.repair_strategy,
-                    certify: options.certify,
-                    ..Manthan3Config::default()
-                },
-                max_cluster_size: options.max_cluster_size,
-                compose_repairs: options.compose_repairs,
-                threads: 0,
-            };
-            let result = CompositionalEngine::new(config).synthesize(&instance.dqbf);
-            certification_failure = result.stats.certification_failure;
-            clusters = result.stats.clusters;
-            cluster_wall_max = result
-                .stats
-                .cluster_walls
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or_default();
-            cluster_wall_sum = result.stats.cluster_walls.iter().sum();
-            (
-                result.outcome,
-                result.stats.oracle,
-                result.stats.repair_iterations,
-                result.stats.sampling_time,
-                result.stats.sample_shards,
-            )
+            (result.outcome, oracle, 0, Duration::ZERO)
         }
     };
     let time = start.elapsed();
@@ -344,10 +237,6 @@ pub fn run_engine_with(
         oracle,
         repair_iterations,
         sample_wall,
-        sample_shards: record_shards,
-        clusters,
-        cluster_wall_max,
-        cluster_wall_sum,
         certification_failure,
     }
 }
@@ -364,31 +253,11 @@ pub fn run_suite_with_engines(
     engines: &[EngineKind],
     budget: Duration,
 ) -> Vec<RunRecord> {
-    run_suite_sharded(instances, engines, budget, 1)
-}
-
-/// Runs the given engines on every instance with the Manthan3 sampling
-/// stage split across `sample_shards` shards (harness flag
-/// `--sample-shards`).
-pub fn run_suite_sharded(
-    instances: &[Instance],
-    engines: &[EngineKind],
-    budget: Duration,
-    sample_shards: usize,
-) -> Vec<RunRecord> {
-    run_suite_with_options(
-        instances,
-        engines,
-        budget,
-        RunOptions {
-            sample_shards,
-            ..RunOptions::default()
-        },
-    )
+    run_suite_with_options(instances, engines, budget, RunOptions::default())
 }
 
 /// Runs the given engines on every instance under explicit [`RunOptions`]
-/// (harness flags `--sample-shards` and `--repair-strategy`).
+/// (harness flags `--repair-strategy` and `--certify`).
 pub fn run_suite_with_options(
     instances: &[Instance],
     engines: &[EngineKind],
@@ -444,41 +313,14 @@ mod tests {
         assert_eq!(EngineKind::Hqs2Like.to_string(), "hqs2like");
         assert_eq!(EngineKind::PedantLike.to_string(), "pedantlike");
         assert_eq!(EngineKind::Portfolio.to_string(), "portfolio");
-        assert_eq!(EngineKind::Compositional.to_string(), "compositional");
     }
 
     #[test]
     fn engine_names_round_trip_through_fromstr() {
-        for engine in EngineKind::ALL
-            .into_iter()
-            .chain([EngineKind::Portfolio, EngineKind::Compositional])
-        {
+        for engine in EngineKind::ALL.into_iter().chain([EngineKind::Portfolio]) {
             assert_eq!(engine.to_string().parse::<EngineKind>(), Ok(engine));
         }
         assert!("hqs3like".parse::<EngineKind>().is_err());
-    }
-
-    #[test]
-    fn sharded_runs_record_shard_metadata() {
-        let params = PlantedParams {
-            num_universals: 3,
-            num_existentials: 2,
-            max_dependencies: 2,
-            ..PlantedParams::default()
-        };
-        let instance = planted_true(&params, 11);
-        let record = run_engine_sharded(EngineKind::Manthan3, &instance, Duration::from_secs(5), 4);
-        assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
-        assert_eq!(record.sample_shards, 4);
-        assert!(
-            record.oracle.sampler_calls > 0,
-            "sampler calls must be routed through the shared budget"
-        );
-        // Baselines do not sample.
-        let baseline =
-            run_engine_sharded(EngineKind::Hqs2Like, &instance, Duration::from_secs(5), 4);
-        assert_eq!(baseline.sample_shards, 0);
-        assert_eq!(baseline.sample_wall, Duration::ZERO);
     }
 
     #[test]
@@ -525,29 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn compositional_engine_records_cluster_metadata() {
-        let params = PlantedParams {
-            num_universals: 3,
-            num_existentials: 2,
-            max_dependencies: 2,
-            ..PlantedParams::default()
-        };
-        let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Compositional, &instance, Duration::from_secs(5));
-        assert!(
-            record.synthesized,
-            "compositional failed: {}",
-            record.outcome
-        );
-        assert!(record.clusters >= 1, "cluster count must be recorded");
-        assert!(record.cluster_wall_sum >= record.cluster_wall_max);
-        // Non-compositional runs leave the cluster columns zeroed.
-        let plain = run_engine(EngineKind::Manthan3, &instance, Duration::from_secs(5));
-        assert_eq!(plain.clusters, 0);
-        assert_eq!(plain.cluster_wall_sum, Duration::ZERO);
-    }
-
-    #[test]
     fn certified_runs_check_every_unsat_verdict() {
         let params = PlantedParams {
             num_universals: 3,
@@ -560,17 +379,20 @@ mod tests {
             certify: true,
             ..RunOptions::default()
         };
-        for engine in [EngineKind::Manthan3, EngineKind::Compositional] {
-            let record = run_engine_with(engine, &instance, Duration::from_secs(5), options);
-            assert!(record.synthesized, "{engine} failed: {}", record.outcome);
-            assert!(
-                record.oracle.certificates_checked > 0,
-                "{engine}: a successful certifying run ends on a certified UNSAT verify"
-            );
-            assert_eq!(record.oracle.certificates_rejected, 0, "{engine}");
-            assert!(record.oracle.proof_bytes > 0, "{engine}");
-            assert!(record.certification_failure.is_none(), "{engine}");
-        }
+        let record = run_engine_with(
+            EngineKind::Manthan3,
+            &instance,
+            Duration::from_secs(5),
+            options,
+        );
+        assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
+        assert!(
+            record.oracle.certificates_checked > 0,
+            "a successful certifying run ends on a certified UNSAT verify"
+        );
+        assert_eq!(record.oracle.certificates_rejected, 0);
+        assert!(record.oracle.proof_bytes > 0);
+        assert!(record.certification_failure.is_none());
         // Uncertified runs leave the proof counters (and the failure slot)
         // untouched.
         let plain = run_engine(EngineKind::Manthan3, &instance, Duration::from_secs(5));

@@ -91,7 +91,7 @@ pub fn scatter_rows(
 
 /// The per-record columns of `runs.csv`, ahead of the oracle counter
 /// columns ([`OracleStats::COLUMNS`]).
-pub const RUN_COLUMNS: [&str; 14] = [
+pub const RUN_COLUMNS: [&str; 10] = [
     "instance",
     "family",
     "engine",
@@ -102,10 +102,6 @@ pub const RUN_COLUMNS: [&str; 14] = [
     "sat_propagations_per_sec",
     "repair_iterations",
     "sample_wall_s",
-    "sample_shards",
-    "clusters",
-    "cluster_wall_max_s",
-    "cluster_wall_sum_s",
 ];
 
 /// The `runs.csv` header: [`RUN_COLUMNS`] followed by
@@ -134,10 +130,6 @@ pub fn runs_rows(records: &[RunRecord]) -> Vec<Vec<String>> {
                 format!("{:.1}", per_second(r.oracle.sat_propagations, r.seconds())),
                 r.repair_iterations.to_string(),
                 format!("{:.4}", r.sample_wall.as_secs_f64()),
-                r.sample_shards.to_string(),
-                r.clusters.to_string(),
-                format!("{:.4}", r.cluster_wall_max.as_secs_f64()),
-                format!("{:.4}", r.cluster_wall_sum.as_secs_f64()),
             ];
             row.extend(r.oracle.values());
             row
@@ -188,22 +180,6 @@ pub struct Summary {
     /// Instances decided by the live parallel portfolio engine, when its
     /// records are present.
     pub portfolio_decided: Option<usize>,
-    /// Instances synthesized by the compositional engine, when its records
-    /// are present (`--engine compositional`).
-    pub compositional_synthesized: Option<usize>,
-    /// Instances decided by the compositional engine, when its records are
-    /// present.
-    pub compositional_decided: Option<usize>,
-    /// Total output clusters across the compositional runs, when present
-    /// (instances × their partition sizes; equals the instance count when
-    /// every instance degenerated to the monolithic pipeline).
-    pub compositional_clusters: Option<usize>,
-    /// Sum over the compositional runs of their longest per-cluster wall
-    /// clock — the critical path a perfectly parallel schedule pays.
-    pub cluster_wall_max_s: Option<f64>,
-    /// Sum over the compositional runs of their total per-cluster wall
-    /// clock — what a sequential schedule would have paid.
-    pub cluster_wall_sum_s: Option<f64>,
     /// Total repair iterations across the Manthan3 runs.
     pub repair_iterations: usize,
     /// MaxSAT calls per repair iteration over the Manthan3 runs (zero when
@@ -213,9 +189,6 @@ pub struct Summary {
     /// Total wall-clock seconds the Manthan3 runs spent in their sampling
     /// stage (the `sample_wall_s` summary row).
     pub sample_wall_s: f64,
-    /// The sample-shard count the suite ran with (maximum across records;
-    /// 1 = the plain single-threaded sampler).
-    pub sample_shards: usize,
     /// Propagations per second of engine wall-clock across the suite (the
     /// solver-layer throughput headline).
     pub sat_propagations_per_sec: f64,
@@ -284,43 +257,6 @@ pub fn summary(records: &[RunRecord]) -> Summary {
             Some(portfolio_records.iter().filter(|r| r.decided).count()),
         )
     };
-    let compositional_records: Vec<&RunRecord> = records
-        .iter()
-        .filter(|r| r.engine == EngineKind::Compositional)
-        .collect();
-    let (
-        compositional_synthesized,
-        compositional_decided,
-        compositional_clusters,
-        cluster_wall_max_s,
-        cluster_wall_sum_s,
-    ) = if compositional_records.is_empty() {
-        (None, None, None, None, None)
-    } else {
-        (
-            Some(
-                compositional_records
-                    .iter()
-                    .filter(|r| r.synthesized)
-                    .count(),
-            ),
-            Some(compositional_records.iter().filter(|r| r.decided).count()),
-            Some(compositional_records.iter().map(|r| r.clusters).sum()),
-            Some(
-                compositional_records
-                    .iter()
-                    .map(|r| r.cluster_wall_max.as_secs_f64())
-                    .sum(),
-            ),
-            Some(
-                compositional_records
-                    .iter()
-                    .map(|r| r.cluster_wall_sum.as_secs_f64())
-                    .sum(),
-            ),
-        )
-    };
-
     let mut oracle = OracleStats::default();
     for record in records {
         oracle.absorb(&record.oracle);
@@ -344,7 +280,6 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         .iter()
         .map(|r| r.sample_wall.as_secs_f64())
         .sum();
-    let sample_shards = records.iter().map(|r| r.sample_shards).max().unwrap_or(0);
     let total_seconds: f64 = records.iter().map(|r| r.seconds()).sum();
 
     Summary {
@@ -361,15 +296,9 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         manthan3_within_10s_of_vbs,
         portfolio_synthesized,
         portfolio_decided,
-        compositional_synthesized,
-        compositional_decided,
-        compositional_clusters,
-        cluster_wall_max_s,
-        cluster_wall_sum_s,
         repair_iterations,
         maxsat_calls_per_repair_iteration,
         sample_wall_s,
-        sample_shards,
         sat_propagations_per_sec: per_second(oracle.sat_propagations, total_seconds),
         oracle,
     }
@@ -426,27 +355,6 @@ impl Summary {
             ]);
             rows.push(vec!["decided_portfolio".into(), decided.to_string()]);
         }
-        if let (Some(synthesized), Some(decided)) =
-            (self.compositional_synthesized, self.compositional_decided)
-        {
-            rows.push(vec![
-                "synthesized_compositional".into(),
-                synthesized.to_string(),
-            ]);
-            rows.push(vec!["decided_compositional".into(), decided.to_string()]);
-        }
-        // Compositional cluster columns: the partition sizes and the
-        // parallel-vs-sequential cluster wall clocks (critical path vs.
-        // total work).
-        if let (Some(clusters), Some(wall_max), Some(wall_sum)) = (
-            self.compositional_clusters,
-            self.cluster_wall_max_s,
-            self.cluster_wall_sum_s,
-        ) {
-            rows.push(vec!["compositional_clusters".into(), clusters.to_string()]);
-            rows.push(vec!["cluster_wall_max_s".into(), format!("{wall_max:.4}")]);
-            rows.push(vec!["cluster_wall_sum_s".into(), format!("{wall_sum:.4}")]);
-        }
         rows.extend(
             self.counter_rows()
                 .into_iter()
@@ -466,7 +374,6 @@ impl Summary {
                 format!("{:.3}", self.maxsat_calls_per_repair_iteration),
             ),
             ("sample_wall_s", format!("{:.4}", self.sample_wall_s)),
-            ("sample_shards", self.sample_shards.to_string()),
             (
                 "sat_propagations_per_sec",
                 format!("{:.1}", self.sat_propagations_per_sec),
@@ -527,18 +434,6 @@ impl fmt::Display for Summary {
                 "\nparallel portfolio:        {synthesized} (decided {decided}, true wall-clock)"
             )?;
         }
-        if let (Some(synthesized), Some(decided)) =
-            (self.compositional_synthesized, self.compositional_decided)
-        {
-            write!(
-                f,
-                "\ncompositional:             {synthesized} (decided {decided}, {} clusters, \
-                 cluster wall {:.2}s critical path / {:.2}s total)",
-                self.compositional_clusters.unwrap_or(0),
-                self.cluster_wall_max_s.unwrap_or(0.0),
-                self.cluster_wall_sum_s.unwrap_or(0.0)
-            )?;
-        }
         Ok(())
     }
 }
@@ -559,10 +454,6 @@ mod tests {
             oracle: manthan3_core::OracleStats::default(),
             repair_iterations: 0,
             sample_wall: Duration::ZERO,
-            sample_shards: 1,
-            clusters: 0,
-            cluster_wall_max: Duration::ZERO,
-            cluster_wall_sum: Duration::ZERO,
             certification_failure: None,
         }
     }
@@ -657,46 +548,6 @@ mod tests {
         assert!(s.to_string().contains("parallel portfolio"));
     }
 
-    #[test]
-    fn compositional_records_fill_the_cluster_summary() {
-        // No compositional records: the columns stay absent.
-        let s = summary(&sample_records());
-        assert_eq!(s.compositional_synthesized, None);
-        assert!(!s.rows().iter().any(|r| r[0] == "compositional_clusters"));
-
-        let mut records = sample_records();
-        let mut c1 = record("i1", EngineKind::Compositional, true, 0.06);
-        c1.clusters = 3;
-        c1.cluster_wall_max = Duration::from_millis(40);
-        c1.cluster_wall_sum = Duration::from_millis(100);
-        let mut c2 = record("i2", EngineKind::Compositional, true, 0.5);
-        c2.clusters = 1;
-        c2.cluster_wall_max = Duration::from_millis(500);
-        c2.cluster_wall_sum = Duration::from_millis(500);
-        records.push(c1);
-        records.push(c2);
-        let s = summary(&records);
-        assert_eq!(s.compositional_synthesized, Some(2));
-        assert_eq!(s.compositional_decided, Some(2));
-        assert_eq!(s.compositional_clusters, Some(4));
-        assert!((s.cluster_wall_max_s.unwrap() - 0.54).abs() < 1e-9);
-        assert!((s.cluster_wall_sum_s.unwrap() - 0.6).abs() < 1e-9);
-        let rows = s.rows();
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "synthesized_compositional" && r[1] == "2"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "compositional_clusters" && r[1] == "4"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "cluster_wall_max_s" && r[1] == "0.5400"));
-        assert!(rows
-            .iter()
-            .any(|r| r[0] == "cluster_wall_sum_s" && r[1] == "0.6000"));
-        assert!(s.to_string().contains("compositional:"));
-    }
-
     /// The summary's oracle counters are the records' stats merged with
     /// `absorb`, and every table column appears exactly once among the rows
     /// and the Display lines, carrying the merged value.
@@ -766,17 +617,13 @@ mod tests {
     fn sampling_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
         records[0].sample_wall = Duration::from_millis(250);
-        records[0].sample_shards = 4;
         records[3].sample_wall = Duration::from_millis(150);
-        records[3].sample_shards = 4;
         let s = summary(&records);
         assert!((s.sample_wall_s - 0.4).abs() < 1e-9);
-        assert_eq!(s.sample_shards, 4);
         let rows = s.rows();
         assert!(rows
             .iter()
             .any(|r| r[0] == "sample_wall_s" && r[1] == "0.4000"));
-        assert!(rows.iter().any(|r| r[0] == "sample_shards" && r[1] == "4"));
     }
 
     #[test]

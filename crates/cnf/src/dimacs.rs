@@ -41,8 +41,9 @@ impl Error for ParseDimacsError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] if a token is not an integer or the header is
-/// malformed.
+/// Returns [`ParseDimacsError`] if a token is not an integer, a literal's
+/// variable is above [`Var::MAX_DIMACS`](crate::Var::MAX_DIMACS), or the
+/// header is malformed.
 ///
 /// # Examples
 ///
@@ -90,7 +91,9 @@ pub fn parse_dimacs(input: &str) -> Result<Cnf, ParseDimacsError> {
             if value == 0 {
                 cnf.add_clause(current.drain(..));
             } else {
-                current.push(Lit::from_dimacs(value));
+                current.push(Lit::try_from_dimacs(value).ok_or_else(|| {
+                    ParseDimacsError::new(lineno, format!("literal {value} is out of range"))
+                })?);
             }
         }
     }
@@ -169,6 +172,20 @@ mod tests {
         let err = parse_dimacs("1 x 0").unwrap_err();
         assert_eq!(err.line(), 1);
         assert!(err.to_string().contains("invalid literal"));
+        // Identifiers a literal cannot hold are errors, not wrapped or
+        // truncated variables.
+        for text in [
+            "p cnf 1 1\n-2147483649 0\n",
+            "p cnf 1 1\n4294967296 0\n",
+            "p cnf 1 1\n-9223372036854775808 0\n",
+        ] {
+            let err = parse_dimacs(text).unwrap_err();
+            assert_eq!(err.line(), 2, "{text:?}");
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
+        // The largest identifier a literal can hold still parses.
+        let cnf = parse_dimacs("2147483648 -2147483648 0\n").unwrap();
+        assert_eq!(cnf.num_vars(), 1 << 31);
     }
 
     #[test]

@@ -35,15 +35,42 @@ impl Var {
         self.0
     }
 
+    /// The largest DIMACS identifier a variable may have: a [`Lit`] packs
+    /// `2 * index + sign` into a `u32`, so indices stop at `2^31 - 1`.
+    pub const MAX_DIMACS: u64 = 1 << 31;
+
+    /// Creates a variable from its DIMACS identifier, or returns `None` when
+    /// the identifier is 0 or above [`Var::MAX_DIMACS`]. The text parsers
+    /// use this to reject identifiers a [`Lit`] cannot hold.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use manthan3_cnf::Var;
+    /// assert_eq!(Var::try_from_dimacs(4), Some(Var::new(3)));
+    /// assert_eq!(Var::try_from_dimacs(0), None);
+    /// assert_eq!(Var::try_from_dimacs(Var::MAX_DIMACS + 1), None);
+    /// ```
+    #[inline]
+    pub fn try_from_dimacs(dimacs: u64) -> Option<Self> {
+        if (1..=Var::MAX_DIMACS).contains(&dimacs) {
+            Some(Var((dimacs - 1) as u32))
+        } else {
+            None
+        }
+    }
+
     /// Creates a variable from its (positive) DIMACS identifier.
     ///
     /// # Panics
     ///
-    /// Panics if `dimacs` is zero.
+    /// Panics if `dimacs` is zero or above [`Var::MAX_DIMACS`].
     #[inline]
     pub fn from_dimacs(dimacs: u32) -> Self {
-        assert!(dimacs > 0, "DIMACS variable identifiers start at 1");
-        Var(dimacs - 1)
+        match Var::try_from_dimacs(u64::from(dimacs)) {
+            Some(var) => var,
+            None => panic!("{dimacs} is not a DIMACS variable identifier"),
+        }
     }
 
     /// Returns the one-based DIMACS identifier of this variable.
@@ -154,16 +181,25 @@ impl Lit {
         Lit(code as u32)
     }
 
+    /// Creates a literal from a DIMACS integer, or returns `None` when its
+    /// variable is out of range (see [`Var::try_from_dimacs`]).
+    #[inline]
+    pub fn try_from_dimacs(dimacs: i64) -> Option<Self> {
+        Var::try_from_dimacs(dimacs.unsigned_abs()).map(|var| Lit::new(var, dimacs > 0))
+    }
+
     /// Creates a literal from a non-zero DIMACS integer.
     ///
     /// # Panics
     ///
-    /// Panics if `dimacs` is zero.
+    /// Panics if `dimacs` is zero or its variable is above
+    /// [`Var::MAX_DIMACS`].
     #[inline]
     pub fn from_dimacs(dimacs: i64) -> Self {
-        assert!(dimacs != 0, "0 is not a valid DIMACS literal");
-        let var = Var::from_dimacs(dimacs.unsigned_abs() as u32);
-        Lit::new(var, dimacs > 0)
+        match Lit::try_from_dimacs(dimacs) {
+            Some(lit) => lit,
+            None => panic!("{dimacs} is not a DIMACS literal"),
+        }
     }
 
     /// Returns the signed DIMACS representation of this literal.

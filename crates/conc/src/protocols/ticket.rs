@@ -1,11 +1,10 @@
-//! The job-index dispensers (`next_engine.fetch_add` in the portfolio,
-//! `next_ref.fetch_add` in the sharded sampler): workers claim the next
-//! job by incrementing a shared counter. The property: tickets are unique
+//! The job-index dispenser (`next_engine.fetch_add` in the portfolio):
+//! workers claim the next job by incrementing a shared counter. The property: tickets are unique
 //! and form `0..N` — which a *Relaxed* fetch_add already guarantees, since
 //! only RMW atomicity is involved; the claimed job's data is published by
 //! the spawning thread *before* the workers start (thread-spawn ordering),
 //! not by this counter. This check is the proof cited by the `// ordering:`
-//! comments at both fetch_add sites.
+//! comment at the fetch_add site.
 //!
 //! The broken variant increments non-atomically (load, then store v+1); the
 //! checker must find a duplicate-ticket schedule.

@@ -12,12 +12,6 @@ use std::time::Duration;
 pub struct Manthan3Config {
     /// Number of satisfying assignments sampled as training data.
     pub num_samples: usize,
-    /// Number of shards the sampling stage splits `num_samples` across
-    /// (clamped to at least 1). Shards run on threads with derived seeds and
-    /// independent adaptive-bias states, share the run's budget and
-    /// cancellation token, and are combined by the sampler crate's
-    /// bias-weighted merge; `1` keeps the single-threaded sampler.
-    pub sample_shards: usize,
     /// Upper bound on verification/repair iterations before giving up.
     pub max_repair_iterations: usize,
     /// Upper bound on individual candidate repairs within one iteration.
@@ -75,7 +69,6 @@ impl Default for Manthan3Config {
     fn default() -> Self {
         Manthan3Config {
             num_samples: 400,
-            sample_shards: 1,
             max_repair_iterations: 400,
             max_repairs_per_iteration: 64,
             tree: DecisionTreeConfig::default(),
@@ -137,11 +130,6 @@ mod tests {
     #[test]
     fn fast_config_is_smaller() {
         assert!(Manthan3Config::fast().num_samples <= Manthan3Config::default().num_samples);
-    }
-
-    #[test]
-    fn sampling_defaults_to_a_single_shard() {
-        assert_eq!(Manthan3Config::default().sample_shards, 1);
     }
 
     #[test]

@@ -154,20 +154,6 @@ impl Manthan3 {
             .with_repair_strategy(self.config.repair_strategy)
             .with_restart_policy(self.config.restart_policy)
             .with_certification(self.config.certify);
-        self.synthesize_with_oracle(dqbf, oracle)
-    }
-
-    /// Like [`Manthan3::synthesize_with_budget`], but the whole [`Oracle`] is
-    /// supplied by the caller, configuration and all. This is how the
-    /// compositional engine runs one pipeline per cluster while the clusters
-    /// share a single call allowance
-    /// ([`Oracle::with_call_allowance`]) on top of the shared deadline and
-    /// cancellation token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dqbf` fails [`Dqbf::validate`].
-    pub fn synthesize_with_oracle(&self, dqbf: &Dqbf, oracle: Oracle) -> SynthesisResult {
         // invariant: documented panic contract — callers must pass a
         // validated DQBF.
         dqbf.validate().expect("well-formed DQBF");
@@ -212,25 +198,20 @@ fn stage_preprocess(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
     None
 }
 
-/// Pipeline stage 2 — **Sample**: draw training data from the matrix,
-/// sharded across `config.sample_shards` seed-derived sampler threads that
-/// share the run's budget and cancellation token; the merged batch follows
-/// the single-sampler distribution contract (bias-weighted merge).
+/// Pipeline stage 2 — **Sample**: draw training data from the matrix with
+/// one sampler that shares the run's budget and cancellation token.
 fn stage_sample(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
     let sampling_start = Instant::now();
-    let shards = ctx.config.sample_shards.max(1);
-    let (samples, outcome) = ctx.oracle.sample_sharded(
+    let (samples, outcome) = ctx.oracle.sample_cnf(
         ctx.dqbf.matrix(),
         SamplerConfig {
             seed: ctx.config.seed,
-            shards,
             ..SamplerConfig::default()
         },
         ctx.config.num_samples,
     );
     ctx.samples = samples;
     ctx.stats.samples = ctx.samples.len();
-    ctx.stats.sample_shards = shards;
     ctx.stats.sampling_time = sampling_start.elapsed();
     if ctx.samples.is_empty() {
         // The matrix check already succeeded, so the shortfall reason tells

@@ -19,10 +19,8 @@
 //!    a trivially false matrix, and extract unique definitions via Padoa's
 //!    method (the role of the UNIQUE tool in the paper's implementation).
 //! 2. **Sample** — draw satisfying assignments of ϕ as training data
-//!    (`manthan3-sampler`), optionally sharded across
-//!    [`Manthan3Config::sample_shards`] seed-derived sampler threads that
-//!    share the run's budget and cancellation token (the batches are
-//!    combined by the sampler crate's bias-weighted merge).
+//!    (`manthan3-sampler`), drawn through the run's [`Oracle`] so the
+//!    sampler shares the run's budget and cancellation token.
 //! 3. **Learn** — per output, learn a decision tree over the valuations of
 //!    its Henkin dependencies (plus compatible `Y` variables) and take the
 //!    disjunction of all paths to label 1 (`manthan3-dtree`), recording the
@@ -151,7 +149,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compose;
 mod config;
 mod engine;
 mod learn;
@@ -162,7 +159,6 @@ mod repair;
 mod session;
 mod stats;
 
-pub use compose::{CompositionalConfig, CompositionalEngine};
 pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use manthan3_maxsat::RepairStrategy;

@@ -17,7 +17,7 @@
 use manthan3_cnf::{Assignment, Cnf, Lit};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver, RepairStrategy};
-use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShardedSampler, ShortfallReason};
+use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShortfallReason};
 use manthan3_sat::{
     CallBudget, CancelToken, Certificate, RestartPolicy, SolveResult, Solver, SolverConfig,
     SolverStats,
@@ -186,8 +186,7 @@ macro_rules! oracle_stats {
             /// Accumulates `other` into `self`, field by field. Gauges add
             /// too, so the merged value is the total live footprint across
             /// the merged oracles' last-observed solvers. Used by the
-            /// portfolio's report merge, the compositional engine's
-            /// per-cluster aggregation and the benchmark summary.
+            /// portfolio's report merge and the benchmark summary.
             pub fn absorb(&mut self, other: &OracleStats) {
                 $(self.$name += other.$name;)*
             }
@@ -385,10 +384,9 @@ pub struct Oracle {
     /// The shared call allowance behind [`Budget::max_sat_calls`]: every
     /// SAT solve, per-sample sampler solve, and internal MaxSAT probe draws
     /// one call from this counter. Samplers and MaxSAT solvers receive a
-    /// clone at construction, so their solves — including the sharded
-    /// sampler's worker threads and a MaxSAT bound search's probe loop —
-    /// are billed to, and refused by, exactly the same allowance as every
-    /// other oracle call.
+    /// clone at construction, so their solves — including a MaxSAT bound
+    /// search's probe loop — are billed to, and refused by, exactly the
+    /// same allowance as every other oracle call.
     calls: CallBudget,
     /// The optimization strategy handed to every MaxSAT solver this oracle
     /// constructs (`Manthan3Config::repair_strategy`, threaded through to
@@ -421,16 +419,6 @@ impl Oracle {
             certify: false,
             certification_failure: None,
         }
-    }
-
-    /// Replaces the call allowance with an externally shared [`CallBudget`]
-    /// (builder style). The compositional engine hands every per-cluster
-    /// oracle a clone of one allowance, so concurrent cluster loops draw on
-    /// a single global `max_sat_calls` pool instead of each getting a full
-    /// private quota.
-    pub fn with_call_allowance(mut self, calls: CallBudget) -> Self {
-        self.calls = calls;
-        self
     }
 
     /// Selects the [`RepairStrategy`] for subsequently constructed MaxSAT
@@ -542,8 +530,7 @@ impl Oracle {
 
     /// The shared call allowance every oracle-routed solve draws on. Exposed
     /// so tests and diagnostics can observe total consumption; samplers get
-    /// a clone automatically via [`Oracle::new_sampler`] and
-    /// [`Oracle::sample_sharded`].
+    /// a clone automatically via [`Oracle::sample_cnf`].
     pub fn call_allowance(&self) -> &CallBudget {
         &self.calls
     }
@@ -803,71 +790,38 @@ impl Oracle {
         config
     }
 
-    /// Constructs a sampler for `cnf`, inheriting the budget's per-call
-    /// conflict limit, cancellation token, and shared call allowance when
-    /// `config` does not set its own. Prefer [`Oracle::sample`] /
-    /// [`Oracle::sample_sharded`] for running it, so request statistics
-    /// (sampler calls, shortfalls) land in [`OracleStats`].
-    pub fn new_sampler(&mut self, cnf: &Cnf, config: SamplerConfig) -> Sampler {
-        self.stats.samplers_constructed += 1;
-        Sampler::new(cnf, self.sampler_config(config))
-    }
-
-    /// Runs one sampling request on `sampler` under the shared budget,
-    /// recording the consumed per-sample solver calls and any shortfall in
-    /// [`OracleStats`]. Refused without touching the sampler when the budget
-    /// is already exhausted, like every other oracle call.
-    pub fn sample(&mut self, sampler: &mut Sampler, n: usize) -> (Vec<Assignment>, SampleOutcome) {
-        if let Some(refused) = self.refuse_sampling(n) {
-            return (Vec::new(), refused);
-        }
-        let before = self.calls.consumed();
-        let (samples, outcome) = sampler.sample_with_outcome(n);
-        self.record_sampling(before, &outcome);
-        (samples, outcome)
-    }
-
-    /// Runs one sharded sampling request for `cnf` under the shared budget:
-    /// `config.shards` seed-derived shards race on threads, all drawing on
-    /// this oracle's call allowance and cancellation token, and the merged
-    /// batch is returned with its [`SampleOutcome`]. Counts one constructed
-    /// sampler per shard.
-    pub fn sample_sharded(
+    /// Runs one sampling request for `cnf` on a fresh [`Sampler`] under the
+    /// shared budget, recording the consumed per-sample solver calls and any
+    /// shortfall in [`OracleStats`]. The sampler inherits the budget's
+    /// per-call conflict limit and cancellation token unless `config` sets
+    /// its own, and always draws on the shared call allowance. Like every
+    /// other oracle call, an exhausted or cancelled budget refuses the
+    /// request — before any sampler is built.
+    pub fn sample_cnf(
         &mut self,
         cnf: &Cnf,
         config: SamplerConfig,
         n: usize,
     ) -> (Vec<Assignment>, SampleOutcome) {
-        if let Some(refused) = self.refuse_sampling(n) {
-            return (Vec::new(), refused);
-        }
-        self.stats.samplers_constructed += config.shards.max(1);
-        let mut sharded = ShardedSampler::new(cnf, self.sampler_config(config));
-        let before = self.calls.consumed();
-        let (samples, outcome) = sharded.sample(n);
-        self.record_sampling(before, &outcome);
-        (samples, outcome)
-    }
-
-    /// The refused-request outcome when the budget is already exhausted,
-    /// `None` while sampling may proceed.
-    fn refuse_sampling(&mut self, n: usize) -> Option<SampleOutcome> {
-        let reason = self.exhausted()?;
-        self.stats.budget_exhaustions += 1;
-        self.stats.sample_shortfalls += 1;
-        Some(SampleOutcome {
-            requested: n,
-            emitted: 0,
-            reason: Some(match reason {
+        if let Some(reason) = self.exhausted() {
+            self.stats.budget_exhaustions += 1;
+            self.stats.sample_shortfalls += 1;
+            let reason = match reason {
                 UnknownReason::Cancelled => ShortfallReason::Cancelled,
                 _ => ShortfallReason::Budget,
-            }),
-        })
-    }
-
-    /// Books one finished sampling request into the statistics.
-    fn record_sampling(&mut self, calls_before: u64, outcome: &SampleOutcome) {
-        self.stats.sampler_calls += (self.calls.consumed() - calls_before) as usize;
+            };
+            let refused = SampleOutcome {
+                requested: n,
+                emitted: 0,
+                reason: Some(reason),
+            };
+            return (Vec::new(), refused);
+        }
+        self.stats.samplers_constructed += 1;
+        let mut sampler = Sampler::new(cnf, self.sampler_config(config));
+        let before = self.calls.consumed();
+        let (samples, outcome) = sampler.sample_with_outcome(n);
+        self.stats.sampler_calls += (self.calls.consumed() - before) as usize;
         if outcome.is_short() {
             self.stats.sample_shortfalls += 1;
             if matches!(
@@ -877,6 +831,7 @@ impl Oracle {
                 self.stats.budget_exhaustions += 1;
             }
         }
+        (samples, outcome)
     }
 }
 
@@ -1024,36 +979,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_call_allowance_pools_consumption_across_oracles() {
-        // Two oracles drawing on one allowance: together they may make only
-        // as many solves as the pool permits, regardless of their own
-        // budgets' limits.
-        let pool = CallBudget::limited(2);
-        let mut a =
-            Oracle::new(Budget::new(None, None, Some(10))).with_call_allowance(pool.clone());
-        let mut b =
-            Oracle::new(Budget::new(None, None, Some(10))).with_call_allowance(pool.clone());
-        assert_eq!(a.call_allowance(), &pool);
-        assert_eq!(b.call_allowance(), &pool);
-        let mut sa = a.new_solver();
-        sa.ensure_vars(1);
-        let mut sb = b.new_solver();
-        sb.ensure_vars(1);
-        assert_eq!(a.solve(&mut sa), SolveResult::Sat);
-        assert_eq!(b.solve(&mut sb), SolveResult::Sat);
-        assert_eq!(pool.consumed(), 2);
-        // The pool is dry: both oracles are exhausted now.
-        assert_eq!(a.exhausted(), Some(UnknownReason::OracleBudget));
-        assert_eq!(b.solve(&mut sb), SolveResult::Unknown);
-    }
-
-    #[test]
     fn conflict_budget_is_inherited_by_constructed_solvers() {
         let mut oracle = Oracle::new(Budget::new(None, Some(7), None));
         let solver = oracle.new_solver();
         assert_eq!(solver.config().max_conflicts, Some(7));
         let sampler_cnf = Cnf::new(2);
-        let _ = oracle.new_sampler(&sampler_cnf, SamplerConfig::default());
+        let _ = oracle.sample_cnf(&sampler_cnf, SamplerConfig::default(), 1);
         assert_eq!(oracle.stats().samplers_constructed, 1);
     }
 
@@ -1123,8 +1054,7 @@ mod tests {
         assert_eq!(oracle.solve(&mut solver), SolveResult::Sat);
         assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
         let cnf = Cnf::new(2);
-        let mut sampler = oracle.new_sampler(&cnf, SamplerConfig::default());
-        let (samples, outcome) = oracle.sample(&mut sampler, 5);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 5);
         assert!(samples.is_empty());
         assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
         assert_eq!(oracle.give_up_reason(), UnknownReason::OracleBudget);
@@ -1141,8 +1071,7 @@ mod tests {
     fn sampler_solves_count_toward_the_shared_call_budget() {
         let mut oracle = Oracle::new(Budget::new(None, None, Some(3)));
         let cnf = Cnf::new(2);
-        let mut sampler = oracle.new_sampler(&cnf, SamplerConfig::default());
-        let (samples, outcome) = oracle.sample(&mut sampler, 10);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 10);
         assert_eq!(samples.len(), 3);
         assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
         assert_eq!(oracle.stats().sampler_calls, 3);
@@ -1154,20 +1083,17 @@ mod tests {
         assert_eq!(oracle.stats().sat_calls, 0);
     }
 
-    /// The sharded path bills every shard's solves to the shared allowance.
+    /// The one-shot path builds one sampler and bills its solves to the
+    /// shared allowance.
     #[test]
-    fn sharded_sampling_draws_on_the_shared_budget() {
+    fn sample_cnf_draws_on_the_shared_budget() {
         let mut oracle = Oracle::new(Budget::new(None, None, Some(5)));
         let cnf = Cnf::new(3);
-        let config = SamplerConfig {
-            shards: 4,
-            ..SamplerConfig::default()
-        };
-        let (samples, outcome) = oracle.sample_sharded(&cnf, config, 20);
-        assert!(samples.len() <= 5, "emitted {} > budget 5", samples.len());
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 20);
+        assert_eq!(samples.len(), 5);
         assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
         assert_eq!(oracle.stats().sampler_calls, 5);
-        assert_eq!(oracle.stats().samplers_constructed, 4);
+        assert_eq!(oracle.stats().samplers_constructed, 1);
         assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
     }
 
@@ -1183,8 +1109,7 @@ mod tests {
             calls: Some(private.clone()),
             ..SamplerConfig::default()
         };
-        let mut sampler = oracle.new_sampler(&cnf, config);
-        let (samples, outcome) = oracle.sample(&mut sampler, 10);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, config, 10);
         assert_eq!(samples.len(), 2);
         assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
         assert_eq!(oracle.stats().sampler_calls, 2);
@@ -1194,18 +1119,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sampling_is_served_in_full_under_an_unlimited_budget() {
+    fn sample_cnf_is_served_in_full_under_an_unlimited_budget() {
         let mut oracle = Oracle::new(Budget::unlimited());
         let cnf = Cnf::new(3);
-        let config = SamplerConfig {
-            shards: 2,
-            ..SamplerConfig::default()
-        };
-        let (samples, outcome) = oracle.sample_sharded(&cnf, config, 12);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 12);
         assert_eq!(samples.len(), 12);
         assert_eq!(outcome.reason, None);
-        // Oversampling headroom means at least one solver call per sample.
-        assert!(oracle.stats().sampler_calls >= 12);
+        assert_eq!(oracle.stats().sampler_calls, 12);
         assert_eq!(oracle.stats().sample_shortfalls, 0);
         assert_eq!(oracle.exhausted(), None);
     }
@@ -1215,14 +1135,12 @@ mod tests {
         let mut oracle = Oracle::new(Budget::unlimited());
         oracle.budget().cancel_token().cancel();
         let cnf = Cnf::new(2);
-        let config = SamplerConfig {
-            shards: 2,
-            ..SamplerConfig::default()
-        };
-        let (samples, outcome) = oracle.sample_sharded(&cnf, config, 4);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 4);
         assert!(samples.is_empty());
         assert_eq!(outcome.reason, Some(ShortfallReason::Cancelled));
         assert_eq!(oracle.stats().sampler_calls, 0);
+        // The request was refused before a sampler was built.
+        assert_eq!(oracle.stats().samplers_constructed, 0);
     }
 
     #[test]

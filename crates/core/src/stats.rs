@@ -12,9 +12,6 @@ use std::time::Duration;
 pub struct SynthesisStats {
     /// Number of satisfying assignments used as training data.
     pub samples: usize,
-    /// Number of shards the sampling stage ran across (1 = the plain
-    /// single-threaded sampler).
-    pub sample_shards: usize,
     /// Number of candidate functions learned from data.
     pub candidates_learned: usize,
     /// Number of functions obtained by unique-definition extraction.
@@ -41,36 +38,20 @@ pub struct SynthesisStats {
     pub repair_time: Duration,
     /// Total wall-clock time of the synthesis call.
     pub total_time: Duration,
-    /// Number of output clusters the compositional engine synthesized
-    /// concurrently (0 = the monolithic pipeline ran).
-    pub clusters: usize,
-    /// Per-cluster synthesis wall-clock times, in cluster order (empty for
-    /// monolithic runs).
-    pub cluster_walls: Vec<Duration>,
-    /// The order (cluster indices) in which the compositional engine
-    /// launched its clusters: most Padoa-defined outputs first, ties in
-    /// cluster order. Empty for monolithic runs.
-    pub cluster_schedule: Vec<usize>,
     /// The first rejected DRAT certificate of a certifying run
     /// ([`Manthan3Config::certify`](crate::Manthan3Config)), with the
     /// offending CNF and proof for offline reproduction. Always `None` on a
     /// sound run or when certification is off.
     pub certification_failure: Option<Box<CertificationFailure>>,
-    /// Whole-formula verify calls made at composition time.
-    pub compose_verifies: usize,
-    /// Cross-cluster (coupled-residue) repair rounds at composition time.
-    pub compose_repairs: usize,
 }
 
 impl SynthesisStats {
     /// Human-readable one-line summary.
     pub fn summary(&self) -> String {
         format!(
-            "samples={} shards={} learned={} defs={} iters={} repairs={} solvers={} \
+            "samples={} learned={} defs={} iters={} repairs={} solvers={} \
              sat_calls={} total={:?}",
             self.samples,
-            // 0 = the Sample stage never ran; don't disguise it as 1 shard.
-            self.sample_shards,
             self.candidates_learned,
             self.unique_definitions,
             self.repair_iterations,

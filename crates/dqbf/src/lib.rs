@@ -18,9 +18,7 @@
 //! * [`semantics`] — brute-force truth evaluation for small instances
 //!   (used as an independent test oracle),
 //! * [`unique`] — Padoa-style unique-definition extraction (the role played
-//!   by the UNIQUE tool in the paper's implementation),
-//! * [`decompose`] — dependency-driven partitioning of the outputs into
-//!   independent clusters for compositional synthesis.
+//!   by the UNIQUE tool in the paper's implementation).
 //!
 //! # Examples
 //!
@@ -45,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decompose;
 mod formula;
 mod henkin;
 mod parser;

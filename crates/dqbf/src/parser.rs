@@ -57,7 +57,9 @@ fn parse_vars(line: usize, tokens: &[&str]) -> Result<Vec<Var>, ParseDqdimacsErr
                 "quantifier lines must list positive variable identifiers",
             ));
         }
-        out.push(Var::from_dimacs(value as u32));
+        out.push(Var::try_from_dimacs(value.unsigned_abs()).ok_or_else(|| {
+            ParseDqdimacsError::new(line, format!("variable {value} is out of range"))
+        })?);
     }
     Ok(out)
 }
@@ -67,7 +69,8 @@ fn parse_vars(line: usize, tokens: &[&str]) -> Result<Vec<Var>, ParseDqdimacsErr
 /// # Errors
 ///
 /// Returns [`ParseDqdimacsError`] on malformed headers, quantifier lines or
-/// clause literals.
+/// clause literals, including variable identifiers above
+/// [`Var::MAX_DIMACS`].
 ///
 /// # Examples
 ///
@@ -127,7 +130,9 @@ pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
             if value == 0 {
                 dqbf.add_clause(current_clause.drain(..));
             } else {
-                current_clause.push(Lit::from_dimacs(value));
+                current_clause.push(Lit::try_from_dimacs(value).ok_or_else(|| {
+                    ParseDqdimacsError::new(lineno, format!("literal {value} is out of range"))
+                })?);
             }
         }
     }
@@ -220,6 +225,19 @@ mod tests {
         assert!(parse_dqdimacs("p qcnf 1 1\n").is_err());
         assert!(parse_dqdimacs("1 x 0\n").is_err());
         assert!(parse_dqdimacs("d 0\n").is_err());
+        // Identifiers a literal cannot hold are errors naming their line,
+        // not wrapped or truncated variables: (input, offending line).
+        for (text, line) in [
+            ("p cnf 1 1\na 1 0\n2147483649 0\n", 3),
+            ("p cnf 1 1\na 4294967296 0\n", 2),
+            ("p cnf 1 1\na 1 0\n4294967296 0\n", 3),
+            ("p cnf 1 1\na 1 0\n-9223372036854775808 0\n", 3),
+            ("p cnf 2 0\na 1 0\nd 2 4294967297 0\n", 3),
+        ] {
+            let err = parse_dqdimacs(text).unwrap_err();
+            assert_eq!(err.line(), line, "{text:?}");
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
     }
 
     #[test]

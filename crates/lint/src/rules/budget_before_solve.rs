@@ -14,7 +14,7 @@
 //!   — a call to it counts as a check at the call site.
 //! * **safe** (greatest fixpoint): a function whose own solver invocations
 //!   are all dominated by checks needs no check before calls to it — its
-//!   admission is internal (this is how `Oracle::sample` delegating to the
+//!   admission is internal (this is how `Oracle::sample_cnf` delegating to the
 //!   per-sample-admitting `Sampler::sample` stays clean).
 //!
 //! A *solve event* is a direct call to a configured solve marker (the

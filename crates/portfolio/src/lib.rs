@@ -23,31 +23,16 @@
 //! for all engines, comparable apples-to-apples — plus their merged total.
 //!
 //! Besides racing *different* engines, the portfolio can race
-//! *configurations* of one engine:
-//! [`PortfolioConfig::manthan3_shard_counts`] fans the Manthan3 entry out
-//! into one racer per sample-shard count (each drawing its training data
-//! through the sharded sampler at a different parallelism), and
-//! [`PortfolioConfig::manthan3_repair_strategies`] into one racer per
-//! MaxSAT repair strategy (the warm-started linear bound search vs. the
-//! core-guided OLL relaxation), and
+//! *configurations* of one engine along two dimensions:
+//! [`PortfolioConfig::manthan3_repair_strategies`] fans the Manthan3 entry
+//! out into one racer per MaxSAT repair strategy (the warm-started linear
+//! bound search vs. the core-guided OLL relaxation), and
 //! [`PortfolioConfig::manthan3_restart_policies`] into one racer per
-//! solver restart policy (Luby vs. Glucose-style EMA) — crossed when
-//! several dimensions are set, all under the same shared budget. Instances
-//! whose sampling stage dominates are won by a wide-sharded racer;
-//! instances whose repair optimum jumps between counterexamples by the
-//! core-guided one; instances with phase transitions in the search by the
-//! adaptive-restart one.
-//!
-//! The opt-in fourth entry [`PortfolioEngine::Compositional`] races the
-//! dependency-driven compositional pipeline
-//! ([`CompositionalEngine`](manthan3_core::CompositionalEngine)): the DQBF
-//! is partitioned into output clusters that are synthesized independently
-//! and composed with a whole-formula verify. Its racing dimension is
-//! [`PortfolioConfig::compositional_merge_thresholds`] — one racer per
-//! `max_cluster_size` cap, so instances with natural cluster structure are
-//! won by a fine partition while strongly coupled ones fall back to the
-//! monolithic pipeline. Reports from this racer carry the cluster count in
-//! [`EngineReport::clusters`].
+//! solver restart policy (Luby vs. Glucose-style EMA) — crossed when both
+//! are set, all under the same shared budget. Instances whose repair
+//! optimum jumps between counterexamples are won by the core-guided racer;
+//! instances with phase transitions in the search by the adaptive-restart
+//! one.
 //!
 //! # Examples
 //!
@@ -67,8 +52,8 @@
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
-    Budget, CompositionalConfig, CompositionalEngine, Manthan3, Manthan3Config, OracleStats,
-    RepairStrategy, RestartPolicy, SynthesisOutcome, UnknownReason,
+    Budget, Manthan3, Manthan3Config, OracleStats, RepairStrategy, RestartPolicy, SynthesisOutcome,
+    UnknownReason,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use std::fmt;
@@ -85,17 +70,10 @@ pub enum PortfolioEngine {
     Hqs2Like,
     /// The definition + arbiter baseline standing in for Pedant.
     PedantLike,
-    /// The dependency-driven compositional pipeline
-    /// ([`CompositionalEngine`]): partition the outputs into clusters,
-    /// synthesize them concurrently, compose with coupled-residue repair.
-    /// Opt-in — not part of [`PortfolioEngine::ALL`], because on small or
-    /// strongly coupled instances it degenerates to the Manthan3 entry.
-    Compositional,
 }
 
 impl PortfolioEngine {
-    /// The default engines, in the order they are dispatched.
-    /// [`PortfolioEngine::Compositional`] is opt-in and not listed here.
+    /// Every engine, in the order they are dispatched.
     pub const ALL: [PortfolioEngine; 3] = [
         PortfolioEngine::Manthan3,
         PortfolioEngine::Hqs2Like,
@@ -109,7 +87,6 @@ impl fmt::Display for PortfolioEngine {
             PortfolioEngine::Manthan3 => "manthan3",
             PortfolioEngine::Hqs2Like => "hqs2like",
             PortfolioEngine::PedantLike => "pedantlike",
-            PortfolioEngine::Compositional => "compositional",
         };
         write!(f, "{name}")
     }
@@ -141,38 +118,24 @@ pub struct PortfolioConfig {
     pub sat_call_budget: Option<u64>,
     /// Engine-specific settings for Manthan3 (budget fields ignored).
     pub manthan3: Manthan3Config,
-    /// Sample-shard-count diversity for Manthan3 — the first step of racing
-    /// *configurations* of one engine: when non-empty, every `Manthan3`
-    /// entry in `engines` is replaced by one racer per listed shard count
-    /// (each a clone of `manthan3` with `sample_shards` overridden), all
-    /// under the same shared budget and cancellation. Empty (the default)
-    /// races the single configured `manthan3` entry.
-    pub manthan3_shard_counts: Vec<usize>,
-    /// Repair-strategy diversity for Manthan3, next to the shard counts:
-    /// when non-empty, every `Manthan3` entry fans out into one racer per
-    /// listed [`RepairStrategy`] (crossed with the shard counts when both
-    /// dimensions are configured) — instances whose repair optimum jumps
-    /// between counterexamples are won by the core-guided racer, stable
-    /// ones by the warm-started linear search. Empty (the default) races
-    /// the single strategy configured in `manthan3`.
+    /// Repair-strategy diversity for Manthan3: when non-empty, every
+    /// `Manthan3` entry in `engines` is replaced by one racer per listed
+    /// [`RepairStrategy`] (each a clone of `manthan3` with
+    /// `repair_strategy` overridden), all under the same shared budget and
+    /// cancellation — instances whose repair optimum jumps between
+    /// counterexamples are won by the core-guided racer, stable ones by the
+    /// warm-started linear search. Empty (the default) races the single
+    /// strategy configured in `manthan3`.
     pub manthan3_repair_strategies: Vec<RepairStrategy>,
     /// Restart-policy diversity for Manthan3, the solver-layer racing
     /// dimension: when non-empty, every `Manthan3` entry fans out into one
-    /// racer per listed [`RestartPolicy`] (crossed with the shard counts and
-    /// repair strategies when those dimensions are configured too). Each
+    /// racer per listed [`RestartPolicy`] (crossed with the repair
+    /// strategies when that dimension is configured too). Each
     /// racer's oracle constructs all its solvers with the listed policy
     /// overriding the solver default — instances with phase transitions
     /// favor the adaptive EMA racer, steadily hard ones the predictable Luby
     /// racer. Empty (the default) races the solver's default policy alone.
     pub manthan3_restart_policies: Vec<RestartPolicy>,
-    /// Cluster-merge-threshold diversity for the compositional engine: when
-    /// non-empty, every [`PortfolioEngine::Compositional`] entry in
-    /// `engines` fans out into one racer per listed `max_cluster_size` cap
-    /// (each partitioning the outputs at a different granularity before
-    /// synthesizing the clusters), all under the same shared budget and
-    /// cancellation. Empty (the default) races a single compositional
-    /// entry with the natural (uncapped) partition.
-    pub compositional_merge_thresholds: Vec<usize>,
     /// Engine-specific settings for the expansion baseline (budget fields
     /// ignored).
     pub expansion: ExpansionConfig,
@@ -190,10 +153,8 @@ impl Default for PortfolioConfig {
             sat_conflict_budget: None,
             sat_call_budget: None,
             manthan3: Manthan3Config::default(),
-            manthan3_shard_counts: Vec::new(),
             manthan3_repair_strategies: Vec::new(),
             manthan3_restart_policies: Vec::new(),
-            compositional_merge_thresholds: Vec::new(),
             expansion: ExpansionConfig::default(),
             arbiter: ArbiterConfig::default(),
         }
@@ -215,10 +176,6 @@ impl PortfolioConfig {
 pub struct EngineReport {
     /// The engine this report describes.
     pub engine: PortfolioEngine,
-    /// The sample-shard count this racer ran with, when the race used
-    /// shard-count diversity ([`PortfolioConfig::manthan3_shard_counts`]);
-    /// `None` for baselines and for the single default configuration.
-    pub sample_shards: Option<usize>,
     /// The repair strategy this racer ran with, when the race used
     /// repair-strategy diversity
     /// ([`PortfolioConfig::manthan3_repair_strategies`]); `None` for
@@ -228,15 +185,6 @@ pub struct EngineReport {
     /// restart diversity ([`PortfolioConfig::manthan3_restart_policies`]);
     /// `None` for baselines and for the single default configuration.
     pub restart_policy: Option<RestartPolicy>,
-    /// The number of output clusters a [`PortfolioEngine::Compositional`]
-    /// racer synthesized concurrently (`Some(1)` when it delegated to the
-    /// monolithic pipeline); `None` for every other engine.
-    pub clusters: Option<usize>,
-    /// The Padoa-informed launch order of a
-    /// [`PortfolioEngine::Compositional`] racer's clusters — cluster indices,
-    /// most defined outputs first (empty when the racer degenerated to the
-    /// monolithic pipeline); `None` for every other engine.
-    pub cluster_schedule: Option<Vec<usize>>,
     /// The engine's own verdict (losers typically report
     /// [`UnknownReason::Cancelled`]).
     pub outcome: SynthesisOutcome,
@@ -322,11 +270,8 @@ pub struct Portfolio {
 /// What one worker observed for one engine, before winner resolution.
 struct RawReport {
     engine: PortfolioEngine,
-    sample_shards: Option<usize>,
     repair_strategy: Option<RepairStrategy>,
     restart_policy: Option<RestartPolicy>,
-    clusters: Option<usize>,
-    cluster_schedule: Option<Vec<usize>>,
     outcome: SynthesisOutcome,
     runtime: Duration,
     oracle: OracleStats,
@@ -343,10 +288,8 @@ struct RawReport {
 #[derive(Clone, Copy)]
 struct JobSpec {
     engine: PortfolioEngine,
-    sample_shards: Option<usize>,
     repair_strategy: Option<RepairStrategy>,
     restart_policy: Option<RestartPolicy>,
-    merge_threshold: Option<usize>,
 }
 
 impl JobSpec {
@@ -354,10 +297,8 @@ impl JobSpec {
     fn bare(engine: PortfolioEngine) -> Self {
         JobSpec {
             engine,
-            sample_shards: None,
             repair_strategy: None,
             restart_policy: None,
-            merge_threshold: None,
         }
     }
 }
@@ -389,46 +330,21 @@ impl Portfolio {
             !self.config.engines.is_empty(),
             "portfolio needs at least one engine"
         );
-        // Configuration racing: with shard-count, repair-strategy, and/or
-        // restart-policy diversity configured, each Manthan3 entry fans out
-        // into the cross product of the listed dimensions (an empty
-        // dimension contributes the single configured value). Compositional
-        // entries fan out over the cluster-merge thresholds instead.
+        // Configuration racing: with repair-strategy and/or restart-policy
+        // diversity configured, each Manthan3 entry fans out into the cross
+        // product of the listed dimensions (an empty dimension contributes
+        // the single configured value).
         let jobs: Vec<JobSpec> = self
             .config
             .engines
             .iter()
             .flat_map(|&engine| {
-                if engine == PortfolioEngine::Compositional {
-                    if self.config.compositional_merge_thresholds.is_empty() {
-                        return vec![JobSpec::bare(engine)];
-                    }
-                    return self
-                        .config
-                        .compositional_merge_thresholds
-                        .iter()
-                        .map(|&t| JobSpec {
-                            merge_threshold: Some(t.max(1)),
-                            ..JobSpec::bare(engine)
-                        })
-                        .collect();
-                }
                 if engine != PortfolioEngine::Manthan3
-                    || (self.config.manthan3_shard_counts.is_empty()
-                        && self.config.manthan3_repair_strategies.is_empty()
+                    || (self.config.manthan3_repair_strategies.is_empty()
                         && self.config.manthan3_restart_policies.is_empty())
                 {
                     return vec![JobSpec::bare(engine)];
                 }
-                let shards: Vec<Option<usize>> = if self.config.manthan3_shard_counts.is_empty() {
-                    vec![None]
-                } else {
-                    self.config
-                        .manthan3_shard_counts
-                        .iter()
-                        .map(|&k| Some(k.max(1)))
-                        .collect()
-                };
                 let strategies: Vec<Option<RepairStrategy>> =
                     if self.config.manthan3_repair_strategies.is_empty() {
                         vec![None]
@@ -449,18 +365,14 @@ impl Portfolio {
                             .map(|&p| Some(p))
                             .collect()
                     };
-                let mut combos =
-                    Vec::with_capacity(shards.len() * strategies.len() * restarts.len());
-                for &k in &shards {
-                    for &s in &strategies {
-                        for &p in &restarts {
-                            combos.push(JobSpec {
-                                sample_shards: k,
-                                repair_strategy: s,
-                                restart_policy: p,
-                                ..JobSpec::bare(engine)
-                            });
-                        }
+                let mut combos = Vec::with_capacity(strategies.len() * restarts.len());
+                for &s in &strategies {
+                    for &p in &restarts {
+                        combos.push(JobSpec {
+                            engine,
+                            repair_strategy: s,
+                            restart_policy: p,
+                        });
                     }
                 }
                 combos
@@ -495,11 +407,7 @@ impl Portfolio {
                     let Some(&job) = jobs_ref.get(index) else {
                         break;
                     };
-                    let (outcome, oracle, cluster_phase) = self.dispatch(job, dqbf, budget.clone());
-                    let (clusters, cluster_schedule) = match cluster_phase {
-                        Some((n, schedule)) => (Some(n), Some(schedule)),
-                        None => (None, None),
-                    };
+                    let (outcome, oracle) = self.dispatch(job, dqbf, budget.clone());
                     let runtime = race_start.elapsed();
                     // Only certificate-checked vectors (or falsity proofs)
                     // may stop the race.
@@ -528,11 +436,8 @@ impl Portfolio {
                         .expect("no worker panicked holding the report lock")
                         .push(RawReport {
                             engine: job.engine,
-                            sample_shards: job.sample_shards,
                             repair_strategy: job.repair_strategy,
                             restart_policy: job.restart_policy,
-                            clusters,
-                            cluster_schedule,
                             outcome,
                             runtime,
                             oracle,
@@ -556,11 +461,8 @@ impl Portfolio {
             .into_iter()
             .map(|r| EngineReport {
                 engine: r.engine,
-                sample_shards: r.sample_shards,
                 repair_strategy: r.repair_strategy,
                 restart_policy: r.restart_policy,
-                clusters: r.clusters,
-                cluster_schedule: r.cluster_schedule,
                 outcome: r.outcome,
                 runtime: r.runtime,
                 oracle: r.oracle,
@@ -575,22 +477,16 @@ impl Portfolio {
         }
     }
 
-    /// Runs one racer of the fan-out under a clone of the race budget. The
-    /// third element of the return is the cluster count and Padoa-informed
-    /// launch schedule of a compositional run (`None` for every other
-    /// engine).
+    /// Runs one racer of the fan-out under a clone of the race budget.
     fn dispatch(
         &self,
         job: JobSpec,
         dqbf: &Dqbf,
         budget: Budget,
-    ) -> (SynthesisOutcome, OracleStats, Option<(usize, Vec<usize>)>) {
+    ) -> (SynthesisOutcome, OracleStats) {
         match job.engine {
             PortfolioEngine::Manthan3 => {
                 let mut config = self.config.manthan3.clone();
-                if let Some(shards) = job.sample_shards {
-                    config.sample_shards = shards;
-                }
                 if let Some(strategy) = job.repair_strategy {
                     config.repair_strategy = strategy;
                 }
@@ -598,36 +494,17 @@ impl Portfolio {
                     config.restart_policy = Some(policy);
                 }
                 let result = Manthan3::new(config).synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.stats.oracle, None)
+                (result.outcome, result.stats.oracle)
             }
             PortfolioEngine::Hqs2Like => {
                 let result = ExpansionSolver::new(self.config.expansion.clone())
                     .synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.oracle, None)
+                (result.outcome, result.oracle)
             }
             PortfolioEngine::PedantLike => {
                 let result = ArbiterSolver::new(self.config.arbiter.clone())
                     .synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.oracle, None)
-            }
-            PortfolioEngine::Compositional => {
-                // Inside a race the worker thread is the parallelism unit:
-                // run the clusters sequentially on this thread instead of
-                // oversubscribing the machine with a nested thread pool.
-                let config = CompositionalConfig {
-                    engine: self.config.manthan3.clone(),
-                    max_cluster_size: job.merge_threshold,
-                    compose_repairs: true,
-                    threads: 1,
-                };
-                let result = CompositionalEngine::new(config).synthesize_with_budget(dqbf, budget);
-                let clusters = result.stats.clusters.max(1);
-                let schedule = result.stats.cluster_schedule;
-                (
-                    result.outcome,
-                    result.stats.oracle,
-                    Some((clusters, schedule)),
-                )
+                (result.outcome, result.oracle)
             }
         }
     }
@@ -744,87 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn compositional_racer_joins_the_race_and_reports_clusters() {
-        let dqbf = Dqbf::paper_example();
-        let mut config = PortfolioConfig::default();
-        config.engines.push(PortfolioEngine::Compositional);
-        config.threads = config.engines.len();
-        let result = Portfolio::new(config).run(&dqbf);
-        let vector = result.vector().expect("true instance");
-        assert!(verify::check(&dqbf, vector).is_valid());
-        assert_eq!(result.reports.len(), 4, "the fourth racer is opt-in");
-        let compositional = result
-            .report(PortfolioEngine::Compositional)
-            .expect("compositional raced");
-        // The paper example decomposes into two clusters; even a cancelled
-        // loser knows its partition — and the Padoa-informed launch order
-        // over it (a permutation of the cluster indices).
-        assert_eq!(compositional.clusters, Some(2));
-        let schedule = compositional
-            .cluster_schedule
-            .as_ref()
-            .expect("compositional racers report their launch order");
-        let mut sorted = schedule.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1]);
-        assert!(result
-            .reports
-            .iter()
-            .filter(|r| r.engine != PortfolioEngine::Compositional)
-            .all(|r| r.clusters.is_none() && r.cluster_schedule.is_none()));
-    }
-
-    #[test]
-    fn merge_threshold_diversity_races_multiple_compositional_configs() {
-        let dqbf = Dqbf::paper_example();
-        let config = PortfolioConfig {
-            engines: vec![PortfolioEngine::Compositional],
-            compositional_merge_thresholds: vec![1, 2],
-            threads: 2,
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
-        assert!(result.is_realizable());
-        assert_eq!(result.reports.len(), 2, "one racer per merge threshold");
-        assert!(result
-            .reports
-            .iter()
-            .all(|r| r.engine == PortfolioEngine::Compositional));
-        assert!(result.reports.iter().all(|r| r.clusters.is_some()));
-        assert_eq!(result.reports.iter().filter(|r| r.winner).count(), 1);
-    }
-
-    #[test]
-    fn shard_count_diversity_races_multiple_manthan3_configs() {
-        let dqbf = Dqbf::paper_example();
-        let config = PortfolioConfig {
-            engines: vec![PortfolioEngine::Manthan3],
-            manthan3_shard_counts: vec![1, 2, 4],
-            threads: 3,
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
-        assert!(result.is_realizable());
-        assert_eq!(result.reports.len(), 3, "one racer per shard count");
-        assert!(result
-            .reports
-            .iter()
-            .all(|r| r.engine == PortfolioEngine::Manthan3));
-        let shard_counts: std::collections::BTreeSet<_> =
-            result.reports.iter().map(|r| r.sample_shards).collect();
-        assert_eq!(
-            shard_counts,
-            [Some(1), Some(2), Some(4)].into_iter().collect()
-        );
-        assert_eq!(result.reports.iter().filter(|r| r.winner).count(), 1);
-    }
-
-    #[test]
-    fn default_config_does_not_fan_out_and_reports_no_shard_counts() {
+    fn default_config_does_not_fan_out_and_reports_no_overrides() {
         let dqbf = Dqbf::paper_example();
         let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
         assert_eq!(result.reports.len(), 3);
-        assert!(result.reports.iter().all(|r| r.sample_shards.is_none()));
         assert!(result.reports.iter().all(|r| r.repair_strategy.is_none()));
         assert!(result.reports.iter().all(|r| r.restart_policy.is_none()));
     }
@@ -886,11 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_strategy_diversity_cross_into_a_configuration_grid() {
+    fn strategy_and_restart_diversity_cross_into_a_configuration_grid() {
         let dqbf = Dqbf::paper_example();
         let config = PortfolioConfig {
             engines: vec![PortfolioEngine::Manthan3, PortfolioEngine::Hqs2Like],
-            manthan3_shard_counts: vec![1, 2],
             manthan3_repair_strategies: vec![RepairStrategy::Linear, RepairStrategy::CoreGuided],
             manthan3_restart_policies: vec![RestartPolicy::Luby, RestartPolicy::GlucoseEma],
             threads: 2,
@@ -898,29 +697,21 @@ mod tests {
         };
         let result = Portfolio::new(config).run(&dqbf);
         assert!(result.is_realizable());
-        // 2 shard counts × 2 strategies × 2 restart policies for Manthan3,
-        // plus one baseline.
-        assert_eq!(result.reports.len(), 9);
+        // 2 strategies × 2 restart policies for Manthan3, plus one baseline.
+        assert_eq!(result.reports.len(), 5);
         let manthan3_jobs: std::collections::BTreeSet<_> = result
             .reports
             .iter()
             .filter(|r| r.engine == PortfolioEngine::Manthan3)
-            .map(|r| {
-                (
-                    r.sample_shards,
-                    r.repair_strategy,
-                    r.restart_policy.map(|p| p.to_string()),
-                )
-            })
+            .map(|r| (r.repair_strategy, r.restart_policy.map(|p| p.to_string())))
             .collect();
-        assert_eq!(manthan3_jobs.len(), 8);
+        assert_eq!(manthan3_jobs.len(), 4);
         // The baseline entry is not fanned out.
         let baseline = result
             .reports
             .iter()
             .find(|r| r.engine == PortfolioEngine::Hqs2Like)
             .expect("baseline raced");
-        assert_eq!(baseline.sample_shards, None);
         assert_eq!(baseline.repair_strategy, None);
         assert_eq!(baseline.restart_policy, None);
     }

@@ -11,9 +11,7 @@
 //! verdict — by soundness — agrees.
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
-use manthan3_core::{
-    CompositionalConfig, CompositionalEngine, Manthan3, Manthan3Config, SynthesisOutcome,
-};
+use manthan3_core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
 use manthan3_gen::Instance;
@@ -80,15 +78,6 @@ fn sequential_outcome(engine: PortfolioEngine, instance: &Instance) -> Synthesis
         }
         PortfolioEngine::PedantLike => {
             ArbiterSolver::new(arbiter_config())
-                .synthesize(&instance.dqbf)
-                .outcome
-        }
-        PortfolioEngine::Compositional => {
-            let config = CompositionalConfig {
-                engine: manthan3_config(),
-                ..CompositionalConfig::default()
-            };
-            CompositionalEngine::new(config)
                 .synthesize(&instance.dqbf)
                 .outcome
         }

@@ -12,54 +12,16 @@
 //! samples collected so far are nudged towards the under-represented value
 //! in subsequent samples.
 //!
-//! # Sharded sampling
+//! A Manthan3 run draws all of its training data from one [`Sampler`],
+//! built through the core crate's oracle: every per-sample solve draws on
+//! the run's shared [`CallBudget`] and stops when its [`CancelToken`] is
+//! raised.
 //!
-//! [`ShardedSampler`] parallelises a sampling request across `k` shards
-//! (configured via [`SamplerConfig::shards`]). Each shard is an independent
-//! [`Sampler`] with a seed derived from the base seed and **its own
-//! adaptive-bias state**, run on `std::thread`s the way the portfolio races
-//! engines; all shards share one [`CancelToken`] and one [`CallBudget`], so
-//! a sharded request is cancelled and budget-capped exactly like a single
-//! sampler. The shard results are combined by a **bias-weighted merge**:
-//!
-//! 1. every shard reports its batch together with its *terminal* per-variable
-//!    true-ratios (the end state of its adaptive bias),
-//! 2. each sample is scored by how under-represented its valuation is
-//!    relative to the emitted-count-weighted pool of all shard ratios
-//!    (log-likelihood ratio of pooled vs. shard-local bias, clamped), so a
-//!    shard whose local bias drifted away from the pooled distribution has
-//!    its over-represented valuations down-weighted,
-//! 3. the union of the batches is deduplicated (within and across shards;
-//!    the highest-weight occurrence of each assignment is kept), and the
-//!    merged multiset is the top-`n` samples by weight — shards draw
-//!    `⌈n/k⌉` plus a small slack so the selection has headroom, which is
-//!    what makes the merged per-variable ratios track the single-sampler
-//!    distribution contract,
-//! 4. when deduplication undershoots `n`, the merge **tops up** from the
-//!    most *diverse* shard (highest distinct-to-emitted ratio), resuming
-//!    that shard's sampler and preferring assignments not seen yet; once a
-//!    run of consecutive duplicates shows the solution space is exhausted,
-//!    the remainder is completed by replicating the deduplicated-away
-//!    surplus draws round-robin — they carry the shards' adaptive
-//!    multiplicities, so the completed multiset keeps the empirical
-//!    distribution without paying one solver call per duplicate. Batches
-//!    cut short by the budget or cancellation stay short, with the reason
-//!    reported.
-//!
-//! The merge runs after all shard threads have joined and is a deterministic
-//! function of the per-shard batches, and each shard's batch depends only on
-//! its derived seed — so for a fixed base seed the merged multiset is
-//! identical however many worker threads execute the shards (the thread
-//! count only schedules shards, it never changes them). Shard 0 reuses the
-//! base seed and an exact quota, so a one-shard request degenerates to the
-//! plain [`Sampler`] batch.
-//!
-//! Shortfalls are first-class: [`Sampler::sample_with_outcome`] and
-//! [`ShardedSampler::sample`] report a [`SampleOutcome`] that says how many
-//! samples were requested and emitted, and *why* a short batch stopped
-//! ([`ShortfallReason`]: proved unsatisfiable, budget cut, or cancelled) —
-//! the synthesis engine uses this to distinguish "the formula has no
-//! models" from "the race was lost".
+//! Shortfalls are first-class: [`Sampler::sample_with_outcome`] reports a
+//! [`SampleOutcome`] that says how many samples were requested and emitted,
+//! and *why* a short batch stopped ([`ShortfallReason`]: proved
+//! unsatisfiable, budget cut, or cancelled) — the synthesis engine uses this
+//! to distinguish "the formula has no models" from "the race was lost".
 //!
 //! # Examples
 //!
@@ -80,17 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod sharded;
-
-pub use sharded::ShardedSampler;
-
 use manthan3_cnf::{Assignment, Cnf, Var};
 use manthan3_sat::{CallBudget, CancelToken, SolveResult, Solver, SolverConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Configuration for [`Sampler`] and [`ShardedSampler`].
+/// Configuration for a [`Sampler`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Random seed.
@@ -110,12 +68,8 @@ pub struct SamplerConfig {
     /// [`ShortfallReason::Budget`]) once it is exhausted. The oracle layer
     /// passes the run's shared SAT/MaxSAT call budget here, so sampler
     /// solves are billed to — and refused by — the same allowance as every
-    /// other oracle call. All shards of a [`ShardedSampler`] share this
-    /// handle.
+    /// other oracle call.
     pub calls: Option<CallBudget>,
-    /// Number of shards a [`ShardedSampler`] splits a request across (clamped
-    /// to at least 1). Plain [`Sampler`]s ignore this field.
-    pub shards: usize,
 }
 
 impl Default for SamplerConfig {
@@ -127,7 +81,6 @@ impl Default for SamplerConfig {
             max_conflicts_per_sample: None,
             cancel: None,
             calls: None,
-            shards: 1,
         }
     }
 }
@@ -349,15 +302,6 @@ impl Sampler {
         } else {
             self.true_counts[var.index()] as f64 / self.emitted as f64
         }
-    }
-
-    /// The terminal per-variable true-ratios (the sampler's adaptive-bias
-    /// state), indexed by variable; the sharded merge weights batches with
-    /// these.
-    pub fn true_ratios(&self) -> Vec<f64> {
-        (0..self.num_vars)
-            .map(|v| self.true_ratio(Var::new(v as u32)))
-            .collect()
     }
 }
 

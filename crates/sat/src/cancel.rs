@@ -73,8 +73,8 @@ impl Eq for CancelToken {}
 /// the limit is reached every clone refuses further acquisitions. This is
 /// the cross-thread counterpart of a per-run "total oracle calls" budget —
 /// the oracle layer ticks it for its SAT and MaxSAT solves, and hands the
-/// same handle to samplers (including sharded samplers running on several
-/// threads), so per-sample solver calls draw on exactly the same allowance.
+/// same handle to samplers, so per-sample solver calls draw on exactly the
+/// same allowance.
 ///
 /// An unlimited budget still counts acquisitions (so callers can read how
 /// many calls a phase consumed) but never refuses one.

@@ -204,3 +204,80 @@ proptest! {
         }
     }
 }
+
+/// The `suite(7, 1)` instances written out once: `(DQDIMACS, DIMACS)` text
+/// per instance, the seeds of the byte-mutation properties below.
+fn suite_texts() -> &'static [(String, String)] {
+    static TEXTS: std::sync::OnceLock<Vec<(String, String)>> = std::sync::OnceLock::new();
+    TEXTS.get_or_init(|| {
+        manthan3::gen::suite::suite(7, 1)
+            .iter()
+            .map(|i| {
+                (
+                    write_dqdimacs(&i.dqbf),
+                    dimacs::write_dimacs(i.dqbf.matrix()),
+                )
+            })
+            .collect()
+    })
+}
+
+/// Bytes the mutations favour: the ones DIMACS syntax is made of.
+const SYNTAX_BYTES: &[u8] = b"0123456789- \nadepc";
+
+/// Strategy: up to eight byte edits `(kind, position, byte)`, where kind 0
+/// replaces, 1 inserts and 2 deletes (at the end of the text, every kind
+/// appends). Bytes stay ASCII so the text stays
+/// valid UTF-8; half of them come from [`SYNTAX_BYTES`].
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    let byte = (any::<bool>(), 0u8..128, 0..SYNTAX_BYTES.len())
+        .prop_map(|(syntax, any_byte, i)| if syntax { SYNTAX_BYTES[i] } else { any_byte });
+    proptest::collection::vec((0u8..3, 0usize..1 << 20, byte), 1..=8)
+}
+
+fn mutate(text: &str, edits: &[(u8, usize, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, position, byte) in edits {
+        let at = position % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] = byte,
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits keep the text UTF-8")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A mutated DQDIMACS file never panics the parser, and every error
+    /// names a line of the input.
+    #[test]
+    fn dqdimacs_parser_never_panics(instance in 0usize..1 << 16, edits in arb_edits()) {
+        let texts = suite_texts();
+        let text = mutate(&texts[instance % texts.len()].0, &edits);
+        let parsed = std::panic::catch_unwind(|| parse_dqdimacs(&text));
+        prop_assert!(parsed.is_ok(), "parse_dqdimacs panicked on {text:?}");
+        if let Ok(Err(err)) = parsed {
+            let lines = text.lines().count();
+            prop_assert!((1..=lines).contains(&err.line()), "{err} of {lines} lines");
+        }
+    }
+
+    /// The DIMACS twin: a mutated matrix file never panics `parse_dimacs`,
+    /// and every error names a line of the input.
+    #[test]
+    fn dimacs_parser_never_panics(instance in 0usize..1 << 16, edits in arb_edits()) {
+        let texts = suite_texts();
+        let text = mutate(&texts[instance % texts.len()].1, &edits);
+        let parsed = std::panic::catch_unwind(|| dimacs::parse_dimacs(&text));
+        prop_assert!(parsed.is_ok(), "parse_dimacs panicked on {text:?}");
+        if let Ok(Err(err)) = parsed {
+            let lines = text.lines().count();
+            prop_assert!((1..=lines).contains(&err.line()), "{err} of {lines} lines");
+        }
+    }
+}
