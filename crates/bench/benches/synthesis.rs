@@ -10,7 +10,7 @@ use manthan3_bench::{run_engine, EngineKind, RunRecord};
 use manthan3_cnf::{Lit, Var};
 use manthan3_core::{
     find_candidates_from_scratch, find_candidates_to_repair, Budget, Manthan3, Manthan3Config,
-    Oracle, RepairSession, RepairStrategy, Sigma, SynthesisOutcome, SynthesisStats, VerifySession,
+    Oracle, RepairSession, Sigma, SynthesisOutcome, SynthesisStats, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::controller::{controller, ControllerParams};
@@ -442,106 +442,6 @@ fn bench_repair_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// A moving-optimum FindCandidates workload (ISSUE 5): on the repair-heavy
-/// suite instance, counterexamples alternate between σ[Y'] = the witness
-/// extension (optimum 0 — every soft satisfiable) and σ[Y'] = the flipped
-/// witness (a high optimum), so the optimum jumps on every call and the
-/// warm-started linear search re-pays its climb each time.
-fn moving_optimum_workload(iterations: usize) -> (Dqbf, Vec<Sigma>) {
-    let (dqbf, base_sigmas) = repair_workload(iterations.div_ceil(2));
-    let mut sigmas = Vec::with_capacity(iterations);
-    for sigma in base_sigmas {
-        // The witness extension satisfies every soft: optimum 0.
-        let mut calm = sigma.clone();
-        calm.y_prime = calm.y.clone();
-        sigmas.push(calm);
-        // The flipped witness disagrees everywhere the matrix pins an
-        // output: the optimum jumps high.
-        let mut spiky = sigma.clone();
-        spiky.y_prime = sigma.y.iter().map(|(&y, &b)| (y, !b)).collect();
-        sigmas.push(spiky);
-    }
-    sigmas.truncate(iterations);
-    (dqbf, sigmas)
-}
-
-/// Runs the FindCandidates sweep on one persistent [`RepairSession`] with
-/// the given strategy; returns the per-call candidate-set sizes (the optima,
-/// all softs being unit weight) and the oracle for the probe accounting.
-fn sweep_with_strategy(
-    dqbf: &Dqbf,
-    sigmas: &[Sigma],
-    strategy: RepairStrategy,
-) -> (Vec<usize>, Oracle) {
-    let mut oracle = Oracle::new(Budget::unlimited()).with_repair_strategy(strategy);
-    let mut session = RepairSession::new(dqbf, &mut oracle);
-    let mut stats = SynthesisStats::default();
-    let optima = sigmas
-        .iter()
-        .map(|sigma| {
-            find_candidates_to_repair(dqbf, sigma, &mut session, &mut oracle, &mut stats).len()
-        })
-        .collect();
-    (optima, oracle)
-}
-
-/// The acceptance benchmark for core-guided repair (ISSUE 5): on the
-/// moving-optimum workload, the core-guided strategy must reach the *same*
-/// optima as the warm-started linear search on every counterexample while
-/// issuing strictly fewer SAT probes — the structural payoff of relaxing
-/// cores instead of climbing bounds when the optimum jumps between
-/// counterexamples.
-fn bench_repair_core_guided(c: &mut Criterion) {
-    const REPAIR_ITERATIONS: usize = 24;
-    let (dqbf, sigmas) = moving_optimum_workload(REPAIR_ITERATIONS);
-
-    let (linear_optima, linear_oracle) =
-        sweep_with_strategy(&dqbf, &sigmas, RepairStrategy::Linear);
-    let (core_optima, core_oracle) =
-        sweep_with_strategy(&dqbf, &sigmas, RepairStrategy::CoreGuided);
-
-    assert_eq!(
-        linear_optima, core_optima,
-        "the strategies disagreed on a FindCandidates optimum"
-    );
-    assert!(
-        linear_optima.iter().sum::<usize>() > 0,
-        "the moving-optimum workload never left optimum 0; the comparison is vacuous"
-    );
-    let linear_probes = linear_oracle.stats().maxsat_probes;
-    let core_probes = core_oracle.stats().maxsat_probes;
-    println!(
-        "repair_core_guided acceptance: {REPAIR_ITERATIONS} FindCandidates calls on a \
-         moving-optimum sigma sequence — linear {linear_probes} SAT probes, core-guided \
-         {core_probes} probes ({} cores), identical optima (sum {})",
-        core_oracle.stats().maxsat_cores,
-        core_optima.iter().sum::<usize>(),
-    );
-    assert!(
-        core_probes < linear_probes,
-        "core-guided issued {core_probes} probes, not strictly fewer than the linear \
-         search's {linear_probes}"
-    );
-    // Both sweeps ran fully incrementally: one hard encoding each.
-    assert_eq!(linear_oracle.stats().maxsat_hard_encodings, 1);
-    assert_eq!(core_oracle.stats().maxsat_hard_encodings, 1);
-
-    let mut group = c.benchmark_group("repair_core_guided");
-    group.bench_function("core_guided", |b| {
-        b.iter(|| {
-            std::hint::black_box(sweep_with_strategy(
-                &dqbf,
-                &sigmas,
-                RepairStrategy::CoreGuided,
-            ))
-        })
-    });
-    group.bench_function("linear", |b| {
-        b.iter(|| std::hint::black_box(sweep_with_strategy(&dqbf, &sigmas, RepairStrategy::Linear)))
-    });
-    group.finish();
-}
-
 /// The acceptance benchmark of the certifying solver layer (ISSUE 10): every
 /// UNSAT verdict the engine reaches across the `suite(7, 1)` workload must
 /// come with a DRAT certificate the independent `manthan3-drat` checker accepts.
@@ -667,6 +567,6 @@ criterion_group! {
     name = synthesis;
     config = config();
     targets = bench_engines, bench_verification_session, bench_repair_incremental,
-        bench_repair_core_guided, bench_portfolio, bench_certified
+        bench_portfolio, bench_certified
 }
 criterion_main!(synthesis);

@@ -18,8 +18,7 @@
 //!
 //! ```text
 //! harness [--scale N] [--seed N] [--budget-ms N] [--out DIR]
-//!         [--engine NAME]... [--repair-strategy linear|core-guided]
-//!         [--certify] [--ablations] [--quick]
+//!         [--engine NAME]... [--certify] [--ablations] [--quick]
 //! ```
 //!
 //! `--engine NAME` (repeatable) adds an engine to the run set; the set
@@ -28,12 +27,11 @@
 //! `summary_table.csv` report its *true wall-clock* numbers next to the
 //! post-hoc VBS columns. The per-run `sample_wall_s` column of `runs.csv`
 //! and the matching `summary_table.csv` row report the Manthan3 sampling
-//! stage's wall clock. `--repair-strategy` selects
-//! how the Manthan3 repair loop's MaxSAT queries search for their optimum
-//! (warm-started linear bound search vs. core-guided relaxation); the
-//! MaxSAT probe and core counters report the probe economy.
-//! Every `OracleStats` counter (MaxSAT, sampling, CDCL solver layer,
-//! certification) is one column of `runs.csv` and one row of
+//! stage's wall clock. `--quick` is the smoke-test setting: scale 1 and a
+//! 500 ms budget, each applied only where `--scale` / `--budget-ms` is not
+//! given, in any flag order. Every `OracleStats` counter (MaxSAT,
+//! sampling, CDCL solver layer, certification) is one column of
+//! `runs.csv` and one row of
 //! `summary_table.csv`; the `oracle_stats!` table in
 //! `manthan3_core::oracle` lists them. `--certify` arms the certifying
 //! solver layer: every SAT and MaxSAT solver the Manthan3-family oracles
@@ -41,10 +39,11 @@
 //! in-process by the independent `manthan3-drat` checker. A rejected
 //! certificate — a soundness alarm — is dumped under the output directory
 //! as a `certify_failure_*.cnf` / `.drat` pair for offline reproduction.
-//! Malformed flag values abort with a diagnostic and a non-zero exit status.
+//! Malformed flag values and unknown flags abort with a diagnostic on stderr
+//! and exit status 2.
 
-use manthan3_bench::{csvio, report, run_suite_with_options, EngineKind, RunOptions};
-use manthan3_core::{Manthan3, Manthan3Config, RepairStrategy};
+use manthan3_bench::{csvio, report, run_suite_with_options, EngineKind};
+use manthan3_core::{Manthan3, Manthan3Config};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
 use std::path::PathBuf;
@@ -58,7 +57,6 @@ struct Args {
     out: PathBuf,
     engines: Vec<EngineKind>,
     ablations: bool,
-    repair_strategy: RepairStrategy,
     certify: bool,
 }
 
@@ -68,29 +66,25 @@ fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
         "usage: harness [--scale N] [--seed N] [--budget-ms N] [--out DIR] \
-         [--engine NAME]... [--repair-strategy linear|core-guided] \
-         [--certify] [--ablations] [--quick]"
+         [--engine NAME]... [--certify] [--ablations] [--quick]"
     );
     std::process::exit(2);
 }
 
-/// Parses the value of `flag`, aborting with a diagnostic when the value is
+/// Parses the value of `flag`, failing with a diagnostic when the value is
 /// missing or malformed.
-fn parse_value<T>(flag: &str, value: Option<String>) -> T
+fn parse_value<T>(flag: &str, value: Option<String>) -> Result<T, String>
 where
     T: FromStr,
     T::Err: std::fmt::Display,
 {
-    let Some(raw) = value else {
-        usage_error(&format!("{flag} requires a value"));
-    };
-    match raw.parse() {
-        Ok(parsed) => parsed,
-        Err(err) => usage_error(&format!("invalid value {raw:?} for {flag}: {err}")),
-    }
+    let raw = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    raw.parse()
+        .map_err(|err| format!("invalid value {raw:?} for {flag}: {err}"))
 }
 
-fn parse_args() -> Args {
+/// Parses the command-line flags (without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: 3,
         seed: 2023,
@@ -98,49 +92,49 @@ fn parse_args() -> Args {
         out: PathBuf::from("experiments"),
         engines: EngineKind::ALL.to_vec(),
         ablations: false,
-        repair_strategy: RepairStrategy::default(),
         certify: false,
     };
-    let mut iter = std::env::args().skip(1);
+    // `--quick` only fills in what the caller left unset, so explicit
+    // values win whatever the flag order.
+    let mut scale = None;
+    let mut budget = None;
+    let mut quick = false;
+    let mut iter = argv.into_iter();
     while let Some(flag) = iter.next() {
         match flag.as_str() {
-            "--scale" => args.scale = parse_value("--scale", iter.next()),
-            "--seed" => args.seed = parse_value("--seed", iter.next()),
+            "--scale" => scale = Some(parse_value("--scale", iter.next())?),
+            "--seed" => args.seed = parse_value("--seed", iter.next())?,
             "--budget-ms" => {
-                let ms: u64 = parse_value("--budget-ms", iter.next());
-                args.budget = Duration::from_millis(ms);
+                let ms: u64 = parse_value("--budget-ms", iter.next())?;
+                budget = Some(Duration::from_millis(ms));
             }
-            "--out" => match iter.next() {
-                Some(dir) => args.out = PathBuf::from(dir),
-                None => usage_error("--out requires a value"),
-            },
+            "--out" => {
+                let dir = iter.next().ok_or("--out requires a value")?;
+                args.out = PathBuf::from(dir);
+            }
             "--engine" => {
-                let engine: EngineKind = parse_value("--engine", iter.next());
+                let engine: EngineKind = parse_value("--engine", iter.next())?;
                 if !args.engines.contains(&engine) {
                     args.engines.push(engine);
                 }
             }
-            "--repair-strategy" => {
-                // Unknown strategy names abort with stderr + exit 2 via
-                // `parse_value`, like every other malformed flag value.
-                args.repair_strategy = parse_value("--repair-strategy", iter.next());
-            }
             "--certify" => args.certify = true,
             "--ablations" => args.ablations = true,
-            "--quick" => {
-                args.scale = 1;
-                args.budget = Duration::from_millis(500);
-            }
-            other => {
-                usage_error(&format!("unknown argument {other:?}"));
-            }
+            "--quick" => quick = true,
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    args
+    if quick {
+        args.scale = 1;
+        args.budget = Duration::from_millis(500);
+    }
+    args.scale = scale.unwrap_or(args.scale);
+    args.budget = budget.unwrap_or(args.budget);
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|message| usage_error(&message));
     let instances = suite(args.seed, args.scale);
     println!(
         "running {} instances x {} engines (budget {:?} per run)…",
@@ -149,15 +143,7 @@ fn main() {
         args.budget
     );
     let start = Instant::now();
-    let records = run_suite_with_options(
-        &instances,
-        &args.engines,
-        args.budget,
-        RunOptions {
-            repair_strategy: args.repair_strategy,
-            certify: args.certify,
-        },
-    );
+    let records = run_suite_with_options(&instances, &args.engines, args.budget, args.certify);
     println!("finished in {:?}", start.elapsed());
 
     // A rejected certificate is a soundness alarm: dump the offending CNF
@@ -274,8 +260,13 @@ fn main() {
 }
 
 /// The ablation study: Manthan3 with individual design choices disabled, on
-/// the true instances of the suite.
+/// the true instances of the suite (every instance not known to be false,
+/// since no variant can synthesize a false one).
 fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
+    let instances: Vec<_> = instances
+        .iter()
+        .filter(|instance| instance.expected != Some(false))
+        .collect();
     let variants: Vec<(&str, Manthan3Config)> = vec![
         ("default", Manthan3Config::default()),
         (
@@ -318,7 +309,7 @@ fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
     for (name, base) in variants {
         let mut synthesized = 0usize;
         let mut total_time = 0.0f64;
-        for instance in instances {
+        for instance in &instances {
             let config = Manthan3Config {
                 time_budget: Some(args.budget),
                 ..base.clone()
@@ -350,4 +341,39 @@ fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
         &rows,
     )
     .expect("write ablations");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        parse_args(flags.iter().map(|flag| flag.to_string()))
+    }
+
+    #[test]
+    fn quick_supplies_defaults_only_for_unset_flags() {
+        for flags in [
+            &["--budget-ms", "5000", "--scale", "2", "--quick"][..],
+            &["--quick", "--budget-ms", "5000", "--scale", "2"][..],
+        ] {
+            let args = parse(flags).expect("valid flags");
+            assert_eq!(args.scale, 2, "{flags:?}");
+            assert_eq!(args.budget, Duration::from_millis(5000), "{flags:?}");
+        }
+        let args = parse(&["--scale", "2", "--quick"]).expect("valid flags");
+        assert_eq!((args.scale, args.budget), (2, Duration::from_millis(500)));
+        let args = parse(&["--quick"]).expect("valid flags");
+        assert_eq!((args.scale, args.budget), (1, Duration::from_millis(500)));
+        let args = parse(&[]).expect("no flags");
+        assert_eq!((args.scale, args.budget), (3, Duration::from_millis(2000)));
+    }
+
+    #[test]
+    fn malformed_and_unknown_flags_are_rejected() {
+        assert!(parse(&["--budget-ms", "soon"]).is_err());
+        assert!(parse(&["--scale"]).is_err());
+        assert!(parse(&["--engine", "hqs3like"]).is_err());
+        assert!(parse(&["--repair-strategy", "linear"]).is_err());
+    }
 }

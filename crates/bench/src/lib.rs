@@ -21,7 +21,7 @@ pub mod report;
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
-    CertificationFailure, Manthan3, Manthan3Config, OracleStats, RepairStrategy, SynthesisOutcome,
+    CertificationFailure, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome,
 };
 use manthan3_dqbf::verify;
 use manthan3_gen::Instance;
@@ -29,23 +29,6 @@ use manthan3_portfolio::{Portfolio, PortfolioConfig};
 use std::fmt;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
-
-/// Per-run knobs threaded from the harness flags into the engines (the
-/// MaxSAT repair strategy and certification; baselines ignore both).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// How the Manthan3 repair loop's FindCandidates MaxSAT queries search
-    /// for their optimum (`--repair-strategy`).
-    pub repair_strategy: RepairStrategy,
-    /// Certify UNSAT verdicts in-process (`--certify`): every solver the
-    /// Manthan3 oracle constructs logs DRAT proofs, and every UNSAT answer
-    /// is checked immediately by the independent `manthan3-drat` checker.
-    /// Reaches the Manthan3 engine and the portfolio's Manthan3 racer; the
-    /// baselines keep their defaults. The
-    /// certification rows of the `OracleStats` table report the proof
-    /// traffic and checking cost in `runs.csv` and `summary_table.csv`.
-    pub certify: bool,
-}
 
 /// The synthesis engines taking part in the comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,7 +116,7 @@ pub struct RunRecord {
     /// not surface per-engine stage timings.
     pub sample_wall: Duration,
     /// The first rejected DRAT certificate of a certifying run
-    /// ([`RunOptions::certify`]), with the offending CNF and proof — the
+    /// (`certify` of [`run_engine_with`]), with the offending CNF and proof — the
     /// harness dumps it for offline reproduction. `None` on sound runs, on
     /// uncertified runs, and for the portfolio (whose racers merge counters
     /// only; a rejection there still shows in
@@ -155,18 +138,21 @@ impl RunRecord {
 /// as *not* synthesized (this never happens for the engines in this
 /// workspace, but the harness does not take their word for it).
 pub fn run_engine(engine: EngineKind, instance: &Instance, budget: Duration) -> RunRecord {
-    run_engine_with(engine, instance, budget, RunOptions::default())
+    run_engine_with(engine, instance, budget, false)
 }
 
-/// Like [`run_engine`], but with explicit [`RunOptions`] (repair strategy
-/// and certification). The options reach the Manthan3 engine directly and
-/// the portfolio's Manthan3 racer; the baselines run no MaxSAT repair and
-/// ignore them.
+/// Like [`run_engine`], but optionally certifying UNSAT verdicts in-process
+/// (`--certify`): every solver the Manthan3 oracle constructs logs DRAT
+/// proofs, and every UNSAT answer is checked immediately by the independent
+/// `manthan3-drat` checker. The flag reaches the Manthan3 engine and the
+/// portfolio's Manthan3 racer; the baselines keep their defaults. The
+/// certification rows of the `OracleStats` table report the proof traffic
+/// and checking cost in `runs.csv` and `summary_table.csv`.
 pub fn run_engine_with(
     engine: EngineKind,
     instance: &Instance,
     budget: Duration,
-    options: RunOptions,
+    certify: bool,
 ) -> RunRecord {
     let start = Instant::now();
     // Filled in by a certifying Manthan3 run on a rejection.
@@ -175,8 +161,7 @@ pub fn run_engine_with(
         EngineKind::Manthan3 => {
             let config = Manthan3Config {
                 time_budget: Some(budget),
-                repair_strategy: options.repair_strategy,
-                certify: options.certify,
+                certify,
                 ..Manthan3Config::default()
             };
             let result = Manthan3::new(config).synthesize(&instance.dqbf);
@@ -206,8 +191,7 @@ pub fn run_engine_with(
         }
         EngineKind::Portfolio => {
             let mut config = PortfolioConfig::with_time_budget(budget);
-            config.manthan3.repair_strategy = options.repair_strategy;
-            config.manthan3.certify = options.certify;
+            config.manthan3.certify = certify;
             let result = Portfolio::new(config).run(&instance.dqbf);
             let oracle = result.merged_oracle_stats();
             (result.outcome, oracle, 0, Duration::ZERO)
@@ -253,21 +237,21 @@ pub fn run_suite_with_engines(
     engines: &[EngineKind],
     budget: Duration,
 ) -> Vec<RunRecord> {
-    run_suite_with_options(instances, engines, budget, RunOptions::default())
+    run_suite_with_options(instances, engines, budget, false)
 }
 
-/// Runs the given engines on every instance under explicit [`RunOptions`]
-/// (harness flags `--repair-strategy` and `--certify`).
+/// Runs the given engines on every instance, optionally certifying
+/// (harness flag `--certify`; see [`run_engine_with`]).
 pub fn run_suite_with_options(
     instances: &[Instance],
     engines: &[EngineKind],
     budget: Duration,
-    options: RunOptions,
+    certify: bool,
 ) -> Vec<RunRecord> {
     let mut records = Vec::with_capacity(instances.len() * engines.len());
     for instance in instances {
         for &engine in engines {
-            records.push(run_engine_with(engine, instance, budget, options));
+            records.push(run_engine_with(engine, instance, budget, certify));
         }
     }
     records
@@ -324,32 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn core_guided_runs_record_probe_counters() {
-        let params = PlantedParams {
-            num_universals: 3,
-            num_existentials: 2,
-            max_dependencies: 2,
-            ..PlantedParams::default()
-        };
-        let instance = planted_true(&params, 11);
-        let options = RunOptions {
-            repair_strategy: RepairStrategy::CoreGuided,
-            ..RunOptions::default()
-        };
-        let record = run_engine_with(
-            EngineKind::Manthan3,
-            &instance,
-            Duration::from_secs(5),
-            options,
-        );
-        assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
-        // Probe accounting rides along whenever the run exercised repair.
-        if record.oracle.maxsat_calls > 0 {
-            assert!(record.oracle.maxsat_probes > 0);
-        }
-    }
-
-    #[test]
     fn manthan3_runs_bill_solver_counters() {
         let params = PlantedParams {
             num_universals: 3,
@@ -364,6 +322,10 @@ mod tests {
             record.oracle.sat_propagations > 0,
             "solver-layer propagation counters must be billed"
         );
+        // Probe accounting rides along whenever the run exercised repair.
+        if record.oracle.maxsat_calls > 0 {
+            assert!(record.oracle.maxsat_probes > 0);
+        }
     }
 
     #[test]
@@ -375,15 +337,11 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let options = RunOptions {
-            certify: true,
-            ..RunOptions::default()
-        };
         let record = run_engine_with(
             EngineKind::Manthan3,
             &instance,
             Duration::from_secs(5),
-            options,
+            true,
         );
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(

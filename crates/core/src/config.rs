@@ -1,6 +1,4 @@
 use manthan3_dtree::DecisionTreeConfig;
-use manthan3_maxsat::RepairStrategy;
-use manthan3_sat::RestartPolicy;
 use std::time::Duration;
 
 /// Configuration of the Manthan3 synthesis engine.
@@ -33,17 +31,6 @@ pub struct Manthan3Config {
     /// Constrain the repair formula `G_k` with the `Ŷ` variables
     /// (Formula 1). Disabling this is the paper's §5 discussion ablation.
     pub constrain_y_hat: bool,
-    /// How the FindCandidates MaxSAT queries of the repair loop locate their
-    /// optimum on the persistent [`RepairSession`](crate::RepairSession)
-    /// encoding: the warm-started linear bound search (the default) or the
-    /// core-guided (Fu–Malik/OLL) relaxation, which reaches the optimum in
-    /// `#cores + 1` SAT probes however far the optimum jumps between
-    /// counterexamples.
-    pub repair_strategy: RepairStrategy,
-    /// Optional restart-policy override for every oracle-constructed SAT
-    /// and MaxSAT solver (`None` keeps the solver default, EMA restarts).
-    /// The portfolio's restart-racing dimension sets this per racer.
-    pub restart_policy: Option<RestartPolicy>,
     /// Certify UNSAT verdicts in-process: every SAT and MaxSAT solver the
     /// oracle constructs logs DRAT proofs, and every UNSAT answer routed
     /// through the oracle is checked immediately by the independent
@@ -77,8 +64,6 @@ impl Default for Manthan3Config {
             max_unique_definition_deps: 6,
             use_y_features: true,
             constrain_y_hat: true,
-            repair_strategy: RepairStrategy::default(),
-            restart_policy: None,
             certify: false,
             time_budget: None,
             sat_conflict_budget: None,
@@ -133,20 +118,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_defaults_to_the_modern_profile_with_no_override() {
-        assert_eq!(Manthan3Config::default().restart_policy, None);
-    }
-
-    #[test]
     fn certification_defaults_off() {
         assert!(!Manthan3Config::default().certify);
-    }
-
-    #[test]
-    fn repair_defaults_to_the_linear_strategy() {
-        assert_eq!(
-            Manthan3Config::default().repair_strategy,
-            RepairStrategy::Linear
-        );
     }
 }

@@ -146,14 +146,7 @@ impl Manthan3 {
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
-        // The repair strategy travels Config → Oracle → RepairSession (every
-        // MaxSAT solver the run constructs searches with it), and the restart
-        // override travels Config → Oracle → every constructed solver the
-        // same way.
-        let oracle = Oracle::new(budget)
-            .with_repair_strategy(self.config.repair_strategy)
-            .with_restart_policy(self.config.restart_policy)
-            .with_certification(self.config.certify);
+        let oracle = Oracle::new(budget).with_certification(self.config.certify);
         // invariant: documented panic contract — callers must pass a
         // validated DQBF.
         dqbf.validate().expect("well-formed DQBF");
@@ -538,40 +531,14 @@ mod tests {
         }
     }
 
-    /// The repair strategy is threaded Config → Oracle → RepairSession: a
-    /// core-guided run solves the paper example with the same session-reuse
-    /// shape as the linear default, and a cancelled run surfaces
-    /// [`UnknownReason::Cancelled`] — never a best-so-far repair verdict.
+    /// A pre-cancelled budget: the engine reports
+    /// [`UnknownReason::Cancelled`], never a half-searched repair verdict.
     #[test]
-    fn core_guided_repair_strategy_synthesizes_and_reports_cancellation() {
-        use manthan3_maxsat::RepairStrategy;
+    fn pre_cancelled_budget_reports_cancellation() {
         let dqbf = Dqbf::paper_example();
-        let config = Manthan3Config {
-            repair_strategy: RepairStrategy::CoreGuided,
-            ..Manthan3Config::fast()
-        };
-        let result = Manthan3::new(config.clone()).synthesize(&dqbf);
-        match &result.outcome {
-            SynthesisOutcome::Realizable(vector) => {
-                assert!(check(&dqbf, vector).is_valid());
-            }
-            other => panic!("expected Realizable, got {other:?}"),
-        }
-        let oracle = &result.stats.oracle;
-        assert!(oracle.maxsat_hard_encodings <= 1);
-        assert_eq!(oracle.maxsat_incremental_calls, oracle.maxsat_calls);
-        if result.stats.repair_iterations > 0 {
-            assert!(
-                oracle.maxsat_cores > 0,
-                "a repair-exercising core-guided run must extract cores"
-            );
-        }
-
-        // A pre-cancelled budget: the engine reports cancellation, not a
-        // half-searched repair outcome.
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        let cancelled = Manthan3::new(config).synthesize_with_budget(&dqbf, budget);
+        let cancelled = Manthan3::new(Manthan3Config::fast()).synthesize_with_budget(&dqbf, budget);
         assert!(matches!(
             cancelled.outcome,
             SynthesisOutcome::Unknown(UnknownReason::Cancelled)

@@ -61,25 +61,10 @@
 //!   `OracleStats::maxsat_hard_encodings` stays at one however many repair
 //!   iterations run, next to `sat_solvers_constructed` staying at two.
 //!
-//! # Repair strategy selection
-//!
-//! How the session locates each FindCandidates optimum is configurable via
-//! [`Manthan3Config::repair_strategy`] (threaded Config → [`Oracle`] →
-//! [`RepairSession`], raced as a portfolio configuration dimension by
-//! `manthan3-portfolio`, and exposed as `--repair-strategy` by the bench
-//! harness):
-//!
-//! * [`RepairStrategy::Linear`] (default) — the warm-started two-phase
-//!   totalizer-bound search; one SAT probe per cost unit the optimum moved
-//!   since the previous counterexample.
-//! * [`RepairStrategy::CoreGuided`] — Fu–Malik/OLL core-guided
-//!   optimization over the same persistent encoding: UNSAT cores over the
-//!   soft-unit assumption literals are relaxed with per-core totalizers
-//!   (cached across counterexamples, bounds raised incrementally), reaching
-//!   the optimum in `#cores + 1` probes however far it jumped.
-//!   `OracleStats::{maxsat_probes, maxsat_cores}` make the probe economy
-//!   observable; `benches/synthesis.rs::repair_core_guided` asserts the
-//!   win.
+//! Each FindCandidates optimum is located by the MaxSAT crate's one search:
+//! a warm-started two-phase totalizer-bound search, one SAT probe per cost
+//! unit the optimum moved since the previous counterexample.
+//! `OracleStats::maxsat_probes` makes the probe economy observable.
 //!
 //! # Cancellation: racing engines in a portfolio
 //!
@@ -161,8 +146,7 @@ mod stats;
 
 pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
-pub use manthan3_maxsat::RepairStrategy;
-pub use manthan3_sat::{CallBudget, RestartPolicy};
+pub use manthan3_sat::CallBudget;
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
 pub use repair::{

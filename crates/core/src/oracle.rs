@@ -16,11 +16,10 @@
 
 use manthan3_cnf::{Assignment, Cnf, Lit};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
-use manthan3_maxsat::{MaxSatResult, MaxSatSolver, RepairStrategy};
+use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShortfallReason};
 use manthan3_sat::{
-    CallBudget, CancelToken, Certificate, RestartPolicy, SolveResult, Solver, SolverConfig,
-    SolverStats,
+    CallBudget, CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats,
 };
 use std::time::{Duration, Instant};
 
@@ -286,12 +285,14 @@ oracle_stats! {
     /// encoding (the incremental hits; `maxsat_calls -
     /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
     maxsat_incremental_calls: usize, counter;
-    /// Internal SAT probes issued by MaxSAT optimum searches (bound probes,
-    /// hard/optimistic checks, core-guided iterations alike). Each probe
-    /// draws one call from the shared allowance, exactly like a top-level
-    /// SAT solve — this is the unit the repair strategies compete on.
+    /// Internal SAT probes issued by MaxSAT optimum searches (bound probes
+    /// and hard/optimistic checks alike). Each probe draws one call from the
+    /// shared allowance, exactly like a top-level SAT solve.
     maxsat_probes: u64, counter;
-    /// UNSAT cores extracted and relaxed by core-guided MaxSAT searches.
+    /// UNSAT cores extracted by MaxSAT searches: always 0, since the only
+    /// MaxSAT search (the warm-started linear one) extracts no cores. The
+    /// row stays for the end-to-end benchmark's counter schema, which
+    /// reports it as `maxsat.cores`.
     maxsat_cores: u64, counter;
     /// Total SAT conflicts across all oracle-routed solve calls.
     conflicts: u64, counter from conflicts;
@@ -388,14 +389,6 @@ pub struct Oracle {
     /// search's probe loop — are billed to, and refused by, exactly the
     /// same allowance as every other oracle call.
     calls: CallBudget,
-    /// The optimization strategy handed to every MaxSAT solver this oracle
-    /// constructs (`Manthan3Config::repair_strategy`, threaded through to
-    /// the persistent repair session).
-    repair_strategy: RepairStrategy,
-    /// Optional restart-policy override on top of the solver defaults
-    /// (`Manthan3Config::restart_policy`, the portfolio's restart-racing
-    /// dimension).
-    restart_policy: Option<RestartPolicy>,
     /// When `true`, every constructed SAT and MaxSAT solver logs DRAT
     /// proofs, and every UNSAT verdict routed through this oracle is checked
     /// in-process by the independent `manthan3-drat` checker.
@@ -406,34 +399,17 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    /// Creates an oracle enforcing `budget`, constructing linear-search
-    /// MaxSAT solvers with the default solver configuration.
+    /// Creates an oracle enforcing `budget`, constructing solvers with the
+    /// default solver configuration.
     pub fn new(budget: Budget) -> Self {
         let calls = CallBudget::new(budget.max_sat_calls);
         Oracle {
             budget,
             stats: OracleStats::default(),
             calls,
-            repair_strategy: RepairStrategy::default(),
-            restart_policy: None,
             certify: false,
             certification_failure: None,
         }
-    }
-
-    /// Selects the [`RepairStrategy`] for subsequently constructed MaxSAT
-    /// solvers (builder style).
-    pub fn with_repair_strategy(mut self, strategy: RepairStrategy) -> Self {
-        self.repair_strategy = strategy;
-        self
-    }
-
-    /// Overrides the restart policy of subsequently constructed solvers
-    /// (builder style); `None` keeps the default policy. This is the knob the portfolio's restart-racing dimension
-    /// turns.
-    pub fn with_restart_policy(mut self, policy: Option<RestartPolicy>) -> Self {
-        self.restart_policy = policy;
-        self
     }
 
     /// Enables in-process certification (builder style): every SAT and
@@ -471,22 +447,12 @@ impl Oracle {
         self.certification_failure.take()
     }
 
-    /// The strategy handed to constructed MaxSAT solvers.
-    pub fn repair_strategy(&self) -> RepairStrategy {
-        self.repair_strategy
-    }
-
     /// The base configuration of every solver this oracle constructs: the
-    /// solver defaults with the optional restart override applied.
-    /// Budget fields (conflict cap, cancellation) are layered on at
-    /// construction time.
+    /// solver defaults with proof logging armed when certifying. Budget
+    /// fields (conflict cap, cancellation) are layered on at construction
+    /// time.
     fn base_solver_config(&self) -> SolverConfig {
-        let mut config = SolverConfig::default();
-        if let Some(policy) = self.restart_policy {
-            config.restart_policy = policy;
-        }
-        config.proof_logging = self.certify;
-        config
+        SolverConfig::default().with_proof_logging(self.certify)
     }
 
     /// The budget being enforced.
@@ -646,9 +612,9 @@ impl Oracle {
     }
 
     /// Constructs a MaxSAT solver with the budget's per-call conflict limit,
-    /// cancellation token, the oracle's [`RepairStrategy`], and the shared
-    /// call allowance — every internal SAT probe of the optimum search draws
-    /// on exactly the same budget as a top-level SAT solve.
+    /// cancellation token, and the shared call allowance — every internal
+    /// SAT probe of the optimum search draws on exactly the same budget as a
+    /// top-level SAT solve.
     pub fn new_maxsat(&mut self) -> MaxSatSolver {
         self.stats.maxsat_solvers_constructed += 1;
         let mut solver = MaxSatSolver::with_config(SolverConfig {
@@ -656,7 +622,6 @@ impl Oracle {
             cancel: Some(self.budget.cancel.clone()),
             ..self.base_solver_config()
         });
-        solver.set_strategy(self.repair_strategy);
         solver.set_call_budget(self.calls.clone());
         solver
     }
@@ -676,8 +641,8 @@ impl Oracle {
 
     /// The shared budget-gating and accounting around one MaxSAT solve:
     /// refuse untouched when the budget is exhausted, otherwise run the
-    /// solve and bill its conflicts, probes, and cores (and any give-up
-    /// verdict) to the statistics.
+    /// solve and bill its conflicts and probes (and any give-up verdict) to
+    /// the statistics.
     fn run_maxsat(
         &mut self,
         solver: &mut MaxSatSolver,
@@ -697,7 +662,6 @@ impl Oracle {
         self.stats
             .bill_solver_delta(&before_sat, &solver.sat_stats());
         self.stats.maxsat_probes += solver.stats().probes - before.probes;
-        self.stats.maxsat_cores += solver.stats().cores - before.cores;
         if matches!(result, MaxSatResult::Unknown | MaxSatResult::Cancelled) {
             self.stats.budget_exhaustions += 1;
         }
@@ -926,26 +890,18 @@ mod tests {
     /// the bound below it is certified opportunistically.
     #[test]
     fn certification_covers_maxsat_hard_unsat_verdicts() {
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            let mut oracle = Oracle::new(Budget::unlimited())
-                .with_certification(true)
-                .with_repair_strategy(strategy);
-            let mut maxsat = oracle.new_maxsat();
-            assert!(maxsat.solver_config().proof_logging);
-            maxsat.add_hard([lit(1), lit(2)]);
-            maxsat.add_hard([lit(-1)]);
-            maxsat.add_hard([lit(-2)]);
-            maxsat.add_soft([lit(3)], 1);
-            assert_eq!(
-                oracle.solve_maxsat(&mut maxsat),
-                MaxSatResult::HardUnsat,
-                "{strategy}"
-            );
-            let stats = oracle.stats();
-            assert_eq!(stats.certificates_checked, 1, "{strategy}");
-            assert_eq!(stats.certificates_rejected, 0, "{strategy}");
-            assert!(oracle.certification_failure().is_none(), "{strategy}");
-        }
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut maxsat = oracle.new_maxsat();
+        assert!(maxsat.solver_config().proof_logging);
+        maxsat.add_hard([lit(1), lit(2)]);
+        maxsat.add_hard([lit(-1)]);
+        maxsat.add_hard([lit(-2)]);
+        maxsat.add_soft([lit(3)], 1);
+        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::HardUnsat);
+        let stats = oracle.stats();
+        assert_eq!(stats.certificates_checked, 1);
+        assert_eq!(stats.certificates_rejected, 0);
+        assert!(oracle.certification_failure().is_none());
     }
 
     /// Certification is off by default: constructed solvers do not log
@@ -1164,81 +1120,31 @@ mod tests {
     }
 
     /// Mirror of `call_budget_cuts_off_further_solves` for the MaxSAT probe
-    /// loop (both strategies): internal bound-search probes draw on the
-    /// shared allowance, a search cut off mid-probe reports Unknown, and
-    /// afterwards every other oracle call is refused too.
+    /// loop: internal bound-search probes draw on the shared allowance, a
+    /// search cut off mid-probe reports Unknown, and afterwards every other
+    /// oracle call is refused too.
     #[test]
     fn call_budget_cuts_off_the_maxsat_probe_loop() {
-        use manthan3_maxsat::RepairStrategy;
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            let mut oracle =
-                Oracle::new(Budget::new(None, None, Some(2))).with_repair_strategy(strategy);
-            let mut maxsat = oracle.new_maxsat();
-            // Optimum 2 needs at least three probes on either strategy.
-            maxsat.add_hard([lit(1)]);
-            maxsat.add_hard([lit(2)]);
-            maxsat.add_soft([lit(-1)], 1);
-            maxsat.add_soft([lit(-2)], 1);
-            assert_eq!(
-                oracle.solve_maxsat(&mut maxsat),
-                MaxSatResult::Unknown,
-                "{strategy}"
-            );
-            assert_eq!(oracle.stats().maxsat_probes, 2, "{strategy}");
-            assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-            // The shared allowance is spent: SAT solves are refused too.
-            let mut solver = oracle.new_solver();
-            solver.ensure_vars(1);
-            assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
-            assert_eq!(oracle.stats().sat_calls, 0, "{strategy}");
-        }
-    }
-
-    /// The oracle's strategy reaches constructed MaxSAT solvers, and the
-    /// core-guided search's probe/core counters land in [`OracleStats`].
-    #[test]
-    fn core_guided_strategy_flows_into_constructed_solvers() {
-        use manthan3_maxsat::RepairStrategy;
-        let mut oracle =
-            Oracle::new(Budget::unlimited()).with_repair_strategy(RepairStrategy::CoreGuided);
-        assert_eq!(oracle.repair_strategy(), RepairStrategy::CoreGuided);
+        let mut oracle = Oracle::new(Budget::new(None, None, Some(2)));
         let mut maxsat = oracle.new_maxsat();
-        assert_eq!(maxsat.strategy(), RepairStrategy::CoreGuided);
+        // Optimum 2 needs at least three probes.
         maxsat.add_hard([lit(1)]);
+        maxsat.add_hard([lit(2)]);
         maxsat.add_soft([lit(-1)], 1);
-        assert_eq!(
-            oracle.solve_maxsat(&mut maxsat),
-            MaxSatResult::Optimum { cost: 1 }
-        );
-        assert_eq!(oracle.stats().maxsat_cores, 1);
-        assert!(oracle.stats().maxsat_probes >= 2);
+        maxsat.add_soft([lit(-2)], 1);
+        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
+        assert_eq!(oracle.stats().maxsat_probes, 2);
         // Probes are billed to the shared allowance.
         assert_eq!(
             oracle.call_allowance().consumed(),
             oracle.stats().maxsat_probes
         );
-    }
-
-    /// The restart override flows into every constructed SAT and MaxSAT
-    /// solver; without it they keep the default policy.
-    #[test]
-    fn restart_override_flows_into_constructed_solvers() {
-        let mut oracle = Oracle::new(Budget::unlimited());
-        assert_eq!(
-            oracle.new_solver().config().restart_policy,
-            RestartPolicy::GlucoseEma
-        );
-        let mut oracle =
-            Oracle::new(Budget::unlimited()).with_restart_policy(Some(RestartPolicy::Luby));
-        assert_eq!(
-            oracle.new_solver().config().restart_policy,
-            RestartPolicy::Luby
-        );
-        // MaxSAT solvers derive from the same base configuration.
-        assert_eq!(
-            oracle.new_maxsat().solver_config().restart_policy,
-            RestartPolicy::Luby
-        );
+        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
+        // The shared allowance is spent: SAT solves are refused too.
+        let mut solver = oracle.new_solver();
+        solver.ensure_vars(1);
+        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
+        assert_eq!(oracle.stats().sat_calls, 0);
     }
 
     #[test]

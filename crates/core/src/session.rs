@@ -66,7 +66,7 @@ use crate::stats::SynthesisStats;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
-use manthan3_maxsat::{MaxSatResult, MaxSatSolver, MaxSatStats, RepairStrategy, SoftId};
+use manthan3_maxsat::{MaxSatResult, MaxSatSolver, SoftId};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -494,18 +494,6 @@ impl RepairSession {
     /// the observable the repair-side hygiene watchdog asserts on.
     pub fn solver_stats(&self) -> SolverStats {
         self.maxsat.sat_stats()
-    }
-
-    /// Search-effort counters of the persistent MaxSAT solver (SAT probes
-    /// issued, cores relaxed) — the unit the repair strategies compete on.
-    pub fn maxsat_stats(&self) -> MaxSatStats {
-        self.maxsat.stats()
-    }
-
-    /// The optimization strategy the session's MaxSAT solver searches with
-    /// (inherited from the constructing oracle).
-    pub fn strategy(&self) -> RepairStrategy {
-        self.maxsat.strategy()
     }
 
     /// Number of problem clauses currently held by the persistent MaxSAT

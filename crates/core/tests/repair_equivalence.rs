@@ -1,29 +1,27 @@
 //! Repair-equivalence suite: the incremental [`RepairSession`] must be
-//! indistinguishable from the from-scratch MaxSAT rebuild it replaced, and
-//! the core-guided repair strategy indistinguishable from the linear one.
+//! indistinguishable from the from-scratch MaxSAT rebuild it replaced.
 //!
 //! Two angles, both on `suite(7, 1)`-class instances:
 //!
 //! * **Per-query equivalence** (randomized): for randomly generated
-//!   counterexamples σ, the linear session's candidate set, the core-guided
-//!   session's candidate set, and the from-scratch set must be *optimal
-//!   solutions of the same objective* — equal cardinality (the optimum
-//!   cost, all softs being unit weight) and each feasible for the other
-//!   encodings (leaving every unselected output pinned to its σ[Y'] value
+//!   counterexamples σ, the session's candidate set and the from-scratch
+//!   set must be *optimal solutions of the same objective* — equal
+//!   cardinality (the optimum cost, all softs being unit weight) and each
+//!   feasible for the other encoding (leaving every unselected output pinned to its σ[Y'] value
 //!   keeps `ϕ ∧ σ[X]` satisfiable). Literal set equality is not required:
 //!   distinct optimal solutions are legitimate tie-breaks of the same
 //!   optimum.
 //! * **Loop convergence**: driving the full verify–repair loop from
-//!   identical (constant-false) candidate vectors, the incremental (either
-//!   strategy) and the from-scratch FindCandidates paths must converge to
+//!   identical (constant-false) candidate vectors, the incremental and the
+//!   from-scratch FindCandidates paths must converge to
 //!   the same verdict, and every claimed vector must pass the independent
 //!   certificate check.
 
 use manthan3_cnf::{Lit, Var};
 use manthan3_core::{
     find_candidates_from_scratch, find_candidates_to_repair, repair_vector, Budget,
-    DependencyState, Manthan3Config, Oracle, Order, RepairSession, RepairStrategy, Sigma,
-    SynthesisStats, VerifyOutcome, VerifySession,
+    DependencyState, Manthan3Config, Oracle, Order, RepairSession, Sigma, SynthesisStats,
+    VerifyOutcome, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::suite::suite;
@@ -80,12 +78,6 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             continue;
         }
         let mut repair_session = RepairSession::new(dqbf, &mut oracle);
-        // The core-guided twin runs on its own oracle so its strategy (and
-        // its probe accounting) is independent of the linear session's.
-        let mut oracle_cg =
-            Oracle::new(Budget::unlimited()).with_repair_strategy(RepairStrategy::CoreGuided);
-        let mut repair_session_cg = RepairSession::new(dqbf, &mut oracle_cg);
-        assert_eq!(repair_session_cg.strategy(), RepairStrategy::CoreGuided);
         let mut stats = SynthesisStats::default();
         for _ in 0..8 {
             // A random σ[X] that extends to a model of ϕ (the only shape the
@@ -114,13 +106,6 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
                 &mut oracle,
                 &mut stats,
             );
-            let core_guided = find_candidates_to_repair(
-                dqbf,
-                &sigma,
-                &mut repair_session_cg,
-                &mut oracle_cg,
-                &mut stats,
-            );
             let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle, &mut stats);
 
             // Same optimum cost (every soft is unit weight)…
@@ -132,20 +117,8 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
                 incremental,
                 scratch
             );
-            assert_eq!(
-                core_guided.len(),
-                scratch.len(),
-                "{}: core-guided optimum {:?} vs from-scratch optimum {:?}",
-                instance.name,
-                core_guided,
-                scratch
-            );
             // …and each solution is feasible for the shared objective.
-            for (label, selected) in [
-                ("incremental", &incremental),
-                ("core-guided", &core_guided),
-                ("from-scratch", &scratch),
-            ] {
+            for (label, selected) in [("incremental", &incremental), ("from-scratch", &scratch)] {
                 assert!(
                     is_feasible_candidate_set(
                         dqbf,
@@ -160,22 +133,6 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             }
             compared += 1;
         }
-        // The core-guided session shares the incremental accounting shape:
-        // one hard encoding, every query under assumptions, and its probe
-        // loop billed (with any extracted cores) to its own oracle.
-        assert_eq!(
-            oracle_cg.stats().maxsat_incremental_calls,
-            repair_session_cg.solves()
-        );
-        assert_eq!(oracle_cg.stats().maxsat_hard_encodings, 1);
-        assert_eq!(
-            oracle_cg.stats().maxsat_probes,
-            repair_session_cg.maxsat_stats().probes
-        );
-        assert_eq!(
-            oracle_cg.stats().maxsat_cores,
-            repair_session_cg.maxsat_stats().cores
-        );
         // The session answered all its sigmas under assumptions on one
         // encoding; every other hard encoding belongs to a from-scratch
         // reference call (which pays one per call).
@@ -205,15 +162,14 @@ enum LoopVerdict {
 
 /// Drives the verify–repair loop from an all-constant-false candidate
 /// vector, selecting repair candidates either on the persistent session
-/// (searching with the given strategy) or with the from-scratch rebuild
-/// (`incremental: None`), and reports how it converged.
-fn run_loop(dqbf: &Dqbf, incremental: Option<RepairStrategy>) -> (LoopVerdict, usize) {
+/// (`incremental`) or with the from-scratch rebuild, and reports how it
+/// converged.
+fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
     let config = Manthan3Config::default();
     let mut stats = SynthesisStats::default();
-    let mut oracle =
-        Oracle::new(Budget::unlimited()).with_repair_strategy(incremental.unwrap_or_default());
+    let mut oracle = Oracle::new(Budget::unlimited());
     let mut verify_session = VerifySession::new(dqbf, &mut oracle);
-    let mut repair_session = incremental.map(|_| RepairSession::new(dqbf, &mut oracle));
+    let mut repair_session = incremental.then(|| RepairSession::new(dqbf, &mut oracle));
     let order = Order::from_dependencies(
         dqbf.existentials(),
         &DependencyState::new(dqbf.existentials()),
@@ -291,17 +247,11 @@ fn loops_converge_to_the_same_verdicts() {
         if dqbf.existentials().is_empty() {
             continue;
         }
-        let (incremental_verdict, _) = run_loop(dqbf, Some(RepairStrategy::Linear));
-        let (core_guided_verdict, _) = run_loop(dqbf, Some(RepairStrategy::CoreGuided));
-        let (scratch_verdict, _) = run_loop(dqbf, None);
+        let (incremental_verdict, _) = run_loop(dqbf, true);
+        let (scratch_verdict, _) = run_loop(dqbf, false);
         assert_eq!(
             incremental_verdict, scratch_verdict,
             "{}: incremental and from-scratch loops diverged",
-            instance.name
-        );
-        assert_eq!(
-            core_guided_verdict, scratch_verdict,
-            "{}: core-guided and from-scratch loops diverged",
             instance.name
         );
         match incremental_verdict {

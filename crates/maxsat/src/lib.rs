@@ -8,24 +8,11 @@
 //! solution.
 //!
 //! The implementation relaxes each soft clause with a fresh relaxation
-//! variable and offers two optimization strategies, selected via
-//! [`RepairStrategy`]:
-//!
-//! * **[`RepairStrategy::Linear`]** — a linear UNSAT→SAT search over the
-//!   number of violated softs, using a totalizer cardinality encoding and
-//!   assumption-based bounds on top of the [`manthan3_sat`] CDCL solver,
-//!   warm-started at the previous call's optimum. Integer weights are
-//!   supported by replicating relaxation literals inside the totalizer.
-//! * **[`RepairStrategy::CoreGuided`]** — Fu–Malik/OLL-style core-guided
-//!   optimization: every soft is assumed satisfied, each UNSAT answer
-//!   yields a final-conflict core over the soft-unit assumption literals,
-//!   and the core is relaxed with a totalizer over its violation
-//!   indicators whose bound is raised when the group reappears in later
-//!   cores. The optimum is reached in `#cores + 1` SAT probes — instead of
-//!   one probe per cost unit — and the per-core networks are cached across
-//!   incremental calls, so an optimum that jumps between assumption sets
-//!   (a repair loop's moving counterexamples) never pays a linear climb.
-//!   Weighted instances fall back to the linear search.
+//! variable and searches linearly (UNSAT→SAT, then SAT→UNSAT) over the
+//! number of violated softs, using a totalizer cardinality encoding and
+//! assumption-based bounds on top of the [`manthan3_sat`] CDCL solver,
+//! warm-started at the previous call's optimum. Integer weights are
+//! supported by replicating relaxation literals inside the totalizer.
 //!
 //! # Incremental use
 //!
@@ -66,5 +53,5 @@
 mod solver;
 mod totalizer;
 
-pub use solver::{MaxSatResult, MaxSatSolver, MaxSatStats, RepairStrategy, SoftId};
+pub use solver::{MaxSatResult, MaxSatSolver, MaxSatStats, SoftId};
 pub use totalizer::Totalizer;

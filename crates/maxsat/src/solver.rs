@@ -1,9 +1,6 @@
 use crate::Totalizer;
 use manthan3_cnf::{Assignment, Clause, Cnf, Lit, Var};
 use manthan3_sat::{CallBudget, SolveResult, Solver, SolverConfig, SolverStats};
-use std::collections::HashMap;
-use std::fmt;
-use std::str::FromStr;
 
 /// Identifier of a soft clause, returned by [`MaxSatSolver::add_soft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -16,67 +13,15 @@ impl SoftId {
     }
 }
 
-/// How [`MaxSatSolver::solve_under_assumptions`] locates the optimum.
-///
-/// * [`RepairStrategy::Linear`] — the totalizer-bound two-phase search:
-///   climb the violated-weight bound upward from the warm start while UNSAT,
-///   then tighten downward from the first model's cost. One SAT probe per
-///   cost unit crossed, so instances whose optimum jumps between incremental
-///   calls pay one probe per unit of the jump.
-/// * [`RepairStrategy::CoreGuided`] — Fu–Malik/OLL-style core-guided
-///   optimization over the persistent encoding: each UNSAT probe yields a
-///   core over the soft-unit assumption literals, the core is relaxed with a
-///   totalizer over its violation indicators (cached across calls, its bound
-///   raised incrementally when the group reappears in later cores), and the
-///   lower bound rises by one per core — the optimum is reached in
-///   `#cores + 1` probes. Falls back to the linear search on weighted
-///   instances (the repair loop's softs are always unit weight).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RepairStrategy {
-    /// Warm-started linear (two-phase) bound search on the global totalizer.
-    #[default]
-    Linear,
-    /// Core-guided (OLL over soft-unit assumptions) optimization.
-    CoreGuided,
-}
-
-impl fmt::Display for RepairStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            RepairStrategy::Linear => "linear",
-            RepairStrategy::CoreGuided => "core-guided",
-        };
-        write!(f, "{name}")
-    }
-}
-
-impl FromStr for RepairStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "linear" => Ok(RepairStrategy::Linear),
-            "core-guided" | "core_guided" | "coreguided" => Ok(RepairStrategy::CoreGuided),
-            other => Err(format!(
-                "unknown repair strategy {other:?} (expected linear or core-guided)"
-            )),
-        }
-    }
-}
-
 /// Search-effort counters of a [`MaxSatSolver`], accumulated across every
 /// solve call of the instance.
 ///
 /// `probes` counts the internal SAT oracle calls issued by the optimum
-/// search (hard-satisfiability checks, optimistic checks, bound probes, and
-/// core-guided iterations alike) — the unit the strategies compete on;
-/// `cores` counts the UNSAT cores the core-guided strategy relaxed.
+/// search: hard-satisfiability checks, optimistic checks and bound probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaxSatStats {
     /// Internal SAT probes issued across all solve calls.
     pub probes: u64,
-    /// UNSAT cores extracted and relaxed by the core-guided strategy.
-    pub cores: u64,
 }
 
 /// Outcome of a [`MaxSatSolver::solve`] call.
@@ -133,8 +78,6 @@ pub struct MaxSatSolver {
     /// invalidated when a new soft clause arrives. Without the cache every
     /// solve call re-encoded a fresh totalizer into the same solver, so a
     /// long-lived instance grew by the full cardinality network per call.
-    /// Only the linear strategy ever builds it — the core-guided strategy
-    /// encodes small per-core totalizers instead.
     totalizer: Option<Totalizer>,
     /// Optimum cost of the previous solve call, used to warm-start the next
     /// linear bound search: incremental callers re-solve the same objective
@@ -148,14 +91,6 @@ pub struct MaxSatSolver {
     last_optimum: Option<u64>,
     /// The assumption set `last_optimum` was proved under.
     last_assumptions: Vec<Lit>,
-    /// The optimization strategy used by the next solve call.
-    strategy: RepairStrategy,
-    /// Cardinality networks encoded for relaxed cores, keyed by their sorted
-    /// input literals. Cores recur across incremental calls (the same
-    /// outputs conflict under many counterexamples), so a cached network is
-    /// reused — its assumption bound simply raised — instead of re-encoding
-    /// the totalizer per call.
-    core_totalizers: HashMap<Vec<Lit>, Vec<Lit>>,
     /// Shared call allowance every internal SAT probe draws on (attached by
     /// the oracle layer); probes are refused — not performed — once it is
     /// exhausted, exactly like top-level SAT solves.
@@ -193,8 +128,6 @@ impl MaxSatSolver {
             totalizer: None,
             last_optimum: None,
             last_assumptions: Vec::new(),
-            strategy: RepairStrategy::default(),
-            core_totalizers: HashMap::new(),
             calls: None,
             stats: MaxSatStats::default(),
         }
@@ -212,11 +145,11 @@ impl MaxSatSolver {
     ///
     /// The probe loop ends on an UNSAT verdict exactly when the search
     /// proved something: [`MaxSatResult::HardUnsat`] (the hard clauses —
-    /// plus any caller assumptions — were refuted) or a linear-search
-    /// optimum whose final act was refuting the bound below the reported
-    /// cost. In both cases the certificate covers that closing refutation,
-    /// with the probe's assumptions (including any totalizer bound literal)
-    /// scoped in as unit clauses of the certificate CNF. A probe loop that
+    /// plus any caller assumptions — were refuted) or an optimum whose
+    /// final act was refuting the bound below the reported cost. In both
+    /// cases the certificate covers that closing refutation, with the
+    /// probe's assumptions (including any totalizer bound literal) scoped
+    /// in as unit clauses of the certificate CNF. A probe loop that
     /// ends on a SAT verdict withdraws the certificate, exactly like
     /// [`Solver::certificate`](manthan3_sat::Solver::certificate).
     pub fn certificate(&self) -> Option<manthan3_sat::Certificate> {
@@ -241,22 +174,10 @@ impl MaxSatSolver {
         self.solver.config()
     }
 
-    /// Search-effort counters (SAT probes issued, cores relaxed),
-    /// accumulated across every solve call of this instance.
+    /// Search-effort counters (SAT probes issued), accumulated across every
+    /// solve call of this instance.
     pub fn stats(&self) -> MaxSatStats {
         self.stats
-    }
-
-    /// The strategy the next solve call will use.
-    pub fn strategy(&self) -> RepairStrategy {
-        self.strategy
-    }
-
-    /// Selects the optimization strategy for subsequent solve calls. The
-    /// encoding is shared, so the strategy may be switched between
-    /// incremental calls at any time.
-    pub fn set_strategy(&mut self, strategy: RepairStrategy) {
-        self.strategy = strategy;
     }
 
     /// Attaches a shared call allowance: every internal SAT probe of every
@@ -288,10 +209,9 @@ impl MaxSatSolver {
 
     /// Adds a soft clause with the given positive weight and returns its id.
     ///
-    /// Invalidates the cached totalizer (the next linear bounded search
-    /// re-encodes the cardinality network over the enlarged relaxation set)
-    /// and the warm-start bound. Cached per-core totalizers stay valid —
-    /// their inputs are unaffected by new softs.
+    /// Invalidates the cached totalizer (the next bounded search re-encodes
+    /// the cardinality network over the enlarged relaxation set) and the
+    /// warm-start bound.
     ///
     /// # Panics
     ///
@@ -342,7 +262,7 @@ impl MaxSatSolver {
     /// across hundreds of `solve_under_assumptions` calls) call this
     /// periodically so the solver state stays bounded, mirroring
     /// `VerifySession`'s error-solver maintenance. The warm-start bound is
-    /// dropped alongside; the cached totalizers survive (their clauses are
+    /// dropped alongside; the cached totalizer survives (its clauses are
     /// never level-0 satisfied — relaxation literals are only ever assumed,
     /// and inprocessing is equivalence-preserving, so the relaxation
     /// structure stays sound).
@@ -386,73 +306,25 @@ impl MaxSatSolver {
     /// round, e.g. the `σ[X]`/`σ[Y']` valuations of a repair loop) instead
     /// encodes the invariant structure once and retracts the per-iteration
     /// units by simply not assuming them on the next call. The underlying
-    /// CDCL solver, its learnt clauses, the cached totalizers, and any
-    /// relaxed core structure all survive between calls.
+    /// CDCL solver, its learnt clauses and the cached totalizer all survive
+    /// between calls.
     ///
-    /// The search runs under the configured [`RepairStrategy`]; weighted
-    /// instances always take the linear path (core-guided relaxation is
-    /// implemented for the unit weights the repair loop uses).
+    /// The search is a two-phase bound search over the violated weight on
+    /// the persistent totalizer, warm-started at the previous call's optimum
+    /// — walk the bound up from there while UNSAT, then tighten downward
+    /// from the first model's true cost until the bound below it is refuted.
+    /// With a stable objective the whole search is typically one or two
+    /// probes.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> MaxSatResult {
         self.model = None;
         // A warm-start bound is only meaningful for the assumption set it
         // was proved under: a changed set (e.g. a repair loop pinning a
-        // disjoint σ) invalidates it, so the linear search can never start
+        // disjoint σ) invalidates it, so the search can never start
         // from a bound unrelated — possibly infeasible — for the new query.
         if self.last_assumptions != assumptions {
             self.last_optimum = None;
             self.last_assumptions = assumptions.to_vec();
         }
-        match self.strategy {
-            RepairStrategy::CoreGuided if self.softs.iter().all(|s| s.weight == 1) => {
-                self.solve_core_guided(assumptions)
-            }
-            _ => self.solve_linear(assumptions),
-        }
-    }
-
-    /// Returns `true` once the configured cancellation token has fired.
-    fn is_cancelled(&self) -> bool {
-        self.solver
-            .config()
-            .cancel
-            .as_ref()
-            .is_some_and(|token| token.is_cancelled())
-    }
-
-    /// One internal SAT probe: polls cancellation, draws on the shared call
-    /// allowance (a refused probe is not performed), and classifies an
-    /// Unknown verdict as cancellation when the token fired mid-search.
-    fn probe(&mut self, assumptions: &[Lit]) -> Probe {
-        if self.is_cancelled() {
-            return Probe::Cancelled;
-        }
-        // Admission on the straight-line path: a missing allowance admits,
-        // a present one is drawn from (and refuses when spent).
-        let admitted = self.calls.as_ref().is_none_or(|calls| calls.try_acquire());
-        if !admitted {
-            return Probe::Refused;
-        }
-        self.stats.probes += 1;
-        match self.solver.solve_with_assumptions(assumptions) {
-            SolveResult::Sat => Probe::Sat,
-            SolveResult::Unsat => Probe::Unsat,
-            SolveResult::Unknown => {
-                if self.is_cancelled() {
-                    Probe::Cancelled
-                } else {
-                    Probe::Unknown
-                }
-            }
-        }
-    }
-
-    /// The linear strategy: two-phase bound search over the violated weight
-    /// on the persistent global totalizer, warm-started at the previous
-    /// call's optimum — walk the bound up from there while UNSAT, then
-    /// tighten downward from the first model's true cost until the bound
-    /// below it is refuted. With a stable objective the whole search is
-    /// typically one or two probes.
-    fn solve_linear(&mut self, assumptions: &[Lit]) -> MaxSatResult {
         // Is the hard part satisfiable at all (under the assumptions)?
         match self.probe(assumptions) {
             Probe::Unsat => return MaxSatResult::HardUnsat,
@@ -557,152 +429,40 @@ impl MaxSatSolver {
         MaxSatResult::Optimum { cost }
     }
 
-    /// The core-guided strategy (OLL over the soft-unit assumption
-    /// literals): assume every soft satisfied, and while the SAT oracle
-    /// refutes the assumption set, extract the final-conflict core over the
-    /// active soft assumptions, relax it with a totalizer over its violation
-    /// indicators (allowing one violation within the group), and raise the
-    /// proven lower bound by one. A group named by a later core has its
-    /// bound raised instead — its exceeded-bound indicator joins the new
-    /// group — so nested cores stay bounded. The first satisfiable probe is
-    /// the optimum, after exactly `#cores + 1` probes; per-core totalizers
-    /// are cached across incremental calls, so recurring cores only pay the
-    /// probe, never the re-encoding.
-    ///
-    /// Only called for unit-weight instances (the dispatch in
-    /// [`MaxSatSolver::solve_under_assumptions`] falls back to the linear
-    /// search otherwise), so every core raises the bound by exactly one.
-    fn solve_core_guided(&mut self, assumptions: &[Lit]) -> MaxSatResult {
-        /// One active "no (further) violations here" assumption: a plain
-        /// soft (`¬relax`) or a relaxed core group (`¬outputs[bound]`).
-        struct Entry {
-            assume: Lit,
-            /// Totalizer outputs of a relaxed group; `None` for a plain
-            /// soft.
-            outputs: Option<Vec<Lit>>,
-            /// Violations currently allowed within the group.
-            bound: usize,
+    /// Returns `true` once the configured cancellation token has fired.
+    fn is_cancelled(&self) -> bool {
+        self.solver
+            .config()
+            .cancel
+            .as_ref()
+            .is_some_and(|token| token.is_cancelled())
+    }
+
+    /// One internal SAT probe: polls cancellation, draws on the shared call
+    /// allowance (a refused probe is not performed), and classifies an
+    /// Unknown verdict as cancellation when the token fired mid-search.
+    fn probe(&mut self, assumptions: &[Lit]) -> Probe {
+        if self.is_cancelled() {
+            return Probe::Cancelled;
         }
-        let mut active: Vec<Entry> = self
-            .softs
-            .iter()
-            .map(|s| Entry {
-                assume: !s.relax,
-                outputs: None,
-                bound: 0,
-            })
-            .collect();
-        let mut lower_bound = 0u64;
-        let mut probe_lits: Vec<Lit> = Vec::with_capacity(assumptions.len() + active.len());
-        loop {
-            probe_lits.clear();
-            probe_lits.extend_from_slice(assumptions);
-            probe_lits.extend(active.iter().map(|e| e.assume));
-            match self.probe(&probe_lits) {
-                Probe::Sat => {
-                    self.model = Some(self.solver.model());
-                    let cost = self.cost_of_current_model();
-                    debug_assert_eq!(
-                        cost, lower_bound,
-                        "OLL bookkeeping must account for every violation"
-                    );
-                    self.last_optimum = Some(cost);
-                    return MaxSatResult::Optimum { cost };
-                }
-                Probe::Unknown | Probe::Refused => {
-                    self.model = None;
-                    return MaxSatResult::Unknown;
-                }
-                Probe::Cancelled => {
-                    self.model = None;
-                    return MaxSatResult::Cancelled;
-                }
-                Probe::Unsat => {
-                    // `unsat_core` is sorted and deduplicated, so membership
-                    // is a binary search. Caller assumptions in the core are
-                    // left alone — only active soft assumptions are relaxed.
-                    let core: Vec<Lit> = self.solver.unsat_core().to_vec();
-                    let hit: Vec<usize> = active
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| core.binary_search(&e.assume).is_ok())
-                        .map(|(i, _)| i)
-                        .collect();
-                    if hit.is_empty() {
-                        // The conflict involves only hard clauses and the
-                        // caller's assumptions: no relaxation can help.
-                        return MaxSatResult::HardUnsat;
-                    }
-                    lower_bound += 1;
-                    self.stats.cores += 1;
-                    // Collect the violation indicators of the core members
-                    // (descending index order keeps swap_remove sound).
-                    let mut inputs: Vec<Lit> = Vec::with_capacity(hit.len());
-                    for &i in hit.iter().rev() {
-                        if active[i].outputs.is_none() {
-                            // Plain soft: its relaxation variable joins the
-                            // new group, and the soft leaves the active set
-                            // for the rest of the call.
-                            inputs.push(!active[i].assume);
-                            active.swap_remove(i);
-                            continue;
-                        }
-                        // Relaxed group: its exceeded-bound indicator joins
-                        // the new group AND its own bound is raised, so the
-                        // group stays bounded (the RC2 discipline).
-                        let (escalate, next_assume) = {
-                            let entry = &active[i];
-                            // invariant: `i` indexes the group partition of
-                            // `active`, whose entries all carry outputs.
-                            let outputs = entry.outputs.as_ref().expect("group entry");
-                            let next = entry.bound + 1;
-                            (
-                                outputs[entry.bound],
-                                (next < outputs.len()).then(|| !outputs[next]),
-                            )
-                        };
-                        inputs.push(escalate);
-                        match next_assume {
-                            Some(assume) => {
-                                let entry = &mut active[i];
-                                entry.bound += 1;
-                                entry.assume = assume;
-                            }
-                            // Bound reached the group size: vacuous, drop.
-                            None => {
-                                active.swap_remove(i);
-                            }
-                        }
-                    }
-                    // A singleton core needs no counting structure: its one
-                    // violation is fully absorbed by the raised lower bound.
-                    if inputs.len() >= 2 {
-                        inputs.sort();
-                        let outputs = self.core_totalizer(&inputs);
-                        active.push(Entry {
-                            assume: !outputs[1],
-                            outputs: Some(outputs),
-                            bound: 1,
-                        });
-                    }
+        // Admission on the straight-line path: a missing allowance admits,
+        // a present one is drawn from (and refuses when spent).
+        let admitted = self.calls.as_ref().is_none_or(|calls| calls.try_acquire());
+        if !admitted {
+            return Probe::Refused;
+        }
+        self.stats.probes += 1;
+        match self.solver.solve_with_assumptions(assumptions) {
+            SolveResult::Sat => Probe::Sat,
+            SolveResult::Unsat => Probe::Unsat,
+            SolveResult::Unknown => {
+                if self.is_cancelled() {
+                    Probe::Cancelled
+                } else {
+                    Probe::Unknown
                 }
             }
         }
-    }
-
-    /// The cardinality network over a relaxed core's violation indicators,
-    /// encoded on first sight of the input set and reused by every later
-    /// call that rediscovers the same core (its bound is raised purely by
-    /// assuming a higher output).
-    fn core_totalizer(&mut self, inputs: &[Lit]) -> Vec<Lit> {
-        if let Some(outputs) = self.core_totalizers.get(inputs) {
-            return outputs.clone();
-        }
-        let totalizer = Totalizer::encode(&mut self.solver, inputs);
-        let outputs = totalizer.outputs().to_vec();
-        self.core_totalizers
-            .insert(inputs.to_vec(), outputs.clone());
-        outputs
     }
 
     /// The persistent totalizer over the weight-replicated relaxation
@@ -765,17 +525,6 @@ mod tests {
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
-    }
-
-    /// Runs the same instance-building closure under both strategies and
-    /// asserts identical results.
-    fn both_strategies(build: impl Fn(&mut MaxSatSolver)) -> (MaxSatResult, MaxSatResult) {
-        let mut linear = MaxSatSolver::new();
-        build(&mut linear);
-        let mut core = MaxSatSolver::new();
-        core.set_strategy(RepairStrategy::CoreGuided);
-        build(&mut core);
-        (linear.solve(), core.solve())
     }
 
     #[test]
@@ -936,48 +685,44 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_mid_search_reports_cancelled_for_both_strategies() {
+    fn cancellation_mid_search_reports_cancelled() {
         use manthan3_sat::{CancelToken, SolverConfig};
         use std::time::{Duration, Instant};
         // An unsatisfiable pigeonhole hard part far beyond what the test
-        // environment can refute quickly: the first probe of either strategy
-        // runs long, and a token cancelled from another thread must turn the
-        // in-flight bound search into `Cancelled` — not into the best-so-far
-        // bound, not into `Unknown`.
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            let token = CancelToken::new();
-            let mut s =
-                MaxSatSolver::with_config(SolverConfig::default().with_cancel(token.clone()));
-            let holes = 9usize;
-            let var = |i: usize, j: usize| Var::new((i * holes + j) as u32);
-            for i in 0..=holes {
-                let clause: Vec<Lit> = (0..holes).map(|j| var(i, j).positive()).collect();
-                s.add_hard(clause);
-            }
-            for j in 0..holes {
-                for i1 in 0..=holes {
-                    for i2 in (i1 + 1)..=holes {
-                        s.add_hard([var(i1, j).negative(), var(i2, j).negative()]);
-                    }
-                }
-            }
-            s.add_soft([var(0, 0).positive()], 1);
-            s.set_strategy(strategy);
-            let canceller = std::thread::spawn({
-                let token = token.clone();
-                move || {
-                    std::thread::sleep(Duration::from_millis(20));
-                    token.cancel();
-                }
-            });
-            let start = Instant::now();
-            assert_eq!(s.solve(), MaxSatResult::Cancelled, "{strategy}");
-            assert!(
-                start.elapsed() < std::time::Duration::from_secs(20),
-                "{strategy}: cancellation did not interrupt the search"
-            );
-            canceller.join().expect("canceller thread");
+        // environment can refute quickly: the first probe runs long, and a
+        // token cancelled from another thread must turn the in-flight bound
+        // search into `Cancelled` — not into the best-so-far bound, not into
+        // `Unknown`.
+        let token = CancelToken::new();
+        let mut s = MaxSatSolver::with_config(SolverConfig::default().with_cancel(token.clone()));
+        let holes = 9usize;
+        let var = |i: usize, j: usize| Var::new((i * holes + j) as u32);
+        for i in 0..=holes {
+            let clause: Vec<Lit> = (0..holes).map(|j| var(i, j).positive()).collect();
+            s.add_hard(clause);
         }
+        for j in 0..holes {
+            for i1 in 0..=holes {
+                for i2 in (i1 + 1)..=holes {
+                    s.add_hard([var(i1, j).negative(), var(i2, j).negative()]);
+                }
+            }
+        }
+        s.add_soft([var(0, 0).positive()], 1);
+        let canceller = std::thread::spawn({
+            let token = token.clone();
+            move || {
+                std::thread::sleep(Duration::from_millis(20));
+                token.cancel();
+            }
+        });
+        let start = Instant::now();
+        assert_eq!(s.solve(), MaxSatResult::Cancelled);
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "cancellation did not interrupt the search"
+        );
+        canceller.join().expect("canceller thread");
     }
 
     #[test]
@@ -1035,24 +780,21 @@ mod tests {
     #[test]
     fn hard_unsat_probes_yield_checkable_certificates() {
         use manthan3_drat::{check, parse_text_proof, CheckOutcome};
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
-            s.set_strategy(strategy);
-            s.add_hard([lit(1), lit(2)]);
-            s.add_hard([lit(-1)]);
-            s.add_hard([lit(-2)]);
-            s.add_soft([lit(3)], 1);
-            assert_eq!(s.solve(), MaxSatResult::HardUnsat, "{strategy}");
-            let cert = s.certificate().expect("hard-unsat probe certificate");
-            let text = std::str::from_utf8(&cert.proof).expect("text DRAT");
-            let proof = parse_text_proof(text).expect("well-formed proof");
-            assert!(
-                matches!(check(&cert.dimacs_cnf(), &proof), CheckOutcome::Verified(_)),
-                "{strategy}: certificate rejected"
-            );
-            assert!(s.proof_len() > 0, "{strategy}");
-            assert!(s.proof_steps().0 > 0, "{strategy}");
-        }
+        let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
+        s.add_hard([lit(1), lit(2)]);
+        s.add_hard([lit(-1)]);
+        s.add_hard([lit(-2)]);
+        s.add_soft([lit(3)], 1);
+        assert_eq!(s.solve(), MaxSatResult::HardUnsat);
+        let cert = s.certificate().expect("hard-unsat probe certificate");
+        let text = std::str::from_utf8(&cert.proof).expect("text DRAT");
+        let proof = parse_text_proof(text).expect("well-formed proof");
+        assert!(
+            matches!(check(&cert.dimacs_cnf(), &proof), CheckOutcome::Verified(_)),
+            "certificate rejected"
+        );
+        assert!(s.proof_len() > 0);
+        assert!(s.proof_steps().0 > 0);
     }
 
     /// The relaxed instance is satisfiable, so the optimum search ends on a
@@ -1074,158 +816,7 @@ mod tests {
         assert!(silent.certificate().is_none());
     }
 
-    #[test]
-    fn strategy_names_round_trip() {
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            assert_eq!(strategy.to_string().parse::<RepairStrategy>(), Ok(strategy));
-        }
-        assert_eq!("core_guided".parse(), Ok(RepairStrategy::CoreGuided));
-        assert!("fu-malik".parse::<RepairStrategy>().is_err());
-        assert_eq!(RepairStrategy::default(), RepairStrategy::Linear);
-    }
-
-    type InstanceBuilder = Box<dyn Fn(&mut MaxSatSolver)>;
-
-    #[test]
-    fn core_guided_agrees_on_the_basic_instances() {
-        // The small hand-written shapes, each solved by both strategies.
-        let cases: Vec<(InstanceBuilder, MaxSatResult)> = vec![
-            (
-                Box::new(|s: &mut MaxSatSolver| {
-                    s.add_hard([lit(1), lit(2)]);
-                    s.add_soft([lit(-1)], 1);
-                    s.add_soft([lit(-2)], 1);
-                }),
-                MaxSatResult::Optimum { cost: 1 },
-            ),
-            (
-                Box::new(|s: &mut MaxSatSolver| {
-                    s.add_hard([lit(1)]);
-                    s.add_hard([lit(2)]);
-                    s.add_soft([lit(-1)], 1);
-                    s.add_soft([lit(-2)], 1);
-                }),
-                MaxSatResult::Optimum { cost: 2 },
-            ),
-            (
-                Box::new(|s: &mut MaxSatSolver| {
-                    s.add_hard([lit(1)]);
-                    s.add_hard([lit(-1)]);
-                    s.add_soft([lit(2)], 1);
-                }),
-                MaxSatResult::HardUnsat,
-            ),
-            (
-                Box::new(|s: &mut MaxSatSolver| {
-                    s.add_hard([lit(1), lit(2)]);
-                    s.add_soft([lit(1)], 1);
-                    s.add_soft([lit(2)], 1);
-                }),
-                MaxSatResult::Optimum { cost: 0 },
-            ),
-        ];
-        for (build, expected) in cases {
-            let (linear, core) = both_strategies(|s| build(s));
-            assert_eq!(linear, expected);
-            assert_eq!(core, expected);
-        }
-    }
-
-    #[test]
-    fn core_guided_reaches_the_optimum_in_fewer_probes() {
-        // Hard: x1 ∧ x2 ∧ x3 forces all three unit softs violated. The
-        // linear search pays the hard check, the optimistic check, and the
-        // full bound climb; core-guided pays one probe per core plus the
-        // final model.
-        let mut linear = MaxSatSolver::new();
-        let mut core = MaxSatSolver::new();
-        core.set_strategy(RepairStrategy::CoreGuided);
-        for s in [&mut linear, &mut core] {
-            s.add_hard([lit(1)]);
-            s.add_hard([lit(2)]);
-            s.add_hard([lit(3)]);
-            s.add_soft([lit(-1)], 1);
-            s.add_soft([lit(-2)], 1);
-            s.add_soft([lit(-3)], 1);
-        }
-        assert_eq!(linear.solve(), MaxSatResult::Optimum { cost: 3 });
-        assert_eq!(core.solve(), MaxSatResult::Optimum { cost: 3 });
-        assert_eq!(core.stats().cores, 3);
-        assert!(
-            core.stats().probes < linear.stats().probes,
-            "core-guided took {} probes, linear {}",
-            core.stats().probes,
-            linear.stats().probes
-        );
-    }
-
-    #[test]
-    fn core_guided_relaxations_stay_sound_across_assumption_changes() {
-        // Two disjoint σ-style pins over a shared encoding: t1/t2 pin which
-        // side of the hard disjunction must hold, flipping which soft is
-        // violated. The relaxation structure discovered under one pin must
-        // not leak an unsound bound into the other.
-        let mut s = MaxSatSolver::new();
-        s.set_strategy(RepairStrategy::CoreGuided);
-        s.add_hard([lit(1), lit(2)]);
-        let s1 = s.add_soft([lit(-1)], 1);
-        let s2 = s.add_soft([lit(-2)], 1);
-        for round in 0..6 {
-            let (pins, expect): (&[Lit], SoftId) = if round % 2 == 0 {
-                (&[lit(1), lit(-2)], s1)
-            } else {
-                (&[lit(2), lit(-1)], s2)
-            };
-            assert_eq!(
-                s.solve_under_assumptions(pins),
-                MaxSatResult::Optimum { cost: 1 },
-                "round {round}"
-            );
-            assert_eq!(s.violated_softs(), vec![expect], "round {round}");
-        }
-        // Each call discovers exactly one (singleton) core.
-        assert_eq!(s.stats().cores, 6);
-    }
-
-    #[test]
-    fn core_guided_caches_recurring_core_totalizers() {
-        // Hard: at most one of x1..x3 true, pinned so that two of the three
-        // unit softs (x_i) must be violated: the same two-element cores
-        // recur on every call, and the cached networks keep the solver's
-        // variable count flat after the first discovery.
-        let mut s = MaxSatSolver::new();
-        s.set_strategy(RepairStrategy::CoreGuided);
-        s.add_hard([lit(-1), lit(-2)]);
-        s.add_hard([lit(-1), lit(-3)]);
-        s.add_hard([lit(-2), lit(-3)]);
-        s.add_soft([lit(1)], 1);
-        s.add_soft([lit(2)], 1);
-        s.add_soft([lit(3)], 1);
-        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 2 });
-        let vars_after_first = s.solver.num_vars();
-        let clauses_after_first = s.num_solver_clauses();
-        for _ in 0..10 {
-            assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 2 });
-        }
-        assert_eq!(s.solver.num_vars(), vars_after_first);
-        assert_eq!(s.num_solver_clauses(), clauses_after_first);
-    }
-
-    #[test]
-    fn weighted_instances_fall_back_to_the_linear_search() {
-        let mut s = MaxSatSolver::new();
-        s.set_strategy(RepairStrategy::CoreGuided);
-        s.add_hard([lit(1), lit(2)]);
-        s.add_hard([lit(-1), lit(-2)]);
-        s.add_soft([lit(1)], 5);
-        let cheap = s.add_soft([lit(2)], 1);
-        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-        assert_eq!(s.violated_softs(), vec![cheap]);
-        // The weighted dispatch took the linear path: no cores.
-        assert_eq!(s.stats().cores, 0);
-    }
-
-    /// Satellite regression: the linear warm-start bound must not survive an
+    /// The warm-start bound must not survive an
     /// assumption-set change. Alternating disjoint σ pins with very
     /// different optima stay correct, and every call's probe count is
     /// bounded by `optimum + 2` (hard check + optimistic check + climb
@@ -1284,28 +875,75 @@ mod tests {
     /// exhausted, mirroring `call_budget_cuts_off_further_solves`.
     #[test]
     fn call_budget_cuts_off_the_probe_loop() {
-        for strategy in [RepairStrategy::Linear, RepairStrategy::CoreGuided] {
-            let mut s = MaxSatSolver::new();
-            s.set_strategy(strategy);
-            let calls = CallBudget::limited(2);
-            s.set_call_budget(calls.clone());
-            // Optimum 2 needs ≥ 3 probes on either strategy (core-guided:
-            // two cores plus the model; linear: hard check, optimistic
-            // check, climb).
-            s.add_hard([lit(1)]);
-            s.add_hard([lit(2)]);
-            s.add_soft([lit(-1)], 1);
-            s.add_soft([lit(-2)], 1);
-            assert_eq!(s.solve(), MaxSatResult::Unknown, "{strategy}");
-            // Exactly the allowance was consumed; the refused probe was
-            // never performed.
-            assert_eq!(calls.consumed(), 2, "{strategy}");
-            assert_eq!(s.stats().probes, 2, "{strategy}");
-            assert!(calls.exhausted(), "{strategy}");
+        let mut s = MaxSatSolver::new();
+        let calls = CallBudget::limited(2);
+        s.set_call_budget(calls.clone());
+        // Optimum 2 needs ≥ 3 probes: hard check, optimistic check, climb.
+        s.add_hard([lit(1)]);
+        s.add_hard([lit(2)]);
+        s.add_soft([lit(-1)], 1);
+        s.add_soft([lit(-2)], 1);
+        assert_eq!(s.solve(), MaxSatResult::Unknown);
+        // Exactly the allowance was consumed; the refused probe was never
+        // performed.
+        assert_eq!(calls.consumed(), 2);
+        assert_eq!(s.stats().probes, 2);
+        assert!(calls.exhausted());
+    }
+
+    /// A random clause of one or two literals over `num_vars` variables.
+    fn random_clause(rng: &mut impl rand::Rng, num_vars: usize) -> Vec<Lit> {
+        (0..rng.gen_range(1..3))
+            .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
+            .collect()
+    }
+
+    /// The least total weight of `softs` violated by an assignment of
+    /// `hard ∧ pins`, by enumeration; `None` when no assignment satisfies
+    /// `hard ∧ pins`.
+    fn brute_force_optimum(hard: &Cnf, softs: &[(Vec<Lit>, u64)], pins: &[Lit]) -> Option<u64> {
+        let num_vars = hard.num_vars();
+        (0..1u32 << num_vars)
+            .map(|bits| {
+                Assignment::from_values((0..num_vars).map(|i| bits >> i & 1 == 1).collect())
+            })
+            .filter(|a| hard.eval(a) && pins.iter().all(|&p| a.lit_value(p)))
+            .map(|a| {
+                softs
+                    .iter()
+                    .filter(|(c, _)| !Clause::new(c.clone()).eval(&a))
+                    .map(|(_, w)| *w)
+                    .sum()
+            })
+            .min()
+    }
+
+    /// Solves `hard` with `softs` and checks the verdict against the
+    /// brute-force optimum, and the model against it.
+    fn assert_brute_force_optimum(round: usize, hard: &Cnf, softs: &[(Vec<Lit>, u64)]) {
+        let mut solver = MaxSatSolver::new();
+        solver.add_hard_cnf(hard);
+        for (c, w) in softs {
+            solver.add_soft(c.clone(), *w);
+        }
+        let result = solver.solve();
+        match brute_force_optimum(hard, softs, &[]) {
+            None => assert_eq!(result, MaxSatResult::HardUnsat, "round {round}"),
+            Some(opt) => {
+                assert_eq!(result, MaxSatResult::Optimum { cost: opt }, "round {round}");
+                let violated: u64 = solver
+                    .violated_softs()
+                    .iter()
+                    .map(|id| softs[id.index()].1)
+                    .sum();
+                assert_eq!(violated, opt, "round {round}");
+            }
         }
     }
 
-    /// Reference check against brute force on random small instances.
+    /// Reference check against brute force on random small instances:
+    /// weighted ones, then unit-weight ones (the shape the repair loop
+    /// produces).
     #[test]
     fn agrees_with_brute_force() {
         use rand::rngs::SmallRng;
@@ -1315,163 +953,76 @@ mod tests {
             let num_vars = 4;
             let mut hard = Cnf::new(num_vars);
             for _ in 0..rng.gen_range(1..5) {
-                let clause: Vec<Lit> = (0..rng.gen_range(1..3))
-                    .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
-                    .collect();
-                hard.add_clause(clause);
+                hard.add_clause(random_clause(&mut rng, num_vars));
             }
             let softs: Vec<(Vec<Lit>, u64)> = (0..rng.gen_range(1..5))
                 .map(|_| {
-                    let clause: Vec<Lit> = (0..rng.gen_range(1..3))
-                        .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
-                        .collect();
+                    let clause = random_clause(&mut rng, num_vars);
                     (clause, rng.gen_range(1..4) as u64)
                 })
                 .collect();
-
-            // Brute-force optimum.
-            let mut best: Option<u64> = None;
-            for bits in 0..1u32 << num_vars {
-                let a =
-                    Assignment::from_values((0..num_vars).map(|i| bits >> i & 1 == 1).collect());
-                if !hard.eval(&a) {
-                    continue;
-                }
-                let cost: u64 = softs
-                    .iter()
-                    .filter(|(c, _)| !Clause::new(c.clone()).eval(&a))
-                    .map(|(_, w)| *w)
-                    .sum();
-                best = Some(best.map_or(cost, |b: u64| b.min(cost)));
-            }
-
-            let mut solver = MaxSatSolver::new();
-            solver.add_hard_cnf(&hard);
-            for (c, w) in &softs {
-                solver.add_soft(c.clone(), *w);
-            }
-            let result = solver.solve();
-            match best {
-                None => assert_eq!(result, MaxSatResult::HardUnsat, "round {round}"),
-                Some(opt) => {
-                    assert_eq!(result, MaxSatResult::Optimum { cost: opt }, "round {round}")
-                }
-            }
+            assert_brute_force_optimum(round, &hard, &softs);
         }
-    }
-
-    /// Brute-force reference for the core-guided strategy on random
-    /// unit-weight instances (the shape the repair loop produces), with the
-    /// linear strategy run on the same instance as a second witness.
-    #[test]
-    fn core_guided_agrees_with_brute_force_on_unit_weights() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x0C0E_2026);
-        for round in 0..40 {
+        for round in 30..70 {
             let num_vars = 5;
             let mut hard = Cnf::new(num_vars);
             for _ in 0..rng.gen_range(1..6) {
-                let clause: Vec<Lit> = (0..rng.gen_range(1..3))
-                    .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
-                    .collect();
-                hard.add_clause(clause);
+                hard.add_clause(random_clause(&mut rng, num_vars));
             }
-            let softs: Vec<Vec<Lit>> = (0..rng.gen_range(1..6))
-                .map(|_| {
-                    (0..rng.gen_range(1..3))
-                        .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
-                        .collect()
-                })
+            let softs: Vec<(Vec<Lit>, u64)> = (0..rng.gen_range(1..6))
+                .map(|_| (random_clause(&mut rng, num_vars), 1))
                 .collect();
-
-            let mut best: Option<u64> = None;
-            for bits in 0..1u32 << num_vars {
-                let a =
-                    Assignment::from_values((0..num_vars).map(|i| bits >> i & 1 == 1).collect());
-                if !hard.eval(&a) {
-                    continue;
-                }
-                let cost = softs
-                    .iter()
-                    .filter(|c| !Clause::new((*c).clone()).eval(&a))
-                    .count() as u64;
-                best = Some(best.map_or(cost, |b: u64| b.min(cost)));
-            }
-
-            let mut linear = MaxSatSolver::new();
-            let mut core = MaxSatSolver::new();
-            core.set_strategy(RepairStrategy::CoreGuided);
-            for solver in [&mut linear, &mut core] {
-                solver.add_hard_cnf(&hard);
-                for c in &softs {
-                    solver.add_soft(c.clone(), 1);
-                }
-            }
-            let linear_result = linear.solve();
-            let core_result = core.solve();
-            match best {
-                None => {
-                    assert_eq!(linear_result, MaxSatResult::HardUnsat, "round {round}");
-                    assert_eq!(core_result, MaxSatResult::HardUnsat, "round {round}");
-                }
-                Some(opt) => {
-                    assert_eq!(
-                        linear_result,
-                        MaxSatResult::Optimum { cost: opt },
-                        "round {round}"
-                    );
-                    assert_eq!(
-                        core_result,
-                        MaxSatResult::Optimum { cost: opt },
-                        "round {round}"
-                    );
-                    // The reported model is consistent with the optimum.
-                    assert_eq!(core.violated_softs().len() as u64, opt, "round {round}");
-                }
-            }
+            assert_brute_force_optimum(round, &hard, &softs);
         }
     }
 
-    /// Randomized incremental equivalence under changing assumption sets:
-    /// one core-guided and one linear instance answer the same random pin
-    /// sequence over one encoding, and must agree call by call.
+    /// Randomized check of the warm-started search under changing assumption
+    /// sets: one instance answers a random pin sequence over one encoding,
+    /// and every answer must match the brute-force optimum over
+    /// `hard ∧ pins`, with a model violating exactly that many softs.
     #[test]
-    fn strategies_agree_across_random_assumption_sequences() {
+    fn warm_start_agrees_with_brute_force_across_random_assumption_sequences() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xA55E_55ED);
         for round in 0..10 {
             let num_vars = 5usize;
-            let mut linear = MaxSatSolver::new();
-            let mut core = MaxSatSolver::new();
-            core.set_strategy(RepairStrategy::CoreGuided);
+            let mut solver = MaxSatSolver::new();
             let mut hard = Cnf::new(num_vars);
             for _ in 0..rng.gen_range(2..6) {
-                let clause: Vec<Lit> = (0..rng.gen_range(1..3))
-                    .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
-                    .collect();
-                hard.add_clause(clause);
+                hard.add_clause(random_clause(&mut rng, num_vars));
             }
-            for solver in [&mut linear, &mut core] {
-                solver.add_hard_cnf(&hard);
-                for v in 0..num_vars {
-                    solver.add_soft([Var::new(v as u32).negative()], 1);
-                }
+            solver.add_hard_cnf(&hard);
+            let softs: Vec<(Vec<Lit>, u64)> = (0..num_vars)
+                .map(|v| (vec![Var::new(v as u32).negative()], 1))
+                .collect();
+            for (c, w) in &softs {
+                solver.add_soft(c.clone(), *w);
             }
             for query in 0..25 {
                 let pins: Vec<Lit> = (0..rng.gen_range(0..3))
                     .map(|_| Lit::new(Var::new(rng.gen_range(0..num_vars) as u32), rng.gen()))
                     .collect();
-                let a = linear.solve_under_assumptions(&pins);
-                let b = core.solve_under_assumptions(&pins);
-                assert_eq!(a, b, "round {round} query {query} pins {pins:?}");
-                if let MaxSatResult::Optimum { cost } = a {
-                    assert_eq!(
-                        core.violated_softs().len() as u64,
-                        cost,
-                        "round {round} query {query}"
-                    );
+                let result = solver.solve_under_assumptions(&pins);
+                match brute_force_optimum(&hard, &softs, &pins) {
+                    None => assert_eq!(
+                        result,
+                        MaxSatResult::HardUnsat,
+                        "round {round} query {query} pins {pins:?}"
+                    ),
+                    Some(opt) => {
+                        assert_eq!(
+                            result,
+                            MaxSatResult::Optimum { cost: opt },
+                            "round {round} query {query} pins {pins:?}"
+                        );
+                        assert_eq!(
+                            solver.violated_softs().len() as u64,
+                            opt,
+                            "round {round} query {query}"
+                        );
+                    }
                 }
             }
         }

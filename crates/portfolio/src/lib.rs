@@ -22,17 +22,9 @@
 //! the runner also returns per-engine [`OracleStats`] — the same counters
 //! for all engines, comparable apples-to-apples — plus their merged total.
 //!
-//! Besides racing *different* engines, the portfolio can race
-//! *configurations* of one engine along two dimensions:
-//! [`PortfolioConfig::manthan3_repair_strategies`] fans the Manthan3 entry
-//! out into one racer per MaxSAT repair strategy (the warm-started linear
-//! bound search vs. the core-guided OLL relaxation), and
-//! [`PortfolioConfig::manthan3_restart_policies`] into one racer per
-//! solver restart policy (Luby vs. Glucose-style EMA) — crossed when both
-//! are set, all under the same shared budget. Instances whose repair
-//! optimum jumps between counterexamples are won by the core-guided racer;
-//! instances with phase transitions in the search by the adaptive-restart
-//! one.
+//! The portfolio races engines, not configurations: each entry of
+//! [`PortfolioConfig::engines`] is one racer, run with its configured
+//! settings.
 //!
 //! # Examples
 //!
@@ -52,8 +44,7 @@
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
-    Budget, Manthan3, Manthan3Config, OracleStats, RepairStrategy, RestartPolicy, SynthesisOutcome,
-    UnknownReason,
+    Budget, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome, UnknownReason,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use std::fmt;
@@ -118,24 +109,6 @@ pub struct PortfolioConfig {
     pub sat_call_budget: Option<u64>,
     /// Engine-specific settings for Manthan3 (budget fields ignored).
     pub manthan3: Manthan3Config,
-    /// Repair-strategy diversity for Manthan3: when non-empty, every
-    /// `Manthan3` entry in `engines` is replaced by one racer per listed
-    /// [`RepairStrategy`] (each a clone of `manthan3` with
-    /// `repair_strategy` overridden), all under the same shared budget and
-    /// cancellation — instances whose repair optimum jumps between
-    /// counterexamples are won by the core-guided racer, stable ones by the
-    /// warm-started linear search. Empty (the default) races the single
-    /// strategy configured in `manthan3`.
-    pub manthan3_repair_strategies: Vec<RepairStrategy>,
-    /// Restart-policy diversity for Manthan3, the solver-layer racing
-    /// dimension: when non-empty, every `Manthan3` entry fans out into one
-    /// racer per listed [`RestartPolicy`] (crossed with the repair
-    /// strategies when that dimension is configured too). Each
-    /// racer's oracle constructs all its solvers with the listed policy
-    /// overriding the solver default — instances with phase transitions
-    /// favor the adaptive EMA racer, steadily hard ones the predictable Luby
-    /// racer. Empty (the default) races the solver's default policy alone.
-    pub manthan3_restart_policies: Vec<RestartPolicy>,
     /// Engine-specific settings for the expansion baseline (budget fields
     /// ignored).
     pub expansion: ExpansionConfig,
@@ -153,8 +126,6 @@ impl Default for PortfolioConfig {
             sat_conflict_budget: None,
             sat_call_budget: None,
             manthan3: Manthan3Config::default(),
-            manthan3_repair_strategies: Vec::new(),
-            manthan3_restart_policies: Vec::new(),
             expansion: ExpansionConfig::default(),
             arbiter: ArbiterConfig::default(),
         }
@@ -176,15 +147,6 @@ impl PortfolioConfig {
 pub struct EngineReport {
     /// The engine this report describes.
     pub engine: PortfolioEngine,
-    /// The repair strategy this racer ran with, when the race used
-    /// repair-strategy diversity
-    /// ([`PortfolioConfig::manthan3_repair_strategies`]); `None` for
-    /// baselines and for the single default configuration.
-    pub repair_strategy: Option<RepairStrategy>,
-    /// The restart policy this racer's solvers ran with, when the race used
-    /// restart diversity ([`PortfolioConfig::manthan3_restart_policies`]);
-    /// `None` for baselines and for the single default configuration.
-    pub restart_policy: Option<RestartPolicy>,
     /// The engine's own verdict (losers typically report
     /// [`UnknownReason::Cancelled`]).
     pub outcome: SynthesisOutcome,
@@ -270,8 +232,6 @@ pub struct Portfolio {
 /// What one worker observed for one engine, before winner resolution.
 struct RawReport {
     engine: PortfolioEngine,
-    repair_strategy: Option<RepairStrategy>,
-    restart_policy: Option<RestartPolicy>,
     outcome: SynthesisOutcome,
     runtime: Duration,
     oracle: OracleStats,
@@ -280,27 +240,6 @@ struct RawReport {
     /// still finish decisively if it was already past its last poll point;
     /// its verdict agrees by soundness but it did not win.
     claimed_win: bool,
-}
-
-/// One racer of the configuration fan-out: an engine plus the
-/// configuration-diversity overrides it runs with (`None` = the configured
-/// base value).
-#[derive(Clone, Copy)]
-struct JobSpec {
-    engine: PortfolioEngine,
-    repair_strategy: Option<RepairStrategy>,
-    restart_policy: Option<RestartPolicy>,
-}
-
-impl JobSpec {
-    /// A racer with no overrides: the engine as configured.
-    fn bare(engine: PortfolioEngine) -> Self {
-        JobSpec {
-            engine,
-            repair_strategy: None,
-            restart_policy: None,
-        }
-    }
 }
 
 impl Portfolio {
@@ -330,56 +269,8 @@ impl Portfolio {
             !self.config.engines.is_empty(),
             "portfolio needs at least one engine"
         );
-        // Configuration racing: with repair-strategy and/or restart-policy
-        // diversity configured, each Manthan3 entry fans out into the cross
-        // product of the listed dimensions (an empty dimension contributes
-        // the single configured value).
-        let jobs: Vec<JobSpec> = self
-            .config
-            .engines
-            .iter()
-            .flat_map(|&engine| {
-                if engine != PortfolioEngine::Manthan3
-                    || (self.config.manthan3_repair_strategies.is_empty()
-                        && self.config.manthan3_restart_policies.is_empty())
-                {
-                    return vec![JobSpec::bare(engine)];
-                }
-                let strategies: Vec<Option<RepairStrategy>> =
-                    if self.config.manthan3_repair_strategies.is_empty() {
-                        vec![None]
-                    } else {
-                        self.config
-                            .manthan3_repair_strategies
-                            .iter()
-                            .map(|&s| Some(s))
-                            .collect()
-                    };
-                let restarts: Vec<Option<RestartPolicy>> =
-                    if self.config.manthan3_restart_policies.is_empty() {
-                        vec![None]
-                    } else {
-                        self.config
-                            .manthan3_restart_policies
-                            .iter()
-                            .map(|&p| Some(p))
-                            .collect()
-                    };
-                let mut combos = Vec::with_capacity(strategies.len() * restarts.len());
-                for &s in &strategies {
-                    for &p in &restarts {
-                        combos.push(JobSpec {
-                            engine,
-                            repair_strategy: s,
-                            restart_policy: p,
-                        });
-                    }
-                }
-                combos
-            })
-            .collect();
-        assert!(!jobs.is_empty(), "portfolio needs at least one racer");
-        let threads = self.config.threads.clamp(1, jobs.len());
+        let engines = &self.config.engines;
+        let threads = self.config.threads.clamp(1, engines.len());
 
         // One budget for the whole race, armed now — not when the
         // configuration was built. Clones share the deadline and the token.
@@ -394,20 +285,19 @@ impl Portfolio {
         let next_engine = AtomicUsize::new(0);
         let race_claimed = AtomicBool::new(false);
         let finished: Mutex<Vec<RawReport>> = Mutex::new(Vec::new());
-        let jobs_ref = &jobs;
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     // ordering: Relaxed suffices — only RMW atomicity makes
-                    // job indices unique; `jobs_ref` was written before the
+                    // engine indices unique; `engines` was written before the
                     // scope spawned the workers, so its visibility comes from
                     // thread creation, not this counter. Model-checked by
                     // manthan3-conc `ticket/relaxed-fetch-add`.
                     let index = next_engine.fetch_add(1, Ordering::Relaxed);
-                    let Some(&job) = jobs_ref.get(index) else {
+                    let Some(&engine) = engines.get(index) else {
                         break;
                     };
-                    let (outcome, oracle) = self.dispatch(job, dqbf, budget.clone());
+                    let (outcome, oracle) = self.dispatch(engine, dqbf, budget.clone());
                     let runtime = race_start.elapsed();
                     // Only certificate-checked vectors (or falsity proofs)
                     // may stop the race.
@@ -435,9 +325,7 @@ impl Portfolio {
                         .lock()
                         .expect("no worker panicked holding the report lock")
                         .push(RawReport {
-                            engine: job.engine,
-                            repair_strategy: job.repair_strategy,
-                            restart_policy: job.restart_policy,
+                            engine,
                             outcome,
                             runtime,
                             oracle,
@@ -461,8 +349,6 @@ impl Portfolio {
             .into_iter()
             .map(|r| EngineReport {
                 engine: r.engine,
-                repair_strategy: r.repair_strategy,
-                restart_policy: r.restart_policy,
                 outcome: r.outcome,
                 runtime: r.runtime,
                 oracle: r.oracle,
@@ -477,23 +363,17 @@ impl Portfolio {
         }
     }
 
-    /// Runs one racer of the fan-out under a clone of the race budget.
+    /// Runs one engine under a clone of the race budget.
     fn dispatch(
         &self,
-        job: JobSpec,
+        engine: PortfolioEngine,
         dqbf: &Dqbf,
         budget: Budget,
     ) -> (SynthesisOutcome, OracleStats) {
-        match job.engine {
+        match engine {
             PortfolioEngine::Manthan3 => {
-                let mut config = self.config.manthan3.clone();
-                if let Some(strategy) = job.repair_strategy {
-                    config.repair_strategy = strategy;
-                }
-                if let Some(policy) = job.restart_policy {
-                    config.restart_policy = Some(policy);
-                }
-                let result = Manthan3::new(config).synthesize_with_budget(dqbf, budget);
+                let result = Manthan3::new(self.config.manthan3.clone())
+                    .synthesize_with_budget(dqbf, budget);
                 (result.outcome, result.stats.oracle)
             }
             PortfolioEngine::Hqs2Like => {
@@ -618,102 +498,6 @@ mod tests {
         // With one worker, completion order is dispatch order.
         let order: Vec<_> = result.reports.iter().map(|r| r.engine).collect();
         assert_eq!(order, PortfolioEngine::ALL.to_vec());
-    }
-
-    #[test]
-    fn default_config_does_not_fan_out_and_reports_no_overrides() {
-        let dqbf = Dqbf::paper_example();
-        let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
-        assert_eq!(result.reports.len(), 3);
-        assert!(result.reports.iter().all(|r| r.repair_strategy.is_none()));
-        assert!(result.reports.iter().all(|r| r.restart_policy.is_none()));
-    }
-
-    #[test]
-    fn repair_strategy_diversity_races_both_strategies() {
-        let dqbf = Dqbf::paper_example();
-        let config = PortfolioConfig {
-            engines: vec![PortfolioEngine::Manthan3],
-            manthan3_repair_strategies: vec![RepairStrategy::Linear, RepairStrategy::CoreGuided],
-            threads: 2,
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
-        assert!(result.is_realizable());
-        assert_eq!(result.reports.len(), 2, "one racer per repair strategy");
-        assert!(result
-            .reports
-            .iter()
-            .all(|r| r.engine == PortfolioEngine::Manthan3));
-        let strategies: std::collections::BTreeSet<_> =
-            result.reports.iter().map(|r| r.repair_strategy).collect();
-        assert_eq!(
-            strategies,
-            [
-                Some(RepairStrategy::Linear),
-                Some(RepairStrategy::CoreGuided)
-            ]
-            .into_iter()
-            .collect()
-        );
-        assert_eq!(result.reports.iter().filter(|r| r.winner).count(), 1);
-    }
-
-    #[test]
-    fn restart_policy_diversity_races_both_policies() {
-        let dqbf = Dqbf::paper_example();
-        let config = PortfolioConfig {
-            engines: vec![PortfolioEngine::Manthan3],
-            manthan3_restart_policies: vec![RestartPolicy::Luby, RestartPolicy::GlucoseEma],
-            threads: 2,
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
-        assert!(result.is_realizable());
-        assert_eq!(result.reports.len(), 2, "one racer per restart policy");
-        let policies: std::collections::BTreeSet<_> = result
-            .reports
-            .iter()
-            .map(|r| r.restart_policy.map(|p| p.to_string()))
-            .collect();
-        assert_eq!(
-            policies,
-            [Some("luby".to_string()), Some("ema".to_string())]
-                .into_iter()
-                .collect()
-        );
-        assert_eq!(result.reports.iter().filter(|r| r.winner).count(), 1);
-    }
-
-    #[test]
-    fn strategy_and_restart_diversity_cross_into_a_configuration_grid() {
-        let dqbf = Dqbf::paper_example();
-        let config = PortfolioConfig {
-            engines: vec![PortfolioEngine::Manthan3, PortfolioEngine::Hqs2Like],
-            manthan3_repair_strategies: vec![RepairStrategy::Linear, RepairStrategy::CoreGuided],
-            manthan3_restart_policies: vec![RestartPolicy::Luby, RestartPolicy::GlucoseEma],
-            threads: 2,
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
-        assert!(result.is_realizable());
-        // 2 strategies × 2 restart policies for Manthan3, plus one baseline.
-        assert_eq!(result.reports.len(), 5);
-        let manthan3_jobs: std::collections::BTreeSet<_> = result
-            .reports
-            .iter()
-            .filter(|r| r.engine == PortfolioEngine::Manthan3)
-            .map(|r| (r.repair_strategy, r.restart_policy.map(|p| p.to_string())))
-            .collect();
-        assert_eq!(manthan3_jobs.len(), 4);
-        // The baseline entry is not fanned out.
-        let baseline = result
-            .reports
-            .iter()
-            .find(|r| r.engine == PortfolioEngine::Hqs2Like)
-            .expect("baseline raced");
-        assert_eq!(baseline.repair_strategy, None);
-        assert_eq!(baseline.restart_policy, None);
     }
 
     #[test]

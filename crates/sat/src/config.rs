@@ -1,4 +1,3 @@
-use crate::restart::RestartPolicy;
 use crate::CancelToken;
 
 /// Tuning parameters for the CDCL [`Solver`](crate::Solver).
@@ -34,11 +33,6 @@ pub struct SolverConfig {
     pub random_polarity: bool,
     /// Default polarity used before any phase has been saved.
     pub default_polarity: bool,
-    /// How the search loop schedules restarts.
-    pub restart_policy: RestartPolicy,
-    /// Base interval (in conflicts) of the Luby restart sequence (ignored by
-    /// the EMA policy).
-    pub restart_base: u64,
     /// Number of learnt clauses tolerated before the first database
     /// reduction; each reduction raises the threshold by a quarter.
     pub first_reduce_db: usize,
@@ -74,8 +68,6 @@ impl Default for SolverConfig {
             random_var_freq: 0.0,
             random_polarity: false,
             default_polarity: false,
-            restart_policy: RestartPolicy::default(),
-            restart_base: 100,
             first_reduce_db: 4000,
             rephase: true,
             max_conflicts: None,
@@ -136,7 +128,6 @@ mod tests {
     #[test]
     fn default_is_the_modern_profile() {
         let c = SolverConfig::default();
-        assert_eq!(c.restart_policy, RestartPolicy::GlucoseEma);
         assert!(c.rephase && !c.proof_logging);
     }
 

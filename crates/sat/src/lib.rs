@@ -5,8 +5,8 @@
 //!
 //! * conflict-driven clause learning with two-watched-literal propagation
 //!   over a flat clause arena, VSIDS branching, phase saving + rephasing,
-//!   Luby or Glucose-style EMA restarts, LBD-managed learnt-clause deletion,
-//!   and bounded inter-call inprocessing (subsumption + vivification),
+//!   Glucose-style EMA restarts, LBD-managed learnt-clause deletion, and
+//!   bounded inter-call inprocessing (subsumption + vivification),
 //! * incremental solving under **assumptions**, with extraction of an
 //!   **unsatisfiable core** over the assumption literals (the mechanism
 //!   Manthan3 uses to compute repair cubes from `UnsatCore(G_k)`),
@@ -43,7 +43,6 @@ pub mod arena;
 mod cancel;
 mod config;
 mod lbd;
-mod luby;
 pub mod proof;
 pub mod restart;
 mod solver;
@@ -51,7 +50,6 @@ mod solver;
 pub use cancel::{CallBudget, CancelToken};
 pub use config::SolverConfig;
 pub use proof::{Certificate, ProofTracer};
-pub use restart::RestartPolicy;
 pub use solver::{SolveResult, Solver, SolverStats};
 
 use manthan3_cnf::{Assignment, Cnf};

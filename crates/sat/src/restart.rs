@@ -1,60 +1,14 @@
-//! Restart scheduling: the classic Luby sequence and the Glucose-style
-//! exponential-moving-average (EMA) policy.
+//! Restart scheduling: the Glucose-style exponential-moving-average (EMA)
+//! policy.
 //!
-//! Under [`RestartPolicy::Luby`] the solver restarts after
-//! `restart_base * luby(i)` conflicts in the `i`-th interval — robust, but
-//! blind to search quality. Under [`RestartPolicy::GlucoseEma`] two moving
-//! averages of the conflict glue (LBD) drive the decision: a fast average
-//! (window ≈ 32 conflicts) rising above the slow average (window ≈ 4096)
-//! means the search is currently learning worse-than-usual clauses, so a
-//! restart is forced; a trail far larger than its own moving average means
+//! Two moving averages of the conflict glue (LBD) drive the decision: a fast
+//! average (window ≈ 32 conflicts) rising above the slow average (window ≈
+//! 4096) means the search is currently learning worse-than-usual clauses, so
+//! a restart is forced; a trail far larger than its own moving average means
 //! the search is close to a (satisfying) assignment, so the restart is
-//! blocked. Both policies are assumption-aware at the call site: the solver
+//! blocked. The policy is assumption-aware at the call site: the solver
 //! restarts to the assumption boundary, never below it, so the trail-prefix
 //! reuse of incremental calls is preserved.
-
-use crate::luby::luby;
-use std::fmt;
-use std::str::FromStr;
-
-/// Selects how the search loop schedules restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RestartPolicy {
-    /// Fixed Luby-sequence intervals of `restart_base` conflicts.
-    Luby,
-    /// Glucose-style adaptive restarts from fast/slow glue EMAs, with
-    /// trail-size blocking (the default).
-    #[default]
-    GlucoseEma,
-}
-
-impl RestartPolicy {
-    /// All policies, in racing order.
-    pub const ALL: [RestartPolicy; 2] = [RestartPolicy::Luby, RestartPolicy::GlucoseEma];
-}
-
-impl fmt::Display for RestartPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RestartPolicy::Luby => write!(f, "luby"),
-            RestartPolicy::GlucoseEma => write!(f, "ema"),
-        }
-    }
-}
-
-impl FromStr for RestartPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "luby" => Ok(RestartPolicy::Luby),
-            "ema" | "glucose" | "glucose-ema" => Ok(RestartPolicy::GlucoseEma),
-            other => Err(format!(
-                "unknown restart policy {other:?} (expected \"luby\" or \"ema\")"
-            )),
-        }
-    }
-}
 
 /// Minimum conflicts between two EMA-forced restarts.
 const EMA_MIN_INTERVAL: u64 = 50;
@@ -68,138 +22,74 @@ const ALPHA_FAST: f64 = 1.0 / 32.0;
 const ALPHA_SLOW: f64 = 1.0 / 4096.0;
 
 /// Per-solve-call restart state, fed one observation per conflict.
-#[derive(Debug, Clone)]
-pub enum RestartScheduler {
-    /// Luby state: the current interval index and conflicts spent in it.
-    Luby {
-        /// Base interval length in conflicts.
-        base: u64,
-        /// Index into the Luby sequence (restarts performed this call).
-        intervals: u64,
-        /// Conflicts seen in the current interval.
-        conflicts: u64,
-    },
-    /// EMA state.
-    Ema {
-        /// Fast-moving average of conflict glues.
-        fast: f64,
-        /// Slow-moving average of conflict glues.
-        slow: f64,
-        /// Moving average of the trail size at conflicts.
-        trail: f64,
-        /// Conflicts since the last restart.
-        since_restart: u64,
-        /// Total conflicts observed (drives EMA warm-up).
-        conflicts: u64,
-        /// Restarts suppressed by the trail-size blocking rule.
-        blocked: u64,
-    },
+#[derive(Debug, Clone, Default)]
+pub struct RestartScheduler {
+    /// Fast-moving average of conflict glues.
+    fast: f64,
+    /// Slow-moving average of conflict glues.
+    slow: f64,
+    /// Moving average of the trail size at conflicts.
+    trail: f64,
+    /// Conflicts since the last restart.
+    since_restart: u64,
+    /// Total conflicts observed (drives EMA warm-up).
+    conflicts: u64,
+    /// Restarts suppressed by the trail-size blocking rule.
+    blocked: u64,
 }
 
 impl RestartScheduler {
-    /// Creates the scheduler for `policy` with the given Luby base interval.
-    pub fn new(policy: RestartPolicy, restart_base: u64) -> Self {
-        match policy {
-            RestartPolicy::Luby => RestartScheduler::Luby {
-                base: restart_base.max(1),
-                intervals: 0,
-                conflicts: 0,
-            },
-            RestartPolicy::GlucoseEma => RestartScheduler::Ema {
-                fast: 0.0,
-                slow: 0.0,
-                trail: 0.0,
-                since_restart: 0,
-                conflicts: 0,
-                blocked: 0,
-            },
-        }
+    /// Creates the scheduler with empty averages.
+    pub fn new() -> Self {
+        RestartScheduler::default()
     }
 
     /// Records one conflict: the glue of the learnt clause and the trail
     /// size at the conflict.
     pub fn on_conflict(&mut self, glue: u32, trail_len: usize) {
-        match self {
-            RestartScheduler::Luby { conflicts, .. } => *conflicts += 1,
-            RestartScheduler::Ema {
-                fast,
-                slow,
-                trail,
-                since_restart,
-                conflicts,
-                blocked,
-            } => {
-                let g = glue as f64;
-                if *conflicts == 0 {
-                    // Seed the averages from the first observation; starting
-                    // from zero would make every early trail look "deep" and
-                    // spuriously trigger the blocking rule during warm-up.
-                    *fast = g;
-                    *slow = g;
-                    *trail = trail_len as f64;
-                }
-                *fast += ALPHA_FAST * (g - *fast);
-                *slow += ALPHA_SLOW * (g - *slow);
-                *trail += ALPHA_SLOW * (trail_len as f64 - *trail);
-                *since_restart += 1;
-                *conflicts += 1;
-                // Blocking: a trail much larger than usual suggests the
-                // search is near a model; postpone the next forced restart.
-                if *since_restart >= EMA_MIN_INTERVAL
-                    && *conflicts >= EMA_MIN_INTERVAL
-                    && trail_len as f64 > EMA_BLOCK * *trail
-                    && *fast > EMA_FORCE * *slow
-                {
-                    *since_restart = 0;
-                    *blocked += 1;
-                }
-            }
+        let g = glue as f64;
+        if self.conflicts == 0 {
+            // Seed the averages from the first observation; starting from
+            // zero would make every early trail look "deep" and spuriously
+            // trigger the blocking rule during warm-up.
+            self.fast = g;
+            self.slow = g;
+            self.trail = trail_len as f64;
+        }
+        self.fast += ALPHA_FAST * (g - self.fast);
+        self.slow += ALPHA_SLOW * (g - self.slow);
+        self.trail += ALPHA_SLOW * (trail_len as f64 - self.trail);
+        self.since_restart += 1;
+        self.conflicts += 1;
+        // Blocking: a trail much larger than usual suggests the search is
+        // near a model; postpone the next forced restart.
+        if self.since_restart >= EMA_MIN_INTERVAL
+            && self.conflicts >= EMA_MIN_INTERVAL
+            && trail_len as f64 > EMA_BLOCK * self.trail
+            && self.fast > EMA_FORCE * self.slow
+        {
+            self.since_restart = 0;
+            self.blocked += 1;
         }
     }
 
     /// `true` if the policy wants a restart now; resets the per-interval
     /// state when it fires.
     pub fn should_restart(&mut self) -> bool {
-        match self {
-            RestartScheduler::Luby {
-                base,
-                intervals,
-                conflicts,
-            } => {
-                if *conflicts >= *base * luby(*intervals) {
-                    *intervals += 1;
-                    *conflicts = 0;
-                    true
-                } else {
-                    false
-                }
-            }
-            RestartScheduler::Ema {
-                fast,
-                slow,
-                since_restart,
-                conflicts,
-                ..
-            } => {
-                if *since_restart >= EMA_MIN_INTERVAL
-                    && *conflicts >= EMA_MIN_INTERVAL
-                    && *fast > EMA_FORCE * *slow
-                {
-                    *since_restart = 0;
-                    true
-                } else {
-                    false
-                }
-            }
+        if self.since_restart >= EMA_MIN_INTERVAL
+            && self.conflicts >= EMA_MIN_INTERVAL
+            && self.fast > EMA_FORCE * self.slow
+        {
+            self.since_restart = 0;
+            true
+        } else {
+            false
         }
     }
 
-    /// Restarts suppressed by the trail-blocking rule (EMA only).
+    /// Restarts suppressed by the trail-blocking rule.
     pub fn blocked(&self) -> u64 {
-        match self {
-            RestartScheduler::Luby { .. } => 0,
-            RestartScheduler::Ema { blocked, .. } => *blocked,
-        }
+        self.blocked
     }
 }
 
@@ -208,43 +98,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn policy_parses_and_displays() {
-        assert_eq!(
-            "luby".parse::<RestartPolicy>().unwrap(),
-            RestartPolicy::Luby
-        );
-        assert_eq!(
-            "ema".parse::<RestartPolicy>().unwrap(),
-            RestartPolicy::GlucoseEma
-        );
-        assert_eq!(
-            "glucose".parse::<RestartPolicy>().unwrap(),
-            RestartPolicy::GlucoseEma
-        );
-        assert!("fixed".parse::<RestartPolicy>().is_err());
-        assert_eq!(RestartPolicy::Luby.to_string(), "luby");
-        assert_eq!(RestartPolicy::GlucoseEma.to_string(), "ema");
-        assert_eq!(RestartPolicy::default(), RestartPolicy::GlucoseEma);
-    }
-
-    #[test]
-    fn luby_scheduler_matches_the_sequence() {
-        let mut s = RestartScheduler::new(RestartPolicy::Luby, 2);
-        // Interval 0: base * luby(0) = 2 conflicts.
-        s.on_conflict(3, 10);
-        assert!(!s.should_restart());
-        s.on_conflict(3, 10);
-        assert!(s.should_restart());
-        // Interval 1: again 2 conflicts (luby(1) = 1).
-        s.on_conflict(3, 10);
-        assert!(!s.should_restart());
-        s.on_conflict(3, 10);
-        assert!(s.should_restart());
-    }
-
-    #[test]
     fn ema_restarts_when_glue_degrades() {
-        let mut s = RestartScheduler::new(RestartPolicy::GlucoseEma, 100);
+        let mut s = RestartScheduler::new();
         // Warm up with good (low) glues…
         for _ in 0..200 {
             s.on_conflict(2, 50);
@@ -261,7 +116,7 @@ mod tests {
 
     #[test]
     fn ema_blocks_near_a_model() {
-        let mut s = RestartScheduler::new(RestartPolicy::GlucoseEma, 100);
+        let mut s = RestartScheduler::new();
         for _ in 0..200 {
             s.on_conflict(2, 50);
         }

@@ -702,8 +702,8 @@ impl Solver {
         self.seen[p.var().index()] = false;
         // Keep only literals that are actual assumptions (the failing literal p
         // always is), preserving the caller's literal orientation. Assumption
-        // sets can be large — a MaxSAT core-guided search assumes one soft
-        // selector per output on every probe — so membership goes through a
+        // sets can be large — a MaxSAT optimistic probe assumes one soft
+        // relaxation literal per output — so membership goes through a
         // sorted copy instead of a linear scan per core literal.
         let mut assumptions = self.assumptions.clone();
         assumptions.sort();
@@ -1570,8 +1570,7 @@ impl Solver {
         }
 
         let mut total_conflicts = 0u64;
-        let mut scheduler =
-            RestartScheduler::new(self.config.restart_policy, self.config.restart_base);
+        let mut scheduler = RestartScheduler::new();
         let result = loop {
             match self.search(&mut scheduler, &mut total_conflicts) {
                 SearchStatus::Sat => {
@@ -1871,8 +1870,8 @@ mod tests {
         assert!(s.unsat_core().is_empty());
     }
 
-    /// The shape the core-guided MaxSAT search drives: a fixed σ-style
-    /// prefix plus one "selector" assumption per soft group. The final
+    /// A fixed σ-style assumption prefix plus one "selector" assumption per
+    /// soft group. The final
     /// conflict core must name only the selectors actually involved, stay a
     /// subset of the assumptions, and keep doing so across incremental calls
     /// that share the σ prefix (assumption-prefix trail reuse).
@@ -1896,7 +1895,7 @@ mod tests {
         assert!(core.iter().all(|l| assumptions.contains(l)));
         assert!(core.contains(&s1) || core.contains(&s2));
         assert!(!core.contains(&s3));
-        // Retract the blamed selector (the core-guided relaxation step) and
+        // Retract the blamed selector (a core relaxation step) and
         // re-solve on the shared σ prefix: the next core blames the other
         // group, with the prefix levels carried over instead of re-decided.
         let blamed = if core.contains(&s1) { s1 } else { s2 };

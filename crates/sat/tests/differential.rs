@@ -2,14 +2,14 @@
 //! CNF formulas of at most 16 variables, every verdict of an incremental
 //! session — a plain solve, then assumption solves with inter-call
 //! maintenance in between — must match brute-force enumeration over all
-//! assignments, under every restart policy. Every SAT model must satisfy
+//! assignments, with proof logging off and on. Every SAT model must satisfy
 //! the formula and the call's assumptions, and every UNSAT verdict, re-run
 //! with proof logging on, must come with a certificate the independent
 //! `manthan3-drat` checker accepts.
 
 use manthan3_cnf::{Cnf, Lit, Var};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
-use manthan3_sat::{RestartPolicy, SolveResult, Solver, SolverConfig};
+use manthan3_sat::{SolveResult, Solver, SolverConfig};
 use proptest::prelude::*;
 
 /// A random formula in the mixed SAT/UNSAT regime: short clauses over few
@@ -107,7 +107,6 @@ fn assert_certified(solver: &Solver, cnf: &Cnf, assumptions: &[Lit]) {
 /// UNSAT certificate.
 fn session(cnf: &Cnf, config: SolverConfig, expected: &[SolveResult]) -> Result<(), TestCaseError> {
     let logging = config.proof_logging;
-    let restart_policy = config.restart_policy;
     let mut solver = Solver::with_config(config);
     solver.add_cnf(cnf);
     solver.ensure_vars(cnf.num_vars());
@@ -120,7 +119,7 @@ fn session(cnf: &Cnf, config: SolverConfig, expected: &[SolveResult]) -> Result<
         let verdict = solver.solve_with_assumptions(assumptions);
         prop_assert!(
             verdict == want,
-            "call {call} under {restart_policy:?}: {verdict:?}, brute force says {want:?}"
+            "call {call} (proof logging {logging}): {verdict:?}, brute force says {want:?}"
         );
         match verdict {
             SolveResult::Sat => {
@@ -141,23 +140,20 @@ fn session(cnf: &Cnf, config: SolverConfig, expected: &[SolveResult]) -> Result<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every restart policy, with and without proof logging, agrees with
-    /// brute force on every verdict of the session.
+    /// With and without proof logging, the session agrees with brute force
+    /// on every verdict.
     #[test]
-    fn policy_matrix_agrees_with_brute_force(cnf in formula()) {
+    fn proof_logging_matrix_agrees_with_brute_force(cnf in formula()) {
         let expected: Vec<SolveResult> = calls().iter().map(|a| brute_force(&cnf, a)).collect();
-        for restart_policy in RestartPolicy::ALL {
-            for proof_logging in [false, true] {
-                let config = SolverConfig {
-                    restart_policy,
-                    // Tiny threshold so reductions actually run on these
-                    // small formulas.
-                    first_reduce_db: 2,
-                    proof_logging,
-                    ..SolverConfig::default()
-                };
-                session(&cnf, config, &expected)?;
-            }
+        for proof_logging in [false, true] {
+            let config = SolverConfig {
+                // Tiny threshold so reductions actually run on these small
+                // formulas.
+                first_reduce_db: 2,
+                proof_logging,
+                ..SolverConfig::default()
+            };
+            session(&cnf, config, &expected)?;
         }
     }
 }

@@ -7,22 +7,18 @@
 //! binary in `manthan3-bench`, flag `--engine portfolio`).
 //!
 //! Run with `cargo run --release --example portfolio` (optionally
-//! `-- [--seed N] [--scale N] [--budget-ms N] [--threads N]
-//! [--race-repair-strategies]`; the last flag fans the race's Manthan3
-//! entry out into one racer per MaxSAT repair strategy — warm-started
-//! linear next to core-guided — as a configuration-racing dimension).
+//! `-- [--seed N] [--scale N] [--budget-ms N] [--threads N]`).
 
 use manthan3::baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
-use manthan3::core::{Manthan3, Manthan3Config, RepairStrategy, SynthesisOutcome};
+use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3::dqbf::verify;
 use manthan3::gen::suite::suite;
 use manthan3::portfolio::{Portfolio, PortfolioConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-fn parse_args() -> (u64, usize, Duration, usize, bool) {
+fn parse_args() -> (u64, usize, Duration, usize) {
     let (mut seed, mut scale, mut budget_ms, mut threads) = (7u64, 1usize, 1500u64, 3usize);
-    let mut race_strategies = false;
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| -> u64 {
@@ -36,24 +32,17 @@ fn parse_args() -> (u64, usize, Duration, usize, bool) {
             "--scale" => scale = value("--scale") as usize,
             "--budget-ms" => budget_ms = value("--budget-ms"),
             "--threads" => threads = value("--threads") as usize,
-            "--race-repair-strategies" => race_strategies = true,
             other => {
                 eprintln!("error: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }
     }
-    (
-        seed,
-        scale,
-        Duration::from_millis(budget_ms),
-        threads,
-        race_strategies,
-    )
+    (seed, scale, Duration::from_millis(budget_ms), threads)
 }
 
 fn main() {
-    let (seed, scale, budget, threads, race_strategies) = parse_args();
+    let (seed, scale, budget, threads) = parse_args();
     let instances = suite(seed, scale);
     println!(
         "running {} instances with a {:?} per-engine budget…\n",
@@ -133,13 +122,6 @@ fn main() {
         let config = PortfolioConfig {
             threads,
             time_budget: Some(budget),
-            // Configuration racing: one Manthan3 racer per repair strategy
-            // (linear next to core-guided) when requested.
-            manthan3_repair_strategies: if race_strategies {
-                vec![RepairStrategy::Linear, RepairStrategy::CoreGuided]
-            } else {
-                Vec::new()
-            },
             ..PortfolioConfig::default()
         };
         let result = Portfolio::new(config).run(&instance.dqbf);
