@@ -5,8 +5,8 @@
 //! matter the interleaving.
 //!
 //! The correct variant uses a *Relaxed* swap — RMW atomicity on the single
-//! flag is all the protocol needs, because the winner's identity travels to
-//! the caller through the reports mutex, not through this flag. The model
+//! flag is all the protocol needs, because the winner's report travels to
+//! the caller through its thread's `join`, not through this flag. The model
 //! check here is the proof cited by the `// ordering:` comment at the
 //! `race_claimed.swap` site.
 //!

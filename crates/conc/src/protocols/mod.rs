@@ -5,7 +5,6 @@
 pub mod budget;
 pub mod cancellation;
 pub mod decisive_win;
-pub mod ticket;
 
 use crate::model::{Report, Violation};
 
@@ -59,18 +58,6 @@ pub fn suite() -> Vec<Check> {
             description: "broken: check-then-add admits past the limit",
             expect_violation: true,
             run: budget::check_broken,
-        },
-        Check {
-            name: "ticket/relaxed-fetch-add",
-            description: "engine-index dispenser: relaxed fetch_add tickets are unique",
-            expect_violation: false,
-            run: ticket::check_correct,
-        },
-        Check {
-            name: "ticket/load-then-store",
-            description: "broken: non-atomic increment hands out duplicate tickets",
-            expect_violation: true,
-            run: ticket::check_broken,
         },
     ]
 }

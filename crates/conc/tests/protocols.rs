@@ -1,7 +1,7 @@
 //! The protocol suite as tests: every correct variant passes exhaustively,
 //! every broken variant yields a counterexample with a non-empty trace.
 
-use manthan3_conc::protocols::{budget, cancellation, decisive_win, suite, ticket};
+use manthan3_conc::protocols::{budget, cancellation, decisive_win, suite};
 
 #[test]
 fn decisive_win_relaxed_swap_has_exactly_one_winner() {
@@ -41,18 +41,6 @@ fn budget_fetch_update_admits_exactly_the_limit() {
 fn budget_check_then_add_over_admits() {
     let violation = budget::check_broken().expect_err("check-then-act must fail");
     assert!(violation.message.contains("over-admitted"), "{violation}");
-}
-
-#[test]
-fn ticket_relaxed_fetch_add_is_unique() {
-    let report = ticket::check_correct().expect("relaxed fetch_add tickets are unique");
-    assert!(report.executions > 0);
-}
-
-#[test]
-fn ticket_non_atomic_increment_duplicates() {
-    let violation = ticket::check_broken().expect_err("non-atomic increment must fail");
-    assert!(violation.message.contains("same ticket"), "{violation}");
 }
 
 #[test]

@@ -21,9 +21,6 @@ pub struct Manthan3Config {
     /// Run Padoa-based unique-definition extraction before learning
     /// (the role of the UNIQUE tool in the paper's implementation).
     pub use_unique_definitions: bool,
-    /// Largest dependency-set size for which unique definitions are
-    /// extracted explicitly.
-    pub max_unique_definition_deps: usize,
     /// Allow other `Y` variables as decision-tree features when their
     /// dependency sets are subsets (Algorithm 2, line 3). Disabling this is
     /// the `learn-without-Y` ablation.
@@ -61,7 +58,6 @@ impl Default for Manthan3Config {
             tree: DecisionTreeConfig::default(),
             seed: 0xDA7E_2023,
             use_unique_definitions: true,
-            max_unique_definition_deps: 6,
             use_y_features: true,
             constrain_y_hat: true,
             certify: false,

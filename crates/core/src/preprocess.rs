@@ -8,6 +8,10 @@ use manthan3_cnf::Var;
 use manthan3_dqbf::{unique, Dqbf, HenkinVector};
 use manthan3_sat::SolverConfig;
 
+/// Largest dependency-set size for which unique definitions are extracted
+/// explicitly.
+const MAX_UNIQUE_DEFINITION_DEPS: usize = 6;
+
 /// Extracts functions for uniquely defined outputs before learning starts.
 ///
 /// Returns the variables whose function was fixed by preprocessing; those
@@ -30,12 +34,8 @@ pub fn extract_unique_definitions(
         cancel: Some(oracle.budget().cancel_token().clone()),
         ..SolverConfig::default()
     };
-    let defined = unique::extract_definitions_with(
-        dqbf,
-        vector,
-        config.max_unique_definition_deps,
-        &solver_config,
-    );
+    let defined =
+        unique::extract_definitions_with(dqbf, vector, MAX_UNIQUE_DEFINITION_DEPS, &solver_config);
     stats.unique_definitions = defined.len();
     defined
 }

@@ -107,6 +107,12 @@ impl LintConfig {
         }
     }
 
+    /// Every section name, in sorted order (keys above the first header
+    /// land in the unnamed section `""`).
+    pub fn sections(&self) -> impl Iterator<Item = &str> {
+        self.sections.keys().map(String::as_str)
+    }
+
     /// The allowlist of `section` (key `allow`).
     pub fn allowlist(&self, section: &str) -> &[String] {
         self.list(section, "allow")

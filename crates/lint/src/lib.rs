@@ -2,10 +2,10 @@
 //!
 //! A dependency-free, token-level scanner that enforces the cross-cutting
 //! invariants `rustc` and `clippy` cannot see: ClauseRef lifetimes across
-//! arena GC, budget admission before solver invocations, lock-acquisition
-//! ordering, DRAT proof-logging discipline, cancellation-poll reachability
-//! from public entry points, justified atomic orderings, panic-free library
-//! code, and `#![forbid(unsafe_code)]` crate headers. The flow-sensitive
+//! arena GC, budget admission before solver invocations, DRAT proof-logging
+//! discipline, cancellation-poll reachability from public entry points,
+//! justified atomic orderings, panic-free library code, and
+//! `#![forbid(unsafe_code)]` crate headers. The flow-sensitive
 //! rules run a gen/kill worklist analysis (see [`dataflow`]) over
 //! per-function CFGs built straight from the token stream (see [`cfg`]).
 //! Run it as `cargo run -p manthan3-lint -- check`; configuration and
@@ -55,15 +55,31 @@ pub fn check_workspace(root: &Path, config: &LintConfig) -> std::io::Result<Lint
 /// Runs every rule over an already-built file set (used by fixture tests).
 ///
 /// Allowlist entries are themselves checked: an entry that suppresses
-/// nothing is reported as a `stale-allowlist` violation, so suppressions
-/// cannot outlive the code they excused.
+/// nothing, or a section that names no registered rule, is reported as a
+/// `stale-allowlist` violation, so suppressions cannot outlive the code or
+/// the rule they excused.
 pub fn check_files(files: Vec<SourceFile>, config: &LintConfig) -> LintReport {
     let workspace = Workspace { files };
     let mut report = LintReport {
         files_scanned: workspace.files.len(),
         ..LintReport::default()
     };
-    for rule in rules::registry() {
+    let registry = rules::registry();
+    for section in config.sections() {
+        if !registry.iter().any(|rule| rule.name() == section) {
+            report.diagnostics.push(Diagnostic {
+                rule: "stale-allowlist",
+                file: "lint.toml".to_string(),
+                line: 0,
+                symbol: None,
+                message: format!(
+                    "section `[{section}]` names no registered rule; delete it \
+                     (its settings and allowlist apply to nothing)"
+                ),
+            });
+        }
+    }
+    for rule in registry {
         let allow = config.allowlist(rule.name());
         let mut matched = vec![false; allow.len()];
         for diag in rule.check(&workspace, config) {

@@ -7,7 +7,6 @@ mod budget_before_solve;
 mod cancel_poll;
 mod clauseref_across_gc;
 mod forbid_unsafe_header;
-mod lock_order;
 mod no_unwrap_in_lib;
 mod proof_discipline;
 pub(crate) mod support;
@@ -17,7 +16,6 @@ pub use budget_before_solve::BudgetBeforeSolve;
 pub use cancel_poll::CancelPoll;
 pub use clauseref_across_gc::ClauseRefAcrossGc;
 pub use forbid_unsafe_header::ForbidUnsafeHeader;
-pub use lock_order::LockOrder;
 pub use no_unwrap_in_lib::NoUnwrapInLib;
 pub use proof_discipline::ProofDiscipline;
 
@@ -63,6 +61,5 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(ClauseRefAcrossGc),
         Box::new(BudgetBeforeSolve),
         Box::new(ProofDiscipline),
-        Box::new(LockOrder),
     ]
 }

@@ -5,7 +5,7 @@
 //! strictly more instances than any engine alone, because the engines'
 //! strengths are complementary (Figs. 6–7). The VBS is usually computed
 //! post-hoc from per-engine runs; this crate turns it into an actual solver:
-//! [`Portfolio::run`] races the engines on `std::thread`s against **one
+//! [`Portfolio::run`] races the engines, one scoped thread each, against **one
 //! shared wall-clock budget** and returns the first decisive verdict.
 //!
 //! The race is cooperative. All engine budgets are clones of one armed
@@ -48,8 +48,7 @@ use manthan3_core::{
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// The engines a [`Portfolio`] can race.
@@ -91,13 +90,8 @@ impl fmt::Display for PortfolioEngine {
 /// point on a clone of the portfolio's armed [`Budget`].
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
-    /// The engines to race, in dispatch order.
+    /// The engines to race, in dispatch order; each runs on its own thread.
     pub engines: Vec<PortfolioEngine>,
-    /// Maximum number of engines running concurrently (clamped to
-    /// `1..=engines.len()`). With one thread the engines run sequentially in
-    /// dispatch order — later engines still profit from cancellation once an
-    /// earlier one has decided the instance.
-    pub threads: usize,
     /// Shared wall-clock budget of the whole race (`None` = unlimited). The
     /// clock is armed when [`Portfolio::run`] starts, not when this
     /// configuration is built.
@@ -121,7 +115,6 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             engines: PortfolioEngine::ALL.to_vec(),
-            threads: PortfolioEngine::ALL.len(),
             time_budget: None,
             sat_conflict_budget: None,
             sat_call_budget: None,
@@ -187,7 +180,8 @@ pub struct PortfolioResult {
     /// Wall-clock time of the whole race (first decisive verdict plus the
     /// few milliseconds the losers need to acknowledge cancellation).
     pub wall_time: Duration,
-    /// Per-engine reports, in completion order.
+    /// Per-engine reports, in dispatch order (the order of
+    /// [`PortfolioConfig::engines`]).
     pub reports: Vec<EngineReport>,
 }
 
@@ -229,19 +223,6 @@ pub struct Portfolio {
     config: PortfolioConfig,
 }
 
-/// What one worker observed for one engine, before winner resolution.
-struct RawReport {
-    engine: PortfolioEngine,
-    outcome: SynthesisOutcome,
-    runtime: Duration,
-    oracle: OracleStats,
-    /// `true` if this engine's decisive verdict claimed the race (it is the
-    /// one whose cancel the other engines observed). A second engine may
-    /// still finish decisively if it was already past its last poll point;
-    /// its verdict agrees by soundness but it did not win.
-    claimed_win: bool,
-}
-
 impl Portfolio {
     /// Creates a runner with the given configuration.
     pub fn new(config: PortfolioConfig) -> Self {
@@ -269,9 +250,6 @@ impl Portfolio {
             !self.config.engines.is_empty(),
             "portfolio needs at least one engine"
         );
-        let engines = &self.config.engines;
-        let threads = self.config.threads.clamp(1, engines.len());
-
         // One budget for the whole race, armed now — not when the
         // configuration was built. Clones share the deadline and the token.
         let mut budget = Budget::new(
@@ -282,84 +260,79 @@ impl Portfolio {
         budget.start();
         let race_start = Instant::now();
 
-        let next_engine = AtomicUsize::new(0);
         let race_claimed = AtomicBool::new(false);
-        let finished: Mutex<Vec<RawReport>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    // ordering: Relaxed suffices — only RMW atomicity makes
-                    // engine indices unique; `engines` was written before the
-                    // scope spawned the workers, so its visibility comes from
-                    // thread creation, not this counter. Model-checked by
-                    // manthan3-conc `ticket/relaxed-fetch-add`.
-                    let index = next_engine.fetch_add(1, Ordering::Relaxed);
-                    let Some(&engine) = engines.get(index) else {
-                        break;
-                    };
-                    let (outcome, oracle) = self.dispatch(engine, dqbf, budget.clone());
-                    let runtime = race_start.elapsed();
-                    // Only certificate-checked vectors (or falsity proofs)
-                    // may stop the race.
-                    let decisive = match &outcome {
-                        SynthesisOutcome::Realizable(vector) => {
-                            verify::check(dqbf, vector).is_valid()
-                        }
-                        SynthesisOutcome::Unrealizable => true,
-                        SynthesisOutcome::Unknown(_) => false,
-                    };
-                    // The first decisive engine to claim the race cancels the
-                    // others; claiming and cancelling are tied together so a
-                    // near-simultaneous second decisive finisher cannot be
-                    // misattributed as the winner by report push order.
-                    // ordering: Relaxed suffices — swap atomicity alone picks
-                    // the single winner; the winner's report travels through
-                    // the `finished` mutex and cancellation publishes via the
-                    // token's own Release store. Model-checked by
-                    // manthan3-conc `decisive-win/relaxed-swap`.
-                    let claimed_win = decisive && !race_claimed.swap(true, Ordering::Relaxed);
-                    if claimed_win {
-                        budget.cancel_token().cancel();
-                    }
-                    finished
-                        .lock()
-                        .expect("no worker panicked holding the report lock")
-                        .push(RawReport {
-                            engine,
-                            outcome,
-                            runtime,
-                            oracle,
-                            claimed_win,
-                        });
-                });
-            }
+        // One scoped thread per engine; each returns its report through
+        // `join`, so the reports come back in dispatch order.
+        let reports: Vec<EngineReport> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .config
+                .engines
+                .iter()
+                .map(|&engine| {
+                    let (budget, race_claimed) = (&budget, &race_claimed);
+                    scope.spawn(move || self.race(engine, dqbf, budget, race_claimed, race_start))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| {
+                    worker
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                })
+                .collect()
         });
         let wall_time = race_start.elapsed();
 
-        let raw = finished
-            .into_inner()
-            .expect("no worker panicked holding the report lock");
-        let winner_index = raw.iter().position(|r| r.claimed_win);
-        let outcome = match winner_index {
-            Some(i) => raw[i].outcome.clone(),
-            None => SynthesisOutcome::Unknown(aggregate_unknown_reason(&raw)),
-        };
-        let winner = winner_index.map(|i| raw[i].engine);
-        let reports = raw
-            .into_iter()
-            .map(|r| EngineReport {
-                engine: r.engine,
-                outcome: r.outcome,
-                runtime: r.runtime,
-                oracle: r.oracle,
-                winner: r.claimed_win,
-            })
-            .collect();
+        let winner = reports.iter().find(|r| r.winner);
         PortfolioResult {
-            outcome,
-            winner,
+            outcome: match winner {
+                Some(report) => report.outcome.clone(),
+                None => SynthesisOutcome::Unknown(aggregate_unknown_reason(&reports)),
+            },
+            winner: winner.map(|r| r.engine),
             wall_time,
             reports,
+        }
+    }
+
+    /// One racer: runs `engine` on a clone of the race budget and, if its
+    /// verdict is decisive and first, claims the race and cancels the rest.
+    fn race(
+        &self,
+        engine: PortfolioEngine,
+        dqbf: &Dqbf,
+        budget: &Budget,
+        race_claimed: &AtomicBool,
+        race_start: Instant,
+    ) -> EngineReport {
+        let (outcome, oracle) = self.dispatch(engine, dqbf, budget.clone());
+        let runtime = race_start.elapsed();
+        // Only certificate-checked vectors (or falsity proofs) may stop the
+        // race.
+        let decisive = match &outcome {
+            SynthesisOutcome::Realizable(vector) => verify::check(dqbf, vector).is_valid(),
+            SynthesisOutcome::Unrealizable => true,
+            SynthesisOutcome::Unknown(_) => false,
+        };
+        // The first decisive engine to claim the race cancels the others;
+        // claiming and cancelling are tied together so a near-simultaneous
+        // second decisive finisher (already past its last poll point, its
+        // verdict agreeing by soundness) is never attributed as the winner.
+        // ordering: Relaxed suffices — swap atomicity alone picks the single
+        // winner; the winner's report travels to the caller by `join` and
+        // cancellation publishes via the token's own Release store.
+        // Model-checked by manthan3-conc `decisive-win/relaxed-swap`.
+        let winner = decisive && !race_claimed.swap(true, Ordering::Relaxed);
+        if winner {
+            budget.cancel_token().cancel();
+        }
+        EngineReport {
+            engine,
+            outcome,
+            runtime,
+            oracle,
+            winner,
         }
     }
 
@@ -391,9 +364,10 @@ impl Portfolio {
 }
 
 /// The reason to report when no engine was decisive: the most informative
-/// non-cancellation reason any engine gave (the wall clock dominating), or
-/// `Cancelled` if — against expectation — that is all there is.
-fn aggregate_unknown_reason(reports: &[RawReport]) -> UnknownReason {
+/// non-cancellation reason any engine gave (the wall clock dominating, ties
+/// going to the earliest in dispatch order), or `Cancelled` if — against
+/// expectation — that is all there is.
+fn aggregate_unknown_reason(reports: &[EngineReport]) -> UnknownReason {
     let mut reasons = reports.iter().filter_map(|r| match r.outcome {
         SynthesisOutcome::Unknown(reason) => Some(reason),
         _ => None,
@@ -487,17 +461,17 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_runs_engines_sequentially_with_cancellation() {
+    fn reports_come_back_in_dispatch_order() {
         let dqbf = Dqbf::paper_example();
+        let engines = vec![PortfolioEngine::PedantLike, PortfolioEngine::Manthan3];
         let config = PortfolioConfig {
-            threads: 1,
+            engines: engines.clone(),
             ..PortfolioConfig::default()
         };
         let result = Portfolio::new(config).run(&dqbf);
         assert!(result.is_realizable());
-        // With one worker, completion order is dispatch order.
         let order: Vec<_> = result.reports.iter().map(|r| r.engine).collect();
-        assert_eq!(order, PortfolioEngine::ALL.to_vec());
+        assert_eq!(order, engines);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Portfolio determinism: however many threads race, the parallel runner's
-//! verdict on generated suite instances must agree with the sequential
-//! per-engine outcomes — the winner is an engine that also solves the
-//! instance standalone, every claimed vector passes the independent
-//! certificate check, and the solved set equals the sequential VBS solved
-//! set.
+//! Portfolio determinism: the parallel runner's verdict on generated suite
+//! instances must agree with the sequential per-engine outcomes — the winner
+//! is an engine that also solves the instance standalone, every claimed
+//! vector passes the independent certificate check, and the solved set
+//! equals the sequential VBS solved set.
 //!
 //! The engines are deterministic under unlimited wall clock (seeded RNGs,
 //! structural budgets only), so cancellation is the only racing effect: a
@@ -44,9 +43,8 @@ fn arbiter_config() -> ArbiterConfig {
     }
 }
 
-fn portfolio_config(threads: usize) -> PortfolioConfig {
+fn portfolio_config() -> PortfolioConfig {
     PortfolioConfig {
-        threads,
         manthan3: manthan3_config(),
         expansion: expansion_config(),
         arbiter: arbiter_config(),
@@ -89,7 +87,7 @@ fn synthesized(dqbf: &manthan3_dqbf::Dqbf, outcome: &SynthesisOutcome) -> bool {
 }
 
 #[test]
-fn parallel_outcomes_match_sequential_outcomes_for_1_2_4_threads() {
+fn race_outcomes_match_sequential_outcomes() {
     let instances = instances();
     assert!(instances.len() >= 8, "suite sample unexpectedly small");
     let mut vbs_solved = 0usize;
@@ -117,61 +115,55 @@ fn parallel_outcomes_match_sequential_outcomes_for_1_2_4_threads() {
             vbs_solved += 1;
         }
 
-        for threads in [1, 2, 4] {
-            let result = Portfolio::new(portfolio_config(threads)).run(&instance.dqbf);
-            if threads == 4 && synthesized(&instance.dqbf, &result.outcome) {
-                race_solved += 1;
+        let result = Portfolio::new(portfolio_config()).run(&instance.dqbf);
+        if synthesized(&instance.dqbf, &result.outcome) {
+            race_solved += 1;
+        }
+        match &result.outcome {
+            SynthesisOutcome::Realizable(vector) => {
+                assert!(
+                    verify::check(&instance.dqbf, vector).is_valid(),
+                    "{}: unverified vector won the race",
+                    instance.name
+                );
+                assert!(
+                    seq_solved,
+                    "{}: race solved an instance no engine solves sequentially",
+                    instance.name
+                );
+                // The winner is an engine that also solves it standalone.
+                let winner = result.winner.expect("realizable race has a winner");
+                let (_, seq) = sequential
+                    .iter()
+                    .find(|(e, _)| *e == winner)
+                    .expect("winner took part");
+                assert!(
+                    synthesized(&instance.dqbf, seq),
+                    "{}: winner {winner} does not solve the instance sequentially",
+                    instance.name
+                );
             }
+            SynthesisOutcome::Unrealizable => {
+                assert!(
+                    seq_unrealizable,
+                    "{}: race proved falsity no engine proves sequentially",
+                    instance.name
+                );
+            }
+            SynthesisOutcome::Unknown(_) => {
+                assert!(
+                    !seq_solved && !seq_unrealizable,
+                    "{}: race lost a verdict some engine finds sequentially",
+                    instance.name
+                );
+            }
+        }
+        // Ground truth (when the generator knows it) is never violated.
+        if let Some(expected) = instance.expected {
             match &result.outcome {
-                SynthesisOutcome::Realizable(vector) => {
-                    assert!(
-                        verify::check(&instance.dqbf, vector).is_valid(),
-                        "{} ({threads} threads): unverified vector won the race",
-                        instance.name
-                    );
-                    assert!(
-                        seq_solved,
-                        "{} ({threads} threads): race solved an instance no engine \
-                         solves sequentially",
-                        instance.name
-                    );
-                    // The winner is an engine that also solves it standalone.
-                    let winner = result.winner.expect("realizable race has a winner");
-                    let (_, seq) = sequential
-                        .iter()
-                        .find(|(e, _)| *e == winner)
-                        .expect("winner took part");
-                    assert!(
-                        synthesized(&instance.dqbf, seq),
-                        "{} ({threads} threads): winner {winner} does not solve the \
-                         instance sequentially",
-                        instance.name
-                    );
-                }
-                SynthesisOutcome::Unrealizable => {
-                    assert!(
-                        seq_unrealizable,
-                        "{} ({threads} threads): race proved falsity no engine proves \
-                         sequentially",
-                        instance.name
-                    );
-                }
-                SynthesisOutcome::Unknown(_) => {
-                    assert!(
-                        !seq_solved && !seq_unrealizable,
-                        "{} ({threads} threads): race lost a verdict some engine finds \
-                         sequentially",
-                        instance.name
-                    );
-                }
-            }
-            // Ground truth (when the generator knows it) is never violated.
-            if let Some(expected) = instance.expected {
-                match &result.outcome {
-                    SynthesisOutcome::Realizable(_) => assert!(expected, "{}", instance.name),
-                    SynthesisOutcome::Unrealizable => assert!(!expected, "{}", instance.name),
-                    SynthesisOutcome::Unknown(_) => {}
-                }
+                SynthesisOutcome::Realizable(_) => assert!(expected, "{}", instance.name),
+                SynthesisOutcome::Unrealizable => assert!(!expected, "{}", instance.name),
+                SynthesisOutcome::Unknown(_) => {}
             }
         }
     }

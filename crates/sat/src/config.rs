@@ -21,10 +21,6 @@ use crate::CancelToken;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities (0 < decay < 1).
-    pub var_decay: f64,
-    /// Multiplicative decay applied to learnt-clause activities.
-    pub clause_decay: f64,
     /// Probability of picking a random (rather than highest-activity)
     /// decision variable.
     pub random_var_freq: f64,
@@ -63,8 +59,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
             random_var_freq: 0.0,
             random_polarity: false,
             default_polarity: false,
@@ -122,7 +116,6 @@ mod tests {
     fn default_has_no_conflict_limit() {
         let c = SolverConfig::default();
         assert!(c.max_conflicts.is_none());
-        assert!(c.var_decay > 0.0 && c.var_decay < 1.0);
     }
 
     #[test]

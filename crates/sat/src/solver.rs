@@ -106,6 +106,10 @@ const VALUE_FALSE: i8 = -1;
 
 /// Initial conflict interval between rephasing events (doubles after each).
 const REPHASE_FIRST_INTERVAL: u64 = 1000;
+/// Multiplicative decay applied to variable activities (0 < decay < 1).
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to learnt-clause activities.
+const CLAUSE_DECAY: f64 = 0.999;
 /// Only clauses this short act as subsumers during inprocessing.
 const SUBSUME_MAX_LEN: usize = 12;
 /// Literal-visit budget of one subsumption pass.
@@ -566,8 +570,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     /// The clause's glue under the *current* assignment: the number of

@@ -7,7 +7,7 @@
 //! binary in `manthan3-bench`, flag `--engine portfolio`).
 //!
 //! Run with `cargo run --release --example portfolio` (optionally
-//! `-- [--seed N] [--scale N] [--budget-ms N] [--threads N]`).
+//! `-- [--seed N] [--scale N] [--budget-ms N]`).
 
 use manthan3::baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
@@ -17,8 +17,8 @@ use manthan3::portfolio::{Portfolio, PortfolioConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-fn parse_args() -> (u64, usize, Duration, usize) {
-    let (mut seed, mut scale, mut budget_ms, mut threads) = (7u64, 1usize, 1500u64, 3usize);
+fn parse_args() -> (u64, usize, Duration) {
+    let (mut seed, mut scale, mut budget_ms) = (7u64, 1usize, 1500u64);
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = |name: &str| -> u64 {
@@ -31,18 +31,17 @@ fn parse_args() -> (u64, usize, Duration, usize) {
             "--seed" => seed = value("--seed"),
             "--scale" => scale = value("--scale") as usize,
             "--budget-ms" => budget_ms = value("--budget-ms"),
-            "--threads" => threads = value("--threads") as usize,
             other => {
                 eprintln!("error: unknown argument {other:?}");
                 std::process::exit(2);
             }
         }
     }
-    (seed, scale, Duration::from_millis(budget_ms), threads)
+    (seed, scale, Duration::from_millis(budget_ms))
 }
 
 fn main() {
-    let (seed, scale, budget, threads) = parse_args();
+    let (seed, scale, budget) = parse_args();
     let instances = suite(seed, scale);
     println!(
         "running {} instances with a {:?} per-engine budget…\n",
@@ -119,11 +118,7 @@ fn main() {
     let mut race_solved = 0usize;
     let mut winners: BTreeMap<String, usize> = BTreeMap::new();
     for instance in &instances {
-        let config = PortfolioConfig {
-            threads,
-            time_budget: Some(budget),
-            ..PortfolioConfig::default()
-        };
+        let config = PortfolioConfig::with_time_budget(budget);
         let result = Portfolio::new(config).run(&instance.dqbf);
         if let Some(vector) = result.vector() {
             if verify::check(&instance.dqbf, vector).is_valid() {
@@ -136,7 +131,7 @@ fn main() {
     }
     let race_wall = race_start.elapsed();
 
-    println!("\n== parallel race ({threads} threads, shared budget) ==");
+    println!("\n== parallel race (one thread per engine, shared budget) ==");
     println!("race synthesized:                  {race_solved}");
     for (engine, wins) in &winners {
         println!("decisive verdicts by {engine:<10}    {wins}");
