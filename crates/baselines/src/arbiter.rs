@@ -42,8 +42,6 @@ pub struct ArbiterConfig {
     pub max_definition_deps: usize,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Optional conflict budget per SAT oracle call.
-    pub sat_conflict_budget: Option<u64>,
 }
 
 impl Default for ArbiterConfig {
@@ -54,7 +52,6 @@ impl Default for ArbiterConfig {
             use_definitions: true,
             max_definition_deps: 8,
             time_budget: None,
-            sat_conflict_budget: None,
         }
     }
 }
@@ -84,14 +81,9 @@ impl ArbiterSolver {
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize(&self, dqbf: &Dqbf) -> BaselineResult {
-        // All oracle calls share one budget: the engine deadline and the
-        // per-call conflict cap are enforced by the oracle layer.
-        let budget = Budget::new(
-            self.config.time_budget,
-            self.config.sat_conflict_budget,
-            None,
-        );
-        self.synthesize_with_budget(dqbf, budget)
+        // All oracle calls share one budget: the oracle layer enforces the
+        // engine deadline.
+        self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
     }
 
     /// Like [`ArbiterSolver::synthesize`], but under an externally supplied
@@ -133,15 +125,12 @@ impl ArbiterSolver {
             SolveResult::Sat => {}
         }
 
-        // Phase 1: definitions (SAT calls capped by the engine's per-call
-        // conflict budget, like every other oracle interaction).
+        // Phase 1: definitions (SAT calls stop on the engine's cancel token,
+        // like every other oracle interaction).
         let mut vector = HenkinVector::new();
         let defined: Vec<Var> = if self.config.use_definitions {
-            let solver_config = SolverConfig {
-                max_conflicts: oracle.budget().conflicts_per_call(),
-                cancel: Some(oracle.budget().cancel_token().clone()),
-                ..SolverConfig::default()
-            };
+            let solver_config =
+                SolverConfig::default().with_cancel(oracle.budget().cancel_token().clone());
             unique::extract_definitions_with(
                 dqbf,
                 &mut vector,

@@ -33,8 +33,6 @@ pub struct ExpansionConfig {
     pub max_ground_clauses: usize,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Optional conflict budget for the final SAT call.
-    pub sat_conflict_budget: Option<u64>,
 }
 
 impl Default for ExpansionConfig {
@@ -44,7 +42,6 @@ impl Default for ExpansionConfig {
             max_copies: 4096,
             max_ground_clauses: 400_000,
             time_budget: None,
-            sat_conflict_budget: None,
         }
     }
 }
@@ -75,12 +72,7 @@ impl ExpansionSolver {
     pub fn synthesize(&self, dqbf: &Dqbf) -> BaselineResult {
         // The grounding deadline and the final SAT call share one budget
         // through the oracle layer.
-        let budget = Budget::new(
-            self.config.time_budget,
-            self.config.sat_conflict_budget,
-            None,
-        );
-        self.synthesize_with_budget(dqbf, budget)
+        self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
     }
 
     /// Like [`ExpansionSolver::synthesize`], but under an externally

@@ -25,7 +25,7 @@
 //! every vector they return passes the independent certificate checker in
 //! [`manthan3_dqbf::verify`]. They also run on the same **oracle layer**
 //! ([`Oracle`](manthan3_core::Oracle) / [`Budget`](manthan3_core::Budget)) as
-//! the Manthan3 engine, so wall-clock deadlines and conflict budgets have
+//! the Manthan3 engine, so wall-clock deadlines and cancellation have
 //! identical semantics across all three engines and every
 //! [`BaselineResult`] carries the same
 //! [`OracleStats`](manthan3_core::OracleStats) counters as

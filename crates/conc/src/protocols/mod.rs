@@ -2,7 +2,6 @@
 //! (must pass exhaustively) and a deliberately *broken* variant (the checker
 //! must produce a counterexample trace — this is the checker's own test).
 
-pub mod budget;
 pub mod cancellation;
 pub mod decisive_win;
 
@@ -46,18 +45,6 @@ pub fn suite() -> Vec<Check> {
             description: "broken: relaxed flag store lets a stale result be read",
             expect_violation: true,
             run: cancellation::check_broken,
-        },
-        Check {
-            name: "budget/fetch-update",
-            description: "CallBudget admission: never over the limit, no use after refusal",
-            expect_violation: false,
-            run: budget::check_correct,
-        },
-        Check {
-            name: "budget/load-then-add",
-            description: "broken: check-then-add admits past the limit",
-            expect_violation: true,
-            run: budget::check_broken,
         },
     ]
 }

@@ -1,7 +1,7 @@
 //! The protocol suite as tests: every correct variant passes exhaustively,
 //! every broken variant yields a counterexample with a non-empty trace.
 
-use manthan3_conc::protocols::{budget, cancellation, decisive_win, suite};
+use manthan3_conc::protocols::{cancellation, decisive_win, suite};
 
 #[test]
 fn decisive_win_relaxed_swap_has_exactly_one_winner() {
@@ -29,18 +29,6 @@ fn cancellation_release_acquire_is_visible_and_eventually_observed() {
 fn cancellation_relaxed_publish_leaks_stale_result() {
     let violation = cancellation::check_broken().expect_err("relaxed publish must fail");
     assert!(violation.message.contains("stale result"), "{violation}");
-}
-
-#[test]
-fn budget_fetch_update_admits_exactly_the_limit() {
-    let report = budget::check_correct().expect("CAS admission is sound");
-    assert!(report.executions > 0);
-}
-
-#[test]
-fn budget_check_then_add_over_admits() {
-    let violation = budget::check_broken().expect_err("check-then-act must fail");
-    assert!(violation.message.contains("over-admitted"), "{violation}");
 }
 
 #[test]

@@ -41,12 +41,6 @@ pub struct Manthan3Config {
     pub certify: bool,
     /// Optional wall-clock budget for one synthesis call.
     pub time_budget: Option<Duration>,
-    /// Optional conflict budget for each SAT oracle call (`None` = unlimited).
-    pub sat_conflict_budget: Option<u64>,
-    /// Optional bound on the total number of SAT oracle calls per synthesis
-    /// run (`None` = unlimited). Enforced by the shared
-    /// [`Budget`](crate::Budget).
-    pub sat_call_budget: Option<u64>,
 }
 
 impl Default for Manthan3Config {
@@ -62,8 +56,6 @@ impl Default for Manthan3Config {
             constrain_y_hat: true,
             certify: false,
             time_budget: None,
-            sat_conflict_budget: None,
-            sat_call_budget: None,
         }
     }
 }

@@ -127,12 +127,7 @@ impl Manthan3 {
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize(&self, dqbf: &Dqbf) -> SynthesisResult {
-        let budget = Budget::new(
-            self.config.time_budget,
-            self.config.sat_conflict_budget,
-            self.config.sat_call_budget,
-        );
-        self.synthesize_with_budget(dqbf, budget)
+        self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
     }
 
     /// Like [`Manthan3::synthesize`], but under an externally supplied
@@ -183,8 +178,8 @@ fn stage_preprocess(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
         &ctx.oracle,
         &mut ctx.stats,
     );
-    // Extraction runs budgeted SAT calls outside the oracle's call counter;
-    // re-check the wall clock before moving on.
+    // Extraction runs its own SAT solvers outside the oracle, which watch
+    // only the cancel token; re-check the wall clock before moving on.
     if let Some(reason) = ctx.oracle.exhausted() {
         return Some(SynthesisOutcome::Unknown(reason));
     }
@@ -208,8 +203,8 @@ fn stage_sample(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
     ctx.stats.sampling_time = sampling_start.elapsed();
     if ctx.samples.is_empty() {
         // The matrix check already succeeded, so the shortfall reason tells
-        // the truth: the sampler proved UNSAT itself (possible when budgets
-        // differ), lost a race, or ran out of budget.
+        // the truth: the sampler proved UNSAT itself, lost a race, or was
+        // refused by an expired deadline.
         return Some(match outcome.reason {
             Some(ShortfallReason::Unsat) => SynthesisOutcome::Unrealizable,
             Some(ShortfallReason::Cancelled) => SynthesisOutcome::Unknown(UnknownReason::Cancelled),
@@ -477,21 +472,6 @@ mod tests {
             | SynthesisOutcome::Unknown(UnknownReason::TimeBudget) => {}
             other => panic!("unexpected outcome {other:?}"),
         }
-    }
-
-    #[test]
-    fn call_budget_is_honoured() {
-        let dqbf = Dqbf::paper_example();
-        let config = Manthan3Config {
-            sat_call_budget: Some(1),
-            ..Manthan3Config::fast()
-        };
-        let result = Manthan3::new(config).synthesize(&dqbf);
-        match result.outcome {
-            SynthesisOutcome::Unknown(UnknownReason::OracleBudget) => {}
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        assert!(result.stats.oracle.sat_calls <= 1);
     }
 
     #[test]

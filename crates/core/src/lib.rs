@@ -30,11 +30,10 @@
 //!
 //! Two pieces make the hot loop incremental:
 //!
-//! * The [`Oracle`] owns the run's [`Budget`] (wall-clock deadline, per-call
-//!   conflict budget, total call budget shared by SAT *and* MaxSAT solves)
-//!   and funnels the synthesis loop's SAT, MaxSAT, and sampling calls
-//!   through it, collecting [`OracleStats`] (unique-definition
-//!   preprocessing runs its own solvers but inherits the conflict cap and
+//! * The [`Oracle`] owns the run's [`Budget`] (a wall-clock deadline and a
+//!   cancellation token) and funnels the synthesis loop's SAT, MaxSAT, and
+//!   sampling calls through it, collecting [`OracleStats`]
+//!   (unique-definition preprocessing runs its own solvers but inherits the
 //!   cancellation token). The baseline engines in `manthan3-baselines` run
 //!   on the same layer, so all engines share budget semantics and report
 //!   comparable counters.
@@ -71,8 +70,8 @@
 //! Every [`Budget`] carries a [`CancelToken`](manthan3_sat::CancelToken)
 //! shared by its clones. The token flows from the budget into every solver
 //! the oracle constructs (`Budget` → `Oracle` → CDCL/MaxSAT/sampler
-//! configurations), and the CDCL search loop polls it alongside its
-//! conflict budget, so cancelling the token stops all in-flight oracle work
+//! configurations), and the CDCL search loop polls it once per decision,
+//! so cancelling the token stops all in-flight oracle work
 //! within milliseconds; the engine then reports
 //! [`UnknownReason::Cancelled`]. A portfolio runner (see the
 //! `manthan3-portfolio` crate) arms one budget with [`Budget::start`] at
@@ -146,7 +145,6 @@ mod stats;
 
 pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
-pub use manthan3_sat::CallBudget;
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
 pub use repair::{

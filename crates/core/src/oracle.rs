@@ -2,10 +2,10 @@
 //!
 //! Every SAT, MaxSAT, and sampling interaction of the synthesis loop is
 //! funnelled through an [`Oracle`], which owns the run's [`Budget`]
-//! (wall-clock deadline, per-call conflict budget, total call budget) and
-//! collects [`OracleStats`]. The one exception is unique-definition
-//! preprocessing, which runs inside `manthan3-dqbf` with its own solvers:
-//! those calls inherit the budget's conflict cap (via
+//! (wall-clock deadline and cancellation token) and collects
+//! [`OracleStats`]. The one exception is unique-definition preprocessing,
+//! which runs inside `manthan3-dqbf` with its own solvers: those solvers
+//! inherit the budget's cancellation token (via
 //! `unique::extract_definitions_with`) and the engine re-checks the deadline
 //! after extraction, but they are not counted in [`OracleStats`].
 //! This replaces the ad-hoc `Instant` deadline checks and per-call solver
@@ -18,9 +18,7 @@ use manthan3_cnf::{Assignment, Cnf, Lit};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShortfallReason};
-use manthan3_sat::{
-    CallBudget, CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats,
-};
+use manthan3_sat::{CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats};
 use std::time::{Duration, Instant};
 
 /// Why a synthesis run ended without a definitive answer.
@@ -33,13 +31,15 @@ pub enum UnknownReason {
     IterationLimit,
     /// The configured wall-clock budget was exhausted.
     TimeBudget,
-    /// A budgeted oracle call gave up (conflict or call budget).
+    /// An engine-specific size limit was exceeded (e.g. a baseline's
+    /// expansion or arbiter-table bound).
     OracleBudget,
     /// The run was cooperatively cancelled (e.g. it lost a portfolio race).
     Cancelled,
 }
 
-/// The resource budget shared by every oracle call of one synthesis run.
+/// The resource budget shared by every oracle call of one synthesis run: a
+/// wall-clock deadline and a cancellation token.
 ///
 /// Cloning a budget shares its [`CancelToken`] (and the already-armed
 /// deadline): a portfolio runner arms one budget with [`Budget::start`] and
@@ -53,33 +53,25 @@ pub struct Budget {
     /// re-armed relative to a later start.
     time: Option<Duration>,
     deadline: Option<Instant>,
-    conflicts_per_call: Option<u64>,
-    max_sat_calls: Option<u64>,
     cancel: CancelToken,
 }
 
 impl Budget {
-    /// A budget with no limits.
+    /// A budget with no deadline.
     pub fn unlimited() -> Self {
-        Budget::new(None, None, None)
+        Budget::new(None)
     }
 
-    /// A budget with the given wall-clock, per-call conflict, and total
-    /// oracle-call limits (each `None` = unlimited). The clock starts now;
-    /// call [`Budget::start`] to re-arm it later (e.g. when a portfolio race
-    /// actually begins rather than when its configuration was built).
-    pub fn new(
-        time: Option<Duration>,
-        conflicts_per_call: Option<u64>,
-        max_sat_calls: Option<u64>,
-    ) -> Self {
+    /// A budget with the given wall-clock allowance (`None` = unlimited).
+    /// The clock starts now; call [`Budget::start`] to re-arm it later (e.g.
+    /// when a portfolio race actually begins rather than when its
+    /// configuration was built).
+    pub fn new(time: Option<Duration>) -> Self {
         let started_at = Instant::now();
         Budget {
             started_at,
             time,
             deadline: time.map(|t| started_at + t),
-            conflicts_per_call,
-            max_sat_calls,
             cancel: CancelToken::new(),
         }
     }
@@ -122,17 +114,6 @@ impl Budget {
     /// Time elapsed since the budget was (last) started.
     pub fn elapsed(&self) -> Duration {
         self.started_at.elapsed()
-    }
-
-    /// The per-call conflict limit, if any.
-    pub fn conflicts_per_call(&self) -> Option<u64> {
-        self.conflicts_per_call
-    }
-
-    /// The total oracle-call limit (SAT and MaxSAT solve calls combined),
-    /// if any.
-    pub fn max_sat_calls(&self) -> Option<u64> {
-        self.max_sat_calls
     }
 }
 
@@ -267,14 +248,12 @@ oracle_stats! {
     sat_calls: usize, counter;
     /// Number of MaxSAT solve calls.
     maxsat_calls: usize, counter;
-    /// Number of per-sample solver calls made by oracle-routed samplers.
-    /// These draw on the same shared call allowance as SAT and MaxSAT
-    /// solves, so `sat_calls + maxsat_calls + sampler_calls` is the total
-    /// charge against [`Budget::max_sat_calls`].
+    /// Number of per-sample solver calls made by oracle-routed samplers
+    /// ([`Sampler::solves`]).
     sampler_calls: usize, counter;
     /// Number of oracle-routed sampling requests that emitted fewer samples
-    /// than requested (UNSAT verdicts, budget cuts, or cancellation — the
-    /// request's [`SampleOutcome`] says which).
+    /// than requested (UNSAT verdicts, deadline refusals, or cancellation —
+    /// the request's [`SampleOutcome`] says which).
     sample_shortfalls: usize, counter;
     /// Number of full hard-clause MaxSAT encodings constructed. The
     /// persistent repair session keeps this at one per run, however many
@@ -286,8 +265,7 @@ oracle_stats! {
     /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
     maxsat_incremental_calls: usize, counter;
     /// Internal SAT probes issued by MaxSAT optimum searches (bound probes
-    /// and hard/optimistic checks alike). Each probe draws one call from the
-    /// shared allowance, exactly like a top-level SAT solve.
+    /// and hard/optimistic checks alike).
     maxsat_probes: u64, counter;
     /// UNSAT cores extracted by MaxSAT searches: always 0, since the only
     /// MaxSAT search (the warm-started linear one) extracts no cores. The
@@ -382,13 +360,6 @@ pub struct CertificationFailure {
 pub struct Oracle {
     budget: Budget,
     stats: OracleStats,
-    /// The shared call allowance behind [`Budget::max_sat_calls`]: every
-    /// SAT solve, per-sample sampler solve, and internal MaxSAT probe draws
-    /// one call from this counter. Samplers and MaxSAT solvers receive a
-    /// clone at construction, so their solves — including a MaxSAT bound
-    /// search's probe loop — are billed to, and refused by, exactly the
-    /// same allowance as every other oracle call.
-    calls: CallBudget,
     /// When `true`, every constructed SAT and MaxSAT solver logs DRAT
     /// proofs, and every UNSAT verdict routed through this oracle is checked
     /// in-process by the independent `manthan3-drat` checker.
@@ -402,11 +373,9 @@ impl Oracle {
     /// Creates an oracle enforcing `budget`, constructing solvers with the
     /// default solver configuration.
     pub fn new(budget: Budget) -> Self {
-        let calls = CallBudget::new(budget.max_sat_calls);
         Oracle {
             budget,
             stats: OracleStats::default(),
-            calls,
             certify: false,
             certification_failure: None,
         }
@@ -447,12 +416,13 @@ impl Oracle {
         self.certification_failure.take()
     }
 
-    /// The base configuration of every solver this oracle constructs: the
-    /// solver defaults with proof logging armed when certifying. Budget
-    /// fields (conflict cap, cancellation) are layered on at construction
-    /// time.
-    fn base_solver_config(&self) -> SolverConfig {
-        SolverConfig::default().with_proof_logging(self.certify)
+    /// The configuration of every SAT and MaxSAT solver this oracle
+    /// constructs: the solver defaults with the budget's cancellation token
+    /// attached and proof logging armed when certifying.
+    fn solver_config(&self) -> SolverConfig {
+        SolverConfig::default()
+            .with_cancel(self.budget.cancel.clone())
+            .with_proof_logging(self.certify)
     }
 
     /// The budget being enforced.
@@ -466,7 +436,8 @@ impl Oracle {
     }
 
     /// The reason to report when an oracle call gave up: cancellation first,
-    /// then the wall clock, then the per-call/total budgets.
+    /// then the wall clock; [`UnknownReason::OracleBudget`] when neither
+    /// applies.
     pub fn give_up_reason(&self) -> UnknownReason {
         if self.budget.cancelled() {
             UnknownReason::Cancelled
@@ -478,9 +449,8 @@ impl Oracle {
     }
 
     /// Returns the exhausted-budget reason if no further oracle call may be
-    /// made, `None` while resources remain. The call budget counts SAT,
-    /// MaxSAT, and per-sample sampler solve calls alike — they all draw on
-    /// the same allowance.
+    /// made, `None` while the deadline has not passed and the token is not
+    /// cancelled.
     pub fn exhausted(&self) -> Option<UnknownReason> {
         if self.budget.cancelled() {
             return Some(UnknownReason::Cancelled);
@@ -488,47 +458,21 @@ impl Oracle {
         if self.budget.expired() {
             return Some(UnknownReason::TimeBudget);
         }
-        if self.calls.exhausted() {
-            return Some(UnknownReason::OracleBudget);
-        }
         None
     }
 
-    /// The shared call allowance every oracle-routed solve draws on. Exposed
-    /// so tests and diagnostics can observe total consumption; samplers get
-    /// a clone automatically via [`Oracle::sample_cnf`].
-    pub fn call_allowance(&self) -> &CallBudget {
-        &self.calls
-    }
-
-    /// Constructs a CDCL solver from the oracle's base configuration with the budget's
-    /// per-call conflict limit.
+    /// Constructs a CDCL solver that carries the budget's cancellation
+    /// token, counting it in [`OracleStats::sat_solvers_constructed`].
     pub fn new_solver(&mut self) -> Solver {
-        let mut config = self.base_solver_config();
-        config.max_conflicts = self.budget.conflicts_per_call;
-        self.new_solver_with(config)
-    }
-
-    /// Constructs a CDCL solver from an explicit configuration, still
-    /// counting it, capping its conflicts by the budget, and attaching the
-    /// budget's cancellation token.
-    pub fn new_solver_with(&mut self, mut config: SolverConfig) -> Solver {
-        if config.max_conflicts.is_none() {
-            config.max_conflicts = self.budget.conflicts_per_call;
-        }
-        if config.cancel.is_none() {
-            config.cancel = Some(self.budget.cancel.clone());
-        }
         self.stats.sat_solvers_constructed += 1;
-        Solver::with_config(config)
+        Solver::with_config(self.solver_config())
     }
 
     /// Solves `solver` under the shared budget.
     ///
     /// Refuses already-exhausted budgets up front, before delegating — the
-    /// delegate re-checks (and is what actually draws the call), but the
-    /// early refusal keeps every path from this entry point to the solver
-    /// behind an admission check of its own.
+    /// delegate re-checks, but the early refusal keeps every path from this
+    /// entry point to the solver behind an admission check of its own.
     pub fn solve(&mut self, solver: &mut Solver) -> SolveResult {
         if self.exhausted().is_some() {
             self.stats.budget_exhaustions += 1;
@@ -547,7 +491,7 @@ impl Oracle {
         solver: &mut Solver,
         assumptions: &[Lit],
     ) -> SolveResult {
-        if self.exhausted().is_some() || !self.calls.try_acquire() {
+        if self.exhausted().is_some() {
             self.stats.budget_exhaustions += 1;
             return SolveResult::Unknown;
         }
@@ -611,24 +555,17 @@ impl Oracle {
         }
     }
 
-    /// Constructs a MaxSAT solver with the budget's per-call conflict limit,
-    /// cancellation token, and the shared call allowance — every internal
-    /// SAT probe of the optimum search draws on exactly the same budget as a
-    /// top-level SAT solve.
+    /// Constructs a MaxSAT solver whose internal SAT solver carries the
+    /// budget's cancellation token, so every probe of the optimum search
+    /// stops when the run is cancelled.
     pub fn new_maxsat(&mut self) -> MaxSatSolver {
         self.stats.maxsat_solvers_constructed += 1;
-        let mut solver = MaxSatSolver::with_config(SolverConfig {
-            max_conflicts: self.budget.conflicts_per_call,
-            cancel: Some(self.budget.cancel.clone()),
-            ..self.base_solver_config()
-        });
-        solver.set_call_budget(self.calls.clone());
-        solver
+        MaxSatSolver::with_config(self.solver_config())
     }
 
     /// The refused-call verdict for a MaxSAT solve that may not start:
     /// cancellation surfaces as [`MaxSatResult::Cancelled`] (mapped to
-    /// [`UnknownReason::Cancelled`] by the engine), everything else as
+    /// [`UnknownReason::Cancelled`] by the engine), an expired deadline as
     /// [`MaxSatResult::Unknown`].
     fn refuse_maxsat(&mut self) -> MaxSatResult {
         self.stats.budget_exhaustions += 1;
@@ -680,7 +617,7 @@ impl Oracle {
                         self.check_unsat_certificate(Some(cert));
                     }
                 }
-                // Budget and cancellation give-ups claim nothing.
+                // Deadline and cancellation give-ups claim nothing.
                 MaxSatResult::Unknown | MaxSatResult::Cancelled => {}
             }
         }
@@ -689,13 +626,12 @@ impl Oracle {
 
     /// Runs a MaxSAT solve under the shared budget.
     ///
-    /// The solve's internal SAT probes each draw one call from the shared
-    /// allowance (the solver holds a clone of it, attached at
-    /// construction), and their conflicts are billed to the shared conflict
-    /// counter; a probe refused mid-search surfaces as
-    /// [`MaxSatResult::Unknown`]. Refused without touching the solver when
+    /// The solve's internal SAT probes and their conflicts are billed to
+    /// the statistics; a search cancelled mid-probe surfaces as
+    /// [`MaxSatResult::Cancelled`]. Refused without touching the solver when
     /// the budget is already exhausted, exactly like
-    /// [`Oracle::solve_with_assumptions`] — with cancellation reported as
+    /// [`Oracle::solve_with_assumptions`] — with an expired deadline
+    /// reported as [`MaxSatResult::Unknown`] and cancellation as
     /// [`MaxSatResult::Cancelled`].
     pub fn solve_maxsat(&mut self, solver: &mut MaxSatSolver) -> MaxSatResult {
         self.run_maxsat(solver, false, |s| s.solve())
@@ -706,8 +642,8 @@ impl Oracle {
     /// persistent [`RepairSession`](crate::RepairSession): the call is
     /// served by a kept encoding, so it is additionally counted in
     /// [`OracleStats::maxsat_incremental_calls`]. Budget semantics are
-    /// identical (probes drawn from the shared allowance, conflicts billed
-    /// to the shared counter, refused untouched when exhausted).
+    /// identical (probes and conflicts billed to the statistics, refused
+    /// untouched when exhausted).
     pub fn solve_maxsat_under_assumptions(
         &mut self,
         solver: &mut MaxSatSolver,
@@ -733,38 +669,16 @@ impl Oracle {
         self.stats.bill_solver_delta(before, after);
     }
 
-    /// Fills in the budget-derived fields of a sampler configuration: the
-    /// per-call conflict limit and cancellation token are inherited when the
-    /// configuration does not set its own, and the shared call allowance is
-    /// *always* the oracle's — every per-sample solver call of an
-    /// oracle-routed sampler is billed to the same budget as SAT and MaxSAT
-    /// solves (and refused once it is exhausted). A caller-supplied
-    /// [`CallBudget`] is deliberately overridden here: honouring it would
-    /// let sampler work bypass the shared allowance and the
-    /// [`OracleStats::sampler_calls`] accounting; construct a [`Sampler`]
-    /// directly for privately-budgeted sampling.
-    fn sampler_config(&self, mut config: SamplerConfig) -> SamplerConfig {
-        if config.max_conflicts_per_sample.is_none() {
-            config.max_conflicts_per_sample = self.budget.conflicts_per_call;
-        }
-        if config.cancel.is_none() {
-            config.cancel = Some(self.budget.cancel.clone());
-        }
-        config.calls = Some(self.calls.clone());
-        config
-    }
-
     /// Runs one sampling request for `cnf` on a fresh [`Sampler`] under the
-    /// shared budget, recording the consumed per-sample solver calls and any
-    /// shortfall in [`OracleStats`]. The sampler inherits the budget's
-    /// per-call conflict limit and cancellation token unless `config` sets
-    /// its own, and always draws on the shared call allowance. Like every
-    /// other oracle call, an exhausted or cancelled budget refuses the
-    /// request — before any sampler is built.
+    /// shared budget, recording the sampler's solver calls and any shortfall
+    /// in [`OracleStats`]. The sampler inherits the budget's cancellation
+    /// token unless `config` sets its own. Like every other oracle call, an
+    /// expired or cancelled budget refuses the request — before any sampler
+    /// is built.
     pub fn sample_cnf(
         &mut self,
         cnf: &Cnf,
-        config: SamplerConfig,
+        mut config: SamplerConfig,
         n: usize,
     ) -> (Vec<Assignment>, SampleOutcome) {
         if let Some(reason) = self.exhausted() {
@@ -781,11 +695,13 @@ impl Oracle {
             };
             return (Vec::new(), refused);
         }
+        if config.cancel.is_none() {
+            config.cancel = Some(self.budget.cancel.clone());
+        }
         self.stats.samplers_constructed += 1;
-        let mut sampler = Sampler::new(cnf, self.sampler_config(config));
-        let before = self.calls.consumed();
+        let mut sampler = Sampler::new(cnf, config);
         let (samples, outcome) = sampler.sample_with_outcome(n);
-        self.stats.sampler_calls += (self.calls.consumed() - before) as usize;
+        self.stats.sampler_calls += sampler.solves() as usize;
         if outcome.is_short() {
             self.stats.sample_shortfalls += 1;
             if matches!(
@@ -813,15 +729,35 @@ mod tests {
     fn unlimited_budget_never_expires() {
         let b = Budget::unlimited();
         assert!(!b.expired());
-        assert_eq!(b.conflicts_per_call(), None);
-        assert_eq!(b.max_sat_calls(), None);
+        assert_eq!(Oracle::new(b).exhausted(), None);
     }
 
     #[test]
     fn zero_time_budget_expires_immediately() {
-        let oracle = Oracle::new(Budget::new(Some(Duration::ZERO), None, None));
+        let mut oracle = Oracle::new(Budget::new(Some(Duration::ZERO)));
         assert_eq!(oracle.exhausted(), Some(UnknownReason::TimeBudget));
         assert_eq!(oracle.give_up_reason(), UnknownReason::TimeBudget);
+        // An expired deadline refuses every kind of oracle call before any
+        // solver is touched, and counts each refusal.
+        let mut solver = oracle.new_solver();
+        solver.add_clause([lit(1), lit(2)]);
+        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
+        assert_eq!(solver.stats().propagations, 0);
+        let mut maxsat = oracle.new_maxsat();
+        maxsat.add_hard([lit(1)]);
+        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
+        assert_eq!(maxsat.stats().probes, 0);
+        let (samples, outcome) = oracle.sample_cnf(&Cnf::new(2), SamplerConfig::default(), 3);
+        assert!(samples.is_empty());
+        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
+        assert_eq!(oracle.give_up_reason(), UnknownReason::TimeBudget);
+        let stats = oracle.stats();
+        assert_eq!(stats.budget_exhaustions, 3);
+        assert_eq!(stats.sat_calls, 0);
+        assert_eq!(stats.maxsat_calls, 0);
+        assert_eq!(stats.sampler_calls, 0);
+        assert_eq!(stats.samplers_constructed, 0);
+        assert_eq!(stats.sample_shortfalls, 1);
     }
 
     #[test]
@@ -921,30 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn call_budget_cuts_off_further_solves() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(1)));
-        let mut solver = oracle.new_solver();
-        solver.ensure_vars(1);
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Sat);
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
-        assert_eq!(oracle.give_up_reason(), UnknownReason::OracleBudget);
-        assert_eq!(oracle.stats().budget_exhaustions, 1);
-        // The refused call is not counted as performed.
-        assert_eq!(oracle.stats().sat_calls, 1);
-    }
-
-    #[test]
-    fn conflict_budget_is_inherited_by_constructed_solvers() {
-        let mut oracle = Oracle::new(Budget::new(None, Some(7), None));
-        let solver = oracle.new_solver();
-        assert_eq!(solver.config().max_conflicts, Some(7));
-        let sampler_cnf = Cnf::new(2);
-        let _ = oracle.sample_cnf(&sampler_cnf, SamplerConfig::default(), 1);
-        assert_eq!(oracle.stats().samplers_constructed, 1);
-    }
-
-    #[test]
     fn maxsat_goes_through_the_budget() {
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut maxsat = oracle.new_maxsat();
@@ -954,124 +866,6 @@ mod tests {
         assert_eq!(result, MaxSatResult::Optimum { cost: 0 });
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
-    }
-
-    /// Mirror of `call_budget_cuts_off_further_solves` for the MaxSAT path:
-    /// a total-call budget must cap MaxSAT solves exactly like SAT solves.
-    #[test]
-    fn call_budget_cuts_off_further_maxsat_solves() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(1)));
-        let mut maxsat = oracle.new_maxsat();
-        maxsat.add_hard([Var::new(0).positive()]);
-        assert_eq!(
-            oracle.solve_maxsat(&mut maxsat),
-            MaxSatResult::Optimum { cost: 0 }
-        );
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
-        assert_eq!(oracle.give_up_reason(), UnknownReason::OracleBudget);
-        assert_eq!(oracle.stats().budget_exhaustions, 1);
-        // The refused call is not counted as performed.
-        assert_eq!(oracle.stats().maxsat_calls, 1);
-    }
-
-    /// MaxSAT calls draw on the same allowance as SAT calls: one of each
-    /// exhausts a two-call budget, and either kind of further call is
-    /// refused.
-    #[test]
-    fn maxsat_calls_count_toward_the_shared_call_budget() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(2)));
-        let mut solver = oracle.new_solver();
-        solver.ensure_vars(1);
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Sat);
-        assert_eq!(oracle.exhausted(), None);
-        let mut maxsat = oracle.new_maxsat();
-        maxsat.add_hard([Var::new(0).positive()]);
-        assert_eq!(
-            oracle.solve_maxsat(&mut maxsat),
-            MaxSatResult::Optimum { cost: 0 }
-        );
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
-        assert_eq!(oracle.stats().sat_calls, 1);
-        assert_eq!(oracle.stats().maxsat_calls, 1);
-        assert_eq!(oracle.stats().budget_exhaustions, 2);
-    }
-
-    /// Mirror of `call_budget_cuts_off_further_solves` for the sampling
-    /// path: once the shared call budget is exhausted, sampler solves are
-    /// refused before the solver is touched.
-    #[test]
-    fn call_budget_cuts_off_further_sampler_solves() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(1)));
-        let mut solver = oracle.new_solver();
-        solver.ensure_vars(1);
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Sat);
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        let cnf = Cnf::new(2);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 5);
-        assert!(samples.is_empty());
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
-        assert_eq!(oracle.give_up_reason(), UnknownReason::OracleBudget);
-        // The refused request performed no solver calls and is recorded as a
-        // shortfall.
-        assert_eq!(oracle.stats().sampler_calls, 0);
-        assert_eq!(oracle.stats().sample_shortfalls, 1);
-    }
-
-    /// Sampler solves draw on the same allowance as SAT solves: a sampling
-    /// request is cut off mid-batch, and afterwards SAT solves are refused
-    /// too.
-    #[test]
-    fn sampler_solves_count_toward_the_shared_call_budget() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(3)));
-        let cnf = Cnf::new(2);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 10);
-        assert_eq!(samples.len(), 3);
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
-        assert_eq!(oracle.stats().sampler_calls, 3);
-        assert_eq!(oracle.stats().sample_shortfalls, 1);
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        let mut solver = oracle.new_solver();
-        solver.ensure_vars(1);
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
-        assert_eq!(oracle.stats().sat_calls, 0);
-    }
-
-    /// The one-shot path builds one sampler and bills its solves to the
-    /// shared allowance.
-    #[test]
-    fn sample_cnf_draws_on_the_shared_budget() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(5)));
-        let cnf = Cnf::new(3);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 20);
-        assert_eq!(samples.len(), 5);
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
-        assert_eq!(oracle.stats().sampler_calls, 5);
-        assert_eq!(oracle.stats().samplers_constructed, 1);
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-    }
-
-    /// A caller-supplied `CallBudget` must not let sampler work bypass the
-    /// oracle's shared allowance (or its `sampler_calls` accounting): the
-    /// oracle's handle is authoritative for oracle-routed samplers.
-    #[test]
-    fn caller_supplied_call_budgets_cannot_bypass_the_shared_allowance() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(2)));
-        let cnf = Cnf::new(2);
-        let private = CallBudget::unlimited();
-        let config = SamplerConfig {
-            calls: Some(private.clone()),
-            ..SamplerConfig::default()
-        };
-        let (samples, outcome) = oracle.sample_cnf(&cnf, config, 10);
-        assert_eq!(samples.len(), 2);
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
-        assert_eq!(oracle.stats().sampler_calls, 2);
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        // The private handle was ignored, not drawn on.
-        assert_eq!(private.consumed(), 0);
     }
 
     #[test]
@@ -1084,6 +878,24 @@ mod tests {
         assert_eq!(oracle.stats().sampler_calls, 12);
         assert_eq!(oracle.stats().sample_shortfalls, 0);
         assert_eq!(oracle.exhausted(), None);
+    }
+
+    /// A sampling request on an UNSAT formula stops after the one solve
+    /// that proves it, and bills exactly that solve.
+    #[test]
+    fn unsat_sampling_request_bills_one_sampler_call() {
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut cnf = Cnf::new(1);
+        cnf.add_clause([lit(1)]);
+        cnf.add_clause([lit(-1)]);
+        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 5);
+        assert!(samples.is_empty());
+        assert_eq!(outcome.reason, Some(ShortfallReason::Unsat));
+        let stats = oracle.stats();
+        assert_eq!(stats.sampler_calls, 1);
+        assert_eq!(stats.samplers_constructed, 1);
+        assert_eq!(stats.sample_shortfalls, 1);
+        assert_eq!(stats.budget_exhaustions, 0);
     }
 
     #[test]
@@ -1117,34 +929,6 @@ mod tests {
         // Refused calls are not performed.
         assert_eq!(oracle.stats().sat_calls, 1);
         assert_eq!(oracle.stats().maxsat_calls, 0);
-    }
-
-    /// Mirror of `call_budget_cuts_off_further_solves` for the MaxSAT probe
-    /// loop: internal bound-search probes draw on the shared allowance, a
-    /// search cut off mid-probe reports Unknown, and afterwards every other
-    /// oracle call is refused too.
-    #[test]
-    fn call_budget_cuts_off_the_maxsat_probe_loop() {
-        let mut oracle = Oracle::new(Budget::new(None, None, Some(2)));
-        let mut maxsat = oracle.new_maxsat();
-        // Optimum 2 needs at least three probes.
-        maxsat.add_hard([lit(1)]);
-        maxsat.add_hard([lit(2)]);
-        maxsat.add_soft([lit(-1)], 1);
-        maxsat.add_soft([lit(-2)], 1);
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
-        assert_eq!(oracle.stats().maxsat_probes, 2);
-        // Probes are billed to the shared allowance.
-        assert_eq!(
-            oracle.call_allowance().consumed(),
-            oracle.stats().maxsat_probes
-        );
-        assert_eq!(oracle.exhausted(), Some(UnknownReason::OracleBudget));
-        // The shared allowance is spent: SAT solves are refused too.
-        let mut solver = oracle.new_solver();
-        solver.ensure_vars(1);
-        assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
-        assert_eq!(oracle.stats().sat_calls, 0);
     }
 
     #[test]
@@ -1306,7 +1090,7 @@ mod tests {
 
     #[test]
     fn start_rearms_the_deadline() {
-        let mut budget = Budget::new(Some(Duration::from_millis(40)), None, None);
+        let mut budget = Budget::new(Some(Duration::from_millis(40)));
         std::thread::sleep(Duration::from_millis(50));
         assert!(budget.expired());
         // The race begins only now: re-arming measures the deadline from

@@ -18,7 +18,7 @@ const MAX_UNIQUE_DEFINITION_DEPS: usize = 6;
 /// variables are skipped by the learning phase (their definitions already
 /// respect the Henkin dependencies by construction). The Padoa and
 /// enumeration SAT calls run their own solvers but inherit the run's
-/// per-call conflict budget and cancellation token through `oracle`.
+/// cancellation token through `oracle`.
 pub fn extract_unique_definitions(
     dqbf: &Dqbf,
     vector: &mut HenkinVector,
@@ -29,11 +29,7 @@ pub fn extract_unique_definitions(
     if !config.use_unique_definitions {
         return Vec::new();
     }
-    let solver_config = SolverConfig {
-        max_conflicts: oracle.budget().conflicts_per_call(),
-        cancel: Some(oracle.budget().cancel_token().clone()),
-        ..SolverConfig::default()
-    };
+    let solver_config = SolverConfig::default().with_cancel(oracle.budget().cancel_token().clone());
     let defined =
         unique::extract_definitions_with(dqbf, vector, MAX_UNIQUE_DEFINITION_DEPS, &solver_config);
     stats.unique_definitions = defined.len();

@@ -96,7 +96,7 @@ pub fn find_candidates_from_scratch(
         }
         // The engine only calls this after establishing that σ[X] can be
         // extended to a model of ϕ, so the hard part is satisfiable; if the
-        // oracle is budgeted out (or cancelled) we fall back to "repair
+        // oracle is past its deadline (or cancelled) we fall back to "repair
         // every output whose candidate output differs from the witness
         // extension" — the engine re-checks the oracle before acting on it.
         MaxSatResult::HardUnsat | MaxSatResult::Unknown | MaxSatResult::Cancelled => dqbf

@@ -315,9 +315,7 @@ impl VerifySession {
     /// call, so its work is billed to the oracle's statistics here.
     pub fn maintain(&mut self, oracle: &mut Oracle) {
         let before = self.error.stats();
-        self.error.reduce_learnt_db();
-        self.error.simplify();
-        self.error.inprocess();
+        self.error.maintain();
         oracle.note_solver_maintenance(&before, &self.error.stats());
         self.retired_since_maintenance = 0;
         self.maintenance_runs += 1;
@@ -419,10 +417,10 @@ impl RepairSession {
     /// targets. Returns the outputs whose soft constraint was dropped in the
     /// optimum — the candidates to repair.
     ///
-    /// When the oracle is budgeted out (or the hard part is unexpectedly
-    /// unsatisfiable under the assumptions), falls back to "repair every
-    /// output whose candidate output differs from the witness extension",
-    /// exactly like the from-scratch path.
+    /// When the oracle is past its deadline or cancelled (or the hard part
+    /// is unexpectedly unsatisfiable under the assumptions), falls back to
+    /// "repair every output whose candidate output differs from the witness
+    /// extension", exactly like the from-scratch path.
     pub fn find_candidates(
         &mut self,
         dqbf: &Dqbf,
@@ -454,7 +452,7 @@ impl RepairSession {
                     .map(|slot| slot.output)
                     .collect()
             }
-            // A cancelled query falls back exactly like a budgeted-out one —
+            // A cancelled query falls back exactly like a refused one —
             // the engine re-checks the oracle before acting on the fallback
             // set and reports `UnknownReason::Cancelled`.
             MaxSatResult::HardUnsat | MaxSatResult::Unknown | MaxSatResult::Cancelled => dqbf

@@ -46,8 +46,8 @@ pub fn is_uniquely_defined(dqbf: &Dqbf, y: Var) -> bool {
 }
 
 /// Like [`is_uniquely_defined`], but the Padoa SAT call runs under the given
-/// solver configuration (in particular its conflict budget). A call that
-/// gives up within the budget conservatively reports "not defined".
+/// solver configuration (in particular its cancellation token). A call that
+/// is cancelled conservatively reports "not defined".
 pub fn is_uniquely_defined_with(dqbf: &Dqbf, y: Var, config: &SolverConfig) -> bool {
     let deps = dqbf.dependencies(y);
     let n = dqbf.num_vars();
@@ -81,10 +81,10 @@ pub fn extract_definitions(dqbf: &Dqbf, vector: &mut HenkinVector, max_deps: usi
 }
 
 /// Like [`extract_definitions`], but every SAT call runs under the given
-/// solver configuration (in particular its conflict budget), so a shared
-/// engine budget caps preprocessing too. Variables whose definability or
-/// definition cannot be settled within the budget are skipped (sound: they
-/// fall through to the learning phase).
+/// solver configuration (in particular its cancellation token), so
+/// cancelling a shared engine budget stops preprocessing too. Variables
+/// whose definability or definition cannot be settled before cancellation
+/// are skipped (sound: they fall through to the learning phase).
 pub fn extract_definitions_with(
     dqbf: &Dqbf,
     vector: &mut HenkinVector,
@@ -111,8 +111,8 @@ pub fn extract_definitions_with(
 /// Builds the definition of a uniquely defined `y` as a DNF over its
 /// dependency valuations, using one SAT call per valuation. Returns `None`
 /// when `y` turns out not to be defined for some valuation, or when any call
-/// gives up within its conflict budget (an `Unknown` must not be mistaken
-/// for "forced", so the whole extraction is abandoned for `y`).
+/// is cancelled (an `Unknown` must not be mistaken for "forced", so the
+/// whole extraction is abandoned for `y`).
 fn definition_by_enumeration(
     dqbf: &Dqbf,
     y: Var,

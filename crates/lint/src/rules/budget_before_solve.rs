@@ -1,10 +1,10 @@
 //! `budget-before-solve`: every path from a public `solve*`/`sample*`/
 //! `probe*` entry point to an underlying solver invocation must pass a
-//! budget admission check (`exhausted()` / `try_acquire`) first. This is the
-//! path-sensitive upgrade of `cancel-poll`: the CEGIS loop is only as cheap
-//! as its *refused* calls, so a branch that reaches the solver without
-//! consulting the shared [`Budget`]/`CallBudget` silently burns work the
-//! budget already said no to.
+//! budget admission check (`exhausted()` / `is_cancelled()`) first. This is
+//! the path-sensitive upgrade of `cancel-poll`: the CEGIS loop is only as
+//! cheap as its *refused* calls, so a branch that reaches the solver without
+//! consulting the shared `Budget` (its deadline or its cancel token)
+//! silently burns work the budget already said no to.
 //!
 //! The analysis is intra-procedural over each function's CFG, with two
 //! interprocedural summaries over the name-union call graph:
@@ -60,7 +60,7 @@ impl Rule for BudgetBeforeSolve {
             "crates/sampler/src".to_string(),
         ];
         let scopes = config.list_or(self.name(), "scopes", &scopes_default);
-        let checks_default = ["exhausted".to_string(), "try_acquire".to_string()];
+        let checks_default = ["exhausted".to_string(), "is_cancelled".to_string()];
         let checks = config.list_or(self.name(), "check-markers", &checks_default);
         let solves_default = [
             "solve".to_string(),

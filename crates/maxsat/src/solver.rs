@@ -1,6 +1,6 @@
 use crate::Totalizer;
 use manthan3_cnf::{Assignment, Clause, Cnf, Lit, Var};
-use manthan3_sat::{CallBudget, SolveResult, Solver, SolverConfig, SolverStats};
+use manthan3_sat::{SolveResult, Solver, SolverConfig, SolverStats};
 
 /// Identifier of a soft clause, returned by [`MaxSatSolver::add_soft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -36,8 +36,8 @@ pub enum MaxSatResult {
     /// The hard clauses alone (together with the assumptions, for
     /// [`MaxSatSolver::solve_under_assumptions`]) are unsatisfiable.
     HardUnsat,
-    /// A conflict or call budget was exhausted before the optimum was
-    /// proved.
+    /// The oracle layer refused the call because the run's wall-clock
+    /// deadline had passed; the solver itself never reports this.
     Unknown,
     /// The solve was cooperatively cancelled (the configured
     /// [`CancelToken`](manthan3_sat::CancelToken) fired) mid-search. No
@@ -46,15 +46,11 @@ pub enum MaxSatResult {
     Cancelled,
 }
 
-/// Verdict of one internal SAT probe, with budget refusals and cancellation
-/// separated from genuine conflict-budget exhaustion.
+/// Verdict of one internal SAT probe.
 enum Probe {
     Sat,
     Unsat,
-    Unknown,
     Cancelled,
-    /// The shared [`CallBudget`] refused the probe; it was not performed.
-    Refused,
 }
 
 #[derive(Debug, Clone)]
@@ -91,10 +87,6 @@ pub struct MaxSatSolver {
     last_optimum: Option<u64>,
     /// The assumption set `last_optimum` was proved under.
     last_assumptions: Vec<Lit>,
-    /// Shared call allowance every internal SAT probe draws on (attached by
-    /// the oracle layer); probes are refused — not performed — once it is
-    /// exhausted, exactly like top-level SAT solves.
-    calls: Option<CallBudget>,
     stats: MaxSatStats,
 }
 
@@ -110,15 +102,8 @@ impl MaxSatSolver {
         MaxSatSolver::with_config(SolverConfig::default())
     }
 
-    /// Creates an instance whose SAT oracle calls are limited to
-    /// `max_conflicts` conflicts each. When the budget is exhausted,
-    /// [`MaxSatSolver::solve`] returns [`MaxSatResult::Unknown`].
-    pub fn with_conflict_budget(max_conflicts: u64) -> Self {
-        MaxSatSolver::with_config(SolverConfig::budgeted(max_conflicts))
-    }
-
     /// Creates an instance whose internal SAT solver uses `config` — the way
-    /// to pass a conflict budget *and* a cancellation token in one go (as the
+    /// to pass a cancellation token and proof logging in one go (as the
     /// shared oracle layer does).
     pub fn with_config(config: SolverConfig) -> Self {
         MaxSatSolver {
@@ -128,7 +113,6 @@ impl MaxSatSolver {
             totalizer: None,
             last_optimum: None,
             last_assumptions: Vec::new(),
-            calls: None,
             stats: MaxSatStats::default(),
         }
     }
@@ -178,15 +162,6 @@ impl MaxSatSolver {
     /// solve call of this instance.
     pub fn stats(&self) -> MaxSatStats {
         self.stats
-    }
-
-    /// Attaches a shared call allowance: every internal SAT probe of every
-    /// subsequent solve call draws one call from it first and is refused —
-    /// reported as [`MaxSatResult::Unknown`] — once the allowance is
-    /// exhausted. This is how the oracle layer makes MaxSAT bound searches
-    /// draw on the same budget as every other solve.
-    pub fn set_call_budget(&mut self, calls: CallBudget) {
-        self.calls = Some(calls);
     }
 
     /// Adds a hard clause.
@@ -268,9 +243,7 @@ impl MaxSatSolver {
     /// structure stays sound).
     pub fn maintain(&mut self) {
         self.last_optimum = None;
-        self.solver.reduce_learnt_db();
-        self.solver.simplify();
-        self.solver.inprocess();
+        self.solver.maintain();
     }
 
     /// Number of soft clauses.
@@ -286,13 +259,13 @@ impl MaxSatSolver {
     /// Finds an assignment satisfying all hard clauses that minimizes the
     /// total weight of violated soft clauses.
     ///
-    /// An already-exhausted shared call allowance is refused up front —
-    /// the internal probes would each be refused anyway, so this skips
-    /// straight to the verdict an out-of-budget search would reach.
+    /// An already-cancelled solver is refused up front — the internal
+    /// probes would each be refused anyway, so this skips straight to the
+    /// verdict a cancelled search would reach.
     pub fn solve(&mut self) -> MaxSatResult {
-        if self.calls.as_ref().is_some_and(|calls| calls.exhausted()) {
+        if self.is_cancelled() {
             self.model = None;
-            return MaxSatResult::Unknown;
+            return MaxSatResult::Cancelled;
         }
         self.solve_under_assumptions(&[])
     }
@@ -328,7 +301,6 @@ impl MaxSatSolver {
         // Is the hard part satisfiable at all (under the assumptions)?
         match self.probe(assumptions) {
             Probe::Unsat => return MaxSatResult::HardUnsat,
-            Probe::Unknown | Probe::Refused => return MaxSatResult::Unknown,
             Probe::Cancelled => return MaxSatResult::Cancelled,
             Probe::Sat => {}
         }
@@ -345,7 +317,6 @@ impl MaxSatSolver {
                 self.last_optimum = Some(0);
                 return MaxSatResult::Optimum { cost: 0 };
             }
-            Probe::Unknown | Probe::Refused => return MaxSatResult::Unknown,
             Probe::Cancelled => return MaxSatResult::Cancelled,
             Probe::Unsat => {}
         }
@@ -371,7 +342,6 @@ impl MaxSatSolver {
                         self.last_optimum = Some(cost);
                         MaxSatResult::Optimum { cost }
                     }
-                    Probe::Unknown | Probe::Refused => MaxSatResult::Unknown,
                     Probe::Cancelled => MaxSatResult::Cancelled,
                     Probe::Unsat => MaxSatResult::HardUnsat,
                 };
@@ -385,10 +355,6 @@ impl MaxSatSolver {
                     self.model = Some(self.solver.model());
                     break self.cost_of_current_model();
                 }
-                Probe::Unknown | Probe::Refused => {
-                    self.model = None;
-                    return MaxSatResult::Unknown;
-                }
                 Probe::Cancelled => {
                     self.model = None;
                     return MaxSatResult::Cancelled;
@@ -400,8 +366,8 @@ impl MaxSatSolver {
             }
         };
         // Phase 2: tighten downward until the next-lower bound is refuted
-        // (or meets a bound phase 1 already refuted). An Unknown or
-        // Cancelled exit clears the model found so far: it is not a proven
+        // (or meets a bound phase 1 already refuted). A Cancelled exit
+        // clears the model found so far: it is not a proven
         // optimum, and [`MaxSatSolver::model`] documents that nothing is
         // available after a non-Optimum outcome.
         while cost > refuted + 1 {
@@ -413,10 +379,6 @@ impl MaxSatSolver {
                 Probe::Sat => {
                     self.model = Some(self.solver.model());
                     cost = self.cost_of_current_model();
-                }
-                Probe::Unknown | Probe::Refused => {
-                    self.model = None;
-                    return MaxSatResult::Unknown;
                 }
                 Probe::Cancelled => {
                     self.model = None;
@@ -438,30 +400,18 @@ impl MaxSatSolver {
             .is_some_and(|token| token.is_cancelled())
     }
 
-    /// One internal SAT probe: polls cancellation, draws on the shared call
-    /// allowance (a refused probe is not performed), and classifies an
-    /// Unknown verdict as cancellation when the token fired mid-search.
+    /// One internal SAT probe: polls cancellation first (a cancelled probe
+    /// is not performed). The solver ends a call without a verdict only when
+    /// the token fired mid-search, so Unknown is cancellation too.
     fn probe(&mut self, assumptions: &[Lit]) -> Probe {
         if self.is_cancelled() {
             return Probe::Cancelled;
-        }
-        // Admission on the straight-line path: a missing allowance admits,
-        // a present one is drawn from (and refuses when spent).
-        let admitted = self.calls.as_ref().is_none_or(|calls| calls.try_acquire());
-        if !admitted {
-            return Probe::Refused;
         }
         self.stats.probes += 1;
         match self.solver.solve_with_assumptions(assumptions) {
             SolveResult::Sat => Probe::Sat,
             SolveResult::Unsat => Probe::Unsat,
-            SolveResult::Unknown => {
-                if self.is_cancelled() {
-                    Probe::Cancelled
-                } else {
-                    Probe::Unknown
-                }
-            }
+            SolveResult::Unknown => Probe::Cancelled,
         }
     }
 
@@ -868,27 +818,6 @@ mod tests {
             MaxSatResult::Optimum { cost: 3 }
         );
         assert_eq!(s.stats().probes - before, 4);
-    }
-
-    /// Satellite regression: internal SAT probes draw on the shared
-    /// [`CallBudget`] and are refused — mid-bound-search — once it is
-    /// exhausted, mirroring `call_budget_cuts_off_further_solves`.
-    #[test]
-    fn call_budget_cuts_off_the_probe_loop() {
-        let mut s = MaxSatSolver::new();
-        let calls = CallBudget::limited(2);
-        s.set_call_budget(calls.clone());
-        // Optimum 2 needs ≥ 3 probes: hard check, optimistic check, climb.
-        s.add_hard([lit(1)]);
-        s.add_hard([lit(2)]);
-        s.add_soft([lit(-1)], 1);
-        s.add_soft([lit(-2)], 1);
-        assert_eq!(s.solve(), MaxSatResult::Unknown);
-        // Exactly the allowance was consumed; the refused probe was never
-        // performed.
-        assert_eq!(calls.consumed(), 2);
-        assert_eq!(s.stats().probes, 2);
-        assert!(calls.exhausted());
     }
 
     /// A random clause of one or two literals over `num_vars` variables.

@@ -13,9 +13,9 @@
 //! [`CancelToken`](manthan3_sat::CancelToken). As soon as an engine produces
 //! a decisive result — a Henkin vector that passes the independent
 //! certificate check, or a proof of falsity — the runner cancels the token;
-//! the CDCL search loops of the losing engines poll it alongside their
-//! conflict budgets and give up within milliseconds instead of burning the
-//! remaining budget. Losers report
+//! the CDCL search loops of the losing engines poll it once per decision
+//! and give up within milliseconds instead of burning the remaining
+//! budget. Losers report
 //! [`UnknownReason::Cancelled`](manthan3_core::UnknownReason::Cancelled).
 //!
 //! Because every engine runs on the shared oracle layer of `manthan3-core`,
@@ -84,10 +84,10 @@ impl fmt::Display for PortfolioEngine {
 
 /// Configuration of a [`Portfolio`] run.
 ///
-/// The shared budget fields here are authoritative: the per-engine
-/// configurations' own `time_budget` / `sat_conflict_budget` fields are
-/// ignored, because every engine runs via its `synthesize_with_budget` entry
-/// point on a clone of the portfolio's armed [`Budget`].
+/// The shared `time_budget` here is authoritative: the per-engine
+/// configurations' own `time_budget` fields are ignored, because every
+/// engine runs via its `synthesize_with_budget` entry point on a clone of
+/// the portfolio's armed [`Budget`].
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
     /// The engines to race, in dispatch order; each runs on its own thread.
@@ -96,11 +96,6 @@ pub struct PortfolioConfig {
     /// clock is armed when [`Portfolio::run`] starts, not when this
     /// configuration is built.
     pub time_budget: Option<Duration>,
-    /// Per-call conflict budget inherited by every engine's oracle.
-    pub sat_conflict_budget: Option<u64>,
-    /// Total oracle-call budget *per engine* (each engine owns its oracle
-    /// and counts its own calls).
-    pub sat_call_budget: Option<u64>,
     /// Engine-specific settings for Manthan3 (budget fields ignored).
     pub manthan3: Manthan3Config,
     /// Engine-specific settings for the expansion baseline (budget fields
@@ -116,8 +111,6 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             engines: PortfolioEngine::ALL.to_vec(),
             time_budget: None,
-            sat_conflict_budget: None,
-            sat_call_budget: None,
             manthan3: Manthan3Config::default(),
             expansion: ExpansionConfig::default(),
             arbiter: ArbiterConfig::default(),
@@ -252,11 +245,7 @@ impl Portfolio {
         );
         // One budget for the whole race, armed now — not when the
         // configuration was built. Clones share the deadline and the token.
-        let mut budget = Budget::new(
-            self.config.time_budget,
-            self.config.sat_conflict_budget,
-            self.config.sat_call_budget,
-        );
+        let mut budget = Budget::new(self.config.time_budget);
         budget.start();
         let race_start = Instant::now();
 

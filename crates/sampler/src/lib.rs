@@ -13,15 +13,16 @@
 //! in subsequent samples.
 //!
 //! A Manthan3 run draws all of its training data from one [`Sampler`],
-//! built through the core crate's oracle: every per-sample solve draws on
-//! the run's shared [`CallBudget`] and stops when its [`CancelToken`] is
-//! raised.
+//! built through the core crate's oracle: the sampler polls the run's
+//! [`CancelToken`] before every per-sample solve and counts the solves it
+//! performs ([`Sampler::solves`]), which the oracle bills to its statistics.
 //!
 //! Shortfalls are first-class: [`Sampler::sample_with_outcome`] reports a
 //! [`SampleOutcome`] that says how many samples were requested and emitted,
 //! and *why* a short batch stopped ([`ShortfallReason`]: proved
-//! unsatisfiable, budget cut, or cancelled) — the synthesis engine uses this
-//! to distinguish "the formula has no models" from "the race was lost".
+//! unsatisfiable, refused by an expired deadline, or cancelled) — the
+//! synthesis engine uses this to distinguish "the formula has no models"
+//! from "the race was lost".
 //!
 //! # Examples
 //!
@@ -43,44 +44,31 @@
 #![warn(missing_docs)]
 
 use manthan3_cnf::{Assignment, Cnf, Var};
-use manthan3_sat::{CallBudget, CancelToken, SolveResult, Solver, SolverConfig};
+use manthan3_sat::{CancelToken, SolveResult, Solver, SolverConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+
+/// Probability of making a random branching decision inside the
+/// sampler's solver.
+const RANDOM_VAR_FREQ: f64 = 0.6;
 
 /// Configuration for a [`Sampler`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Random seed.
     pub seed: u64,
-    /// Enables adaptive weighted sampling (per-variable bias adjustment).
-    pub adaptive: bool,
-    /// Probability of making a random branching decision inside the solver.
-    pub random_var_freq: f64,
-    /// Conflict budget per individual sample; `None` means unlimited.
-    pub max_conflicts_per_sample: Option<u64>,
     /// Optional cooperative cancellation token, polled by the underlying
     /// solver: a cancelled sampler stops emitting samples at its next solve
     /// call (the batch collected so far is kept).
     pub cancel: Option<CancelToken>,
-    /// Optional shared call allowance: every per-sample solver call first
-    /// draws on this budget, and the sampler stops (with
-    /// [`ShortfallReason::Budget`]) once it is exhausted. The oracle layer
-    /// passes the run's shared SAT/MaxSAT call budget here, so sampler
-    /// solves are billed to — and refused by — the same allowance as every
-    /// other oracle call.
-    pub calls: Option<CallBudget>,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
         SamplerConfig {
             seed: 0xDA7A,
-            adaptive: true,
-            random_var_freq: 0.6,
-            max_conflicts_per_sample: None,
             cancel: None,
-            calls: None,
         }
     }
 }
@@ -90,8 +78,8 @@ impl Default for SamplerConfig {
 pub enum ShortfallReason {
     /// The formula was proved unsatisfiable (no further samples exist).
     Unsat,
-    /// A budget cut sampling short: the shared [`CallBudget`] was exhausted,
-    /// or a per-sample conflict limit made a solve give up.
+    /// The oracle refused the request because the run's wall-clock
+    /// deadline had passed; no sampler was built.
     Budget,
     /// The cooperative [`CancelToken`] was raised.
     Cancelled,
@@ -135,14 +123,14 @@ impl SampleOutcome {
 pub struct Sampler {
     solver: Solver,
     num_vars: usize,
-    adaptive: bool,
     /// Per-variable count of `true` valuations over emitted samples.
     true_counts: Vec<usize>,
     emitted: usize,
     satisfiable: Option<bool>,
     rng: SmallRng,
     cancel: Option<CancelToken>,
-    calls: CallBudget,
+    /// Solver calls performed over the sampler's lifetime.
+    solves: u64,
     /// Why the most recent [`Sampler::sample_one`] returned `None`.
     last_stop: Option<ShortfallReason>,
 }
@@ -151,9 +139,7 @@ impl Sampler {
     /// Creates a sampler for `cnf`.
     pub fn new(cnf: &Cnf, config: SamplerConfig) -> Self {
         let solver_config = SolverConfig {
-            random_var_freq: config.random_var_freq,
-            random_polarity: false,
-            max_conflicts: config.max_conflicts_per_sample,
+            random_var_freq: RANDOM_VAR_FREQ,
             cancel: config.cancel.clone(),
             seed: config.seed,
             ..SolverConfig::default()
@@ -164,13 +150,12 @@ impl Sampler {
         Sampler {
             solver,
             num_vars: cnf.num_vars(),
-            adaptive: config.adaptive,
             true_counts: vec![0; cnf.num_vars()],
             emitted: 0,
             satisfiable: None,
             rng: SmallRng::seed_from_u64(config.seed ^ 0x5EED),
             cancel: config.cancel,
-            calls: config.calls.unwrap_or_default(),
+            solves: 0,
             last_stop: None,
         }
     }
@@ -185,9 +170,19 @@ impl Sampler {
         self.satisfiable
     }
 
+    /// Number of solver calls performed so far over the sampler's lifetime
+    /// (one per [`Sampler::sample_one`] that reached the solver).
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    fn is_cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
     fn refresh_phases(&mut self) {
         for v in 0..self.num_vars {
-            let bias = if self.adaptive && self.emitted > 0 {
+            let bias = if self.emitted > 0 {
                 // Probability of choosing `true` is pushed towards the value
                 // that is under-represented so far.
                 let ratio = self.true_counts[v] as f64 / self.emitted as f64;
@@ -203,25 +198,21 @@ impl Sampler {
     }
 
     /// Draws one satisfying assignment, or `None` if the formula is
-    /// unsatisfiable, a budget was exhausted, or the sampler was cancelled;
-    /// [`Sampler::last_stop`] says which.
+    /// unsatisfiable or the sampler was cancelled; [`Sampler::last_stop`]
+    /// says which.
     ///
-    /// Every performed solve first draws one call from the shared
-    /// [`CallBudget`] (when one was configured): an exhausted allowance
-    /// refuses the sample *before* the solver is touched.
+    /// A cancelled sampler refuses the sample *before* the solver is
+    /// touched.
     pub fn sample_one(&mut self) -> Option<Assignment> {
         if self.satisfiable == Some(false) {
             self.last_stop = Some(ShortfallReason::Unsat);
             return None;
         }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if self.is_cancelled() {
             self.last_stop = Some(ShortfallReason::Cancelled);
             return None;
         }
-        if !self.calls.try_acquire() {
-            self.last_stop = Some(ShortfallReason::Budget);
-            return None;
-        }
+        self.solves += 1;
         self.refresh_phases();
         match self.solver.solve() {
             SolveResult::Sat => {
@@ -241,21 +232,16 @@ impl Sampler {
                 self.last_stop = Some(ShortfallReason::Unsat);
                 None
             }
+            // Only a cancelled solve ends without a verdict.
             SolveResult::Unknown => {
-                self.last_stop = Some(
-                    if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        ShortfallReason::Cancelled
-                    } else {
-                        ShortfallReason::Budget
-                    },
-                );
+                self.last_stop = Some(ShortfallReason::Cancelled);
                 None
             }
         }
     }
 
     /// Draws up to `n` satisfying assignments (fewer if the formula is
-    /// unsatisfiable or budgets are exhausted).
+    /// unsatisfiable or the sampler is cancelled).
     pub fn sample(&mut self, n: usize) -> Vec<Assignment> {
         self.sample_with_outcome(n).0
     }
@@ -414,27 +400,6 @@ mod tests {
         assert_eq!(samples.len(), 8);
         assert_eq!(outcome.reason, None);
         assert!(!outcome.is_short());
-    }
-
-    #[test]
-    fn call_budget_cuts_sampling_short() {
-        let cnf = Cnf::new(4);
-        let budget = manthan3_sat::CallBudget::limited(3);
-        let mut s = Sampler::new(
-            &cnf,
-            SamplerConfig {
-                calls: Some(budget.clone()),
-                ..SamplerConfig::default()
-            },
-        );
-        let (samples, outcome) = s.sample_with_outcome(10);
-        assert_eq!(samples.len(), 3);
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
-        assert!(budget.exhausted());
-        // Refused draws never touch the solver, so the allowance stays at
-        // exactly its limit however often we retry.
-        assert!(s.sample(2).is_empty());
-        assert_eq!(budget.consumed(), 3);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod proof;
 pub mod restart;
 mod solver;
 
-pub use cancel::{CallBudget, CancelToken};
+pub use cancel::CancelToken;
 pub use config::SolverConfig;
 pub use proof::{Certificate, ProofTracer};
 pub use solver::{SolveResult, Solver, SolverStats};

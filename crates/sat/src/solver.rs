@@ -18,7 +18,8 @@ pub enum SolveResult {
     /// The formula (under the given assumptions) is unsatisfiable; a core of
     /// assumption literals is available through [`Solver::unsat_core`].
     Unsat,
-    /// The conflict budget was exhausted before a verdict was reached.
+    /// The solver's [`CancelToken`](crate::CancelToken) was cancelled
+    /// before a verdict was reached.
     Unknown,
 }
 
@@ -133,7 +134,7 @@ enum SearchStatus {
     Sat,
     Unsat,
     Restart,
-    Budget,
+    Cancelled,
 }
 
 /// A conflict-driven clause-learning SAT solver.
@@ -273,8 +274,8 @@ impl Solver {
         self.values.push(VALUE_UNASSIGNED);
         self.levels.push(0);
         self.reasons.push(None);
-        self.phases.push(self.config.default_polarity);
-        self.best_phases.push(self.config.default_polarity);
+        self.phases.push(false);
+        self.best_phases.push(false);
         self.activities.push(0.0);
         self.seen.push(false);
         self.watches.push(Vec::new());
@@ -726,12 +727,7 @@ impl Solver {
                 .collect();
             if let Some(&idx) = unassigned.get(self.rng.gen_range(0..unassigned.len().max(1))) {
                 let var = Var::new(idx as u32);
-                let polarity = if self.config.random_polarity {
-                    self.rng.gen()
-                } else {
-                    self.phases[idx]
-                };
-                return Some(Lit::new(var, polarity));
+                return Some(Lit::new(var, self.phases[idx]));
             }
         }
         // Highest-activity unassigned variable.
@@ -758,12 +754,7 @@ impl Solver {
                     if self.values[idx] != VALUE_UNASSIGNED {
                         continue;
                     }
-                    let polarity = if self.config.random_polarity {
-                        self.rng.gen()
-                    } else {
-                        self.phases[idx]
-                    };
-                    return Some(Lit::new(entry.var, polarity));
+                    return Some(Lit::new(entry.var, self.phases[idx]));
                 }
             }
         }
@@ -1069,6 +1060,16 @@ impl Solver {
             self.maybe_collect_garbage();
             self.debug_check_watches();
         }
+    }
+
+    /// One maintenance pass between solve bursts of a long-lived solver:
+    /// [`Solver::reduce_learnt_db`], then [`Solver::simplify`], then
+    /// [`Solver::inprocess`]. Every long-lived owner (the verify and repair
+    /// sessions) runs this same policy.
+    pub fn maintain(&mut self) {
+        self.reduce_learnt_db();
+        self.simplify();
+        self.inprocess();
     }
 
     fn cancelled(&self) -> bool {
@@ -1405,7 +1406,7 @@ impl Solver {
     /// last rephase ("best phases"), on a geometric conflict schedule. Runs
     /// on restart boundaries only, after backtracking.
     fn maybe_rephase(&mut self) {
-        if !self.config.rephase || self.conflicts_since_rephase < self.rephase_interval {
+        if self.conflicts_since_rephase < self.rephase_interval {
             return;
         }
         self.phases.copy_from_slice(&self.best_phases);
@@ -1415,15 +1416,10 @@ impl Solver {
         self.best_trail = 0;
     }
 
-    fn search(
-        &mut self,
-        scheduler: &mut RestartScheduler,
-        total_conflicts: &mut u64,
-    ) -> SearchStatus {
+    fn search(&mut self, scheduler: &mut RestartScheduler) -> SearchStatus {
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
-                *total_conflicts += 1;
                 self.conflicts_since_rephase += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
@@ -1433,7 +1429,7 @@ impl Solver {
                 }
                 // Best-phase snapshot for rephasing: the deepest trail seen
                 // is the closest the search has come to a full assignment.
-                if self.config.rephase && self.trail.len() > self.best_trail {
+                if self.trail.len() > self.best_trail {
                     self.best_trail = self.trail.len();
                     for &l in &self.trail {
                         self.best_phases[l.var().index()] = l.is_positive();
@@ -1454,19 +1450,13 @@ impl Solver {
                 }
                 self.decay_activities();
             } else {
-                if let Some(limit) = self.config.max_conflicts {
-                    if *total_conflicts >= limit {
-                        self.cancel_until(0);
-                        return SearchStatus::Budget;
-                    }
-                }
-                // Cooperative cancellation, polled like the conflict budget
-                // (once per decision, i.e. every conflict-free propagation
-                // round): a cancelled solver abandons the call within
-                // milliseconds instead of running to its verdict.
+                // Cooperative cancellation, polled once per decision (i.e.
+                // every conflict-free propagation round): a cancelled solver
+                // abandons the call within milliseconds instead of running
+                // to its verdict.
                 if self.cancelled() {
                     self.cancel_until(0);
-                    return SearchStatus::Budget;
+                    return SearchStatus::Cancelled;
                 }
                 if scheduler.should_restart() {
                     // Assumption-aware restart: fall back to the assumption
@@ -1573,10 +1563,9 @@ impl Solver {
             return SolveResult::Unsat;
         }
 
-        let mut total_conflicts = 0u64;
         let mut scheduler = RestartScheduler::new();
         let result = loop {
-            match self.search(&mut scheduler, &mut total_conflicts) {
+            match self.search(&mut scheduler) {
                 SearchStatus::Sat => {
                     self.model_values = self.values.clone();
                     self.have_model = true;
@@ -1599,7 +1588,7 @@ impl Solver {
                     self.tracer.note_unsat(&self.assumptions);
                     break SolveResult::Unsat;
                 }
-                SearchStatus::Budget => {
+                SearchStatus::Cancelled => {
                     self.tracer.note_inconclusive();
                     break SolveResult::Unknown;
                 }
@@ -1739,8 +1728,8 @@ impl Solver {
 
     /// Sets the preferred decision polarity of `var`.
     ///
-    /// The phase is used whenever `var` is picked as a decision variable and
-    /// [`SolverConfig::random_polarity`] is off. The sampler crate uses this
+    /// The phase is used whenever `var` is picked as a decision variable.
+    /// The sampler crate uses this
     /// to bias models towards under-represented valuations (adaptive
     /// weighted sampling).
     ///
@@ -1928,26 +1917,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_reports_unknown() {
-        // A moderately hard pigeonhole instance with an absurdly small budget.
-        let n = 6;
-        let var = |i: usize, j: usize| Var::new((i * n + j) as u32);
-        let mut s = Solver::with_config(SolverConfig::budgeted(1));
-        for i in 0..=n {
-            let clause: Vec<Lit> = (0..n).map(|j| var(i, j).positive()).collect();
-            s.add_clause(clause);
-        }
-        for j in 0..n {
-            for i1 in 0..=n {
-                for i2 in (i1 + 1)..=n {
-                    s.add_clause([var(i1, j).negative(), var(i2, j).negative()]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unknown);
-    }
-
-    #[test]
     fn incremental_clause_addition() {
         let mut s = Solver::new();
         s.add_clause([lit(1), lit(2)]);
@@ -1966,21 +1935,6 @@ mod tests {
         s.add_clause([lit(2), lit(2)]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.value(Var::new(1)), Some(true));
-    }
-
-    #[test]
-    fn random_polarity_still_correct() {
-        let mut s = Solver::with_config(SolverConfig::sampling(1234));
-        s.add_clause([lit(1), lit(2), lit(3)]);
-        s.add_clause([lit(-1), lit(-2)]);
-        s.add_clause([lit(-1), lit(-3)]);
-        s.add_clause([lit(-2), lit(-3)]);
-        for _ in 0..20 {
-            assert_eq!(s.solve(), SolveResult::Sat);
-            let m = s.model();
-            let count = (0..3).filter(|&i| m.value(Var::new(i))).count();
-            assert_eq!(count, 1, "exactly one variable may be true");
-        }
     }
 
     #[test]
@@ -2165,16 +2119,18 @@ mod tests {
     #[test]
     fn reduce_learnt_db_keeps_reasons_of_live_assumption_trail() {
         let holes = 7;
-        // All-true default phases make every at-most-one clause conflict,
-        // so the solve is guaranteed to learn clauses.
         let mut s = permutation_instance(
             holes,
             SolverConfig {
                 first_reduce_db: 100_000,
-                default_polarity: true,
                 ..SolverConfig::default()
             },
         );
+        // All-true phases make every at-most-one clause conflict, so the
+        // solve is guaranteed to learn clauses.
+        for v in 0..s.num_vars() {
+            s.set_phase(Var::new(v as u32), true);
+        }
         // A deep assumption prefix: pin pigeon i to hole i for a few rows.
         let assumptions: Vec<Lit> = (0..3)
             .map(|i| Var::new((i * holes + i) as u32).positive())
@@ -2300,9 +2256,7 @@ mod tests {
         // the public API: solve to learn, then inprocess.
         let mut s = permutation_instance(6, SolverConfig::default());
         assert_eq!(s.solve(), SolveResult::Sat);
-        s.reduce_learnt_db();
-        s.simplify();
-        s.inprocess();
+        s.maintain();
         // Whatever happened, the database stays consistent and correct.
         assert_eq!(s.solve(), SolveResult::Sat);
         for &cref in &s.learnt_refs {
@@ -2440,9 +2394,7 @@ mod tests {
                 }
                 if query % 13 == 12 {
                     // Maintenance mid-sequence must stay sound too.
-                    incremental.reduce_learnt_db();
-                    incremental.simplify();
-                    incremental.inprocess();
+                    incremental.maintain();
                 }
                 let mut assumptions = prefix.clone();
                 assumptions.push(Lit::new(

@@ -205,9 +205,7 @@ proptest! {
                     prop_assert!(cnf.eval(&model), "churned solver produced a bogus model");
                 }
             }
-            churned.reduce_learnt_db();
-            churned.simplify();
-            churned.inprocess();
+            churned.maintain();
         }
         // A fresh solver must agree with the churned one verdict-for-verdict.
         let mut fresh = Solver::with_config(config);

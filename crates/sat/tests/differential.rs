@@ -112,9 +112,7 @@ fn session(cnf: &Cnf, config: SolverConfig, expected: &[SolveResult]) -> Result<
     solver.ensure_vars(cnf.num_vars());
     for (call, (assumptions, &want)) in calls().iter().zip(expected).enumerate() {
         if call > 0 {
-            solver.reduce_learnt_db();
-            solver.simplify();
-            solver.inprocess();
+            solver.maintain();
         }
         let verdict = solver.solve_with_assumptions(assumptions);
         prop_assert!(

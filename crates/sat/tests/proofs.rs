@@ -109,9 +109,7 @@ fn incremental_session_certificates_survive_maintenance() {
     assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Unsat);
     let cert = s.certificate().expect("first unsat certificate");
     assert_verified(&cert);
-    s.reduce_learnt_db();
-    s.simplify();
-    s.inprocess();
+    s.maintain();
     s.retire_activation(a);
     assert_eq!(s.solve_with_assumptions(&[a, extra]), SolveResult::Unsat);
     let cert = s.certificate().expect("second unsat certificate");
