@@ -4,7 +4,8 @@
 //! Manthan3 toolchain. It provides:
 //!
 //! * conflict-driven clause learning with two-watched-literal propagation
-//!   over a flat clause arena, VSIDS branching, phase saving + rephasing,
+//!   over a flat clause arena, VSIDS branching over an indexed activity
+//!   heap (rebuilt when activities are rescaled), phase saving + rephasing,
 //!   Glucose-style EMA restarts, LBD-managed learnt-clause deletion, and
 //!   bounded inter-call inprocessing (subsumption + vivification),
 //! * incremental solving under **assumptions**, with extraction of an
@@ -46,6 +47,7 @@ mod lbd;
 pub mod proof;
 pub mod restart;
 mod solver;
+mod var_heap;
 
 pub use cancel::CancelToken;
 pub use config::SolverConfig;

@@ -3,11 +3,11 @@ use crate::config::SolverConfig;
 use crate::lbd::GlueStamps;
 use crate::proof::{Certificate, ProofTracer};
 use crate::restart::RestartScheduler;
+use crate::var_heap::VarHeap;
 use manthan3_cnf::{Assignment, Cnf, Lit, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,32 +75,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    activity: f64,
-    var: Var,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.activity == other.activity && self.var == other.var
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.activity
-            .partial_cmp(&other.activity)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.var.cmp(&other.var))
-    }
-}
-
 const VALUE_UNASSIGNED: i8 = 0;
 const VALUE_TRUE: i8 = 1;
 const VALUE_FALSE: i8 = -1;
@@ -159,7 +133,9 @@ pub struct Solver {
     activities: Vec<f64>,
     var_inc: f64,
     cla_inc: f64,
-    heap: BinaryHeap<HeapEntry>,
+    /// VSIDS decision order. Invariant: every unassigned variable is in it
+    /// (assigned ones may linger until popped).
+    order: VarHeap,
     glue_stamps: GlueStamps,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -213,7 +189,7 @@ impl Solver {
             activities: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
-            heap: BinaryHeap::new(),
+            order: VarHeap::default(),
             glue_stamps: GlueStamps::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -280,10 +256,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.push(HeapEntry {
-            activity: 0.0,
-            var: v,
-        });
+        self.order.add_var(v, &self.activities);
         v
     }
 
@@ -528,10 +501,7 @@ impl Solver {
             self.phases[idx] = self.values[idx] == VALUE_TRUE;
             self.values[idx] = VALUE_UNASSIGNED;
             self.reasons[idx] = None;
-            self.heap.push(HeapEntry {
-                activity: self.activities[idx],
-                var: lit.var(),
-            });
+            self.order.insert(lit.var(), &self.activities);
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(level);
@@ -546,12 +516,11 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
-        }
-        if self.values[idx] == VALUE_UNASSIGNED {
-            self.heap.push(HeapEntry {
-                activity: self.activities[idx],
-                var,
-            });
+            // Scaling can merge distinct activities into ties, which the
+            // tie-break may order differently.
+            self.order.rebuild(&self.activities);
+        } else {
+            self.order.increase(var, &self.activities);
         }
     }
 
@@ -719,45 +688,26 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        // Optional random decision.
+        // Optional random decision: the `k`-th unassigned variable in index
+        // order, `k` uniform (drawn even when none is unassigned, so the RNG
+        // stream does not depend on that case).
         if self.config.random_var_freq > 0.0 && self.rng.gen::<f64>() < self.config.random_var_freq
         {
-            let unassigned: Vec<usize> = (0..self.num_vars())
-                .filter(|&i| self.values[i] == VALUE_UNASSIGNED)
-                .collect();
-            if let Some(&idx) = unassigned.get(self.rng.gen_range(0..unassigned.len().max(1))) {
-                let var = Var::new(idx as u32);
-                return Some(Lit::new(var, self.phases[idx]));
+            let values = &self.values;
+            let unassigned = || (0..values.len()).filter(|&i| values[i] == VALUE_UNASSIGNED);
+            let k = self.rng.gen_range(0..unassigned().count().max(1));
+            if let Some(idx) = unassigned().nth(k) {
+                return Some(Lit::new(Var::new(idx as u32), self.phases[idx]));
             }
         }
-        // Highest-activity unassigned variable.
-        loop {
-            match self.heap.pop() {
-                None => {
-                    // Rebuild in case lazy entries were exhausted.
-                    let mut rebuilt = false;
-                    for i in 0..self.num_vars() {
-                        if self.values[i] == VALUE_UNASSIGNED {
-                            self.heap.push(HeapEntry {
-                                activity: self.activities[i],
-                                var: Var::new(i as u32),
-                            });
-                            rebuilt = true;
-                        }
-                    }
-                    if !rebuilt {
-                        return None;
-                    }
-                }
-                Some(entry) => {
-                    let idx = entry.var.index();
-                    if self.values[idx] != VALUE_UNASSIGNED {
-                        continue;
-                    }
-                    return Some(Lit::new(entry.var, self.phases[idx]));
-                }
+        // Highest-activity unassigned variable; assigned ones left in the
+        // heap are discarded on the way.
+        while let Some(var) = self.order.pop(&self.activities) {
+            if self.values[var.index()] == VALUE_UNASSIGNED {
+                return Some(Lit::new(var, self.phases[var.index()]));
             }
         }
+        None
     }
 
     /// Deletes the lowest-value half of the learnt database: worst glue
@@ -1567,7 +1517,7 @@ impl Solver {
         let result = loop {
             match self.search(&mut scheduler) {
                 SearchStatus::Sat => {
-                    self.model_values = self.values.clone();
+                    self.model_values.clone_from(&self.values);
                     self.have_model = true;
                     self.debug_verify_model();
                     self.tracer.note_inconclusive();
@@ -2424,6 +2374,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// After the 1e100 activity rescale the next decision is the variable
+    /// with the highest *current* activity. An order that kept ranking
+    /// variables by their pre-rescale scores would pick `early` here: its
+    /// one bump, just below the threshold, outweighs `late`'s bump only on
+    /// the old scale.
+    #[test]
+    fn decision_after_activity_rescale_follows_current_activities() {
+        let mut s = Solver::new();
+        let early = s.new_var();
+        let late = s.new_var();
+        while s.var_inc < 1e99 {
+            s.decay_activities();
+        }
+        s.bump_var(early);
+        while s.var_inc <= 1e100 {
+            s.decay_activities();
+        }
+        let inc = s.var_inc;
+        s.bump_var(late);
+        assert!(s.var_inc < inc, "the bump rescaled all activities");
+        assert!(s.activities[late.index()] > s.activities[early.index()]);
+        assert_eq!(s.pick_branch_lit().map(Lit::var), Some(late));
     }
 
     /// Brute-force reference check on random 3-CNF formulas.

@@ -5,7 +5,9 @@
 //! assignments, with proof logging off and on. Every SAT model must satisfy
 //! the formula and the call's assumptions, and every UNSAT verdict, re-run
 //! with proof logging on, must come with a certificate the independent
-//! `manthan3-drat` checker accepts.
+//! `manthan3-drat` checker accepts. A second session keeps one proof-logging
+//! solver busy on guarded pigeonhole rounds until its VSIDS activities have
+//! been rescaled, under the same checks.
 
 use manthan3_cnf::{Cnf, Lit, Var};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
@@ -72,6 +74,41 @@ fn brute_force(cnf: &Cnf, assumptions: &[Lit]) -> SolveResult {
             .all(|&(pos, neg)| bits & pos != 0 || !bits & neg != 0)
     });
     if satisfiable {
+        SolveResult::Sat
+    } else {
+        SolveResult::Unsat
+    }
+}
+
+/// Decides `cnf` by enumerating assignments in variable order, abandoning a
+/// prefix as soon as it falsifies a clause whose variables it fully assigns.
+/// Only falsified clauses prune, so this is exhaustive like [`brute_force`],
+/// but it reaches formulas over more variables than a bit mask holds when
+/// most prefixes die early.
+fn exhaustive(cnf: &Cnf) -> SolveResult {
+    // Each clause is checked once, at the variable that completes it.
+    let mut completed_by: Vec<Vec<Vec<Lit>>> = vec![Vec::new(); cnf.num_vars()];
+    for clause in cnf.iter() {
+        let last = clause.lits().iter().map(|l| l.var().index()).max();
+        completed_by[last.expect("no empty clauses")].push(clause.lits().to_vec());
+    }
+    fn extend(values: &mut Vec<bool>, completed_by: &[Vec<Vec<Lit>>]) -> bool {
+        let Some(clauses) = completed_by.get(values.len()) else {
+            return true;
+        };
+        for value in [false, true] {
+            values.push(value);
+            let consistent = clauses
+                .iter()
+                .all(|c| c.iter().any(|l| values[l.var().index()] == l.is_positive()));
+            if consistent && extend(values, completed_by) {
+                return true;
+            }
+            values.pop();
+        }
+        false
+    }
+    if extend(&mut Vec::new(), &completed_by) {
         SolveResult::Sat
     } else {
         SolveResult::Unsat
@@ -153,5 +190,91 @@ proptest! {
             };
             session(&cnf, config, &expected)?;
         }
+    }
+}
+
+/// The pigeonhole formula with `holes + 1` pigeons, variable
+/// `pigeon * holes + hole` meaning "the pigeon sits in the hole": no two
+/// pigeons share a hole, and every pigeon but the last sits somewhere. The
+/// second value is the last pigeon's at-least-one clause; adding it makes
+/// the formula unsatisfiable, and refuting it takes hundreds of conflicts.
+fn pigeonhole(holes: usize) -> (Cnf, Vec<Lit>) {
+    let var = |pigeon: usize, hole: usize| Var::new((pigeon * holes + hole) as u32);
+    let mut cnf = Cnf::new((holes + 1) * holes);
+    for pigeon in 0..holes {
+        cnf.add_clause((0..holes).map(|hole| var(pigeon, hole).positive()));
+    }
+    for hole in 0..holes {
+        for p in 0..=holes {
+            for q in p + 1..=holes {
+                cnf.add_clause([var(p, hole).negative(), var(q, hole).negative()]);
+            }
+        }
+    }
+    let last = (0..holes).map(|hole| var(holes, hole).positive()).collect();
+    (cnf, last)
+}
+
+/// One proof-logging solver serves guarded rounds of the 7-pigeon, 6-hole
+/// formula until it has seen more than 4,600 conflicts. Every conflict
+/// divides the VSIDS decay factor (0.95) into the activity increment, so by
+/// then the increment has passed 1e100 and the solver has rescaled every
+/// activity at least once. Each round adds the formula under a fresh
+/// activation literal and the last pigeon's clause under a second one,
+/// solves once without that clause (SAT) and once with it (UNSAT), then
+/// retires both activations and runs session maintenance. Every verdict must
+/// match exhaustive enumeration, every model must satisfy the round's
+/// formula, and every UNSAT certificate must pass the independent checker.
+#[test]
+fn verdicts_survive_an_activity_rescale() {
+    let (cnf, last) = pigeonhole(6);
+    let mut with_last = cnf.clone();
+    with_last.add_clause(last.iter().copied());
+    let expected = [exhaustive(&cnf), exhaustive(&with_last)];
+    assert_eq!(expected, [SolveResult::Sat, SolveResult::Unsat]);
+
+    let mut solver = Solver::with_config(SolverConfig {
+        proof_logging: true,
+        ..SolverConfig::default()
+    });
+    solver.ensure_vars(cnf.num_vars());
+    // Every clause given to the solver, as given: the certificate's CNF.
+    let mut inputs = Cnf::new(cnf.num_vars());
+    let mut rounds = 0;
+    while solver.stats().conflicts <= 4_600 {
+        rounds += 1;
+        assert!(
+            rounds <= 40,
+            "too few conflicts per round to reach a rescale"
+        );
+        let formula = solver.new_activation_lit();
+        let pigeon = solver.new_activation_lit();
+        let guarded = cnf
+            .iter()
+            .map(|c| (formula, c.lits()))
+            .chain(std::iter::once((pigeon, last.as_slice())));
+        for (activation, lits) in guarded {
+            let clause: Vec<Lit> = std::iter::once(!activation)
+                .chain(lits.iter().copied())
+                .collect();
+            solver.add_clause(clause.iter().copied());
+            inputs.add_clause(clause);
+        }
+        for (assumptions, want) in [vec![formula], vec![formula, pigeon]].iter().zip(expected) {
+            let verdict = solver.solve_with_assumptions(assumptions);
+            assert_eq!(verdict, want, "round {rounds}, assumptions {assumptions:?}");
+            if verdict == SolveResult::Sat {
+                let model = solver.model();
+                assert!(cnf.eval(&model), "SAT model violates the formula");
+                assert!(assumptions.iter().all(|&a| model.lit_value(a)));
+            } else {
+                assert_certified(&solver, &inputs, assumptions);
+            }
+        }
+        for activation in [formula, pigeon] {
+            solver.retire_activation(activation);
+            inputs.add_clause([!activation]);
+        }
+        solver.maintain();
     }
 }
