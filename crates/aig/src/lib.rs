@@ -11,6 +11,15 @@
 //! node, and simple algebraic rules (`a ∧ a = a`, `a ∧ ¬a = 0`, constant
 //! propagation) are applied on the fly.
 //!
+//! Two invariants hold throughout:
+//!
+//! * Nodes are created children-first: an AND gate's operands always have
+//!   smaller node ids than the gate.
+//! * Every walker ([`Aig::eval`], [`Aig::support`], [`Aig::cone_size`],
+//!   [`Aig::compose`], [`Aig::import`], [`Aig::encode_cnf`]) is one iterative
+//!   post-order over the cone with an explicit stack, so the depth of a cone
+//!   is bounded by memory, not by the call stack.
+//!
 //! # Examples
 //!
 //! ```

@@ -33,6 +33,12 @@ impl AigRef {
     pub fn is_constant(self) -> bool {
         self.node_id() == 0
     }
+
+    /// The image of this edge under a node-id-indexed map: the mapped node,
+    /// complemented when this edge is.
+    fn mapped(self, map: &[AigRef]) -> AigRef {
+        AigRef(map[self.node_id()].0 ^ (self.0 & 1))
+    }
 }
 
 impl std::ops::Not for AigRef {
@@ -61,7 +67,7 @@ impl fmt::Debug for AigRef {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Node {
+pub(crate) enum Node {
     Constant,
     /// Primary input identified by an external label.
     Input(usize),
@@ -205,69 +211,38 @@ impl Aig {
     /// `values[label]` is the value of the input with that label; labels
     /// outside the slice evaluate to `false`.
     pub fn eval(&self, f: AigRef, values: &[bool]) -> bool {
-        let mut cache: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        self.eval_rec(f, values, &mut cache)
-    }
-
-    fn eval_rec(&self, f: AigRef, values: &[bool], cache: &mut Vec<Option<bool>>) -> bool {
-        let id = f.node_id();
-        let value = if let Some(v) = cache[id] {
-            v
-        } else {
-            let v = match self.nodes[id] {
+        let mut value = vec![false; self.nodes.len()];
+        let edge = |value: &[bool], r: AigRef| value[r.node_id()] ^ r.is_complemented();
+        for id in self.post_order(f, |_| false) {
+            value[id] = match self.nodes[id] {
                 Node::Constant => false,
                 Node::Input(label) => values.get(label).copied().unwrap_or(false),
-                Node::And(a, b) => {
-                    self.eval_rec(a, values, cache) && self.eval_rec(b, values, cache)
-                }
+                Node::And(a, b) => edge(&value, a) && edge(&value, b),
             };
-            cache[id] = Some(v);
-            v
-        };
-        value ^ f.is_complemented()
+        }
+        edge(&value, f)
     }
 
     /// Returns the sorted list of input labels in the transitive fan-in of `f`.
     pub fn support(&self, f: AigRef) -> Vec<usize> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut labels = Vec::new();
-        let mut stack = vec![f.node_id()];
-        while let Some(id) = stack.pop() {
-            if seen[id] {
-                continue;
-            }
-            seen[id] = true;
-            match self.nodes[id] {
-                Node::Constant => {}
-                Node::Input(label) => labels.push(label),
-                Node::And(a, b) => {
-                    stack.push(a.node_id());
-                    stack.push(b.node_id());
-                }
-            }
-        }
+        let mut labels: Vec<usize> = self
+            .post_order(f, |_| false)
+            .into_iter()
+            .filter_map(|id| match self.nodes[id] {
+                Node::Input(label) => Some(label),
+                _ => None,
+            })
+            .collect();
         labels.sort_unstable();
-        labels.dedup();
         labels
     }
 
     /// Number of AND gates in the transitive fan-in of `f`.
     pub fn cone_size(&self, f: AigRef) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut count = 0;
-        let mut stack = vec![f.node_id()];
-        while let Some(id) = stack.pop() {
-            if seen[id] {
-                continue;
-            }
-            seen[id] = true;
-            if let Node::And(a, b) = self.nodes[id] {
-                count += 1;
-                stack.push(a.node_id());
-                stack.push(b.node_id());
-            }
-        }
-        count
+        self.post_order(f, |_| false)
+            .into_iter()
+            .filter(|&id| matches!(self.nodes[id], Node::And(_, _)))
+            .count()
     }
 
     /// Substitutes, inside `f`, every input whose label appears in
@@ -277,40 +252,18 @@ impl Aig {
     /// functions that mention other existential variables into functions over
     /// their Henkin dependencies only.
     pub fn compose(&mut self, f: AigRef, substitution: &HashMap<usize, AigRef>) -> AigRef {
-        let mut cache: HashMap<usize, AigRef> = HashMap::new();
-        self.compose_rec(f, substitution, &mut cache)
-    }
-
-    fn compose_rec(
-        &mut self,
-        f: AigRef,
-        substitution: &HashMap<usize, AigRef>,
-        cache: &mut HashMap<usize, AigRef>,
-    ) -> AigRef {
-        let id = f.node_id();
-        let mapped = if let Some(&m) = cache.get(&id) {
-            m
-        } else {
-            let m = match self.nodes[id] {
+        let mut map = vec![AigRef::FALSE; self.nodes.len()];
+        for id in self.post_order(f, |_| false) {
+            map[id] = match self.nodes[id] {
                 Node::Constant => AigRef::FALSE,
-                Node::Input(label) => match substitution.get(&label) {
-                    Some(&g) => g,
-                    None => AigRef::new(id as u32, false),
-                },
-                Node::And(a, b) => {
-                    let na = self.compose_rec(a, substitution, cache);
-                    let nb = self.compose_rec(b, substitution, cache);
-                    self.and(na, nb)
-                }
+                Node::Input(label) => substitution
+                    .get(&label)
+                    .copied()
+                    .unwrap_or(AigRef::new(id as u32, false)),
+                Node::And(a, b) => self.and(a.mapped(&map), b.mapped(&map)),
             };
-            cache.insert(id, m);
-            m
-        };
-        if f.is_complemented() {
-            !mapped
-        } else {
-            mapped
         }
+        f.mapped(&map)
     }
 
     /// Copies the cone of `f` from `source` into this AIG and returns the
@@ -324,37 +277,51 @@ impl Aig {
     /// import to the same references, which is how a benchmark can tell that
     /// repeated runs returned the same vector without re-checking it.
     pub fn import(&mut self, source: &Aig, f: AigRef) -> AigRef {
-        let mut cache: HashMap<usize, AigRef> = HashMap::new();
-        self.import_rec(source, f, &mut cache)
-    }
-
-    fn import_rec(
-        &mut self,
-        source: &Aig,
-        f: AigRef,
-        cache: &mut HashMap<usize, AigRef>,
-    ) -> AigRef {
-        let id = f.node_id();
-        let mapped = if let Some(&m) = cache.get(&id) {
-            m
-        } else {
-            let m = match source.nodes[id] {
+        let mut map = vec![AigRef::FALSE; source.nodes.len()];
+        for id in source.post_order(f, |_| false) {
+            map[id] = match source.nodes[id] {
                 Node::Constant => AigRef::FALSE,
                 Node::Input(label) => self.input(label),
-                Node::And(a, b) => {
-                    let na = self.import_rec(source, a, cache);
-                    let nb = self.import_rec(source, b, cache);
-                    self.and(na, nb)
-                }
+                Node::And(a, b) => self.and(a.mapped(&map), b.mapped(&map)),
             };
-            cache.insert(id, m);
-            m
-        };
-        if f.is_complemented() {
-            !mapped
-        } else {
-            mapped
         }
+        f.mapped(&map)
+    }
+
+    /// Returns every node of the cone of `f` that `done` does not cover,
+    /// each once, children before parents and the first operand's cone
+    /// before the second's. The cone below a covered node is not entered.
+    ///
+    /// This is the crate's one traversal. The stack is explicit, so cone
+    /// depth is bounded by memory, not by the call stack. Nodes finish in
+    /// the order a depth-first recursion finishes them, so a caller that
+    /// allocates per node (Tseitin variables, new AIG nodes) allocates in
+    /// that order.
+    pub(crate) fn post_order(&self, f: AigRef, mut done: impl FnMut(usize) -> bool) -> Vec<usize> {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut order = Vec::new();
+        let mut stack = vec![(f.node_id(), false)];
+        while let Some((id, finished)) = stack.pop() {
+            if finished {
+                order.push(id);
+                continue;
+            }
+            if seen[id] || done(id) {
+                continue;
+            }
+            seen[id] = true;
+            stack.push((id, true));
+            if let Node::And(a, b) = self.nodes[id] {
+                stack.push((b.node_id(), false));
+                stack.push((a.node_id(), false));
+            }
+        }
+        order
+    }
+
+    /// The node with id `id`.
+    pub(crate) fn node(&self, id: usize) -> Node {
+        self.nodes[id]
     }
 
     /// Returns the label of the input node referenced by `f`, if `f` is a
@@ -365,21 +332,6 @@ impl Aig {
             _ => None,
         }
     }
-
-    pub(crate) fn node_kind(&self, id: usize) -> NodeKind {
-        match self.nodes[id] {
-            Node::Constant => NodeKind::Constant,
-            Node::Input(label) => NodeKind::Input(label),
-            Node::And(a, b) => NodeKind::And(a, b),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum NodeKind {
-    Constant,
-    Input(usize),
-    And(AigRef, AigRef),
 }
 
 #[cfg(test)]

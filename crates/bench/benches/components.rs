@@ -95,7 +95,7 @@ fn bench_aig_encode(c: &mut Criterion) {
     c.bench_function("aig/encode_cnf_16_inputs", |b| {
         b.iter(|| {
             let mut builder = CnfBuilder::new(16);
-            std::hint::black_box(aig.encode_cnf(acc, &mut builder, &map))
+            std::hint::black_box(aig.encode_cnf(acc, &mut builder, &map, &mut HashMap::new()))
         })
     });
 }

@@ -435,17 +435,11 @@ impl Oracle {
         &self.stats
     }
 
-    /// The reason to report when an oracle call gave up: cancellation first,
-    /// then the wall clock; [`UnknownReason::OracleBudget`] when neither
-    /// applies.
+    /// The reason to report when an oracle call gave up: the
+    /// [`exhausted`](Oracle::exhausted) reason, or
+    /// [`UnknownReason::OracleBudget`] when the budget is not exhausted.
     pub fn give_up_reason(&self) -> UnknownReason {
-        if self.budget.cancelled() {
-            UnknownReason::Cancelled
-        } else if self.budget.expired() {
-            UnknownReason::TimeBudget
-        } else {
-            UnknownReason::OracleBudget
-        }
+        self.exhausted().unwrap_or(UnknownReason::OracleBudget)
     }
 
     /// Returns the exhausted-budget reason if no further oracle call may be

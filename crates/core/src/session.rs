@@ -24,7 +24,7 @@
 //!   and the shared Tseitin encoding cache survive. Because candidate cones
 //!   grow monotonically inside one shared AIG, re-encoding a repaired
 //!   candidate only pays for the *new* nodes
-//!   ([`Aig::encode_cnf_cached`](manthan3_aig::Aig::encode_cnf_cached)).
+//!   ([`Aig::encode_cnf`](manthan3_aig::Aig::encode_cnf)).
 //! * the **matrix solver** holds `ϕ` and serves the trivial-falsity check,
 //!   the counterexample X-extension check, and the repair queries `G_k`
 //!   (whose UNSAT cores become repair cubes) — all under assumptions.
@@ -245,7 +245,7 @@ impl VerifySession {
             let retired = self.slots.get(&y).map(|old| old.activation);
             // Gate (Tseitin) clauses are unconditional and flow through the
             // builder; only the per-generation equivalence is guarded.
-            let out = vector.aig().encode_cnf_cached(
+            let out = vector.aig().encode_cnf(
                 f,
                 &mut self.builder,
                 &self.input_map,

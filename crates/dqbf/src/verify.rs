@@ -99,9 +99,14 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
         .iter()
         .map(|&x| (x.index(), x.positive()))
         .collect();
+    // One cache for every output: after `substitute_down` the functions share
+    // cones, and each shared node is encoded once.
+    let mut cache = HashMap::new();
     for &y in dqbf.existentials() {
         let f = vector.get(y).expect("checked above");
-        let out = vector.aig().encode_cnf(f, &mut builder, &input_map);
+        let out = vector
+            .aig()
+            .encode_cnf(f, &mut builder, &input_map, &mut cache);
         builder.assert_equiv(y.positive(), out);
     }
     let mut solver = Solver::new();

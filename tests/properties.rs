@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! soundness invariants of the synthesis engines.
 
+use manthan3::aig::{Aig, AigRef};
 use manthan3::baselines::ExpansionSolver;
 use manthan3::cnf::{dimacs, Assignment, Clause, Cnf, Lit, Var};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
-use manthan3::dqbf::{parse_dqdimacs, semantics, verify, write_dqdimacs, Dqbf};
+use manthan3::dqbf::verify::CheckOutcome;
+use manthan3::dqbf::{parse_dqdimacs, semantics, verify, write_dqdimacs, Dqbf, HenkinVector};
 use manthan3::dtree::{Dataset, DecisionTree, DecisionTreeConfig};
 use manthan3::maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3::sat::{SolveResult, Solver};
@@ -55,6 +57,46 @@ fn arb_dqbf() -> impl Strategy<Value = Dqbf> {
         }
         dqbf
     })
+}
+
+/// Folds `leaves` onto `acc`, one gate per leaf, the gate picked by `ops`.
+fn fold_gates(aig: &mut Aig, mut acc: AigRef, leaves: &[AigRef], ops: &[u8]) -> AigRef {
+    for (&leaf, &op) in leaves.iter().zip(ops.iter().cycle()) {
+        acc = match op % 4 {
+            0 => aig.and(acc, leaf),
+            1 => aig.or(acc, leaf),
+            2 => aig.xor(acc, leaf),
+            _ => aig.and(acc, !leaf),
+        };
+    }
+    acc
+}
+
+/// A vector for an `arb_dqbf()` instance whose two functions share one
+/// sub-cone over their common dependencies: each function folds its own
+/// dependencies onto that cone (the second onto its complement when `ops`
+/// says so). Every function respects its dependency set.
+fn shared_cone_vector(dqbf: &Dqbf, ops: &[u8]) -> HenkinVector {
+    let mut vector = HenkinVector::new();
+    let aig = vector.aig_mut();
+    let (y1, y2) = (dqbf.existentials()[0], dqbf.existentials()[1]);
+    let (d1, d2) = (dqbf.dependencies(y1), dqbf.dependencies(y2));
+    let mut inputs = |vars: Vec<&Var>| -> Vec<AigRef> {
+        vars.into_iter().map(|x| aig.input(x.index())).collect()
+    };
+    let common = inputs(d1.intersection(d2).collect());
+    let own1 = inputs(d1.difference(d2).collect());
+    let own2 = inputs(d2.difference(d1).collect());
+    let shared = match common.split_first() {
+        Some((&first, rest)) => fold_gates(aig, first, rest, ops),
+        None => aig.constant(ops[0] % 2 == 1),
+    };
+    let f1 = fold_gates(aig, shared, &own1, &ops[1..]);
+    let base2 = if ops[2] % 2 == 1 { !shared } else { shared };
+    let f2 = fold_gates(aig, base2, &own2, &ops[3..]);
+    vector.set(y1, f1);
+    vector.set(y2, f2);
+    vector
 }
 
 fn brute_force_sat(cnf: &Cnf) -> Option<Assignment> {
@@ -189,6 +231,37 @@ proptest! {
             }
             SynthesisOutcome::Unrealizable => prop_assert!(!truth),
             SynthesisOutcome::Unknown(_) => {}
+        }
+    }
+
+    /// `verify::check` encodes all outputs through one Tseitin cache. On
+    /// vectors whose functions share a cone, it answers `Valid` exactly when
+    /// no X assignment falsifies the matrix, and its witnesses falsify it.
+    #[test]
+    fn vector_check_matches_exhaustive_evaluation_on_shared_cones(
+        dqbf in arb_dqbf(),
+        ops in proptest::collection::vec(0..8u8, 6),
+    ) {
+        prop_assume!(dqbf.validate().is_ok());
+        let vector = shared_cone_vector(&dqbf, &ops);
+        let order = dqbf.existentials().to_vec();
+        let falsifies = |x_values: &Assignment| {
+            !dqbf.eval_matrix(&vector.extend_assignment(&dqbf, x_values, &order))
+        };
+        let falsifiable = (0..8u32).any(|bits| {
+            falsifies(&Assignment::from_values((0..3).map(|i| bits >> i & 1 == 1).collect()))
+        });
+        match verify::check(&dqbf, &vector) {
+            CheckOutcome::Valid => prop_assert!(!falsifiable),
+            CheckOutcome::Falsified(witness) => {
+                prop_assert!(falsifies(&witness.assignment));
+                prop_assert!(!dqbf.eval_matrix(&witness.assignment));
+                let extended = vector.extend_assignment(&dqbf, &witness.assignment, &order);
+                for (&y, &value) in &witness.y_outputs {
+                    prop_assert_eq!(extended.get(y), Some(value));
+                }
+            }
+            other => prop_assert!(false, "unexpected outcome {other:?}"),
         }
     }
 
