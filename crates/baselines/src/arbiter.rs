@@ -56,8 +56,8 @@ impl Default for ArbiterConfig {
     }
 }
 
-/// The definition + arbiter baseline engine. See the [module](self)
-/// documentation.
+/// The definition + arbiter baseline engine. See the
+/// [crate documentation](crate).
 #[derive(Debug, Clone, Default)]
 pub struct ArbiterSolver {
     config: ArbiterConfig,

@@ -46,7 +46,8 @@ impl Default for ExpansionConfig {
     }
 }
 
-/// The expansion-based baseline engine. See the [module](self) documentation.
+/// The expansion-based baseline engine. See the
+/// [crate documentation](crate).
 #[derive(Debug, Clone, Default)]
 pub struct ExpansionSolver {
     config: ExpansionConfig,

@@ -9,8 +9,8 @@ use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, Expansio
 use manthan3_bench::{run_engine, EngineKind, RunRecord};
 use manthan3_cnf::{Lit, Var};
 use manthan3_core::{
-    find_candidates_from_scratch, find_candidates_to_repair, Budget, Manthan3, Manthan3Config,
-    Oracle, RepairSession, Sigma, SynthesisOutcome, SynthesisStats, VerifySession,
+    find_candidates_from_scratch, Budget, Manthan3, Manthan3Config, Oracle, RepairSession, Sigma,
+    SynthesisOutcome, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::controller::{controller, ControllerParams};
@@ -229,7 +229,7 @@ fn bench_portfolio(c: &mut Criterion) {
         .flat_map(|instance| {
             EngineKind::ALL
                 .iter()
-                .map(|&engine| run_engine(engine, instance, budget))
+                .map(|&engine| run_engine(engine, instance, budget, false))
         })
         .collect();
     let sequential_wall = sequential_start.elapsed();
@@ -286,7 +286,7 @@ fn bench_portfolio(c: &mut Criterion) {
         b.iter(|| {
             for instance in &subset {
                 for engine in EngineKind::ALL {
-                    std::hint::black_box(run_engine(engine, instance, budget));
+                    std::hint::black_box(run_engine(engine, instance, budget, false));
                 }
             }
         })
@@ -361,15 +361,8 @@ fn repair_workload(iterations: usize) -> (Dqbf, Vec<Sigma>) {
 fn sweep_incremental(dqbf: &Dqbf, sigmas: &[Sigma]) -> Oracle {
     let mut oracle = Oracle::new(Budget::unlimited());
     let mut session = RepairSession::new(dqbf, &mut oracle);
-    let mut stats = SynthesisStats::default();
     for sigma in sigmas {
-        std::hint::black_box(find_candidates_to_repair(
-            dqbf,
-            sigma,
-            &mut session,
-            &mut oracle,
-            &mut stats,
-        ));
+        std::hint::black_box(session.find_candidates(dqbf, sigma, &mut oracle));
     }
     oracle
 }
@@ -378,14 +371,8 @@ fn sweep_incremental(dqbf: &Dqbf, sigmas: &[Sigma]) -> Oracle {
 /// MaxSAT rebuild per call.
 fn sweep_from_scratch(dqbf: &Dqbf, sigmas: &[Sigma]) {
     let mut oracle = Oracle::new(Budget::unlimited());
-    let mut stats = SynthesisStats::default();
     for sigma in sigmas {
-        std::hint::black_box(find_candidates_from_scratch(
-            dqbf,
-            sigma,
-            &mut oracle,
-            &mut stats,
-        ));
+        std::hint::black_box(find_candidates_from_scratch(dqbf, sigma, &mut oracle));
     }
 }
 

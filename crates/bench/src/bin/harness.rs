@@ -42,7 +42,7 @@
 //! Malformed flag values and unknown flags abort with a diagnostic on stderr
 //! and exit status 2.
 
-use manthan3_bench::{csvio, report, run_suite_with_options, EngineKind};
+use manthan3_bench::{csvio, report, run_suite, EngineKind};
 use manthan3_core::{Manthan3, Manthan3Config};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
@@ -143,7 +143,7 @@ fn main() {
         args.budget
     );
     let start = Instant::now();
-    let records = run_suite_with_options(&instances, &args.engines, args.budget, args.certify);
+    let records = run_suite(&instances, &args.engines, args.budget, args.certify);
     println!("finished in {:?}", start.elapsed());
 
     // A rejected certificate is a soundness alarm: dump the offending CNF

@@ -116,7 +116,7 @@ pub struct RunRecord {
     /// not surface per-engine stage timings.
     pub sample_wall: Duration,
     /// The first rejected DRAT certificate of a certifying run
-    /// (`certify` of [`run_engine_with`]), with the offending CNF and proof — the
+    /// (`certify` of [`run_engine`]), with the offending CNF and proof — the
     /// harness dumps it for offline reproduction. `None` on sound runs, on
     /// uncertified runs, and for the portfolio (whose racers merge counters
     /// only; a rejection there still shows in
@@ -137,18 +137,15 @@ impl RunRecord {
 /// [`manthan3_dqbf::verify::check`]; a vector that fails the check is counted
 /// as *not* synthesized (this never happens for the engines in this
 /// workspace, but the harness does not take their word for it).
-pub fn run_engine(engine: EngineKind, instance: &Instance, budget: Duration) -> RunRecord {
-    run_engine_with(engine, instance, budget, false)
-}
-
-/// Like [`run_engine`], but optionally certifying UNSAT verdicts in-process
-/// (`--certify`): every solver the Manthan3 oracle constructs logs DRAT
-/// proofs, and every UNSAT answer is checked immediately by the independent
-/// `manthan3-drat` checker. The flag reaches the Manthan3 engine and the
-/// portfolio's Manthan3 racer; the baselines keep their defaults. The
-/// certification rows of the `OracleStats` table report the proof traffic
-/// and checking cost in `runs.csv` and `summary_table.csv`.
-pub fn run_engine_with(
+///
+/// With `certify` (`--certify`), UNSAT verdicts are certified in-process:
+/// every solver the Manthan3 oracle constructs logs DRAT proofs, and every
+/// UNSAT answer is checked immediately by the independent `manthan3-drat`
+/// checker. The flag reaches the Manthan3 engine and the portfolio's
+/// Manthan3 racer; the baselines keep their defaults. The certification
+/// rows of the `OracleStats` table report the proof traffic and checking
+/// cost in `runs.csv` and `summary_table.csv`.
+pub fn run_engine(
     engine: EngineKind,
     instance: &Instance,
     budget: Duration,
@@ -225,24 +222,11 @@ pub fn run_engine_with(
     }
 }
 
-/// Runs every sequential engine on every instance.
-pub fn run_suite(instances: &[Instance], budget: Duration) -> Vec<RunRecord> {
-    run_suite_with_engines(instances, &EngineKind::ALL, budget)
-}
-
-/// Runs the given engines on every instance (the harness adds
-/// [`EngineKind::Portfolio`] to the set with `--engine portfolio`).
-pub fn run_suite_with_engines(
-    instances: &[Instance],
-    engines: &[EngineKind],
-    budget: Duration,
-) -> Vec<RunRecord> {
-    run_suite_with_options(instances, engines, budget, false)
-}
-
-/// Runs the given engines on every instance, optionally certifying
-/// (harness flag `--certify`; see [`run_engine_with`]).
-pub fn run_suite_with_options(
+/// Runs the given engines on every instance, optionally certifying (see
+/// [`run_engine`]). [`EngineKind::ALL`] is the sequential engine set; the
+/// harness adds [`EngineKind::Portfolio`] with `--engine portfolio` and
+/// certifies with `--certify`.
+pub fn run_suite(
     instances: &[Instance],
     engines: &[EngineKind],
     budget: Duration,
@@ -251,7 +235,7 @@ pub fn run_suite_with_options(
     let mut records = Vec::with_capacity(instances.len() * engines.len());
     for instance in instances {
         for &engine in engines {
-            records.push(run_engine_with(engine, instance, budget, certify));
+            records.push(run_engine(engine, instance, budget, certify));
         }
     }
     records
@@ -261,6 +245,8 @@ pub fn run_suite_with_options(
 mod tests {
     use super::*;
     use manthan3_gen::planted::{planted_true, PlantedParams};
+
+    const BUDGET: Duration = Duration::from_secs(5);
 
     #[test]
     fn all_engines_solve_a_small_planted_instance() {
@@ -272,7 +258,7 @@ mod tests {
         };
         let instance = planted_true(&params, 11);
         for engine in EngineKind::ALL {
-            let record = run_engine(engine, &instance, Duration::from_secs(5));
+            let record = run_engine(engine, &instance, BUDGET, false);
             assert!(record.synthesized, "{engine} failed: {}", record.outcome);
             assert!(record.decided);
         }
@@ -287,7 +273,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instances = vec![planted_true(&params, 1), planted_true(&params, 2)];
-        let records = run_suite(&instances, Duration::from_secs(5));
+        let records = run_suite(&instances, &EngineKind::ALL, BUDGET, false);
         assert_eq!(records.len(), 6);
     }
 
@@ -316,7 +302,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Manthan3, &instance, Duration::from_secs(5));
+        let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
             record.oracle.sat_propagations > 0,
@@ -337,12 +323,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine_with(
-            EngineKind::Manthan3,
-            &instance,
-            Duration::from_secs(5),
-            true,
-        );
+        let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, true);
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
             record.oracle.certificates_checked > 0,
@@ -353,7 +334,7 @@ mod tests {
         assert!(record.certification_failure.is_none());
         // Uncertified runs leave the proof counters (and the failure slot)
         // untouched.
-        let plain = run_engine(EngineKind::Manthan3, &instance, Duration::from_secs(5));
+        let plain = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
         assert_eq!(plain.oracle.certificates_checked, 0);
         assert!(plain.certification_failure.is_none());
     }
@@ -367,7 +348,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Portfolio, &instance, Duration::from_secs(5));
+        let record = run_engine(EngineKind::Portfolio, &instance, BUDGET, false);
         assert!(record.synthesized, "portfolio failed: {}", record.outcome);
         assert!(record.decided);
     }

@@ -15,12 +15,11 @@ use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
 use crate::preprocess::extract_unique_definitions;
-use crate::repair::{find_candidates_to_repair, repair_vector, Sigma};
+use crate::repair::{repair_vector, Sigma};
 use crate::session::{RepairSession, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
-use manthan3_sampler::{SamplerConfig, ShortfallReason};
 use manthan3_sat::SolveResult;
 use std::time::Instant;
 
@@ -134,7 +133,7 @@ impl Manthan3 {
     /// [`Budget`] — the configuration's own budget fields are ignored. This
     /// is how a portfolio runner races engines against one shared wall-clock
     /// deadline and one shared [`CancelToken`](manthan3_sat::CancelToken):
-    /// it arms a single budget with [`Budget::start`] and hands each engine
+    /// it builds a single budget when the race starts and hands each engine
     /// a clone.
     ///
     /// # Panics
@@ -190,26 +189,15 @@ fn stage_preprocess(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
 /// one sampler that shares the run's budget and cancellation token.
 fn stage_sample(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
     let sampling_start = Instant::now();
-    let (samples, outcome) = ctx.oracle.sample_cnf(
-        ctx.dqbf.matrix(),
-        SamplerConfig {
-            seed: ctx.config.seed,
-            ..SamplerConfig::default()
-        },
-        ctx.config.num_samples,
-    );
-    ctx.samples = samples;
+    ctx.samples = ctx
+        .oracle
+        .sample_cnf(ctx.dqbf.matrix(), ctx.config.seed, ctx.config.num_samples);
     ctx.stats.samples = ctx.samples.len();
     ctx.stats.sampling_time = sampling_start.elapsed();
     if ctx.samples.is_empty() {
-        // The matrix check already succeeded, so the shortfall reason tells
-        // the truth: the sampler proved UNSAT itself, lost a race, or was
-        // refused by an expired deadline.
-        return Some(match outcome.reason {
-            Some(ShortfallReason::Unsat) => SynthesisOutcome::Unrealizable,
-            Some(ShortfallReason::Cancelled) => SynthesisOutcome::Unknown(UnknownReason::Cancelled),
-            Some(ShortfallReason::Budget) | None => ctx.give_up(),
-        });
+        // Preprocess proved this matrix satisfiable, so only the budget can
+        // empty the batch.
+        return Some(ctx.give_up());
     }
     None
 }
@@ -297,7 +285,7 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
                 debug_assert_eq!(vector.dependency_violation(ctx.dqbf), None);
                 return SynthesisOutcome::Realizable(vector);
             }
-            VerifyOutcome::Budget => return ctx.give_up(),
+            VerifyOutcome::Unknown => return ctx.give_up(),
             VerifyOutcome::CounterExample(delta) => delta,
         };
 
@@ -333,13 +321,7 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
         }
         // invariant: the branch above creates the session when absent.
         let repair_session = ctx.repair.as_mut().expect("repair session just opened");
-        let candidates = find_candidates_to_repair(
-            ctx.dqbf,
-            &sigma,
-            repair_session,
-            &mut ctx.oracle,
-            &mut ctx.stats,
-        );
+        let candidates = repair_session.find_candidates(ctx.dqbf, &sigma, &mut ctx.oracle);
         let outcome = repair_vector(
             ctx.dqbf,
             ctx.config,

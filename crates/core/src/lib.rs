@@ -72,10 +72,10 @@
 //! the oracle constructs (`Budget` → `Oracle` → CDCL/MaxSAT/sampler
 //! configurations), and the CDCL search loop polls it once per decision,
 //! so cancelling the token stops all in-flight oracle work
-//! within milliseconds; the engine then reports
-//! [`UnknownReason::Cancelled`]. A portfolio runner (see the
-//! `manthan3-portfolio` crate) arms one budget with [`Budget::start`] at
-//! race time, hands each engine a clone via
+//! within milliseconds. Each stopped call returns `Unknown`, and the engine
+//! asks the budget why: it reports [`UnknownReason::Cancelled`]. A
+//! portfolio runner (see the `manthan3-portfolio` crate) builds one budget
+//! when the race starts, hands each engine a clone via
 //! [`Manthan3::synthesize_with_budget`], and cancels the token as soon as
 //! the first engine returns a decisive verdict — the losing engines stop
 //! almost immediately instead of burning the remaining wall-clock budget.
@@ -147,8 +147,6 @@ pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
-pub use repair::{
-    find_candidates_from_scratch, find_candidates_to_repair, repair_vector, RepairOutcome, Sigma,
-};
+pub use repair::{find_candidates_from_scratch, repair_vector, RepairOutcome, Sigma};
 pub use session::{Delta, RepairSession, VerifyOutcome, VerifySession};
 pub use stats::SynthesisStats;

@@ -8,16 +8,19 @@
 //! inherit the budget's cancellation token (via
 //! `unique::extract_definitions_with`) and the engine re-checks the deadline
 //! after extraction, but they are not counted in [`OracleStats`].
-//! This replaces the ad-hoc `Instant` deadline checks and per-call solver
-//! construction that used to be scattered through the engine: budgets are
-//! enforced in one place, and the statistics let tests and benchmarks assert
-//! structural properties such as "the verify–repair loop constructed exactly
-//! one error-formula solver" (see [`crate::VerifySession`]).
+//! The statistics let tests and benchmarks assert structural properties
+//! such as "the verify–repair loop constructed exactly one error-formula
+//! solver" (see [`crate::VerifySession`]).
+//!
+//! Every oracle call that stops early gives the same answer: an `Unknown`
+//! verdict ([`SolveResult::Unknown`], [`MaxSatResult::Unknown`]) or a short
+//! sample batch. The reason — deadline or cancellation — stays with the
+//! budget; [`Oracle::give_up_reason`] reads it.
 
 use manthan3_cnf::{Assignment, Cnf, Lit};
 use manthan3_drat::{check, parse_text_proof, CheckOutcome};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
-use manthan3_sampler::{SampleOutcome, Sampler, SamplerConfig, ShortfallReason};
+use manthan3_sampler::{Sampler, SamplerConfig};
 use manthan3_sat::{CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats};
 use std::time::{Duration, Instant};
 
@@ -41,17 +44,14 @@ pub enum UnknownReason {
 /// The resource budget shared by every oracle call of one synthesis run: a
 /// wall-clock deadline and a cancellation token.
 ///
-/// Cloning a budget shares its [`CancelToken`] (and the already-armed
-/// deadline): a portfolio runner arms one budget with [`Budget::start`] and
-/// hands clones to the racing engines, so all of them observe the same
-/// absolute deadline and the same cancellation flag.
+/// Cloning a budget shares its [`CancelToken`] and its deadline: a
+/// portfolio runner builds one budget when the race starts and hands clones
+/// to the racing engines, so all of them observe the same absolute deadline
+/// and the same cancellation flag.
 #[derive(Debug, Clone)]
 pub struct Budget {
-    /// When the clock was (last) armed; see [`Budget::start`].
+    /// When the clock started: at construction.
     started_at: Instant,
-    /// The configured wall-clock allowance, kept so the deadline can be
-    /// re-armed relative to a later start.
-    time: Option<Duration>,
     deadline: Option<Instant>,
     cancel: CancelToken,
 }
@@ -63,34 +63,15 @@ impl Budget {
     }
 
     /// A budget with the given wall-clock allowance (`None` = unlimited).
-    /// The clock starts now; call [`Budget::start`] to re-arm it later (e.g.
-    /// when a portfolio race actually begins rather than when its
-    /// configuration was built).
+    /// The clock starts now, so build the budget when the run it governs
+    /// begins.
     pub fn new(time: Option<Duration>) -> Self {
         let started_at = Instant::now();
         Budget {
             started_at,
-            time,
             deadline: time.map(|t| started_at + t),
             cancel: CancelToken::new(),
         }
-    }
-
-    /// Re-arms the clock: elapsed time restarts at zero and the wall-clock
-    /// deadline is measured from now. Budgets are often built alongside
-    /// engine configurations, well before the run they govern begins; the
-    /// runner calls `start` at the moment the work is actually dispatched so
-    /// configuration-building time is not billed against the run.
-    pub fn start(&mut self) {
-        self.started_at = Instant::now();
-        self.deadline = self.time.map(|t| self.started_at + t);
-    }
-
-    /// Replaces the cancellation token (builder style). Clones made
-    /// afterwards share the new token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
     }
 
     /// The budget's cancellation token. Cancelling it makes every oracle
@@ -111,7 +92,7 @@ impl Budget {
         self.cancel.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Time elapsed since the budget was (last) started.
+    /// Time elapsed since the budget was built.
     pub fn elapsed(&self) -> Duration {
         self.started_at.elapsed()
     }
@@ -252,8 +233,8 @@ oracle_stats! {
     /// ([`Sampler::solves`]).
     sampler_calls: usize, counter;
     /// Number of oracle-routed sampling requests that emitted fewer samples
-    /// than requested (UNSAT verdicts, deadline refusals, or cancellation —
-    /// the request's [`SampleOutcome`] says which).
+    /// than requested (UNSAT verdicts, deadline refusals, or cancellation;
+    /// only the last two also count as budget exhaustions).
     sample_shortfalls: usize, counter;
     /// Number of full hard-clause MaxSAT encodings constructed. The
     /// persistent repair session keeps this at one per run, however many
@@ -557,19 +538,6 @@ impl Oracle {
         MaxSatSolver::with_config(self.solver_config())
     }
 
-    /// The refused-call verdict for a MaxSAT solve that may not start:
-    /// cancellation surfaces as [`MaxSatResult::Cancelled`] (mapped to
-    /// [`UnknownReason::Cancelled`] by the engine), an expired deadline as
-    /// [`MaxSatResult::Unknown`].
-    fn refuse_maxsat(&mut self) -> MaxSatResult {
-        self.stats.budget_exhaustions += 1;
-        if self.budget.cancelled() {
-            MaxSatResult::Cancelled
-        } else {
-            MaxSatResult::Unknown
-        }
-    }
-
     /// The shared budget-gating and accounting around one MaxSAT solve:
     /// refuse untouched when the budget is exhausted, otherwise run the
     /// solve and bill its conflicts and probes (and any give-up verdict) to
@@ -581,7 +549,8 @@ impl Oracle {
         solve: impl FnOnce(&mut MaxSatSolver) -> MaxSatResult,
     ) -> MaxSatResult {
         if self.exhausted().is_some() {
-            return self.refuse_maxsat();
+            self.stats.budget_exhaustions += 1;
+            return MaxSatResult::Unknown;
         }
         let before_sat = solver.sat_stats();
         let before = solver.stats();
@@ -593,7 +562,7 @@ impl Oracle {
         self.stats
             .bill_solver_delta(&before_sat, &solver.sat_stats());
         self.stats.maxsat_probes += solver.stats().probes - before.probes;
-        if matches!(result, MaxSatResult::Unknown | MaxSatResult::Cancelled) {
+        if result == MaxSatResult::Unknown {
             self.stats.budget_exhaustions += 1;
         }
         if self.certify {
@@ -611,8 +580,8 @@ impl Oracle {
                         self.check_unsat_certificate(Some(cert));
                     }
                 }
-                // Deadline and cancellation give-ups claim nothing.
-                MaxSatResult::Unknown | MaxSatResult::Cancelled => {}
+                // A give-up claims nothing.
+                MaxSatResult::Unknown => {}
             }
         }
         result
@@ -621,12 +590,10 @@ impl Oracle {
     /// Runs a MaxSAT solve under the shared budget.
     ///
     /// The solve's internal SAT probes and their conflicts are billed to
-    /// the statistics; a search cancelled mid-probe surfaces as
-    /// [`MaxSatResult::Cancelled`]. Refused without touching the solver when
-    /// the budget is already exhausted, exactly like
-    /// [`Oracle::solve_with_assumptions`] — with an expired deadline
-    /// reported as [`MaxSatResult::Unknown`] and cancellation as
-    /// [`MaxSatResult::Cancelled`].
+    /// the statistics. Returns [`MaxSatResult::Unknown`] when the search is
+    /// cancelled mid-probe, and without touching the solver when the budget
+    /// is already exhausted, exactly like [`Oracle::solve_with_assumptions`];
+    /// use [`Oracle::give_up_reason`] to map it to an [`UnknownReason`].
     pub fn solve_maxsat(&mut self, solver: &mut MaxSatSolver) -> MaxSatResult {
         self.run_maxsat(solver, false, |s| s.solve())
     }
@@ -663,49 +630,36 @@ impl Oracle {
         self.stats.bill_solver_delta(before, after);
     }
 
-    /// Runs one sampling request for `cnf` on a fresh [`Sampler`] under the
-    /// shared budget, recording the sampler's solver calls and any shortfall
-    /// in [`OracleStats`]. The sampler inherits the budget's cancellation
-    /// token unless `config` sets its own. Like every other oracle call, an
-    /// expired or cancelled budget refuses the request — before any sampler
-    /// is built.
-    pub fn sample_cnf(
-        &mut self,
-        cnf: &Cnf,
-        mut config: SamplerConfig,
-        n: usize,
-    ) -> (Vec<Assignment>, SampleOutcome) {
-        if let Some(reason) = self.exhausted() {
+    /// Runs one sampling request for `n` samples of `cnf` on a fresh
+    /// [`Sampler`] seeded with `seed` under the shared budget, recording the
+    /// sampler's solver calls and any shortfall in [`OracleStats`]. The
+    /// sampler polls the budget's cancellation token. Like every other
+    /// oracle call, an expired or cancelled budget refuses the request —
+    /// before any sampler is built.
+    ///
+    /// A batch shorter than `n` means the formula is unsatisfiable or the
+    /// budget gave out; only the latter counts as a budget exhaustion.
+    pub fn sample_cnf(&mut self, cnf: &Cnf, seed: u64, n: usize) -> Vec<Assignment> {
+        if self.exhausted().is_some() {
             self.stats.budget_exhaustions += 1;
             self.stats.sample_shortfalls += 1;
-            let reason = match reason {
-                UnknownReason::Cancelled => ShortfallReason::Cancelled,
-                _ => ShortfallReason::Budget,
-            };
-            let refused = SampleOutcome {
-                requested: n,
-                emitted: 0,
-                reason: Some(reason),
-            };
-            return (Vec::new(), refused);
-        }
-        if config.cancel.is_none() {
-            config.cancel = Some(self.budget.cancel.clone());
+            return Vec::new();
         }
         self.stats.samplers_constructed += 1;
+        let config = SamplerConfig {
+            seed,
+            cancel: Some(self.budget.cancel.clone()),
+        };
         let mut sampler = Sampler::new(cnf, config);
-        let (samples, outcome) = sampler.sample_with_outcome(n);
+        let samples = sampler.sample(n);
         self.stats.sampler_calls += sampler.solves() as usize;
-        if outcome.is_short() {
+        if samples.len() < n {
             self.stats.sample_shortfalls += 1;
-            if matches!(
-                outcome.reason,
-                Some(ShortfallReason::Budget) | Some(ShortfallReason::Cancelled)
-            ) {
+            if sampler.known_satisfiable() != Some(false) {
                 self.stats.budget_exhaustions += 1;
             }
         }
-        (samples, outcome)
+        samples
     }
 }
 
@@ -741,9 +695,7 @@ mod tests {
         maxsat.add_hard([lit(1)]);
         assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
         assert_eq!(maxsat.stats().probes, 0);
-        let (samples, outcome) = oracle.sample_cnf(&Cnf::new(2), SamplerConfig::default(), 3);
-        assert!(samples.is_empty());
-        assert_eq!(outcome.reason, Some(ShortfallReason::Budget));
+        assert!(oracle.sample_cnf(&Cnf::new(2), 0, 3).is_empty());
         assert_eq!(oracle.give_up_reason(), UnknownReason::TimeBudget);
         let stats = oracle.stats();
         assert_eq!(stats.budget_exhaustions, 3);
@@ -866,9 +818,7 @@ mod tests {
     fn sample_cnf_is_served_in_full_under_an_unlimited_budget() {
         let mut oracle = Oracle::new(Budget::unlimited());
         let cnf = Cnf::new(3);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 12);
-        assert_eq!(samples.len(), 12);
-        assert_eq!(outcome.reason, None);
+        assert_eq!(oracle.sample_cnf(&cnf, 0, 12).len(), 12);
         assert_eq!(oracle.stats().sampler_calls, 12);
         assert_eq!(oracle.stats().sample_shortfalls, 0);
         assert_eq!(oracle.exhausted(), None);
@@ -882,9 +832,7 @@ mod tests {
         let mut cnf = Cnf::new(1);
         cnf.add_clause([lit(1)]);
         cnf.add_clause([lit(-1)]);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 5);
-        assert!(samples.is_empty());
-        assert_eq!(outcome.reason, Some(ShortfallReason::Unsat));
+        assert!(oracle.sample_cnf(&cnf, 0, 5).is_empty());
         let stats = oracle.stats();
         assert_eq!(stats.sampler_calls, 1);
         assert_eq!(stats.samplers_constructed, 1);
@@ -897,12 +845,14 @@ mod tests {
         let mut oracle = Oracle::new(Budget::unlimited());
         oracle.budget().cancel_token().cancel();
         let cnf = Cnf::new(2);
-        let (samples, outcome) = oracle.sample_cnf(&cnf, SamplerConfig::default(), 4);
-        assert!(samples.is_empty());
-        assert_eq!(outcome.reason, Some(ShortfallReason::Cancelled));
-        assert_eq!(oracle.stats().sampler_calls, 0);
+        assert!(oracle.sample_cnf(&cnf, 0, 4).is_empty());
+        assert_eq!(oracle.give_up_reason(), UnknownReason::Cancelled);
+        let stats = oracle.stats();
+        assert_eq!(stats.sampler_calls, 0);
         // The request was refused before a sampler was built.
-        assert_eq!(oracle.stats().samplers_constructed, 0);
+        assert_eq!(stats.samplers_constructed, 0);
+        assert_eq!(stats.sample_shortfalls, 1);
+        assert_eq!(stats.budget_exhaustions, 1);
     }
 
     #[test]
@@ -917,9 +867,10 @@ mod tests {
         assert_eq!(oracle.solve(&mut solver), SolveResult::Unknown);
         let mut maxsat = oracle.new_maxsat();
         maxsat.add_hard([lit(1)]);
-        // A refused MaxSAT call names cancellation as the reason — never a
-        // best-so-far bound, never a bare Unknown.
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Cancelled);
+        // A refused MaxSAT call is Unknown, never a best-so-far bound; the
+        // budget still names cancellation as the reason.
+        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
+        assert_eq!(oracle.give_up_reason(), UnknownReason::Cancelled);
         // Refused calls are not performed.
         assert_eq!(oracle.stats().sat_calls, 1);
         assert_eq!(oracle.stats().maxsat_calls, 0);
@@ -1080,17 +1031,5 @@ mod tests {
         budget.cancel_token().cancel();
         assert!(clone.cancelled());
         assert!(clone.expired());
-    }
-
-    #[test]
-    fn start_rearms_the_deadline() {
-        let mut budget = Budget::new(Some(Duration::from_millis(40)));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(budget.expired());
-        // The race begins only now: re-arming measures the deadline from
-        // here, so the budget is live again.
-        budget.start();
-        assert!(!budget.expired());
-        assert!(budget.elapsed() < Duration::from_millis(40));
     }
 }

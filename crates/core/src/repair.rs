@@ -3,8 +3,10 @@
 //!
 //! All SAT and MaxSAT queries run through the synthesis run's [`Oracle`],
 //! and both run on persistent sessions: the FindCandidates MaxSAT queries
-//! are answered by the [`RepairSession`]'s incremental assumption-based
-//! encoding (built once per run), and the `G_k` queries (whose UNSAT cores
+//! are answered by the [`RepairSession`](crate::RepairSession)'s
+//! incremental assumption-based encoding (built once per run, queried with
+//! [`RepairSession::find_candidates`](crate::RepairSession::find_candidates)),
+//! and the `G_k` queries (whose UNSAT cores
 //! become repair cubes) by the [`VerifySession`]'s incremental matrix
 //! solver — repair never constructs a solver or an encoding of its own.
 //! [`find_candidates_from_scratch`] keeps the pre-incremental
@@ -14,7 +16,7 @@
 use crate::config::Manthan3Config;
 use crate::oracle::Oracle;
 use crate::order::Order;
-use crate::session::{RepairSession, VerifySession};
+use crate::session::VerifySession;
 use crate::stats::SynthesisStats;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Lit, Var};
@@ -44,34 +46,12 @@ pub struct RepairOutcome {
     pub stuck: bool,
 }
 
-/// Runs `FindCandi` (Algorithm 3, line 2): a MaxSAT query with
-/// `ϕ ∧ (X ↔ σ[X])` as hard constraints and `(Y ↔ σ[Y'])` as soft
-/// constraints; returns the outputs whose soft constraint was dropped.
-///
-/// Served by the persistent `session` entirely under assumptions — the
-/// encoding was built once when the session opened, so per-call cost tracks
-/// the counterexample, not the formula.
-pub fn find_candidates_to_repair(
-    dqbf: &Dqbf,
-    sigma: &Sigma,
-    session: &mut RepairSession,
-    oracle: &mut Oracle,
-    stats: &mut SynthesisStats,
-) -> Vec<Var> {
-    session.find_candidates(dqbf, sigma, oracle, stats)
-}
-
 /// The pre-incremental `FindCandi`: rebuilds the whole hard-clause MaxSAT
 /// encoding (matrix, `σ[X]` units, soft clauses, totalizer) on every call.
 /// Kept as the reference implementation for the repair-equivalence suite
 /// and as the baseline of the `repair_incremental` benchmark; the engine
-/// itself always runs on the [`RepairSession`].
-pub fn find_candidates_from_scratch(
-    dqbf: &Dqbf,
-    sigma: &Sigma,
-    oracle: &mut Oracle,
-    stats: &mut SynthesisStats,
-) -> Vec<Var> {
+/// itself always runs on the [`RepairSession`](crate::RepairSession).
+pub fn find_candidates_from_scratch(dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
     let mut maxsat = oracle.new_maxsat();
     oracle.note_maxsat_hard_encoding();
     maxsat.add_hard_cnf(dqbf.matrix());
@@ -84,7 +64,6 @@ pub fn find_candidates_from_scratch(
         let id = maxsat.add_soft([y.lit(target)], 1);
         soft_vars.push((id, y));
     }
-    stats.maxsat_calls += 1;
     match oracle.solve_maxsat(&mut maxsat) {
         MaxSatResult::Optimum { .. } => {
             let violated: BTreeSet<_> = maxsat.violated_softs().into_iter().collect();
@@ -99,7 +78,7 @@ pub fn find_candidates_from_scratch(
         // oracle is past its deadline (or cancelled) we fall back to "repair
         // every output whose candidate output differs from the witness
         // extension" — the engine re-checks the oracle before acting on it.
-        MaxSatResult::HardUnsat | MaxSatResult::Unknown | MaxSatResult::Cancelled => dqbf
+        MaxSatResult::HardUnsat | MaxSatResult::Unknown => dqbf
             .existentials()
             .iter()
             .copied()
@@ -129,8 +108,8 @@ pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -
 
 /// Repairs the candidate vector against the counterexample `sigma`
 /// (Algorithm 3), starting from the `candidates` selected by a
-/// FindCandidates query ([`find_candidates_to_repair`] on the persistent
-/// session, or [`find_candidates_from_scratch`] for reference runs). The
+/// FindCandidates query (on the persistent repair session, or
+/// [`find_candidates_from_scratch`] for reference runs). The
 /// `G_k` queries are answered by `session`'s persistent matrix solver under
 /// assumptions, so the UNSAT cores come from the same incremental session as
 /// the verification checks, and repair only extends the vector's AIG — it
@@ -261,6 +240,7 @@ mod tests {
     use super::*;
     use crate::oracle::Budget;
     use crate::order::DependencyState;
+    use crate::session::RepairSession;
 
     fn x(i: u32) -> Var {
         Var::new(i)
@@ -304,15 +284,13 @@ mod tests {
     fn find_candidates_selects_y2_on_paper_example() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle, &mut stats);
+        let candidates = session.find_candidates(&dqbf, &sigma, &mut oracle);
         // With x = (1,0,0), ϕ forces y2 = y1 ∨ ¬x2 = y1 ∨ 1 = 1, so the soft
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
         assert_eq!(candidates, vec![y(1)]);
-        assert_eq!(stats.maxsat_calls, 1);
+        assert_eq!(session.solves(), 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
         assert_eq!(oracle.stats().maxsat_incremental_calls, 1);
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
@@ -322,8 +300,7 @@ mod tests {
     fn from_scratch_reference_agrees_on_paper_example() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
-        let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle, &mut stats);
+        let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle);
         assert_eq!(candidates, vec![y(1)]);
         // The reference path pays a full hard encoding per call and is never
         // served under assumptions.
@@ -335,7 +312,6 @@ mod tests {
     fn repeated_find_candidates_reuse_one_encoding() {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let mut stats = SynthesisStats::default();
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         // A second counterexample with flipped targets: the previous call's
         // assumptions must be fully retracted.
@@ -344,7 +320,7 @@ mod tests {
         flipped.x = [(x(0), false), (x(1), true), (x(2), false)].into();
         for round in 0..6 {
             let s = if round % 2 == 0 { &sigma } else { &flipped };
-            let _ = find_candidates_to_repair(&dqbf, s, &mut session, &mut oracle, &mut stats);
+            let _ = session.find_candidates(&dqbf, s, &mut oracle);
         }
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
@@ -352,7 +328,7 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_incremental_calls, 6);
         // The alternating counterexamples stay deterministic: re-querying
         // the original sigma still selects y2 only.
-        let again = find_candidates_to_repair(&dqbf, &sigma, &mut session, &mut oracle, &mut stats);
+        let again = session.find_candidates(&dqbf, &sigma, &mut oracle);
         assert_eq!(again, vec![y(1)]);
     }
 
@@ -380,8 +356,7 @@ mod tests {
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
 
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle, &mut stats);
+        let candidates = repair_session.find_candidates(&dqbf, &sigma, &mut oracle);
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -442,8 +417,7 @@ mod tests {
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
         let mut stats = SynthesisStats::default();
-        let candidates =
-            find_candidates_to_repair(&dqbf, &sigma, &mut repair_session, &mut oracle, &mut stats);
+        let candidates = repair_session.find_candidates(&dqbf, &sigma, &mut oracle);
         let outcome = repair_vector(
             &dqbf,
             &config,

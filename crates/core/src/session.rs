@@ -62,7 +62,6 @@
 
 use crate::oracle::Oracle;
 use crate::repair::Sigma;
-use crate::stats::SynthesisStats;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
@@ -96,8 +95,8 @@ pub enum VerifyOutcome {
     /// The error formula is unsatisfiable: the candidate vector realizes the
     /// specification.
     Valid,
-    /// An oracle budget was exhausted before a verdict was reached.
-    Budget,
+    /// The oracle gave up before a verdict was reached; the budget says why.
+    Unknown,
     /// The error formula is satisfiable; the model is returned.
     CounterExample(Delta),
 }
@@ -110,8 +109,9 @@ struct CandidateSlot {
     function: AigRef,
 }
 
-/// A persistent incremental oracle session for one synthesis run. See the
-/// [module documentation](self).
+/// A persistent incremental oracle session for one synthesis run: one
+/// matrix solver and one error-formula solver, reused by every
+/// verification check and repair query of the run.
 #[derive(Debug, Clone)]
 pub struct VerifySession {
     /// Incremental solver over the matrix `ϕ` (X-extension checks, repair
@@ -281,7 +281,7 @@ impl VerifySession {
         let assumptions: Vec<Lit> = self.slots.values().map(|slot| slot.activation).collect();
         match oracle.solve_with_assumptions(&mut self.error, &assumptions) {
             SolveResult::Unsat => VerifyOutcome::Valid,
-            SolveResult::Unknown => VerifyOutcome::Budget,
+            SolveResult::Unknown => VerifyOutcome::Unknown,
             SolveResult::Sat => {
                 let model = self.error.model();
                 VerifyOutcome::CounterExample(Delta {
@@ -360,8 +360,10 @@ struct RepairSlot {
 }
 
 /// The persistent assumption-based MaxSAT session answering the repair
-/// loop's FindCandidates queries. See the [module documentation](self) for
-/// the encoding and literal lifecycle.
+/// loop's FindCandidates queries: the matrix, one target indirection per
+/// existential output and the soft units are encoded once (see
+/// [`RepairSession::new`]), and each query pins its counterexample by
+/// assumptions only.
 #[derive(Debug, Clone)]
 pub struct RepairSession {
     maxsat: MaxSatSolver,
@@ -421,13 +423,7 @@ impl RepairSession {
     /// is unexpectedly unsatisfiable under the assumptions), falls back to
     /// "repair every output whose candidate output differs from the witness
     /// extension", exactly like the from-scratch path.
-    pub fn find_candidates(
-        &mut self,
-        dqbf: &Dqbf,
-        sigma: &Sigma,
-        oracle: &mut Oracle,
-        stats: &mut SynthesisStats,
-    ) -> Vec<Var> {
+    pub fn find_candidates(&mut self, dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
         let mut assumptions: Vec<Lit> = Vec::with_capacity(sigma.x.len() + self.slots.len());
         for (&x, &value) in &sigma.x {
             assumptions.push(x.lit(value));
@@ -436,7 +432,6 @@ impl RepairSession {
             let target = sigma.y_prime.get(&slot.output).copied().unwrap_or(false);
             assumptions.push(slot.target.lit(target));
         }
-        stats.maxsat_calls += 1;
         let result = oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions);
         self.solves += 1;
         self.solves_since_maintenance += 1;
@@ -452,10 +447,10 @@ impl RepairSession {
                     .map(|slot| slot.output)
                     .collect()
             }
-            // A cancelled query falls back exactly like a refused one —
-            // the engine re-checks the oracle before acting on the fallback
-            // set and reports `UnknownReason::Cancelled`.
-            MaxSatResult::HardUnsat | MaxSatResult::Unknown | MaxSatResult::Cancelled => dqbf
+            // A given-up query falls back too — the engine re-checks the
+            // oracle before acting on the fallback set and reports the
+            // budget's reason.
+            MaxSatResult::HardUnsat | MaxSatResult::Unknown => dqbf
                 .existentials()
                 .iter()
                 .copied()
@@ -466,7 +461,7 @@ impl RepairSession {
 
     /// Runs a MaxSAT-solver maintenance pass immediately (learnt-DB halving,
     /// level-0 compaction, and one bounded inprocessing pass). Called
-    /// automatically every [`MAINTENANCE_RETIREMENT_INTERVAL`] solve calls;
+    /// automatically every `MAINTENANCE_RETIREMENT_INTERVAL` solve calls;
     /// exposed for callers that drive the session manually. The pass runs
     /// outside any oracle solve call, so its work is billed to the oracle's
     /// statistics here.
@@ -683,7 +678,6 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let mut stats = SynthesisStats::default();
         let clause_watermark = session.solver_clauses();
 
         let sigma_a = Sigma {
@@ -697,7 +691,7 @@ mod tests {
 
         for round in 0..200 {
             let sigma = if round % 2 == 0 { &sigma_a } else { &sigma_b };
-            let candidates = session.find_candidates(&dqbf, sigma, &mut oracle, &mut stats);
+            let candidates = session.find_candidates(&dqbf, sigma, &mut oracle);
             if round % 2 == 0 {
                 // With x = (1,0,0), ϕ forces y2 = 1, so exactly the y2 soft
                 // is dropped — on every even round, however much solver
@@ -736,7 +730,6 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_calls, 200);
         assert_eq!(oracle.stats().maxsat_incremental_calls, 200);
-        assert_eq!(stats.maxsat_calls, 200);
     }
 
     #[test]

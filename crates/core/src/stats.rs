@@ -22,8 +22,6 @@ pub struct SynthesisStats {
     pub repair_iterations: usize,
     /// Number of individual candidate repairs applied.
     pub repairs_applied: usize,
-    /// Number of MaxSAT calls made by `FindCandi`.
-    pub maxsat_calls: usize,
     /// Number of `G_k` SAT calls made during repair.
     pub repair_sat_calls: usize,
     /// Unified oracle-layer counters (shared with the baseline engines).

@@ -19,9 +19,8 @@
 
 use manthan3_cnf::{Lit, Var};
 use manthan3_core::{
-    find_candidates_from_scratch, find_candidates_to_repair, repair_vector, Budget,
-    DependencyState, Manthan3Config, Oracle, Order, RepairSession, Sigma, SynthesisStats,
-    VerifyOutcome, VerifySession,
+    find_candidates_from_scratch, repair_vector, Budget, DependencyState, Manthan3Config, Oracle,
+    Order, RepairSession, Sigma, SynthesisStats, VerifyOutcome, VerifySession,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::suite::suite;
@@ -78,7 +77,6 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             continue;
         }
         let mut repair_session = RepairSession::new(dqbf, &mut oracle);
-        let mut stats = SynthesisStats::default();
         for _ in 0..8 {
             // A random σ[X] that extends to a model of ϕ (the only shape the
             // engine ever queries), with the witness extension as σ[Y] and a
@@ -99,14 +97,8 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
                 y_prime: random_valuation(dqbf.existentials(), &mut rng_state),
             };
 
-            let incremental = find_candidates_to_repair(
-                dqbf,
-                &sigma,
-                &mut repair_session,
-                &mut oracle,
-                &mut stats,
-            );
-            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle, &mut stats);
+            let incremental = repair_session.find_candidates(dqbf, &sigma, &mut oracle);
+            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle);
 
             // Same optimum cost (every soft is unit weight)…
             assert_eq!(
@@ -193,7 +185,7 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
                 );
                 return (LoopVerdict::Valid, iteration);
             }
-            VerifyOutcome::Budget => unreachable!("unlimited budget"),
+            VerifyOutcome::Unknown => unreachable!("unlimited budget"),
             VerifyOutcome::CounterExample(delta) => delta,
         };
         let x_assumptions: Vec<Lit> = dqbf
@@ -216,10 +208,8 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
             y_prime: delta.y_prime,
         };
         let candidates = match &mut repair_session {
-            Some(session) => {
-                find_candidates_to_repair(dqbf, &sigma, session, &mut oracle, &mut stats)
-            }
-            None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle, &mut stats),
+            Some(session) => session.find_candidates(dqbf, &sigma, &mut oracle),
+            None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle),
         };
         let outcome = repair_vector(
             dqbf,

@@ -7,9 +7,16 @@
 //!   universals declared so far** (QBF-style),
 //! * `d y x1 x2 … 0` — an existentially quantified variable `y` with the
 //!   explicit Henkin dependency set `{x1, x2, …}`.
+//!
+//! A parsed formula always passes [`Dqbf::validate`]: a variable quantified
+//! twice, a self-dependency, a dependency that is not universal and a
+//! matrix variable that is not quantified are parse errors naming the line
+//! that declares or uses the variable. Free variables are not implicitly
+//! quantified.
 
-use crate::Dqbf;
+use crate::{Dqbf, DqbfError};
 use manthan3_cnf::{Lit, Var};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -26,6 +33,10 @@ impl ParseDqdimacsError {
             line,
             message: message.into(),
         }
+    }
+
+    fn invalid(line: usize, error: DqbfError) -> Self {
+        ParseDqdimacsError::new(line, error.to_string())
     }
 
     /// 1-based line number at which the error occurred.
@@ -64,13 +75,30 @@ fn parse_vars(line: usize, tokens: &[&str]) -> Result<Vec<Var>, ParseDqdimacsErr
     Ok(out)
 }
 
+/// Records `v` as quantified on `line` (`universal` or existential); a
+/// variable quantified twice is an error.
+fn quantify(
+    quantified: &mut HashMap<Var, bool>,
+    v: Var,
+    universal: bool,
+    line: usize,
+) -> Result<(), ParseDqdimacsError> {
+    match quantified.insert(v, universal) {
+        Some(_) => Err(ParseDqdimacsError::invalid(
+            line,
+            DqbfError::DuplicateVariable(v),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Parses a DQDIMACS string into a [`Dqbf`].
 ///
 /// # Errors
 ///
 /// Returns [`ParseDqdimacsError`] on malformed headers, quantifier lines or
 /// clause literals, including variable identifiers above
-/// [`Var::MAX_DIMACS`].
+/// [`Var::MAX_DIMACS`], and on every prefix that [`Dqbf::validate`] rejects.
 ///
 /// # Examples
 ///
@@ -85,6 +113,14 @@ fn parse_vars(line: usize, tokens: &[&str]) -> Result<Vec<Var>, ParseDqdimacsErr
 pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
     let mut dqbf = Dqbf::new();
     let mut current_clause: Vec<Lit> = Vec::new();
+    // Every quantified variable, mapped to `true` for a universal.
+    let mut quantified: HashMap<Var, bool> = HashMap::new();
+    // `validate` accepts declarations in any order, so a dependency not yet
+    // universal or a clause variable not yet quantified is only an error if
+    // no later line quantifies it: (existential, dependency, line) and
+    // (variable, line) are checked once the input is read.
+    let mut pending_dependencies: Vec<(Var, Var, usize)> = Vec::new();
+    let mut pending_variables: Vec<(Var, usize)> = Vec::new();
     for (lineno, raw_line) in input.lines().enumerate() {
         let lineno = lineno + 1;
         let line = raw_line.trim();
@@ -101,6 +137,7 @@ pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
         if let Some(rest) = line.strip_prefix("a ") {
             let tokens: Vec<&str> = rest.split_whitespace().collect();
             for v in parse_vars(lineno, &tokens)? {
+                quantify(&mut quantified, v, true, lineno)?;
                 dqbf.add_universal(v);
             }
             continue;
@@ -109,6 +146,7 @@ pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
             let tokens: Vec<&str> = rest.split_whitespace().collect();
             let deps: Vec<Var> = dqbf.universals().to_vec();
             for v in parse_vars(lineno, &tokens)? {
+                quantify(&mut quantified, v, false, lineno)?;
                 dqbf.add_existential(v, deps.iter().copied());
             }
             continue;
@@ -119,6 +157,18 @@ pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
             let Some((&y, deps)) = vars.split_first() else {
                 return Err(ParseDqdimacsError::new(lineno, "empty 'd' line"));
             };
+            quantify(&mut quantified, y, false, lineno)?;
+            for &d in deps {
+                if d == y {
+                    return Err(ParseDqdimacsError::invalid(
+                        lineno,
+                        DqbfError::SelfDependency(y),
+                    ));
+                }
+                if quantified.get(&d) != Some(&true) {
+                    pending_dependencies.push((y, d, lineno));
+                }
+            }
             dqbf.add_existential(y, deps.iter().copied());
             continue;
         }
@@ -130,15 +180,39 @@ pub fn parse_dqdimacs(input: &str) -> Result<Dqbf, ParseDqdimacsError> {
             if value == 0 {
                 dqbf.add_clause(current_clause.drain(..));
             } else {
-                current_clause.push(Lit::try_from_dimacs(value).ok_or_else(|| {
+                let lit = Lit::try_from_dimacs(value).ok_or_else(|| {
                     ParseDqdimacsError::new(lineno, format!("literal {value} is out of range"))
-                })?);
+                })?;
+                if !quantified.contains_key(&lit.var()) {
+                    pending_variables.push((lit.var(), lineno));
+                }
+                current_clause.push(lit);
             }
         }
     }
     if !current_clause.is_empty() {
         dqbf.add_clause(current_clause.drain(..));
     }
+    for (existential, dependency, line) in pending_dependencies {
+        if quantified.get(&dependency) != Some(&true) {
+            return Err(ParseDqdimacsError::invalid(
+                line,
+                DqbfError::UnknownDependency {
+                    existential,
+                    dependency,
+                },
+            ));
+        }
+    }
+    for (v, line) in pending_variables {
+        if !quantified.contains_key(&v) {
+            return Err(ParseDqdimacsError::invalid(
+                line,
+                DqbfError::UnquantifiedVariable(v),
+            ));
+        }
+    }
+    debug_assert_eq!(dqbf.validate(), Ok(()));
     Ok(dqbf)
 }
 
@@ -238,6 +312,45 @@ mod tests {
             assert_eq!(err.line(), line, "{text:?}");
             assert!(err.to_string().contains("out of range"), "{err}");
         }
+    }
+
+    #[test]
+    fn rejects_prefixes_that_fail_validation() {
+        // (input, offending line, message fragment)
+        for (text, line, fragment) in [
+            // A clause over an unquantified variable.
+            ("p cnf 2 1\na 1 0\n1 2 0\n", 3, "not quantified"),
+            // A variable declared twice.
+            (
+                "p cnf 2 1\na 1 0\nd 2 1 0\nd 2 1 0\n1 2 0\n",
+                4,
+                "quantified twice",
+            ),
+            // A `d` line naming a non-universal variable.
+            ("p cnf 3 1\na 1 0\nd 2 3 0\n1 2 0\n", 3, "not universal"),
+            // A dependency on an existential, and on itself.
+            (
+                "p cnf 3 1\na 1 0\ne 2 0\nd 3 2 0\n1 2 3 0\n",
+                4,
+                "not universal",
+            ),
+            ("p cnf 2 1\na 1 0\nd 2 2 0\n1 2 0\n", 3, "depends on itself"),
+            // Universal and existential at once.
+            ("p cnf 2 1\na 1 2 0\ne 2 0\n1 2 0\n", 3, "quantified twice"),
+        ] {
+            let err = parse_dqdimacs(text).unwrap_err();
+            assert_eq!(err.line(), line, "{text:?}: {err}");
+            assert!(err.to_string().contains(fragment), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn declarations_may_follow_their_first_use() {
+        // `validate` does not care where a variable is quantified, so
+        // neither does the parser.
+        let dqbf = parse_dqdimacs("p cnf 3 1\nd 3 1 0\n1 3 0\na 1 0\n").unwrap();
+        assert_eq!(dqbf.validate(), Ok(()));
+        assert_eq!(dqbf.dependencies(Var::from_dimacs(3)).len(), 1);
     }
 
     #[test]

@@ -70,14 +70,14 @@ impl CheckOutcome {
     }
 }
 
-/// Checks `proof` against `cnf` (see the [module docs](self)). Never
+/// Checks `proof` against `cnf` (see the [crate docs](crate)). Never
 /// cancelled; equivalent to [`check_with_cancel`] with a fresh flag.
 pub fn check(cnf: &[Vec<Lit>], proof: &Proof) -> CheckOutcome {
     check_with_cancel(cnf, proof, &CancelFlag::new())
 }
 
 /// Checks `proof` against `cnf`, polling `cancel` between proof chunks
-/// (every [`CANCEL_POLL_INTERVAL`] steps).
+/// (every `CANCEL_POLL_INTERVAL` steps).
 pub fn check_with_cancel(cnf: &[Vec<Lit>], proof: &Proof, cancel: &CancelFlag) -> CheckOutcome {
     let mut checker = Checker::default();
     for clause in cnf {

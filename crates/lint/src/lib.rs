@@ -7,7 +7,7 @@
 //! justified atomic orderings, panic-free library code, and
 //! `#![forbid(unsafe_code)]` crate headers. The flow-sensitive
 //! rules run a gen/kill worklist analysis (see [`dataflow`]) over
-//! per-function CFGs built straight from the token stream (see [`cfg`]).
+//! per-function CFGs built straight from the token stream (see [`cfg`](mod@cfg)).
 //! Run it as `cargo run -p manthan3-lint -- check`; configuration and
 //! allowlists live in `lint.toml` at the workspace root, and every
 //! allowlist entry must still suppress something — stale entries are

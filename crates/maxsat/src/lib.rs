@@ -33,6 +33,7 @@
 //! [`CancelToken`](manthan3_sat::CancelToken) of its SAT configuration,
 //! polled before every internal probe; wall-clock deadlines are enforced
 //! by the caller (the core crate's oracle refuses calls past the deadline).
+//! Either way the call returns [`MaxSatResult::Unknown`].
 //!
 //! # Examples
 //!

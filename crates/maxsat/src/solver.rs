@@ -36,21 +36,12 @@ pub enum MaxSatResult {
     /// The hard clauses alone (together with the assumptions, for
     /// [`MaxSatSolver::solve_under_assumptions`]) are unsatisfiable.
     HardUnsat,
-    /// The oracle layer refused the call because the run's wall-clock
-    /// deadline had passed; the solver itself never reports this.
+    /// The search stopped early: the configured
+    /// [`CancelToken`](manthan3_sat::CancelToken) fired, or the caller
+    /// refused the call because its run budget was spent. The budget, not
+    /// this verdict, says which. No best-so-far bound is ever reported as
+    /// the optimum, and the call leaves no model behind.
     Unknown,
-    /// The solve was cooperatively cancelled (the configured
-    /// [`CancelToken`](manthan3_sat::CancelToken) fired) mid-search. No
-    /// best-so-far bound is ever reported as the optimum: like
-    /// [`MaxSatResult::Unknown`], a cancelled call leaves no model behind.
-    Cancelled,
-}
-
-/// Verdict of one internal SAT probe.
-enum Probe {
-    Sat,
-    Unsat,
-    Cancelled,
 }
 
 #[derive(Debug, Clone)]
@@ -265,7 +256,7 @@ impl MaxSatSolver {
     pub fn solve(&mut self) -> MaxSatResult {
         if self.is_cancelled() {
             self.model = None;
-            return MaxSatResult::Cancelled;
+            return MaxSatResult::Unknown;
         }
         self.solve_under_assumptions(&[])
     }
@@ -300,9 +291,9 @@ impl MaxSatSolver {
         }
         // Is the hard part satisfiable at all (under the assumptions)?
         match self.probe(assumptions) {
-            Probe::Unsat => return MaxSatResult::HardUnsat,
-            Probe::Cancelled => return MaxSatResult::Cancelled,
-            Probe::Sat => {}
+            SolveResult::Unsat => return MaxSatResult::HardUnsat,
+            SolveResult::Unknown => return MaxSatResult::Unknown,
+            SolveResult::Sat => {}
         }
         if self.softs.is_empty() {
             self.model = Some(self.solver.model());
@@ -312,13 +303,13 @@ impl MaxSatSolver {
         let mut optimistic: Vec<Lit> = assumptions.to_vec();
         optimistic.extend(self.softs.iter().map(|s| !s.relax));
         match self.probe(&optimistic) {
-            Probe::Sat => {
+            SolveResult::Sat => {
                 self.model = Some(self.solver.model());
                 self.last_optimum = Some(0);
                 return MaxSatResult::Optimum { cost: 0 };
             }
-            Probe::Cancelled => return MaxSatResult::Cancelled,
-            Probe::Unsat => {}
+            SolveResult::Unknown => return MaxSatResult::Unknown,
+            SolveResult::Unsat => {}
         }
         let total = self.totalizer().len() as u64;
         // A probe at bound `k` asks for a model with at most `k` violated
@@ -336,14 +327,14 @@ impl MaxSatSolver {
         let mut cost = loop {
             if k >= total {
                 return match self.probe(assumptions) {
-                    Probe::Sat => {
+                    SolveResult::Sat => {
                         self.model = Some(self.solver.model());
                         let cost = self.cost_of_current_model();
                         self.last_optimum = Some(cost);
                         MaxSatResult::Optimum { cost }
                     }
-                    Probe::Cancelled => MaxSatResult::Cancelled,
-                    Probe::Unsat => MaxSatResult::HardUnsat,
+                    SolveResult::Unknown => MaxSatResult::Unknown,
+                    SolveResult::Unsat => MaxSatResult::HardUnsat,
                 };
             }
             let bound_lit = !self.totalizer().outputs()[k as usize];
@@ -351,22 +342,22 @@ impl MaxSatSolver {
             bounded.extend_from_slice(assumptions);
             bounded.push(bound_lit);
             match self.probe(&bounded) {
-                Probe::Sat => {
+                SolveResult::Sat => {
                     self.model = Some(self.solver.model());
                     break self.cost_of_current_model();
                 }
-                Probe::Cancelled => {
+                SolveResult::Unknown => {
                     self.model = None;
-                    return MaxSatResult::Cancelled;
+                    return MaxSatResult::Unknown;
                 }
-                Probe::Unsat => {
+                SolveResult::Unsat => {
                     refuted = k;
                     k += 1;
                 }
             }
         };
         // Phase 2: tighten downward until the next-lower bound is refuted
-        // (or meets a bound phase 1 already refuted). A Cancelled exit
+        // (or meets a bound phase 1 already refuted). An Unknown exit
         // clears the model found so far: it is not a proven
         // optimum, and [`MaxSatSolver::model`] documents that nothing is
         // available after a non-Optimum outcome.
@@ -376,15 +367,15 @@ impl MaxSatSolver {
             bounded.extend_from_slice(assumptions);
             bounded.push(bound_lit);
             match self.probe(&bounded) {
-                Probe::Sat => {
+                SolveResult::Sat => {
                     self.model = Some(self.solver.model());
                     cost = self.cost_of_current_model();
                 }
-                Probe::Cancelled => {
+                SolveResult::Unknown => {
                     self.model = None;
-                    return MaxSatResult::Cancelled;
+                    return MaxSatResult::Unknown;
                 }
-                Probe::Unsat => break,
+                SolveResult::Unsat => break,
             }
         }
         self.last_optimum = Some(cost);
@@ -401,18 +392,14 @@ impl MaxSatSolver {
     }
 
     /// One internal SAT probe: polls cancellation first (a cancelled probe
-    /// is not performed). The solver ends a call without a verdict only when
-    /// the token fired mid-search, so Unknown is cancellation too.
-    fn probe(&mut self, assumptions: &[Lit]) -> Probe {
+    /// is not performed and answers `Unknown`, as a probe cancelled
+    /// mid-search does).
+    fn probe(&mut self, assumptions: &[Lit]) -> SolveResult {
         if self.is_cancelled() {
-            return Probe::Cancelled;
+            return SolveResult::Unknown;
         }
         self.stats.probes += 1;
-        match self.solver.solve_with_assumptions(assumptions) {
-            SolveResult::Sat => Probe::Sat,
-            SolveResult::Unsat => Probe::Unsat,
-            SolveResult::Unknown => Probe::Cancelled,
-        }
+        self.solver.solve_with_assumptions(assumptions)
     }
 
     /// The persistent totalizer over the weight-replicated relaxation
@@ -629,9 +616,9 @@ mod tests {
         s.add_hard([lit(1)]);
         s.add_soft([lit(-1)], 3);
         token.cancel();
-        // Cancellation is surfaced as its own verdict, never folded into
-        // Unknown and never reported as a best-so-far optimum.
-        assert_eq!(s.solve(), MaxSatResult::Cancelled);
+        // Cancellation stops the search with no verdict, never with a
+        // best-so-far optimum.
+        assert_eq!(s.solve(), MaxSatResult::Unknown);
     }
 
     #[test]
@@ -641,8 +628,7 @@ mod tests {
         // An unsatisfiable pigeonhole hard part far beyond what the test
         // environment can refute quickly: the first probe runs long, and a
         // token cancelled from another thread must turn the in-flight bound
-        // search into `Cancelled` — not into the best-so-far bound, not into
-        // `Unknown`.
+        // search into `Unknown` — not into the best-so-far bound.
         let token = CancelToken::new();
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_cancel(token.clone()));
         let holes = 9usize;
@@ -667,7 +653,7 @@ mod tests {
             }
         });
         let start = Instant::now();
-        assert_eq!(s.solve(), MaxSatResult::Cancelled);
+        assert_eq!(s.solve(), MaxSatResult::Unknown);
         assert!(
             start.elapsed() < Duration::from_secs(20),
             "cancellation did not interrupt the search"
@@ -694,7 +680,7 @@ mod tests {
     #[should_panic(expected = "no MaxSAT model available")]
     fn unknown_outcomes_leave_no_stale_model() {
         // First solve finds an optimum (model stored); a cancelled re-solve
-        // returns Cancelled and must clear it, so reading the model
+        // returns Unknown and must clear it, so reading the model
         // afterwards panics as documented instead of yielding a stale,
         // unproven one.
         use manthan3_sat::{CancelToken, SolverConfig};
@@ -706,7 +692,7 @@ mod tests {
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         let _ = s.model();
         token.cancel();
-        assert_eq!(s.solve(), MaxSatResult::Cancelled);
+        assert_eq!(s.solve(), MaxSatResult::Unknown);
         let _ = s.violated_softs(); // must panic
     }
 

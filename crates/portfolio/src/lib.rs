@@ -16,7 +16,7 @@
 //! the CDCL search loops of the losing engines poll it once per decision
 //! and give up within milliseconds instead of burning the remaining
 //! budget. Losers report
-//! [`UnknownReason::Cancelled`](manthan3_core::UnknownReason::Cancelled).
+//! [`UnknownReason::Cancelled`].
 //!
 //! Because every engine runs on the shared oracle layer of `manthan3-core`,
 //! the runner also returns per-engine [`OracleStats`] — the same counters
@@ -243,10 +243,9 @@ impl Portfolio {
             !self.config.engines.is_empty(),
             "portfolio needs at least one engine"
         );
-        // One budget for the whole race, armed now — not when the
+        // One budget for the whole race, built now — not when the
         // configuration was built. Clones share the deadline and the token.
-        let mut budget = Budget::new(self.config.time_budget);
-        budget.start();
+        let budget = Budget::new(self.config.time_budget);
         let race_start = Instant::now();
 
         let race_claimed = AtomicBool::new(false);

@@ -17,12 +17,10 @@
 //! [`CancelToken`] before every per-sample solve and counts the solves it
 //! performs ([`Sampler::solves`]), which the oracle bills to its statistics.
 //!
-//! Shortfalls are first-class: [`Sampler::sample_with_outcome`] reports a
-//! [`SampleOutcome`] that says how many samples were requested and emitted,
-//! and *why* a short batch stopped ([`ShortfallReason`]: proved
-//! unsatisfiable, refused by an expired deadline, or cancelled) — the
-//! synthesis engine uses this to distinguish "the formula has no models"
-//! from "the race was lost".
+//! A batch shorter than requested means one of two things: the formula was
+//! proved unsatisfiable ([`Sampler::known_satisfiable`] is `Some(false)`),
+//! or the sampler was cancelled. The reason for a cancellation stays with
+//! whoever raised the token.
 //!
 //! # Examples
 //!
@@ -47,7 +45,6 @@ use manthan3_cnf::{Assignment, Cnf, Var};
 use manthan3_sat::{CancelToken, SolveResult, Solver, SolverConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
 /// Probability of making a random branching decision inside the
 /// sampler's solver.
@@ -73,49 +70,6 @@ impl Default for SamplerConfig {
     }
 }
 
-/// Why a sampling request emitted fewer samples than requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShortfallReason {
-    /// The formula was proved unsatisfiable (no further samples exist).
-    Unsat,
-    /// The oracle refused the request because the run's wall-clock
-    /// deadline had passed; no sampler was built.
-    Budget,
-    /// The cooperative [`CancelToken`] was raised.
-    Cancelled,
-}
-
-impl fmt::Display for ShortfallReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let label = match self {
-            ShortfallReason::Unsat => "unsat",
-            ShortfallReason::Budget => "budget",
-            ShortfallReason::Cancelled => "cancelled",
-        };
-        write!(f, "{label}")
-    }
-}
-
-/// The observable outcome of one sampling request: how many samples were
-/// asked for, how many were actually emitted, and — when the batch is short —
-/// why it stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleOutcome {
-    /// Number of samples the caller requested.
-    pub requested: usize,
-    /// Number of samples actually emitted.
-    pub emitted: usize,
-    /// Why the batch is short; `None` when the request was met in full.
-    pub reason: Option<ShortfallReason>,
-}
-
-impl SampleOutcome {
-    /// `true` when fewer samples were emitted than requested.
-    pub fn is_short(&self) -> bool {
-        self.emitted < self.requested
-    }
-}
-
 /// Samples satisfying assignments of a CNF formula.
 ///
 /// See the [crate-level documentation](crate) for background and an example.
@@ -131,8 +85,6 @@ pub struct Sampler {
     cancel: Option<CancelToken>,
     /// Solver calls performed over the sampler's lifetime.
     solves: u64,
-    /// Why the most recent [`Sampler::sample_one`] returned `None`.
-    last_stop: Option<ShortfallReason>,
 }
 
 impl Sampler {
@@ -156,7 +108,6 @@ impl Sampler {
             rng: SmallRng::seed_from_u64(config.seed ^ 0x5EED),
             cancel: config.cancel,
             solves: 0,
-            last_stop: None,
         }
     }
 
@@ -198,18 +149,13 @@ impl Sampler {
     }
 
     /// Draws one satisfying assignment, or `None` if the formula is
-    /// unsatisfiable or the sampler was cancelled; [`Sampler::last_stop`]
-    /// says which.
+    /// unsatisfiable or the sampler was cancelled;
+    /// [`Sampler::known_satisfiable`] says which.
     ///
     /// A cancelled sampler refuses the sample *before* the solver is
     /// touched.
     pub fn sample_one(&mut self) -> Option<Assignment> {
-        if self.satisfiable == Some(false) {
-            self.last_stop = Some(ShortfallReason::Unsat);
-            return None;
-        }
-        if self.is_cancelled() {
-            self.last_stop = Some(ShortfallReason::Cancelled);
+        if self.satisfiable == Some(false) || self.is_cancelled() {
             return None;
         }
         self.solves += 1;
@@ -224,54 +170,29 @@ impl Sampler {
                     }
                 }
                 self.emitted += 1;
-                self.last_stop = None;
                 Some(model)
             }
             SolveResult::Unsat => {
                 self.satisfiable = Some(false);
-                self.last_stop = Some(ShortfallReason::Unsat);
                 None
             }
             // Only a cancelled solve ends without a verdict.
-            SolveResult::Unknown => {
-                self.last_stop = Some(ShortfallReason::Cancelled);
-                None
-            }
+            SolveResult::Unknown => None,
         }
     }
 
     /// Draws up to `n` satisfying assignments (fewer if the formula is
-    /// unsatisfiable or the sampler is cancelled).
+    /// unsatisfiable or the sampler is cancelled; see
+    /// [`Sampler::known_satisfiable`]).
     pub fn sample(&mut self, n: usize) -> Vec<Assignment> {
-        self.sample_with_outcome(n).0
-    }
-
-    /// Like [`Sampler::sample`], but also reports a [`SampleOutcome`] saying
-    /// how many samples were emitted and why a short batch stopped.
-    pub fn sample_with_outcome(&mut self, n: usize) -> (Vec<Assignment>, SampleOutcome) {
         let mut out = Vec::with_capacity(n);
-        let mut reason = None;
-        for _ in 0..n {
+        while out.len() < n {
             match self.sample_one() {
                 Some(a) => out.push(a),
-                None => {
-                    reason = self.last_stop;
-                    break;
-                }
+                None => break,
             }
         }
-        let outcome = SampleOutcome {
-            requested: n,
-            emitted: out.len(),
-            reason,
-        };
-        (out, outcome)
-    }
-
-    /// Why the most recent failed [`Sampler::sample_one`] stopped, if the
-    /// last draw failed.
-    pub fn last_stop(&self) -> Option<ShortfallReason> {
-        self.last_stop
+        out
     }
 
     /// Number of samples emitted so far over the sampler's lifetime.
@@ -374,35 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn unsat_shortfall_is_reported() {
-        let mut cnf = Cnf::new(1);
-        cnf.add_clause([lit(1)]);
-        cnf.add_clause([lit(-1)]);
-        let mut s = Sampler::new(&cnf, SamplerConfig::default());
-        let (samples, outcome) = s.sample_with_outcome(5);
-        assert!(samples.is_empty());
-        assert_eq!(
-            outcome,
-            SampleOutcome {
-                requested: 5,
-                emitted: 0,
-                reason: Some(ShortfallReason::Unsat),
-            }
-        );
-        assert!(outcome.is_short());
-    }
-
-    #[test]
-    fn full_batches_report_no_shortfall() {
-        let cnf = Cnf::new(3);
-        let mut s = Sampler::new(&cnf, SamplerConfig::default());
-        let (samples, outcome) = s.sample_with_outcome(8);
-        assert_eq!(samples.len(), 8);
-        assert_eq!(outcome.reason, None);
-        assert!(!outcome.is_short());
-    }
-
-    #[test]
     fn cancellation_stops_sampling_with_the_batch_kept() {
         let cnf = Cnf::new(4);
         let token = CancelToken::new();
@@ -415,9 +307,9 @@ mod tests {
         );
         assert_eq!(s.sample(4).len(), 4);
         token.cancel();
-        let (samples, outcome) = s.sample_with_outcome(4);
-        assert!(samples.is_empty());
-        assert_eq!(outcome.reason, Some(ShortfallReason::Cancelled));
+        assert!(s.sample(4).is_empty());
+        // A cancelled batch is short without the formula being refuted.
+        assert_eq!(s.known_satisfiable(), Some(true));
         assert_eq!(s.emitted(), 4);
     }
 

@@ -977,7 +977,8 @@ impl Solver {
     /// Backtracks to decision level 0 (abandoning any kept assumption
     /// trail); intended to run from session maintenance between solve
     /// bursts, next to [`Solver::reduce_learnt_db`] and
-    /// [`Solver::simplify`]. Obeys the configured [`CancelToken`]: a
+    /// [`Solver::simplify`]. Obeys the configured
+    /// [`CancelToken`](crate::CancelToken): a
     /// cancelled solver abandons the pass at the next clause boundary.
     ///
     /// Throttled: after the first call, a pass only runs once enough new

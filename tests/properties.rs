@@ -165,7 +165,7 @@ proptest! {
                 prop_assert!(hard.eval(&model));
             }
             MaxSatResult::HardUnsat => prop_assert!(brute.is_none()),
-            MaxSatResult::Unknown | MaxSatResult::Cancelled => {
+            MaxSatResult::Unknown => {
                 prop_assert!(false, "no budget was set and no token cancelled")
             }
         }
@@ -326,17 +326,21 @@ fn mutate(text: &str, edits: &[(u8, usize, u8)]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A mutated DQDIMACS file never panics the parser, and every error
-    /// names a line of the input.
+    /// A mutated DQDIMACS file never panics the parser, every error names
+    /// a line of the input, and every formula it accepts is well-formed.
     #[test]
     fn dqdimacs_parser_never_panics(instance in 0usize..1 << 16, edits in arb_edits()) {
         let texts = suite_texts();
         let text = mutate(&texts[instance % texts.len()].0, &edits);
-        let parsed = std::panic::catch_unwind(|| parse_dqdimacs(&text));
-        prop_assert!(parsed.is_ok(), "parse_dqdimacs panicked on {text:?}");
-        if let Ok(Err(err)) = parsed {
-            let lines = text.lines().count();
-            prop_assert!((1..=lines).contains(&err.line()), "{err} of {lines} lines");
+        match std::panic::catch_unwind(|| parse_dqdimacs(&text)) {
+            Err(_) => prop_assert!(false, "parse_dqdimacs panicked on {text:?}"),
+            Ok(Err(err)) => {
+                let lines = text.lines().count();
+                prop_assert!((1..=lines).contains(&err.line()), "{err} of {lines} lines");
+            }
+            Ok(Ok(dqbf)) => {
+                prop_assert!(dqbf.validate().is_ok(), "{:?} on {text:?}", dqbf.validate());
+            }
         }
     }
 
