@@ -34,7 +34,6 @@
 //! assert_eq!(aig.support(f), vec![0, 1]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cnf;

@@ -44,7 +44,6 @@
 //! assert!(verify::check(&dqbf, vector).is_valid());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arbiter;

@@ -1,8 +1,8 @@
 //! Benchmark harness for regenerating the paper's evaluation.
 //!
-//! This crate provides the plumbing shared by the `harness` binary (which
-//! writes the CSV data behind every figure and table of the paper) and the
-//! Criterion micro-benchmarks:
+//! This crate provides the plumbing of the `harness` binary (which writes
+//! the CSV data behind every figure and table of the paper) and of the
+//! suite-level acceptance tests in `tests/acceptance.rs`:
 //!
 //! * [`EngineKind`] / [`run_engine`] / [`run_suite`] — run the three Henkin
 //!   synthesizers (Manthan3 and the two baselines standing in for HQS2 and
@@ -13,7 +13,6 @@
 //!   paper's text (solved per tool, VBS improvement, uniquely solved, …),
 //! * [`csvio`] — tiny CSV writing helpers (no external dependency).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csvio;

@@ -23,7 +23,6 @@
 //! assert_eq!(cnf.num_clauses(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod assignment;

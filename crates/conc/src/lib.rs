@@ -1,6 +1,4 @@
 //! manthan3-conc: exhaustive interleaving checker.
 
-#![forbid(unsafe_code)]
-
 pub mod model;
 pub mod protocols;

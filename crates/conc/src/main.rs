@@ -3,8 +3,6 @@
 //! yield a counterexample (whose trace is printed). Any unexpected outcome
 //! exits 1.
 
-#![forbid(unsafe_code)]
-
 use manthan3_conc::protocols::suite;
 use std::process::ExitCode;
 

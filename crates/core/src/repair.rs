@@ -9,9 +9,9 @@
 //! and the `G_k` queries (whose UNSAT cores
 //! become repair cubes) by the [`VerifySession`]'s incremental matrix
 //! solver — repair never constructs a solver or an encoding of its own.
-//! [`find_candidates_from_scratch`] keeps the pre-incremental
-//! rebuild-per-call path alive as the reference for the equivalence suite
-//! and the `repair_incremental` benchmark baseline.
+//! The test build keeps the pre-incremental rebuild-per-call path,
+//! `find_candidates_from_scratch`, as the reference for the
+//! repair-equivalence suite.
 
 use crate::config::Manthan3Config;
 use crate::oracle::Oracle;
@@ -21,7 +21,6 @@ use crate::stats::SynthesisStats;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
-use manthan3_maxsat::MaxSatResult;
 use manthan3_sat::SolveResult;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,10 +47,16 @@ pub struct RepairOutcome {
 
 /// The pre-incremental `FindCandi`: rebuilds the whole hard-clause MaxSAT
 /// encoding (matrix, `σ[X]` units, soft clauses, totalizer) on every call.
-/// Kept as the reference implementation for the repair-equivalence suite
-/// and as the baseline of the `repair_incremental` benchmark; the engine
-/// itself always runs on the [`RepairSession`](crate::RepairSession).
-pub fn find_candidates_from_scratch(dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
+/// Kept as the reference implementation for the repair-equivalence suite;
+/// the engine itself always runs on the [`RepairSession`](crate::RepairSession).
+#[cfg(test)]
+pub(crate) fn find_candidates_from_scratch(
+    dqbf: &Dqbf,
+    sigma: &Sigma,
+    oracle: &mut Oracle,
+) -> Vec<Var> {
+    use manthan3_maxsat::MaxSatResult;
+
     let mut maxsat = oracle.new_maxsat();
     oracle.note_maxsat_hard_encoding();
     maxsat.add_hard_cnf(dqbf.matrix());
@@ -108,8 +113,8 @@ pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -
 
 /// Repairs the candidate vector against the counterexample `sigma`
 /// (Algorithm 3), starting from the `candidates` selected by a
-/// FindCandidates query (on the persistent repair session, or
-/// [`find_candidates_from_scratch`] for reference runs). The
+/// FindCandidates query (on the persistent repair session, or on the
+/// from-scratch reference path in the repair-equivalence suite). The
 /// `G_k` queries are answered by `session`'s persistent matrix solver under
 /// assumptions, so the UNSAT cores come from the same incremental session as
 /// the verification checks, and repair only extends the vector's AIG — it

@@ -1,7 +1,8 @@
 //! Repair-equivalence suite: the incremental [`RepairSession`] must be
-//! indistinguishable from the from-scratch MaxSAT rebuild it replaced.
+//! indistinguishable from the from-scratch MaxSAT rebuild it replaced, and
+//! must stay incremental.
 //!
-//! Two angles, both on `suite(7, 1)`-class instances:
+//! Three angles, all on `suite(7, 1)`-class instances:
 //!
 //! * **Per-query equivalence** (randomized): for randomly generated
 //!   counterexamples σ, the session's candidate set and the from-scratch
@@ -16,12 +17,16 @@
 //!   from-scratch FindCandidates paths must converge to
 //!   the same verdict, and every claimed vector must pass the independent
 //!   certificate check.
+//! * **One encoding per sweep**: a 30-call FindCandidates sweep on one
+//!   session builds exactly one MaxSAT hard encoding and answers every call
+//!   under assumptions.
 
-use manthan3_cnf::{Lit, Var};
-use manthan3_core::{
-    find_candidates_from_scratch, repair_vector, Budget, DependencyState, Manthan3Config, Oracle,
-    Order, RepairSession, Sigma, SynthesisStats, VerifyOutcome, VerifySession,
+use crate::repair::find_candidates_from_scratch;
+use crate::{
+    repair_vector, Budget, DependencyState, Manthan3Config, Oracle, Order, RepairSession, Sigma,
+    SynthesisStats, VerifyOutcome, VerifySession,
 };
+use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::suite::suite;
 use manthan3_sat::SolveResult;
@@ -41,6 +46,32 @@ fn random_valuation(vars: &[Var], state: &mut u64) -> BTreeMap<Var, bool> {
     vars.iter()
         .map(|&v| (v, splitmix64(state) & 1 == 1))
         .collect()
+}
+
+/// Draws a random σ[X] and, if it extends to a model of ϕ (the only shape
+/// the engine ever queries), returns σ with the witness extension as σ[Y]
+/// and a random candidate output vector σ[Y'].
+fn random_sigma(
+    dqbf: &Dqbf,
+    session: &mut VerifySession,
+    oracle: &mut Oracle,
+    state: &mut u64,
+) -> Option<Sigma> {
+    let x = random_valuation(dqbf.universals(), state);
+    let x_assumptions: Vec<Lit> = x.iter().map(|(&v, &b)| v.lit(b)).collect();
+    if session.solve_phi(oracle, &x_assumptions) != SolveResult::Sat {
+        return None;
+    }
+    let pi = session.phi_model();
+    Some(Sigma {
+        x,
+        y: dqbf
+            .existentials()
+            .iter()
+            .map(|&y| (y, pi.get(y).unwrap_or(false)))
+            .collect(),
+        y_prime: random_valuation(dqbf.existentials(), state),
+    })
 }
 
 /// `true` if leaving every output *outside* `selected` pinned to its σ[Y']
@@ -78,25 +109,10 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
         }
         let mut repair_session = RepairSession::new(dqbf, &mut oracle);
         for _ in 0..8 {
-            // A random σ[X] that extends to a model of ϕ (the only shape the
-            // engine ever queries), with the witness extension as σ[Y] and a
-            // random candidate output vector σ[Y'].
-            let x = random_valuation(dqbf.universals(), &mut rng_state);
-            let x_assumptions: Vec<Lit> = x.iter().map(|(&v, &b)| v.lit(b)).collect();
-            if verify_session.solve_phi(&mut oracle, &x_assumptions) != SolveResult::Sat {
+            let Some(sigma) = random_sigma(dqbf, &mut verify_session, &mut oracle, &mut rng_state)
+            else {
                 continue;
-            }
-            let pi = verify_session.phi_model();
-            let sigma = Sigma {
-                x,
-                y: dqbf
-                    .existentials()
-                    .iter()
-                    .map(|&y| (y, pi.get(y).unwrap_or(false)))
-                    .collect(),
-                y_prime: random_valuation(dqbf.existentials(), &mut rng_state),
             };
-
             let incremental = repair_session.find_candidates(dqbf, &sigma, &mut oracle);
             let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle);
 
@@ -263,4 +279,49 @@ fn loops_converge_to_the_same_verdicts() {
         valid_runs > 0,
         "no instance was repaired to validity; the convergence check is vacuous"
     );
+}
+
+/// A repair-heavy FindCandidates sweep must be served by exactly one MaxSAT
+/// hard-encoding construction, every call under assumptions. The workload is
+/// the satisfiable `suite(7, 1)` instance with at least three outputs and
+/// the largest matrix × output product, plus 30 counterexamples σ.
+#[test]
+fn a_repair_sweep_builds_one_hard_encoding() {
+    const REPAIR_ITERATIONS: usize = 30;
+    let dqbf = suite(7, 1)
+        .into_iter()
+        .map(|i| i.dqbf)
+        .filter(|d| {
+            let mut oracle = Oracle::new(Budget::unlimited());
+            d.existentials().len() >= 3
+                && VerifySession::new(d, &mut oracle).check_matrix(&mut oracle) == SolveResult::Sat
+        })
+        .max_by_key(|d| d.matrix().clauses().len() * d.existentials().len())
+        .expect("the suite contains satisfiable instances with outputs");
+
+    let mut phi_oracle = Oracle::new(Budget::unlimited());
+    let mut phi_session = VerifySession::new(&dqbf, &mut phi_oracle);
+    let mut rng_state = 0x0BE5_EED5u64;
+    let mut sigmas = Vec::with_capacity(REPAIR_ITERATIONS);
+    while sigmas.len() < REPAIR_ITERATIONS {
+        sigmas.extend(random_sigma(
+            &dqbf,
+            &mut phi_session,
+            &mut phi_oracle,
+            &mut rng_state,
+        ));
+    }
+
+    let mut oracle = Oracle::new(Budget::unlimited());
+    let mut session = RepairSession::new(&dqbf, &mut oracle);
+    for sigma in &sigmas {
+        session.find_candidates(&dqbf, sigma, &mut oracle);
+    }
+    let stats = oracle.stats();
+    assert_eq!(
+        stats.maxsat_hard_encodings, 1,
+        "a {REPAIR_ITERATIONS}-iteration repair sweep must build exactly one hard encoding"
+    );
+    assert_eq!(stats.maxsat_incremental_calls, REPAIR_ITERATIONS);
+    assert_eq!(stats.maxsat_calls, REPAIR_ITERATIONS);
 }

@@ -127,7 +127,7 @@ fn many_repair_iterations_share_one_error_solver() {
     assert!(exercised, "no seed produced a repair-heavy run");
 }
 
-/// The ISSUE 3 acceptance criterion: across a repair-heavy run of at least
+/// The persistent repair session's acceptance check: across a run of at least
 /// 20 repair iterations, the oracle must record exactly one MaxSAT
 /// hard-encoding construction, with every FindCandidates call served under
 /// assumptions on the persistent repair session.

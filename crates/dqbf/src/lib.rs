@@ -40,7 +40,6 @@
 //! assert!(check(&dqbf, &vector).is_valid());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod formula;

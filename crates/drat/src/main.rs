@@ -4,8 +4,6 @@
 //! Exit codes: 0 = proof verified, 1 = proof rejected (or I/O / parse
 //! failure), 2 = usage error.
 
-#![forbid(unsafe_code)]
-
 use manthan3_drat::{check, parse_dimacs, parse_proof, CheckOutcome};
 use std::process::ExitCode;
 

@@ -28,7 +28,6 @@
 //! assert_eq!(tree.training_accuracy(&dataset), 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dataset;

@@ -34,7 +34,6 @@
 //! assert!(!small_suite.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;

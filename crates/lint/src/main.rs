@@ -1,17 +1,10 @@
-//! CLI driver: `manthan3-lint check [--root DIR] [--config FILE]
-//! [--format text|json|sarif]` scans the workspace and exits 1 on
-//! violations; `manthan3-lint rules` lists the registered rules. Exit code 2
-//! signals usage or configuration errors.
-//!
-//! `--format text` (the default) prints one `file:line: [rule] message`
-//! line per finding; `json` a single machine-readable object; `sarif` a
-//! SARIF 2.1.0 log suitable for CI annotation upload. The human summary
-//! always goes to stderr so stdout stays parseable.
-
-#![forbid(unsafe_code)]
+//! CLI driver: `manthan3-lint check [--root DIR] [--config FILE]` scans
+//! the workspace, prints one `file:line: [rule] message` line per finding
+//! and exits 1 on violations; `manthan3-lint rules` lists the registered
+//! rules. Exit code 2 signals usage or configuration errors. The summary
+//! line goes to stderr.
 
 use manthan3_lint::config::LintConfig;
-use manthan3_lint::sarif::{self, Format};
 use manthan3_lint::{check_workspace, rules};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,7 +14,6 @@ fn main() -> ExitCode {
     let mut command = None;
     let mut root = PathBuf::from(".");
     let mut config_path = None;
-    let mut format = Format::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -34,13 +26,6 @@ fn main() -> ExitCode {
                 Some(file) => config_path = Some(PathBuf::from(file)),
                 None => return usage("--config needs a file"),
             },
-            "--format" => match it.next() {
-                Some(name) => match name.parse::<Format>() {
-                    Ok(f) => format = f,
-                    Err(err) => return usage(&err),
-                },
-                None => return usage("--format needs one of: text, json, sarif"),
-            },
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
@@ -51,12 +36,12 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("check") => run_check(&root, config_path, format),
+        Some("check") => run_check(&root, config_path),
         _ => usage("expected a subcommand: check | rules"),
     }
 }
 
-fn run_check(root: &std::path::Path, config_path: Option<PathBuf>, format: Format) -> ExitCode {
+fn run_check(root: &std::path::Path, config_path: Option<PathBuf>) -> ExitCode {
     let config_path = config_path.unwrap_or_else(|| root.join("lint.toml"));
     let config = match LintConfig::load(&config_path) {
         Ok(config) => config,
@@ -67,17 +52,8 @@ fn run_check(root: &std::path::Path, config_path: Option<PathBuf>, format: Forma
     };
     match check_workspace(root, &config) {
         Ok(report) => {
-            match format {
-                Format::Text => {
-                    for diag in &report.diagnostics {
-                        println!("{diag}");
-                    }
-                }
-                Format::Json => print!(
-                    "{}",
-                    sarif::to_json(&report.diagnostics, report.files_scanned, report.suppressed)
-                ),
-                Format::Sarif => print!("{}", sarif::to_sarif(&report.diagnostics)),
+            for diag in &report.diagnostics {
+                println!("{diag}");
             }
             eprintln!(
                 "manthan3-lint: {} file(s) scanned, {} violation(s), {} allowlisted",
@@ -100,8 +76,6 @@ fn run_check(root: &std::path::Path, config_path: Option<PathBuf>, format: Forma
 
 fn usage(message: &str) -> ExitCode {
     eprintln!("error: {message}");
-    eprintln!(
-        "usage: manthan3-lint <check|rules> [--root DIR] [--config FILE] [--format text|json|sarif]"
-    );
+    eprintln!("usage: manthan3-lint <check|rules> [--root DIR] [--config FILE]");
     ExitCode::from(2)
 }

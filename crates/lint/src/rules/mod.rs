@@ -6,7 +6,6 @@ mod atomic_ordering;
 mod budget_before_solve;
 mod cancel_poll;
 mod clauseref_across_gc;
-mod forbid_unsafe_header;
 mod no_unwrap_in_lib;
 mod proof_discipline;
 pub(crate) mod support;
@@ -15,7 +14,6 @@ pub use atomic_ordering::AtomicOrdering;
 pub use budget_before_solve::BudgetBeforeSolve;
 pub use cancel_poll::CancelPoll;
 pub use clauseref_across_gc::ClauseRefAcrossGc;
-pub use forbid_unsafe_header::ForbidUnsafeHeader;
 pub use no_unwrap_in_lib::NoUnwrapInLib;
 pub use proof_discipline::ProofDiscipline;
 
@@ -54,7 +52,6 @@ pub trait Rule {
 /// Every registered rule, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(ForbidUnsafeHeader),
         Box::new(AtomicOrdering),
         Box::new(NoUnwrapInLib),
         Box::new(CancelPoll),

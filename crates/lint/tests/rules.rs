@@ -23,29 +23,6 @@ fn run_rule(rule: &dyn Rule, files: Vec<SourceFile>) -> Vec<manthan3_lint::diag:
 }
 
 #[test]
-fn forbid_unsafe_header_fires_on_missing_header() {
-    let diags = run_rule(
-        &rules::ForbidUnsafeHeader,
-        vec![fixture("missing_unsafe_header.rs", "crates/bad/src/lib.rs")],
-    );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].file, "crates/bad/src/lib.rs");
-    assert_eq!(diags[0].line, 1);
-}
-
-#[test]
-fn forbid_unsafe_header_ignores_non_roots() {
-    let diags = run_rule(
-        &rules::ForbidUnsafeHeader,
-        vec![fixture(
-            "missing_unsafe_header.rs",
-            "crates/bad/src/other.rs",
-        )],
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
 fn atomic_ordering_fires_only_without_marker() {
     let diags = run_rule(
         &rules::AtomicOrdering,

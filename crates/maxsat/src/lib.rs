@@ -54,7 +54,6 @@
 //! assert!(solver.violated_softs()[0] == s1 || solver.violated_softs()[0] == s2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod solver;

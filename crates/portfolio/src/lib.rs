@@ -39,7 +39,6 @@
 //! assert!(result.winner.is_some());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};

@@ -52,9 +52,8 @@ fn portfolio_config() -> PortfolioConfig {
     }
 }
 
-/// A cross-family sample of the generated suite, kept small enough for
-/// debug-build test runs (the full-suite comparison runs in release mode in
-/// `benches/synthesis.rs`).
+/// A cross-family sample of the generated suite, kept small (the full-suite
+/// race runs in `manthan3-bench`'s `tests/acceptance.rs`).
 fn instances() -> Vec<Instance> {
     // The suite's first 30 entries are its three smallest size steps; every
     // family appears within each 10-instance step.

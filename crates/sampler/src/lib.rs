@@ -38,7 +38,6 @@
 //! # Ok::<(), manthan3_cnf::ParseDimacsError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use manthan3_cnf::{Assignment, Cnf, Var};

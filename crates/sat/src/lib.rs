@@ -37,7 +37,6 @@
 //! assert_eq!(solver.unsat_core(), &[!b]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

@@ -27,8 +27,8 @@
 //!
 //! The benchmark harness lives in the unexported `manthan3-bench` crate
 //! (`cargo run --release -p manthan3-bench --bin harness`). The workspace
-//! builds offline: `rand`, `criterion`, and `proptest` are vendored API
-//! stand-ins under `vendor/`.
+//! builds offline: `rand` and `proptest` are vendored API stand-ins under
+//! `vendor/`.
 //!
 //! # Quickstart
 //!
@@ -47,7 +47,6 @@
 //! assert_eq!(result.stats.oracle.sat_solvers_constructed, 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use manthan3_aig as aig;
