@@ -33,4 +33,25 @@ impl Engine {
         }
         self.solve_with_assumptions(&[])
     }
+
+    // Fires: the check comes only after the invocation. An admission check
+    // covers a solve from before it, never from after.
+    pub fn solve_checked_late(&mut self) -> bool {
+        let sat = self.solve_with_assumptions(&[]);
+        self.exhausted();
+        sat
+    }
+
+    fn admit(&self) -> bool {
+        !self.exhausted()
+    }
+
+    // Clean: `admit` checks on every path, so the call to it counts as a
+    // check here.
+    pub fn solve_admitted(&mut self) -> bool {
+        if !self.admit() {
+            return false;
+        }
+        self.solve_with_assumptions(&[])
+    }
 }

@@ -24,6 +24,10 @@ pub fn solve_without_poll(iterations: u64) -> u64 {
     acc
 }
 
+pub fn synthesize_without_poll(rounds: u64) -> u64 {
+    solve_without_poll(rounds)
+}
+
 pub fn solver_config() -> u32 {
     // Not an entry point: `solver` does not word-boundary-match `solve`.
     0

@@ -8,17 +8,50 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Parsed `lint.toml`: section name → key → list of string values (a scalar
-/// string is a one-element list).
-#[derive(Debug, Default, Clone)]
+/// Parsed and validated `lint.toml`: section name → key → list of string
+/// values (a scalar string is a one-element list). Every section of a
+/// registered rule holds exactly the keys the rule declares (see
+/// [`Rule::keys`](crate::rules::Rule::keys)), plus an optional `allow` list.
+#[derive(Debug, Clone)]
 pub struct LintConfig {
-    sections: BTreeMap<String, BTreeMap<String, Vec<String>>>,
+    sections: BTreeMap<String, Section>,
 }
 
-/// A malformed `lint.toml` line.
+/// One `[section]`: where its header is and what its keys hold.
+#[derive(Debug, Clone, Default)]
+struct Section {
+    /// 1-based line of the first `[section]` header (0 for keys above any
+    /// header).
+    line: usize,
+    /// Key → (1-based line, values).
+    keys: BTreeMap<String, (usize, Vec<String>)>,
+}
+
+/// A setting a rule reads from its `lint.toml` section. Every declared key
+/// is required; the `allow` list is implicit and optional in every section.
+#[derive(Debug, Clone, Copy)]
+pub enum Key {
+    /// Exactly one string: `key = "value"`.
+    One(&'static str),
+    /// A non-empty list of strings: `key = ["a", "b"]`.
+    List(&'static str),
+}
+
+impl Key {
+    /// The key's name in `lint.toml`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Key::One(name) | Key::List(name) => name,
+        }
+    }
+}
+
+/// A malformed `lint.toml` line, or a rule section that does not hold the
+/// keys its rule declares.
 #[derive(Debug)]
 pub struct ConfigError {
-    /// 1-based line of the offending construct.
+    /// 1-based line of the offending construct (0 when it has none, e.g. a
+    /// missing section).
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -26,25 +59,39 @@ pub struct ConfigError {
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
+        match self.line {
+            0 => write!(f, "lint.toml: {}", self.message),
+            line => write!(f, "lint.toml:{line}: {}", self.message),
+        }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
 impl LintConfig {
-    /// Loads `path`, or returns the empty configuration if it does not exist.
+    /// Loads and validates `path`. A missing file is an error: the rules
+    /// have no settings of their own.
     pub fn load(path: &Path) -> Result<LintConfig, Box<dyn std::error::Error>> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Ok(LintConfig::parse(&text)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(LintConfig::default()),
-            Err(e) => Err(e.into()),
-        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Ok(LintConfig::parse(&text)?)
     }
 
-    /// Parses configuration text.
+    /// Parses configuration text and validates every registered rule's
+    /// section against the keys the rule declares: an unknown key, a
+    /// missing key, an empty list or a multi-valued scalar is an error
+    /// naming the section and the key.
     pub fn parse(text: &str) -> Result<LintConfig, ConfigError> {
-        let mut config = LintConfig::default();
+        let config = LintConfig::parse_sections(text)?;
+        for rule in crate::rules::registry() {
+            config.validate(rule.name(), rule.keys())?;
+        }
+        Ok(config)
+    }
+
+    /// The syntactic half of [`LintConfig::parse`].
+    fn parse_sections(text: &str) -> Result<LintConfig, ConfigError> {
+        let mut sections: BTreeMap<String, Section> = BTreeMap::new();
         let mut section = String::new();
         let mut lines = text.lines().enumerate().peekable();
         while let Some((num, raw)) = lines.next() {
@@ -54,7 +101,10 @@ impl LintConfig {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
-                config.sections.entry(section.clone()).or_default();
+                sections.entry(section.clone()).or_insert_with(|| Section {
+                    line: num + 1,
+                    keys: BTreeMap::new(),
+                });
                 continue;
             }
             let Some((key, value)) = line.split_once('=') else {
@@ -80,31 +130,68 @@ impl LintConfig {
                 line: num + 1,
                 message,
             })?;
-            config
-                .sections
+            sections
                 .entry(section.clone())
                 .or_default()
-                .insert(key, values);
+                .keys
+                .insert(key, (num + 1, values));
         }
-        Ok(config)
+        Ok(LintConfig { sections })
     }
 
-    /// The string list at `section.key` (empty if absent).
+    /// Checks that `[name]` holds exactly `keys` (plus an optional `allow`).
+    /// A missing section is checked as an empty one, so it reports its first
+    /// missing key.
+    fn validate(&self, name: &str, keys: &[Key]) -> Result<(), ConfigError> {
+        let empty = Section::default();
+        let section = self.sections.get(name).unwrap_or(&empty);
+        let error = |line: usize, message: String| {
+            Err(ConfigError {
+                line,
+                message: format!("[{name}] {message}"),
+            })
+        };
+        for (key, (line, _)) in &section.keys {
+            if key != "allow" && !keys.iter().any(|k| k.name() == key) {
+                let known: Vec<_> = keys.iter().map(|k| format!("`{}`", k.name())).collect();
+                return error(
+                    *line,
+                    format!(
+                        "unknown key `{key}`; the rule reads {} and `allow`",
+                        known.join(", ")
+                    ),
+                );
+            }
+        }
+        for &key in keys {
+            match (key, section.keys.get(key.name())) {
+                (_, None) => return error(section.line, format!("missing key `{}`", key.name())),
+                (_, Some((line, values))) if values.is_empty() => {
+                    return error(*line, format!("key `{}` is empty", key.name()));
+                }
+                (Key::One(k), Some((line, values))) if values.len() != 1 => {
+                    return error(*line, format!("key `{k}` takes exactly one string"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The strings at `section.key` (empty if absent; [`LintConfig::parse`]
+    /// guarantees every declared [`Key::List`] is present and non-empty).
     pub fn list(&self, section: &str, key: &str) -> &[String] {
         self.sections
             .get(section)
-            .and_then(|s| s.get(key))
-            .map(Vec::as_slice)
+            .and_then(|s| s.keys.get(key))
+            .map(|(_, values)| values.as_slice())
             .unwrap_or(&[])
     }
 
-    /// Like [`LintConfig::list`], but falls back to `default` when the key
-    /// is absent (so rules have sensible behaviour without a lint.toml).
-    pub fn list_or<'a>(&'a self, section: &str, key: &str, default: &'a [String]) -> &'a [String] {
-        match self.sections.get(section).and_then(|s| s.get(key)) {
-            Some(values) => values,
-            None => default,
-        }
+    /// The string at `section.key` (empty if absent; [`LintConfig::parse`]
+    /// guarantees every declared [`Key::One`] holds exactly one).
+    pub fn value(&self, section: &str, key: &str) -> &str {
+        self.list(section, key).first().map_or("", String::as_str)
     }
 
     /// Every section name, in sorted order (keys above the first header
@@ -182,9 +269,16 @@ fn parse_string(s: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// The workspace configuration, which every rule's section must pass.
+    const WORKSPACE: &str = include_str!("../../../lint.toml");
+
+    fn rejection(text: &str) -> String {
+        LintConfig::parse(text).unwrap_err().to_string()
+    }
+
     #[test]
     fn sections_keys_and_arrays() {
-        let config = LintConfig::parse(
+        let config = LintConfig::parse_sections(
             "# top comment\n[cancel-poll]\nentry-prefixes = [\"solve\", \"sample\"]\nallow = [\n    \"crates/x/src/lib.rs::solve_cnf\", # trailing comment\n]\n\n[atomic-ordering]\nmarker = \"ordering:\"\n",
         )
         .expect("parses");
@@ -196,7 +290,7 @@ mod tests {
             config.allowlist("cancel-poll"),
             ["crates/x/src/lib.rs::solve_cnf"]
         );
-        assert_eq!(config.list("atomic-ordering", "marker"), ["ordering:"]);
+        assert_eq!(config.value("atomic-ordering", "marker"), "ordering:");
         assert!(config.list("atomic-ordering", "absent").is_empty());
     }
 
@@ -208,9 +302,52 @@ mod tests {
     }
 
     #[test]
-    fn defaults_apply_when_keys_are_absent() {
-        let config = LintConfig::parse("[x]\n").expect("parses");
-        let default = vec!["d".to_string()];
-        assert_eq!(config.list_or("x", "k", &default), ["d"]);
+    fn an_unknown_key_is_rejected() {
+        let text = WORKSPACE.replace("check-markers =", "check-marker =");
+        let message = rejection(&text);
+        assert!(
+            message.contains("[budget-before-solve] unknown key `check-marker`"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_missing_key_is_rejected() {
+        let text = WORKSPACE.replace("poll-markers = [\"is_cancelled\"]", "");
+        let message = rejection(&text);
+        assert!(
+            message.contains("[cancel-poll] missing key `poll-markers`"),
+            "{message}"
+        );
+        let message = rejection("");
+        assert!(
+            message.contains("[atomic-ordering] missing key `marker`"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn an_empty_required_list_is_rejected() {
+        let text = WORKSPACE.replace("marker = \"ordering:\"", "marker = []");
+        let message = rejection(&text);
+        assert!(
+            message.contains("[atomic-ordering] key `marker` is empty"),
+            "{message}"
+        );
+        let text = WORKSPACE.replace(
+            "ref-idents = [\"cref\", \"confl\", \"clause_ref\"]",
+            "ref-idents = []",
+        );
+        let message = rejection(&text);
+        assert!(
+            message.contains("[clauseref-across-gc] key `ref-idents` is empty"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_missing_file_is_rejected() {
+        let err = LintConfig::load(Path::new("no/such/lint.toml")).unwrap_err();
+        assert!(err.to_string().contains("no/such/lint.toml"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 //! missing proof or a missing downgrade.
 
 use super::{Rule, Workspace};
-use crate::config::LintConfig;
+use crate::config::{Key, LintConfig};
 use crate::diag::Diagnostic;
 
 /// The `std::sync::atomic::Ordering` variants. `std::cmp::Ordering` paths
@@ -23,9 +23,12 @@ impl Rule for AtomicOrdering {
         "atomic Ordering uses need an adjacent `// ordering:` justification"
     }
 
+    fn keys(&self) -> &'static [Key] {
+        &[Key::One("marker")]
+    }
+
     fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic> {
-        let marker_default = ["ordering:".to_string()];
-        let marker = &config.list_or(self.name(), "marker", &marker_default)[0];
+        let marker = config.value(self.name(), "marker");
         let mut out = Vec::new();
         for file in &workspace.files {
             let tokens = file.tokens();

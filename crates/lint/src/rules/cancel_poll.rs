@@ -4,18 +4,20 @@
 //! letter: the portfolio's losers keep burning CPU after a winner cancelled
 //! them.
 //!
-//! Reachability is a name-union approximation: the workspace-wide map
-//! `fn name → names it calls` is walked transitively from each entry point.
-//! Distinct functions sharing a name are merged, which biases the analysis
-//! toward *passing* — a miss therefore means no function of any reached name
-//! polls, which is a real finding. Entry points that are legitimately
-//! poll-free (e.g. pure accessors that merely match a prefix) belong in the
-//! allowlist with a justification comment in `lint.toml`.
+//! Reachability is the shared name-union may-reach summary (see
+//! [`coverage`](super::coverage)): the entry point passes if its name may
+//! (transitively) call a poll marker. Distinct functions sharing a name are
+//! merged, which biases the analysis toward *passing* — a miss therefore
+//! means no function of any reached name polls, which is a real finding.
+//! Entry points that are legitimately poll-free (e.g. pure accessors that
+//! merely match a prefix) belong in the allowlist with a justification
+//! comment in `lint.toml`.
 
+use super::coverage::may_reach;
+use super::support::{in_scope, matches_prefix};
 use super::{Rule, Workspace};
-use crate::config::LintConfig;
+use crate::config::{Key, LintConfig};
 use crate::diag::Diagnostic;
-use std::collections::{BTreeMap, BTreeSet};
 
 pub struct CancelPoll;
 
@@ -28,43 +30,28 @@ impl Rule for CancelPoll {
         "pub solve/sample/probe entry points must reach a CancelToken poll"
     }
 
-    fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic> {
-        let prefixes_default = [
-            "solve".to_string(),
-            "sample".to_string(),
-            "probe".to_string(),
-        ];
-        let prefixes = config.list_or(self.name(), "entry-prefixes", &prefixes_default);
-        let scopes_default = [
-            "crates/sat/src".to_string(),
-            "crates/maxsat/src".to_string(),
-            "crates/sampler/src".to_string(),
-            "crates/core/src/oracle".to_string(),
-        ];
-        let scopes = config.list_or(self.name(), "scopes", &scopes_default);
-        let polls_default = ["is_cancelled".to_string()];
-        let polls = config.list_or(self.name(), "poll-markers", &polls_default);
+    fn keys(&self) -> &'static [Key] {
+        &[
+            Key::List("entry-prefixes"),
+            Key::List("poll-markers"),
+            Key::List("scopes"),
+        ]
+    }
 
-        // Workspace-wide call map: name → union of called names over every
-        // function bearing that name.
-        let mut call_map: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for file in &workspace.files {
-            for f in &file.functions {
-                let entry = call_map.entry(f.name.as_str()).or_default();
-                entry.extend(f.calls.iter().map(String::as_str));
-            }
-        }
+    fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic> {
+        let prefixes = config.list(self.name(), "entry-prefixes");
+        let scopes = config.list(self.name(), "scopes");
+        let polls = config.list(self.name(), "poll-markers");
+        let reaches_poll = may_reach(workspace, polls);
 
         let mut out = Vec::new();
-        for file in &workspace.files {
-            if !scopes.iter().any(|s| file.rel_path.starts_with(s.as_str())) {
-                continue;
-            }
+        for file in workspace.files.iter().filter(|file| in_scope(file, scopes)) {
             for f in &file.functions {
-                if !f.is_pub || f.in_test || !matches_prefix(&f.name, prefixes) {
-                    continue;
-                }
-                if reaches_poll(&f.name, &call_map, polls) {
+                if !f.is_pub
+                    || f.in_test
+                    || !matches_prefix(&f.name, prefixes)
+                    || reaches_poll.contains(&f.name)
+                {
                     continue;
                 }
                 out.push(Diagnostic {
@@ -83,37 +70,4 @@ impl Rule for CancelPoll {
         }
         out
     }
-}
-
-/// Word-boundary prefix match: `solve` matches `solve` and
-/// `solve_with_assumptions` but not `solver_config`.
-fn matches_prefix(name: &str, prefixes: &[String]) -> bool {
-    prefixes.iter().any(|p| {
-        name.strip_prefix(p.as_str())
-            .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
-    })
-}
-
-/// BFS over the name-union call graph from `entry`, looking for any poll
-/// marker name.
-fn reaches_poll(entry: &str, call_map: &BTreeMap<&str, BTreeSet<&str>>, polls: &[String]) -> bool {
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    let mut queue: Vec<&str> = vec![entry];
-    while let Some(name) = queue.pop() {
-        if !seen.insert(name) {
-            continue;
-        }
-        let Some(calls) = call_map.get(name) else {
-            continue;
-        };
-        for callee in calls {
-            if polls.iter().any(|p| p == callee) {
-                return true;
-            }
-            if !seen.contains(callee) {
-                queue.push(callee);
-            }
-        }
-    }
-    false
 }

@@ -30,9 +30,9 @@
 //! not tracked — only locals go stale silently; fields are the remapper's
 //! own responsibility and have their own tracked-refs discipline.
 
-use super::support::{body_token_line, CfgCache};
+use super::support::{body_token_line, in_scope, CfgCache};
 use super::{Rule, Workspace};
-use crate::config::LintConfig;
+use crate::config::{Key, LintConfig};
 use crate::dataflow::{forward, BitSet, Meet};
 use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
@@ -50,31 +50,22 @@ impl Rule for ClauseRefAcrossGc {
         "no ClauseRef local may be used after arena GC on any path without being rebound"
     }
 
+    fn keys(&self) -> &'static [Key] {
+        &[
+            Key::List("scopes"),
+            Key::List("gc-triggers"),
+            Key::List("ref-idents"),
+        ]
+    }
+
     fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic> {
-        let scopes_default = ["crates/sat/src".to_string()];
-        let scopes = config.list_or(self.name(), "scopes", &scopes_default);
-        let triggers_default = [
-            "maybe_collect_garbage".to_string(),
-            "collect_garbage".to_string(),
-            "reduce_db".to_string(),
-            "reduce_learnt_db".to_string(),
-            "simplify".to_string(),
-            "inprocess".to_string(),
-        ];
-        let triggers = config.list_or(self.name(), "gc-triggers", &triggers_default);
-        let idents_default = [
-            "cref".to_string(),
-            "confl".to_string(),
-            "clause_ref".to_string(),
-        ];
-        let ref_idents = config.list_or(self.name(), "ref-idents", &idents_default);
+        let scopes = config.list(self.name(), "scopes");
+        let triggers = config.list(self.name(), "gc-triggers");
+        let ref_idents = config.list(self.name(), "ref-idents");
 
         let mut cfgs = CfgCache::default();
         let mut out = Vec::new();
-        for file in &workspace.files {
-            if !scopes.iter().any(|s| file.rel_path.starts_with(s.as_str())) {
-                continue;
-            }
+        for file in workspace.files.iter().filter(|file| in_scope(file, scopes)) {
             for f in &file.functions {
                 if f.in_test || f.body.is_empty() {
                     continue;

@@ -3,21 +3,19 @@
 //! not the rules, so rule output is always the ground truth.
 
 mod atomic_ordering;
-mod budget_before_solve;
 mod cancel_poll;
 mod clauseref_across_gc;
+mod coverage;
 mod no_unwrap_in_lib;
-mod proof_discipline;
 pub(crate) mod support;
 
 pub use atomic_ordering::AtomicOrdering;
-pub use budget_before_solve::BudgetBeforeSolve;
 pub use cancel_poll::CancelPoll;
 pub use clauseref_across_gc::ClauseRefAcrossGc;
+pub use coverage::{BudgetBeforeSolve, ProofDiscipline};
 pub use no_unwrap_in_lib::NoUnwrapInLib;
-pub use proof_discipline::ProofDiscipline;
 
-use crate::config::LintConfig;
+use crate::config::{Key, LintConfig};
 use crate::diag::Diagnostic;
 use crate::source::{FnItem, SourceFile};
 
@@ -45,6 +43,10 @@ pub trait Rule {
     fn name(&self) -> &'static str;
     /// One-line description for `manthan3-lint rules`.
     fn description(&self) -> &'static str;
+    /// The settings the rule reads from its `lint.toml` section; the
+    /// configuration is rejected unless the section holds exactly these
+    /// (plus an optional `allow` list).
+    fn keys(&self) -> &'static [Key];
     /// Scans the workspace and returns every violation (pre-allowlist).
     fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic>;
 }

@@ -4,8 +4,9 @@
 //! the solve path abort a whole synthesis run; failures must either be
 //! impossible-by-invariant (and say so) or flow through typed errors.
 
+use super::support::in_scope;
 use super::{Rule, Workspace};
-use crate::config::LintConfig;
+use crate::config::{Key, LintConfig};
 use crate::diag::Diagnostic;
 
 pub struct NoUnwrapInLib;
@@ -19,21 +20,15 @@ impl Rule for NoUnwrapInLib {
         "no unwrap(), and expect() only with an `// invariant:` comment, in lib code"
     }
 
+    fn keys(&self) -> &'static [Key] {
+        &[Key::One("marker"), Key::List("scopes")]
+    }
+
     fn check(&self, workspace: &Workspace, config: &LintConfig) -> Vec<Diagnostic> {
-        let crates_default = [
-            "crates/sat/src".to_string(),
-            "crates/cnf/src".to_string(),
-            "crates/maxsat/src".to_string(),
-            "crates/core/src".to_string(),
-        ];
-        let scopes = config.list_or(self.name(), "scopes", &crates_default);
-        let marker_default = ["invariant:".to_string()];
-        let marker = &config.list_or(self.name(), "marker", &marker_default)[0];
+        let scopes = config.list(self.name(), "scopes");
+        let marker = config.value(self.name(), "marker");
         let mut out = Vec::new();
-        for file in &workspace.files {
-            if !scopes.iter().any(|s| file.rel_path.starts_with(s.as_str())) {
-                continue;
-            }
+        for file in workspace.files.iter().filter(|file| in_scope(file, scopes)) {
             let tokens = file.tokens();
             for i in 0..tokens.len() {
                 if file.in_test.get(i).copied().unwrap_or(false) {

@@ -1,5 +1,5 @@
-//! Shared helpers for the CFG/dataflow rules: call-site detection, per-
-//! function CFG construction, and line mapping.
+//! Shared helpers for the rules: scope and entry-point matching, call-site
+//! detection, per-function CFG construction, and line mapping.
 
 use crate::cfg::Cfg;
 use crate::lexer::{Token, TokenKind};
@@ -17,6 +17,20 @@ pub fn is_call_at(tokens: &[Token], i: usize) -> bool {
         Some(t) if t.is_punct("::") => tokens.get(i + 2).is_some_and(|t| t.is_punct("<")),
         _ => false,
     }
+}
+
+/// `true` if `file` lies under one of the `scopes` path prefixes.
+pub fn in_scope(file: &SourceFile, scopes: &[String]) -> bool {
+    scopes.iter().any(|s| file.rel_path.starts_with(s.as_str()))
+}
+
+/// Word-boundary prefix match: `solve` matches `solve` and
+/// `solve_with_assumptions` but not `solver_config`.
+pub fn matches_prefix(name: &str, prefixes: &[String]) -> bool {
+    prefixes.iter().any(|p| {
+        name.strip_prefix(p.as_str())
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+    })
 }
 
 /// A per-file cache of function CFGs keyed by the function's body range, so

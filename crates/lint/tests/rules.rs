@@ -1,12 +1,48 @@
 //! Fixture self-tests: every rule must fire on its known-bad snippet and
-//! stay quiet on the good parts — plus the capstone check that the real
-//! workspace is clean under `lint.toml`.
+//! stay quiet on the good parts, under the workspace `lint.toml` CI runs —
+//! plus the capstone check that the real workspace is clean under it, and
+//! the CLI's exit status on a configuration mistake.
 
 use manthan3_lint::config::LintConfig;
 use manthan3_lint::rules::{self, Rule, Workspace};
 use manthan3_lint::source::SourceFile;
 use manthan3_lint::{check_files, check_workspace};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("lint crate lives two levels below the workspace root")
+}
+
+/// The text of the workspace `lint.toml` without its `allow` lists: their
+/// entries name workspace code, so over a fixture they would be stale.
+fn lint_toml() -> String {
+    let text =
+        std::fs::read_to_string(workspace_root().join("lint.toml")).expect("lint.toml readable");
+    let mut out = String::new();
+    let mut in_allow = false;
+    for line in text.lines() {
+        in_allow = in_allow || line.starts_with("allow = [");
+        if in_allow {
+            in_allow = !line.trim_end().ends_with(']');
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// [`lint_toml`] with `line` added under the `[section]` header.
+fn lint_toml_with(section: &str, line: &str) -> String {
+    let header = format!("[{section}]\n");
+    let text = lint_toml();
+    assert!(text.contains(&header), "lint.toml has no [{section}]");
+    text.replacen(&header, &format!("{header}{line}\n"), 1)
+}
 
 fn fixture(name: &str, rel_path: &str) -> SourceFile {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,7 +55,8 @@ fn fixture(name: &str, rel_path: &str) -> SourceFile {
 
 fn run_rule(rule: &dyn Rule, files: Vec<SourceFile>) -> Vec<manthan3_lint::diag::Diagnostic> {
     let workspace = Workspace { files };
-    rule.check(&workspace, &LintConfig::default())
+    let config = LintConfig::parse(&lint_toml()).expect("lint.toml parses");
+    rule.check(&workspace, &config)
 }
 
 #[test]
@@ -62,8 +99,14 @@ fn cancel_poll_fires_on_unreachable_poll() {
         &rules::CancelPoll,
         vec![fixture("missing_cancel_poll.rs", "crates/sat/src/entry.rs")],
     );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].symbol.as_deref(), Some("solve_without_poll"));
+    let symbols: Vec<_> = diags.iter().filter_map(|d| d.symbol.as_deref()).collect();
+    // `synthesize` is an entry prefix in lint.toml, so the `synthesize_*`
+    // entry that only reaches a poll-free callee fires too.
+    assert_eq!(
+        symbols,
+        ["solve_without_poll", "synthesize_without_poll"],
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -82,10 +125,10 @@ fn clauseref_across_gc_fires_on_may_stale_uses_only() {
 
 #[test]
 fn allowlist_suppresses_by_function() {
-    let config = LintConfig::parse(
-        "[clauseref-across-gc]\nallow = [\"crates/sat/src/gc.rs::stale_use\", \
-         \"crates/sat/src/gc.rs::loop_stale\"]\n",
-    )
+    let config = LintConfig::parse(&lint_toml_with(
+        "clauseref-across-gc",
+        "allow = [\"crates/sat/src/gc.rs::stale_use\", \"crates/sat/src/gc.rs::loop_stale\"]",
+    ))
     .expect("config parses");
     let report = check_files(
         vec![fixture("clauseref_across_gc.rs", "crates/sat/src/gc.rs")],
@@ -102,9 +145,10 @@ fn allowlist_suppresses_by_function() {
 
 #[test]
 fn stale_allowlist_entry_is_reported() {
-    let config = LintConfig::parse(
-        "[clauseref-across-gc]\nallow = [\"crates/sat/src/gc.rs::no_such_fn\"]\n",
-    )
+    let config = LintConfig::parse(&lint_toml_with(
+        "clauseref-across-gc",
+        "allow = [\"crates/sat/src/gc.rs::no_such_fn\"]",
+    ))
     .expect("config parses");
     let report = check_files(
         vec![fixture("clauseref_across_gc.rs", "crates/sat/src/gc.rs")],
@@ -122,11 +166,13 @@ fn stale_allowlist_entry_is_reported() {
 
 #[test]
 fn section_naming_no_rule_is_reported() {
-    let config = LintConfig::parse(
-        "[no-such-rule]\nallow = [\"crates/sat/src/gc.rs::stale_use\"]\n\
-         [clauseref-across-gc]\nallow = [\"crates/sat/src/gc.rs::stale_use\", \
-         \"crates/sat/src/gc.rs::loop_stale\"]\n",
-    )
+    let text = lint_toml_with(
+        "clauseref-across-gc",
+        "allow = [\"crates/sat/src/gc.rs::stale_use\", \"crates/sat/src/gc.rs::loop_stale\"]",
+    );
+    let config = LintConfig::parse(&format!(
+        "{text}\n[no-such-rule]\nallow = [\"crates/sat/src/gc.rs::stale_use\"]\n"
+    ))
     .expect("config parses");
     let report = check_files(
         vec![fixture("clauseref_across_gc.rs", "crates/sat/src/gc.rs")],
@@ -149,9 +195,16 @@ fn budget_before_solve_fires_on_unchecked_paths_only() {
         )],
     );
     let symbols: Vec<_> = diags.iter().filter_map(|d| d.symbol.as_deref()).collect();
-    // `solve_checked` dominates its invocation with a check; the branch-only
-    // check in `solve_branchy` leaves the fall-through path unchecked.
-    assert_eq!(symbols, ["solve_unchecked", "solve_branchy"], "{diags:?}");
+    // `solve_checked` dominates its invocation with a check, and
+    // `solve_admitted` with a call to a helper that checks on every path;
+    // the branch-only check in `solve_branchy` leaves the fall-through path
+    // unchecked, and a check after the invocation (`solve_checked_late`)
+    // does not admit it.
+    assert_eq!(
+        symbols,
+        ["solve_unchecked", "solve_branchy", "solve_checked_late"],
+        "{diags:?}"
+    );
     assert!(diags[0].message.contains("solve_with_assumptions"));
 }
 
@@ -206,10 +259,7 @@ fn proof_discipline_ignores_out_of_scope_files() {
 /// must be clean. This is the same invocation CI runs.
 #[test]
 fn workspace_is_clean_under_lint_toml() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("lint crate lives two levels below the workspace root");
+    let root = workspace_root();
     let config = LintConfig::load(&root.join("lint.toml")).expect("lint.toml parses");
     let report = check_workspace(root, &config).expect("workspace scan succeeds");
     assert!(
@@ -223,4 +273,44 @@ fn workspace_is_clean_under_lint_toml() {
             .join("\n")
     );
     assert!(report.files_scanned > 20, "suspiciously few files scanned");
+}
+
+/// Runs `manthan3-lint check` on the workspace with `args` appended.
+fn run_check(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_manthan3-lint"))
+        .args(["check", "--root"])
+        .arg(workspace_root())
+        .args(args)
+        .output()
+        .expect("linter runs")
+}
+
+/// A configuration mistake exits 2 with the section and key on stderr, not
+/// a panic (exit 101) and not a silent fallback (exit 0).
+#[test]
+fn config_mistakes_exit_2() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let cases = [
+        (
+            "empty_marker.toml",
+            lint_toml().replace("marker = \"ordering:\"", "marker = []"),
+            "[atomic-ordering] key `marker` is empty",
+        ),
+        (
+            "renamed_key.toml",
+            lint_toml().replace("check-markers =", "check-marker ="),
+            "[budget-before-solve] unknown key `check-marker`",
+        ),
+    ];
+    for (name, text, expected) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("scratch config writable");
+        let out = run_check(&["--config", path.to_str().expect("utf-8 path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
+    let missing = dir.join("no_such_lint.toml");
+    let out = run_check(&["--config", missing.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
