@@ -29,11 +29,6 @@ impl AigRef {
         self.0 & 1 == 1
     }
 
-    /// Returns `true` if this is one of the two constant functions.
-    pub fn is_constant(self) -> bool {
-        self.node_id() == 0
-    }
-
     /// The image of this edge under a node-id-indexed map: the mapped node,
     /// complemented when this edge is.
     fn mapped(self, map: &[AigRef]) -> AigRef {

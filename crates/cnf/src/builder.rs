@@ -33,11 +33,6 @@ impl CnfBuilder {
         }
     }
 
-    /// Creates a builder seeded with an existing formula.
-    pub fn from_cnf(cnf: Cnf) -> Self {
-        CnfBuilder { cnf }
-    }
-
     /// Returns the formula built so far.
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
@@ -80,11 +75,6 @@ impl CnfBuilder {
     pub fn assert_equiv(&mut self, a: Lit, b: Lit) {
         self.add_clause([!a, b]);
         self.add_clause([a, !b]);
-    }
-
-    /// Adds clauses forcing `lit ↔ value`.
-    pub fn assert_equals_const(&mut self, lit: Lit, value: bool) {
-        self.assert_lit(lit.apply_sign(value));
     }
 
     /// Encodes `out ↔ (a ∧ b)` and returns `out` (a fresh literal).

@@ -124,11 +124,6 @@ impl Dqbf {
         &self.matrix
     }
 
-    /// Mutable access to the matrix.
-    pub fn matrix_mut(&mut self) -> &mut Cnf {
-        &mut self.matrix
-    }
-
     /// Number of variables declared by the matrix (including any auxiliary
     /// Tseitin variables the matrix may contain).
     pub fn num_vars(&self) -> usize {

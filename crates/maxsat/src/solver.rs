@@ -237,16 +237,6 @@ impl MaxSatSolver {
         self.solver.maintain();
     }
 
-    /// Number of soft clauses.
-    pub fn num_softs(&self) -> usize {
-        self.softs.len()
-    }
-
-    /// Total weight of all soft clauses.
-    pub fn total_weight(&self) -> u64 {
-        self.softs.iter().map(|s| s.weight).sum()
-    }
-
     /// Finds an assignment satisfying all hard clauses that minimizes the
     /// total weight of violated soft clauses.
     ///

@@ -12,11 +12,14 @@
 //! [`Budget`], so they observe the same absolute deadline and share one
 //! [`CancelToken`](manthan3_sat::CancelToken). As soon as an engine produces
 //! a decisive result — a Henkin vector that passes the independent
-//! certificate check, or a proof of falsity — the runner cancels the token;
-//! the CDCL search loops of the losing engines poll it once per decision
-//! and give up within milliseconds instead of burning the remaining
-//! budget. Losers report
-//! [`UnknownReason::Cancelled`].
+//! certificate check, or a proof of falsity — it tries to claim the race by
+//! setting a [`OnceLock`] to its name. The one racer whose `set` succeeds
+//! is the winner and cancels the token; a decisive racer that finds the
+//! lock already set has lost. The CDCL search loops of the losing engines
+//! poll the token once per decision and give up within milliseconds
+//! instead of burning the remaining budget. Losers report
+//! [`UnknownReason::Cancelled`]. Every report, the winner's included,
+//! reaches the caller through the racer thread's `join`.
 //!
 //! Because every engine runs on the shared oracle layer of `manthan3-core`,
 //! the runner also returns per-engine [`OracleStats`] — the same counters
@@ -47,7 +50,7 @@ use manthan3_core::{
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The engines a [`Portfolio`] can race.
@@ -144,22 +147,6 @@ pub struct EngineReport {
     pub winner: bool,
 }
 
-impl EngineReport {
-    /// `true` if this engine decided the instance (synthesized a verified
-    /// vector or proved falsity).
-    pub fn decided(&self) -> bool {
-        !matches!(self.outcome, SynthesisOutcome::Unknown(_))
-    }
-
-    /// `true` if this engine was cooperatively cancelled.
-    pub fn cancelled(&self) -> bool {
-        matches!(
-            self.outcome,
-            SynthesisOutcome::Unknown(UnknownReason::Cancelled)
-        )
-    }
-}
-
 /// Outcome of a [`Portfolio::run`]: the winning verdict plus per-engine
 /// reports.
 #[derive(Debug, Clone)]
@@ -247,7 +234,8 @@ impl Portfolio {
         let budget = Budget::new(self.config.time_budget);
         let race_start = Instant::now();
 
-        let race_claimed = AtomicBool::new(false);
+        // Set once, by the first decisive racer: the race's winner.
+        let claimed = OnceLock::new();
         // One scoped thread per engine; each returns its report through
         // `join`, so the reports come back in dispatch order.
         let reports: Vec<EngineReport> = std::thread::scope(|scope| {
@@ -256,8 +244,8 @@ impl Portfolio {
                 .engines
                 .iter()
                 .map(|&engine| {
-                    let (budget, race_claimed) = (&budget, &race_claimed);
-                    scope.spawn(move || self.race(engine, dqbf, budget, race_claimed, race_start))
+                    let (budget, claimed) = (&budget, &claimed);
+                    scope.spawn(move || self.race(engine, dqbf, budget, claimed, race_start))
                 })
                 .collect();
             workers
@@ -290,7 +278,7 @@ impl Portfolio {
         engine: PortfolioEngine,
         dqbf: &Dqbf,
         budget: &Budget,
-        race_claimed: &AtomicBool,
+        claimed: &OnceLock<PortfolioEngine>,
         race_start: Instant,
     ) -> EngineReport {
         let (outcome, oracle) = self.dispatch(engine, dqbf, budget.clone());
@@ -306,11 +294,7 @@ impl Portfolio {
         // claiming and cancelling are tied together so a near-simultaneous
         // second decisive finisher (already past its last poll point, its
         // verdict agreeing by soundness) is never attributed as the winner.
-        // ordering: Relaxed suffices — swap atomicity alone picks the single
-        // winner; the winner's report travels to the caller by `join` and
-        // cancellation publishes via the token's own Release store.
-        // Model-checked by manthan3-conc `decisive-win/relaxed-swap`.
-        let winner = decisive && !race_claimed.swap(true, Ordering::Relaxed);
+        let winner = decisive && claimed.set(engine).is_ok();
         if winner {
             budget.cancel_token().cancel();
         }
@@ -375,18 +359,37 @@ mod tests {
     use super::*;
     use manthan3_cnf::Var;
 
+    /// Races repeated on one instance, so that different interleavings of
+    /// the racers' claims get exercised.
+    const RACE_REPEATS: usize = 25;
+
+    /// Exactly one report is the winner's, `result.winner` names it, and the
+    /// race's verdict is that report's verdict.
+    fn assert_single_winner(result: &PortfolioResult) {
+        let winners: Vec<_> = result.reports.iter().filter(|r| r.winner).collect();
+        assert_eq!(winners.len(), 1, "exactly one racer wins: {winners:?}");
+        assert_eq!(result.winner, Some(winners[0].engine));
+        assert_eq!(
+            format!("{:?}", result.outcome),
+            format!("{:?}", winners[0].outcome)
+        );
+    }
+
     #[test]
     fn solves_the_paper_example_and_reports_every_engine() {
+        // Each of the three engines decides the paper example on its own, so
+        // any of them can reach the claim first.
         let dqbf = Dqbf::paper_example();
-        let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
-        let vector = result.vector().expect("true instance");
-        assert!(verify::check(&dqbf, vector).is_valid());
-        assert!(result.winner.is_some());
-        assert_eq!(result.reports.len(), 3);
-        assert_eq!(result.reports.iter().filter(|r| r.winner).count(), 1);
-        let engines: std::collections::BTreeSet<_> =
-            result.reports.iter().map(|r| r.engine).collect();
-        assert_eq!(engines.len(), 3);
+        for _ in 0..RACE_REPEATS {
+            let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
+            let vector = result.vector().expect("true instance");
+            assert!(verify::check(&dqbf, vector).is_valid());
+            assert_single_winner(&result);
+            assert_eq!(result.reports.len(), 3);
+            let engines: std::collections::BTreeSet<_> =
+                result.reports.iter().map(|r| r.engine).collect();
+            assert_eq!(engines.len(), 3);
+        }
     }
 
     #[test]
@@ -398,9 +401,11 @@ mod tests {
         dqbf.add_existential(y, [x]);
         dqbf.add_clause([x.negative()]);
         dqbf.add_clause([y.positive()]);
-        let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
-        assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
-        assert!(result.winner.is_some());
+        for _ in 0..RACE_REPEATS {
+            let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
+            assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
+            assert_single_winner(&result);
+        }
     }
 
     #[test]

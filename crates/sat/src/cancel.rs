@@ -41,9 +41,10 @@ impl CancelToken {
     /// Raises the flag: every solver polling this token (or a clone of it)
     /// gives up at its next poll point.
     pub fn cancel(&self) {
-        // ordering: Release publishes everything the canceller wrote (e.g.
-        // the winning result) to whoever Acquire-observes the flag; model-
-        // checked by manthan3-conc `cancellation/release-acquire`.
+        // ordering: Release pairs with the Acquire load in `is_cancelled`,
+        // so a poller that sees the flag also sees every write the canceller
+        // made before raising it. Nothing relies on more than the flag
+        // itself: results travel to the caller through thread joins.
         self.flag.store(true, Ordering::Release);
     }
 

@@ -213,12 +213,6 @@ impl Solver {
         &self.config
     }
 
-    /// Mutable access to the configuration (e.g. to change the random seed or
-    /// polarity mode between incremental solve calls).
-    pub fn config_mut(&mut self) -> &mut SolverConfig {
-        &mut self.config
-    }
-
     /// Runtime statistics. Gauges (learnt-DB size, glue ≤ 2 count, arena
     /// occupancy) reflect the state at the time of the call.
     pub fn stats(&self) -> SolverStats {
