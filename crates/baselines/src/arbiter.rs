@@ -17,7 +17,9 @@
 //!    arbiter entries taken from a witness extension.
 //!
 //! The interpolation-based definition extraction and conflict-driven arbiter
-//! reasoning of the real tool are out of scope; see DESIGN.md §3.
+//! reasoning of the real tool are out of scope: the comparison needs the
+//! engine's architecture (definitions first, arbiters for the rest), not
+//! Pedant's engineering.
 
 use crate::common::BaselineResult;
 use manthan3_cnf::{Lit, Var};
@@ -27,19 +29,20 @@ use manthan3_sat::{SolveResult, SolverConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+/// Maximum number of arbiter entries per output (each entry is a cube over
+/// the output's dependency set).
+const MAX_ARBITER_ENTRIES: usize = 2048;
+/// Largest dependency-set size for which definitions are extracted.
+const MAX_DEFINITION_DEPS: usize = 8;
+
 /// Budgets and switches for [`ArbiterSolver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArbiterConfig {
     /// Maximum number of CEGIS iterations.
     pub max_iterations: usize,
-    /// Maximum number of arbiter entries per output (each entry is a cube
-    /// over the output's dependency set).
-    pub max_arbiter_entries: usize,
     /// Run unique-definition extraction first (the defining feature of the
     /// Pedant approach; disabling it degrades the engine to pure CEGIS).
     pub use_definitions: bool,
-    /// Largest dependency-set size for which definitions are extracted.
-    pub max_definition_deps: usize,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
 }
@@ -48,9 +51,7 @@ impl Default for ArbiterConfig {
     fn default() -> Self {
         ArbiterConfig {
             max_iterations: 2000,
-            max_arbiter_entries: 2048,
             use_definitions: true,
-            max_definition_deps: 8,
             time_budget: None,
         }
     }
@@ -131,12 +132,7 @@ impl ArbiterSolver {
         let defined: Vec<Var> = if self.config.use_definitions {
             let solver_config =
                 SolverConfig::default().with_cancel(oracle.budget().cancel_token().clone());
-            unique::extract_definitions_with(
-                dqbf,
-                &mut vector,
-                self.config.max_definition_deps,
-                &solver_config,
-            )
+            unique::extract_definitions_with(dqbf, &mut vector, MAX_DEFINITION_DEPS, &solver_config)
         } else {
             Vec::new()
         };
@@ -235,9 +231,7 @@ impl ArbiterSolver {
                             .collect();
                         let value = witness.get(y).unwrap_or(false);
                         let table = tables.get_mut(&y).expect("table exists");
-                        if table.len() >= self.config.max_arbiter_entries
-                            && !table.contains_key(&key)
-                        {
+                        if table.len() >= MAX_ARBITER_ENTRIES && !table.contains_key(&key) {
                             return finish(
                                 SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
                                 "arbiter table budget exceeded".to_string(),

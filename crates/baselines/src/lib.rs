@@ -4,8 +4,9 @@
 //! Henkin function synthesis engines, **HQS2** (quantifier-elimination /
 //! expansion based) and **Pedant** (definition extraction + arbiter based).
 //! Neither tool is available as a library, so this crate re-implements
-//! simplified engines with the same architectural character (see DESIGN.md §3
-//! for the substitution rationale):
+//! simplified engines with the same architectural character; what the
+//! paper's comparison turns on is which instance families each
+//! architecture handles, which the simplified engines keep:
 //!
 //! * [`ExpansionSolver`] — an HQS2-style *universal expansion* solver. It
 //!   instantiates one copy of every existential output per valuation of its

@@ -557,7 +557,7 @@ mod tests {
         records[0].oracle.maxsat_calls = 5;
         records[0].oracle.conflicts = 30;
         records[0].oracle.learnt_db_live = 40;
-        records[0].oracle.vivify_strengthened = 2;
+        records[0].oracle.rephases = 2;
         records[0].oracle.certify_nanos = 1_500_000_000;
         records[3].oracle.sampler_calls = 80;
         records[3].oracle.conflicts = 5;

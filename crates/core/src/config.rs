@@ -61,15 +61,6 @@ impl Default for Manthan3Config {
 }
 
 impl Manthan3Config {
-    /// A configuration with a wall-clock budget, used by the benchmark
-    /// harness to emulate the paper's per-instance timeout.
-    pub fn with_time_budget(budget: Duration) -> Self {
-        Manthan3Config {
-            time_budget: Some(budget),
-            ..Manthan3Config::default()
-        }
-    }
-
     /// A lightweight configuration for unit tests (few samples, small trees).
     pub fn fast() -> Self {
         Manthan3Config {
@@ -92,12 +83,6 @@ mod tests {
         assert!(c.use_y_features);
         assert!(c.constrain_y_hat);
         assert!(c.time_budget.is_none());
-    }
-
-    #[test]
-    fn budgeted_constructor_sets_budget() {
-        let c = Manthan3Config::with_time_budget(Duration::from_millis(50));
-        assert_eq!(c.time_budget, Some(Duration::from_millis(50)));
     }
 
     #[test]

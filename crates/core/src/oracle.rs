@@ -277,20 +277,6 @@ oracle_stats! {
     /// Glue ≤ 2 learnt clauses in the most recently observed solver (a
     /// gauge, like [`OracleStats::learnt_db_live`]).
     glue2_clauses: usize, gauge from glue2_clauses;
-    /// Clauses removed by inprocessing subsumption across all oracle-routed
-    /// solvers.
-    inprocess_subsumed: u64, counter from inprocess_subsumed;
-    /// Clauses strengthened by inprocessing self-subsumption or
-    /// vivification across all oracle-routed solvers.
-    inprocess_strengthened: u64, counter from inprocess_strengthened;
-    /// Inprocessing passes that actually ran (throttle-skipped calls are not
-    /// counted), across all oracle-routed solvers.
-    inprocess_passes: u64, counter from inprocess_passes;
-    /// Vivification candidates attempted across all oracle-routed solvers.
-    vivify_candidates: u64, counter from vivify_candidates;
-    /// Vivification attempts that strengthened their clause, across all
-    /// oracle-routed solvers.
-    vivify_strengthened: u64, counter from vivify_strengthened;
     /// Compacting clause-arena garbage collections performed by
     /// oracle-routed solvers.
     arena_collections: u64, counter from arena_collections;
@@ -621,11 +607,11 @@ impl Oracle {
     }
 
     /// Bills solver work performed *outside* a solve call — the sessions'
-    /// periodic maintenance passes (learnt-DB reduction, level-0 compaction,
-    /// inprocessing) — given [`SolverStats`] snapshots taken around the
-    /// pass. Keeps the inprocessing counters and
-    /// `OracleStats::arena_collections` complete: most of that work happens
-    /// between oracle calls, where the per-solve diff-billing cannot see it.
+    /// periodic maintenance passes (learnt-DB reduction, level-0 compaction)
+    /// — given [`SolverStats`] snapshots taken around the pass. Keeps
+    /// `OracleStats::arena_collections` complete: most collections happen
+    /// between oracle calls, where the per-solve diff-billing cannot see
+    /// them.
     pub(crate) fn note_solver_maintenance(&mut self, before: &SolverStats, after: &SolverStats) {
         self.stats.bill_solver_delta(before, after);
     }
@@ -926,12 +912,7 @@ mod tests {
             rephases: 8,
             arena_collections: 9,
             arena_live_words: 10,
-            inprocess_subsumed: 11,
-            inprocess_strengthened: 12,
-            inprocess_passes: 13,
-            vivify_candidates: 14,
-            vivify_strengthened: 15,
-            models_verified: 16,
+            models_verified: 11,
         };
         let after = SolverStats {
             conflicts: 101,
@@ -944,12 +925,7 @@ mod tests {
             rephases: 808,
             arena_collections: 909,
             arena_live_words: 1010,
-            inprocess_subsumed: 1111,
-            inprocess_strengthened: 1212,
-            inprocess_passes: 1313,
-            vivify_candidates: 1414,
-            vivify_strengthened: 1515,
-            models_verified: 1616,
+            models_verified: 1111,
         };
         // Start from non-zero counters so "adds the delta" differs from
         // "sets the delta" and from "sets the after value".
@@ -966,14 +942,6 @@ mod tests {
             rephases: delta_over(before.rephases, after.rephases),
             learnt_db_live: after.learnt_clauses,
             glue2_clauses: after.glue2_clauses,
-            inprocess_subsumed: delta_over(before.inprocess_subsumed, after.inprocess_subsumed),
-            inprocess_strengthened: delta_over(
-                before.inprocess_strengthened,
-                after.inprocess_strengthened,
-            ),
-            inprocess_passes: delta_over(before.inprocess_passes, after.inprocess_passes),
-            vivify_candidates: delta_over(before.vivify_candidates, after.vivify_candidates),
-            vivify_strengthened: delta_over(before.vivify_strengthened, after.vivify_strengthened),
             arena_collections: delta_over(before.arena_collections, after.arena_collections),
             arena_live_words: after.arena_live_words,
             models_verified: delta_over(before.models_verified, after.models_verified),

@@ -307,12 +307,11 @@ impl VerifySession {
     }
 
     /// Runs an error-solver maintenance pass immediately: halves the learnt
-    /// database (resetting its growth threshold), frees the clauses of
-    /// retired candidate generations, and runs one bounded inprocessing
-    /// pass (subsumption + vivification).
-    /// Called automatically every 32 retirements; exposed for callers that
-    /// drive the session manually. The pass runs outside any oracle solve
-    /// call, so its work is billed to the oracle's statistics here.
+    /// database (resetting its growth threshold) and frees the clauses of
+    /// retired candidate generations. Called automatically every 32
+    /// retirements; exposed for callers that drive the session manually.
+    /// The pass runs outside any oracle solve call, so its work is billed
+    /// to the oracle's statistics here.
     pub fn maintain(&mut self, oracle: &mut Oracle) {
         let before = self.error.stats();
         self.error.maintain();
@@ -459,12 +458,11 @@ impl RepairSession {
         }
     }
 
-    /// Runs a MaxSAT-solver maintenance pass immediately (learnt-DB halving,
-    /// level-0 compaction, and one bounded inprocessing pass). Called
-    /// automatically every `MAINTENANCE_RETIREMENT_INTERVAL` solve calls;
-    /// exposed for callers that drive the session manually. The pass runs
-    /// outside any oracle solve call, so its work is billed to the oracle's
-    /// statistics here.
+    /// Runs a MaxSAT-solver maintenance pass immediately (learnt-DB halving
+    /// and level-0 compaction). Called automatically every
+    /// `MAINTENANCE_RETIREMENT_INTERVAL` solve calls; exposed for callers
+    /// that drive the session manually. The pass runs outside any oracle
+    /// solve call, so its work is billed to the oracle's statistics here.
     pub fn maintain(&mut self, oracle: &mut Oracle) {
         let before = self.maxsat.sat_stats();
         self.maxsat.maintain();

@@ -3,8 +3,8 @@ use std::time::Duration;
 
 /// Counters and timings collected during one synthesis run.
 ///
-/// The benchmark harness reports these per instance; the component
-/// benchmarks in `manthan3-bench` exercise the phases individually. The
+/// The benchmark harness reports these per instance, and `m3perf` breaks
+/// its end-to-end runs down by the phase timings. The
 /// [`SynthesisStats::oracle`] field carries the unified oracle-layer
 /// counters (solver constructions, SAT/MaxSAT calls, conflicts), which the
 /// session-reuse regression tests assert on.

@@ -11,7 +11,9 @@
 //! dependency sets up to a configurable size, by enumerating the dependency
 //! valuations and asking a SAT oracle which output value is forced — a
 //! simplified stand-in for the interpolation-based extraction used by the
-//! original UNIQUE tool (see DESIGN.md §3).
+//! original UNIQUE tool. Both give the same function; enumeration is
+//! exponential in `|H|` but needs no interpolating solver, and the small
+//! dependency sets of the generated instances keep it cheap.
 
 use crate::{Dqbf, HenkinVector};
 use manthan3_cnf::{Lit, Var};

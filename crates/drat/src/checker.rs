@@ -485,7 +485,8 @@ mod tests {
     #[test]
     fn strengthening_pairs_check_out() {
         // Strengthen (1∨2∨3) to (1∨2) — justified by the unit (−3) — in the
-        // add-then-delete order the solver's inprocessing emits, then close.
+        // add-then-delete order the solver's level-0 simplification emits,
+        // then close.
         let cnf = vec![
             vec![1, 2, 3],
             vec![-3],

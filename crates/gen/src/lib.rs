@@ -4,8 +4,9 @@
 //! QBFEval'18/'19/'20, which "encompass equivalence checking problems,
 //! controller synthesis, and succinct DQBF representations of propositional
 //! satisfiability problems". Those archives are not redistributable here, so
-//! this crate generates *seeded synthetic instances of the same families*
-//! (see DESIGN.md §3 for the substitution rationale):
+//! this crate generates *seeded synthetic instances of the same families*,
+//! sized so that a full suite runs in seconds and every instance's truth
+//! value is known by construction or by an exact baseline:
 //!
 //! * [`pec`] — equivalence checking of partial circuits: a random AIG-style
 //!   circuit with some gates blanked out as black boxes whose outputs are

@@ -25,9 +25,9 @@
 //! `σ[Y']` valuations, pinned via indirection variables) are retracted by
 //! simply not assuming them on the next call. The underlying CDCL solver and
 //! its learnt clauses survive between calls; periodic
-//! [`MaxSatSolver::maintain`] passes (learnt-DB halving, level-0
-//! compaction and inprocessing, via `Solver::maintain`) keep
-//! hundreds-of-calls instances bounded.
+//! [`MaxSatSolver::maintain`] passes (learnt-DB halving and level-0
+//! compaction, via `Solver::maintain`) keep hundreds-of-calls instances
+//! bounded.
 //!
 //! The only limit the solver itself observes is the
 //! [`CancelToken`](manthan3_sat::CancelToken) of its SAT configuration,

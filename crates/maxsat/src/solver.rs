@@ -221,17 +221,14 @@ impl MaxSatSolver {
     }
 
     /// Runs a maintenance pass on the underlying solver: halves the learnt
-    /// database (resetting its growth threshold), compacts away clauses
-    /// satisfied at level 0, and runs one bounded inprocessing pass
-    /// (self-subsumption + vivification, a no-op under configurations that
-    /// disable it). Long-lived incremental instances (one MaxSAT solver
-    /// across hundreds of `solve_under_assumptions` calls) call this
+    /// database (resetting its growth threshold) and compacts away clauses
+    /// satisfied at level 0. Long-lived incremental instances (one MaxSAT
+    /// solver across hundreds of `solve_under_assumptions` calls) call this
     /// periodically so the solver state stays bounded, mirroring
     /// `VerifySession`'s error-solver maintenance. The warm-start bound is
     /// dropped alongside; the cached totalizer survives (its clauses are
     /// never level-0 satisfied — relaxation literals are only ever assumed,
-    /// and inprocessing is equivalence-preserving, so the relaxation
-    /// structure stays sound).
+    /// so the relaxation structure stays sound).
     pub fn maintain(&mut self) {
         self.last_optimum = None;
         self.solver.maintain();

@@ -294,7 +294,7 @@ impl Portfolio {
         // claiming and cancelling are tied together so a near-simultaneous
         // second decisive finisher (already past its last poll point, its
         // verdict agreeing by soundness) is never attributed as the winner.
-        let winner = decisive && claimed.set(engine).is_ok();
+        let winner = claim(claimed, engine, decisive);
         if winner {
             budget.cancel_token().cancel();
         }
@@ -332,6 +332,13 @@ impl Portfolio {
             }
         }
     }
+}
+
+/// Claims the race for `engine` if its verdict is `decisive`: `true` for
+/// exactly one decisive claim on `claimed` (the first), `false` for every
+/// later one and for every indecisive claim, which leaves the lock alone.
+fn claim(claimed: &OnceLock<PortfolioEngine>, engine: PortfolioEngine, decisive: bool) -> bool {
+    decisive && claimed.set(engine).is_ok()
 }
 
 /// The reason to report when no engine was decisive: the most informative
@@ -373,6 +380,17 @@ mod tests {
             format!("{:?}", result.outcome),
             format!("{:?}", winners[0].outcome)
         );
+    }
+
+    #[test]
+    fn only_the_first_decisive_claim_wins() {
+        let claimed = OnceLock::new();
+        assert!(!claim(&claimed, PortfolioEngine::Hqs2Like, false));
+        assert_eq!(claimed.get(), None, "an indecisive claim set the lock");
+        assert!(claim(&claimed, PortfolioEngine::Manthan3, true));
+        assert!(!claim(&claimed, PortfolioEngine::PedantLike, true));
+        assert!(!claim(&claimed, PortfolioEngine::Hqs2Like, false));
+        assert_eq!(claimed.get(), Some(&PortfolioEngine::Manthan3));
     }
 
     #[test]

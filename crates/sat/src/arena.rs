@@ -145,14 +145,6 @@ impl ClauseArena {
         self.header(cref) & LEARNT_BIT != 0
     }
 
-    /// Clears the learnt flag, promoting the clause to a problem clause.
-    /// Used when a learnt clause subsumes a problem clause during
-    /// inprocessing: the subsumed clause's strength must not die with the
-    /// learnt database.
-    pub fn clear_learnt(&mut self, cref: ClauseRef) {
-        self.data[cref.0 as usize] &= !LEARNT_BIT;
-    }
-
     /// `true` if the clause has been deleted (awaiting collection).
     #[inline]
     pub fn is_deleted(&self, cref: ClauseRef) -> bool {

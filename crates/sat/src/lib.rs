@@ -7,7 +7,8 @@
 //!   over a flat clause arena, VSIDS branching over an indexed activity
 //!   heap (rebuilt when activities are rescaled), phase saving + rephasing,
 //!   Glucose-style EMA restarts, LBD-managed learnt-clause deletion, and
-//!   bounded inter-call inprocessing (subsumption + vivification),
+//!   inter-call maintenance (learnt-DB reduction, level-0 simplification,
+//!   arena compaction),
 //! * incremental solving under **assumptions**, with extraction of an
 //!   **unsatisfiable core** over the assumption literals (the mechanism
 //!   Manthan3 uses to compute repair cubes from `UnsatCore(G_k)`),

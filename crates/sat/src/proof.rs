@@ -3,11 +3,11 @@
 //! When [`SolverConfig::proof_logging`](crate::SolverConfig::proof_logging)
 //! is set, the solver threads every clause-database event through a
 //! [`ProofTracer`]: original clauses are recorded verbatim, learnt clauses
-//! and inprocessing strengthenings become DRAT additions, and every
-//! deletion (learnt-DB reduction, simplification, subsumption,
-//! strengthening replacements) becomes a DRAT deletion. The resulting
-//! *persistent* proof log contains only assumption-free RUP lemmas, so one
-//! log certifies every UNSAT verdict the solver ever produces:
+//! and level-0 strengthenings become DRAT additions, and every deletion
+//! (learnt-DB reduction, simplification, strengthening replacements)
+//! becomes a DRAT deletion. The resulting *persistent* proof log contains
+//! only assumption-free RUP lemmas, so one log certifies every UNSAT
+//! verdict the solver ever produces:
 //!
 //! * A level-0 refutation appends the empty clause to the log permanently.
 //! * An assumption-scoped UNSAT verdict appends the (assumption-free)

@@ -50,19 +50,6 @@ pub struct SolverStats {
     pub arena_collections: u64,
     /// Words currently occupied by live clauses in the arena.
     pub arena_live_words: usize,
-    /// Clauses removed because another clause subsumes them (inprocessing).
-    pub inprocess_subsumed: u64,
-    /// Clauses strengthened by self-subsumption or vivification
-    /// (inprocessing).
-    pub inprocess_strengthened: u64,
-    /// Inprocessing passes that actually ran (calls skipped by the
-    /// new-clause throttle are not counted).
-    pub inprocess_passes: u64,
-    /// Vivification candidates actually attempted (selected worst-glue
-    /// first, clause activity breaking ties).
-    pub vivify_candidates: u64,
-    /// Vivification attempts that strengthened (shortened) their clause.
-    pub vivify_strengthened: u64,
     /// SAT verdicts whose full model was re-verified against every live
     /// clause of the database (debug builds verify every SAT verdict;
     /// release builds skip the check, leaving this at 0).
@@ -85,20 +72,6 @@ const REPHASE_FIRST_INTERVAL: u64 = 1000;
 const VAR_DECAY: f64 = 0.95;
 /// Multiplicative decay applied to learnt-clause activities.
 const CLAUSE_DECAY: f64 = 0.999;
-/// Only clauses this short act as subsumers during inprocessing.
-const SUBSUME_MAX_LEN: usize = 12;
-/// Literal-visit budget of one subsumption pass.
-const SUBSUME_STEPS: usize = 200_000;
-/// Minimum clauses attached since the last pass before [`Solver::inprocess`]
-/// runs again. Each pass rebuilds occurrence lists over the whole database,
-/// so running it when almost nothing changed costs far more than it can
-/// recover; session maintenance may call `inprocess` every cycle and rely on
-/// this throttle.
-const INPROCESS_MIN_NEW_CLAUSES: u64 = 64;
-/// Maximum learnt clauses vivified per inprocessing pass.
-const VIVIFY_MAX_CLAUSES: usize = 64;
-/// Length window of vivification candidates.
-const VIVIFY_LEN_RANGE: std::ops::RangeInclusive<usize> = 3..=16;
 /// Collect arena garbage once this fraction of it is wasted…
 const GC_WASTED_FRACTION: f64 = 0.25;
 /// …and at least this many words are reclaimable.
@@ -147,9 +120,6 @@ pub struct Solver {
     model_values: Vec<i8>,
     have_model: bool,
     max_learnts: usize,
-    /// Clauses attached since the last inprocessing pass; starts saturated
-    /// so the first [`Solver::inprocess`] call always runs.
-    clauses_since_inprocess: u64,
     stats: SolverStats,
     tracer: ProofTracer,
     rng: SmallRng,
@@ -201,7 +171,6 @@ impl Solver {
             model_values: Vec::new(),
             have_model: false,
             max_learnts,
-            clauses_since_inprocess: u64::MAX,
             stats: SolverStats::default(),
             tracer,
             rng,
@@ -358,7 +327,6 @@ impl Solver {
 
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        self.clauses_since_inprocess = self.clauses_since_inprocess.saturating_add(1);
         let cref = self.arena.alloc(lits, learnt);
         self.clause_refs.push(cref);
         if learnt {
@@ -375,14 +343,6 @@ impl Solver {
         let w1 = self.arena.lit(cref, 1);
         self.watches[(!w0).code()].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).code()].push(Watcher { cref, blocker: w0 });
-    }
-
-    /// Removes the clause's watcher entries (both lists).
-    fn unwatch_clause(&mut self, cref: ClauseRef) {
-        for i in 0..2 {
-            let code = (!self.arena.lit(cref, i)).code();
-            self.watches[code].retain(|w| w.cref != cref);
-        }
     }
 
     fn decision_level(&self) -> usize {
@@ -964,57 +924,13 @@ impl Solver {
         self.debug_check_watches();
     }
 
-    /// Bounded inter-call inprocessing: subsumption + self-subsumption over
-    /// the clause database, then vivification of the worst-glue learnt
-    /// clauses.
-    ///
-    /// Backtracks to decision level 0 (abandoning any kept assumption
-    /// trail); intended to run from session maintenance between solve
-    /// bursts, next to [`Solver::reduce_learnt_db`] and
-    /// [`Solver::simplify`]. Obeys the configured
-    /// [`CancelToken`](crate::CancelToken): a
-    /// cancelled solver abandons the pass at the next clause boundary.
-    ///
-    /// Throttled: after the first call, a pass only runs once enough new
-    /// clauses have been attached to plausibly pay for rebuilding the
-    /// occurrence lists; otherwise the call returns immediately.
-    /// [`SolverStats::inprocess_passes`] counts the passes that ran.
-    pub fn inprocess(&mut self) {
-        if !self.ok {
-            return;
-        }
-        if self.clauses_since_inprocess < INPROCESS_MIN_NEW_CLAUSES {
-            return;
-        }
-        self.clauses_since_inprocess = 0;
-        self.stats.inprocess_passes += 1;
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            self.tracer.emit_add(&[]);
-            return;
-        }
-        for i in 0..self.trail.len() {
-            self.reasons[self.trail[i].var().index()] = None;
-        }
-        self.subsumption_pass();
-        if self.ok {
-            self.vivification_pass();
-        }
-        if self.ok {
-            self.maybe_collect_garbage();
-            self.debug_check_watches();
-        }
-    }
-
     /// One maintenance pass between solve bursts of a long-lived solver:
-    /// [`Solver::reduce_learnt_db`], then [`Solver::simplify`], then
-    /// [`Solver::inprocess`]. Every long-lived owner (the verify and repair
-    /// sessions) runs this same policy.
+    /// [`Solver::reduce_learnt_db`], then [`Solver::simplify`]. Every
+    /// long-lived owner (the verify and repair sessions, the MaxSAT solver)
+    /// runs this same policy.
     pub fn maintain(&mut self) {
         self.reduce_learnt_db();
         self.simplify();
-        self.inprocess();
     }
 
     fn cancelled(&self) -> bool {
@@ -1022,329 +938,6 @@ impl Solver {
             .cancel
             .as_ref()
             .is_some_and(|token| token.is_cancelled())
-    }
-
-    /// One bounded (self-)subsumption sweep. For every short clause `C` and
-    /// every clause `D` sharing `C`'s rarest literal: if `C ⊆ D`, `D` is
-    /// subsumed and deleted (promoting `C` to a problem clause if `C` is
-    /// learnt and `D` is not — the subsumed problem clause's strength must
-    /// not die with the learnt database); if `C` matches `D` except for one
-    /// literal occurring negated, the resolvent strengthens `D` in place
-    /// (self-subsumption).
-    fn subsumption_pass(&mut self) {
-        // Occurrence lists over all live clauses (any length may be subsumed;
-        // only short clauses act as subsumers).
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars()];
-        for &cref in &self.clause_refs {
-            for &code in self.arena.lit_codes(cref) {
-                occ[code as usize].push(cref);
-            }
-        }
-        let mut marks: Vec<u64> = vec![0; 2 * self.num_vars()];
-        let mut generation = 0u64;
-        let mut steps = SUBSUME_STEPS;
-        let mut deleted: Vec<ClauseRef> = Vec::new();
-        let candidates = self.clause_refs.clone();
-        'outer: for c in candidates {
-            if self.arena.is_deleted(c) || self.arena.len(c) > SUBSUME_MAX_LEN {
-                continue;
-            }
-            if steps == 0 || self.cancelled() {
-                break;
-            }
-            // Rarest literal of C limits the clauses to test. A clause D
-            // with C ⊆ D contains the pivot; a self-subsumption partner
-            // contains either the pivot or its negation (when the pivot
-            // itself is the resolved literal), so both lists are scanned.
-            let pivot = self
-                .arena
-                .lit_codes(c)
-                .iter()
-                .copied()
-                .min_by_key(|&code| occ[code as usize].len())
-                // invariant: empty clauses surface as UNSAT long before
-                // subsumption runs; every stored clause has a literal.
-                .expect("clauses are non-empty");
-            for di in 0..occ[pivot as usize].len() + occ[(pivot ^ 1) as usize].len() {
-                let plist = &occ[pivot as usize];
-                let d = if di < plist.len() {
-                    plist[di]
-                } else {
-                    occ[(pivot ^ 1) as usize][di - plist.len()]
-                };
-                if d == c
-                    || self.arena.is_deleted(d)
-                    || self.arena.is_deleted(c)
-                    || self.arena.len(d) < self.arena.len(c)
-                    || self.is_locked(d)
-                {
-                    continue;
-                }
-                steps = steps.saturating_sub(self.arena.len(d));
-                if steps == 0 {
-                    break 'outer;
-                }
-                // Mark D's literals, then test C against the marks.
-                generation += 1;
-                for &code in self.arena.lit_codes(d) {
-                    marks[code as usize] = generation;
-                }
-                let mut missing = 0usize;
-                let mut negated: Option<Lit> = None;
-                for &code in self.arena.lit_codes(c) {
-                    if marks[code as usize] == generation {
-                        continue;
-                    }
-                    if marks[(code ^ 1) as usize] == generation {
-                        if negated.is_some() {
-                            missing = 2; // two resolutions: no deal
-                            break;
-                        }
-                        negated = Some(Lit::from_code((code ^ 1) as usize));
-                    } else {
-                        missing += 1;
-                        break;
-                    }
-                }
-                if missing > 0 {
-                    continue;
-                }
-                match negated {
-                    None => {
-                        // C ⊆ D: D is redundant.
-                        if self.arena.is_learnt(c) && !self.arena.is_learnt(d) {
-                            self.arena.clear_learnt(c);
-                            self.learnt_refs.retain(|&r| r != c);
-                        }
-                        let d_lits = self.traced_lits(d);
-                        self.arena.delete(d);
-                        self.tracer.emit_delete(&d_lits);
-                        deleted.push(d);
-                        self.stats.inprocess_subsumed += 1;
-                    }
-                    Some(lit_in_d) => {
-                        // Self-subsumption: the resolvent of C and D on this
-                        // literal is D \ {lit_in_d}, a consequence that
-                        // replaces D.
-                        if self.arena.len(d) <= 2 {
-                            continue; // strengthening would make D unit
-                        }
-                        self.strengthen_clause(d, lit_in_d);
-                        self.stats.inprocess_strengthened += 1;
-                        if !self.ok {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        self.finish_deletions(&deleted);
-    }
-
-    /// Removes one literal from a live clause, repairing its watcher entries
-    /// and handling the degenerate results (unit → enqueue at level 0).
-    /// Caller must be at decision level 0 with propagation complete.
-    fn strengthen_clause(&mut self, cref: ClauseRef, lit: Lit) {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.unwatch_clause(cref);
-        let pos = (0..self.arena.len(cref))
-            .find(|&i| self.arena.lit(cref, i) == lit)
-            // invariant: the caller found `lit` via this clause's own
-            // occurrence entry, so the literal is present.
-            .expect("literal to strengthen away is in the clause");
-        let before = self.traced_lits(cref);
-        self.arena.remove_lit(cref, pos);
-        // The strengthened clause is the resolvent of this clause with its
-        // self-subsuming partner — RUP while both are still in the checker's
-        // formula, which is why the add precedes the delete.
-        let after = self.traced_lits(cref);
-        self.tracer.emit_add(&after);
-        self.tracer.emit_delete(&before);
-        self.reattach_rewritten(cref);
-    }
-
-    /// Re-establishes the watch/trail state of a clause whose literals were
-    /// just rewritten (watches currently detached). Deletes the clause when
-    /// it is satisfied at level 0 or became unit.
-    fn reattach_rewritten(&mut self, cref: ClauseRef) {
-        let len = self.arena.len(cref);
-        let mut nonfalse: Vec<usize> = Vec::new();
-        let mut satisfied = false;
-        for i in 0..len {
-            match self.lit_value(self.arena.lit(cref, i)) {
-                VALUE_TRUE => {
-                    satisfied = true;
-                    break;
-                }
-                VALUE_UNASSIGNED => nonfalse.push(i),
-                _ => {}
-            }
-        }
-        if satisfied {
-            let lits = self.traced_lits(cref);
-            self.arena.delete(cref);
-            self.tracer.emit_delete(&lits);
-            self.finish_deletions_detached(cref);
-            return;
-        }
-        match nonfalse.len() {
-            0 => {
-                self.ok = false;
-                // Every literal is falsified by level-0 facts the checker
-                // has already propagated, so it sits at a contradiction and
-                // admits the empty clause immediately.
-                self.tracer.emit_add(&[]);
-            }
-            1 => {
-                let unit = self.arena.lit(cref, nonfalse[0]);
-                let lits = self.traced_lits(cref);
-                self.arena.delete(cref);
-                // The unit is RUP against the clause itself (its other
-                // literals are falsified level-0 facts), so add it before
-                // retiring the clause.
-                self.tracer.emit_add(&[unit]);
-                self.tracer.emit_delete(&lits);
-                self.finish_deletions_detached(cref);
-                self.unchecked_enqueue(unit, None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                    self.tracer.emit_add(&[]);
-                }
-            }
-            _ => {
-                self.arena.swap_lits(cref, 0, nonfalse[0]);
-                // The swap may have moved the literal previously at
-                // nonfalse[1]; find a second unfalsified watch afresh.
-                let second = (1..self.arena.len(cref))
-                    .find(|&i| self.lit_value(self.arena.lit(cref, i)) != VALUE_FALSE)
-                    // invariant: this branch is only taken when the caller
-                    // counted at least two unfalsified literals.
-                    .expect("two unfalsified literals exist");
-                self.arena.swap_lits(cref, 1, second);
-                self.watch_clause(cref);
-            }
-        }
-    }
-
-    /// Removes an already-unwatched deleted clause from the clause lists.
-    fn finish_deletions_detached(&mut self, cref: ClauseRef) {
-        self.clause_refs.retain(|&r| r != cref);
-        self.learnt_refs.retain(|&r| r != cref);
-    }
-
-    /// Selects and orders the vivification candidates: eligible learnt
-    /// clauses, worst glue first, clause activity breaking ties — at equal
-    /// glue the more active clause goes first, since activity marks the
-    /// clauses the current search actually leans on, where a strengthening
-    /// pays off on every future propagation.
-    fn vivification_candidates(&self) -> Vec<ClauseRef> {
-        let mut candidates: Vec<ClauseRef> = self
-            .learnt_refs
-            .iter()
-            .copied()
-            .filter(|&c| VIVIFY_LEN_RANGE.contains(&self.arena.len(c)) && !self.is_locked(c))
-            .collect();
-        let arena = &self.arena;
-        candidates.sort_by(|&a, &b| {
-            arena
-                .lbd(b)
-                .cmp(&arena.lbd(a))
-                .then_with(|| arena.activity(b).total_cmp(&arena.activity(a)))
-        });
-        candidates.truncate(VIVIFY_MAX_CLAUSES);
-        candidates
-    }
-
-    /// Vivifies the worst-glue learnt clauses: assume the negation of each
-    /// literal in turn; a conflict or satisfied/falsified literal proves a
-    /// shorter clause, which replaces the original.
-    fn vivification_pass(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        for cref in self.vivification_candidates() {
-            if self.cancelled() || !self.ok {
-                return;
-            }
-            if self.arena.is_deleted(cref) || !VIVIFY_LEN_RANGE.contains(&self.arena.len(cref)) {
-                continue;
-            }
-            self.stats.vivify_candidates += 1;
-            let lits: Vec<Lit> = (0..self.arena.len(cref))
-                .map(|i| self.arena.lit(cref, i))
-                .collect();
-            // Detach the clause first: it must not participate in its own
-            // vivification propagation (circular justification).
-            self.unwatch_clause(cref);
-            let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-            self.new_decision_level();
-            for &l in &lits {
-                match self.lit_value(l) {
-                    VALUE_TRUE => {
-                        // ¬kept implies l: (kept ∨ l) is a consequence.
-                        kept.push(l);
-                        break;
-                    }
-                    VALUE_FALSE => {
-                        // ¬kept already implies ¬l: l is redundant.
-                        continue;
-                    }
-                    _ => {
-                        kept.push(l);
-                        self.unchecked_enqueue(!l, None);
-                        if self.propagate().is_some() {
-                            // ¬kept is contradictory: kept is a consequence.
-                            break;
-                        }
-                    }
-                }
-            }
-            self.cancel_until(0);
-            if kept.len() < lits.len() {
-                // Replace the clause with its strengthened form. The kept
-                // prefix is RUP while the original clause is still in the
-                // checker's formula (assuming its negation replays the
-                // vivification propagations and either re-derives a kept
-                // literal, conflicts, or falsifies the original clause), so
-                // the add precedes the delete.
-                self.arena.delete(cref);
-                self.tracer.emit_add(&kept);
-                self.tracer.emit_delete(&lits);
-                self.finish_deletions_detached(cref);
-                self.stats.inprocess_strengthened += 1;
-                self.stats.vivify_strengthened += 1;
-                match kept.len() {
-                    0 => {
-                        self.ok = false;
-                        return;
-                    }
-                    1 => match self.lit_value(kept[0]) {
-                        VALUE_TRUE => {}
-                        VALUE_FALSE => {
-                            self.ok = false;
-                            self.tracer.emit_add(&[]);
-                            return;
-                        }
-                        _ => {
-                            self.unchecked_enqueue(kept[0], None);
-                            if self.propagate().is_some() {
-                                self.ok = false;
-                                self.tracer.emit_add(&[]);
-                                return;
-                            }
-                        }
-                    },
-                    _ => {
-                        let old_lbd = self.arena.lbd(cref);
-                        let new = self.arena.alloc(&kept, true);
-                        self.arena.set_lbd(new, old_lbd.min(kept.len() as u32));
-                        self.clause_refs.push(new);
-                        self.learnt_refs.push(new);
-                        self.watch_clause(new);
-                    }
-                }
-            } else {
-                self.watch_clause(cref);
-            }
-        }
     }
 
     /// Copies the decision phases from the deepest trail observed since the
@@ -1468,9 +1061,8 @@ impl Solver {
     /// assumption prefix plus one varying literal — a MaxSAT descent
     /// tightening a totalizer bound, a verify session swapping one
     /// activation — therefore pay per call for the *changed* suffix only.
-    /// Adding a clause (or running [`Solver::simplify`] /
-    /// [`Solver::inprocess`]) abandons the kept trail;
-    /// [`Solver::reduce_learnt_db`] preserves it.
+    /// Adding a clause (or running [`Solver::simplify`]) abandons the kept
+    /// trail; [`Solver::reduce_learnt_db`] preserves it.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.have_model = false;
         self.conflict_core.clear();
@@ -2142,67 +1734,10 @@ mod tests {
     }
 
     #[test]
-    fn inprocess_subsumes_and_strengthens() {
-        let mut s = Solver::new();
-        // (1 2) subsumes (1 2 3); (1 2) self-subsumes (-1 2 4) → (2 4).
-        s.add_clause([lit(1), lit(2)]);
-        s.add_clause([lit(1), lit(2), lit(3)]);
-        s.add_clause([lit(-1), lit(2), lit(4)]);
-        s.add_clause([lit(3), lit(4), lit(5)]); // untouched filler
-        let before = s.num_clauses();
-        s.inprocess();
-        let stats = s.stats();
-        assert!(stats.inprocess_subsumed >= 1, "no clause was subsumed");
-        assert!(
-            stats.inprocess_strengthened >= 1,
-            "no clause was strengthened"
-        );
-        assert!(s.num_clauses() < before);
-        // Semantics preserved: same verdicts as a fresh solver on probes.
-        for probe in [vec![lit(-2)], vec![lit(-2), lit(-4)], vec![lit(-1)]] {
-            let mut fresh = Solver::new();
-            fresh.add_clause([lit(1), lit(2)]);
-            fresh.add_clause([lit(1), lit(2), lit(3)]);
-            fresh.add_clause([lit(-1), lit(2), lit(4)]);
-            fresh.add_clause([lit(3), lit(4), lit(5)]);
-            assert_eq!(
-                s.solve_with_assumptions(&probe),
-                fresh.solve_with_assumptions(&probe),
-                "probe {probe:?} diverged after inprocessing"
-            );
-        }
-    }
-
-    /// The first `inprocess` call always runs; an immediate second call is
-    /// skipped by the new-clause throttle; attaching enough fresh clauses
-    /// re-arms it.
-    #[test]
-    fn inprocess_throttles_until_enough_new_clauses() {
-        let mut s = Solver::new();
-        s.add_clause([lit(1), lit(2)]);
-        s.add_clause([lit(1), lit(2), lit(3)]);
-        s.inprocess();
-        assert_eq!(s.stats().inprocess_passes, 1, "first call must run");
-        s.inprocess();
-        assert_eq!(s.stats().inprocess_passes, 1, "second call not throttled");
-        // Fresh satisfiable binary clauses over disjoint variables re-arm it.
-        for i in 0..INPROCESS_MIN_NEW_CLAUSES as i64 {
-            s.add_clause([lit(10 + 2 * i), lit(11 + 2 * i)]);
-        }
-        s.inprocess();
-        assert_eq!(s.stats().inprocess_passes, 2, "throttle failed to re-arm");
-    }
-
-    #[test]
-    fn inprocess_promotes_learnt_subsumers() {
-        // A learnt clause that subsumes a problem clause must survive as a
-        // problem clause (the subsumed clause's strength must not die with
-        // the learnt database). Forced here by hand-crafting the state via
-        // the public API: solve to learn, then inprocess.
+    fn maintain_keeps_the_clause_lists_consistent() {
         let mut s = permutation_instance(6, SolverConfig::default());
         assert_eq!(s.solve(), SolveResult::Sat);
         s.maintain();
-        // Whatever happened, the database stays consistent and correct.
         assert_eq!(s.solve(), SolveResult::Sat);
         for &cref in &s.learnt_refs {
             assert!(s.arena.is_learnt(cref));
@@ -2210,56 +1745,6 @@ mod tests {
         for &cref in &s.clause_refs {
             assert!(!s.arena.is_deleted(cref));
         }
-    }
-
-    #[test]
-    fn vivification_prefers_active_clauses_at_equal_glue() {
-        let mut s = Solver::new();
-        s.ensure_vars(12);
-        // Three learnt clauses: two at glue 4 with different activities, one
-        // at glue 6. Order must be: worst glue first, then the more active
-        // of the glue-4 pair.
-        let cold = s.arena.alloc(&[lit(1), lit(2), lit(3)], true);
-        s.arena.set_lbd(cold, 4);
-        s.arena.set_activity(cold, 1.0);
-        let hot = s.arena.alloc(&[lit(4), lit(5), lit(6)], true);
-        s.arena.set_lbd(hot, 4);
-        s.arena.set_activity(hot, 8.0);
-        let worst = s.arena.alloc(&[lit(7), lit(8), lit(9)], true);
-        s.arena.set_lbd(worst, 6);
-        s.arena.set_activity(worst, 0.5);
-        for cref in [cold, hot, worst] {
-            s.clause_refs.push(cref);
-            s.learnt_refs.push(cref);
-            s.watch_clause(cref);
-        }
-        assert_eq!(s.vivification_candidates(), vec![worst, hot, cold]);
-    }
-
-    #[test]
-    fn vivification_counts_candidates_and_strengthened_clauses() {
-        let mut s = Solver::new();
-        // Level-0 chain: (1) and (¬1 ∨ 2) propagate 2, falsifying the ¬2
-        // of the planted learnt clause — vivification must drop it. The
-        // chain is chosen so the subsumption pass cannot strengthen the
-        // clause first (no subset-modulo-one-flip relation holds).
-        s.add_clause([lit(1)]);
-        s.add_clause([lit(-1), lit(2)]);
-        s.ensure_vars(8);
-        let learnt = s.arena.alloc(&[lit(-2), lit(5), lit(6)], true);
-        s.arena.set_lbd(learnt, 3);
-        s.clause_refs.push(learnt);
-        s.learnt_refs.push(learnt);
-        s.watch_clause(learnt);
-        s.inprocess();
-        let stats = s.stats();
-        assert_eq!(
-            stats.vivify_candidates, 1,
-            "the planted clause is the only candidate"
-        );
-        assert_eq!(stats.vivify_strengthened, 1, "¬2 is falsified at level 0");
-        assert!(stats.vivify_strengthened <= stats.vivify_candidates);
-        assert_eq!(s.solve(), SolveResult::Sat);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! - **compaction** — a collect leaves no wasted words and bumps the
 //!   collection counter.
 //!
-//! A second, solver-level suite churns full solves through reduction,
-//! simplification, and inprocessing (each of which may trigger GC) on random
-//! formulas: surviving watcher invariants show up as stable verdicts and
+//! A second, solver-level suite churns full solves through reduction and
+//! simplification (each of which may trigger GC) on random formulas: surviving watcher invariants show up as stable verdicts and
 //! genuine models, broken ones as wrong verdicts or panics.
 
 use manthan3_cnf::{Cnf, Lit, Var};
@@ -177,8 +176,8 @@ proptest! {
         run_script(&script)?;
     }
 
-    /// Solver-level churn: maintenance passes (reduction, simplification,
-    /// inprocessing — all of which may GC the arena and repair watchers)
+    /// Solver-level churn: maintenance passes (reduction and simplification,
+    /// both of which may GC the arena and repair watchers)
     /// between solves must leave verdicts stable against a fresh solver and
     /// every SAT model genuine.
     #[test]

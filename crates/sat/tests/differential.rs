@@ -138,7 +138,7 @@ fn assert_certified(solver: &Solver, cnf: &Cnf, assumptions: &[Lit]) {
 }
 
 /// Runs the session's calls under `config`, with maintenance (reduction,
-/// simplification, inprocessing) between them, and checks every verdict
+/// simplification) between them, and checks every verdict
 /// against the brute-force `expected` one, every SAT model against the
 /// formula and the assumptions, and — when `config` logs proofs — every
 /// UNSAT certificate.

@@ -101,7 +101,7 @@ fn incremental_session_certificates_survive_maintenance() {
     let mut s = logging_solver(SolverConfig::default());
     pigeonhole(&mut s, 3);
     // Guarded side constraint retired mid-session, with maintenance passes
-    // (reduction, simplification, inprocessing) between the solve calls —
+    // (reduction, simplification) between the solve calls —
     // the persistent proof log must absorb all of their clause traffic.
     let a = s.new_activation_lit();
     let extra = lit((3 * 4 + 1) as i64);
