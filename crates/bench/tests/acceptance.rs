@@ -1,9 +1,11 @@
 //! Acceptance tests on the generated suite `suite(7, 1)`: the certifying
-//! solver layer and the parallel portfolio, each checked end to end.
+//! solver layer, the parallel portfolio and the learner's training-set size,
+//! each checked end to end.
 
 use manthan3_bench::{run_engine, EngineKind, RunRecord};
 use manthan3_core::{Manthan3, Manthan3Config, SynthesisOutcome};
-use manthan3_dqbf::verify;
+use manthan3_dqbf::{verify, Dqbf, HenkinVector};
+use manthan3_gen::controller::{controller, ControllerParams};
 use manthan3_gen::suite::suite;
 use manthan3_portfolio::{Portfolio, PortfolioConfig};
 use std::collections::BTreeSet;
@@ -134,5 +136,78 @@ fn race_solves_at_least_the_vbs_in_less_than_the_sequential_sum() {
         race_wall < sequential_wall,
         "parallel race ({race_wall:?}) is not below the sum of sequential runs \
          ({sequential_wall:?})"
+    );
+}
+
+/// The sample count the learner was tuned away from: trees grown to purity
+/// over 400 samples.
+const LARGE_TRAINING_SET: usize = 400;
+
+fn synthesize_checked(dqbf: &Dqbf, config: Manthan3Config) -> Option<HenkinVector> {
+    match Manthan3::new(config).synthesize(dqbf).outcome {
+        SynthesisOutcome::Realizable(vector) if verify::check(dqbf, &vector).is_valid() => {
+            Some(vector)
+        }
+        _ => None,
+    }
+}
+
+/// The right-sized learner: the default training set yields candidates at
+/// most a quarter the size of the ones 400 samples give, and verify/repair
+/// closes the gap, so the default still synthesizes as many instances as the
+/// large training set does.
+#[test]
+fn right_sized_learner_gives_small_candidates_and_loses_no_instance() {
+    // Pure trees grow with their data: on the 10-client controller the
+    // vector learned from 400 samples has about 6,600 AND gates.
+    let dqbf = controller(
+        &ControllerParams {
+            num_clients: 10,
+            observation_window: 10,
+        },
+        0,
+    )
+    .dqbf;
+    let large = synthesize_checked(
+        &dqbf,
+        Manthan3Config {
+            num_samples: LARGE_TRAINING_SET,
+            ..Manthan3Config::default()
+        },
+    )
+    .expect("400 samples synthesize the controller");
+    let default = synthesize_checked(&dqbf, Manthan3Config::default())
+        .expect("the default synthesizes the controller");
+    assert!(
+        4 * default.total_size() <= large.total_size(),
+        "default vector has {} AND gates, more than a quarter of the {} that \
+         {LARGE_TRAINING_SET} samples give",
+        default.total_size(),
+        large.total_size()
+    );
+
+    // Quality: on the suite's true instances under a 500 ms budget the
+    // default synthesizes at least as many as the large training set.
+    let budget = Some(Duration::from_millis(500));
+    let (mut default_solved, mut large_solved) = (0usize, 0usize);
+    for instance in suite(7, 1) {
+        if instance.expected == Some(false) {
+            continue;
+        }
+        let default = Manthan3Config {
+            time_budget: budget,
+            ..Manthan3Config::default()
+        };
+        let large = Manthan3Config {
+            num_samples: LARGE_TRAINING_SET,
+            ..default.clone()
+        };
+        default_solved += usize::from(synthesize_checked(&instance.dqbf, default).is_some());
+        large_solved += usize::from(synthesize_checked(&instance.dqbf, large).is_some());
+    }
+    assert!(
+        default_solved >= large_solved,
+        "the default synthesized {default_solved} true instances, \
+         {LARGE_TRAINING_SET} samples {large_solved}"
     );
 }

@@ -1,4 +1,3 @@
-use manthan3_dtree::DecisionTreeConfig;
 use std::time::Duration;
 
 /// Configuration of the Manthan3 synthesis engine.
@@ -6,6 +5,15 @@ use std::time::Duration;
 /// The defaults correspond to the settings described in the paper scaled to
 /// the laptop-sized instances produced by `manthan3-gen`; the ablation
 /// benchmarks flip the `use_*` switches.
+///
+/// The default training set is small (16 samples). Candidates are decision
+/// trees grown to purity, so they grow with the data, and every verify call
+/// pays for the candidate's size; verify/repair fixes what a small sample
+/// missed for less than it costs to verify large candidates. In the sweep
+/// recorded in `BENCH_learner.json` (10, 16, 25, 32 and 50 samples against
+/// 400, `m3perf` seeds 1–3), 16 samples gave the lowest `wall_s` on both
+/// workloads: `cegis_repair` 2.99 → 0.95 s and `certified` 1.33 → 0.68 s
+/// (medians), with 0 failed instances.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manthan3Config {
     /// Number of satisfying assignments sampled as training data.
@@ -14,8 +22,6 @@ pub struct Manthan3Config {
     pub max_repair_iterations: usize,
     /// Upper bound on individual candidate repairs within one iteration.
     pub max_repairs_per_iteration: usize,
-    /// Decision-tree hyper-parameters used for candidate learning.
-    pub tree: DecisionTreeConfig,
     /// Random seed (sampling and tie-breaking).
     pub seed: u64,
     /// Run Padoa-based unique-definition extraction before learning
@@ -46,27 +52,15 @@ pub struct Manthan3Config {
 impl Default for Manthan3Config {
     fn default() -> Self {
         Manthan3Config {
-            num_samples: 400,
+            num_samples: 16,
             max_repair_iterations: 400,
             max_repairs_per_iteration: 64,
-            tree: DecisionTreeConfig::default(),
             seed: 0xDA7E_2023,
             use_unique_definitions: true,
             use_y_features: true,
             constrain_y_hat: true,
             certify: false,
             time_budget: None,
-        }
-    }
-}
-
-impl Manthan3Config {
-    /// A lightweight configuration for unit tests (few samples, small trees).
-    pub fn fast() -> Self {
-        Manthan3Config {
-            num_samples: 100,
-            max_repair_iterations: 100,
-            ..Manthan3Config::default()
         }
     }
 }
@@ -83,11 +77,6 @@ mod tests {
         assert!(c.use_y_features);
         assert!(c.constrain_y_hat);
         assert!(c.time_budget.is_none());
-    }
-
-    #[test]
-    fn fast_config_is_smaller() {
-        assert!(Manthan3Config::fast().num_samples <= Manthan3Config::default().num_samples);
     }
 
     #[test]

@@ -236,7 +236,7 @@ fn stage_learn(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
             ctx.config,
         )
         .unwrap_or_else(|err| panic!("sampler→learn boundary violated: {err}"));
-        debug_assert!(learned.tree_splits <= ctx.config.tree.max_depth * ctx.samples.len() + 1);
+        debug_assert!(learned.tree_splits < ctx.samples.len());
         ctx.vector.set(y, learned.function);
         for supplier in learned.used_existentials {
             ctx.dependency_state.record_dependency(y, supplier);
@@ -352,7 +352,7 @@ mod tests {
     use manthan3_dqbf::verify::check;
 
     fn synthesize(dqbf: &Dqbf) -> SynthesisResult {
-        Manthan3::new(Manthan3Config::fast()).synthesize(dqbf)
+        Manthan3::new(Manthan3Config::default()).synthesize(dqbf)
     }
 
     #[test]
@@ -444,7 +444,7 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let config = Manthan3Config {
             time_budget: Some(std::time::Duration::ZERO),
-            ..Manthan3Config::fast()
+            ..Manthan3Config::default()
         };
         let result = Manthan3::new(config).synthesize(&dqbf);
         // Either it was solved before the first deadline check (preprocessing
@@ -500,7 +500,8 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        let cancelled = Manthan3::new(Manthan3Config::fast()).synthesize_with_budget(&dqbf, budget);
+        let cancelled =
+            Manthan3::new(Manthan3Config::default()).synthesize_with_budget(&dqbf, budget);
         assert!(matches!(
             cancelled.outcome,
             SynthesisOutcome::Unknown(UnknownReason::Cancelled)
@@ -516,7 +517,7 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let config = Manthan3Config {
             certify: true,
-            ..Manthan3Config::fast()
+            ..Manthan3Config::default()
         };
         let result = Manthan3::new(config).synthesize(&dqbf);
         match &result.outcome {
@@ -533,7 +534,7 @@ mod tests {
         assert!(result.stats.certification_failure.is_none());
 
         // The default leaves certification (and its counters) off.
-        let plain = Manthan3::new(Manthan3Config::fast()).synthesize(&dqbf);
+        let plain = Manthan3::new(Manthan3Config::default()).synthesize(&dqbf);
         assert_eq!(plain.stats.oracle.certificates_checked, 0);
         assert_eq!(plain.stats.oracle.proof_bytes, 0);
     }
@@ -550,7 +551,7 @@ mod tests {
         dqbf.add_clause([y.negative()]);
         let config = Manthan3Config {
             certify: true,
-            ..Manthan3Config::fast()
+            ..Manthan3Config::default()
         };
         let result = Manthan3::new(config).synthesize(&dqbf);
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));

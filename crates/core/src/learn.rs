@@ -114,7 +114,7 @@ pub fn learn_candidate(
         let label = require(y)?;
         dataset.push(row, label);
     }
-    let tree = DecisionTree::learn(&dataset, &config.tree);
+    let tree = DecisionTree::learn(&dataset);
 
     // Disjunction over all paths to label 1 (Algorithm 2, lines 7–10).
     let mut cubes = Vec::new();

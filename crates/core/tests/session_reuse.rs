@@ -9,7 +9,12 @@ use manthan3_gen::suite::suite;
 
 #[test]
 fn suite_runs_reuse_one_incremental_session() {
-    let engine = Manthan3::new(Manthan3Config::fast());
+    // The suite's restricted PEC instances end at the iteration cap; 100
+    // keeps this debug-build test short without changing what it checks.
+    let engine = Manthan3::new(Manthan3Config {
+        max_repair_iterations: 100,
+        ..Manthan3Config::default()
+    });
     let mut repair_heavy_runs = 0usize;
     for instance in suite(5, 1) {
         let result = engine.synthesize(&instance.dqbf);
@@ -80,7 +85,7 @@ fn many_repair_iterations_share_one_error_solver() {
     let config = Manthan3Config {
         num_samples: 4,
         use_unique_definitions: false,
-        ..Manthan3Config::fast()
+        ..Manthan3Config::default()
     };
     let engine = Manthan3::new(config);
     let mut exercised = false;
@@ -140,7 +145,7 @@ fn twenty_plus_repair_iterations_build_one_maxsat_encoding() {
         use_unique_definitions: false,
         max_repairs_per_iteration: 1,
         max_repair_iterations: 800,
-        ..Manthan3Config::fast()
+        ..Manthan3Config::default()
     };
     let engine = Manthan3::new(config);
     let mut deepest_run = 0usize;

@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use manthan3_dtree::{Dataset, DecisionTree, DecisionTreeConfig};
+//! use manthan3_dtree::{Dataset, DecisionTree};
 //!
 //! // Label is the XOR of the two features.
 //! let rows = vec![
@@ -22,7 +22,7 @@
 //!     (vec![true, true], false),
 //! ];
 //! let dataset = Dataset::from_rows(rows);
-//! let tree = DecisionTree::learn(&dataset, &DecisionTreeConfig::default());
+//! let tree = DecisionTree::learn(&dataset);
 //! assert!(tree.predict(&[true, false]));
 //! assert!(!tree.predict(&[true, true]));
 //! assert_eq!(tree.training_accuracy(&dataset), 1.0);
@@ -34,4 +34,4 @@ mod dataset;
 mod tree;
 
 pub use dataset::Dataset;
-pub use tree::{DecisionTree, DecisionTreeConfig, PathLiteral};
+pub use tree::{DecisionTree, PathLiteral};

@@ -10,26 +10,9 @@ pub struct PathLiteral {
     pub value: bool,
 }
 
-/// Hyper-parameters for [`DecisionTree::learn`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionTreeConfig {
-    /// Maximum tree depth (number of decision nodes on a path).
-    pub max_depth: usize,
-    /// Minimum number of rows required to split a node further.
-    pub min_samples_split: usize,
-    /// Minimum number of rows in a leaf.
-    pub min_samples_leaf: usize,
-}
-
-impl Default for DecisionTreeConfig {
-    fn default() -> Self {
-        DecisionTreeConfig {
-            max_depth: 16,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-        }
-    }
-}
+/// Maximum tree depth (number of decision nodes on a path). Below it the
+/// tree is grown until every leaf is pure or no feature separates its rows.
+const MAX_DEPTH: usize = 16;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
@@ -58,10 +41,15 @@ impl DecisionTree {
     /// Learns a tree from `dataset` using the ID3 procedure with the Gini
     /// impurity measure (the configuration used by the Manthan3 paper).
     ///
+    /// The tree is grown to purity: a node is split until its rows agree on
+    /// the label, no feature separates them, or its path is 16 decisions
+    /// deep. Every split leaves rows on both sides, so a tree learned from
+    /// `n` rows has at most `n - 1` splits.
+    ///
     /// An empty dataset produces a single all-`false` leaf.
-    pub fn learn(dataset: &Dataset, config: &DecisionTreeConfig) -> Self {
+    pub fn learn(dataset: &Dataset) -> Self {
         let rows: Vec<usize> = (0..dataset.num_rows()).collect();
-        let root = Self::build(dataset, &rows, config, 0);
+        let root = Self::build(dataset, &rows, 0);
         DecisionTree {
             root,
             num_features: dataset.num_features(),
@@ -73,13 +61,9 @@ impl DecisionTree {
         2 * pos >= rows.len().max(1) && !rows.is_empty() && pos * 2 >= rows.len()
     }
 
-    fn build(dataset: &Dataset, rows: &[usize], config: &DecisionTreeConfig, depth: usize) -> Node {
+    fn build(dataset: &Dataset, rows: &[usize], depth: usize) -> Node {
         let label = Self::majority_label(dataset, rows);
-        if rows.is_empty()
-            || depth >= config.max_depth
-            || rows.len() < config.min_samples_split
-            || dataset.gini(rows) == 0.0
-        {
+        if rows.is_empty() || depth >= MAX_DEPTH || dataset.gini(rows) == 0.0 {
             return Node::Leaf { label };
         }
         // Pick the feature with the best Gini gain.
@@ -88,7 +72,7 @@ impl DecisionTree {
         for feature in 0..dataset.num_features() {
             let (low, high): (Vec<usize>, Vec<usize>) =
                 rows.iter().partition(|&&i| !dataset.features(i)[feature]);
-            if low.len() < config.min_samples_leaf || high.len() < config.min_samples_leaf {
+            if low.is_empty() || high.is_empty() {
                 continue;
             }
             let n = rows.len() as f64;
@@ -105,8 +89,8 @@ impl DecisionTree {
         match best {
             None => Node::Leaf { label },
             Some((feature, _gain, low, high)) => {
-                let low_node = Self::build(dataset, &low, config, depth + 1);
-                let high_node = Self::build(dataset, &high, config, depth + 1);
+                let low_node = Self::build(dataset, &low, depth + 1);
+                let high_node = Self::build(dataset, &high, depth + 1);
                 Node::Split {
                     feature,
                     low: Box::new(low_node),
@@ -248,7 +232,7 @@ mod tests {
     #[test]
     fn learns_xor_exactly() {
         let d = xor_dataset();
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         assert_eq!(t.training_accuracy(&d), 1.0);
         assert_eq!(t.depth(), 2);
         assert_eq!(t.used_features(), vec![0, 1]);
@@ -257,7 +241,7 @@ mod tests {
     #[test]
     fn learns_constant_function() {
         let d = Dataset::from_rows(vec![(vec![false], true), (vec![true], true)]);
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         assert_eq!(t.num_splits(), 0);
         assert!(t.predict(&[false]));
         assert!(t.predict(&[true]));
@@ -269,37 +253,32 @@ mod tests {
     #[test]
     fn empty_dataset_defaults_to_false() {
         let d = Dataset::new(3);
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         assert!(!t.predict(&[true, true, true]));
         assert!(t.paths_to(true).is_empty());
     }
 
     #[test]
     fn depth_limit_is_respected() {
-        let d = xor_dataset();
-        let cfg = DecisionTreeConfig {
-            max_depth: 1,
-            ..DecisionTreeConfig::default()
-        };
-        let t = DecisionTree::learn(&d, &cfg);
-        assert!(t.depth() <= 1);
-    }
-
-    #[test]
-    fn min_samples_leaf_blocks_tiny_splits() {
-        let d = xor_dataset();
-        let cfg = DecisionTreeConfig {
-            min_samples_leaf: 3,
-            ..DecisionTreeConfig::default()
-        };
-        let t = DecisionTree::learn(&d, &cfg);
-        assert_eq!(t.num_splits(), 0);
+        // The conjunction of 17 features: every feature separates the one
+        // positive row from one negative row, so a pure tree needs depth 17.
+        let n = MAX_DEPTH + 1;
+        let mut rows = vec![(vec![true; n], true)];
+        for i in 0..n {
+            let mut features = vec![true; n];
+            features[i] = false;
+            rows.push((features, false));
+        }
+        let d = Dataset::from_rows(rows);
+        let t = DecisionTree::learn(&d);
+        assert_eq!(t.depth(), MAX_DEPTH);
+        assert!(t.training_accuracy(&d) < 1.0);
     }
 
     #[test]
     fn paths_reconstruct_the_function() {
         let d = xor_dataset();
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         let paths = t.paths_to(true);
         // Evaluate the DNF given by the paths and compare with predict().
         let eval_dnf = |features: &[bool]| {
@@ -325,7 +304,7 @@ mod tests {
             })
             .collect();
         let d = Dataset::from_rows(rows);
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         assert_eq!(t.used_features(), vec![1]);
         assert_eq!(t.training_accuracy(&d), 1.0);
     }
@@ -339,7 +318,7 @@ mod tests {
             (vec![], true),
             (vec![], false),
         ]);
-        let t = DecisionTree::learn(&d, &DecisionTreeConfig::default());
+        let t = DecisionTree::learn(&d);
         assert!(t.predict(&[]));
         assert_eq!(t.training_accuracy(&d), 0.75);
     }

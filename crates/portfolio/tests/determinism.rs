@@ -23,7 +23,7 @@ fn manthan3_config() -> Manthan3Config {
     Manthan3Config {
         num_samples: 60,
         max_repair_iterations: 40,
-        ..Manthan3Config::fast()
+        ..Manthan3Config::default()
     }
 }
 

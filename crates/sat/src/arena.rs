@@ -38,14 +38,6 @@ const RELOCATED_BIT: u32 = 1 << 31;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClauseRef(u32);
 
-impl ClauseRef {
-    /// The raw arena offset (stable only until the next collection).
-    #[inline]
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
 /// The contiguous clause store. See the [module documentation](self) for the
 /// memory layout.
 #[derive(Debug, Clone, Default)]
@@ -113,12 +105,6 @@ impl ClauseArena {
     pub fn lit_codes(&self, cref: ClauseRef) -> &[u32] {
         let start = cref.0 as usize + HEADER_WORDS as usize;
         &self.data[start..start + self.len(cref)]
-    }
-
-    /// Overwrites the `i`-th literal of the clause.
-    #[inline]
-    pub fn set_lit(&mut self, cref: ClauseRef, i: usize, lit: Lit) {
-        self.data[cref.0 as usize + HEADER_WORDS as usize + i] = lit.code() as u32;
     }
 
     /// Swaps two literal positions of the clause.

@@ -7,7 +7,7 @@
 
 use manthan3::cnf::{Assignment, Var};
 use manthan3::dqbf::{verify, Dqbf, HenkinVector};
-use manthan3::dtree::{Dataset, DecisionTree, DecisionTreeConfig};
+use manthan3::dtree::{Dataset, DecisionTree};
 
 fn main() {
     let dqbf = Dqbf::paper_example();
@@ -50,7 +50,7 @@ fn main() {
                 )
             })
             .collect();
-        DecisionTree::learn(&Dataset::from_rows(rows), &DecisionTreeConfig::default())
+        DecisionTree::learn(&Dataset::from_rows(rows))
     };
     let t1 = learn(&[x(0)], y(0));
     let t2 = learn(&[x(0), x(1), y(0)], y(1));

@@ -11,8 +11,8 @@ use manthan3::gen::skolem::{skolem, SkolemParams};
 use manthan3::gen::succinct::{succinct, SuccinctParams};
 use manthan3::gen::suite::suite;
 
-fn manthan3_fast() -> Manthan3 {
-    Manthan3::new(Manthan3Config::fast())
+fn default_engine() -> Manthan3 {
+    Manthan3::new(Manthan3Config::default())
 }
 
 /// Asserts that an engine outcome is sound with respect to the expected
@@ -41,7 +41,7 @@ fn assert_sound(name: &str, dqbf: &Dqbf, outcome: &SynthesisOutcome, expected: O
 #[test]
 fn manthan3_solves_the_paper_example_and_the_result_verifies() {
     let dqbf = Dqbf::paper_example();
-    let result = manthan3_fast().synthesize(&dqbf);
+    let result = default_engine().synthesize(&dqbf);
     match result.outcome {
         SynthesisOutcome::Realizable(vector) => {
             assert!(verify::check(&dqbf, &vector).is_valid());
@@ -57,7 +57,7 @@ fn xor_limitation_example_is_never_misreported() {
     // discussion) but must not claim it false; the expansion baseline solves
     // it outright.
     let dqbf = Dqbf::xor_limitation_example();
-    let manthan = manthan3_fast().synthesize(&dqbf);
+    let manthan = default_engine().synthesize(&dqbf);
     assert!(
         !matches!(manthan.outcome, SynthesisOutcome::Unrealizable),
         "true instance declared false"
@@ -83,7 +83,7 @@ fn all_engines_agree_with_ground_truth_on_planted_instances() {
             assert_sound(
                 "manthan3",
                 dqbf,
-                &manthan3_fast().synthesize(dqbf).outcome,
+                &default_engine().synthesize(dqbf).outcome,
                 instance.expected,
             );
             assert_sound(
@@ -112,7 +112,7 @@ fn pec_instances_are_synthesized_and_verified() {
     };
     for seed in 0..3 {
         let instance = pec(&params, seed);
-        let result = manthan3_fast().synthesize(&instance.dqbf);
+        let result = default_engine().synthesize(&instance.dqbf);
         assert_sound(
             "manthan3/pec",
             &instance.dqbf,
@@ -153,7 +153,7 @@ fn controller_instances_match_their_known_status() {
             &expansion.outcome,
             instance.expected,
         );
-        let manthan = manthan3_fast().synthesize(&instance.dqbf);
+        let manthan = default_engine().synthesize(&instance.dqbf);
         assert_sound(
             "manthan3/controller",
             &instance.dqbf,
@@ -186,7 +186,7 @@ fn succinct_and_skolem_families_are_solved() {
         4,
     );
     for instance in [&succinct_instance, &skolem_instance] {
-        let result = manthan3_fast().synthesize(&instance.dqbf);
+        let result = default_engine().synthesize(&instance.dqbf);
         assert_sound(
             "manthan3",
             &instance.dqbf,
@@ -216,7 +216,7 @@ fn dqdimacs_round_trip_preserves_synthesis_results() {
     );
     let text = write_dqdimacs(&instance.dqbf);
     let reparsed = parse_dqdimacs(&text).expect("writer output parses");
-    let result = manthan3_fast().synthesize(&reparsed);
+    let result = default_engine().synthesize(&reparsed);
     assert_sound(
         "manthan3/reparsed",
         &reparsed,
@@ -241,7 +241,7 @@ fn engines_never_contradict_the_brute_force_oracle_on_the_small_suite() {
         for (name, outcome) in [
             (
                 "manthan3",
-                manthan3_fast().synthesize(&instance.dqbf).outcome,
+                default_engine().synthesize(&instance.dqbf).outcome,
             ),
             (
                 "expansion",
@@ -266,7 +266,7 @@ fn engines_never_contradict_the_brute_force_oracle_on_the_small_suite() {
 #[test]
 fn synthesis_statistics_are_populated() {
     let dqbf = Dqbf::paper_example();
-    let result = manthan3_fast().synthesize(&dqbf);
+    let result = default_engine().synthesize(&dqbf);
     assert!(result.stats.samples > 0);
     assert!(result.stats.total_time > std::time::Duration::ZERO);
     assert!(result.stats.verification_checks >= 1);

@@ -7,7 +7,7 @@ use manthan3::cnf::{dimacs, Assignment, Clause, Cnf, Lit, Var};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3::dqbf::verify::CheckOutcome;
 use manthan3::dqbf::{parse_dqdimacs, semantics, verify, write_dqdimacs, Dqbf, HenkinVector};
-use manthan3::dtree::{Dataset, DecisionTree, DecisionTreeConfig};
+use manthan3::dtree::{Dataset, DecisionTree};
 use manthan3::maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3::sat::{SolveResult, Solver};
 use proptest::prelude::*;
@@ -181,7 +181,7 @@ proptest! {
                 .map(|f| (f.clone(), f[0] ^ (f[1] && f[3])))
                 .collect(),
         );
-        let tree = DecisionTree::learn(&dataset, &DecisionTreeConfig::default());
+        let tree = DecisionTree::learn(&dataset);
         prop_assert_eq!(tree.training_accuracy(&dataset), 1.0);
         // Every path literal refers to an existing feature.
         for path in tree.paths_to(true) {
