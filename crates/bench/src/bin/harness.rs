@@ -148,31 +148,16 @@ fn main() {
 
     // A rejected certificate is a soundness alarm: dump the offending CNF
     // and DRAT proof next to the CSVs so the rejection reproduces offline
-    // (`manthan3-drat <stem>.cnf <stem>.drat`), and say so loudly.
+    // (`manthan3-drat check <stem>.cnf <stem>.drat`), and say so loudly.
     for record in &records {
         let Some(failure) = &record.certification_failure else {
             continue;
         };
         let stem = format!("certify_failure_{}_{}", record.instance, record.engine);
-        let max_var = failure
-            .cnf
-            .iter()
-            .flatten()
-            .map(|l| l.unsigned_abs())
-            .max()
-            .unwrap_or(0);
-        let mut dimacs = format!("p cnf {max_var} {}\n", failure.cnf.len());
-        for clause in &failure.cnf {
-            for l in clause {
-                dimacs.push_str(&l.to_string());
-                dimacs.push(' ');
-            }
-            dimacs.push_str("0\n");
-        }
         std::fs::create_dir_all(&args.out).expect("create output dir");
-        std::fs::write(args.out.join(format!("{stem}.cnf")), dimacs)
+        std::fs::write(args.out.join(format!("{stem}.cnf")), &failure.cnf)
             .expect("write rejected-certificate CNF");
-        std::fs::write(args.out.join(format!("{stem}.drat")), &failure.proof)
+        std::fs::write(args.out.join(format!("{stem}.drat")), &failure.drat)
             .expect("write rejected-certificate proof");
         eprintln!(
             "warning: {} on {} produced a REJECTED certificate ({}); \

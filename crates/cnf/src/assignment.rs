@@ -80,12 +80,6 @@ impl Assignment {
         &self.values
     }
 
-    /// Restricts the assignment to the given variables, returning the values
-    /// in the same order as `vars`.
-    pub fn restrict(&self, vars: &[Var]) -> Vec<bool> {
-        vars.iter().map(|&v| self.value(v)).collect()
-    }
-
     /// Iterates over `(Var, bool)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Var, bool)> + '_ {
         self.values
@@ -113,94 +107,6 @@ impl std::ops::Index<Var> for Assignment {
 
     fn index(&self, var: Var) -> &bool {
         &self.values[var.index()]
-    }
-}
-
-/// A partial assignment: each variable is true, false, or unassigned.
-///
-/// # Examples
-///
-/// ```
-/// use manthan3_cnf::{PartialAssignment, Var};
-/// let mut p = PartialAssignment::new(2);
-/// assert_eq!(p.get(Var::new(0)), None);
-/// p.assign(Var::new(0), true);
-/// assert_eq!(p.get(Var::new(0)), Some(true));
-/// ```
-#[derive(Clone, PartialEq, Eq, Default)]
-pub struct PartialAssignment {
-    values: Vec<Option<bool>>,
-}
-
-impl PartialAssignment {
-    /// Creates an all-unassigned partial assignment over `num_vars` variables.
-    pub fn new(num_vars: usize) -> Self {
-        PartialAssignment {
-            values: vec![None; num_vars],
-        }
-    }
-
-    /// Number of variables covered.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` if no variables are covered.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Returns the value of `var` if assigned.
-    pub fn get(&self, var: Var) -> Option<bool> {
-        self.values.get(var.index()).copied().flatten()
-    }
-
-    /// Returns the truth value of a literal, if its variable is assigned.
-    pub fn lit_value(&self, lit: Lit) -> Option<bool> {
-        self.get(lit.var()).map(|v| v == lit.is_positive())
-    }
-
-    /// Assigns a value to `var`, growing the structure if necessary.
-    pub fn assign(&mut self, var: Var, value: bool) {
-        if var.index() >= self.values.len() {
-            self.values.resize(var.index() + 1, None);
-        }
-        self.values[var.index()] = Some(value);
-    }
-
-    /// Removes the assignment of `var`.
-    pub fn unassign(&mut self, var: Var) {
-        if var.index() < self.values.len() {
-            self.values[var.index()] = None;
-        }
-    }
-
-    /// Number of assigned variables.
-    pub fn assigned_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// Completes the partial assignment into a total [`Assignment`],
-    /// defaulting unassigned variables to `default`.
-    pub fn complete(&self, default: bool) -> Assignment {
-        Assignment::from_values(self.values.iter().map(|v| v.unwrap_or(default)).collect())
-    }
-}
-
-impl fmt::Debug for PartialAssignment {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PartialAssignment[")?;
-        let mut first = true;
-        for (i, v) in self.values.iter().enumerate() {
-            if let Some(b) = v {
-                if !first {
-                    write!(f, " ")?;
-                }
-                first = false;
-                write!(f, "{}", if *b { i as i64 + 1 } else { -(i as i64 + 1) })?;
-            }
-        }
-        write!(f, "]")
     }
 }
 
@@ -233,24 +139,6 @@ mod tests {
         assert!(a.lit_value(Lit::positive(Var::new(0))));
         assert!(!a.lit_value(Lit::negative(Var::new(0))));
         assert!(a.lit_value(Lit::negative(Var::new(1))));
-    }
-
-    #[test]
-    fn restriction_preserves_order() {
-        let a = Assignment::from_values(vec![true, false, true, true]);
-        let r = a.restrict(&[Var::new(3), Var::new(1)]);
-        assert_eq!(r, vec![true, false]);
-    }
-
-    #[test]
-    fn partial_assignment_complete() {
-        let mut p = PartialAssignment::new(3);
-        p.assign(Var::new(1), true);
-        let total = p.complete(false);
-        assert_eq!(total.as_slice(), &[false, true, false]);
-        assert_eq!(p.assigned_count(), 1);
-        p.unassign(Var::new(1));
-        assert_eq!(p.assigned_count(), 0);
     }
 
     #[test]

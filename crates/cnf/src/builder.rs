@@ -184,22 +184,6 @@ impl CnfBuilder {
     pub fn extend_from(&mut self, other: &Cnf) {
         self.cnf.extend_from(other);
     }
-
-    /// Adds clauses asserting that at most one of `lits` is true
-    /// (pairwise encoding).
-    pub fn at_most_one(&mut self, lits: &[Lit]) {
-        for i in 0..lits.len() {
-            for j in i + 1..lits.len() {
-                self.add_clause([!lits[i], !lits[j]]);
-            }
-        }
-    }
-
-    /// Adds clauses asserting that exactly one of `lits` is true.
-    pub fn exactly_one(&mut self, lits: &[Lit]) {
-        self.add_clause(lits.to_vec());
-        self.at_most_one(lits);
-    }
 }
 
 #[cfg(test)]
@@ -304,19 +288,6 @@ mod tests {
         let ins: Vec<Lit> = (0..3).map(|i| Var::new(i).positive()).collect();
         let g = b.and_many(&ins);
         check_gate(&b, 3, g, |i| i.iter().all(|&x| x));
-    }
-
-    #[test]
-    fn exactly_one_constraint() {
-        let mut b = CnfBuilder::new(3);
-        let lits: Vec<Lit> = (0..3).map(|i| Var::new(i).positive()).collect();
-        b.exactly_one(&lits);
-        let cnf = b.into_cnf();
-        for bits in 0..8u32 {
-            let a = Assignment::from_values((0..3).map(|i| bits >> i & 1 == 1).collect());
-            let count = (0..3).filter(|i| bits >> i & 1 == 1).count();
-            assert_eq!(cnf.eval(&a), count == 1);
-        }
     }
 
     #[test]

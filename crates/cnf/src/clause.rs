@@ -1,4 +1,4 @@
-use crate::{Assignment, Lit, PartialAssignment, Var};
+use crate::{Assignment, Lit, Var};
 use std::fmt;
 
 /// A disjunction of literals.
@@ -59,47 +59,9 @@ impl Clause {
         self.lits.iter()
     }
 
-    /// Returns `true` if the clause contains both a literal and its negation.
-    pub fn is_tautology(&self) -> bool {
-        let mut sorted: Vec<Lit> = self.lits.clone();
-        sorted.sort();
-        sorted
-            .windows(2)
-            .any(|w| w[0] == !w[1] || w[0].var() == w[1].var() && w[0] != w[1])
-    }
-
-    /// Returns a copy of the clause with duplicate literals removed and
-    /// literals sorted. Tautologies are preserved (use
-    /// [`is_tautology`](Clause::is_tautology) first if they must be dropped).
-    pub fn normalized(&self) -> Clause {
-        let mut lits = self.lits.clone();
-        lits.sort();
-        lits.dedup();
-        Clause { lits }
-    }
-
     /// Evaluates the clause under a total assignment.
     pub fn eval(&self, assignment: &Assignment) -> bool {
         self.lits.iter().any(|&l| assignment.lit_value(l))
-    }
-
-    /// Evaluates the clause under a partial assignment: `Some(true)` if some
-    /// literal is satisfied, `Some(false)` if every literal is falsified,
-    /// `None` otherwise.
-    pub fn eval_partial(&self, assignment: &PartialAssignment) -> Option<bool> {
-        let mut all_false = true;
-        for &l in &self.lits {
-            match assignment.lit_value(l) {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => all_false = false,
-            }
-        }
-        if all_false {
-            Some(false)
-        } else {
-            None
-        }
     }
 
     /// Returns the largest variable mentioned by this clause, if any.
@@ -169,24 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn tautology_detection() {
-        assert!(Clause::new(vec![lit(1), lit(-1)]).is_tautology());
-        assert!(Clause::new(vec![lit(2), lit(1), lit(-2)]).is_tautology());
-        assert!(!Clause::new(vec![lit(1), lit(2)]).is_tautology());
-        assert!(!Clause::empty().is_tautology());
-    }
-
-    #[test]
-    fn normalization_dedups_and_sorts() {
-        let c = Clause::new(vec![lit(3), lit(1), lit(3), lit(-2)]);
-        let n = c.normalized();
-        assert_eq!(n.len(), 3);
-        assert!(n.contains(lit(1)));
-        assert!(n.contains(lit(3)));
-        assert!(n.contains(lit(-2)));
-    }
-
-    #[test]
     fn clause_evaluation() {
         let c = Clause::new(vec![lit(1), lit(-2)]);
         let mut a = Assignment::new_false(2);
@@ -195,19 +139,6 @@ mod tests {
         assert!(!c.eval(&a));
         a.set(Var::new(0), true);
         assert!(c.eval(&a));
-    }
-
-    #[test]
-    fn partial_evaluation_three_valued() {
-        let c = Clause::new(vec![lit(1), lit(2)]);
-        let mut p = PartialAssignment::new(2);
-        assert_eq!(c.eval_partial(&p), None);
-        p.assign(Var::new(0), false);
-        assert_eq!(c.eval_partial(&p), None);
-        p.assign(Var::new(1), false);
-        assert_eq!(c.eval_partial(&p), Some(false));
-        p.assign(Var::new(1), true);
-        assert_eq!(c.eval_partial(&p), Some(true));
     }
 
     #[test]

@@ -97,41 +97,6 @@ impl Cnf {
     pub fn eval(&self, assignment: &Assignment) -> bool {
         self.clauses.iter().all(|c| c.eval(assignment))
     }
-
-    /// Returns all variables that occur in at least one clause.
-    pub fn occurring_vars(&self) -> Vec<Var> {
-        let mut seen = vec![false; self.num_vars];
-        for c in &self.clauses {
-            for l in c {
-                let i = l.var().index();
-                if i < seen.len() {
-                    seen[i] = true;
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|&(_, &s)| s)
-            .map(|(i, _)| Var::new(i as u32))
-            .collect()
-    }
-
-    /// Total number of literal occurrences across all clauses.
-    pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(|c| c.len()).sum()
-    }
-
-    /// Returns a copy with tautological clauses removed and each clause
-    /// normalized (sorted, deduplicated).
-    pub fn simplified(&self) -> Cnf {
-        let mut out = Cnf::new(self.num_vars);
-        for c in &self.clauses {
-            if !c.is_tautology() {
-                out.clauses.push(c.normalized());
-            }
-        }
-        out
-    }
 }
 
 impl FromIterator<Clause> for Cnf {
@@ -211,24 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn occurring_vars_skips_unused() {
-        let mut cnf = Cnf::new(4);
-        cnf.add_clause([lit(1), lit(3)]);
-        let occ = cnf.occurring_vars();
-        assert_eq!(occ, vec![Var::new(0), Var::new(2)]);
-    }
-
-    #[test]
-    fn simplification_drops_tautologies() {
-        let mut cnf = Cnf::new(2);
-        cnf.add_clause([lit(1), lit(-1)]);
-        cnf.add_clause([lit(2), lit(2)]);
-        let s = cnf.simplified();
-        assert_eq!(s.num_clauses(), 1);
-        assert_eq!(s.clauses()[0].len(), 1);
-    }
-
-    #[test]
     fn extend_from_shares_variables() {
         let mut a = Cnf::new(2);
         a.add_clause([lit(1)]);
@@ -246,6 +193,5 @@ mod tests {
             .collect();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.num_literals(), 3);
     }
 }

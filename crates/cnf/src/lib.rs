@@ -5,7 +5,7 @@
 //!
 //! * [`Var`] and [`Lit`] — compact, copyable variable/literal handles,
 //! * [`Clause`] and [`Cnf`] — clause and formula containers with evaluation,
-//! * [`Assignment`] / [`PartialAssignment`] — total and partial valuations,
+//! * [`Assignment`] — total valuations,
 //! * [`dimacs`] — DIMACS parsing and printing,
 //! * [`CnfBuilder`] — a Tseitin-style gate encoder used to build verification
 //!   and repair queries.
@@ -32,7 +32,7 @@ pub mod dimacs;
 mod formula;
 mod lit;
 
-pub use assignment::{Assignment, PartialAssignment};
+pub use assignment::Assignment;
 pub use builder::CnfBuilder;
 pub use clause::Clause;
 pub use dimacs::ParseDimacsError;

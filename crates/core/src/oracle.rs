@@ -18,7 +18,7 @@
 //! budget; [`Oracle::give_up_reason`] reads it.
 
 use manthan3_cnf::{Assignment, Cnf, Lit};
-use manthan3_drat::{check, parse_text_proof, CheckOutcome};
+use manthan3_drat::{check, write_dimacs, write_text_proof, CheckOutcome, ProofStep};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sampler::{Sampler, SamplerConfig};
 use manthan3_sat::{CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats};
@@ -293,7 +293,9 @@ oracle_stats! {
     /// Checked certificates the checker rejected — always 0 on a sound run;
     /// the first offender is kept in [`Oracle::certification_failure`].
     certificates_rejected: u64, counter;
-    /// Total DRAT proof bytes across all checked certificates.
+    /// Total proof size across all checked certificates, counted on the
+    /// integer log the checker reads: 4 bytes per DIMACS literal and per
+    /// step terminator, each certificate's empty-clause tail included.
     proof_bytes: u64, counter;
     /// Total clause-addition steps across all checked certificates.
     proof_adds: u64, counter;
@@ -305,20 +307,22 @@ oracle_stats! {
     budget_exhaustions: usize, counter;
 }
 
-/// The evidence kept when an in-process certificate check fails: everything
-/// needed to reproduce the rejection offline (dump the CNF and proof, rerun
-/// `manthan3-drat`). Only the first rejection of an oracle is retained —
-/// one reproducible offender is what a bug report needs, and a broken
-/// tracer would otherwise accumulate every subsequent verdict's log.
+/// The evidence kept when an in-process certificate check fails: the
+/// certificate rendered as the file pair that reproduces the rejection
+/// offline (`manthan3-drat check <stem>.cnf <stem>.drat`). Only the first
+/// rejection of an oracle is retained — one reproducible offender is what a
+/// bug report needs, and a broken tracer would otherwise accumulate every
+/// subsequent verdict's log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificationFailure {
     /// Why the checker (or the certificate plumbing before it) rejected.
     pub reason: String,
-    /// The certificate CNF in DIMACS literals (empty when the solver
-    /// produced no certificate at all).
-    pub cnf: Vec<Vec<i32>>,
-    /// The rejected DRAT proof bytes.
-    pub proof: Vec<u8>,
+    /// The certificate CNF as a DIMACS file (empty when the solver produced
+    /// no certificate at all).
+    pub cnf: String,
+    /// The rejected proof as a text DRAT file (empty without a
+    /// certificate).
+    pub drat: String,
 }
 
 /// Constructs solvers and funnels every solve call through the shared
@@ -356,8 +360,11 @@ impl Oracle {
     /// `manthan3-drat` checker. Rejections are counted in
     /// [`OracleStats::certificates_rejected`] and the first offender is kept
     /// in [`Oracle::certification_failure`]; checking never changes a
-    /// verdict. Samplers are exempt: they claim models, never
-    /// unsatisfiability, so there is nothing to certify.
+    /// verdict, except that a check the budget's token cancels gives up
+    /// like any other oracle call: the verdict becomes `Unknown`, and the
+    /// certificate counts as neither checked nor rejected. Samplers are
+    /// exempt: they claim models, never unsatisfiability, so there is
+    /// nothing to certify.
     pub fn with_certification(mut self, enabled: bool) -> Self {
         self.certify = enabled;
         self
@@ -463,8 +470,12 @@ impl Oracle {
         if result == SolveResult::Unknown {
             self.stats.budget_exhaustions += 1;
         }
-        if self.certify && result == SolveResult::Unsat {
-            self.check_unsat_certificate(solver.certificate());
+        if self.certify
+            && result == SolveResult::Unsat
+            && !self.check_unsat_certificate(solver.certificate())
+        {
+            self.stats.budget_exhaustions += 1;
+            return SolveResult::Unknown;
         }
         result
     }
@@ -473,47 +484,54 @@ impl Oracle {
     /// billing the proof volume and check time to the statistics. A missing
     /// certificate is itself a rejection — under certification every
     /// oracle-routed UNSAT claim must come with evidence. The first
-    /// rejection's CNF and proof are retained for offline reproduction.
-    fn check_unsat_certificate(&mut self, certificate: Option<Certificate>) {
+    /// rejection is rendered as DIMACS and text DRAT for offline
+    /// reproduction.
+    ///
+    /// The checker polls the budget's cancellation token. Returns `false`
+    /// when the check was cancelled: the certificate then counts as neither
+    /// checked nor rejected, and the caller reports `Unknown`.
+    fn check_unsat_certificate(&mut self, certificate: Option<Certificate<'_>>) -> bool {
         let started = Instant::now();
-        self.stats.certificates_checked += 1;
-        let verdict = match &certificate {
-            None => Err("UNSAT verdict carried no certificate \
+        let cancel = self.budget.cancel_token();
+        let outcome = certificate.map(|cert| {
+            let steps = cert.steps().map(ProofStep::from);
+            check(cert.cnf(), steps, || cancel.is_cancelled())
+        });
+        self.stats.certify_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let rejection = match outcome {
+            Some(CheckOutcome::Cancelled) => return false,
+            Some(CheckOutcome::Verified(_)) => None,
+            Some(CheckOutcome::Rejected { step, reason }) => {
+                Some(format!("checker rejected step {step}: {reason}"))
+            }
+            None => Some(
+                "UNSAT verdict carried no certificate \
                  (was the solver constructed outside this oracle, \
                  without proof logging?)"
-                .to_string()),
-            Some(cert) => {
-                self.stats.proof_bytes += cert.proof.len() as u64;
-                self.stats.proof_adds += cert.adds;
-                self.stats.proof_deletes += cert.deletes;
-                std::str::from_utf8(&cert.proof)
-                    .map_err(|e| format!("certificate proof is not ASCII DRAT: {e}"))
-                    .and_then(|text| {
-                        parse_text_proof(text)
-                            .map_err(|e| format!("certificate proof failed to parse: {e}"))
-                    })
-                    .and_then(|proof| match check(&cert.dimacs_cnf(), &proof) {
-                        CheckOutcome::Verified(_) => Ok(()),
-                        CheckOutcome::Rejected { step, reason } => {
-                            Err(format!("checker rejected step {step}: {reason}"))
-                        }
-                        CheckOutcome::Cancelled => {
-                            Err("checker cancelled mid-verification".to_string())
-                        }
-                    })
-            }
+                    .to_string(),
+            ),
         };
-        self.stats.certify_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Err(reason) = verdict {
+        self.stats.certificates_checked += 1;
+        if let Some(cert) = certificate {
+            let (adds, deletes) = cert.step_counts();
+            self.stats.proof_bytes += cert.proof_bytes();
+            self.stats.proof_adds += adds;
+            self.stats.proof_deletes += deletes;
+        }
+        if let Some(reason) = rejection {
             self.stats.certificates_rejected += 1;
             if self.certification_failure.is_none() {
-                let (cnf, proof) = certificate
-                    .map(|c| (c.dimacs_cnf(), c.proof))
+                let (cnf, drat) = certificate
+                    .map(|c| {
+                        let drat = write_text_proof(c.steps().map(ProofStep::from));
+                        (write_dimacs(c.cnf()), drat)
+                    })
                     .unwrap_or_default();
                 self.certification_failure =
-                    Some(Box::new(CertificationFailure { reason, cnf, proof }));
+                    Some(Box::new(CertificationFailure { reason, cnf, drat }));
             }
         }
+        true
     }
 
     /// Constructs a MaxSAT solver whose internal SAT solver carries the
@@ -552,22 +570,24 @@ impl Oracle {
             self.stats.budget_exhaustions += 1;
         }
         if self.certify {
-            match result {
+            let certificate = match result {
                 // A hard-UNSAT verdict is an unsatisfiability claim and
                 // must come with evidence: the probe loop's closing
                 // refutation.
-                MaxSatResult::HardUnsat => self.check_unsat_certificate(solver.certificate()),
+                MaxSatResult::HardUnsat => Some(solver.certificate()),
                 // An optimum proved by refuting the bound below it leaves
                 // that refutation's certificate behind; optimums reached on
                 // a final SAT probe leave none. Check opportunistically —
                 // the optimality *lower bound* is what gets certified.
-                MaxSatResult::Optimum { .. } => {
-                    if let Some(cert) = solver.certificate() {
-                        self.check_unsat_certificate(Some(cert));
-                    }
-                }
+                MaxSatResult::Optimum { .. } => solver.certificate().map(Some),
                 // A give-up claims nothing.
-                MaxSatResult::Unknown => {}
+                MaxSatResult::Unknown => None,
+            };
+            if let Some(certificate) = certificate {
+                if !self.check_unsat_certificate(certificate) {
+                    self.stats.budget_exhaustions += 1;
+                    return MaxSatResult::Unknown;
+                }
             }
         }
         result
@@ -750,7 +770,37 @@ mod tests {
         assert_eq!(stats.certificates_rejected, 1);
         let failure = oracle.certification_failure().expect("first offender kept");
         assert!(failure.reason.contains("no certificate"));
-        assert!(failure.cnf.is_empty() && failure.proof.is_empty());
+        assert!(failure.cnf.is_empty() && failure.drat.is_empty());
+    }
+
+    /// The checker polls the budget's token: a check cancelled before its
+    /// verdict gives up like any other oracle call. On the SAT path and on
+    /// a MaxSAT hard-UNSAT verdict alike, the check reports that the caller
+    /// must answer `Unknown`, and the certificate counts as neither checked
+    /// nor rejected.
+    #[test]
+    fn cancelled_certificate_checks_give_up() {
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut solver = oracle.new_solver();
+        solver.add_clause([lit(1)]);
+        solver.add_clause([lit(-1)]);
+        let mut maxsat = oracle.new_maxsat();
+        maxsat.add_hard([lit(1), lit(2)]);
+        maxsat.add_hard([lit(-1)]);
+        maxsat.add_hard([lit(-2)]);
+        maxsat.add_soft([lit(3)], 1);
+        // Solved outside the oracle, so no check has run yet.
+        assert_eq!(solver.solve(), SolveResult::Unsat);
+        assert_eq!(maxsat.solve(), MaxSatResult::HardUnsat);
+        oracle.budget().cancel_token().cancel();
+        assert!(!oracle.check_unsat_certificate(solver.certificate()));
+        assert!(!oracle.check_unsat_certificate(maxsat.certificate()));
+        let stats = oracle.stats();
+        assert_eq!(stats.certificates_checked, 0);
+        assert_eq!(stats.certificates_rejected, 0);
+        assert_eq!(stats.proof_bytes, 0);
+        assert!(oracle.certification_failure().is_none());
+        assert_eq!(oracle.give_up_reason(), UnknownReason::Cancelled);
     }
 
     /// The MaxSAT path certifies its probe loop's closing refutation: a

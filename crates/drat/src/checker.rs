@@ -20,10 +20,10 @@
 //! would invalidate the persistent trail, and solvers routinely delete
 //! root-satisfied clauses whose units live on.
 
-use crate::{CancelFlag, Lit, Proof, ProofStep};
+use crate::{Lit, ProofStep};
 use std::collections::HashMap;
 
-/// How often the checker polls its [`CancelFlag`], in proof steps.
+/// How often the checker polls its cancellation callback, in proof steps.
 const CANCEL_POLL_INTERVAL: usize = 512;
 
 /// Truth value of a variable under the current assignment.
@@ -53,13 +53,13 @@ pub enum CheckOutcome {
     Verified(CheckStats),
     /// The proof does not certify unsatisfiability.
     Rejected {
-        /// Index of the offending step (`proof.steps.len()` when the proof
+        /// Index of the offending step (the number of steps when the proof
         /// simply ends without deriving the empty clause).
         step: usize,
         /// Human-readable reason.
         reason: String,
     },
-    /// The check was cancelled through its [`CancelFlag`].
+    /// The cancellation callback returned `true` before a verdict.
     Cancelled,
 }
 
@@ -70,28 +70,37 @@ impl CheckOutcome {
     }
 }
 
-/// Checks `proof` against `cnf` (see the [crate docs](crate)). Never
-/// cancelled; equivalent to [`check_with_cancel`] with a fresh flag.
-pub fn check(cnf: &[Vec<Lit>], proof: &Proof) -> CheckOutcome {
-    check_with_cancel(cnf, proof, &CancelFlag::new())
-}
-
-/// Checks `proof` against `cnf`, polling `cancel` between proof chunks
-/// (every `CANCEL_POLL_INTERVAL` steps).
-pub fn check_with_cancel(cnf: &[Vec<Lit>], proof: &Proof, cancel: &CancelFlag) -> CheckOutcome {
+/// Checks the proof `steps` against the clauses of `cnf` (see the
+/// [crate docs](crate)).
+///
+/// `is_cancelled` is polled before the formula is loaded and then every
+/// `CANCEL_POLL_INTERVAL` steps; once it returns `true` the check stops
+/// with [`CheckOutcome::Cancelled`]. Pass `|| false` for a check that runs
+/// to its verdict.
+pub fn check<C, P, L>(cnf: C, steps: P, mut is_cancelled: impl FnMut() -> bool) -> CheckOutcome
+where
+    C: IntoIterator,
+    C::Item: AsRef<[Lit]>,
+    P: IntoIterator<Item = ProofStep<L>>,
+    L: AsRef<[Lit]>,
+{
+    if is_cancelled() {
+        return CheckOutcome::Cancelled;
+    }
     let mut checker = Checker::default();
     for clause in cnf {
-        checker.add_clause(clause);
+        checker.add_clause(clause.as_ref());
     }
     checker.propagate_persistent();
 
-    for (index, step) in proof.steps.iter().enumerate() {
-        if index % CANCEL_POLL_INTERVAL == 0 && cancel.is_cancelled() {
+    for (index, step) in steps.into_iter().enumerate() {
+        if index % CANCEL_POLL_INTERVAL == 0 && is_cancelled() {
             return CheckOutcome::Cancelled;
         }
         checker.stats.steps_checked = index + 1;
         match step {
             ProofStep::Add(lits) => {
+                let lits = lits.as_ref();
                 checker.stats.adds += 1;
                 if !checker.contradiction && !checker.lemma_holds(lits) {
                     return CheckOutcome::Rejected {
@@ -107,12 +116,12 @@ pub fn check_with_cancel(cnf: &[Vec<Lit>], proof: &Proof, cancel: &CancelFlag) -
             }
             ProofStep::Delete(lits) => {
                 checker.stats.deletes += 1;
-                checker.delete_clause(lits);
+                checker.delete_clause(lits.as_ref());
             }
         }
     }
     CheckOutcome::Rejected {
-        step: proof.steps.len(),
+        step: checker.stats.steps_checked,
         reason: "proof ends without deriving the empty clause".to_string(),
     }
 }
@@ -385,6 +394,7 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Proof;
 
     fn add(lits: &[Lit]) -> ProofStep {
         ProofStep::Add(lits.to_vec())
@@ -407,7 +417,7 @@ mod tests {
     #[test]
     fn accepts_a_simple_rup_chain() {
         let (cnf, proof) = complete2();
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         let CheckOutcome::Verified(stats) = outcome else {
             panic!("expected verified, got {outcome:?}");
         };
@@ -422,7 +432,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[])],
         };
-        assert!(check(&cnf, &proof).is_verified());
+        assert!(check(&cnf, &proof, || false).is_verified());
     }
 
     #[test]
@@ -431,7 +441,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[-1]), add(&[])],
         };
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         let CheckOutcome::Rejected { step, .. } = outcome else {
             panic!("expected rejected, got {outcome:?}");
         };
@@ -442,14 +452,14 @@ mod tests {
     fn rejects_a_truncated_proof() {
         let (cnf, mut proof) = complete2();
         proof.steps.pop();
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         assert!(matches!(outcome, CheckOutcome::Rejected { step: 1, .. }));
     }
 
     #[test]
     fn rejects_an_empty_proof_for_a_satisfiable_formula() {
         let cnf = vec![vec![1, 2]];
-        let outcome = check(&cnf, &Proof::default());
+        let outcome = check(&cnf, &Proof::default(), || false);
         assert!(!outcome.is_verified());
     }
 
@@ -461,7 +471,7 @@ mod tests {
         let proof = Proof {
             steps: vec![del(&[1, 2]), add(&[1]), add(&[])],
         };
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         assert!(matches!(outcome, CheckOutcome::Rejected { step: 1, .. }));
     }
 
@@ -479,7 +489,7 @@ mod tests {
         let proof = Proof {
             steps: vec![del(&[1]), add(&[3]), add(&[])],
         };
-        assert!(check(&cnf, &proof).is_verified());
+        assert!(check(&cnf, &proof, || false).is_verified());
     }
 
     #[test]
@@ -497,7 +507,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[1, 2]), del(&[1, 2, 3]), add(&[1]), add(&[])],
         };
-        assert!(check(&cnf, &proof).is_verified());
+        assert!(check(&cnf, &proof, || false).is_verified());
     }
 
     #[test]
@@ -509,7 +519,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[2, -2]), add(&[-2, 2])],
         };
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         assert!(
             matches!(outcome, CheckOutcome::Rejected { step: 2, .. }),
             "{outcome:?}"
@@ -525,7 +535,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[3])],
         };
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         assert!(
             matches!(outcome, CheckOutcome::Rejected { step: 1, .. }),
             "{outcome:?}"
@@ -540,7 +550,7 @@ mod tests {
         let proof = Proof {
             steps: vec![add(&[3]), add(&[])],
         };
-        let outcome = check(&cnf, &proof);
+        let outcome = check(&cnf, &proof, || false);
         assert!(
             matches!(outcome, CheckOutcome::Rejected { step: 0, .. }),
             "{outcome:?}"
@@ -549,13 +559,29 @@ mod tests {
 
     #[test]
     fn cancellation_is_observed() {
+        // A raised poll wins over every verdict: a verifying proof, a
+        // rejected one, and an empty one never reach their verdict.
         let (cnf, proof) = complete2();
-        let flag = CancelFlag::new();
-        flag.cancel();
-        assert_eq!(
-            check_with_cancel(&cnf, &proof, &flag),
-            CheckOutcome::Cancelled
-        );
+        let bad = Proof {
+            steps: vec![add(&[5]), add(&[])],
+        };
+        for p in [&proof, &bad, &Proof::default()] {
+            assert_eq!(check(&cnf, p, || true), CheckOutcome::Cancelled);
+        }
+        // Between chunks: deletions of absent clauses are no-ops, so this
+        // proof verifies unless the poll at step CANCEL_POLL_INTERVAL
+        // (the third poll, after the load and step 0) stops it.
+        let mut long = Proof {
+            steps: vec![del(&[7, 8]); CANCEL_POLL_INTERVAL + 1],
+        };
+        long.steps.extend(proof.steps);
+        let mut polls = 0;
+        let outcome = check(&cnf, &long, || {
+            polls += 1;
+            polls == 3
+        });
+        assert_eq!((outcome, polls), (CheckOutcome::Cancelled, 3));
+        assert!(check(&cnf, &long, || false).is_verified());
     }
 
     #[test]
@@ -565,7 +591,7 @@ mod tests {
         // a fresh variable: the empty clause is no longer derivable.
         let mut bad = proof.clone();
         bad.steps[0] = add(&[5]);
-        let outcome = check(&cnf, &bad);
+        let outcome = check(&cnf, &bad, || false);
         assert!(
             matches!(outcome, CheckOutcome::Rejected { .. }),
             "{outcome:?}"
@@ -584,9 +610,9 @@ mod tests {
             // then follows from the assumption unit (1).
             steps: vec![add(&[-1]), add(&[])],
         };
-        assert!(check(&cnf, &proof).is_verified());
+        assert!(check(&cnf, &proof, || false).is_verified());
         // Without the assumption unit, the same proof must NOT close.
         let bare = vec![vec![-1, 2], vec![-2, 3], vec![-1, -3]];
-        assert!(!check(&bare, &proof).is_verified());
+        assert!(!check(&bare, &proof, || false).is_verified());
     }
 }

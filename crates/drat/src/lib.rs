@@ -15,21 +15,24 @@
 //!
 //! # Contents
 //!
-//! * [`parse_dimacs`] — a minimal DIMACS CNF parser (header optional,
-//!   comments and blank lines skipped).
-//! * [`parse_proof`] / [`parse_text_proof`] / [`parse_binary_proof`] — the
-//!   DRAT proof parsers. Text is the classic `-1 2 0` / `d -1 2 0` line
-//!   format; binary is the drat-trim wire format (`a`/`d` prefix bytes with
-//!   variable-length literal encoding). [`parse_proof`] auto-detects.
-//! * [`check`] / [`check_with_cancel`] — the forward RUP/DRAT checker:
-//!   two-watched-literal unit propagation with a persistent top-level trail,
-//!   per-lemma RUP check with a RAT-on-first-literal fallback, deletion
-//!   handling (deletions of unit clauses are ignored, the drat-trim
-//!   convention that keeps the persistent trail sound), and acceptance at
-//!   the first verified empty clause.
-//! * [`CancelFlag`] — a minimal cooperative-cancellation handle the checker
-//!   polls between proof chunks, so a long verification inside a budgeted
-//!   synthesis run stays preemptible.
+//! * [`check`] — the forward RUP/DRAT checker and the crate's one entry
+//!   point: two-watched-literal unit propagation with a persistent
+//!   top-level trail, per-lemma RUP check with a RAT-on-first-literal
+//!   fallback, deletion handling (deletions of unit clauses are ignored,
+//!   the drat-trim convention that keeps the persistent trail sound), and
+//!   acceptance at the first verified empty clause. It takes the formula
+//!   and the proof steps as DIMACS integers straight from the caller, and
+//!   polls an `is_cancelled` callback between proof chunks so a long check
+//!   inside a budgeted synthesis run stays preemptible.
+//! * [`parse_dimacs`] / [`write_dimacs`] — DIMACS CNF files (header
+//!   optional on input, comments and blank lines skipped).
+//! * [`parse_proof`] / [`parse_text_proof`] / [`parse_binary_proof`] /
+//!   [`write_text_proof`] — DRAT proof files. Text is the classic `-1 2 0`
+//!   / `d -1 2 0` line format; binary is the drat-trim wire format
+//!   (`a`/`d` prefix bytes with variable-length literal encoding).
+//!   [`parse_proof`] auto-detects. Text exists only at file boundaries:
+//!   the `manthan3-drat check` binary and the dump of a rejected
+//!   certificate.
 //!
 //! # Checking a certificate
 //!
@@ -41,7 +44,7 @@
 //! let proof = Proof {
 //!     steps: vec![ProofStep::Add(vec![2]), ProofStep::Add(vec![])],
 //! };
-//! assert!(matches!(check(&cnf, &proof), CheckOutcome::Verified(_)));
+//! assert!(matches!(check(&cnf, &proof, || false), CheckOutcome::Verified(_)));
 //! ```
 //!
 //! From the command line:
@@ -49,30 +52,54 @@
 
 #![warn(missing_docs)]
 
-mod cancel;
 mod checker;
 mod parse;
+mod write;
 
-pub use cancel::CancelFlag;
-pub use checker::{check, check_with_cancel, CheckOutcome, CheckStats};
+pub use checker::{check, CheckOutcome, CheckStats};
 pub use parse::{
     parse_binary_proof, parse_dimacs, parse_proof, parse_text_proof, Dimacs, ParseError,
 };
+pub use write::{write_dimacs, write_text_proof};
 
 /// A DIMACS literal: nonzero, sign is polarity (`3` = variable 3 true,
 /// `-3` = variable 3 false).
 pub type Lit = i32;
 
-/// One step of a DRAT proof.
+/// One step of a DRAT proof. `L` holds the literals: owned in a parsed
+/// [`Proof`], borrowed (`&[Lit]`) when a caller hands its own log to
+/// [`check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProofStep {
+pub enum ProofStep<L = Vec<Lit>> {
     /// Add the clause to the formula, after checking it is RUP (or RAT on
     /// its first literal). The empty clause ends the proof.
-    Add(Vec<Lit>),
+    Add(L),
     /// Delete the clause from the formula. Deletions of unit or empty
     /// clauses are ignored (the drat-trim convention: retracting a unit
     /// would invalidate the persistent trail).
-    Delete(Vec<Lit>),
+    Delete(L),
+}
+
+impl<L: AsRef<[Lit]>> ProofStep<L> {
+    /// The same step with its literals borrowed.
+    pub fn as_slice(&self) -> ProofStep<&[Lit]> {
+        match self {
+            ProofStep::Add(lits) => ProofStep::Add(lits.as_ref()),
+            ProofStep::Delete(lits) => ProofStep::Delete(lits.as_ref()),
+        }
+    }
+}
+
+/// A `(deletion, literals)` pair: the form in which a proof log hands its
+/// steps over without depending on this crate.
+impl<L> From<(bool, L)> for ProofStep<L> {
+    fn from((delete, lits): (bool, L)) -> Self {
+        if delete {
+            ProofStep::Delete(lits)
+        } else {
+            ProofStep::Add(lits)
+        }
+    }
 }
 
 /// A parsed DRAT proof: the ordered add/delete steps.
@@ -94,5 +121,16 @@ impl Proof {
     /// Number of deletion steps.
     pub fn num_deletes(&self) -> usize {
         self.steps.len() - self.num_adds()
+    }
+}
+
+/// A parsed proof is checked (or written) step by borrowed step.
+impl<'a> IntoIterator for &'a Proof {
+    type Item = ProofStep<&'a [Lit]>;
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, ProofStep>, fn(&'a ProofStep) -> Self::Item>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.steps.iter().map(ProofStep::as_slice)
     }
 }

@@ -109,11 +109,7 @@ pub fn parse_text_proof(input: &str) -> Result<Proof, ParseError> {
                 Err(_) => return err(format!("bad literal {tok:?}"), lineno),
             };
             if lit == 0 {
-                let step = if delete {
-                    ProofStep::Delete(std::mem::take(&mut lits))
-                } else {
-                    ProofStep::Add(std::mem::take(&mut lits))
-                };
+                let step = ProofStep::from((delete, std::mem::take(&mut lits)));
                 proof.steps.push(step);
                 delete = false;
                 open = false;
@@ -166,11 +162,7 @@ pub fn parse_binary_proof(input: &[u8]) -> Result<Proof, ParseError> {
             };
             lits.push(lit);
         }
-        proof.steps.push(if delete {
-            ProofStep::Delete(lits)
-        } else {
-            ProofStep::Add(lits)
-        });
+        proof.steps.push(ProofStep::from((delete, lits)));
     }
     Ok(proof)
 }
@@ -198,8 +190,9 @@ fn decode_vbe(input: &[u8], mut pos: usize) -> Result<(u64, usize), ParseError> 
 
 /// Parses a DRAT proof, auto-detecting the format: an input whose bytes all
 /// belong to the text alphabet (digits, signs, `d`, `c` comments,
-/// whitespace) parses as text, anything else as binary. The solver layer
-/// always emits text; binary support exists for externally produced proofs.
+/// whitespace) parses as text, anything else as binary. The workspace
+/// writes only text ([`write_text_proof`](crate::write_text_proof));
+/// binary support exists for externally produced proofs.
 pub fn parse_proof(input: &[u8]) -> Result<Proof, ParseError> {
     let is_text = input
         .iter()
@@ -257,7 +250,7 @@ mod tests {
     }
 
     /// Encodes a lemma in the binary wire format (test-side only — the
-    /// library never writes proofs).
+    /// library writes text proofs only).
     fn encode_binary(delete: bool, lits: &[Lit]) -> Vec<u8> {
         let mut out = vec![if delete { 0x64 } else { 0x61 }];
         for &l in lits {

@@ -127,14 +127,8 @@ impl MaxSatSolver {
     /// in as unit clauses of the certificate CNF. A probe loop that
     /// ends on a SAT verdict withdraws the certificate, exactly like
     /// [`Solver::certificate`](manthan3_sat::Solver::certificate).
-    pub fn certificate(&self) -> Option<manthan3_sat::Certificate> {
+    pub fn certificate(&self) -> Option<manthan3_sat::Certificate<'_>> {
         self.solver.certificate()
-    }
-
-    /// Size in bytes of the internal solver's accumulated DRAT log (0 when
-    /// proof logging is disabled).
-    pub fn proof_len(&self) -> usize {
-        self.solver.proof_len()
     }
 
     /// Cumulative (additions, deletions) recorded in the internal solver's
@@ -702,7 +696,7 @@ mod tests {
     /// withdraw it.
     #[test]
     fn hard_unsat_probes_yield_checkable_certificates() {
-        use manthan3_drat::{check, parse_text_proof, CheckOutcome};
+        use manthan3_drat::{check, ProofStep};
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
         s.add_hard([lit(1), lit(2)]);
         s.add_hard([lit(-1)]);
@@ -710,19 +704,17 @@ mod tests {
         s.add_soft([lit(3)], 1);
         assert_eq!(s.solve(), MaxSatResult::HardUnsat);
         let cert = s.certificate().expect("hard-unsat probe certificate");
-        let text = std::str::from_utf8(&cert.proof).expect("text DRAT");
-        let proof = parse_text_proof(text).expect("well-formed proof");
+        let steps = cert.steps().map(ProofStep::from);
         assert!(
-            matches!(check(&cert.dimacs_cnf(), &proof), CheckOutcome::Verified(_)),
+            check(cert.cnf(), steps, || false).is_verified(),
             "certificate rejected"
         );
-        assert!(s.proof_len() > 0);
         assert!(s.proof_steps().0 > 0);
     }
 
     /// The relaxed instance is satisfiable, so the optimum search ends on a
-    /// SAT probe: no certificate is claimed, and logging stays off (zero
-    /// proof bytes) unless the configuration asks for it.
+    /// SAT probe: no certificate is claimed, and logging stays off (no
+    /// proof steps) unless the configuration asks for it.
     #[test]
     fn sat_terminated_searches_withdraw_the_certificate() {
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
@@ -735,7 +727,7 @@ mod tests {
         silent.add_hard([lit(1)]);
         silent.add_hard([lit(-1)]);
         assert_eq!(silent.solve(), MaxSatResult::HardUnsat);
-        assert_eq!(silent.proof_len(), 0);
+        assert_eq!(silent.proof_steps(), (0, 0));
         assert!(silent.certificate().is_none());
     }
 

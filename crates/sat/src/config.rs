@@ -35,10 +35,12 @@ pub struct SolverConfig {
     /// poll point.
     pub cancel: Option<CancelToken>,
     /// If `true`, the solver records a DRAT proof log of every clause
-    /// addition and deletion, and every UNSAT verdict yields a checkable
-    /// [`Certificate`](crate::Certificate) through
+    /// addition and deletion, as DIMACS `i32` literals, and every UNSAT
+    /// verdict yields a checkable [`Certificate`](crate::Certificate), a
+    /// view borrowed from that log, through
     /// [`Solver::certificate`](crate::Solver::certificate). Off by default:
-    /// logging costs time and memory proportional to the clause traffic.
+    /// logging costs time and memory proportional to the clause traffic
+    /// (4 bytes per logged literal and per clause terminator).
     pub proof_logging: bool,
     /// Seed for the solver's internal pseudo random number generator.
     pub seed: u64,

@@ -16,8 +16,9 @@
 //!   constrained sampler crate `manthan3-sampler`,
 //! * optional **DRAT proof logging** ([`SolverConfig::proof_logging`]):
 //!   every UNSAT verdict — including assumption-scoped verdicts of
-//!   incremental sessions — yields a [`Certificate`] checkable by the
-//!   independent `manthan3-drat` crate.
+//!   incremental sessions — yields a [`Certificate`], a view of the
+//!   integer proof log that the independent `manthan3-drat` crate checks
+//!   without copying it.
 //!
 //! # Examples
 //!

@@ -18,10 +18,14 @@
 //!   necessarily conflicts, so the tail checks out — without the
 //!   assumption units it does not, which is exactly the scoping we want.
 //!
-//! The tracer is an enum whose `Off` variant makes every emit call a
-//! single-branch no-op, so the hot path pays nothing when logging is
-//! disabled. The checking side lives in the dependency-free
-//! `manthan3-drat` crate, which shares no code with this one.
+//! The log holds DIMACS `i32` literals, each step zero-terminated, and a
+//! [`Certificate`] is a borrowed view of it: the checker reads the
+//! solver's own integers, with no copy and no text in between. The tracer
+//! is an enum whose `Off` variant makes every emit call a single-branch
+//! no-op, so the hot path pays nothing when logging is disabled. The
+//! checking side, and the text DRAT format for files, live in the
+//! dependency-free `manthan3-drat` crate, which shares no code with this
+//! one.
 
 use manthan3_cnf::Lit;
 
@@ -31,7 +35,7 @@ use manthan3_cnf::Lit;
 pub enum ProofTracer {
     /// Logging disabled; every emit is a single-branch no-op.
     Off,
-    /// Logging enabled; events are serialized into a text-DRAT log.
+    /// Logging enabled; events are recorded as DIMACS integers.
     Drat(Box<DratLog>),
 }
 
@@ -56,7 +60,7 @@ impl ProofTracer {
     /// certificate CNF but produces no proof step.
     pub fn emit_original(&mut self, lits: &[Lit]) {
         if let ProofTracer::Drat(log) = self {
-            log.original.push(lits.to_vec());
+            push_clause(&mut log.original, lits);
         }
     }
 
@@ -64,8 +68,8 @@ impl ProofTracer {
     /// clause, strengthened replacement, or the empty clause).
     pub fn emit_add(&mut self, lits: &[Lit]) {
         if let ProofTracer::Drat(log) = self {
-            write_step(&mut log.proof, false, lits);
-            log.adds += 1;
+            push_clause(&mut log.proof, lits);
+            log.deletions.push(false);
             if lits.is_empty() {
                 // The empty clause is only ever emitted on a permanent
                 // (level-0) refutation, so the certificate stays available
@@ -80,7 +84,8 @@ impl ProofTracer {
     /// Records a clause deletion.
     pub fn emit_delete(&mut self, lits: &[Lit]) {
         if let ProofTracer::Drat(log) = self {
-            write_step(&mut log.proof, true, lits);
+            push_clause(&mut log.proof, lits);
+            log.deletions.push(true);
             log.deletes += 1;
         }
     }
@@ -91,7 +96,7 @@ impl ProofTracer {
         if let ProofTracer::Drat(log) = self {
             log.unsat_noted = true;
             if !log.refuted {
-                log.unsat_assumptions = assumptions.to_vec();
+                log.unsat_assumptions = assumptions.iter().map(|&l| dimacs(l)).collect();
             }
         }
     }
@@ -104,104 +109,113 @@ impl ProofTracer {
         }
     }
 
-    /// Size of the persistent proof log in bytes (0 when off).
-    pub fn proof_len(&self) -> usize {
-        match self {
-            ProofTracer::Off => 0,
-            ProofTracer::Drat(log) => log.proof.len(),
-        }
-    }
-
     /// Addition and deletion step counts emitted so far (0 when off).
     pub fn step_counts(&self) -> (u64, u64) {
         match self {
             ProofTracer::Off => (0, 0),
-            ProofTracer::Drat(log) => (log.adds, log.deletes),
+            ProofTracer::Drat(log) => log.step_counts(),
         }
     }
 
     /// The certificate for the most recent UNSAT verdict, or `None` when
     /// logging is off or the last verdict was not UNSAT.
-    pub fn certificate(&self) -> Option<Certificate> {
-        let ProofTracer::Drat(log) = self else {
-            return None;
-        };
-        if !log.unsat_noted {
-            return None;
+    pub fn certificate(&self) -> Option<Certificate<'_>> {
+        match self {
+            ProofTracer::Drat(log) if log.unsat_noted => Some(Certificate { log }),
+            _ => None,
         }
-        let mut cnf = log.original.clone();
-        for &a in &log.unsat_assumptions {
-            cnf.push(vec![a]);
-        }
-        let mut proof = log.proof.clone();
-        // The per-solve tail: the empty clause follows by propagation from
-        // the assumption units and the logged core clause. On a permanent
-        // refutation the log already ends with an empty clause and the
-        // checker stops there.
-        proof.extend_from_slice(b"0\n");
-        Some(Certificate {
-            cnf,
-            proof,
-            adds: log.adds + 1,
-            deletes: log.deletes,
-        })
     }
 }
 
 /// The recording state behind [`ProofTracer::Drat`].
 #[derive(Debug, Clone, Default)]
 pub struct DratLog {
-    /// Caller-provided clauses, verbatim (the certificate CNF base).
-    original: Vec<Vec<Lit>>,
-    /// The persistent text-DRAT log: assumption-free lemmas and deletions.
-    proof: Vec<u8>,
-    /// Addition steps emitted.
-    adds: u64,
+    /// Caller-provided clauses, verbatim, as zero-terminated DIMACS
+    /// literals (the certificate CNF base).
+    original: Vec<i32>,
+    /// The persistent proof log: each step's DIMACS literals followed by a
+    /// 0. Lemmas are assumption-free.
+    proof: Vec<i32>,
+    /// Per proof step, `true` for a deletion.
+    deletions: Vec<bool>,
     /// Deletion steps emitted.
     deletes: u64,
     /// The empty clause is in the log: the database is refuted permanently.
     refuted: bool,
     /// The last solve verdict was UNSAT (or the database is refuted).
     unsat_noted: bool,
-    /// Assumptions of the last assumption-scoped UNSAT verdict.
-    unsat_assumptions: Vec<Lit>,
+    /// Assumptions of the last assumption-scoped UNSAT verdict, as DIMACS
+    /// literals.
+    unsat_assumptions: Vec<i32>,
 }
 
-/// A checkable UNSAT certificate: a CNF (original clauses plus one unit per
-/// failing assumption) and a text-DRAT proof deriving the empty clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// The formula being refuted, in solver literals.
-    pub cnf: Vec<Vec<Lit>>,
-    /// The text-DRAT proof bytes.
-    pub proof: Vec<u8>,
-    /// Number of addition steps in the proof (including the tail).
-    pub adds: u64,
-    /// Number of deletion steps in the proof.
-    pub deletes: u64,
+impl DratLog {
+    /// Addition and deletion steps in the persistent log.
+    fn step_counts(&self) -> (u64, u64) {
+        (self.deletions.len() as u64 - self.deletes, self.deletes)
+    }
 }
 
-impl Certificate {
-    /// The certificate CNF as signed DIMACS literals — the input format of
-    /// the `manthan3-drat` checker.
-    pub fn dimacs_cnf(&self) -> Vec<Vec<i32>> {
-        self.cnf
+/// A checkable UNSAT certificate, borrowed from the solver's log: a CNF
+/// (original clauses plus one unit per failing assumption) and a DRAT
+/// proof deriving the empty clause, both as DIMACS `i32` literals.
+#[derive(Debug, Clone, Copy)]
+pub struct Certificate<'a> {
+    log: &'a DratLog,
+}
+
+impl<'a> Certificate<'a> {
+    /// The refuted formula: the original clauses, then one unit clause per
+    /// assumption of the failing solve.
+    pub fn cnf(self) -> impl Iterator<Item = &'a [i32]> {
+        clauses(&self.log.original).chain(self.log.unsat_assumptions.chunks(1))
+    }
+
+    /// The proof steps as `(deletion, literals)` pairs: the persistent log,
+    /// then the per-solve tail, an empty clause that follows by
+    /// propagation from the assumption units and the logged core clause.
+    /// On a permanent refutation the log already holds an empty clause
+    /// and a checker stops there.
+    pub fn steps(self) -> impl Iterator<Item = (bool, &'a [i32])> {
+        let empty: &[i32] = &[];
+        self.log
+            .deletions
             .iter()
-            .map(|c| c.iter().map(|l| l.to_dimacs() as i32).collect())
-            .collect()
+            .copied()
+            .zip(clauses(&self.log.proof))
+            .chain(std::iter::once((false, empty)))
+    }
+
+    /// Addition and deletion step counts, the tail included.
+    pub fn step_counts(self) -> (u64, u64) {
+        let (adds, deletes) = self.log.step_counts();
+        (adds + 1, deletes)
+    }
+
+    /// Size of the proof as integers: 4 bytes per literal and per step
+    /// terminator, the tail included.
+    pub fn proof_bytes(self) -> u64 {
+        4 * (self.log.proof.len() as u64 + 1)
     }
 }
 
-/// Serializes one text-DRAT step (`d ` prefix for deletions).
-fn write_step(buf: &mut Vec<u8>, delete: bool, lits: &[Lit]) {
-    if delete {
-        buf.extend_from_slice(b"d ");
-    }
-    for &l in lits {
-        buf.extend_from_slice(l.to_dimacs().to_string().as_bytes());
-        buf.push(b' ');
-    }
-    buf.extend_from_slice(b"0\n");
+/// `lit` as a DIMACS `i32`.
+fn dimacs(lit: Lit) -> i32 {
+    // invariant: a DIMACS identifier beyond `i32::MAX` needs 2^31 solver
+    // variables, more than the solver's per-variable arrays can hold.
+    i32::try_from(lit.to_dimacs()).expect("DIMACS literal fits in i32")
+}
+
+/// Appends `lits` to a flat log as one zero-terminated clause.
+fn push_clause(flat: &mut Vec<i32>, lits: &[Lit]) {
+    flat.extend(lits.iter().map(|&l| dimacs(l)));
+    flat.push(0);
+}
+
+/// The zero-terminated clauses of a flat log, terminators stripped.
+fn clauses(flat: &[i32]) -> impl Iterator<Item = &[i32]> {
+    flat.split_inclusive(|&l| l == 0)
+        .map(|clause| &clause[..clause.len() - 1])
 }
 
 #[cfg(test)]
@@ -212,6 +226,14 @@ mod tests {
         Lit::from_dimacs(d)
     }
 
+    fn cnf(cert: Certificate<'_>) -> Vec<Vec<i32>> {
+        cert.cnf().map(<[i32]>::to_vec).collect()
+    }
+
+    fn steps(cert: Certificate<'_>) -> Vec<(bool, Vec<i32>)> {
+        cert.steps().map(|(d, lits)| (d, lits.to_vec())).collect()
+    }
+
     #[test]
     fn off_tracer_records_nothing() {
         let mut t = ProofTracer::new(false);
@@ -220,20 +242,22 @@ mod tests {
         t.emit_delete(&[lit(2)]);
         t.note_unsat(&[]);
         assert!(!t.is_active());
-        assert_eq!(t.proof_len(), 0);
         assert_eq!(t.step_counts(), (0, 0));
         assert!(t.certificate().is_none());
     }
 
     #[test]
-    fn text_serialization_matches_drat_conventions() {
+    fn integer_log_matches_drat_conventions() {
         let mut t = ProofTracer::new(true);
+        t.emit_original(&[]);
         t.emit_add(&[lit(1), lit(-2)]);
         t.emit_delete(&[lit(3)]);
         let ProofTracer::Drat(log) = &t else {
             panic!("tracer is active");
         };
-        assert_eq!(log.proof, b"1 -2 0\nd 3 0\n");
+        assert_eq!(log.original, [0]);
+        assert_eq!(log.proof, [1, -2, 0, 3, 0]);
+        assert_eq!(log.deletions, [false, true]);
         assert_eq!(t.step_counts(), (1, 1));
     }
 
@@ -244,9 +268,10 @@ mod tests {
         t.emit_add(&[lit(-1)]); // core clause
         t.note_unsat(&[lit(1)]);
         let cert = t.certificate().expect("unsat was noted");
-        assert_eq!(cert.dimacs_cnf(), vec![vec![-1, 2], vec![1]]);
-        assert_eq!(cert.proof, b"-1 0\n0\n");
-        assert_eq!((cert.adds, cert.deletes), (2, 0));
+        assert_eq!(cnf(cert), vec![vec![-1, 2], vec![1]]);
+        assert_eq!(steps(cert), vec![(false, vec![-1]), (false, vec![])]);
+        assert_eq!(cert.step_counts(), (2, 0));
+        assert_eq!(cert.proof_bytes(), 12);
         // A SAT verdict withdraws the certificate…
         t.note_inconclusive();
         assert!(t.certificate().is_none());
@@ -254,6 +279,6 @@ mod tests {
         t.emit_add(&[]);
         t.note_inconclusive();
         let cert = t.certificate().expect("permanently refuted");
-        assert_eq!(cert.dimacs_cnf(), vec![vec![-1, 2]]);
+        assert_eq!(cnf(cert), vec![vec![-1, 2]]);
     }
 }

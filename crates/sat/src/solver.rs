@@ -1175,19 +1175,13 @@ impl Solver {
         !self.ok
     }
 
-    /// The DRAT certificate for the most recent UNSAT verdict: the original
-    /// clauses plus one unit clause per assumption of the failing solve, and
-    /// a proof deriving the empty clause. Returns `None` when
-    /// [`SolverConfig::proof_logging`] is off or the last verdict was not
-    /// [`SolveResult::Unsat`].
-    pub fn certificate(&self) -> Option<Certificate> {
+    /// The DRAT certificate for the most recent UNSAT verdict, borrowed
+    /// from the proof log: the original clauses plus one unit clause per
+    /// assumption of the failing solve, and a proof deriving the empty
+    /// clause. Returns `None` when [`SolverConfig::proof_logging`] is off
+    /// or the last verdict was not [`SolveResult::Unsat`].
+    pub fn certificate(&self) -> Option<Certificate<'_>> {
         self.tracer.certificate()
-    }
-
-    /// Size of the persistent proof log in bytes (0 when proof logging is
-    /// off).
-    pub fn proof_len(&self) -> usize {
-        self.tracer.proof_len()
     }
 
     /// Proof addition and deletion steps emitted so far (0 when proof

@@ -10,7 +10,7 @@
 //! been rescaled, under the same checks.
 
 use manthan3_cnf::{Cnf, Lit, Var};
-use manthan3_drat::{check, parse_text_proof, CheckOutcome};
+use manthan3_drat::{check, CheckOutcome, ProofStep};
 use manthan3_sat::{SolveResult, Solver, SolverConfig};
 use proptest::prelude::*;
 
@@ -121,17 +121,17 @@ fn assert_certified(solver: &Solver, cnf: &Cnf, assumptions: &[Lit]) {
     let cert = solver
         .certificate()
         .expect("unsat verdict yields a certificate");
-    for clause in &cert.cnf {
-        let from_formula = cnf.iter().any(|c| c.lits() == clause.as_slice());
-        let assumed = clause.len() == 1 && assumptions.contains(&clause[0]);
+    let dimacs = |lits: &[Lit]| -> Vec<i32> { lits.iter().map(|l| l.to_dimacs() as i32).collect() };
+    for clause in cert.cnf() {
+        let from_formula = cnf.iter().any(|c| dimacs(c.lits()) == clause);
+        let assumed = clause.len() == 1 && dimacs(assumptions).contains(&clause[0]);
         assert!(
             from_formula || assumed,
             "certificate clause {clause:?} is not an input"
         );
     }
-    let text = std::str::from_utf8(&cert.proof).expect("text-DRAT proofs are ASCII");
-    let proof = parse_text_proof(text).expect("solver emits well-formed proofs");
-    match check(&cert.dimacs_cnf(), &proof) {
+    let steps = cert.steps().map(ProofStep::from);
+    match check(cert.cnf(), steps, || false) {
         CheckOutcome::Verified(_) => {}
         other => panic!("certificate rejected: {other:?}"),
     }

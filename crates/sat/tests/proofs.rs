@@ -2,10 +2,15 @@
 //! produces under proof logging must yield a certificate the independent
 //! `manthan3-drat` checker accepts, across level-0 refutations,
 //! assumption-scoped verdicts, learning, restarts, and database maintenance.
+//! The checker reads the solver's integer log directly; the text files the
+//! `manthan3-drat` writers render from it must round-trip too.
 
 use manthan3_cnf::Lit;
-use manthan3_drat::{check, parse_text_proof, CheckOutcome, Proof, ProofStep};
-use manthan3_sat::{SolveResult, Solver, SolverConfig};
+use manthan3_drat::{
+    check, parse_dimacs, parse_text_proof, write_dimacs, write_text_proof, CheckOutcome, Proof,
+    ProofStep,
+};
+use manthan3_sat::{Certificate, SolveResult, Solver, SolverConfig};
 
 fn logging_solver(config: SolverConfig) -> Solver {
     Solver::with_config(config.with_proof_logging(true))
@@ -15,17 +20,25 @@ fn lit(d: i64) -> Lit {
     Lit::from_dimacs(d)
 }
 
-fn parse_certificate(proof_bytes: &[u8]) -> Proof {
-    let text = std::str::from_utf8(proof_bytes).expect("text-DRAT proofs are ASCII");
-    parse_text_proof(text).expect("solver emits well-formed proofs")
+/// A certificate's CNF and proof copied into owned values, for tests that
+/// mutate them.
+fn owned(cert: Certificate<'_>) -> (Vec<Vec<i32>>, Proof) {
+    let cnf = cert.cnf().map(<[i32]>::to_vec).collect();
+    let steps = cert.steps().map(|(d, lits)| (d, lits.to_vec()).into());
+    (
+        cnf,
+        Proof {
+            steps: steps.collect(),
+        },
+    )
 }
 
-/// Checks a certificate with the independent checker, returning the outcome.
-fn check_certificate(cert: &manthan3_sat::Certificate) -> CheckOutcome {
-    check(&cert.dimacs_cnf(), &parse_certificate(&cert.proof))
+/// Checks a certificate in place with the independent checker.
+fn check_certificate(cert: Certificate<'_>) -> CheckOutcome {
+    check(cert.cnf(), cert.steps().map(ProofStep::from), || false)
 }
 
-fn assert_verified(cert: &manthan3_sat::Certificate) {
+fn assert_verified(cert: Certificate<'_>) {
     match check_certificate(cert) {
         CheckOutcome::Verified(_) => {}
         other => panic!("certificate rejected: {other:?}"),
@@ -58,8 +71,8 @@ fn level0_refutation_certificate_checks_out() {
     s.add_clause([lit(-1), lit(-2)]);
     assert_eq!(s.solve(), SolveResult::Unsat);
     let cert = s.certificate().expect("unsat verdict yields a certificate");
-    assert!(cert.adds > 0);
-    assert_verified(&cert);
+    assert!(cert.step_counts().0 > 0);
+    assert_verified(cert);
 }
 
 #[test]
@@ -72,16 +85,12 @@ fn assumption_scoped_certificate_needs_its_assumptions() {
     assert_eq!(s.solve_with_assumptions(&[lit(1)]), SolveResult::Unsat);
     let cert = s.certificate().expect("unsat verdict yields a certificate");
     // The assumption appears as a unit clause of the certificate CNF.
-    assert!(cert.dimacs_cnf().contains(&vec![1]));
-    assert_verified(&cert);
+    assert!(cert.cnf().any(|c| c == [1]));
+    assert_verified(cert);
     // Scoping control: without the assumption units the formula is
     // satisfiable and the same proof must NOT check out.
-    let mut unscoped = cert.clone();
-    unscoped.cnf.retain(|c| c.len() > 1);
-    assert!(!matches!(
-        check_certificate(&unscoped),
-        CheckOutcome::Verified(_)
-    ));
+    let unscoped = cert.cnf().filter(|c| c.len() > 1);
+    assert!(!check(unscoped, cert.steps().map(ProofStep::from), || false).is_verified());
     // A SAT verdict withdraws the certificate.
     assert_eq!(s.solve(), SolveResult::Sat);
     assert!(s.certificate().is_none());
@@ -93,7 +102,7 @@ fn pigeonhole_certificate_survives_learning() {
     pigeonhole(&mut s, 4);
     assert_eq!(s.solve(), SolveResult::Unsat);
     let cert = s.certificate().expect("unsat verdict yields a certificate");
-    assert_verified(&cert);
+    assert_verified(cert);
 }
 
 #[test]
@@ -108,12 +117,12 @@ fn incremental_session_certificates_survive_maintenance() {
     s.add_guarded_clause(a, [extra]);
     assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Unsat);
     let cert = s.certificate().expect("first unsat certificate");
-    assert_verified(&cert);
+    assert_verified(cert);
     s.maintain();
     s.retire_activation(a);
     assert_eq!(s.solve_with_assumptions(&[a, extra]), SolveResult::Unsat);
     let cert = s.certificate().expect("second unsat certificate");
-    assert_verified(&cert);
+    assert_verified(cert);
 }
 
 #[test]
@@ -129,8 +138,8 @@ fn add_clause_preprocessing_is_logged() {
     s.add_clause([lit(-2), lit(3)]);
     assert_eq!(s.solve(), SolveResult::Unsat);
     let cert = s.certificate().expect("unsat verdict yields a certificate");
-    assert!(cert.dimacs_cnf().contains(&vec![3, -1, 2, 3]));
-    assert_verified(&cert);
+    assert!(cert.cnf().any(|c| c == [3, -1, 2, 3]));
+    assert_verified(cert);
 }
 
 #[test]
@@ -138,10 +147,8 @@ fn mutated_or_truncated_proofs_are_rejected() {
     let mut s = logging_solver(SolverConfig::default());
     pigeonhole(&mut s, 3);
     assert_eq!(s.solve(), SolveResult::Unsat);
-    let cert = s.certificate().expect("unsat verdict yields a certificate");
-    let cnf = cert.dimacs_cnf();
-    let mut proof = parse_certificate(&cert.proof);
-    assert!(matches!(check(&cnf, &proof), CheckOutcome::Verified(_)));
+    let (cnf, mut proof) = owned(s.certificate().expect("unsat verdict yields a certificate"));
+    assert!(check(&cnf, &proof, || false).is_verified());
     // The checker stops at the first empty-clause addition (a level-0
     // refutation logs one permanently; the certificate tail appends a
     // harmless duplicate), so mutations must target that step. Dropping
@@ -152,14 +159,42 @@ fn mutated_or_truncated_proofs_are_rejected() {
         .position(|s| matches!(s, ProofStep::Add(lits) if lits.is_empty()))
         .expect("refutation proofs derive the empty clause");
     proof.steps.truncate(first_empty + 1);
-    assert!(matches!(check(&cnf, &proof), CheckOutcome::Verified(_)));
+    assert!(check(&cnf, &proof, || false).is_verified());
     // …corrupting it breaks the derivation (a fresh pure literal can be
     // admitted, but the empty clause is never derived)…
     proof.steps[first_empty] = ProofStep::Add(vec![9_999]);
-    assert!(!matches!(check(&cnf, &proof), CheckOutcome::Verified(_)));
+    assert!(!check(&cnf, &proof, || false).is_verified());
     // …and truncating it away drops the refutation entirely.
     proof.steps.truncate(first_empty);
-    assert!(!matches!(check(&cnf, &proof), CheckOutcome::Verified(_)));
+    assert!(!check(&cnf, &proof, || false).is_verified());
+}
+
+/// Text exists only at file boundaries: the `.cnf`/`.drat` pair the
+/// writers render from a solver certificate parses back to the same
+/// clauses and steps, and the parsed pair checks out.
+fn assert_text_round_trip(cert: Certificate<'_>) {
+    let (cnf, proof) = owned(cert);
+    let dimacs = parse_dimacs(&write_dimacs(cert.cnf())).expect("written CNF parses");
+    let parsed = parse_text_proof(&write_text_proof(cert.steps().map(ProofStep::from)))
+        .expect("written proof parses");
+    assert_eq!(dimacs.clauses, cnf);
+    assert_eq!(parsed, proof);
+    assert!(check(&dimacs.clauses, &parsed, || false).is_verified());
+}
+
+#[test]
+fn certificate_files_round_trip_through_text() {
+    let mut s = logging_solver(SolverConfig::default());
+    pigeonhole(&mut s, 4);
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    assert_text_round_trip(s.certificate().expect("pigeonhole certificate"));
+
+    let mut s = logging_solver(SolverConfig::default());
+    s.add_clause([lit(-1), lit(2)]);
+    s.add_clause([lit(-2), lit(3)]);
+    s.add_clause([lit(-1), lit(-3)]);
+    assert_eq!(s.solve_with_assumptions(&[lit(1)]), SolveResult::Unsat);
+    assert_text_round_trip(s.certificate().expect("assumption-scoped certificate"));
 }
 
 #[test]
@@ -170,10 +205,8 @@ fn proof_accounting_is_exposed_and_logging_off_by_default() {
         pigeonhole(s, 3);
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
-    assert!(on.proof_len() > 0);
     let (adds, _deletes) = on.proof_steps();
     assert!(adds > 0);
-    assert_eq!(off.proof_len(), 0);
     assert_eq!(off.proof_steps(), (0, 0));
     assert!(off.certificate().is_none());
     // In debug builds every SAT verdict is re-verified against the clause
@@ -246,10 +279,9 @@ mod random_certificates {
             match s.solve() {
                 SolveResult::Unsat => {
                     let cert = s.certificate().expect("unsat verdict yields a certificate");
-                    let dimacs = cert.dimacs_cnf();
-                    let mut proof = parse_certificate(&cert.proof);
+                    let (dimacs, mut proof) = owned(cert);
                     prop_assert!(
-                        matches!(check(&dimacs, &proof), CheckOutcome::Verified(_)),
+                        check(&dimacs, &proof, || false).is_verified(),
                         "pristine certificate rejected"
                     );
                     let first_empty = proof
@@ -262,17 +294,17 @@ mod random_certificates {
                     // would otherwise still carry the proof.
                     proof.steps.truncate(first_empty + 1);
                     prop_assert!(
-                        matches!(check(&dimacs, &proof), CheckOutcome::Verified(_)),
+                        check(&dimacs, &proof, || false).is_verified(),
                         "tailless certificate rejected"
                     );
                     proof.steps[first_empty] = ProofStep::Add(vec![9_999]);
                     prop_assert!(
-                        !matches!(check(&dimacs, &proof), CheckOutcome::Verified(_)),
+                        !check(&dimacs, &proof, || false).is_verified(),
                         "corrupted refutation accepted"
                     );
                     proof.steps.truncate(first_empty);
                     prop_assert!(
-                        !matches!(check(&dimacs, &proof), CheckOutcome::Verified(_)),
+                        !check(&dimacs, &proof, || false).is_verified(),
                         "truncated refutation accepted"
                     );
                 }
@@ -299,18 +331,16 @@ mod random_certificates {
             match s.solve_with_assumptions(&lits) {
                 SolveResult::Unsat => {
                     let cert = s.certificate().expect("unsat verdict yields a certificate");
-                    let dimacs = cert.dimacs_cnf();
                     if !s.is_known_unsat() {
                         for &d in &assumed {
                             prop_assert!(
-                                dimacs.contains(&vec![d as i32]),
+                                cert.cnf().any(|c| c == [d as i32]),
                                 "assumption {d} missing from the certificate CNF"
                             );
                         }
                     }
                     prop_assert!(
-                        matches!(check(&dimacs, &parse_certificate(&cert.proof)),
-                            CheckOutcome::Verified(_)),
+                        check_certificate(cert).is_verified(),
                         "assumption-scoped certificate rejected"
                     );
                 }

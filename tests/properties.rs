@@ -3,7 +3,7 @@
 
 use manthan3::aig::{Aig, AigRef};
 use manthan3::baselines::ExpansionSolver;
-use manthan3::cnf::{dimacs, Assignment, Clause, Cnf, Lit, Var};
+use manthan3::cnf::{dimacs, Assignment, Cnf, Lit, Var};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3::dqbf::verify::CheckOutcome;
 use manthan3::dqbf::{parse_dqdimacs, semantics, verify, write_dqdimacs, Dqbf, HenkinVector};
@@ -189,21 +189,6 @@ proptest! {
                 prop_assert!(pl.feature < 4);
             }
         }
-    }
-
-    /// Clause normalization never changes the clause's truth value.
-    #[test]
-    fn clause_normalization_is_semantics_preserving(
-        lits in proptest::collection::vec((0..4usize, any::<bool>()), 1..6),
-        values in proptest::collection::vec(any::<bool>(), 4),
-    ) {
-        let clause = Clause::new(
-            lits.into_iter()
-                .map(|(v, p)| Lit::new(Var::new(v as u32), p))
-                .collect(),
-        );
-        let assignment = Assignment::from_values(values);
-        prop_assert_eq!(clause.eval(&assignment), clause.normalized().eval(&assignment));
     }
 
     /// The expansion baseline agrees with the brute-force DQBF oracle, and
