@@ -8,7 +8,10 @@
 //!
 //! This engine keeps that architecture in a simplified form:
 //!
-//! 1. Padoa-based unique-definition extraction ([`manthan3_dqbf::unique`]).
+//! 1. Padoa-based unique-definition extraction
+//!    ([`manthan3_dqbf::unique::extract_definitions`], for outputs with at
+//!    most 8 dependencies), on its own two solvers that stop on the
+//!    engine's cancel token; like Manthan3's, it stays off the oracle.
 //! 2. For the remaining outputs, a lazily-grown **arbiter table** per output
 //!    maps dependency valuations to output values (default: constant false).
 //! 3. Each CEGIS iteration verifies the current vector with the independent
@@ -25,7 +28,7 @@ use crate::common::BaselineResult;
 use manthan3_cnf::{Lit, Var};
 use manthan3_core::{Budget, Oracle, SynthesisOutcome, UnknownReason};
 use manthan3_dqbf::{unique, verify, Dqbf, HenkinVector};
-use manthan3_sat::{SolveResult, SolverConfig};
+use manthan3_sat::SolveResult;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -126,13 +129,12 @@ impl ArbiterSolver {
             SolveResult::Sat => {}
         }
 
-        // Phase 1: definitions (SAT calls stop on the engine's cancel token,
-        // like every other oracle interaction).
+        // Phase 1: definitions, on solvers of their own that stop on the
+        // engine's cancel token but are not billed to the oracle.
         let mut vector = HenkinVector::new();
         let defined: Vec<Var> = if self.config.use_definitions {
-            let solver_config =
-                SolverConfig::default().with_cancel(oracle.budget().cancel_token().clone());
-            unique::extract_definitions_with(dqbf, &mut vector, MAX_DEFINITION_DEPS, &solver_config)
+            let cancel = oracle.budget().cancel_token();
+            unique::extract_definitions(dqbf, &mut vector, MAX_DEFINITION_DEPS, cancel)
         } else {
             Vec::new()
         };
@@ -272,19 +274,7 @@ fn table_to_function(
         if !value {
             continue;
         }
-        let lits: Vec<_> = deps
-            .iter()
-            .zip(key)
-            .map(|(&d, &bit)| {
-                let input = vector.aig_mut().input(d.index());
-                if bit {
-                    input
-                } else {
-                    !input
-                }
-            })
-            .collect();
-        let cube = vector.aig_mut().and_list(&lits);
+        let cube = vector.cube(deps.iter().zip(key).map(|(&d, &bit)| d.lit(bit)));
         cubes.push(cube);
     }
     vector.aig_mut().or_list(&cubes)

@@ -216,20 +216,11 @@ impl ExpansionSolver {
                     for alpha in 0usize..(1usize << deps[idx].len()) {
                         let copy = Var::new((copy_base[idx] + alpha) as u32);
                         if model.get(copy).unwrap_or(false) {
-                            let lits: Vec<_> = deps[idx]
+                            let cube = deps[idx]
                                 .iter()
                                 .enumerate()
-                                .map(|(j, &d)| {
-                                    let input = vector.aig_mut().input(d.index());
-                                    if alpha >> j & 1 == 1 {
-                                        input
-                                    } else {
-                                        !input
-                                    }
-                                })
-                                .collect();
-                            let cube = vector.aig_mut().and_list(&lits);
-                            cubes.push(cube);
+                                .map(|(j, &d)| d.lit(alpha >> j & 1 == 1));
+                            cubes.push(vector.cube(cube));
                         }
                     }
                     let f = vector.aig_mut().or_list(&cubes);

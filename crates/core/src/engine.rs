@@ -14,14 +14,17 @@ use crate::config::Manthan3Config;
 use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
-use crate::preprocess::extract_unique_definitions;
 use crate::repair::{repair_vector, Sigma};
 use crate::session::{RepairSession, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Lit, Var};
-use manthan3_dqbf::{Dqbf, HenkinVector};
+use manthan3_dqbf::{unique, Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::time::Instant;
+
+/// Largest dependency-set size for which unique definitions are extracted
+/// explicitly.
+const MAX_UNIQUE_DEFINITION_DEPS: usize = 6;
 
 /// The verdict of a synthesis run.
 #[derive(Debug, Clone)]
@@ -170,13 +173,17 @@ fn stage_preprocess(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
         SolveResult::Sat => {}
     }
     ctx.session = Some(session);
-    ctx.defined = extract_unique_definitions(
-        ctx.dqbf,
-        &mut ctx.vector,
-        ctx.config,
-        &ctx.oracle,
-        &mut ctx.stats,
-    );
+    if ctx.config.use_unique_definitions {
+        // Outputs fixed here are skipped by the learning phase: their
+        // definitions respect the Henkin dependencies by construction.
+        ctx.defined = unique::extract_definitions(
+            ctx.dqbf,
+            &mut ctx.vector,
+            MAX_UNIQUE_DEFINITION_DEPS,
+            ctx.oracle.budget().cancel_token(),
+        );
+        ctx.stats.unique_definitions = ctx.defined.len();
+    }
     // Extraction runs its own SAT solvers outside the oracle, which watch
     // only the cancel token; re-check the wall clock before moving on.
     if let Some(reason) = ctx.oracle.exhausted() {
@@ -390,6 +397,17 @@ mod tests {
             }
             other => panic!("expected Realizable, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn extraction_can_be_disabled() {
+        let config = Manthan3Config {
+            use_unique_definitions: false,
+            ..Manthan3Config::default()
+        };
+        let result = Manthan3::new(config).synthesize(&Dqbf::paper_example());
+        assert!(result.outcome.is_realizable());
+        assert_eq!(result.stats.unique_definitions, 0);
     }
 
     #[test]

@@ -119,19 +119,8 @@ pub fn learn_candidate(
     // Disjunction over all paths to label 1 (Algorithm 2, lines 7–10).
     let mut cubes = Vec::new();
     for path in tree.paths_to(true) {
-        let lits: Vec<AigRef> = path
-            .iter()
-            .map(|pl| {
-                let input = vector.aig_mut().input(features[pl.feature].index());
-                if pl.value {
-                    input
-                } else {
-                    !input
-                }
-            })
-            .collect();
-        let cube = vector.aig_mut().and_list(&lits);
-        cubes.push(cube);
+        let cube = path.iter().map(|pl| features[pl.feature].lit(pl.value));
+        cubes.push(vector.cube(cube));
     }
     let function = vector.aig_mut().or_list(&cubes);
 

@@ -33,10 +33,10 @@
 //! * The [`Oracle`] owns the run's [`Budget`] (a wall-clock deadline and a
 //!   cancellation token) and funnels the synthesis loop's SAT, MaxSAT, and
 //!   sampling calls through it, collecting [`OracleStats`]
-//!   (unique-definition preprocessing runs its own solvers but inherits the
-//!   cancellation token). The baseline engines in `manthan3-baselines` run
-//!   on the same layer, so all engines share budget semantics and report
-//!   comparable counters.
+//!   (unique-definition preprocessing runs its own two solvers, a Padoa
+//!   session and an enumerator, which watch only the cancellation token).
+//!   The baseline engines in `manthan3-baselines` run on the same layer, so
+//!   all engines share budget semantics and report comparable counters.
 //! * The [`VerifySession`] Tseitin-encodes the error formula
 //!   `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` **once**, guards each candidate
 //!   function's equivalence behind an activation literal, and re-solves
@@ -137,7 +137,6 @@ mod engine;
 mod learn;
 mod oracle;
 mod order;
-mod preprocess;
 mod repair;
 #[cfg(test)]
 mod repair_equivalence;

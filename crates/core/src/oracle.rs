@@ -4,10 +4,11 @@
 //! funnelled through an [`Oracle`], which owns the run's [`Budget`]
 //! (wall-clock deadline and cancellation token) and collects
 //! [`OracleStats`]. The one exception is unique-definition preprocessing,
-//! which runs inside `manthan3-dqbf` with its own solvers: those solvers
-//! inherit the budget's cancellation token (via
-//! `unique::extract_definitions_with`) and the engine re-checks the deadline
-//! after extraction, but they are not counted in [`OracleStats`].
+//! which runs inside `manthan3-dqbf` on a Padoa session and an enumerator
+//! of its own: `unique::extract_definitions` takes the budget's
+//! cancellation token and the engine re-checks the deadline after
+//! extraction, but those two solvers are neither counted in
+//! [`OracleStats`] nor certified.
 //! The statistics let tests and benchmarks assert structural properties
 //! such as "the verify–repair loop constructed exactly one error-formula
 //! solver" (see [`crate::VerifySession`]).
@@ -370,11 +371,6 @@ impl Oracle {
         self
     }
 
-    /// `true` when [`Oracle::with_certification`] armed in-process checking.
-    pub fn certification_enabled(&self) -> bool {
-        self.certify
-    }
-
     /// The first rejected certificate of this oracle, `None` on a sound run
     /// (or when certification is off).
     pub fn certification_failure(&self) -> Option<&CertificationFailure> {
@@ -735,7 +731,6 @@ mod tests {
     #[test]
     fn certification_checks_unsat_verdicts_in_process() {
         let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
-        assert!(oracle.certification_enabled());
         let mut solver = oracle.new_solver();
         assert!(solver.config().proof_logging);
         solver.add_clause([lit(1), lit(2)]);
@@ -827,7 +822,6 @@ mod tests {
     #[test]
     fn certification_is_off_by_default() {
         let mut oracle = Oracle::new(Budget::unlimited());
-        assert!(!oracle.certification_enabled());
         let mut solver = oracle.new_solver();
         assert!(!solver.config().proof_logging);
         solver.add_clause([lit(1)]);

@@ -18,7 +18,6 @@ use crate::oracle::Oracle;
 use crate::order::Order;
 use crate::session::VerifySession;
 use crate::stats::SynthesisStats;
-use manthan3_aig::AigRef;
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
@@ -177,7 +176,7 @@ pub fn repair_vector(
                     .copied()
                     .filter(|l| l.var() != yk)
                     .collect();
-                let beta = build_cube(vector, &core);
+                let beta = vector.cube(core);
                 // invariant: yk came from the vector's own output list.
                 let current = vector.get(yk).expect("candidate exists");
                 let new_function = if target_value {
@@ -220,24 +219,6 @@ pub fn repair_vector(
         stuck: repaired.is_empty(),
         repaired,
     }
-}
-
-/// Builds the conjunction (cube) of the given unit literals inside the
-/// vector's AIG; literal polarity is taken as-is (the literals already carry
-/// the counterexample's valuation).
-fn build_cube(vector: &mut HenkinVector, literals: &[Lit]) -> AigRef {
-    let inputs: Vec<AigRef> = literals
-        .iter()
-        .map(|&l| {
-            let input = vector.aig_mut().input(l.var().index());
-            if l.is_positive() {
-                input
-            } else {
-                !input
-            }
-        })
-        .collect();
-    vector.aig_mut().and_list(&inputs)
 }
 
 #[cfg(test)]

@@ -188,22 +188,6 @@ impl Dqbf {
         self.matrix.eval(assignment)
     }
 
-    /// Returns the clauses of the matrix restricted to literals over
-    /// existential variables (used by preprocessing heuristics).
-    pub fn existential_literals(&self) -> Vec<Lit> {
-        let mut out = Vec::new();
-        for clause in self.matrix.clauses() {
-            for &lit in clause {
-                if self.is_existential(lit.var()) {
-                    out.push(lit);
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// A short human-readable summary (used in logs and benchmark output).
     pub fn summary(&self) -> String {
         format!(
@@ -383,14 +367,6 @@ mod tests {
             let (y1, y2) = (a.value(Var::new(3)), a.value(Var::new(4)));
             assert_eq!(dqbf.eval_matrix(&a), y1 == y2);
         }
-    }
-
-    #[test]
-    fn existential_literals_are_collected() {
-        let dqbf = Dqbf::paper_example();
-        let lits = dqbf.existential_literals();
-        assert!(lits.contains(&Var::new(3).positive()));
-        assert!(lits.iter().all(|l| dqbf.is_existential(l.var())));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::Dqbf;
 use manthan3_aig::{Aig, AigRef};
-use manthan3_cnf::{Assignment, Var};
+use manthan3_cnf::{Assignment, Lit, Var};
 use std::collections::{BTreeMap, HashMap};
 
 /// A (candidate or final) Henkin function vector `f = ⟨f_1, …, f_m⟩`.
@@ -53,6 +53,24 @@ impl HenkinVector {
     /// Sets (or replaces) the function for existential variable `y`.
     pub fn set(&mut self, y: Var, f: AigRef) {
         self.functions.insert(y, f);
+    }
+
+    /// Builds the conjunction of `literals` in the shared AIG, each literal
+    /// read as the input labelled with its variable's index, in the given
+    /// order.
+    pub fn cube(&mut self, literals: impl IntoIterator<Item = Lit>) -> AigRef {
+        let inputs: Vec<AigRef> = literals
+            .into_iter()
+            .map(|l| {
+                let input = self.aig.input(l.var().index());
+                if l.is_positive() {
+                    input
+                } else {
+                    !input
+                }
+            })
+            .collect();
+        self.aig.and_list(&inputs)
     }
 
     /// The function for `y`, if defined.

@@ -96,13 +96,11 @@ pub fn brute_force_synthesize(dqbf: &Dqbf, limit_bits: u32) -> Option<Option<Hen
             for index in 0..table_sizes[i] {
                 let bit = offsets[i] + index;
                 if tables >> bit & 1 == 1 {
-                    let mut cube = Vec::new();
-                    for (j, &d) in deps[i].iter().enumerate() {
-                        let input = vector.aig_mut().input(d.index());
-                        cube.push(if index >> j & 1 == 1 { input } else { !input });
-                    }
-                    let c = vector.aig_mut().and_list(&cube);
-                    cubes.push(c);
+                    let cube = deps[i]
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &d)| d.lit(index >> j & 1 == 1));
+                    cubes.push(vector.cube(cube));
                 }
             }
             let f = vector.aig_mut().or_list(&cubes);

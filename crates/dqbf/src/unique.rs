@@ -6,31 +6,57 @@
 //! without learning or repair. Manthan3's implementation runs this as a
 //! preprocessing step.
 //!
-//! Definability is decided with Padoa's method (a single SAT call on two
-//! renamed copies of the matrix). The definition itself is extracted, for
-//! dependency sets up to a configurable size, by enumerating the dependency
-//! valuations and asking a SAT oracle which output value is forced — a
-//! simplified stand-in for the interpolation-based extraction used by the
-//! original UNIQUE tool. Both give the same function; enumeration is
-//! exponential in `|H|` but needs no interpolating solver, and the small
-//! dependency sets of the generated instances keep it cheap.
+//! [`extract_definitions`] runs on two incremental solvers, whatever the
+//! number of outputs:
+//!
+//! * **One Padoa session** decides definability. It holds two renamed
+//!   copies of the matrix, `ϕ(X,Y) ∧ ϕ(X′,Y′)`, and one selector `e_x` per
+//!   dependency `x` of the outputs it checks, with the guarded clauses
+//!   `e_x → (x ↔ x′)`. Output `y` is defined iff the query under
+//!   `{e_x : x ∈ H_y} ∪ {y, ¬y′}` is UNSAT, so every output is one query on
+//!   the same solver, and what the solver learns about the two copies
+//!   carries over from output to output.
+//! * **One enumerator** over `ϕ` extracts the definitions, with one query
+//!   per valuation `α` of `H_y` that assumes `α`. Padoa's verdict
+//!   guarantees that every model extending `α` agrees on `y`, so a SAT
+//!   answer's model gives the forced value (a true one adds `α`'s cube to
+//!   the function), and an UNSAT answer means `α` has no extension and
+//!   contributes nothing.
+//!
+//! Enumeration is a simplified stand-in for the interpolation-based
+//! extraction of the original UNIQUE tool: it is exponential in `|H|` but
+//! needs no interpolating solver, and the small dependency sets of the
+//! generated instances keep it cheap.
+//!
+//! Both solvers watch the caller's [`CancelToken`] and nothing else; they
+//! stay off the engine's certifying oracle. Certifying their UNSAT answers
+//! would add a DRAT check per defined output and per valuation without an
+//! extension, a cost the forward checker cannot yet absorb.
 
 use crate::{Dqbf, HenkinVector};
 use manthan3_cnf::{Lit, Var};
-use manthan3_sat::{SolveResult, Solver, SolverConfig};
+use manthan3_sat::{CancelToken, SolveResult, Solver, SolverConfig};
+use std::collections::BTreeMap;
 
-/// Decides, with Padoa's method, whether `y` is uniquely defined by its
-/// Henkin dependency set relative to the matrix of `dqbf`.
+/// Extracts, for every existential variable that is uniquely defined and has
+/// at most `max_deps` dependencies, an explicit definition and stores it in
+/// `vector`. Returns the variables for which a definition was extracted, in
+/// the order of [`Dqbf::existentials`].
 ///
-/// # Panics
+/// Variables with larger dependency sets are skipped even if they are
+/// defined (extraction enumerates `2^|H|` valuations). No solver is built
+/// when no variable is small enough.
 ///
-/// Panics if `y` is not an existential variable of `dqbf`.
+/// The solvers poll `cancel`: once a query comes back `Unknown`, extraction
+/// stops and returns the variables finished so far (sound: the rest fall
+/// through to the learning phase).
 ///
 /// # Examples
 ///
 /// ```
 /// use manthan3_cnf::Var;
-/// use manthan3_dqbf::{unique, Dqbf};
+/// use manthan3_dqbf::{unique, Dqbf, HenkinVector};
+/// use manthan3_sat::CancelToken;
 ///
 /// // y ↔ (x1 ∨ x2) uniquely defines y.
 /// let (x1, x2, y) = (Var::new(0), Var::new(1), Var::new(2));
@@ -41,134 +67,97 @@ use manthan3_sat::{SolveResult, Solver, SolverConfig};
 /// dqbf.add_clause([y.negative(), x1.positive(), x2.positive()]);
 /// dqbf.add_clause([y.positive(), x1.negative()]);
 /// dqbf.add_clause([y.positive(), x2.negative()]);
-/// assert!(unique::is_uniquely_defined(&dqbf, y));
+/// let mut vector = HenkinVector::new();
+/// let defined = unique::extract_definitions(&dqbf, &mut vector, 2, &CancelToken::new());
+/// assert_eq!(defined, vec![y]);
+/// assert_eq!(vector.eval_one(y, &[false, true]), Some(true));
 /// ```
-pub fn is_uniquely_defined(dqbf: &Dqbf, y: Var) -> bool {
-    is_uniquely_defined_with(dqbf, y, &SolverConfig::default())
-}
-
-/// Like [`is_uniquely_defined`], but the Padoa SAT call runs under the given
-/// solver configuration (in particular its cancellation token). A call that
-/// is cancelled conservatively reports "not defined".
-pub fn is_uniquely_defined_with(dqbf: &Dqbf, y: Var, config: &SolverConfig) -> bool {
-    let deps = dqbf.dependencies(y);
-    let n = dqbf.num_vars();
-    let shift = |v: Var| Var::new((v.index() + n) as u32);
-    let shift_lit = |l: Lit| Lit::new(shift(l.var()), l.is_positive());
-
-    let mut solver = Solver::with_config(config.clone());
-    solver.add_cnf(dqbf.matrix());
-    for clause in dqbf.matrix().clauses() {
-        solver.add_clause(clause.iter().map(|&l| shift_lit(l)));
-    }
-    // Dependencies agree across the two copies.
-    for &d in deps {
-        solver.add_clause([d.negative(), shift(d).positive()]);
-        solver.add_clause([d.positive(), shift(d).negative()]);
-    }
-    // … but the defined variable differs.
-    solver.add_clause([y.positive()]);
-    solver.add_clause([shift(y).negative()]);
-    solver.solve() == SolveResult::Unsat
-}
-
-/// Extracts, for every existential variable that is uniquely defined and has
-/// at most `max_deps` dependencies, an explicit definition and stores it in
-/// `vector`. Returns the variables for which a definition was extracted.
-///
-/// Variables with larger dependency sets are skipped even if they are
-/// defined (extraction would require enumerating `2^|H|` valuations).
-pub fn extract_definitions(dqbf: &Dqbf, vector: &mut HenkinVector, max_deps: usize) -> Vec<Var> {
-    extract_definitions_with(dqbf, vector, max_deps, &SolverConfig::default())
-}
-
-/// Like [`extract_definitions`], but every SAT call runs under the given
-/// solver configuration (in particular its cancellation token), so
-/// cancelling a shared engine budget stops preprocessing too. Variables
-/// whose definability or definition cannot be settled before cancellation
-/// are skipped (sound: they fall through to the learning phase).
-pub fn extract_definitions_with(
+pub fn extract_definitions(
     dqbf: &Dqbf,
     vector: &mut HenkinVector,
     max_deps: usize,
-    config: &SolverConfig,
+    cancel: &CancelToken,
 ) -> Vec<Var> {
+    let candidates: Vec<Var> = dqbf
+        .existentials()
+        .iter()
+        .copied()
+        .filter(|&y| dqbf.dependencies(y).len() <= max_deps)
+        .collect();
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let config = SolverConfig::default().with_cancel(cancel.clone());
+    let n = dqbf.num_vars();
+    let shift = |v: Var| Var::new((v.index() + n) as u32);
+
+    let mut padoa = Solver::with_config(config.clone());
+    padoa.add_cnf(dqbf.matrix());
+    for clause in dqbf.matrix().clauses() {
+        padoa.add_clause(
+            clause
+                .iter()
+                .map(|&l| Lit::new(shift(l.var()), l.is_positive())),
+        );
+    }
+    padoa.ensure_vars(2 * n);
+    let mut selectors: BTreeMap<Var, Lit> = BTreeMap::new();
+    for &x in candidates.iter().flat_map(|&y| dqbf.dependencies(y)) {
+        selectors.entry(x).or_insert_with(|| {
+            let e = padoa.new_activation_lit();
+            padoa.add_guarded_clause(e, [x.negative(), shift(x).positive()]);
+            padoa.add_guarded_clause(e, [x.positive(), shift(x).negative()]);
+            e
+        });
+    }
+
+    let mut enumerator = Solver::with_config(config);
+    enumerator.add_cnf(dqbf.matrix());
+    enumerator.ensure_vars(n);
+
     let mut extracted = Vec::new();
-    for &y in dqbf.existentials() {
-        let deps: Vec<Var> = dqbf.dependencies(y).iter().copied().collect();
-        if deps.len() > max_deps {
-            continue;
+    for y in candidates {
+        let deps = dqbf.dependencies(y);
+        let mut query: Vec<Lit> = deps.iter().map(|d| selectors[d]).collect();
+        query.extend([y.positive(), shift(y).negative()]);
+        match padoa.solve_with_assumptions(&query) {
+            SolveResult::Unsat => {}
+            SolveResult::Sat => continue,
+            SolveResult::Unknown => return extracted,
         }
-        if !is_uniquely_defined_with(dqbf, y, config) {
-            continue;
+        let mut positive_cubes = Vec::new();
+        for valuation in 0u64..(1u64 << deps.len()) {
+            let alpha: Vec<Lit> = deps
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| d.lit(valuation >> i & 1 == 1))
+                .collect();
+            match enumerator.solve_with_assumptions(&alpha) {
+                SolveResult::Sat if enumerator.value(y) == Some(true) => {
+                    positive_cubes.push(vector.cube(alpha));
+                }
+                // Forced false, or no extension: contributes nothing.
+                SolveResult::Sat | SolveResult::Unsat => {}
+                SolveResult::Unknown => return extracted,
+            }
         }
-        if let Some(f) = definition_by_enumeration(dqbf, y, &deps, vector, config) {
-            vector.set(y, f);
-            extracted.push(y);
-        }
+        let f = vector.aig_mut().or_list(&positive_cubes);
+        vector.set(y, f);
+        extracted.push(y);
     }
     extracted
-}
-
-/// Builds the definition of a uniquely defined `y` as a DNF over its
-/// dependency valuations, using one SAT call per valuation. Returns `None`
-/// when `y` turns out not to be defined for some valuation, or when any call
-/// is cancelled (an `Unknown` must not be mistaken for "forced", so the
-/// whole extraction is abandoned for `y`).
-fn definition_by_enumeration(
-    dqbf: &Dqbf,
-    y: Var,
-    deps: &[Var],
-    vector: &mut HenkinVector,
-    config: &SolverConfig,
-) -> Option<manthan3_aig::AigRef> {
-    let mut solver = Solver::with_config(config.clone());
-    solver.add_cnf(dqbf.matrix());
-    let mut positive_cubes = Vec::new();
-    for valuation in 0u64..(1u64 << deps.len()) {
-        let mut assumptions: Vec<Lit> = deps
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| d.lit(valuation >> i & 1 == 1))
-            .collect();
-        assumptions.push(y.positive());
-        let true_result = solver.solve_with_assumptions(&assumptions);
-        *assumptions.last_mut().expect("non-empty") = y.negative();
-        let false_result = solver.solve_with_assumptions(&assumptions);
-        if true_result == SolveResult::Unknown || false_result == SolveResult::Unknown {
-            return None;
-        }
-        let can_be_true = true_result == SolveResult::Sat;
-        let can_be_false = false_result == SolveResult::Sat;
-        match (can_be_true, can_be_false) {
-            (true, true) => return None, // not actually defined for this valuation
-            (true, false) => {
-                let cube: Vec<_> = deps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| {
-                        let input = vector.aig_mut().input(d.index());
-                        if valuation >> i & 1 == 1 {
-                            input
-                        } else {
-                            !input
-                        }
-                    })
-                    .collect();
-                let c = vector.aig_mut().and_list(&cube);
-                positive_cubes.push(c);
-            }
-            // Forced false or unconstrained valuation: contribute nothing.
-            (false, _) => {}
-        }
-    }
-    Some(vector.aig_mut().or_list(&positive_cubes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check;
+
+    fn extract(dqbf: &Dqbf, max_deps: usize) -> (Vec<Var>, HenkinVector) {
+        let mut vector = HenkinVector::new();
+        let extracted = extract_definitions(dqbf, &mut vector, max_deps, &CancelToken::new());
+        (extracted, vector)
+    }
 
     fn gate_example() -> Dqbf {
         // y1 ↔ (x1 ∧ x2), y2 free (only constrained by a clause it can satisfy
@@ -189,16 +178,14 @@ mod tests {
 
     #[test]
     fn padoa_distinguishes_defined_from_free() {
-        let dqbf = gate_example();
-        assert!(is_uniquely_defined(&dqbf, Var::new(2)));
-        assert!(!is_uniquely_defined(&dqbf, Var::new(3)));
+        let (extracted, vector) = extract(&gate_example(), 8);
+        assert_eq!(extracted, vec![Var::new(2)]);
+        assert!(vector.get(Var::new(3)).is_none());
     }
 
     #[test]
     fn extraction_produces_the_gate_function() {
-        let dqbf = gate_example();
-        let mut vector = HenkinVector::new();
-        let extracted = extract_definitions(&dqbf, &mut vector, 8);
+        let (extracted, vector) = extract(&gate_example(), 8);
         assert_eq!(extracted, vec![Var::new(2)]);
         // The extracted definition is x1 ∧ x2.
         for bits in 0..4u32 {
@@ -212,10 +199,9 @@ mod tests {
 
     #[test]
     fn definition_not_extracted_beyond_dependency_budget() {
-        let dqbf = gate_example();
-        let mut vector = HenkinVector::new();
-        let extracted = extract_definitions(&dqbf, &mut vector, 1);
+        let (extracted, vector) = extract(&gate_example(), 1);
         assert!(extracted.is_empty());
+        assert!(vector.get(Var::new(2)).is_none());
     }
 
     #[test]
@@ -228,7 +214,7 @@ mod tests {
         dqbf.add_existential(y, [x1]);
         dqbf.add_clause([y.negative(), x2.positive()]);
         dqbf.add_clause([y.positive(), x2.negative()]);
-        assert!(!is_uniquely_defined(&dqbf, y));
+        assert!(extract(&dqbf, 8).0.is_empty());
     }
 
     #[test]
@@ -236,9 +222,8 @@ mod tests {
         // In the paper example y2 and y3 are gate-defined once y1 is known;
         // only y3 is defined purely from its dependencies {x2, x3}.
         let dqbf = Dqbf::paper_example();
-        let mut vector = HenkinVector::new();
-        let extracted = extract_definitions(&dqbf, &mut vector, 8);
-        assert!(extracted.contains(&Var::new(5)));
+        let (extracted, mut vector) = extract(&dqbf, 8);
+        assert_eq!(extracted, vec![Var::new(5)]);
         // Completing the remaining functions by hand yields a valid vector.
         let in_x1 = vector.aig_mut().input(0);
         let in_x2 = vector.aig_mut().input(1);
@@ -246,5 +231,19 @@ mod tests {
         let f2 = vector.aig_mut().or(!in_x1, !in_x2);
         vector.set(Var::new(4), f2);
         assert!(check(&dqbf, &vector).is_valid());
+    }
+
+    #[test]
+    fn cancelled_token_extracts_nothing() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut vector = HenkinVector::new();
+        let extracted = extract_definitions(&gate_example(), &mut vector, 8, &cancel);
+        assert!(extracted.is_empty());
+        assert!(vector.is_empty());
+        assert_eq!(
+            vector.aig().num_nodes(),
+            HenkinVector::new().aig().num_nodes()
+        );
     }
 }

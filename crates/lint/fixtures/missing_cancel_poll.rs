@@ -28,6 +28,11 @@ pub fn synthesize_without_poll(rounds: u64) -> u64 {
     solve_without_poll(rounds)
 }
 
+pub fn check(iterations: u64) -> u64 {
+    // Never polls; the `check` in `polling_namesake.rs` does, out of scope.
+    solve_without_poll(iterations)
+}
+
 pub fn solver_config() -> u32 {
     // Not an entry point: `solver` does not word-boundary-match `solve`.
     0

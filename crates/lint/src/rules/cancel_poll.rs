@@ -4,11 +4,19 @@
 //! letter: the portfolio's losers keep burning CPU after a winner cancelled
 //! them.
 //!
-//! Reachability is the shared name-union may-reach summary (see
-//! [`coverage`](super::coverage)): the entry point passes if its name may
-//! (transitively) call a poll marker. Distinct functions sharing a name are
-//! merged, which biases the analysis toward *passing* — a miss therefore
-//! means no function of any reached name polls, which is a real finding.
+//! Each entry point is judged by its own body: it passes if it calls a poll
+//! marker directly, or calls a name that may (transitively) reach one under
+//! the shared name-union may-reach summary (see
+//! [`coverage`](super::coverage)). The entry's own name plays no part, so a
+//! poll-free entry does not pass because an unrelated function of the same
+//! name polls (`manthan3_drat::check` beside `manthan3_dqbf::verify::check`).
+//! Its callees are still merged by name: a call counts if any function of
+//! that name may reach a poll. That merge can hide a poll-free callee
+//! behind a polling namesake, so here it leans toward silence rather than
+//! toward a diagnostic; it stays because telling same-named callees apart
+//! needs types the token model lacks. A miss is still a real finding: no
+//! function of any name the entry calls reaches a poll.
+//!
 //! Entry points that are legitimately poll-free (e.g. pure accessors that
 //! merely match a prefix) belong in the allowlist with a justification
 //! comment in `lint.toml`.
@@ -50,7 +58,9 @@ impl Rule for CancelPoll {
                 if !f.is_pub
                     || f.in_test
                     || !matches_prefix(&f.name, prefixes)
-                    || reaches_poll.contains(&f.name)
+                    || f.calls
+                        .iter()
+                        .any(|c| polls.contains(c) || reaches_poll.contains(c))
                 {
                     continue;
                 }

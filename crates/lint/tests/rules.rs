@@ -97,14 +97,18 @@ fn no_unwrap_in_lib_ignores_out_of_scope_files() {
 fn cancel_poll_fires_on_unreachable_poll() {
     let diags = run_rule(
         &rules::CancelPoll,
-        vec![fixture("missing_cancel_poll.rs", "crates/sat/src/entry.rs")],
+        vec![
+            fixture("missing_cancel_poll.rs", "crates/sat/src/entry.rs"),
+            fixture("polling_namesake.rs", "crates/dqbf/src/verify.rs"),
+        ],
     );
     let symbols: Vec<_> = diags.iter().filter_map(|d| d.symbol.as_deref()).collect();
     // `synthesize` is an entry prefix in lint.toml, so the `synthesize_*`
-    // entry that only reaches a poll-free callee fires too.
+    // entry that only reaches a poll-free callee fires too. `check` fires
+    // although an out-of-scope namesake polls.
     assert_eq!(
         symbols,
-        ["solve_without_poll", "synthesize_without_poll"],
+        ["solve_without_poll", "synthesize_without_poll", "check"],
         "{diags:?}"
     );
 }

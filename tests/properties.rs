@@ -6,10 +6,12 @@ use manthan3::baselines::ExpansionSolver;
 use manthan3::cnf::{dimacs, Assignment, Cnf, Lit, Var};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3::dqbf::verify::CheckOutcome;
-use manthan3::dqbf::{parse_dqdimacs, semantics, verify, write_dqdimacs, Dqbf, HenkinVector};
+use manthan3::dqbf::{
+    parse_dqdimacs, semantics, unique, verify, write_dqdimacs, Dqbf, HenkinVector,
+};
 use manthan3::dtree::{Dataset, DecisionTree};
 use manthan3::maxsat::{MaxSatResult, MaxSatSolver};
-use manthan3::sat::{SolveResult, Solver};
+use manthan3::sat::{CancelToken, SolveResult, Solver};
 use proptest::prelude::*;
 
 /// Strategy: a random CNF over `num_vars` variables.
@@ -259,6 +261,43 @@ proptest! {
         prop_assert_eq!(reparsed.num_clauses(), dqbf.num_clauses());
         for &y in dqbf.existentials() {
             prop_assert_eq!(reparsed.dependencies(y), dqbf.dependencies(y));
+        }
+    }
+}
+
+proptest! {
+    // An output defined by all of X but not by its own H_y is what tells
+    // selector-scoped Padoa queries from unscoped ones, and `arb_dqbf()`
+    // draws one rarely, so this property runs more cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Unique-definition extraction returns exactly the outputs whose
+    /// dependencies define them (every two matrix models that agree on `H_y`
+    /// agree on `y`), and each returned function equals `y` on every model.
+    #[test]
+    fn extraction_returns_exactly_the_defined_outputs(dqbf in arb_dqbf()) {
+        prop_assume!(dqbf.validate().is_ok());
+        let models: Vec<Vec<bool>> = (0..32u32)
+            .map(|bits| (0..5).map(|i| bits >> i & 1 == 1).collect::<Vec<_>>())
+            .filter(|values| dqbf.eval_matrix(&Assignment::from_values(values.clone())))
+            .collect();
+        let mut vector = HenkinVector::new();
+        let extracted = unique::extract_definitions(&dqbf, &mut vector, 3, &CancelToken::new());
+        for &y in dqbf.existentials() {
+            let deps = dqbf.dependencies(y);
+            let agree_on_deps =
+                |a: &[bool], b: &[bool]| deps.iter().all(|x| a[x.index()] == b[x.index()]);
+            let defined = models.iter().all(|a| {
+                models
+                    .iter()
+                    .all(|b| !agree_on_deps(a, b) || a[y.index()] == b[y.index()])
+            });
+            prop_assert_eq!(extracted.contains(&y), defined);
+        }
+        for &y in &extracted {
+            for values in &models {
+                prop_assert_eq!(vector.eval_one(y, values), Some(values[y.index()]));
+            }
         }
     }
 }
