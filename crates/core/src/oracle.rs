@@ -19,10 +19,13 @@
 //! budget; [`Oracle::give_up_reason`] reads it.
 
 use manthan3_cnf::{Assignment, Cnf, Lit};
-use manthan3_drat::{check, write_dimacs, write_text_proof, CheckOutcome, ProofStep};
+use manthan3_drat::{write_dimacs, write_text_proof, CheckOutcome, ProofStep, Session};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sampler::{Sampler, SamplerConfig};
-use manthan3_sat::{CancelToken, Certificate, SolveResult, Solver, SolverConfig, SolverStats};
+use manthan3_sat::{
+    CancelToken, Certificate, LogPosition, SolveResult, Solver, SolverConfig, SolverStats,
+};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Why a synthesis run ended without a definitive answer.
@@ -302,6 +305,11 @@ oracle_stats! {
     proof_adds: u64, counter;
     /// Total clause-deletion steps across all checked certificates.
     proof_deletes: u64, counter;
+    /// Proof-log steps the checker actually processed for accepted
+    /// certificates. Each solver's log is read once by its own checking
+    /// session, so a step counts once however many certificates include
+    /// it; `proof_adds + proof_deletes` counts it once per certificate.
+    proof_steps_checked: u64, counter;
     /// Wall-clock nanoseconds spent inside the in-process proof checker.
     certify_nanos: u64, nanos as "certify_wall_s";
     /// Number of calls that gave up because a budget was exhausted.
@@ -339,6 +347,10 @@ pub struct Oracle {
     /// The first rejected certificate, kept for offline reproduction
     /// (boxed: the happy path pays one pointer, not the evidence).
     certification_failure: Option<Box<CertificationFailure>>,
+    /// One checking session per certifying solver, keyed by the identity of
+    /// its proof log ([`Certificate::log_id`]), with how far the session
+    /// has read that log.
+    proof_sessions: HashMap<u64, (Session, LogPosition)>,
 }
 
 impl Oracle {
@@ -350,6 +362,7 @@ impl Oracle {
             stats: OracleStats::default(),
             certify: false,
             certification_failure: None,
+            proof_sessions: HashMap::new(),
         }
     }
 
@@ -488,11 +501,7 @@ impl Oracle {
     /// checked nor rejected, and the caller reports `Unknown`.
     fn check_unsat_certificate(&mut self, certificate: Option<Certificate<'_>>) -> bool {
         let started = Instant::now();
-        let cancel = self.budget.cancel_token();
-        let outcome = certificate.map(|cert| {
-            let steps = cert.steps().map(ProofStep::from);
-            check(cert.cnf(), steps, || cancel.is_cancelled())
-        });
+        let outcome = certificate.map(|cert| self.advance_session(cert));
         self.stats.certify_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let rejection = match outcome {
             Some(CheckOutcome::Cancelled) => return false,
@@ -528,6 +537,31 @@ impl Oracle {
             }
         }
         true
+    }
+
+    /// Checks `cert` on the session that follows its log: the session loads
+    /// the original clauses and checks the proof steps the log gained since
+    /// its last verdict, then proves this verdict from its assumptions. A
+    /// session that does not verify (rejected or cancelled) is dropped, so
+    /// the log's next certificate is read from its first clause again.
+    fn advance_session(&mut self, cert: Certificate<'_>) -> CheckOutcome {
+        let (mut session, read) = self
+            .proof_sessions
+            .remove(&cert.log_id())
+            .unwrap_or_default();
+        let cancel = self.budget.cancel_token();
+        let outcome = session.advance(
+            cert.originals_since(read),
+            cert.steps_since(read).map(ProofStep::from),
+            cert.assumptions(),
+            || cancel.is_cancelled(),
+        );
+        if let CheckOutcome::Verified(stats) = &outcome {
+            self.stats.proof_steps_checked += stats.steps_checked as u64;
+            self.proof_sessions
+                .insert(cert.log_id(), (session, cert.end()));
+        }
+        outcome
     }
 
     /// Constructs a MaxSAT solver whose internal SAT solver carries the
@@ -796,6 +830,85 @@ mod tests {
         assert_eq!(stats.proof_bytes, 0);
         assert!(oracle.certification_failure().is_none());
         assert_eq!(oracle.give_up_reason(), UnknownReason::Cancelled);
+    }
+
+    /// Clauses (−1∨2)(−2∨3)(−1∨−3) and (−4∨5)(−4∨−5): assuming 1, or
+    /// assuming 4, is UNSAT.
+    fn two_verdict_solver(oracle: &mut Oracle) -> Solver {
+        let mut solver = oracle.new_solver();
+        for [a, b] in [[-1, 2], [-2, 3], [-1, -3], [-4, 5], [-4, -5]] {
+            solver.add_clause([lit(a), lit(b)]);
+        }
+        solver
+    }
+
+    /// Each certifying solver's log is checked once: the second verdict
+    /// advances the session the first one left, so every log step is
+    /// checked exactly once, fewer steps than the two certificates carry.
+    #[test]
+    fn one_session_checks_each_log_step_once() {
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut solver = two_verdict_solver(&mut oracle);
+        for assumed in [lit(1), lit(4)] {
+            let result = oracle.solve_with_assumptions(&mut solver, &[assumed]);
+            assert_eq!(result, SolveResult::Unsat);
+        }
+        let stats = oracle.stats();
+        assert_eq!(
+            (stats.certificates_checked, stats.certificates_rejected),
+            (2, 0)
+        );
+        let (adds, deletes) = solver.proof_steps();
+        assert_eq!(stats.proof_steps_checked, adds + deletes);
+        assert!(stats.proof_steps_checked < stats.proof_adds + stats.proof_deletes);
+        assert_eq!(oracle.proof_sessions.len(), 1);
+    }
+
+    /// A cloned solver's log has an identity of its own, so the copies
+    /// diverge onto separate sessions and both keep being accepted.
+    #[test]
+    fn cloned_solvers_are_checked_on_sessions_of_their_own() {
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut solver = two_verdict_solver(&mut oracle);
+        let result = oracle.solve_with_assumptions(&mut solver, &[lit(1)]);
+        assert_eq!(result, SolveResult::Unsat);
+        let mut twin = solver.clone();
+        // Same number of new clauses on both sides, so a session shared by
+        // the copies would find nothing new in the twin's log and miss the
+        // clauses its verdict needs.
+        solver.add_clause([lit(-6), lit(7)]);
+        solver.add_clause([lit(-6), lit(-7)]);
+        twin.add_clause([lit(-8), lit(9)]);
+        twin.add_clause([lit(-8), lit(-9)]);
+        for (copy, assumed) in [(&mut solver, 6), (&mut twin, 8)] {
+            let result = oracle.solve_with_assumptions(copy, &[lit(assumed)]);
+            assert_eq!(result, SolveResult::Unsat);
+        }
+        let result = oracle.solve_with_assumptions(&mut twin, &[lit(4)]);
+        assert_eq!(result, SolveResult::Unsat);
+        let stats = oracle.stats();
+        assert_eq!(
+            (stats.certificates_checked, stats.certificates_rejected),
+            (4, 0)
+        );
+        assert_eq!(oracle.proof_sessions.len(), 2);
+    }
+
+    /// A session whose advance is cancelled is dropped: it may have read
+    /// part of the new steps, so it cannot serve the log's next verdict.
+    #[test]
+    fn cancelled_advances_discard_their_session() {
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut solver = two_verdict_solver(&mut oracle);
+        let result = oracle.solve_with_assumptions(&mut solver, &[lit(1)]);
+        assert_eq!(result, SolveResult::Unsat);
+        assert_eq!(oracle.proof_sessions.len(), 1);
+        // Solved outside the oracle, so no check has run yet.
+        assert_eq!(solver.solve_with_assumptions(&[lit(4)]), SolveResult::Unsat);
+        oracle.budget().cancel_token().cancel();
+        assert!(!oracle.check_unsat_certificate(solver.certificate()));
+        assert!(oracle.proof_sessions.is_empty());
+        assert_eq!(oracle.stats().certificates_checked, 1);
     }
 
     /// The MaxSAT path certifies its probe loop's closing refutation: a

@@ -19,6 +19,15 @@
 //! empty clauses are ignored (the drat-trim convention): retracting a unit
 //! would invalidate the persistent trail, and solvers routinely delete
 //! root-satisfied clauses whose units live on.
+//!
+//! [`check`] runs that replay once over a whole formula and proof. A
+//! [`Session`] keeps the same state between calls, so it can follow one
+//! growing proof log across many verdicts: each [`Session::advance`] loads
+//! only the new formula clauses, checks only the new steps, and proves the
+//! verdict by propagating its assumptions to a conflict. A session admits
+//! RUP lemmas only. Adding clauses never breaks a RUP derivation, so a
+//! lemma checked early stays valid as later formula clauses arrive; a RAT
+//! lemma may not, because a later clause can contain its pivot's negation.
 
 use crate::{Lit, ProofStep};
 use std::collections::HashMap;
@@ -98,31 +107,99 @@ where
             return CheckOutcome::Cancelled;
         }
         checker.stats.steps_checked = index + 1;
-        match step {
-            ProofStep::Add(lits) => {
-                let lits = lits.as_ref();
-                checker.stats.adds += 1;
-                if !checker.contradiction && !checker.lemma_holds(lits) {
-                    return CheckOutcome::Rejected {
-                        step: index,
-                        reason: format!("lemma {lits:?} is neither RUP nor RAT"),
-                    };
-                }
-                if lits.is_empty() {
-                    return CheckOutcome::Verified(checker.stats);
-                }
-                checker.add_clause(lits);
-                checker.propagate_persistent();
-            }
-            ProofStep::Delete(lits) => {
-                checker.stats.deletes += 1;
-                checker.delete_clause(lits.as_ref());
-            }
+        let step = step.as_slice();
+        let refutes = matches!(step, ProofStep::Add(lits) if lits.is_empty());
+        if let Err(reason) = checker.apply(step, true) {
+            return CheckOutcome::Rejected {
+                step: index,
+                reason,
+            };
+        }
+        if refutes {
+            return CheckOutcome::Verified(checker.stats);
         }
     }
     CheckOutcome::Rejected {
         step: checker.stats.steps_checked,
         reason: "proof ends without deriving the empty clause".to_string(),
+    }
+}
+
+/// A RUP-only checker that follows one growing proof log across many
+/// verdicts (see the [crate docs](crate)).
+///
+/// The caller hands each [`Session::advance`] only what the log gained
+/// since the previous call: the new formula clauses and the new proof
+/// steps. After any outcome other than [`CheckOutcome::Verified`] the
+/// session's state is unspecified; drop it and check the log again from a
+/// new session.
+#[derive(Debug, Clone, Default)]
+pub struct Session {
+    checker: Checker,
+    /// Proof steps consumed by earlier advances.
+    steps: usize,
+}
+
+impl Session {
+    /// An empty session: no formula clauses, no proof steps.
+    pub fn new() -> Session {
+        Session::default()
+    }
+
+    /// Loads `cnf`, checks `steps` as RUP lemmas and deletions, then
+    /// proves the verdict: assuming every literal of `assumptions` on top
+    /// of the persistent trail must propagate to a conflict. A log whose
+    /// persistent closure is already refuted passes at once.
+    ///
+    /// The returned statistics cover this advance only. A rejected step is
+    /// numbered from the start of the log; a verdict that fails to
+    /// propagate to a conflict is rejected at the log's step count (where
+    /// a one-shot certificate would put its empty-clause tail).
+    /// `is_cancelled` is polled as in [`check`].
+    pub fn advance<C, P, L>(
+        &mut self,
+        cnf: C,
+        steps: P,
+        assumptions: &[Lit],
+        mut is_cancelled: impl FnMut() -> bool,
+    ) -> CheckOutcome
+    where
+        C: IntoIterator,
+        C::Item: AsRef<[Lit]>,
+        P: IntoIterator<Item = ProofStep<L>>,
+        L: AsRef<[Lit]>,
+    {
+        if is_cancelled() {
+            return CheckOutcome::Cancelled;
+        }
+        let checker = &mut self.checker;
+        checker.stats = CheckStats::default();
+        for clause in cnf {
+            checker.add_clause(clause.as_ref());
+        }
+        checker.propagate_persistent();
+
+        for (index, step) in steps.into_iter().enumerate() {
+            if index % CANCEL_POLL_INTERVAL == 0 && is_cancelled() {
+                return CheckOutcome::Cancelled;
+            }
+            checker.stats.steps_checked = index + 1;
+            if let Err(reason) = checker.apply(step.as_slice(), false) {
+                return CheckOutcome::Rejected {
+                    step: self.steps + index,
+                    reason,
+                };
+            }
+        }
+        self.steps += checker.stats.steps_checked;
+        if checker.contradiction || checker.conflicts_under(assumptions.iter().copied()) {
+            CheckOutcome::Verified(checker.stats)
+        } else {
+            CheckOutcome::Rejected {
+                step: self.steps,
+                reason: format!("assumptions {assumptions:?} do not propagate to a conflict"),
+            }
+        }
     }
 }
 
@@ -139,7 +216,7 @@ fn code(l: Lit) -> usize {
     2 * v + usize::from(l < 0)
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Checker {
     clauses: Vec<ClauseEntry>,
     /// Normalized (sorted, deduplicated) literal set → active clause indices,
@@ -255,9 +332,16 @@ impl Checker {
             return;
         };
         let index = indices.swap_remove(pos);
-        self.clauses[index].active = false;
-        for slot in 0..2usize.min(self.clauses[index].lits.len()) {
-            let w = code(self.clauses[index].lits[slot]);
+        if indices.is_empty() {
+            self.by_key.remove(&key);
+        }
+        // A deleted clause is never read again: free its literals, which a
+        // session would otherwise keep for the rest of the run.
+        let entry = &mut self.clauses[index];
+        entry.active = false;
+        let lits = std::mem::take(&mut entry.lits);
+        for &watched in lits.iter().take(2) {
+            let w = code(watched);
             if let Some(p) = self.watches[w].iter().position(|&i| i == index) {
                 self.watches[w].swap_remove(p);
             }
@@ -334,18 +418,25 @@ impl Checker {
 
     /// RUP check: does assuming `¬lits` conflict under unit propagation?
     fn is_rup(&mut self, lits: &[Lit]) -> bool {
-        for &l in lits {
+        self.conflicts_under(lits.iter().map(|&l| -l))
+    }
+
+    /// Does assuming every literal of `assumed` on top of the persistent
+    /// trail conflict under unit propagation? The assumptions are unwound
+    /// afterwards.
+    fn conflicts_under(&mut self, assumed: impl IntoIterator<Item = Lit>) -> bool {
+        for l in assumed {
             self.ensure_var(l);
             match self.lit_value(l) {
-                TRUE => {
-                    // ¬l contradicts the current assignment outright (this
+                FALSE => {
+                    // `l` contradicts the current assignment outright (this
                     // also accepts tautological lemmas, e.g. the trivial
                     // core clause of conflicting assumptions).
                     self.unwind();
                     return true;
                 }
-                FALSE => {}
-                _ => self.enqueue(-l),
+                TRUE => {}
+                _ => self.enqueue(l),
             }
         }
         let conflict = !self.propagate();
@@ -353,10 +444,43 @@ impl Checker {
         conflict
     }
 
-    /// Full lemma check: RUP, with the RAT-on-first-literal fallback.
-    fn lemma_holds(&mut self, lits: &[Lit]) -> bool {
+    /// Applies one proof step. Once the formula is refuted every step is
+    /// trivially sound and changes nothing. Otherwise an addition must hold
+    /// (RUP, or with `rat` also RAT on its first literal) and then joins
+    /// the active set, and a deletion retracts its clause.
+    fn apply(&mut self, step: ProofStep<&[Lit]>, rat: bool) -> Result<(), String> {
+        match step {
+            ProofStep::Add(_) => self.stats.adds += 1,
+            ProofStep::Delete(_) => self.stats.deletes += 1,
+        }
+        if self.contradiction {
+            return Ok(());
+        }
+        match step {
+            ProofStep::Add(lits) => {
+                if !self.lemma_holds(lits, rat) {
+                    let rule = if rat {
+                        "neither RUP nor RAT"
+                    } else {
+                        "not RUP"
+                    };
+                    return Err(format!("lemma {lits:?} is {rule}"));
+                }
+                self.add_clause(lits);
+                self.propagate_persistent();
+            }
+            ProofStep::Delete(lits) => self.delete_clause(lits),
+        }
+        Ok(())
+    }
+
+    /// Lemma check: RUP, with the RAT-on-first-literal fallback when `rat`.
+    fn lemma_holds(&mut self, lits: &[Lit], rat: bool) -> bool {
         if self.is_rup(lits) {
             return true;
+        }
+        if !rat {
+            return false;
         }
         // RAT on the first literal: every active clause containing ¬pivot
         // must yield a RUP resolvent (tautologies hold trivially).
@@ -560,13 +684,16 @@ mod tests {
     #[test]
     fn cancellation_is_observed() {
         // A raised poll wins over every verdict: a verifying proof, a
-        // rejected one, and an empty one never reach their verdict.
+        // rejected one, and an empty one never reach their verdict, in a
+        // one-shot check or in a session advance.
         let (cnf, proof) = complete2();
         let bad = Proof {
             steps: vec![add(&[5]), add(&[])],
         };
         for p in [&proof, &bad, &Proof::default()] {
             assert_eq!(check(&cnf, p, || true), CheckOutcome::Cancelled);
+            let advanced = Session::new().advance(&cnf, p, &[], || true);
+            assert_eq!(advanced, CheckOutcome::Cancelled);
         }
         // Between chunks: deletions of absent clauses are no-ops, so this
         // proof verifies unless the poll at step CANCEL_POLL_INTERVAL
@@ -582,6 +709,99 @@ mod tests {
         });
         assert_eq!((outcome, polls), (CheckOutcome::Cancelled, 3));
         assert!(check(&cnf, &long, || false).is_verified());
+        // A session polls on the same schedule, and a cancelled advance
+        // reaches no verdict even when its steps would verify.
+        let mut polls = 0;
+        let outcome = Session::new().advance(&cnf, &long, &[], || {
+            polls += 1;
+            polls == 3
+        });
+        assert_eq!((outcome, polls), (CheckOutcome::Cancelled, 3));
+        let verified = Session::new().advance(&cnf, &long, &[], || false);
+        assert!(verified.is_verified());
+    }
+
+    #[test]
+    fn session_follows_a_growing_log() {
+        let mut session = Session::new();
+        // Verdict 1 under assumption 1: (−1∨2)(−2∨3)(−1∨−3), core clause
+        // (−1) logged.
+        let cnf = vec![vec![-1, 2], vec![-2, 3], vec![-1, -3]];
+        let outcome = session.advance(&cnf, [add(&[-1])], &[1], || false);
+        let CheckOutcome::Verified(stats) = outcome else {
+            panic!("expected verified, got {outcome:?}");
+        };
+        assert_eq!((stats.steps_checked, stats.adds), (1, 1));
+        // Verdict 2 loads only the new clauses and checks only the new
+        // step; the earlier lemma stays in force.
+        let cnf = vec![vec![-4, 5], vec![-4, -5]];
+        let outcome = session.advance(&cnf, [add(&[-4])], &[4], || false);
+        assert!(matches!(
+            outcome,
+            CheckOutcome::Verified(CheckStats {
+                steps_checked: 1,
+                ..
+            })
+        ));
+        // A verdict whose assumptions propagate to no conflict is
+        // rejected at the log's step count.
+        let none: [ProofStep; 0] = [];
+        let mut probe = session.clone();
+        let outcome = probe.advance([[2, 3]], none.clone(), &[2], || false);
+        assert!(
+            matches!(outcome, CheckOutcome::Rejected { step: 2, .. }),
+            "{outcome:?}"
+        );
+        // (1∨4) refutes the log through the lemmas (−1) and (−4): this and
+        // every later verdict passes at once, whatever its assumptions.
+        assert!(session
+            .advance([[1, 4]], none.clone(), &[], || false)
+            .is_verified());
+        assert!(session
+            .advance([[6, 7]], none, &[-6], || false)
+            .is_verified());
+    }
+
+    #[test]
+    fn session_deletions_and_rejections_span_advances() {
+        let (cnf, _) = complete2();
+        let mut session = Session::new();
+        // Assuming ¬1 conflicts through (1∨2) and (1∨−2): no step needed.
+        let none: [ProofStep; 0] = [];
+        assert!(session.advance(&cnf, none, &[-1], || false).is_verified());
+        // A deletion in a later advance retracts a clause loaded by an
+        // earlier one, so (1) is no longer RUP. Rejected steps are numbered
+        // from the start of the log.
+        let steps = [add(&[1, 2, 3]), del(&[1, 2]), add(&[1])];
+        let outcome = session.advance(&cnf[..0], steps, &[], || false);
+        assert!(
+            matches!(outcome, CheckOutcome::Rejected { step: 2, .. }),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn sessions_admit_rup_lemmas_only() {
+        // The pure-literal lemma (3) that the one-shot check admits by RAT
+        // is rejected by a session.
+        let cnf = vec![vec![1, 2]];
+        let outcome = Session::new().advance(&cnf, [add(&[3])], &[], || false);
+        assert!(
+            matches!(&outcome, CheckOutcome::Rejected { step: 0, reason } if reason.contains("not RUP")),
+            "{outcome:?}"
+        );
+        // Lemmas are checked against the log alone: (3) follows from
+        // (−1∨2)(−2∨3) only under the verdict's assumption 1, which a
+        // one-shot certificate carries as a unit clause.
+        let cnf = vec![vec![-1, 2], vec![-2, 3]];
+        let steps = [add(&[3]), add(&[])];
+        let outcome = Session::new().advance(&cnf, steps.clone(), &[1, -3], || false);
+        assert!(
+            matches!(outcome, CheckOutcome::Rejected { step: 0, .. }),
+            "{outcome:?}"
+        );
+        let with_units = [vec![-1, 2], vec![-2, 3], vec![1], vec![-3]];
+        assert!(check(&with_units, steps, || false).is_verified());
     }
 
     #[test]

@@ -15,15 +15,26 @@
 //!
 //! # Contents
 //!
-//! * [`check`] — the forward RUP/DRAT checker and the crate's one entry
-//!   point: two-watched-literal unit propagation with a persistent
-//!   top-level trail, per-lemma RUP check with a RAT-on-first-literal
-//!   fallback, deletion handling (deletions of unit clauses are ignored,
-//!   the drat-trim convention that keeps the persistent trail sound), and
-//!   acceptance at the first verified empty clause. It takes the formula
-//!   and the proof steps as DIMACS integers straight from the caller, and
-//!   polls an `is_cancelled` callback between proof chunks so a long check
-//!   inside a budgeted synthesis run stays preemptible.
+//! Two entry points share one checker core: two-watched-literal unit
+//! propagation with a persistent top-level trail, deletion handling
+//! (deletions of unit clauses are ignored, the drat-trim convention that
+//! keeps the persistent trail sound), and a per-lemma RUP check. Both take
+//! the formula and the proof steps as DIMACS integers straight from the
+//! caller, and poll an `is_cancelled` callback between proof chunks so a
+//! long check inside a budgeted synthesis run stays preemptible.
+//!
+//! * [`check`] — the one-shot forward RUP/DRAT checker: one formula, one
+//!   proof, a RAT-on-first-literal fallback for lemmas that are not RUP,
+//!   and acceptance at the first verified empty clause. The
+//!   `manthan3-drat check` binary and the tests use it.
+//! * [`Session`] — a RUP-only checker that follows one solver's growing
+//!   proof log across all of its UNSAT verdicts. Each
+//!   [`Session::advance`] loads only the formula clauses and checks only
+//!   the proof steps the log gained since the previous verdict, then proves
+//!   the verdict by propagating its assumptions to a conflict. It admits
+//!   RUP lemmas only: a RUP lemma stays implied when later formula clauses
+//!   arrive, a RAT lemma need not (a later clause may contain its pivot's
+//!   negation). Every lemma a `manthan3-sat` solver logs is RUP.
 //! * [`parse_dimacs`] / [`write_dimacs`] — DIMACS CNF files (header
 //!   optional on input, comments and blank lines skipped).
 //! * [`parse_proof`] / [`parse_text_proof`] / [`parse_binary_proof`] /
@@ -47,6 +58,23 @@
 //! assert!(matches!(check(&cnf, &proof, || false), CheckOutcome::Verified(_)));
 //! ```
 //!
+//! # Following a growing log
+//!
+//! ```
+//! use manthan3_drat::{ProofStep, Session};
+//!
+//! let mut session = Session::new();
+//! // Verdict 1: (¬x ∨ y) ∧ (¬y) is UNSAT under the assumption x, and the
+//! // log holds the core clause (¬x).
+//! let cnf = vec![vec![-1, 2], vec![-2]];
+//! let log = vec![ProofStep::Add(vec![-1])];
+//! assert!(session.advance(&cnf, log, &[1], || false).is_verified());
+//! // Verdict 2: the solver gained (x ∨ z) and answered UNSAT under ¬z. The
+//! // session loads the new clause only; (¬x) is still in force.
+//! let no_steps: Vec<ProofStep> = Vec::new();
+//! assert!(session.advance([[1, 3]], no_steps, &[-3], || false).is_verified());
+//! ```
+//!
 //! From the command line:
 //! `cargo run -p manthan3-drat -- check formula.cnf proof.drat`.
 
@@ -56,7 +84,7 @@ mod checker;
 mod parse;
 mod write;
 
-pub use checker::{check, CheckOutcome, CheckStats};
+pub use checker::{check, CheckOutcome, CheckStats, Session};
 pub use parse::{
     parse_binary_proof, parse_dimacs, parse_proof, parse_text_proof, Dimacs, ParseError,
 };

@@ -52,7 +52,7 @@ mod var_heap;
 
 pub use cancel::CancelToken;
 pub use config::SolverConfig;
-pub use proof::{Certificate, ProofTracer};
+pub use proof::{Certificate, LogPosition, ProofTracer};
 pub use solver::{SolveResult, Solver, SolverStats};
 
 use manthan3_cnf::{Assignment, Cnf};

@@ -20,14 +20,29 @@
 //!
 //! The log holds DIMACS `i32` literals, each step zero-terminated, and a
 //! [`Certificate`] is a borrowed view of it: the checker reads the
-//! solver's own integers, with no copy and no text in between. The tracer
-//! is an enum whose `Off` variant makes every emit call a single-branch
-//! no-op, so the hot path pays nothing when logging is disabled. The
-//! checking side, and the text DRAT format for files, live in the
-//! dependency-free `manthan3-drat` crate, which shares no code with this
-//! one.
+//! solver's own integers, with no copy and no text in between.
+//!
+//! A log only grows, so the checker need not read it from the start for
+//! every verdict. Each log has an identity ([`Certificate::log_id`]), and a
+//! [`LogPosition`] marks how far a reader has got
+//! ([`Certificate::end`]). The in-process checker keeps one `manthan3-drat`
+//! session per log: at each verdict it advances that session over the
+//! original clauses and steps recorded since its last position
+//! ([`Certificate::originals_since`], [`Certificate::steps_since`]), then
+//! propagates the verdict's assumptions ([`Certificate::assumptions`]) to a
+//! conflict in place of the empty-clause tail. Every lemma is checked once
+//! per log, however many verdicts rely on it. A cloned log gets a fresh
+//! identity, so a clone's diverging steps never reach the original's
+//! session.
+//!
+//! The tracer is an enum whose `Off` variant makes every emit call a
+//! single-branch no-op, so the hot path pays nothing when logging is
+//! disabled. The checking side, and the text DRAT format for files, live in
+//! the dependency-free `manthan3-drat` crate, which shares no code with
+//! this one.
 
 use manthan3_cnf::Lit;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A clause-event tracer: either disabled (the default, a no-op on every
 /// emit) or recording a DRAT proof log.
@@ -127,9 +142,35 @@ impl ProofTracer {
     }
 }
 
+/// Source of log identities: every log, cloned ones included, takes the
+/// next value.
+static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A proof log's identity ([`Certificate::log_id`]). A clone is a new
+/// identity, so a cloned log, which starts with the same contents and then
+/// diverges, is never mistaken for the original by a checker following it.
+#[derive(Debug)]
+struct LogId(u64);
+
+impl Default for LogId {
+    fn default() -> LogId {
+        // ordering: the counter only has to hand out distinct values; no
+        // other memory is published through it.
+        LogId(NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for LogId {
+    fn clone(&self) -> LogId {
+        LogId::default()
+    }
+}
+
 /// The recording state behind [`ProofTracer::Drat`].
 #[derive(Debug, Clone, Default)]
 pub struct DratLog {
+    /// This log's identity, fresh in every clone.
+    id: LogId,
     /// Caller-provided clauses, verbatim, as zero-terminated DIMACS
     /// literals (the certificate CNF base).
     original: Vec<i32>,
@@ -156,6 +197,18 @@ impl DratLog {
     }
 }
 
+/// How far a reader has consumed one proof log: offsets into its original
+/// clauses and its proof, and the number of proof steps before that
+/// offset. Positions come from [`Certificate::end`] and are meaningful
+/// only for the log (the [`Certificate::log_id`]) they came from; the
+/// default is the start of every log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogPosition {
+    original: usize,
+    proof: usize,
+    steps: usize,
+}
+
 /// A checkable UNSAT certificate, borrowed from the solver's log: a CNF
 /// (original clauses plus one unit per failing assumption) and a DRAT
 /// proof deriving the empty clause, both as DIMACS `i32` literals.
@@ -165,10 +218,47 @@ pub struct Certificate<'a> {
 }
 
 impl<'a> Certificate<'a> {
+    /// The identity of the log this certificate is borrowed from. A log
+    /// only grows, so every later certificate with the same identity
+    /// extends this one; a cloned solver's log has an identity of its own.
+    pub fn log_id(self) -> u64 {
+        self.log.id.0
+    }
+
+    /// The position just past everything the log holds now.
+    pub fn end(self) -> LogPosition {
+        LogPosition {
+            original: self.log.original.len(),
+            proof: self.log.proof.len(),
+            steps: self.log.deletions.len(),
+        }
+    }
+
+    /// The original clauses recorded since `from`.
+    pub fn originals_since(self, from: LogPosition) -> impl Iterator<Item = &'a [i32]> {
+        clauses(&self.log.original[from.original..])
+    }
+
+    /// The persistent log's steps since `from`, as `(deletion, literals)`
+    /// pairs.
+    pub fn steps_since(self, from: LogPosition) -> impl Iterator<Item = (bool, &'a [i32])> {
+        self.log.deletions[from.steps..]
+            .iter()
+            .copied()
+            .zip(clauses(&self.log.proof[from.proof..]))
+    }
+
+    /// The assumptions of the failing solve, as DIMACS literals (none on a
+    /// permanent refutation).
+    pub fn assumptions(self) -> &'a [i32] {
+        &self.log.unsat_assumptions
+    }
+
     /// The refuted formula: the original clauses, then one unit clause per
     /// assumption of the failing solve.
     pub fn cnf(self) -> impl Iterator<Item = &'a [i32]> {
-        clauses(&self.log.original).chain(self.log.unsat_assumptions.chunks(1))
+        self.originals_since(LogPosition::default())
+            .chain(self.assumptions().chunks(1))
     }
 
     /// The proof steps as `(deletion, literals)` pairs: the persistent log,
@@ -178,11 +268,7 @@ impl<'a> Certificate<'a> {
     /// and a checker stops there.
     pub fn steps(self) -> impl Iterator<Item = (bool, &'a [i32])> {
         let empty: &[i32] = &[];
-        self.log
-            .deletions
-            .iter()
-            .copied()
-            .zip(clauses(&self.log.proof))
+        self.steps_since(LogPosition::default())
             .chain(std::iter::once((false, empty)))
     }
 
@@ -280,5 +366,32 @@ mod tests {
         t.note_inconclusive();
         let cert = t.certificate().expect("permanently refuted");
         assert_eq!(cnf(cert), vec![vec![-1, 2]]);
+    }
+
+    #[test]
+    fn positions_split_the_log_and_clones_get_a_fresh_identity() {
+        let mut t = ProofTracer::new(true);
+        t.emit_original(&[lit(-1), lit(2)]);
+        t.emit_add(&[lit(2), lit(3)]);
+        t.note_unsat(&[lit(1)]);
+        let cert = t.certificate().expect("unsat was noted");
+        let (id, read) = (cert.log_id(), cert.end());
+        t.emit_original(&[lit(-2)]);
+        t.emit_delete(&[lit(2), lit(3)]);
+        t.emit_add(&[lit(-1)]);
+        t.note_unsat(&[lit(1)]);
+        let cert = t.certificate().expect("unsat was noted");
+        assert_eq!(cert.log_id(), id);
+        let new: Vec<&[i32]> = cert.originals_since(read).collect();
+        assert_eq!(new, [&[-2][..]]);
+        let new_steps: Vec<(bool, &[i32])> = cert.steps_since(read).collect();
+        assert_eq!(new_steps, [(true, &[2, 3][..]), (false, &[-1][..])]);
+        assert_eq!(cert.assumptions(), [1]);
+        assert_eq!(cert.steps_since(cert.end()).count(), 0);
+        // A cloned log holds the same certificate under a new identity.
+        let copy = t.clone();
+        let twin = copy.certificate().expect("the clone carries the verdict");
+        assert_ne!(twin.log_id(), id);
+        assert_eq!(steps(twin), steps(cert));
     }
 }

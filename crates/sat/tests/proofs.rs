@@ -4,13 +4,18 @@
 //! assumption-scoped verdicts, learning, restarts, and database maintenance.
 //! The checker reads the solver's integer log directly; the text files the
 //! `manthan3-drat` writers render from it must round-trip too.
+//!
+//! Every certificate is checked twice, by the one-shot `check` and by a
+//! checking `Session`, and both must reach the same verdict. A session
+//! never accepts what `check` rejects: mutated logs whose certificate
+//! `check` rejects must be rejected by the session as well.
 
 use manthan3_cnf::Lit;
 use manthan3_drat::{
     check, parse_dimacs, parse_text_proof, write_dimacs, write_text_proof, CheckOutcome, Proof,
-    ProofStep,
+    ProofStep, Session,
 };
-use manthan3_sat::{Certificate, SolveResult, Solver, SolverConfig};
+use manthan3_sat::{Certificate, LogPosition, SolveResult, Solver, SolverConfig};
 
 fn logging_solver(config: SolverConfig) -> Solver {
     Solver::with_config(config.with_proof_logging(true))
@@ -33,9 +38,129 @@ fn owned(cert: Certificate<'_>) -> (Vec<Vec<i32>>, Proof) {
     )
 }
 
-/// Checks a certificate in place with the independent checker.
+/// A literal no test formula uses.
+const FRESH: i32 = 9_999;
+
+/// Checks a certificate in place with the one-shot checker and with a new
+/// session (the oracle's path for a log's first certificate), requiring the
+/// same verdict from both.
 fn check_certificate(cert: Certificate<'_>) -> CheckOutcome {
-    check(cert.cnf(), cert.steps().map(ProofStep::from), || false)
+    let one_shot = check(cert.cnf(), cert.steps().map(ProofStep::from), || false);
+    let start = LogPosition::default();
+    let session = Session::new().advance(
+        cert.originals_since(start),
+        cert.steps_since(start).map(ProofStep::from),
+        cert.assumptions(),
+        || false,
+    );
+    assert_eq!(
+        one_shot.is_verified(),
+        session.is_verified(),
+        "one-shot {one_shot:?} vs session {session:?}"
+    );
+    one_shot
+}
+
+/// The one-shot and the session verdict on `cert` with the log's steps
+/// since `from` replaced by `suffix`. The session is a clone of `base`,
+/// which has read the log up to `from`; the one-shot check gets the
+/// certificate form: the whole log, then the empty-clause tail.
+fn verdicts_on(
+    base: &Session,
+    from: LogPosition,
+    cert: Certificate<'_>,
+    suffix: &[ProofStep],
+) -> (bool, bool) {
+    let start = LogPosition::default();
+    let prefix = cert.steps_since(start).count() - cert.steps_since(from).count();
+    let tail = std::iter::once(ProofStep::Add(&[][..]));
+    let steps = (cert.steps_since(start).take(prefix).map(ProofStep::from))
+        .chain(suffix.iter().map(ProofStep::as_slice))
+        .chain(tail);
+    let one_shot = check(cert.cnf(), steps, || false).is_verified();
+    let steps = suffix.iter().map(ProofStep::as_slice);
+    let session = (base.clone())
+        .advance(
+            cert.originals_since(from),
+            steps,
+            cert.assumptions(),
+            || false,
+        )
+        .is_verified();
+    (one_shot, session)
+}
+
+/// Drops each lemma the log gained since `from` in turn, and replaces it
+/// by a fresh pure literal (which the one-shot check admits as RAT); then
+/// drops the verdict's assumptions. A session that has read the log up to
+/// `from` must never accept a mutated certificate the one-shot check
+/// rejects. Returns the number of mutations the one-shot check rejects:
+/// each drops or corrupts a needed lemma, or needed assumptions.
+fn assert_session_rejects_broken_logs(
+    base: &Session,
+    from: LogPosition,
+    cert: Certificate<'_>,
+) -> usize {
+    let suffix: Vec<ProofStep> = cert
+        .steps_since(from)
+        .map(|(d, lits)| (d, lits.to_vec()).into())
+        .collect();
+    let mut rejected = 0;
+    for (i, step) in suffix.iter().enumerate() {
+        if !matches!(step, ProofStep::Add(_)) {
+            continue;
+        }
+        let mut dropped = suffix.clone();
+        dropped.remove(i);
+        let mut corrupted = suffix.clone();
+        corrupted[i] = ProofStep::Add(vec![FRESH]);
+        for mutated in [dropped, corrupted] {
+            let (one_shot, session) = verdicts_on(base, from, cert, &mutated);
+            assert!(
+                one_shot || !session,
+                "session accepted a log the one-shot check rejects (new step {i} mutated)"
+            );
+            rejected += usize::from(!one_shot);
+        }
+    }
+    // The same log under a verdict without its assumptions.
+    let start = LogPosition::default();
+    let one_shot = check(
+        cert.originals_since(start),
+        cert.steps().map(ProofStep::from),
+        || false,
+    )
+    .is_verified();
+    let session = (base.clone())
+        .advance(
+            cert.originals_since(from),
+            cert.steps_since(from).map(ProofStep::from),
+            &[],
+            || false,
+        )
+        .is_verified();
+    assert!(
+        one_shot || !session,
+        "session accepted a verdict without its assumptions"
+    );
+    rejected + usize::from(!one_shot)
+}
+
+/// Advances `session` over what `cert`'s log gained since `read`, requires
+/// the verdict, and moves `read` to the end of the log. Returns the steps
+/// the advance checked.
+fn advance(session: &mut Session, read: &mut LogPosition, cert: Certificate<'_>) -> usize {
+    let outcome = session.advance(
+        cert.originals_since(*read),
+        cert.steps_since(*read).map(ProofStep::from),
+        cert.assumptions(),
+        || false,
+    );
+    let CheckOutcome::Verified(stats) = outcome else {
+        panic!("session rejected a verdict: {outcome:?}");
+    };
+    *read = cert.end();
+    stats.steps_checked
 }
 
 fn assert_verified(cert: Certificate<'_>) {
@@ -48,15 +173,22 @@ fn assert_verified(cert: Certificate<'_>) {
 /// Pigeonhole principle PHP(holes + 1, holes): unsatisfiable, and hard
 /// enough to force genuine clause learning.
 fn pigeonhole(solver: &mut Solver, holes: usize) {
+    guarded_pigeonhole(solver, holes, 0, None);
+}
+
+/// PHP(holes + 1, holes) over the variables after `offset`, every clause
+/// guarded by `guard` when one is given.
+fn guarded_pigeonhole(solver: &mut Solver, holes: usize, offset: usize, guard: Option<Lit>) {
     let pigeons = holes + 1;
-    let var = |p: usize, h: usize| lit((p * holes + h + 1) as i64);
+    let var = |p: usize, h: usize| lit((offset + p * holes + h + 1) as i64);
+    let mut add = |clause: Vec<Lit>| solver.add_clause(guard.map(|g| !g).into_iter().chain(clause));
     for p in 0..pigeons {
-        solver.add_clause((0..holes).map(|h| var(p, h)));
+        add((0..holes).map(|h| var(p, h)).collect());
     }
     for h in 0..holes {
         for p1 in 0..pigeons {
             for p2 in (p1 + 1)..pigeons {
-                solver.add_clause([!var(p1, h), !var(p2, h)]);
+                add(vec![!var(p1, h), !var(p2, h)]);
             }
         }
     }
@@ -91,6 +223,11 @@ fn assumption_scoped_certificate_needs_its_assumptions() {
     // satisfiable and the same proof must NOT check out.
     let unscoped = cert.cnf().filter(|c| c.len() > 1);
     assert!(!check(unscoped, cert.steps().map(ProofStep::from), || false).is_verified());
+    assert_eq!(
+        assert_session_rejects_broken_logs(&Session::new(), LogPosition::default(), cert),
+        1,
+        "only the unscoped verdict breaks this certificate"
+    );
     // A SAT verdict withdraws the certificate.
     assert_eq!(s.solve(), SolveResult::Sat);
     assert!(s.certificate().is_none());
@@ -125,6 +262,51 @@ fn incremental_session_certificates_survive_maintenance() {
     assert_verified(cert);
 }
 
+/// One session follows a solver through several assumption-scoped
+/// verdicts, with new original clauses and a maintenance pass (deletions)
+/// between them. Each verdict advances the session over what the log
+/// gained, and each also passes a fresh one-shot `check`. Dropping or
+/// corrupting a needed lemma is rejected by the advancing session too.
+#[test]
+fn one_session_certifies_every_verdict_of_a_solver() {
+    let mut s = logging_solver(SolverConfig::default());
+    let (g, h) = (lit(100), lit(101));
+    let mut session = Session::new();
+    let mut read = LogPosition::default();
+    let mut checked = 0;
+
+    guarded_pigeonhole(&mut s, 3, 0, Some(g));
+    assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Unsat);
+    let cert = s.certificate().expect("first unsat certificate");
+    assert_verified(cert);
+    checked += advance(&mut session, &mut read, cert);
+
+    // New original clauses, and a verdict that needs them.
+    let (after_first, first_read) = (session.clone(), read);
+    guarded_pigeonhole(&mut s, 3, 12, Some(h));
+    assert_eq!(s.solve_with_assumptions(&[h]), SolveResult::Unsat);
+    let cert = s.certificate().expect("second unsat certificate");
+    assert_verified(cert);
+    assert!(assert_session_rejects_broken_logs(&after_first, first_read, cert) > 0);
+    checked += advance(&mut session, &mut read, cert);
+
+    // Retiring `g` satisfies its clauses, so maintenance deletes them.
+    let deletes_before = s.proof_steps().1;
+    s.retire_activation(g);
+    s.maintain();
+    assert!(s.proof_steps().1 > deletes_before);
+    for assumed in [[h, lit(1)], [g, h]] {
+        assert_eq!(s.solve_with_assumptions(&assumed), SolveResult::Unsat);
+        let cert = s.certificate().expect("later unsat certificate");
+        assert_verified(cert);
+        checked += advance(&mut session, &mut read, cert);
+    }
+
+    // Every log step was checked once, across all four verdicts.
+    let (adds, deletes) = s.proof_steps();
+    assert_eq!(checked as u64, adds + deletes);
+}
+
 #[test]
 fn add_clause_preprocessing_is_logged() {
     let mut s = logging_solver(SolverConfig::default());
@@ -147,7 +329,10 @@ fn mutated_or_truncated_proofs_are_rejected() {
     let mut s = logging_solver(SolverConfig::default());
     pigeonhole(&mut s, 3);
     assert_eq!(s.solve(), SolveResult::Unsat);
-    let (cnf, mut proof) = owned(s.certificate().expect("unsat verdict yields a certificate"));
+    let cert = s.certificate().expect("unsat verdict yields a certificate");
+    assert_verified(cert);
+    assert_session_rejects_broken_logs(&Session::new(), LogPosition::default(), cert);
+    let (cnf, mut proof) = owned(cert);
     assert!(check(&cnf, &proof, || false).is_verified());
     // The checker stops at the first empty-clause addition (a level-0
     // refutation logs one permanently; the certificate tail appends a
@@ -173,6 +358,7 @@ fn mutated_or_truncated_proofs_are_rejected() {
 /// writers render from a solver certificate parses back to the same
 /// clauses and steps, and the parsed pair checks out.
 fn assert_text_round_trip(cert: Certificate<'_>) {
+    assert_verified(cert);
     let (cnf, proof) = owned(cert);
     let dimacs = parse_dimacs(&write_dimacs(cert.cnf())).expect("written CNF parses");
     let parsed = parse_text_proof(&write_text_proof(cert.steps().map(ProofStep::from)))
@@ -265,8 +451,10 @@ mod random_certificates {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every UNSAT verdict under proof logging yields a certificate the
-        /// independent checker accepts — and directed, guaranteed-breaking
-        /// mutations of that proof are rejected. (Sign flips can survive via
+        /// one-shot checker and a session both accept; a session rejects
+        /// every dropped or corrupted lemma the one-shot check rejects. And
+        /// directed, guaranteed-breaking mutations of that proof are
+        /// rejected by the one-shot check. (Sign flips can survive via
         /// vacuous-RAT pure-literal admission, so the mutations corrupt the
         /// first empty-clause addition — the step the checker stops at —
         /// with a fresh pure literal, then drop the refutation entirely.)
@@ -279,11 +467,12 @@ mod random_certificates {
             match s.solve() {
                 SolveResult::Unsat => {
                     let cert = s.certificate().expect("unsat verdict yields a certificate");
-                    let (dimacs, mut proof) = owned(cert);
                     prop_assert!(
-                        check(&dimacs, &proof, || false).is_verified(),
+                        check_certificate(cert).is_verified(),
                         "pristine certificate rejected"
                     );
+                    assert_session_rejects_broken_logs(&Session::new(), LogPosition::default(), cert);
+                    let (dimacs, mut proof) = owned(cert);
                     let first_empty = proof
                         .steps
                         .iter()
@@ -343,6 +532,7 @@ mod random_certificates {
                         check_certificate(cert).is_verified(),
                         "assumption-scoped certificate rejected"
                     );
+                    assert_session_rejects_broken_logs(&Session::new(), LogPosition::default(), cert);
                 }
                 SolveResult::Sat => prop_assert!(s.certificate().is_none()),
                 other => prop_assert!(false, "unbudgeted solve returned {other:?}"),

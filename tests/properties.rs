@@ -35,30 +35,65 @@ fn arb_cnf(num_vars: usize, max_clauses: usize) -> impl Strategy<Value = Cnf> {
 fn arb_dqbf() -> impl Strategy<Value = Dqbf> {
     let deps = proptest::collection::vec(any::<bool>(), 3);
     let clause = proptest::collection::vec((0..5usize, any::<bool>()), 1..=3);
-    (deps.clone(), deps, proptest::collection::vec(clause, 1..=6)).prop_map(|(d1, d2, clauses)| {
-        let mut dqbf = Dqbf::new();
-        let xs: Vec<Var> = (0..3).map(Var::new).collect();
-        for &x in &xs {
-            dqbf.add_universal(x);
-        }
-        let pick = |mask: &[bool]| -> Vec<Var> {
-            xs.iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(&x, _)| x)
-                .collect()
-        };
-        dqbf.add_existential(Var::new(3), pick(&d1));
-        dqbf.add_existential(Var::new(4), pick(&d2));
-        for clause in clauses {
-            dqbf.add_clause(
-                clause
-                    .into_iter()
-                    .map(|(v, pol)| Lit::new(Var::new(v as u32), pol)),
-            );
-        }
-        dqbf
-    })
+    (deps.clone(), deps, proptest::collection::vec(clause, 1..=6))
+        .prop_map(|(d1, d2, clauses)| small_dqbf(&d1, &d2, clauses))
+}
+
+/// Strategy: an [`arb_dqbf()`] instance with one output `y` planted as
+/// `y ↔ x`, both polarities, for a universal `x` outside `H_y` but inside
+/// the other output's dependencies. All of X then defines `y` while `H_y`
+/// alone need not: the case that tells selector-scoped Padoa queries from
+/// unscoped ones.
+fn arb_planted_dqbf() -> impl Strategy<Value = Dqbf> {
+    let deps = proptest::collection::vec(any::<bool>(), 3);
+    let clause = proptest::collection::vec((0..5usize, any::<bool>()), 1..=3);
+    (
+        (deps.clone(), deps),
+        proptest::collection::vec(clause, 0..=5),
+        0..2usize,
+        0..3usize,
+    )
+        .prop_map(|((mut d1, mut d2), mut clauses, planted, x)| {
+            let (own, other) = if planted == 0 {
+                (&mut d1, &mut d2)
+            } else {
+                (&mut d2, &mut d1)
+            };
+            own[x] = false;
+            other[x] = true;
+            let y = 3 + planted;
+            clauses.push(vec![(y, true), (x, false)]);
+            clauses.push(vec![(y, false), (x, true)]);
+            small_dqbf(&d1, &d2, clauses)
+        })
+}
+
+/// Universals 0–2, existential 3 depending on the universals `d1` selects
+/// and existential 4 on those `d2` selects, and the given clauses as
+/// `(variable, polarity)` literals.
+fn small_dqbf(d1: &[bool], d2: &[bool], clauses: Vec<Vec<(usize, bool)>>) -> Dqbf {
+    let mut dqbf = Dqbf::new();
+    let xs: Vec<Var> = (0..3).map(Var::new).collect();
+    for &x in &xs {
+        dqbf.add_universal(x);
+    }
+    let pick = |mask: &[bool]| -> Vec<Var> {
+        xs.iter()
+            .zip(mask)
+            .filter(|(_, &m)| m)
+            .map(|(&x, _)| x)
+            .collect()
+    };
+    dqbf.add_existential(Var::new(3), pick(d1));
+    dqbf.add_existential(Var::new(4), pick(d2));
+    for clause in clauses {
+        dqbf.add_clause(
+            clause
+                .into_iter()
+                .map(|(v, pol)| Lit::new(Var::new(v as u32), pol)),
+        );
+    }
+    dqbf
 }
 
 /// Folds `leaves` onto `acc`, one gate per leaf, the gate picked by `ops`.
@@ -265,40 +300,59 @@ proptest! {
     }
 }
 
+/// Unique-definition extraction returns exactly the outputs whose
+/// dependencies define them (every two matrix models that agree on `H_y`
+/// agree on `y`), and each returned function equals `y` on every model.
+fn assert_extraction_is_exact(dqbf: &Dqbf) -> TestCaseResult {
+    prop_assume!(dqbf.validate().is_ok());
+    let models: Vec<Vec<bool>> = (0..32u32)
+        .map(|bits| (0..5).map(|i| bits >> i & 1 == 1).collect::<Vec<_>>())
+        .filter(|values| dqbf.eval_matrix(&Assignment::from_values(values.clone())))
+        .collect();
+    let mut vector = HenkinVector::new();
+    let extracted = unique::extract_definitions(dqbf, &mut vector, 3, &CancelToken::new());
+    for &y in dqbf.existentials() {
+        let deps = dqbf.dependencies(y);
+        let agree_on_deps =
+            |a: &[bool], b: &[bool]| deps.iter().all(|x| a[x.index()] == b[x.index()]);
+        let defined = models.iter().all(|a| {
+            models
+                .iter()
+                .all(|b| !agree_on_deps(a, b) || a[y.index()] == b[y.index()])
+        });
+        prop_assert_eq!(extracted.contains(&y), defined);
+    }
+    for &y in &extracted {
+        for values in &models {
+            prop_assert_eq!(vector.eval_one(y, values), Some(values[y.index()]));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     // An output defined by all of X but not by its own H_y is what tells
     // selector-scoped Padoa queries from unscoped ones, and `arb_dqbf()`
     // draws one rarely, so this property runs more cases than the rest.
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Unique-definition extraction returns exactly the outputs whose
-    /// dependencies define them (every two matrix models that agree on `H_y`
-    /// agree on `y`), and each returned function equals `y` on every model.
+    /// [`assert_extraction_is_exact`] on random instances.
     #[test]
     fn extraction_returns_exactly_the_defined_outputs(dqbf in arb_dqbf()) {
-        prop_assume!(dqbf.validate().is_ok());
-        let models: Vec<Vec<bool>> = (0..32u32)
-            .map(|bits| (0..5).map(|i| bits >> i & 1 == 1).collect::<Vec<_>>())
-            .filter(|values| dqbf.eval_matrix(&Assignment::from_values(values.clone())))
-            .collect();
-        let mut vector = HenkinVector::new();
-        let extracted = unique::extract_definitions(&dqbf, &mut vector, 3, &CancelToken::new());
-        for &y in dqbf.existentials() {
-            let deps = dqbf.dependencies(y);
-            let agree_on_deps =
-                |a: &[bool], b: &[bool]| deps.iter().all(|x| a[x.index()] == b[x.index()]);
-            let defined = models.iter().all(|a| {
-                models
-                    .iter()
-                    .all(|b| !agree_on_deps(a, b) || a[y.index()] == b[y.index()])
-            });
-            prop_assert_eq!(extracted.contains(&y), defined);
-        }
-        for &y in &extracted {
-            for values in &models {
-                prop_assert_eq!(vector.eval_one(y, values), Some(values[y.index()]));
-            }
-        }
+        assert_extraction_is_exact(&dqbf)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// [`assert_extraction_is_exact`] on instances where one output is tied
+    /// to a universal outside its own dependencies.
+    #[test]
+    fn extraction_returns_exactly_the_defined_outputs_when_x_ties_an_output(
+        dqbf in arb_planted_dqbf(),
+    ) {
+        assert_extraction_is_exact(&dqbf)?;
     }
 }
 
