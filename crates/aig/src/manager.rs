@@ -34,6 +34,12 @@ impl AigRef {
     fn mapped(self, map: &[AigRef]) -> AigRef {
         AigRef(map[self.node_id()].0 ^ (self.0 & 1))
     }
+
+    /// The word that complements a simulated node's 64 patterns along this
+    /// edge: all ones on a complemented edge, zero otherwise.
+    fn word_mask(self) -> u64 {
+        0u64.wrapping_sub(u64::from(self.is_complemented()))
+    }
 }
 
 impl std::ops::Not for AigRef {
@@ -201,21 +207,90 @@ impl Aig {
         acc
     }
 
-    /// Evaluates `f` under an assignment of values to input labels.
+    /// Evaluates `f` under an assignment of values to input labels: the
+    /// one-word case of [`Aig::simulate`].
     ///
     /// `values[label]` is the value of the input with that label; labels
     /// outside the slice evaluate to `false`.
     pub fn eval(&self, f: AigRef, values: &[bool]) -> bool {
-        let mut value = vec![false; self.nodes.len()];
-        let edge = |value: &[bool], r: AigRef| value[r.node_id()] ^ r.is_complemented();
-        for id in self.post_order(f, |_| false) {
-            value[id] = match self.nodes[id] {
-                Node::Constant => false,
-                Node::Input(label) => values.get(label).copied().unwrap_or(false),
-                Node::And(a, b) => edge(&value, a) && edge(&value, b),
-            };
+        let mut words: Vec<u64> = values.iter().map(|&b| u64::from(b)).collect();
+        // The result goes to a label one past the slice. `f` may read that
+        // label as an input too; it is still 0 when read, i.e. `false`.
+        let out = words.len();
+        words.push(0);
+        self.simulate(1, &mut words, &[(out, f)]);
+        words[out] & 1 == 1
+    }
+
+    /// Bit-parallel simulation: evaluates each `(label, f)` of `outputs`, in
+    /// order, on `words` words of 64 input patterns, and writes the result
+    /// back as the words of input `label`.
+    ///
+    /// `values` holds `words` consecutive `u64`s per input label: bit `j` of
+    /// `values[label * words + w]` is the value of that input in pattern
+    /// `64 * w + j`. Labels whose words lie past the end of `values` read as
+    /// all-false. Each output costs one post-order pass over its cone, and
+    /// because its words are written back before the next output runs, a
+    /// later function may read an earlier output as an input: list
+    /// suppliers first, as in a substitution order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an output's label has no words in `values`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use manthan3_aig::Aig;
+    ///
+    /// let mut aig = Aig::new();
+    /// let x = aig.input(0);
+    /// let y = aig.input(1);
+    /// let f = aig.xor(x, y);
+    /// let z = aig.input(2);
+    /// let g = aig.and(z, !x);
+    /// // One word per label; label 2 receives f, which g then reads.
+    /// let mut values = [0b0101, 0b0011, 0, 0];
+    /// aig.simulate(1, &mut values, &[(2, f), (3, g)]);
+    /// assert_eq!(values[2], 0b0110);
+    /// assert_eq!(values[3], 0b0010);
+    /// ```
+    pub fn simulate(&self, words: usize, values: &mut [u64], outputs: &[(usize, AigRef)]) {
+        // `slot[id]` is the position of node `id` in the current cone's
+        // post-order; its words are `cone[slot * words..][..words]`. Every
+        // child of a cone node is in the same cone and comes earlier, so
+        // slots left over from an earlier output are never read.
+        let mut slot = vec![0u32; self.nodes.len()];
+        let mut cone: Vec<u64> = Vec::new();
+        for &(label, f) in outputs {
+            cone.clear();
+            for (position, id) in self.post_order(f, |_| false).into_iter().enumerate() {
+                slot[id] = position as u32;
+                match self.nodes[id] {
+                    Node::Constant => cone.resize(cone.len() + words, 0),
+                    Node::Input(input) => match values.get(input * words..(input + 1) * words) {
+                        Some(input_words) => cone.extend_from_slice(input_words),
+                        None => cone.resize(cone.len() + words, 0),
+                    },
+                    Node::And(a, b) => {
+                        let (a_start, a_mask) = (slot[a.node_id()] as usize * words, a.word_mask());
+                        let (b_start, b_mask) = (slot[b.node_id()] as usize * words, b.word_mask());
+                        for w in 0..words {
+                            let word = (cone[a_start + w] ^ a_mask) & (cone[b_start + w] ^ b_mask);
+                            cone.push(word);
+                        }
+                    }
+                }
+            }
+            let root = slot[f.node_id()] as usize * words;
+            let root_mask = f.word_mask();
+            for (out, &word) in values[label * words..][..words]
+                .iter_mut()
+                .zip(&cone[root..root + words])
+            {
+                *out = word ^ root_mask;
+            }
         }
-        edge(&value, f)
     }
 
     /// Returns the sorted list of input labels in the transitive fan-in of `f`.

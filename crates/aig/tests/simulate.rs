@@ -1,0 +1,114 @@
+//! Bit-parallel simulation against an independent evaluator: on random AIGs
+//! and random input words, every lane of `Aig::simulate` must equal the value
+//! that the cone's Tseitin encoding (`Aig::encode_cnf`) forces for that
+//! lane's inputs, read off an assignment that `Cnf::eval` accepts.
+//!
+//! The outputs are written back to input labels that later outputs (and the
+//! gates below them) read, so the chaining of a substitution order is
+//! exercised too.
+
+use manthan3_aig::{Aig, AigRef};
+use manthan3_cnf::{Assignment, Cnf, CnfBuilder, Lit, Var};
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// Primary inputs that are never written.
+const FREE_INPUTS: usize = 4;
+/// Outputs; output `i` is written to label `FREE_INPUTS + i`.
+const OUTPUTS: usize = 3;
+const LABELS: usize = FREE_INPUTS + OUTPUTS;
+
+/// One random gate: two operand picks (an index into the functions built so
+/// far) with their complement bits.
+type GateSpec = (usize, bool, usize, bool);
+
+fn build(gates: &[GateSpec], roots: &[(usize, bool)]) -> (Aig, Vec<(usize, AigRef)>) {
+    let mut aig = Aig::new();
+    let mut refs = vec![AigRef::FALSE];
+    refs.extend((0..LABELS).map(|label| aig.input(label)));
+    for &(a, ca, b, cb) in gates {
+        let pick = |i: usize, c: bool| {
+            let r = refs[i % refs.len()];
+            if c {
+                !r
+            } else {
+                r
+            }
+        };
+        let gate = aig.and(pick(a, ca), pick(b, cb));
+        refs.push(gate);
+    }
+    let outputs = roots
+        .iter()
+        .enumerate()
+        .map(|(i, &(r, c))| {
+            let root = refs[r % refs.len()];
+            (FREE_INPUTS + i, if c { !root } else { root })
+        })
+        .collect();
+    (aig, outputs)
+}
+
+/// The value of `out` under `inputs`: the aux variables of a Tseitin
+/// encoding are allocated after the variables they are defined from, so each
+/// one is set, in index order, to the value that satisfies every clause
+/// whose largest variable it is. The completed assignment must satisfy the
+/// whole CNF.
+fn cnf_value(cnf: &Cnf, out: Lit, inputs: &[bool]) -> bool {
+    let mut assignment = Assignment::new_false(cnf.num_vars());
+    for (i, &value) in inputs.iter().enumerate() {
+        assignment.set(Var::new(i as u32), value);
+    }
+    for v in inputs.len()..cnf.num_vars() {
+        let var = Var::new(v as u32);
+        let defining = || cnf.iter().filter(|c| c.max_var() == Some(var));
+        if !defining().all(|c| c.eval(&assignment)) {
+            assignment.set(var, true);
+        }
+    }
+    assert!(cnf.eval(&assignment), "Tseitin encoding left unsatisfied");
+    assignment.lit_value(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn every_lane_matches_the_tseitin_encoding(
+        words in 1usize..=3,
+        gates in collection::vec((0usize..64, any::<bool>(), 0usize..64, any::<bool>()), 0..=24),
+        roots in collection::vec((0usize..64, any::<bool>()), OUTPUTS..=OUTPUTS),
+        input_words in collection::vec(0u64..=u64::MAX, LABELS * 3..=LABELS * 3),
+    ) {
+        let (aig, outputs) = build(&gates, &roots);
+        let input_lit: HashMap<usize, Lit> =
+            (0..LABELS).map(|label| (label, Var::new(label as u32).positive())).collect();
+        let encodings: Vec<(Cnf, Lit)> = outputs
+            .iter()
+            .map(|&(_, f)| {
+                let mut builder = CnfBuilder::new(LABELS);
+                let out = aig.encode_cnf(f, &mut builder, &input_lit, &mut HashMap::new());
+                (builder.into_cnf(), out)
+            })
+            .collect();
+
+        let initial = &input_words[..LABELS * words];
+        let mut simulated = initial.to_vec();
+        aig.simulate(words, &mut simulated, &outputs);
+
+        for lane in 0..64 * words {
+            let bit = |values: &[u64], label: usize| {
+                values[label * words + lane / 64] >> (lane % 64) & 1 == 1
+            };
+            let mut lane_values: Vec<bool> = (0..LABELS).map(|l| bit(initial, l)).collect();
+            for (&(label, _), (cnf, out)) in outputs.iter().zip(&encodings) {
+                lane_values[label] = cnf_value(cnf, *out, &lane_values);
+                prop_assert_eq!(bit(&simulated, label), lane_values[label]);
+            }
+            // Labels no output writes keep their input words.
+            for label in 0..FREE_INPUTS {
+                prop_assert_eq!(bit(&simulated, label), bit(initial, label));
+            }
+        }
+    }
+}

@@ -8,14 +8,16 @@
 //! Every stage draws its SAT/MaxSAT/sampling power from the context's
 //! [`Oracle`], and the `VerifyRepair` stage runs on a persistent
 //! [`VerifySession`] — the error formula is encoded once and re-solved
-//! under assumptions, with repairs only *adding* clauses.
+//! under assumptions, with repairs only *adding* clauses. Each verify check
+//! simulates the vector first and solves the error formula only when
+//! simulation finds no counterexample.
 
 use crate::config::Manthan3Config;
 use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
 use crate::repair::{repair_vector, Sigma};
-use crate::session::{RepairSession, VerifyOutcome, VerifySession};
+use crate::session::{Delta, RepairSession, Simulator, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_dqbf::{unique, Dqbf, HenkinVector};
@@ -143,6 +145,18 @@ impl Manthan3 {
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
+        self.run(dqbf, budget, |_, _| {})
+    }
+
+    /// The pipeline behind [`Manthan3::synthesize_with_budget`]. `observe`
+    /// sees every counterexample δ, with the run's state at that moment,
+    /// before repair acts on it.
+    fn run(
+        &self,
+        dqbf: &Dqbf,
+        budget: Budget,
+        observe: impl FnMut(&SynthesisCtx<'_>, &Delta),
+    ) -> SynthesisResult {
         let oracle = Oracle::new(budget).with_certification(self.config.certify);
         // invariant: documented panic contract — callers must pass a
         // validated DQBF.
@@ -153,7 +167,7 @@ impl Manthan3 {
             .or_else(|| stage_sample(&mut ctx))
             .or_else(|| stage_learn(&mut ctx))
             .or_else(|| stage_order(&mut ctx))
-            .unwrap_or_else(|| stage_verify_repair(&mut ctx));
+            .unwrap_or_else(|| stage_verify_repair(&mut ctx, observe));
 
         let mut stats = ctx.stats;
         stats.oracle = *ctx.oracle.stats();
@@ -263,16 +277,23 @@ fn stage_order(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
 }
 
 /// Pipeline stage 5 — **VerifyRepair**: the CEGIS loop on the persistent
-/// twin sessions. Verification re-solves the incrementally maintained error
-/// formula under activation assumptions; FindCandidates re-solves the
-/// persistent MaxSAT encoding under counterexample assumptions; repair adds
-/// clauses and swaps activation literals — no solver or encoding is ever
-/// reconstructed inside the loop.
-fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
+/// twin sessions. Each verify check simulates the vector first and takes a
+/// failing pattern as the counterexample; only when no pattern fails does it
+/// re-solve the incrementally maintained error formula under activation
+/// assumptions, so `Valid` always comes from the solver. FindCandidates
+/// re-solves the persistent MaxSAT encoding under counterexample
+/// assumptions; repair adds clauses and swaps activation literals — no
+/// solver or encoding is ever reconstructed inside the loop. `observe` sees
+/// each counterexample before repair.
+fn stage_verify_repair(
+    ctx: &mut SynthesisCtx<'_>,
+    mut observe: impl FnMut(&SynthesisCtx<'_>, &Delta),
+) -> SynthesisOutcome {
     // invariant: the stage pipeline runs preprocess and ordering before
     // verify/repair; both stages stored their artifacts in ctx.
     let mut session = ctx.session.take().expect("preprocess ran");
     let order = ctx.order.take().expect("order ran");
+    let mut simulator = Simulator::new(ctx.config.seed, order.substitution_order());
 
     for _ in 0..ctx.config.max_repair_iterations {
         if let Some(reason) = ctx.oracle.exhausted() {
@@ -280,7 +301,10 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
         }
         let verification_start = Instant::now();
         ctx.stats.verification_checks += 1;
-        let verdict = session.verify(ctx.dqbf, &ctx.vector, &mut ctx.oracle);
+        let verdict = match simulator.counterexample(ctx.dqbf, &ctx.vector, &mut ctx.oracle) {
+            Some(delta) => VerifyOutcome::CounterExample(delta),
+            None => session.verify(ctx.dqbf, &ctx.vector, &mut ctx.oracle),
+        };
         ctx.stats.verification_time += verification_start.elapsed();
         let delta = match verdict {
             VerifyOutcome::Valid => {
@@ -295,6 +319,7 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
             VerifyOutcome::Unknown => return ctx.give_up(),
             VerifyOutcome::CounterExample(delta) => delta,
         };
+        observe(ctx, &delta);
 
         // Can δ[X] be extended to a model of ϕ? (Algorithm 1, line 13.)
         let x_assumptions: Vec<Lit> = ctx
@@ -356,6 +381,8 @@ fn stage_verify_repair(ctx: &mut SynthesisCtx<'_>) -> SynthesisOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleStats;
+    use manthan3_aig::AigRef;
     use manthan3_dqbf::verify::check;
 
     fn synthesize(dqbf: &Dqbf) -> SynthesisResult {
@@ -575,6 +602,193 @@ mod tests {
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
         assert!(result.stats.oracle.certificates_checked > 0);
         assert_eq!(result.stats.oracle.certificates_rejected, 0);
+    }
+
+    /// One counterexample of a run, as the engine handed it to repair.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Recorded {
+        delta: Delta,
+        /// Whether simulation (not the error solver) found it.
+        simulated: bool,
+        /// Whether δ[X] ∪ δ[Y'] falsifies the matrix.
+        falsifies_matrix: bool,
+        /// Whether δ[Y'] is the vector's output on δ[X].
+        y_prime_is_vector_output: bool,
+    }
+
+    /// Runs the pipeline and records every counterexample. The vector's
+    /// outputs on δ[X] are evaluated by a fixpoint over the outputs in
+    /// variable order (enough passes for any acyclic reference chain), not
+    /// through the simulator's order.
+    fn run_recording(dqbf: &Dqbf, config: Manthan3Config) -> (SynthesisResult, Vec<Recorded>) {
+        let mut recorded = Vec::new();
+        let mut simulated_so_far = 0;
+        let result = Manthan3::new(config).run(dqbf, Budget::unlimited(), |ctx, delta| {
+            let found = ctx.oracle.stats().sim_counterexamples;
+            let simulated = found > simulated_so_far;
+            simulated_so_far = found;
+
+            let mut values = vec![false; ctx.dqbf.num_vars()];
+            for (&v, &b) in delta.x.iter().chain(&delta.y_prime) {
+                values[v.index()] = b;
+            }
+            let falsifies_matrix = !ctx.dqbf.eval_matrix(&Assignment::from_values(values));
+
+            let mut outputs = vec![false; ctx.dqbf.num_vars()];
+            for (&x, &b) in &delta.x {
+                outputs[x.index()] = b;
+            }
+            for _ in ctx.dqbf.existentials() {
+                for &y in ctx.dqbf.existentials() {
+                    outputs[y.index()] = ctx.vector.eval_one(y, &outputs).expect("total vector");
+                }
+            }
+            let y_prime_is_vector_output =
+                delta.y_prime.iter().all(|(&y, &b)| outputs[y.index()] == b);
+            recorded.push(Recorded {
+                delta: delta.clone(),
+                simulated,
+                falsifies_matrix,
+                y_prime_is_vector_output,
+            });
+        });
+        (result, recorded)
+    }
+
+    fn controller_8() -> Dqbf {
+        use manthan3_gen::controller::{controller, ControllerParams};
+        let params = ControllerParams {
+            num_clients: 8,
+            observation_window: 8,
+        };
+        controller(&params, 0).dqbf
+    }
+
+    /// Every check runs simulation first, so each one not answered by
+    /// simulation is one error-solver call. The other SAT calls of a run are
+    /// the matrix check, one X-extension per counterexample and the repair
+    /// queries `G_k`.
+    fn assert_sat_calls_add_up(stats: &SynthesisStats) {
+        let oracle = &stats.oracle;
+        let error_solver_calls = stats.verification_checks - oracle.sim_counterexamples as usize;
+        assert_eq!(
+            oracle.sat_calls,
+            1 + error_solver_calls + stats.repair_iterations + stats.repair_sat_calls
+        );
+        assert_eq!(
+            oracle.sim_patterns,
+            512 * stats.verification_checks as u64,
+            "every check simulates 512 patterns"
+        );
+    }
+
+    #[test]
+    fn simulated_counterexamples_replay_on_the_matrix() {
+        let dqbf = controller_8();
+        let (result, recorded) = run_recording(&dqbf, Manthan3Config::default());
+        match &result.outcome {
+            SynthesisOutcome::Realizable(vector) => assert!(check(&dqbf, vector).is_valid()),
+            other => panic!("expected Realizable, got {other:?}"),
+        }
+        let simulated = recorded.iter().filter(|r| r.simulated).count();
+        assert!(simulated > 0, "no counterexample came from simulation");
+        assert_eq!(simulated as u64, result.stats.oracle.sim_counterexamples);
+        assert_eq!(recorded.len(), result.stats.repair_iterations);
+        for (i, r) in recorded.iter().enumerate() {
+            assert!(r.falsifies_matrix, "δ {i} satisfies the matrix: {r:?}");
+            assert!(
+                r.y_prime_is_vector_output,
+                "δ {i}'s Y' is not the vector's output: {r:?}"
+            );
+        }
+        assert_sat_calls_add_up(&result.stats);
+    }
+
+    /// `y ↔ x_1 ∧ … ∧ x_20` with the candidate `y := ⊥` in place of a
+    /// learned one: it is wrong on one universal assignment in 2^20, too
+    /// rare for 512 random patterns. The loop must get that counterexample
+    /// from the error solver, and may end `Valid` only on a certified UNSAT
+    /// verify.
+    #[test]
+    fn a_counterexample_too_rare_to_simulate_comes_from_sat() {
+        let xs: Vec<Var> = (0..20).map(Var::new).collect();
+        let y = Var::new(20);
+        let mut dqbf = Dqbf::new();
+        for &x in &xs {
+            dqbf.add_universal(x);
+            dqbf.add_clause([y.negative(), x.positive()]);
+        }
+        dqbf.add_existential(y, xs.iter().copied());
+        dqbf.add_clause(
+            xs.iter()
+                .map(|x| x.negative())
+                .chain(std::iter::once(y.positive())),
+        );
+        let config = Manthan3Config {
+            certify: true,
+            ..Manthan3Config::default()
+        };
+        let oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut ctx = SynthesisCtx::new(&dqbf, &config, oracle);
+        // Preprocess opens the sessions; |H_y| = 20 is past the
+        // unique-definition cap, so y stays undefined.
+        assert!(stage_preprocess(&mut ctx).is_none());
+        assert!(ctx.defined.is_empty());
+        ctx.vector.set(y, AigRef::FALSE);
+        ctx.order = Some(Order::from_dependencies(
+            dqbf.existentials(),
+            &ctx.dependency_state,
+        ));
+
+        let mut deltas = Vec::new();
+        let outcome = stage_verify_repair(&mut ctx, |ctx, delta| {
+            assert_eq!(ctx.oracle.stats().sim_counterexamples, 0);
+            deltas.push(delta.clone());
+        });
+        match &outcome {
+            SynthesisOutcome::Realizable(vector) => assert!(check(&dqbf, vector).is_valid()),
+            other => panic!("expected Realizable, got {other:?}"),
+        }
+        assert_eq!(deltas.len(), 1);
+        assert!(deltas[0].x.values().all(|&b| b));
+        assert!(!deltas[0].y_prime[&y]);
+        // Two checks, both answered by the error solver: the
+        // counterexample, then the closing UNSAT, which was certified.
+        let stats = ctx.oracle.stats();
+        assert_eq!(ctx.stats.verification_checks, 2);
+        assert_eq!(stats.sim_patterns, 2 * 512);
+        assert_eq!(stats.sim_counterexamples, 0);
+        // The matrix check, two error-solver calls, one X-extension and
+        // the repair queries.
+        assert_eq!(stats.sat_calls, 1 + 2 + 1 + ctx.stats.repair_sat_calls);
+        assert!(stats.certificates_checked > 0);
+        assert_eq!(stats.certificates_rejected, 0);
+    }
+
+    #[test]
+    fn runs_of_one_seed_take_the_same_counterexamples() {
+        let dqbf = controller_8();
+        let (first, first_deltas) = run_recording(&dqbf, Manthan3Config::default());
+        let (second, second_deltas) = run_recording(&dqbf, Manthan3Config::default());
+        assert!(first_deltas.iter().any(|r| r.simulated));
+        assert_eq!(first_deltas, second_deltas);
+        let counters = |stats: &SynthesisStats| {
+            let oracle = OracleStats {
+                certify_nanos: 0,
+                ..stats.oracle
+            };
+            (
+                oracle,
+                stats.samples,
+                stats.candidates_learned,
+                stats.unique_definitions,
+                stats.verification_checks,
+                stats.repair_iterations,
+                stats.repairs_applied,
+                stats.repair_sat_calls,
+            )
+        };
+        assert_eq!(counters(&first.stats), counters(&second.stats));
     }
 
     #[test]

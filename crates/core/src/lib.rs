@@ -28,6 +28,18 @@
 //! 4. **Order** — derive a linear extension of the learned dependencies.
 //! 5. **VerifyRepair** — the CEGIS loop (Algorithms 1 and 3).
 //!
+//! Verification is simulation-first. Before each check calls the error
+//! solver, the engine simulates the candidate vector bit-parallel
+//! ([`manthan3_aig::Aig::simulate`]) on 512 random universal assignments,
+//! drawn from the run's seed, and evaluates the matrix on them. A failing
+//! assignment is a model of the error formula, so it becomes the
+//! counterexample δ (the one violating the most matrix clauses, the lowest
+//! on a tie) and no SAT call is made. Only when every assignment satisfies
+//! the matrix does the check go to the [`VerifySession`]'s error solver, so
+//! `Valid` always comes from an UNSAT verdict, certified under
+//! [`Manthan3Config::certify`]. `OracleStats::sim_patterns` and
+//! `OracleStats::sim_counterexamples` count the simulation's work and hits.
+//!
 //! Two pieces make the hot loop incremental:
 //!
 //! * The [`Oracle`] owns the run's [`Budget`] (a wall-clock deadline and a

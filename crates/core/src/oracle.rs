@@ -231,6 +231,12 @@ oracle_stats! {
     samplers_constructed: usize, counter;
     /// Number of SAT solve calls (with or without assumptions).
     sat_calls: usize, counter;
+    /// Universal assignments simulated in search of a counterexample before
+    /// a verify call, 64 per word (see [`crate::VerifySession`]).
+    sim_patterns: u64, counter;
+    /// Counterexamples taken from simulation: verify checks that needed no
+    /// error-formula SAT call.
+    sim_counterexamples: u64, counter;
     /// Number of MaxSAT solve calls.
     maxsat_calls: usize, counter;
     /// Number of per-sample solver calls made by oracle-routed samplers
@@ -647,6 +653,14 @@ impl Oracle {
         assumptions: &[Lit],
     ) -> MaxSatResult {
         self.run_maxsat(solver, true, |s| s.solve_under_assumptions(assumptions))
+    }
+
+    /// Records one simulation round before a verify call: `patterns`
+    /// universal assignments simulated, and whether a failing one became
+    /// the counterexample.
+    pub(crate) fn note_simulation(&mut self, patterns: u64, counterexample: bool) {
+        self.stats.sim_patterns += patterns;
+        self.stats.sim_counterexamples += u64::from(counterexample);
     }
 
     /// Records the construction of a full hard-clause MaxSAT encoding (the

@@ -29,6 +29,24 @@
 //!   the counterexample X-extension check, and the repair queries `G_k`
 //!   (whose UNSAT cores become repair cubes) — all under assumptions.
 //!
+//! # Simulation first
+//!
+//! The engine calls [`VerifySession::verify`] only on a simulation miss.
+//! Before each check it simulates the current vector on 8 words (512
+//! patterns) of fresh random universal assignments, drawn from one xorshift
+//! stream seeded from `Manthan3Config::seed`, and evaluates the matrix
+//! clauses on the simulated values as word ORs. Paper Algorithm 1 accepts
+//! any model of the error formula as δ, and a failing pattern is one: `X`
+//! from the pattern, `Y'` from the simulated outputs. Of the failing
+//! patterns the engine takes the one that violates the most matrix clauses,
+//! the lowest on a tie; taking the first failing one instead cost more
+//! repair iterations and a larger peak heap (`BENCH_simulation.json`). So
+//! the error solver answers only the checks simulation cannot settle: a
+//! counterexample too rare for 512 patterns, and the closing `Valid`, which
+//! only an UNSAT verdict can give (and which is certified under
+//! `Manthan3Config::certify`). The simulation buffers are dropped before the
+//! solver runs.
+//!
 //! # [`RepairSession`] — the repair side
 //!
 //! Keeps one incremental MaxSAT solver for the FindCandidates queries
@@ -87,6 +105,119 @@ pub struct Delta {
     pub x: BTreeMap<Var, bool>,
     /// Outputs of the current candidate functions.
     pub y_prime: BTreeMap<Var, bool>,
+}
+
+/// Words of 64 universal assignments simulated before each verify call, so
+/// 512 patterns. In the sweep over 1, 4, 8 and 16 words recorded in
+/// `BENCH_simulation.json`, 1 and 4 words were slower, and 16 words tied
+/// with 8 within the run-to-run spread (4.6% faster on `cegis_repair`, 3.5%
+/// slower on `certified`); the tie went to fewer words.
+const SIMULATION_WORDS: usize = 8;
+
+/// The simulation half of a verify check: before the engine asks
+/// [`VerifySession::verify`], it simulates the current vector on fresh
+/// random universal assignments and takes a failing one as the
+/// counterexample.
+///
+/// The patterns come from one xorshift stream seeded from the run's seed,
+/// so every run of one seed simulates the same patterns and takes the same
+/// counterexamples. A simulated δ is a model of the error formula like any
+/// the solver returns: its `X` is the pattern, its `Y'` the vector's
+/// outputs on it, and it falsifies the matrix. A simulation cannot prove a
+/// vector valid, so a check that finds no failing pattern goes to the
+/// solver.
+#[derive(Debug)]
+pub(crate) struct Simulator {
+    /// The xorshift64 state; never 0.
+    state: u64,
+    /// The outputs, suppliers first, so each function reads the simulated
+    /// values of the outputs it refers to.
+    order: Vec<Var>,
+}
+
+impl Simulator {
+    /// A simulator drawing its patterns from `seed`, evaluating the outputs
+    /// in `order` (suppliers first).
+    pub(crate) fn new(seed: u64, order: Vec<Var>) -> Self {
+        // The splitmix64 finalizer spreads nearby seeds apart; `max(1)`
+        // keeps xorshift off its fixed point 0.
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Simulator {
+            state: (z ^ (z >> 31)).max(1),
+            order,
+        }
+    }
+
+    /// The next xorshift64 word: 64 fresh random bits.
+    fn next_word(&mut self) -> u64 {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        self.state
+    }
+
+    /// Simulates `vector` on [`SIMULATION_WORDS`] words of fresh universal
+    /// patterns and evaluates the matrix clauses on the result. Returns the
+    /// counterexample of the pattern that violates the most clauses (the
+    /// lowest such pattern on a tie), or `None` when every pattern satisfies
+    /// the matrix. Bills the patterns, and a found counterexample, to
+    /// `oracle`'s statistics. All buffers are dropped on return.
+    pub(crate) fn counterexample(
+        &mut self,
+        dqbf: &Dqbf,
+        vector: &HenkinVector,
+        oracle: &mut Oracle,
+    ) -> Option<Delta> {
+        let words = SIMULATION_WORDS;
+        let mut values = vec![0u64; dqbf.num_vars() * words];
+        for &x in dqbf.universals() {
+            for w in 0..words {
+                values[x.index() * words + w] = self.next_word();
+            }
+        }
+        vector.simulate(&self.order, words, &mut values);
+
+        let mut violations = vec![0u32; 64 * words];
+        let mut satisfied = vec![0u64; words];
+        for clause in dqbf.matrix().iter() {
+            satisfied.fill(0);
+            for &lit in clause {
+                let negation = if lit.is_positive() { 0 } else { u64::MAX };
+                let start = lit.var().index() * words;
+                for (sat, &value) in satisfied.iter_mut().zip(&values[start..start + words]) {
+                    *sat |= value ^ negation;
+                }
+            }
+            for (w, &sat) in satisfied.iter().enumerate() {
+                let mut falsified = !sat;
+                while falsified != 0 {
+                    violations[64 * w + falsified.trailing_zeros() as usize] += 1;
+                    falsified &= falsified - 1;
+                }
+            }
+        }
+        // The first lane with the strict maximum wins, so ties go low.
+        let mut best: Option<usize> = None;
+        for (lane, &count) in violations.iter().enumerate() {
+            if count > best.map_or(0, |b| violations[b]) {
+                best = Some(lane);
+            }
+        }
+        oracle.note_simulation((64 * words) as u64, best.is_some());
+        let lane = best?;
+        let value = |v: &Var| {
+            (
+                *v,
+                values[v.index() * words + lane / 64] >> (lane % 64) & 1 == 1,
+            )
+        };
+        Some(Delta {
+            x: dqbf.universals().iter().map(value).collect(),
+            y_prime: dqbf.existentials().iter().map(value).collect(),
+        })
+    }
 }
 
 /// Verdict of one incremental verification query.
@@ -728,6 +859,74 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_calls, 200);
         assert_eq!(oracle.stats().maxsat_incremental_calls, 200);
+    }
+
+    /// `y := ⊥` against the clauses `(y ∨ x_i)`, i < 4: a pattern violates
+    /// as many clauses as it has false bits among x0..x3, and x4 is free.
+    /// The simulator must take the lowest pattern with x0..x3 all false,
+    /// which fixes x4 too, and not the first failing pattern.
+    #[test]
+    fn simulation_takes_the_lowest_pattern_with_the_most_violations() {
+        let xs: Vec<Var> = (0..5).map(x).collect();
+        let out = Var::new(5);
+        let mut dqbf = Dqbf::new();
+        for &v in &xs {
+            dqbf.add_universal(v);
+        }
+        dqbf.add_existential(out, xs.iter().copied());
+        for &v in &xs[..4] {
+            dqbf.add_clause([out.positive(), v.positive()]);
+        }
+        let mut vector = HenkinVector::new();
+        vector.set(out, AigRef::FALSE);
+
+        // Redraw the simulator's stream (SIMULATION_WORDS words per
+        // universal, in declaration order) to find, from the lowest seed
+        // up, one whose first failing pattern is not a most-violating one.
+        let patterns = 64 * SIMULATION_WORDS;
+        let (seed, words, lane) = (0u64..)
+            .find_map(|seed| {
+                let mut stream = Simulator::new(seed, Vec::new());
+                let words: Vec<Vec<u64>> = (0..xs.len())
+                    .map(|_| (0..SIMULATION_WORDS).map(|_| stream.next_word()).collect())
+                    .collect();
+                let bit = |v: usize, lane: usize| words[v][lane / 64] >> (lane % 64) & 1 == 1;
+                let first_failing = (0..patterns).find(|&l| (0..4).any(|v| !bit(v, l)))?;
+                let lane = (0..patterns).find(|&l| (0..4).all(|v| !bit(v, l)))?;
+                (first_failing < lane).then_some((seed, words, lane))
+            })
+            .expect("some seed");
+        let bit = |v: usize| words[v][lane / 64] >> (lane % 64) & 1 == 1;
+
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut simulator = Simulator::new(seed, vec![out]);
+        let delta = simulator
+            .counterexample(&dqbf, &vector, &mut oracle)
+            .expect("y := ⊥ fails on most patterns");
+        let mut expected: BTreeMap<Var, bool> = xs[..4].iter().map(|&v| (v, false)).collect();
+        expected.insert(xs[4], bit(4));
+        assert_eq!(delta.x, expected);
+        assert_eq!(delta.y_prime, BTreeMap::from([(out, false)]));
+        assert_eq!(oracle.stats().sim_patterns, patterns as u64);
+        assert_eq!(oracle.stats().sim_counterexamples, 1);
+        // Simulation never calls a solver.
+        assert_eq!(oracle.stats().sat_calls, 0);
+    }
+
+    #[test]
+    fn simulation_finds_nothing_against_a_valid_vector() {
+        let dqbf = Dqbf::paper_example();
+        let mut oracle = Oracle::new(Budget::unlimited());
+        // Suppliers first: paper_vector's functions read universals only.
+        let mut simulator = Simulator::new(7, vec![y(0), y(1), y(2)]);
+        for _ in 0..3 {
+            assert_eq!(
+                simulator.counterexample(&dqbf, &paper_vector(), &mut oracle),
+                None
+            );
+        }
+        assert_eq!(oracle.stats().sim_patterns, 3 * 512);
+        assert_eq!(oracle.stats().sim_counterexamples, 0);
     }
 
     #[test]

@@ -16,7 +16,12 @@ pub struct SynthesisStats {
     pub candidates_learned: usize,
     /// Number of functions obtained by unique-definition extraction.
     pub unique_definitions: usize,
-    /// Number of verification (error-formula) SAT calls.
+    /// Number of verification checks. Each check simulates the vector
+    /// first and calls the error-formula SAT solver only when simulation
+    /// finds no counterexample, so this counts every check, whichever of
+    /// the two answered it; `OracleStats::sim_counterexamples` counts those
+    /// simulation answered. Both halves are billed to
+    /// [`SynthesisStats::verification_time`].
     pub verification_checks: usize,
     /// Number of counterexamples processed (repair iterations).
     pub repair_iterations: usize,

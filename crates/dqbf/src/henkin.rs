@@ -110,27 +110,38 @@ impl HenkinVector {
         self.functions.get(&y).map(|&f| self.aig.eval(f, values))
     }
 
+    /// Simulates the functions of `order` on `words` words of 64 patterns
+    /// ([`Aig::simulate`]): `values` holds `words` words per variable index,
+    /// and each `f_y` overwrites the words of `y`. Functions may read
+    /// existential variables evaluated before them, so `order` must list
+    /// suppliers first. Variables of `order` without a function keep their
+    /// words.
+    pub fn simulate(&self, order: &[Var], words: usize, values: &mut [u64]) {
+        let outputs: Vec<(usize, AigRef)> = order
+            .iter()
+            .filter_map(|y| self.functions.get(y).map(|&f| (y.index(), f)))
+            .collect();
+        self.aig.simulate(words, values, &outputs);
+    }
+
     /// Completes an assignment of the universal variables into a full
     /// assignment of the formula's variables by evaluating the functions in
-    /// the given order. Functions may refer to previously evaluated
-    /// existential variables, so `order` must be a valid topological order
-    /// (later functions may depend on earlier ones).
+    /// the given order: the one-word case of [`HenkinVector::simulate`].
+    /// Functions may refer to previously evaluated existential variables, so
+    /// `order` must be a valid topological order (later functions may depend
+    /// on earlier ones).
     pub fn extend_assignment(
         &self,
         dqbf: &Dqbf,
         x_values: &Assignment,
         order: &[Var],
     ) -> Assignment {
-        let mut values = vec![false; dqbf.num_vars()];
+        let mut words = vec![0u64; dqbf.num_vars()];
         for &x in dqbf.universals() {
-            values[x.index()] = x_values.get(x).unwrap_or(false);
+            words[x.index()] = u64::from(x_values.get(x).unwrap_or(false));
         }
-        for &y in order {
-            if let Some(&f) = self.functions.get(&y) {
-                values[y.index()] = self.aig.eval(f, &values);
-            }
-        }
-        Assignment::from_values(values)
+        self.simulate(order, 1, &mut words);
+        Assignment::from_values(words.into_iter().map(|w| w & 1 == 1).collect())
     }
 
     /// Expands, in every function, references to other existential variables
