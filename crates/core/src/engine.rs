@@ -19,7 +19,7 @@ use crate::order::{DependencyState, Order};
 use crate::repair::{repair_vector, Sigma};
 use crate::session::{Delta, RepairSession, Simulator, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
-use manthan3_cnf::{Assignment, Lit, Var};
+use manthan3_cnf::{Assignment, Var};
 use manthan3_dqbf::{unique, Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::time::Instant;
@@ -282,9 +282,11 @@ fn stage_order(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
 /// re-solve the incrementally maintained error formula under activation
 /// assumptions, so `Valid` always comes from the solver. FindCandidates
 /// re-solves the persistent MaxSAT encoding under counterexample
-/// assumptions; repair adds clauses and swaps activation literals — no
-/// solver or encoding is ever reconstructed inside the loop. `observe` sees
-/// each counterexample before repair.
+/// assumptions, and is the only query between a counterexample and repair:
+/// its hard probe refutes a σ[X] that no model of ϕ extends. Repair adds
+/// clauses and swaps activation literals — no solver or encoding is ever
+/// reconstructed inside the loop. `observe` sees each counterexample before
+/// repair.
 fn stage_verify_repair(
     ctx: &mut SynthesisCtx<'_>,
     mut observe: impl FnMut(&SynthesisCtx<'_>, &Delta),
@@ -321,29 +323,10 @@ fn stage_verify_repair(
         };
         observe(ctx, &delta);
 
-        // Can δ[X] be extended to a model of ϕ? (Algorithm 1, line 13.)
-        let x_assumptions: Vec<Lit> = ctx
-            .dqbf
-            .universals()
-            .iter()
-            .map(|&x| x.lit(delta.x.get(&x).copied().unwrap_or(false)))
-            .collect();
-        let pi = match session.solve_phi(&mut ctx.oracle, &x_assumptions) {
-            SolveResult::Unsat => return SynthesisOutcome::Unrealizable,
-            SolveResult::Unknown => return ctx.give_up(),
-            SolveResult::Sat => session.phi_model(),
-        };
-
         let repair_start = Instant::now();
         ctx.stats.repair_iterations += 1;
-        let mut sigma = Sigma {
+        let sigma = Sigma {
             x: delta.x,
-            y: ctx
-                .dqbf
-                .existentials()
-                .iter()
-                .map(|&y| (y, pi.get(y).unwrap_or(false)))
-                .collect(),
             y_prime: delta.y_prime,
         };
         // The repair session opens on the first counterexample and serves
@@ -353,19 +336,26 @@ fn stage_verify_repair(
         }
         // invariant: the branch above creates the session when absent.
         let repair_session = ctx.repair.as_mut().expect("repair session just opened");
-        let candidates = repair_session.find_candidates(ctx.dqbf, &sigma, &mut ctx.oracle);
-        let outcome = repair_vector(
-            ctx.dqbf,
-            ctx.config,
-            &mut session,
-            &mut ctx.oracle,
-            &mut ctx.vector,
-            &order,
-            &mut sigma,
-            candidates,
-            &mut ctx.stats,
-        );
+        let outcome = repair_session
+            .find_candidates(&sigma, &mut ctx.oracle)
+            .map(|candidates| {
+                repair_vector(
+                    ctx.dqbf,
+                    ctx.config,
+                    &mut session,
+                    &mut ctx.oracle,
+                    &mut ctx.vector,
+                    &order,
+                    &sigma,
+                    candidates,
+                    &mut ctx.stats,
+                )
+            });
         ctx.stats.repair_time += repair_start.elapsed();
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(verdict) => return verdict,
+        };
         if outcome.stuck {
             // Distinguish the paper's algorithmic incompleteness from a
             // repair pass that was merely starved of oracle budget.
@@ -437,19 +427,41 @@ mod tests {
         assert_eq!(result.stats.unique_definitions, 0);
     }
 
-    #[test]
-    fn reports_false_instances_as_unrealizable() {
-        // ∀x ∃^{x}y. (¬x) ∧ y is false, and the X-extension check
-        // (Algorithm 1, line 13) detects it: for x = 1 the matrix has no
-        // model at all.
+    /// ∀x ∃^{x}y. (¬x) ∧ y is false: for x = 1 the matrix has no model
+    /// at all.
+    fn no_extension_for_x_true() -> Dqbf {
         let (x, y) = (Var::new(0), Var::new(1));
         let mut dqbf = Dqbf::new();
         dqbf.add_universal(x);
         dqbf.add_existential(y, [x]);
         dqbf.add_clause([x.negative()]);
         dqbf.add_clause([y.positive()]);
-        let result = synthesize(&dqbf);
+        dqbf
+    }
+
+    #[test]
+    fn reports_false_instances_as_unrealizable() {
+        // FindCandidates' hard probe, the X-extension check (Algorithm 1,
+        // line 13), refutes the counterexample with x = 1.
+        let result = synthesize(&no_extension_for_x_true());
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
+    }
+
+    /// The X-extension refutation is a MaxSAT hard-UNSAT verdict, so a
+    /// certifying run checks its certificate like every other UNSAT claim.
+    #[test]
+    fn certifying_runs_certify_the_x_extension_refutation() {
+        let config = Manthan3Config {
+            certify: true,
+            ..Manthan3Config::default()
+        };
+        let result = Manthan3::new(config).synthesize(&no_extension_for_x_true());
+        assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
+        let oracle = &result.stats.oracle;
+        assert_eq!(oracle.maxsat_calls, 1);
+        assert!(oracle.certificates_checked >= 1);
+        assert_eq!(oracle.certificates_rejected, 0);
+        assert!(result.stats.certification_failure.is_none());
     }
 
     #[test]
@@ -523,17 +535,15 @@ mod tests {
         assert_eq!(oracle.sat_solvers_constructed, 2);
         assert_eq!(oracle.samplers_constructed, 1);
         assert!(oracle.sat_calls >= result.stats.verification_checks);
-        // The MaxSAT side mirrors it: at most one hard encoding (exactly one
-        // once any repair iteration ran), every FindCandidates call served
-        // under assumptions on it.
-        assert!(oracle.maxsat_hard_encodings <= 1);
+        // The MaxSAT side mirrors it: at most one MaxSAT solver (exactly
+        // one once any repair iteration ran), holding the one hard encoding
+        // that every FindCandidates call is served on.
+        assert!(oracle.maxsat_solvers_constructed <= 1);
         if result.stats.repair_iterations > 0 {
-            assert_eq!(oracle.maxsat_hard_encodings, 1);
             assert_eq!(oracle.maxsat_solvers_constructed, 1);
-            assert_eq!(oracle.maxsat_incremental_calls, oracle.maxsat_calls);
+            assert_eq!(oracle.maxsat_calls, result.stats.repair_iterations);
         } else {
             // No counterexample: the repair session is never even opened.
-            assert_eq!(oracle.maxsat_hard_encodings, 0);
             assert_eq!(oracle.maxsat_solvers_constructed, 0);
         }
     }
@@ -666,15 +676,16 @@ mod tests {
 
     /// Every check runs simulation first, so each one not answered by
     /// simulation is one error-solver call. The other SAT calls of a run are
-    /// the matrix check, one X-extension per counterexample and the repair
-    /// queries `G_k`.
+    /// the matrix check and the repair queries `G_k`; each counterexample
+    /// gets exactly one FindCandidates query, which is a MaxSAT call.
     fn assert_sat_calls_add_up(stats: &SynthesisStats) {
         let oracle = &stats.oracle;
         let error_solver_calls = stats.verification_checks - oracle.sim_counterexamples as usize;
         assert_eq!(
             oracle.sat_calls,
-            1 + error_solver_calls + stats.repair_iterations + stats.repair_sat_calls
+            1 + error_solver_calls + stats.repair_sat_calls
         );
+        assert_eq!(oracle.maxsat_calls, stats.repair_iterations);
         assert_eq!(
             oracle.sim_patterns,
             512 * stats.verification_checks as u64,
@@ -758,9 +769,10 @@ mod tests {
         assert_eq!(ctx.stats.verification_checks, 2);
         assert_eq!(stats.sim_patterns, 2 * 512);
         assert_eq!(stats.sim_counterexamples, 0);
-        // The matrix check, two error-solver calls, one X-extension and
-        // the repair queries.
-        assert_eq!(stats.sat_calls, 1 + 2 + 1 + ctx.stats.repair_sat_calls);
+        // The matrix check, two error-solver calls and the repair queries;
+        // the one counterexample got one FindCandidates query.
+        assert_eq!(stats.sat_calls, 1 + 2 + ctx.stats.repair_sat_calls);
+        assert_eq!(stats.maxsat_calls, 1);
         assert!(stats.certificates_checked > 0);
         assert_eq!(stats.certificates_rejected, 0);
     }

@@ -67,10 +67,12 @@
 //!   the totalizer) is built **once** on the first counterexample, and
 //!   every FindCandidates query is answered under assumptions pinning
 //!   `σ[X]` and `σ[Y']` — counterexample state is retracted automatically
-//!   between iterations, nothing is re-encoded. With both sessions in
-//!   place the CEGIS loop is allocation-stable end to end:
-//!   `OracleStats::maxsat_hard_encodings` stays at one however many repair
-//!   iterations run, next to `sat_solvers_constructed` staying at two.
+//!   between iterations, nothing is re-encoded. Its opening hard probe,
+//!   `ϕ ∧ (X ↔ σ[X])`, is the X-extension check of Algorithm 1, line 13, so
+//!   a refutation ends the run as unrealizable with no SAT call of its own.
+//!   With both sessions in place the CEGIS loop is allocation-stable end to
+//!   end: `OracleStats::maxsat_solvers_constructed` stays at one however
+//!   many repair iterations run, next to `sat_solvers_constructed` at two.
 //!
 //! Each FindCandidates optimum is located by the MaxSAT crate's one search:
 //! a warm-started two-phase totalizer-bound search, one SAT probe per cost

@@ -246,15 +246,6 @@ oracle_stats! {
     /// than requested (UNSAT verdicts, deadline refusals, or cancellation;
     /// only the last two also count as budget exhaustions).
     sample_shortfalls: usize, counter;
-    /// Number of full hard-clause MaxSAT encodings constructed. The
-    /// persistent repair session keeps this at one per run, however many
-    /// FindCandidates calls execute; the from-scratch reference path pays
-    /// one per call.
-    maxsat_hard_encodings: usize, counter;
-    /// Number of MaxSAT solve calls served under assumptions on a persistent
-    /// encoding (the incremental hits; `maxsat_calls -
-    /// maxsat_incremental_calls` are fresh rebuild-and-solve calls).
-    maxsat_incremental_calls: usize, counter;
     /// Internal SAT probes issued by MaxSAT optimum searches (bound probes
     /// and hard/optimistic checks alike).
     maxsat_probes: u64, counter;
@@ -578,15 +569,19 @@ impl Oracle {
         MaxSatSolver::with_config(self.solver_config())
     }
 
-    /// The shared budget-gating and accounting around one MaxSAT solve:
-    /// refuse untouched when the budget is exhausted, otherwise run the
-    /// solve and bill its conflicts and probes (and any give-up verdict) to
-    /// the statistics.
-    fn run_maxsat(
+    /// Runs a MaxSAT solve under `assumptions` and the shared budget, as
+    /// the persistent [`RepairSession`](crate::RepairSession) does for each
+    /// FindCandidates query.
+    ///
+    /// The solve's internal SAT probes and their conflicts are billed to
+    /// the statistics. Returns [`MaxSatResult::Unknown`] when the search is
+    /// cancelled mid-probe, and without touching the solver when the budget
+    /// is already exhausted, exactly like [`Oracle::solve_with_assumptions`];
+    /// use [`Oracle::give_up_reason`] to map it to an [`UnknownReason`].
+    pub fn solve_maxsat_under_assumptions(
         &mut self,
         solver: &mut MaxSatSolver,
-        incremental: bool,
-        solve: impl FnOnce(&mut MaxSatSolver) -> MaxSatResult,
+        assumptions: &[Lit],
     ) -> MaxSatResult {
         if self.exhausted().is_some() {
             self.stats.budget_exhaustions += 1;
@@ -594,11 +589,8 @@ impl Oracle {
         }
         let before_sat = solver.sat_stats();
         let before = solver.stats();
-        let result = solve(solver);
+        let result = solver.solve_under_assumptions(assumptions);
         self.stats.maxsat_calls += 1;
-        if incremental {
-            self.stats.maxsat_incremental_calls += 1;
-        }
         self.stats
             .bill_solver_delta(&before_sat, &solver.sat_stats());
         self.stats.maxsat_probes += solver.stats().probes - before.probes;
@@ -629,45 +621,12 @@ impl Oracle {
         result
     }
 
-    /// Runs a MaxSAT solve under the shared budget.
-    ///
-    /// The solve's internal SAT probes and their conflicts are billed to
-    /// the statistics. Returns [`MaxSatResult::Unknown`] when the search is
-    /// cancelled mid-probe, and without touching the solver when the budget
-    /// is already exhausted, exactly like [`Oracle::solve_with_assumptions`];
-    /// use [`Oracle::give_up_reason`] to map it to an [`UnknownReason`].
-    pub fn solve_maxsat(&mut self, solver: &mut MaxSatSolver) -> MaxSatResult {
-        self.run_maxsat(solver, false, |s| s.solve())
-    }
-
-    /// Runs a MaxSAT solve under `assumptions` and the shared budget — the
-    /// incremental counterpart of [`Oracle::solve_maxsat`], used by the
-    /// persistent [`RepairSession`](crate::RepairSession): the call is
-    /// served by a kept encoding, so it is additionally counted in
-    /// [`OracleStats::maxsat_incremental_calls`]. Budget semantics are
-    /// identical (probes and conflicts billed to the statistics, refused
-    /// untouched when exhausted).
-    pub fn solve_maxsat_under_assumptions(
-        &mut self,
-        solver: &mut MaxSatSolver,
-        assumptions: &[Lit],
-    ) -> MaxSatResult {
-        self.run_maxsat(solver, true, |s| s.solve_under_assumptions(assumptions))
-    }
-
     /// Records one simulation round before a verify call: `patterns`
     /// universal assignments simulated, and whether a failing one became
     /// the counterexample.
     pub(crate) fn note_simulation(&mut self, patterns: u64, counterexample: bool) {
         self.stats.sim_patterns += patterns;
         self.stats.sim_counterexamples += u64::from(counterexample);
-    }
-
-    /// Records the construction of a full hard-clause MaxSAT encoding (the
-    /// expensive, once-per-session — or, on the from-scratch reference path,
-    /// once-per-call — part of a FindCandidates query).
-    pub(crate) fn note_maxsat_hard_encoding(&mut self) {
-        self.stats.maxsat_hard_encodings += 1;
     }
 
     /// Bills solver work performed *outside* a solve call — the sessions'
@@ -743,7 +702,10 @@ mod tests {
         assert_eq!(solver.stats().propagations, 0);
         let mut maxsat = oracle.new_maxsat();
         maxsat.add_hard([lit(1)]);
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
+        assert_eq!(
+            oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]),
+            MaxSatResult::Unknown
+        );
         assert_eq!(maxsat.stats().probes, 0);
         assert!(oracle.sample_cnf(&Cnf::new(2), 0, 3).is_empty());
         assert_eq!(oracle.give_up_reason(), UnknownReason::TimeBudget);
@@ -937,7 +899,10 @@ mod tests {
         maxsat.add_hard([lit(-1)]);
         maxsat.add_hard([lit(-2)]);
         maxsat.add_soft([lit(3)], 1);
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::HardUnsat);
+        assert_eq!(
+            oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]),
+            MaxSatResult::HardUnsat
+        );
         let stats = oracle.stats();
         assert_eq!(stats.certificates_checked, 1);
         assert_eq!(stats.certificates_rejected, 0);
@@ -965,7 +930,7 @@ mod tests {
         let mut maxsat = oracle.new_maxsat();
         maxsat.add_hard([Var::new(0).positive(), Var::new(1).positive()]);
         maxsat.add_soft([Var::new(0).negative()], 1);
-        let result = oracle.solve_maxsat(&mut maxsat);
+        let result = oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]);
         assert_eq!(result, MaxSatResult::Optimum { cost: 0 });
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
@@ -1026,7 +991,10 @@ mod tests {
         maxsat.add_hard([lit(1)]);
         // A refused MaxSAT call is Unknown, never a best-so-far bound; the
         // budget still names cancellation as the reason.
-        assert_eq!(oracle.solve_maxsat(&mut maxsat), MaxSatResult::Unknown);
+        assert_eq!(
+            oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]),
+            MaxSatResult::Unknown
+        );
         assert_eq!(oracle.give_up_reason(), UnknownReason::Cancelled);
         // Refused calls are not performed.
         assert_eq!(oracle.stats().sat_calls, 1);

@@ -9,11 +9,15 @@
 //! and the `G_k` queries (whose UNSAT cores
 //! become repair cubes) by the [`VerifySession`]'s incremental matrix
 //! solver — repair never constructs a solver or an encoding of its own.
+//! FindCandidates' hard probe is the X-extension check of Algorithm 1,
+//! line 13, so it ends the run when `σ[X]` extends to no model of ϕ.
 //! The test build keeps the pre-incremental rebuild-per-call path,
 //! `find_candidates_from_scratch`, as the reference for the
 //! repair-equivalence suite.
 
 use crate::config::Manthan3Config;
+#[cfg(test)]
+use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use crate::order::Order;
 use crate::session::VerifySession;
@@ -23,13 +27,13 @@ use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The counterexample `σ = π[X] + π[Y] + δ[Y']` of Algorithm 1, line 16.
+/// The counterexample σ of Algorithm 1, line 16, reduced to what repair
+/// reads: `δ[X]` and `δ[Y']`. The paper's witness `π[Y]` is not kept; the
+/// FindCandidates hard probe decides whether one exists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sigma {
-    /// `σ[X]`: the universal assignment of the counterexample.
+    /// `σ[X]`: the universal assignment of the counterexample (`δ[X]`).
     pub x: BTreeMap<Var, bool>,
-    /// `σ[Y]`: an extension of `σ[X]` that satisfies ϕ (`π[Y]`).
-    pub y: BTreeMap<Var, bool>,
     /// `σ[Y']`: the outputs of the current candidate functions (`δ[Y']`).
     pub y_prime: BTreeMap<Var, bool>,
 }
@@ -49,15 +53,15 @@ pub struct RepairOutcome {
 /// Kept as the reference implementation for the repair-equivalence suite;
 /// the engine itself always runs on the [`RepairSession`](crate::RepairSession).
 #[cfg(test)]
+#[allow(clippy::result_large_err)]
 pub(crate) fn find_candidates_from_scratch(
     dqbf: &Dqbf,
     sigma: &Sigma,
     oracle: &mut Oracle,
-) -> Vec<Var> {
+) -> Result<Vec<Var>, SynthesisOutcome> {
     use manthan3_maxsat::MaxSatResult;
 
     let mut maxsat = oracle.new_maxsat();
-    oracle.note_maxsat_hard_encoding();
     maxsat.add_hard_cnf(dqbf.matrix());
     for (&x, &value) in &sigma.x {
         maxsat.add_hard([x.lit(value)]);
@@ -68,26 +72,17 @@ pub(crate) fn find_candidates_from_scratch(
         let id = maxsat.add_soft([y.lit(target)], 1);
         soft_vars.push((id, y));
     }
-    match oracle.solve_maxsat(&mut maxsat) {
+    match oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]) {
         MaxSatResult::Optimum { .. } => {
             let violated: BTreeSet<_> = maxsat.violated_softs().into_iter().collect();
-            soft_vars
+            Ok(soft_vars
                 .into_iter()
                 .filter(|(id, _)| violated.contains(id))
                 .map(|(_, y)| y)
-                .collect()
+                .collect())
         }
-        // The engine only calls this after establishing that σ[X] can be
-        // extended to a model of ϕ, so the hard part is satisfiable; if the
-        // oracle is past its deadline (or cancelled) we fall back to "repair
-        // every output whose candidate output differs from the witness
-        // extension" — the engine re-checks the oracle before acting on it.
-        MaxSatResult::HardUnsat | MaxSatResult::Unknown => dqbf
-            .existentials()
-            .iter()
-            .copied()
-            .filter(|y| sigma.y.get(y) != sigma.y_prime.get(y))
-            .collect(),
+        MaxSatResult::HardUnsat => Err(SynthesisOutcome::Unrealizable),
+        MaxSatResult::Unknown => Err(SynthesisOutcome::Unknown(oracle.give_up_reason())),
     }
 }
 
@@ -126,7 +121,7 @@ pub fn repair_vector(
     oracle: &mut Oracle,
     vector: &mut HenkinVector,
     order: &Order,
-    sigma: &mut Sigma,
+    sigma: &Sigma,
     candidates: Vec<Var>,
     stats: &mut SynthesisStats,
 ) -> RepairOutcome {
@@ -189,8 +184,6 @@ pub fn repair_vector(
                 vector.set(yk, new_function);
                 repaired.push(yk);
                 stats.repairs_applied += 1;
-                // Line 18: σ[y_k] ← σ[y'_k].
-                sigma.y.insert(yk, target_value);
             }
             SolveResult::Sat => {
                 // G_k is satisfiable: look for alternative candidates whose
@@ -257,10 +250,9 @@ mod tests {
         state.record_dependency(y(1), y(0));
         let order = Order::from_dependencies(dqbf.existentials(), &state);
 
-        // σ: x = (1,0,0); π[Y] = (1,1,0); δ[Y'] = (0,0,0).
+        // σ: x = (1,0,0); δ[Y'] = (0,0,0).
         let sigma = Sigma {
             x: [(x(0), true), (x(1), false), (x(2), false)].into(),
-            y: [(y(0), true), (y(1), true), (y(2), false)].into(),
             y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
         };
         (dqbf, vector, order, sigma)
@@ -271,15 +263,14 @@ mod tests {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let candidates = session.find_candidates(&dqbf, &sigma, &mut oracle);
+        let candidates = session.find_candidates(&sigma, &mut oracle);
         // With x = (1,0,0), ϕ forces y2 = y1 ∨ ¬x2 = y1 ∨ 1 = 1, so the soft
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
-        assert_eq!(candidates, vec![y(1)]);
+        assert_eq!(candidates.ok(), Some(vec![y(1)]));
         assert_eq!(session.solves(), 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
-        assert_eq!(oracle.stats().maxsat_incremental_calls, 1);
-        assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
+        assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
     }
 
     #[test]
@@ -287,11 +278,9 @@ mod tests {
         let (dqbf, _vector, _order, sigma) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
         let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle);
-        assert_eq!(candidates, vec![y(1)]);
-        // The reference path pays a full hard encoding per call and is never
-        // served under assumptions.
-        assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
-        assert_eq!(oracle.stats().maxsat_incremental_calls, 0);
+        assert_eq!(candidates.ok(), Some(vec![y(1)]));
+        // The reference path pays a full hard encoding per call.
+        assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
     }
 
     #[test]
@@ -306,16 +295,14 @@ mod tests {
         flipped.x = [(x(0), false), (x(1), true), (x(2), false)].into();
         for round in 0..6 {
             let s = if round % 2 == 0 { &sigma } else { &flipped };
-            let _ = session.find_candidates(&dqbf, s, &mut oracle);
+            let _ = session.find_candidates(s, &mut oracle);
         }
-        assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
         assert_eq!(oracle.stats().maxsat_calls, 6);
-        assert_eq!(oracle.stats().maxsat_incremental_calls, 6);
         // The alternating counterexamples stay deterministic: re-querying
         // the original sigma still selects y2 only.
-        let again = session.find_candidates(&dqbf, &sigma, &mut oracle);
-        assert_eq!(again, vec![y(1)]);
+        let again = session.find_candidates(&sigma, &mut oracle);
+        assert_eq!(again.ok(), Some(vec![y(1)]));
     }
 
     #[test]
@@ -335,14 +322,16 @@ mod tests {
 
     #[test]
     fn repair_fixes_the_paper_counterexample() {
-        let (dqbf, mut vector, order, mut sigma) = paper_repair_state();
+        let (dqbf, mut vector, order, sigma) = paper_repair_state();
         let config = Manthan3Config::default();
         let mut stats = SynthesisStats::default();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
 
-        let candidates = repair_session.find_candidates(&dqbf, &sigma, &mut oracle);
+        let candidates = repair_session
+            .find_candidates(&sigma, &mut oracle)
+            .expect("σ[X] extends to a model of ϕ");
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -350,7 +339,7 @@ mod tests {
             &mut oracle,
             &mut vector,
             &order,
-            &mut sigma,
+            &sigma,
             candidates,
             &mut stats,
         );
@@ -371,7 +360,6 @@ mod tests {
             Some(true)
         );
         assert_eq!(stats.repairs_applied, 1);
-        assert_eq!(sigma.y.get(&y(1)), Some(&false));
         // The repair query ran on the session's persistent matrix solver.
         assert_eq!(oracle.stats().sat_solvers_constructed, 2);
     }
@@ -389,21 +377,22 @@ mod tests {
         vector.set(Var::new(4), !in_x2);
         let state = DependencyState::new(dqbf.existentials());
         let order = Order::from_dependencies(dqbf.existentials(), &state);
-        let mut sigma = Sigma {
+        let sigma = Sigma {
             x: [
                 (Var::new(0), false),
                 (Var::new(1), false),
                 (Var::new(2), false),
             ]
             .into(),
-            y: [(Var::new(3), false), (Var::new(4), false)].into(),
             y_prime: [(Var::new(3), false), (Var::new(4), true)].into(),
         };
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = VerifySession::new(&dqbf, &mut oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
         let mut stats = SynthesisStats::default();
-        let candidates = repair_session.find_candidates(&dqbf, &sigma, &mut oracle);
+        let candidates = repair_session
+            .find_candidates(&sigma, &mut oracle)
+            .expect("σ[X] extends to a model of ϕ");
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -411,7 +400,7 @@ mod tests {
             &mut oracle,
             &mut vector,
             &order,
-            &mut sigma,
+            &sigma,
             candidates,
             &mut stats,
         );

@@ -16,15 +16,20 @@
 //!   identical (constant-false) candidate vectors, the incremental and the
 //!   from-scratch FindCandidates paths must converge to
 //!   the same verdict, and every claimed vector must pass the independent
-//!   certificate check.
+//!   certificate check. The loop is the engine's: each check
+//!   simulates the vector before it asks the error solver, and
+//!   FindCandidates is the only query between a counterexample and repair,
+//!   its hard probe being the X-extension check that proves a false
+//!   instance unrealizable.
 //! * **One encoding per sweep**: a 30-call FindCandidates sweep on one
-//!   session builds exactly one MaxSAT hard encoding and answers every call
-//!   under assumptions.
+//!   session builds exactly one MaxSAT solver and its hard encoding, and
+//!   answers every call under assumptions.
 
 use crate::repair::find_candidates_from_scratch;
+use crate::session::Simulator;
 use crate::{
     repair_vector, Budget, DependencyState, Manthan3Config, Oracle, Order, RepairSession, Sigma,
-    SynthesisStats, VerifyOutcome, VerifySession,
+    SynthesisOutcome, SynthesisStats, VerifyOutcome, VerifySession,
 };
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
@@ -49,8 +54,8 @@ fn random_valuation(vars: &[Var], state: &mut u64) -> BTreeMap<Var, bool> {
 }
 
 /// Draws a random σ[X] and, if it extends to a model of ϕ (the only shape
-/// the engine ever queries), returns σ with the witness extension as σ[Y]
-/// and a random candidate output vector σ[Y'].
+/// whose candidates repair acts on), returns σ with a random candidate
+/// output vector σ[Y'].
 fn random_sigma(
     dqbf: &Dqbf,
     session: &mut VerifySession,
@@ -62,14 +67,8 @@ fn random_sigma(
     if session.solve_phi(oracle, &x_assumptions) != SolveResult::Sat {
         return None;
     }
-    let pi = session.phi_model();
     Some(Sigma {
         x,
-        y: dqbf
-            .existentials()
-            .iter()
-            .map(|&y| (y, pi.get(y).unwrap_or(false)))
-            .collect(),
         y_prime: random_valuation(dqbf.existentials(), state),
     })
 }
@@ -113,8 +112,11 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             else {
                 continue;
             };
-            let incremental = repair_session.find_candidates(dqbf, &sigma, &mut oracle);
-            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle);
+            let incremental = repair_session
+                .find_candidates(&sigma, &mut oracle)
+                .expect("σ[X] extends to a model of ϕ");
+            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle)
+                .expect("σ[X] extends to a model of ϕ");
 
             // Same optimum cost (every soft is unit weight)…
             assert_eq!(
@@ -142,15 +144,11 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             compared += 1;
         }
         // The session answered all its sigmas under assumptions on one
-        // encoding; every other hard encoding belongs to a from-scratch
-        // reference call (which pays one per call).
+        // encoding; every other MaxSAT solver belongs to a from-scratch
+        // reference call (which builds one per call).
         assert_eq!(
-            oracle.stats().maxsat_incremental_calls,
-            repair_session.solves()
-        );
-        assert_eq!(
-            oracle.stats().maxsat_hard_encodings,
-            1 + (oracle.stats().maxsat_calls - oracle.stats().maxsat_incremental_calls)
+            oracle.stats().maxsat_solvers_constructed,
+            1 + (oracle.stats().maxsat_calls - repair_session.solves())
         );
     }
     assert!(
@@ -183,6 +181,7 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
         &DependencyState::new(dqbf.existentials()),
     );
 
+    let mut simulator = Simulator::new(config.seed, order.substitution_order());
     let mut vector = HenkinVector::new();
     let constant_false = vector.aig().constant(false);
     for &y in dqbf.existentials() {
@@ -190,7 +189,12 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
     }
 
     for iteration in 0..256 {
-        let delta = match verify_session.verify(dqbf, &vector, &mut oracle) {
+        // Simulation first, then the error solver, as in the engine.
+        let verdict = match simulator.counterexample(dqbf, &vector, &mut oracle) {
+            Some(delta) => VerifyOutcome::CounterExample(delta),
+            None => verify_session.verify(dqbf, &vector, &mut oracle),
+        };
+        let delta = match verdict {
             VerifyOutcome::Valid => {
                 // The claimed vector must survive the independent
                 // from-scratch certificate check, exactly like the engine's.
@@ -204,28 +208,18 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
             VerifyOutcome::Unknown => unreachable!("unlimited budget"),
             VerifyOutcome::CounterExample(delta) => delta,
         };
-        let x_assumptions: Vec<Lit> = dqbf
-            .universals()
-            .iter()
-            .map(|&x| x.lit(delta.x.get(&x).copied().unwrap_or(false)))
-            .collect();
-        let pi = match verify_session.solve_phi(&mut oracle, &x_assumptions) {
-            SolveResult::Unsat => return (LoopVerdict::Unrealizable, iteration),
-            SolveResult::Unknown => unreachable!("unlimited budget"),
-            SolveResult::Sat => verify_session.phi_model(),
-        };
-        let mut sigma = Sigma {
+        let sigma = Sigma {
             x: delta.x,
-            y: dqbf
-                .existentials()
-                .iter()
-                .map(|&y| (y, pi.get(y).unwrap_or(false)))
-                .collect(),
             y_prime: delta.y_prime,
         };
         let candidates = match &mut repair_session {
-            Some(session) => session.find_candidates(dqbf, &sigma, &mut oracle),
+            Some(session) => session.find_candidates(&sigma, &mut oracle),
             None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle),
+        };
+        let candidates = match candidates {
+            Ok(candidates) => candidates,
+            Err(SynthesisOutcome::Unrealizable) => return (LoopVerdict::Unrealizable, iteration),
+            Err(other) => unreachable!("unlimited budget, got {other:?}"),
         };
         let outcome = repair_vector(
             dqbf,
@@ -234,7 +228,7 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
             &mut oracle,
             &mut vector,
             &order,
-            &mut sigma,
+            &sigma,
             candidates,
             &mut stats,
         );
@@ -282,7 +276,7 @@ fn loops_converge_to_the_same_verdicts() {
 }
 
 /// A repair-heavy FindCandidates sweep must be served by exactly one MaxSAT
-/// hard-encoding construction, every call under assumptions. The workload is
+/// solver and its hard encoding, every call under assumptions. The workload is
 /// the satisfiable `suite(7, 1)` instance with at least three outputs and
 /// the largest matrix × output product, plus 30 counterexamples σ.
 #[test]
@@ -315,13 +309,12 @@ fn a_repair_sweep_builds_one_hard_encoding() {
     let mut oracle = Oracle::new(Budget::unlimited());
     let mut session = RepairSession::new(&dqbf, &mut oracle);
     for sigma in &sigmas {
-        session.find_candidates(&dqbf, sigma, &mut oracle);
+        let _ = session.find_candidates(sigma, &mut oracle);
     }
     let stats = oracle.stats();
     assert_eq!(
-        stats.maxsat_hard_encodings, 1,
+        stats.maxsat_solvers_constructed, 1,
         "a {REPAIR_ITERATIONS}-iteration repair sweep must build exactly one hard encoding"
     );
-    assert_eq!(stats.maxsat_incremental_calls, REPAIR_ITERATIONS);
     assert_eq!(stats.maxsat_calls, REPAIR_ITERATIONS);
 }

@@ -25,9 +25,9 @@
 //!   grow monotonically inside one shared AIG, re-encoding a repaired
 //!   candidate only pays for the *new* nodes
 //!   ([`Aig::encode_cnf`](manthan3_aig::Aig::encode_cnf)).
-//! * the **matrix solver** holds `ϕ` and serves the trivial-falsity check,
-//!   the counterexample X-extension check, and the repair queries `G_k`
-//!   (whose UNSAT cores become repair cubes) — all under assumptions.
+//! * the **matrix solver** holds `ϕ` and serves the trivial-falsity check
+//!   and the repair queries `G_k` (whose UNSAT cores become repair cubes),
+//!   the latter under assumptions.
 //!
 //! # Simulation first
 //!
@@ -59,7 +59,9 @@
 //! targets — so they are retracted automatically between iterations and the
 //! outputs selected for repair are exactly those with `eq_i` false in the
 //! optimum. No clause is ever added after construction; the CDCL state and
-//! the cardinality network survive every iteration.
+//! the cardinality network survive every iteration. The search's opening
+//! probe of the hard part is the X-extension check (Algorithm 1, line 13),
+//! so this is the one query per counterexample.
 //!
 //! # Literal lifecycle and maintenance cadence
 //!
@@ -75,9 +77,10 @@
 //!
 //! All solvers are constructed through the run's [`Oracle`], so budgets and
 //! statistics are shared; `OracleStats::sat_solvers_constructed` staying at
-//! two and `OracleStats::maxsat_hard_encodings` staying at one per run are
-//! the observable witnesses of the reuse.
+//! two and `OracleStats::maxsat_solvers_constructed` staying at one per run
+//! are the observable witnesses of the reuse.
 
+use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use crate::repair::Sigma;
 use manthan3_aig::AigRef;
@@ -245,8 +248,8 @@ struct CandidateSlot {
 /// verification check and repair query of the run.
 #[derive(Debug, Clone)]
 pub struct VerifySession {
-    /// Incremental solver over the matrix `ϕ` (X-extension checks, repair
-    /// queries `G_k` and their UNSAT cores).
+    /// Incremental solver over the matrix `ϕ` (the trivial-falsity check,
+    /// repair queries `G_k` and their UNSAT cores).
     phi: Solver,
     /// Incremental solver over the error formula `¬ϕ ∧ (Y' ↔ f)`.
     error: Solver,
@@ -322,8 +325,7 @@ impl VerifySession {
         oracle.solve(&mut self.phi)
     }
 
-    /// Solves `ϕ` under `assumptions` (X-extension checks and the repair
-    /// queries `G_k`).
+    /// Solves `ϕ` under `assumptions` (the repair queries `G_k`).
     pub fn solve_phi(&mut self, oracle: &mut Oracle, assumptions: &[Lit]) -> SolveResult {
         oracle.solve_with_assumptions(&mut self.phi, assumptions)
     }
@@ -511,10 +513,10 @@ impl RepairSession {
     /// indirection `eq_i ↔ (y_i ↔ t_i)` per existential output, the soft
     /// units `(eq_i)`, and (lazily, inside the MaxSAT solver) the totalizer
     /// — the one and only hard-encoding construction of the whole repair
-    /// loop, recorded in `OracleStats::maxsat_hard_encodings`.
+    /// loop, on the run's one MaxSAT solver
+    /// (`OracleStats::maxsat_solvers_constructed`).
     pub fn new(dqbf: &Dqbf, oracle: &mut Oracle) -> Self {
         let mut maxsat = oracle.new_maxsat();
-        oracle.note_maxsat_hard_encoding();
         maxsat.add_hard_cnf(dqbf.matrix());
         let mut slots = Vec::with_capacity(dqbf.existentials().len());
         for &y in dqbf.existentials() {
@@ -549,11 +551,20 @@ impl RepairSession {
     /// targets. Returns the outputs whose soft constraint was dropped in the
     /// optimum — the candidates to repair.
     ///
-    /// When the oracle is past its deadline or cancelled (or the hard part
-    /// is unexpectedly unsatisfiable under the assumptions), falls back to
-    /// "repair every output whose candidate output differs from the witness
-    /// extension", exactly like the from-scratch path.
-    pub fn find_candidates(&mut self, dqbf: &Dqbf, sigma: &Sigma, oracle: &mut Oracle) -> Vec<Var> {
+    /// The MaxSAT search opens by probing its hard part, `ϕ ∧ (X ↔ σ[X])`,
+    /// which is the X-extension check of Algorithm 1, line 13. So the query
+    /// returns the verdict that ends the run instead of candidates when
+    /// `σ[X]` has no extension to a model of ϕ
+    /// ([`SynthesisOutcome::Unrealizable`], certified under
+    /// `Manthan3Config::certify`) or when the oracle gave up
+    /// ([`SynthesisOutcome::Unknown`] with the budget's reason).
+    // The large `Err` is the run's final verdict, returned at most once.
+    #[allow(clippy::result_large_err)]
+    pub fn find_candidates(
+        &mut self,
+        sigma: &Sigma,
+        oracle: &mut Oracle,
+    ) -> Result<Vec<Var>, SynthesisOutcome> {
         let mut assumptions: Vec<Lit> = Vec::with_capacity(sigma.x.len() + self.slots.len());
         for (&x, &value) in &sigma.x {
             assumptions.push(x.lit(value));
@@ -571,21 +582,15 @@ impl RepairSession {
         match result {
             MaxSatResult::Optimum { .. } => {
                 let violated: BTreeSet<_> = self.maxsat.violated_softs().into_iter().collect();
-                self.slots
+                Ok(self
+                    .slots
                     .iter()
                     .filter(|slot| violated.contains(&slot.soft))
                     .map(|slot| slot.output)
-                    .collect()
+                    .collect())
             }
-            // A given-up query falls back too — the engine re-checks the
-            // oracle before acting on the fallback set and reports the
-            // budget's reason.
-            MaxSatResult::HardUnsat | MaxSatResult::Unknown => dqbf
-                .existentials()
-                .iter()
-                .copied()
-                .filter(|y| sigma.y.get(y) != sigma.y_prime.get(y))
-                .collect(),
+            MaxSatResult::HardUnsat => Err(SynthesisOutcome::Unrealizable),
+            MaxSatResult::Unknown => Err(SynthesisOutcome::Unknown(oracle.give_up_reason())),
         }
     }
 
@@ -629,7 +634,7 @@ impl RepairSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Budget;
+    use crate::oracle::{Budget, UnknownReason};
     use manthan3_dqbf::verify::check;
 
     fn x(i: u32) -> Var {
@@ -811,7 +816,6 @@ mod tests {
 
         let sigma_a = Sigma {
             x: [(x(0), true), (x(1), false), (x(2), false)].into(),
-            y: [(y(0), true), (y(1), true), (y(2), false)].into(),
             y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
         };
         let mut sigma_b = sigma_a.clone();
@@ -820,12 +824,12 @@ mod tests {
 
         for round in 0..200 {
             let sigma = if round % 2 == 0 { &sigma_a } else { &sigma_b };
-            let candidates = session.find_candidates(&dqbf, sigma, &mut oracle);
+            let candidates = session.find_candidates(sigma, &mut oracle);
             if round % 2 == 0 {
                 // With x = (1,0,0), ϕ forces y2 = 1, so exactly the y2 soft
                 // is dropped — on every even round, however much solver
                 // state has accumulated.
-                assert_eq!(candidates, vec![y(1)], "round {round}");
+                assert_eq!(candidates.ok(), Some(vec![y(1)]), "round {round}");
             }
         }
 
@@ -854,11 +858,47 @@ mod tests {
             session.solver_stats().learnt_clauses
         );
         assert!(oracle.stats().sat_propagations > 0);
-        // One MaxSAT solver, one hard encoding, 200 assumption-served calls.
+        // One MaxSAT solver and its one hard encoding, 200 calls.
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
-        assert_eq!(oracle.stats().maxsat_hard_encodings, 1);
         assert_eq!(oracle.stats().maxsat_calls, 200);
-        assert_eq!(oracle.stats().maxsat_incremental_calls, 200);
+    }
+
+    /// FindCandidates is the X-extension check: a σ[X] that no model of ϕ
+    /// extends ends the run as unrealizable, and the same query on a
+    /// cancelled budget reports the cancellation and claims nothing.
+    #[test]
+    fn find_candidates_without_an_extension_ends_the_run() {
+        // ∀x ∃^{x}y. (¬x) ∧ y: no model of ϕ has x = 1.
+        let (xv, yv) = (Var::new(0), Var::new(1));
+        let mut dqbf = Dqbf::new();
+        dqbf.add_universal(xv);
+        dqbf.add_existential(yv, [xv]);
+        dqbf.add_clause([xv.negative()]);
+        dqbf.add_clause([yv.positive()]);
+        let sigma = Sigma {
+            x: [(xv, true)].into(),
+            y_prime: [(yv, false)].into(),
+        };
+
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut session = RepairSession::new(&dqbf, &mut oracle);
+        assert!(matches!(
+            session.find_candidates(&sigma, &mut oracle),
+            Err(SynthesisOutcome::Unrealizable)
+        ));
+        assert_eq!(oracle.stats().maxsat_calls, 1);
+        assert_eq!(oracle.stats().budget_exhaustions, 0);
+
+        let budget = Budget::unlimited();
+        budget.cancel_token().cancel();
+        let mut oracle = Oracle::new(budget);
+        let mut session = RepairSession::new(&dqbf, &mut oracle);
+        assert!(matches!(
+            session.find_candidates(&sigma, &mut oracle),
+            Err(SynthesisOutcome::Unknown(UnknownReason::Cancelled))
+        ));
+        assert_eq!(oracle.stats().maxsat_calls, 0);
+        assert_eq!(oracle.stats().budget_exhaustions, 1);
     }
 
     /// `y := ⊥` against the clauses `(y ∨ x_i)`, i < 4: a pattern violates

@@ -23,7 +23,8 @@ pub struct SynthesisStats {
     /// simulation answered. Both halves are billed to
     /// [`SynthesisStats::verification_time`].
     pub verification_checks: usize,
-    /// Number of counterexamples processed (repair iterations).
+    /// Number of counterexamples processed (repair iterations), each
+    /// handed to one FindCandidates query.
     pub repair_iterations: usize,
     /// Number of individual candidate repairs applied.
     pub repairs_applied: usize,
