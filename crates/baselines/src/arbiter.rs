@@ -24,13 +24,14 @@
 //! engine's architecture (definitions first, arbiters for the rest), not
 //! Pedant's engineering.
 
-use crate::common::BaselineResult;
 use manthan3_cnf::{Lit, Var};
-use manthan3_core::{Budget, Oracle, SynthesisOutcome, UnknownReason};
+use manthan3_core::{
+    Budget, Oracle, SynthesisOutcome, SynthesisResult, SynthesisStats, UnknownReason,
+};
 use manthan3_dqbf::{unique, verify, Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Maximum number of arbiter entries per output (each entry is a cube over
 /// the output's dependency set).
@@ -84,7 +85,7 @@ impl ArbiterSolver {
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
-    pub fn synthesize(&self, dqbf: &Dqbf) -> BaselineResult {
+    pub fn synthesize(&self, dqbf: &Dqbf) -> SynthesisResult {
         // All oracle calls share one budget: the oracle layer enforces the
         // engine deadline.
         self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
@@ -97,35 +98,28 @@ impl ArbiterSolver {
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
-    pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> BaselineResult {
+    pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
         dqbf.validate().expect("well-formed DQBF");
-        let start = Instant::now();
         let mut oracle = Oracle::new(budget);
-        let finish = |outcome: SynthesisOutcome, details: String, oracle: &Oracle| BaselineResult {
-            outcome,
-            runtime: start.elapsed(),
-            details,
-            oracle: *oracle.stats(),
-        };
+        let mut stats = SynthesisStats::default();
+        let outcome = self.run(dqbf, &mut oracle, &mut stats);
+        SynthesisResult::finish(outcome, stats, oracle)
+    }
 
+    /// Extracts definitions, then refines arbiter tables until the vector
+    /// verifies. Records the definitions in `stats.unique_definitions`.
+    fn run(
+        &self,
+        dqbf: &Dqbf,
+        oracle: &mut Oracle,
+        stats: &mut SynthesisStats,
+    ) -> SynthesisOutcome {
         let mut phi_solver = oracle.new_solver();
         phi_solver.add_cnf(dqbf.matrix());
         phi_solver.ensure_vars(dqbf.num_vars());
         match oracle.solve(&mut phi_solver) {
-            SolveResult::Unsat => {
-                return finish(
-                    SynthesisOutcome::Unrealizable,
-                    "matrix is unsatisfiable".to_string(),
-                    &oracle,
-                )
-            }
-            SolveResult::Unknown => {
-                return finish(
-                    SynthesisOutcome::Unknown(oracle.give_up_reason()),
-                    "matrix satisfiability check gave up".to_string(),
-                    &oracle,
-                )
-            }
+            SolveResult::Unsat => return SynthesisOutcome::Unrealizable,
+            SolveResult::Unknown => return SynthesisOutcome::Unknown(oracle.give_up_reason()),
             SolveResult::Sat => {}
         }
 
@@ -138,6 +132,7 @@ impl ArbiterSolver {
         } else {
             Vec::new()
         };
+        stats.unique_definitions = defined.len();
 
         // Phase 2: arbiter tables for the undefined outputs.
         let undefined: Vec<Var> = dqbf
@@ -157,21 +152,10 @@ impl ArbiterSolver {
         loop {
             iterations += 1;
             if iterations > self.config.max_iterations {
-                return finish(
-                    SynthesisOutcome::Unknown(UnknownReason::IterationLimit),
-                    format!(
-                        "gave up after {} CEGIS iterations",
-                        self.config.max_iterations
-                    ),
-                    &oracle,
-                );
+                return SynthesisOutcome::Unknown(UnknownReason::IterationLimit);
             }
             if let Some(reason) = oracle.exhausted() {
-                return finish(
-                    SynthesisOutcome::Unknown(reason),
-                    format!("shared budget exhausted ({reason:?}) after {iterations} iterations"),
-                    &oracle,
-                );
+                return SynthesisOutcome::Unknown(reason);
             }
             // Materialize the arbiter tables into the vector.
             for &y in &undefined {
@@ -181,15 +165,7 @@ impl ArbiterSolver {
             // Verify.
             match verify::check(dqbf, &vector) {
                 verify::CheckOutcome::Valid => {
-                    let entries: usize = tables.values().map(|t| t.len()).sum();
-                    return finish(
-                        SynthesisOutcome::Realizable(vector),
-                        format!(
-                            "definitions={} arbiter_entries={entries} iterations={iterations}",
-                            defined.len()
-                        ),
-                        &oracle,
-                    );
+                    return SynthesisOutcome::Realizable(vector);
                 }
                 verify::CheckOutcome::MissingFunction(_)
                 | verify::CheckOutcome::DependencyViolation { .. } => {
@@ -205,22 +181,9 @@ impl ArbiterSolver {
                         .collect();
                     let witness = match oracle.solve_with_assumptions(&mut phi_solver, &assumptions)
                     {
-                        SolveResult::Unsat => {
-                            return finish(
-                                SynthesisOutcome::Unrealizable,
-                                format!(
-                                    "universal assignment with no extension found after \
-                                     {iterations} iterations"
-                                ),
-                                &oracle,
-                            )
-                        }
+                        SolveResult::Unsat => return SynthesisOutcome::Unrealizable,
                         SolveResult::Unknown => {
-                            return finish(
-                                SynthesisOutcome::Unknown(oracle.give_up_reason()),
-                                "extension check gave up".to_string(),
-                                &oracle,
-                            )
+                            return SynthesisOutcome::Unknown(oracle.give_up_reason())
                         }
                         SolveResult::Sat => phi_solver.model(),
                     };
@@ -234,11 +197,7 @@ impl ArbiterSolver {
                         let value = witness.get(y).unwrap_or(false);
                         let table = tables.get_mut(&y).expect("table exists");
                         if table.len() >= MAX_ARBITER_ENTRIES && !table.contains_key(&key) {
-                            return finish(
-                                SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
-                                "arbiter table budget exceeded".to_string(),
-                                &oracle,
-                            );
+                            return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
                         }
                         let previous = table.insert(key, value);
                         if previous != Some(value) {
@@ -250,11 +209,7 @@ impl ArbiterSolver {
                         // yet verification failed: the arbiter abstraction
                         // cannot make progress (analogous to Pedant giving up
                         // on instances needing cross-output reasoning).
-                        return finish(
-                            SynthesisOutcome::Unknown(UnknownReason::RepairStuck),
-                            format!("no arbiter progress after {iterations} iterations"),
-                            &oracle,
-                        );
+                        return SynthesisOutcome::Unknown(UnknownReason::RepairStuck);
                     }
                 }
             }
@@ -291,10 +246,9 @@ mod tests {
         let result = ArbiterSolver::default().synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
-        assert!(result.details.contains("definitions"));
         // The engine's SAT work went through the shared oracle layer.
-        assert_eq!(result.oracle.sat_solvers_constructed, 1);
-        assert!(result.oracle.sat_calls >= 1);
+        assert_eq!(result.stats.oracle.sat_solvers_constructed, 1);
+        assert!(result.stats.oracle.sat_calls >= 1);
     }
 
     #[test]
@@ -361,8 +315,9 @@ mod tests {
         let result = ArbiterSolver::default().synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
-        assert!(result.details.contains("definitions=2"));
-        assert!(result.details.contains("arbiter_entries=0"));
+        assert_eq!(result.stats.unique_definitions, 2);
+        // No counterexample, so no extension check after the matrix check.
+        assert_eq!(result.stats.oracle.sat_calls, 1);
     }
 
     #[test]

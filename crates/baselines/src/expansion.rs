@@ -13,13 +13,14 @@
 //! universal set and the dependency sets are small and gives up when the
 //! expansion exceeds its budget.
 
-use crate::common::BaselineResult;
 use manthan3_cnf::{Lit, Var};
-use manthan3_core::{Budget, Oracle, SynthesisOutcome, UnknownReason};
+use manthan3_core::{
+    Budget, Oracle, SynthesisOutcome, SynthesisResult, SynthesisStats, UnknownReason,
+};
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Budgets for [`ExpansionSolver`].
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +71,7 @@ impl ExpansionSolver {
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
-    pub fn synthesize(&self, dqbf: &Dqbf) -> BaselineResult {
+    pub fn synthesize(&self, dqbf: &Dqbf) -> SynthesisResult {
         // The grounding deadline and the final SAT call share one budget
         // through the oracle layer.
         self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
@@ -83,24 +84,18 @@ impl ExpansionSolver {
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
-    pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> BaselineResult {
+    pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
         dqbf.validate().expect("well-formed DQBF");
-        let start = Instant::now();
         let mut oracle = Oracle::new(budget);
-        let finish = |outcome: SynthesisOutcome, details: String, oracle: &Oracle| BaselineResult {
-            outcome,
-            runtime: start.elapsed(),
-            details,
-            oracle: *oracle.stats(),
-        };
+        let outcome = self.expand(dqbf, &mut oracle);
+        SynthesisResult::finish(outcome, SynthesisStats::default(), oracle)
+    }
 
+    /// Grounds `dqbf` and reads the Henkin functions off one SAT call.
+    fn expand(&self, dqbf: &Dqbf, oracle: &mut Oracle) -> SynthesisOutcome {
         let num_x = dqbf.universals().len();
         if num_x > self.config.max_universals {
-            return finish(
-                SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
-                format!("expansion over {num_x} universals exceeds the budget"),
-                &oracle,
-            );
+            return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
         }
         // Allocate copy variables y_i^α.
         let existentials: Vec<Var> = dqbf.existentials().to_vec();
@@ -112,20 +107,12 @@ impl ExpansionSolver {
         let mut total_copies = 0usize;
         for d in &deps {
             if d.len() >= usize::BITS as usize - 1 {
-                return finish(
-                    SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
-                    "dependency set too large to expand".to_string(),
-                    &oracle,
-                );
+                return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
             }
             copy_base.push(total_copies);
             total_copies += 1usize << d.len();
             if total_copies > self.config.max_copies {
-                return finish(
-                    SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
-                    format!("{total_copies}+ existential copies exceed the budget"),
-                    &oracle,
-                );
+                return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
             }
         }
 
@@ -138,11 +125,7 @@ impl ExpansionSolver {
 
         for xi_bits in 0u64..(1u64 << num_x) {
             if let Some(reason) = oracle.exhausted() {
-                return finish(
-                    SynthesisOutcome::Unknown(reason),
-                    format!("expansion interrupted by the shared budget ({reason:?})"),
-                    &oracle,
-                );
+                return SynthesisOutcome::Unknown(reason);
             }
             let x_value = |v: Var| -> Option<bool> {
                 universals
@@ -175,22 +158,14 @@ impl ExpansionSolver {
                 }
                 if ground.is_empty() {
                     // The clause is falsified by ξ alone: the DQBF is false.
-                    return finish(
-                        SynthesisOutcome::Unrealizable,
-                        format!("universal assignment {xi_bits:b} falsifies the matrix"),
-                        &oracle,
-                    );
+                    return SynthesisOutcome::Unrealizable;
                 }
                 ground.sort();
                 ground.dedup();
                 if seen_clauses.insert(ground.clone()) {
                     ground_clauses += 1;
                     if ground_clauses > self.config.max_ground_clauses {
-                        return finish(
-                            SynthesisOutcome::Unknown(UnknownReason::OracleBudget),
-                            "grounded clause budget exceeded".to_string(),
-                            &oracle,
-                        );
+                        return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
                     }
                     solver.add_clause(ground);
                 }
@@ -198,16 +173,8 @@ impl ExpansionSolver {
         }
 
         match oracle.solve(&mut solver) {
-            SolveResult::Unsat => finish(
-                SynthesisOutcome::Unrealizable,
-                format!("expansion with {total_copies} copies is unsatisfiable"),
-                &oracle,
-            ),
-            SolveResult::Unknown => finish(
-                SynthesisOutcome::Unknown(oracle.give_up_reason()),
-                "SAT call on the expansion gave up".to_string(),
-                &oracle,
-            ),
+            SolveResult::Unsat => SynthesisOutcome::Unrealizable,
+            SolveResult::Unknown => SynthesisOutcome::Unknown(oracle.give_up_reason()),
             SolveResult::Sat => {
                 let model = solver.model();
                 let mut vector = HenkinVector::new();
@@ -226,11 +193,7 @@ impl ExpansionSolver {
                     let f = vector.aig_mut().or_list(&cubes);
                     vector.set(y, f);
                 }
-                finish(
-                    SynthesisOutcome::Realizable(vector),
-                    format!("expansion: {total_copies} copies, {ground_clauses} grounded clauses"),
-                    &oracle,
-                )
+                SynthesisOutcome::Realizable(vector)
             }
         }
     }
@@ -247,10 +210,9 @@ mod tests {
         let result = ExpansionSolver::default().synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
-        assert!(result.details.contains("copies"));
         // One grounding solver, one final SAT call, via the oracle layer.
-        assert_eq!(result.oracle.sat_solvers_constructed, 1);
-        assert_eq!(result.oracle.sat_calls, 1);
+        assert_eq!(result.stats.oracle.sat_solvers_constructed, 1);
+        assert_eq!(result.stats.oracle.sat_calls, 1);
     }
 
     #[test]

@@ -21,16 +21,16 @@
 //!   excels when most outputs are (almost) defined by their dependencies and
 //!   struggles otherwise.
 //!
-//! Both engines report their verdicts with the same
-//! [`SynthesisOutcome`](manthan3_core::SynthesisOutcome) type as Manthan3, and
-//! every vector they return passes the independent certificate checker in
+//! Both engines return the same
+//! [`SynthesisResult`](manthan3_core::SynthesisResult) as Manthan3, and every
+//! vector they return passes the independent certificate checker in
 //! [`manthan3_dqbf::verify`]. They also run on the same **oracle layer**
 //! ([`Oracle`](manthan3_core::Oracle) / [`Budget`](manthan3_core::Budget)) as
 //! the Manthan3 engine, so wall-clock deadlines and cancellation have
-//! identical semantics across all three engines and every
-//! [`BaselineResult`] carries the same
-//! [`OracleStats`](manthan3_core::OracleStats) counters as
-//! `SynthesisStats::oracle`.
+//! identical semantics across all three engines. Of the
+//! [`SynthesisStats`](manthan3_core::SynthesisStats) a baseline fills the
+//! oracle counters and the total time; the arbiter engine also counts its
+//! unique definitions.
 //!
 //! # Examples
 //!
@@ -48,9 +48,7 @@
 #![warn(missing_docs)]
 
 mod arbiter;
-mod common;
 mod expansion;
 
 pub use arbiter::{ArbiterConfig, ArbiterSolver};
-pub use common::BaselineResult;
 pub use expansion::{ExpansionConfig, ExpansionSolver};

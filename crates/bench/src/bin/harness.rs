@@ -25,9 +25,11 @@
 //! defaults to the three sequential engines. `--engine portfolio` is the
 //! interesting use: it adds the parallel portfolio, so `fig6_cactus.csv` and
 //! `summary_table.csv` report its *true wall-clock* numbers next to the
-//! post-hoc VBS columns. The per-run `sample_wall_s` column of `runs.csv`
-//! and the matching `summary_table.csv` row report the Manthan3 sampling
-//! stage's wall clock. `--quick` is the smoke-test setting: scale 1 and a
+//! post-hoc VBS columns. Each `runs.csv` row is one run's
+//! `SynthesisStats`: `repair_iterations` and `sample_wall_s` (the sampling
+//! stage's wall clock) come from Manthan3 runs and are zero for the
+//! baselines and the portfolio, and a portfolio row's oracle columns sum
+//! its racers' counters. `--quick` is the smoke-test setting: scale 1 and a
 //! 500 ms budget, each applied only where `--scale` / `--budget-ms` is not
 //! given, in any flag order. Every `OracleStats` counter (MaxSAT,
 //! sampling, CDCL solver layer, certification) is one column of
@@ -38,7 +40,9 @@
 //! construct logs DRAT proofs, and every UNSAT verdict is checked
 //! in-process by the independent `manthan3-drat` checker. A rejected
 //! certificate — a soundness alarm — is dumped under the output directory
-//! as a `certify_failure_*.cnf` / `.drat` pair for offline reproduction.
+//! as a `certify_failure_<instance>_<engine>.cnf` / `.drat` pair for
+//! offline reproduction; under `--engine portfolio` the race's record
+//! carries its Manthan3 racer's rejection too.
 //! Malformed flag values and unknown flags abort with a diagnostic on stderr
 //! and exit status 2.
 
@@ -150,7 +154,7 @@ fn main() {
     // and DRAT proof next to the CSVs so the rejection reproduces offline
     // (`manthan3-drat check <stem>.cnf <stem>.drat`), and say so loudly.
     for record in &records {
-        let Some(failure) = &record.certification_failure else {
+        let Some(failure) = &record.stats.certification_failure else {
             continue;
         };
         let stem = format!("certify_failure_{}_{}", record.instance, record.engine);

@@ -18,13 +18,10 @@
 pub mod csvio;
 pub mod report;
 
-use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
-use manthan3_core::{
-    CertificationFailure, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome,
-};
+use manthan3_core::{Budget, SynthesisOutcome, SynthesisResult, SynthesisStats};
 use manthan3_dqbf::verify;
 use manthan3_gen::Instance;
-use manthan3_portfolio::{Portfolio, PortfolioConfig};
+use manthan3_portfolio::{Portfolio, PortfolioConfig, PortfolioEngine, PortfolioResult};
 use std::fmt;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -53,17 +50,24 @@ impl EngineKind {
         EngineKind::Hqs2Like,
         EngineKind::PedantLike,
     ];
+
+    /// The engine a sequential kind runs, `None` for the portfolio.
+    pub fn sequential(self) -> Option<PortfolioEngine> {
+        match self {
+            EngineKind::Manthan3 => Some(PortfolioEngine::Manthan3),
+            EngineKind::Hqs2Like => Some(PortfolioEngine::Hqs2Like),
+            EngineKind::PedantLike => Some(PortfolioEngine::PedantLike),
+            EngineKind::Portfolio => None,
+        }
+    }
 }
 
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            EngineKind::Manthan3 => "manthan3",
-            EngineKind::Hqs2Like => "hqs2like",
-            EngineKind::PedantLike => "pedantlike",
-            EngineKind::Portfolio => "portfolio",
-        };
-        write!(f, "{name}")
+        match self.sequential() {
+            Some(engine) => engine.fmt(f),
+            None => f.pad("portfolio"),
+        }
     }
 }
 
@@ -71,15 +75,17 @@ impl FromStr for EngineKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "manthan3" => Ok(EngineKind::Manthan3),
-            "hqs2like" => Ok(EngineKind::Hqs2Like),
-            "pedantlike" => Ok(EngineKind::PedantLike),
-            "portfolio" => Ok(EngineKind::Portfolio),
-            other => Err(format!(
-                "unknown engine {other:?} (expected manthan3, hqs2like, pedantlike or portfolio)"
-            )),
-        }
+        let kinds = EngineKind::ALL.into_iter().chain([EngineKind::Portfolio]);
+        kinds
+            .clone()
+            .find(|kind| kind.to_string() == s)
+            .ok_or_else(|| {
+                let names: Vec<String> = kinds.map(|kind| kind.to_string()).collect();
+                format!(
+                    "unknown engine {s:?} (expected one of {})",
+                    names.join(", ")
+                )
+            })
     }
 }
 
@@ -102,28 +108,51 @@ pub struct RunRecord {
     pub outcome: String,
     /// Wall-clock runtime of the engine call.
     pub time: Duration,
-    /// Oracle-layer counters of the run (for the portfolio: the element-wise
-    /// sum over the racing engines). Each is a column of `runs.csv`, and
-    /// `summary_table.csv` sums them across the suite.
-    pub oracle: OracleStats,
-    /// Number of repair iterations (counterexample rounds) the run took.
-    /// Only the Manthan3 engine reports this; baselines and the portfolio
-    /// record zero.
-    pub repair_iterations: usize,
-    /// Wall-clock time the run's sampling stage took. Only the Manthan3
-    /// engine reports this; baselines do not sample and the portfolio does
-    /// not surface per-engine stage timings.
-    pub sample_wall: Duration,
-    /// The first rejected DRAT certificate of a certifying run
-    /// (`certify` of [`run_engine`]), with the offending CNF and proof — the
-    /// harness dumps it for offline reproduction. `None` on sound runs, on
-    /// uncertified runs, and for the portfolio (whose racers merge counters
-    /// only; a rejection there still shows in
-    /// `oracle.certificates_rejected`).
-    pub certification_failure: Option<Box<CertificationFailure>>,
+    /// The run's stats. A sequential run keeps its engine's own; a
+    /// portfolio run keeps the racers' merged oracle counters, the race's
+    /// wall time and the first rejected certificate of any racer.
+    /// `runs.csv` reports every oracle counter, the repair
+    /// iterations and the sampling time, and `summary_table.csv` sums them
+    /// across the suite. A certifying run's
+    /// [`certification_failure`](SynthesisStats::certification_failure) is
+    /// what the harness dumps for offline reproduction.
+    pub stats: SynthesisStats,
 }
 
 impl RunRecord {
+    /// The record of `engine`'s run on `instance` that returned `result`
+    /// after `time`; a claimed vector counts as synthesized only if it
+    /// passes the independent certificate check.
+    fn new(
+        engine: EngineKind,
+        instance: &Instance,
+        result: SynthesisResult,
+        time: Duration,
+    ) -> Self {
+        let (synthesized, decided, label) = match &result.outcome {
+            SynthesisOutcome::Realizable(vector) => {
+                let valid = verify::check(&instance.dqbf, vector).is_valid();
+                (
+                    valid,
+                    valid,
+                    if valid { "realizable" } else { "invalid" }.to_string(),
+                )
+            }
+            SynthesisOutcome::Unrealizable => (false, true, "unrealizable".to_string()),
+            SynthesisOutcome::Unknown(reason) => (false, false, format!("unknown:{reason:?}")),
+        };
+        RunRecord {
+            instance: instance.name.clone(),
+            family: instance.family.to_string(),
+            engine,
+            synthesized,
+            decided,
+            outcome: label,
+            time,
+            stats: result.stats,
+        }
+    }
+
     /// Runtime in seconds.
     pub fn seconds(&self) -> f64 {
         self.time.as_secs_f64()
@@ -151,73 +180,32 @@ pub fn run_engine(
     certify: bool,
 ) -> RunRecord {
     let start = Instant::now();
-    // Filled in by a certifying Manthan3 run on a rejection.
-    let mut certification_failure = None;
-    let (outcome, oracle, repair_iterations, sample_wall) = match engine {
-        EngineKind::Manthan3 => {
-            let config = Manthan3Config {
-                time_budget: Some(budget),
-                certify,
-                ..Manthan3Config::default()
-            };
-            let result = Manthan3::new(config).synthesize(&instance.dqbf);
-            certification_failure = result.stats.certification_failure;
-            (
-                result.outcome,
-                result.stats.oracle,
-                result.stats.repair_iterations,
-                result.stats.sampling_time,
-            )
-        }
-        EngineKind::Hqs2Like => {
-            let config = ExpansionConfig {
-                time_budget: Some(budget),
-                ..ExpansionConfig::default()
-            };
-            let result = ExpansionSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO)
-        }
-        EngineKind::PedantLike => {
-            let config = ArbiterConfig {
-                time_budget: Some(budget),
-                ..ArbiterConfig::default()
-            };
-            let result = ArbiterSolver::new(config).synthesize(&instance.dqbf);
-            (result.outcome, result.oracle, 0, Duration::ZERO)
-        }
-        EngineKind::Portfolio => {
-            let mut config = PortfolioConfig::with_time_budget(budget);
-            config.manthan3.certify = certify;
-            let result = Portfolio::new(config).run(&instance.dqbf);
-            let oracle = result.merged_oracle_stats();
-            (result.outcome, oracle, 0, Duration::ZERO)
-        }
+    let mut config = PortfolioConfig::with_time_budget(budget);
+    config.manthan3.certify = certify;
+    let result = match engine.sequential() {
+        Some(racer) => racer.synthesize(&config, &instance.dqbf, Budget::new(config.time_budget)),
+        None => race_result(Portfolio::new(config).run(&instance.dqbf)),
     };
-    let time = start.elapsed();
-    let (synthesized, decided, label) = match &outcome {
-        SynthesisOutcome::Realizable(vector) => {
-            let valid = verify::check(&instance.dqbf, vector).is_valid();
-            (
-                valid,
-                valid,
-                if valid { "realizable" } else { "invalid" }.to_string(),
-            )
-        }
-        SynthesisOutcome::Unrealizable => (false, true, "unrealizable".to_string()),
-        SynthesisOutcome::Unknown(reason) => (false, false, format!("unknown:{reason:?}")),
+    RunRecord::new(engine, instance, result, start.elapsed())
+}
+
+/// A portfolio race as one run: the race's verdict, with stats that hold
+/// the racers' merged oracle counters, the race's wall time and the first
+/// rejected certificate of any racer (only the Manthan3 racer certifies).
+/// Per-engine stage counters and timings stay zero.
+fn race_result(race: PortfolioResult) -> SynthesisResult {
+    let stats = SynthesisStats {
+        oracle: race.merged_oracle_stats(),
+        total_time: race.wall_time,
+        certification_failure: race
+            .reports
+            .into_iter()
+            .find_map(|report| report.result.stats.certification_failure),
+        ..SynthesisStats::default()
     };
-    RunRecord {
-        instance: instance.name.clone(),
-        family: instance.family.to_string(),
-        engine,
-        synthesized,
-        decided,
-        outcome: label,
-        time,
-        oracle,
-        repair_iterations,
-        sample_wall,
-        certification_failure,
+    SynthesisResult {
+        outcome: race.outcome,
+        stats,
     }
 }
 
@@ -243,7 +231,9 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manthan3_core::{CertificationFailure, OracleStats, UnknownReason};
     use manthan3_gen::planted::{planted_true, PlantedParams};
+    use manthan3_portfolio::EngineReport;
 
     const BUDGET: Duration = Duration::from_secs(5);
 
@@ -304,12 +294,12 @@ mod tests {
         let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
-            record.oracle.sat_propagations > 0,
+            record.stats.oracle.sat_propagations > 0,
             "solver-layer propagation counters must be billed"
         );
         // Probe accounting rides along whenever the run exercised repair.
-        if record.oracle.maxsat_calls > 0 {
-            assert!(record.oracle.maxsat_probes > 0);
+        if record.stats.oracle.maxsat_calls > 0 {
+            assert!(record.stats.oracle.maxsat_probes > 0);
         }
     }
 
@@ -325,17 +315,74 @@ mod tests {
         let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, true);
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
-            record.oracle.certificates_checked > 0,
+            record.stats.oracle.certificates_checked > 0,
             "a successful certifying run ends on a certified UNSAT verify"
         );
-        assert_eq!(record.oracle.certificates_rejected, 0);
-        assert!(record.oracle.proof_bytes > 0);
-        assert!(record.certification_failure.is_none());
+        assert_eq!(record.stats.oracle.certificates_rejected, 0);
+        assert!(record.stats.oracle.proof_bytes > 0);
+        assert!(record.stats.certification_failure.is_none());
         // Uncertified runs leave the proof counters (and the failure slot)
         // untouched.
         let plain = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
-        assert_eq!(plain.oracle.certificates_checked, 0);
-        assert!(plain.certification_failure.is_none());
+        assert_eq!(plain.stats.oracle.certificates_checked, 0);
+        assert!(plain.stats.certification_failure.is_none());
+    }
+
+    #[test]
+    fn portfolio_records_keep_a_racers_rejected_certificate() {
+        let params = PlantedParams {
+            num_universals: 3,
+            num_existentials: 2,
+            max_dependencies: 2,
+            ..PlantedParams::default()
+        };
+        let instance = planted_true(&params, 11);
+        let failure = CertificationFailure {
+            reason: "synthetic rejection".to_string(),
+            cnf: "p cnf 1 1\n1 0\n".to_string(),
+            drat: "0\n".to_string(),
+        };
+        let cancelled = SynthesisOutcome::Unknown(UnknownReason::Cancelled);
+        let report = |engine, stats| EngineReport {
+            engine,
+            result: SynthesisResult {
+                outcome: cancelled.clone(),
+                stats,
+            },
+            winner: false,
+        };
+        let rejecting = SynthesisStats {
+            oracle: OracleStats {
+                certificates_checked: 2,
+                certificates_rejected: 1,
+                ..OracleStats::default()
+            },
+            certification_failure: Some(Box::new(failure.clone())),
+            ..SynthesisStats::default()
+        };
+        let race = PortfolioResult {
+            outcome: SynthesisOutcome::Unknown(UnknownReason::TimeBudget),
+            winner: None,
+            wall_time: Duration::from_millis(3),
+            reports: vec![
+                report(PortfolioEngine::Manthan3, rejecting),
+                report(PortfolioEngine::Hqs2Like, SynthesisStats::default()),
+                report(PortfolioEngine::PedantLike, SynthesisStats::default()),
+            ],
+        };
+        let record = RunRecord::new(
+            EngineKind::Portfolio,
+            &instance,
+            race_result(race),
+            Duration::from_millis(4),
+        );
+        assert_eq!(
+            record.stats.certification_failure.as_deref(),
+            Some(&failure)
+        );
+        assert_eq!(record.stats.oracle.certificates_rejected, 1);
+        assert_eq!(record.stats.total_time, Duration::from_millis(3));
+        assert_eq!(record.outcome, "unknown:TimeBudget");
     }
 
     #[test]

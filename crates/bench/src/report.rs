@@ -127,11 +127,14 @@ pub fn runs_rows(records: &[RunRecord]) -> Vec<Vec<String>> {
                 r.decided.to_string(),
                 r.outcome.clone(),
                 format!("{:.4}", r.seconds()),
-                format!("{:.1}", per_second(r.oracle.sat_propagations, r.seconds())),
-                r.repair_iterations.to_string(),
-                format!("{:.4}", r.sample_wall.as_secs_f64()),
+                format!(
+                    "{:.1}",
+                    per_second(r.stats.oracle.sat_propagations, r.seconds())
+                ),
+                r.stats.repair_iterations.to_string(),
+                format!("{:.4}", r.stats.sampling_time.as_secs_f64()),
             ];
-            row.extend(r.oracle.values());
+            row.extend(r.stats.oracle.values());
             row
         })
         .collect()
@@ -259,7 +262,7 @@ pub fn summary(records: &[RunRecord]) -> Summary {
     };
     let mut oracle = OracleStats::default();
     for record in records {
-        oracle.absorb(&record.oracle);
+        oracle.absorb(&record.stats.oracle);
     }
     // The per-iteration ratio is a Manthan3 shape invariant (one
     // FindCandidates call per counterexample), so it is computed over the
@@ -269,8 +272,14 @@ pub fn summary(records: &[RunRecord]) -> Summary {
         .iter()
         .filter(|r| r.engine == EngineKind::Manthan3)
         .collect();
-    let repair_iterations: usize = manthan3_records.iter().map(|r| r.repair_iterations).sum();
-    let manthan3_maxsat_calls: usize = manthan3_records.iter().map(|r| r.oracle.maxsat_calls).sum();
+    let repair_iterations: usize = manthan3_records
+        .iter()
+        .map(|r| r.stats.repair_iterations)
+        .sum();
+    let manthan3_maxsat_calls: usize = manthan3_records
+        .iter()
+        .map(|r| r.stats.oracle.maxsat_calls)
+        .sum();
     let maxsat_calls_per_repair_iteration = if repair_iterations == 0 {
         0.0
     } else {
@@ -278,7 +287,7 @@ pub fn summary(records: &[RunRecord]) -> Summary {
     };
     let sample_wall_s: f64 = manthan3_records
         .iter()
-        .map(|r| r.sample_wall.as_secs_f64())
+        .map(|r| r.stats.sampling_time.as_secs_f64())
         .sum();
     let total_seconds: f64 = records.iter().map(|r| r.seconds()).sum();
 
@@ -349,11 +358,12 @@ impl Summary {
         if let (Some(synthesized), Some(decided)) =
             (self.portfolio_synthesized, self.portfolio_decided)
         {
+            let portfolio = EngineKind::Portfolio;
             rows.push(vec![
-                "synthesized_portfolio".into(),
+                format!("synthesized_{portfolio}"),
                 synthesized.to_string(),
             ]);
-            rows.push(vec!["decided_portfolio".into(), decided.to_string()]);
+            rows.push(vec![format!("decided_{portfolio}"), decided.to_string()]);
         }
         rows.extend(
             self.counter_rows()
@@ -451,10 +461,7 @@ mod tests {
             decided: synthesized,
             outcome: if synthesized { "realizable" } else { "unknown" }.to_string(),
             time: Duration::from_secs_f64(seconds),
-            oracle: manthan3_core::OracleStats::default(),
-            repair_iterations: 0,
-            sample_wall: Duration::ZERO,
-            certification_failure: None,
+            stats: manthan3_core::SynthesisStats::default(),
         }
     }
 
@@ -554,20 +561,20 @@ mod tests {
     #[test]
     fn oracle_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
-        records[0].oracle.maxsat_calls = 5;
-        records[0].oracle.conflicts = 30;
-        records[0].oracle.learnt_db_live = 40;
-        records[0].oracle.rephases = 2;
-        records[0].oracle.certify_nanos = 1_500_000_000;
-        records[3].oracle.sampler_calls = 80;
-        records[3].oracle.conflicts = 5;
-        records[3].oracle.learnt_db_live = 10;
-        records[3].oracle.certify_nanos = 500_000_000;
-        records[4].oracle.budget_exhaustions = 1;
+        records[0].stats.oracle.maxsat_calls = 5;
+        records[0].stats.oracle.conflicts = 30;
+        records[0].stats.oracle.learnt_db_live = 40;
+        records[0].stats.oracle.rephases = 2;
+        records[0].stats.oracle.certify_nanos = 1_500_000_000;
+        records[3].stats.oracle.sampler_calls = 80;
+        records[3].stats.oracle.conflicts = 5;
+        records[3].stats.oracle.learnt_db_live = 10;
+        records[3].stats.oracle.certify_nanos = 500_000_000;
+        records[4].stats.oracle.budget_exhaustions = 1;
         let s = summary(&records);
         let mut merged = OracleStats::default();
         for r in &records {
-            merged.absorb(&r.oracle);
+            merged.absorb(&r.stats.oracle);
         }
         assert_eq!(s.oracle, merged);
 
@@ -595,11 +602,11 @@ mod tests {
         // The two Manthan3 runs did 5 + 3 repair iterations with one
         // FindCandidates call per iteration; a baseline's MaxSAT calls do
         // not enter the per-iteration ratio.
-        records[0].oracle.maxsat_calls = 5;
-        records[0].repair_iterations = 5;
-        records[3].oracle.maxsat_calls = 3;
-        records[3].repair_iterations = 3;
-        records[1].oracle.maxsat_calls = 4;
+        records[0].stats.oracle.maxsat_calls = 5;
+        records[0].stats.repair_iterations = 5;
+        records[3].stats.oracle.maxsat_calls = 3;
+        records[3].stats.repair_iterations = 3;
+        records[1].stats.oracle.maxsat_calls = 4;
         let s = summary(&records);
         assert_eq!(s.oracle.maxsat_calls, 12);
         assert_eq!(s.repair_iterations, 8);
@@ -616,8 +623,8 @@ mod tests {
     #[test]
     fn sampling_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
-        records[0].sample_wall = Duration::from_millis(250);
-        records[3].sample_wall = Duration::from_millis(150);
+        records[0].stats.sampling_time = Duration::from_millis(250);
+        records[3].stats.sampling_time = Duration::from_millis(150);
         let s = summary(&records);
         assert!((s.sample_wall_s - 0.4).abs() < 1e-9);
         let rows = s.rows();
@@ -629,8 +636,8 @@ mod tests {
     #[test]
     fn solver_counters_aggregate_into_the_summary() {
         let mut records = sample_records();
-        records[0].oracle.sat_propagations = 900;
-        records[3].oracle.sat_propagations = 100;
+        records[0].stats.oracle.sat_propagations = 900;
+        records[3].stats.oracle.sat_propagations = 100;
         let s = summary(&records);
         assert_eq!(s.oracle.sat_propagations, 1000);
         // sample_records() totals 0.1+0.5+0.9 + 1.0+2.0+2.0 + 2.0+0.2+2.0 = 10.7 s.
@@ -645,12 +652,12 @@ mod tests {
     fn certification_counters_aggregate_into_the_summary() {
         // Checked certificates alone raise no alarm.
         let mut records = sample_records();
-        records[0].oracle.certificates_checked = 3;
+        records[0].stats.oracle.certificates_checked = 3;
         let s = summary(&records);
         assert!(!s.to_string().contains("ALARM"));
 
-        records[3].oracle.certificates_checked = 2;
-        records[3].oracle.certificates_rejected = 1;
+        records[3].stats.oracle.certificates_checked = 2;
+        records[3].stats.oracle.certificates_rejected = 1;
         let s = summary(&records);
         assert!(s
             .to_string()
@@ -668,14 +675,14 @@ mod tests {
         assert_eq!(unique.len(), header.len());
 
         let mut records = sample_records();
-        records[0].oracle.sat_propagations = 50;
-        records[0].oracle.certify_nanos = 250_000_000;
+        records[0].stats.oracle.sat_propagations = 50;
+        records[0].stats.oracle.certify_nanos = 250_000_000;
         let rows = runs_rows(&records);
         assert_eq!(rows.len(), records.len());
         for (row, record) in rows.iter().zip(&records) {
             assert_eq!(row.len(), header.len());
             assert_eq!(row[0], record.instance);
-            let oracle: Vec<String> = record.oracle.values().collect();
+            let oracle: Vec<String> = record.stats.oracle.values().collect();
             assert_eq!(&row[RUN_COLUMNS.len()..], oracle);
         }
         // 50 propagations over the record's 0.1 s.

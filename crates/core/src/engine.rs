@@ -16,7 +16,7 @@ use crate::config::Manthan3Config;
 use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
-use crate::repair::{repair_vector, Sigma};
+use crate::repair::repair_vector;
 use crate::session::{Delta, RepairSession, Simulator, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Var};
@@ -54,6 +54,30 @@ pub struct SynthesisResult {
     pub outcome: SynthesisOutcome,
     /// Counters and timings, including the oracle-layer statistics.
     pub stats: SynthesisStats,
+}
+
+impl SynthesisResult {
+    /// The synthesized vector, if the run produced one.
+    pub fn vector(&self) -> Option<&HenkinVector> {
+        match &self.outcome {
+            SynthesisOutcome::Realizable(vector) => Some(vector),
+            _ => None,
+        }
+    }
+
+    /// Closes a run on `oracle`: `stats` takes the oracle's counters, its
+    /// first rejected certificate and the time since its budget started.
+    /// Every engine, the baselines included, ends its runs here.
+    pub fn finish(
+        outcome: SynthesisOutcome,
+        mut stats: SynthesisStats,
+        mut oracle: Oracle,
+    ) -> Self {
+        stats.oracle = *oracle.stats();
+        stats.certification_failure = oracle.take_certification_failure();
+        stats.total_time = oracle.budget().elapsed();
+        SynthesisResult { outcome, stats }
+    }
 }
 
 /// Shared state of one synthesis run, threaded through the pipeline stages.
@@ -169,11 +193,7 @@ impl Manthan3 {
             .or_else(|| stage_order(&mut ctx))
             .unwrap_or_else(|| stage_verify_repair(&mut ctx, observe));
 
-        let mut stats = ctx.stats;
-        stats.oracle = *ctx.oracle.stats();
-        stats.certification_failure = ctx.oracle.take_certification_failure();
-        stats.total_time = ctx.oracle.budget().elapsed();
-        SynthesisResult { outcome, stats }
+        SynthesisResult::finish(outcome, ctx.stats, ctx.oracle)
     }
 }
 
@@ -283,7 +303,7 @@ fn stage_order(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
 /// assumptions, so `Valid` always comes from the solver. FindCandidates
 /// re-solves the persistent MaxSAT encoding under counterexample
 /// assumptions, and is the only query between a counterexample and repair:
-/// its hard probe refutes a σ[X] that no model of ϕ extends. Repair adds
+/// its hard probe refutes a δ[X] that no model of ϕ extends. Repair adds
 /// clauses and swaps activation literals — no solver or encoding is ever
 /// reconstructed inside the loop. `observe` sees each counterexample before
 /// repair.
@@ -325,10 +345,6 @@ fn stage_verify_repair(
 
         let repair_start = Instant::now();
         ctx.stats.repair_iterations += 1;
-        let sigma = Sigma {
-            x: delta.x,
-            y_prime: delta.y_prime,
-        };
         // The repair session opens on the first counterexample and serves
         // every later FindCandidates query under assumptions.
         if ctx.repair.is_none() {
@@ -337,7 +353,7 @@ fn stage_verify_repair(
         // invariant: the branch above creates the session when absent.
         let repair_session = ctx.repair.as_mut().expect("repair session just opened");
         let outcome = repair_session
-            .find_candidates(&sigma, &mut ctx.oracle)
+            .find_candidates(&delta, &mut ctx.oracle)
             .map(|candidates| {
                 repair_vector(
                     ctx.dqbf,
@@ -346,7 +362,7 @@ fn stage_verify_repair(
                     &mut ctx.oracle,
                     &mut ctx.vector,
                     &order,
-                    &sigma,
+                    &delta,
                     candidates,
                     &mut ctx.stats,
                 )
@@ -466,7 +482,7 @@ mod tests {
 
     #[test]
     fn dependency_restricted_false_instance_is_not_misreported() {
-        // ∀x1 x2 ∃^{x1}y. (y ↔ x2) is false, but every σ[X] extends to a
+        // ∀x1 x2 ∃^{x1}y. (y ↔ x2) is false, but every δ[X] extends to a
         // model of ϕ, so Manthan3 cannot prove falsity; per the paper it must
         // end in the incompleteness case (repair stuck), never claim a
         // Henkin vector.

@@ -66,9 +66,9 @@
 //!   (matrix hard clauses, per-output target indirections, soft units, and
 //!   the totalizer) is built **once** on the first counterexample, and
 //!   every FindCandidates query is answered under assumptions pinning
-//!   `σ[X]` and `σ[Y']` — counterexample state is retracted automatically
+//!   `δ[X]` and `δ[Y']` — counterexample state is retracted automatically
 //!   between iterations, nothing is re-encoded. Its opening hard probe,
-//!   `ϕ ∧ (X ↔ σ[X])`, is the X-extension check of Algorithm 1, line 13, so
+//!   `ϕ ∧ (X ↔ δ[X])`, is the X-extension check of Algorithm 1, line 13, so
 //!   a refutation ends the run as unrealizable with no SAT call of its own.
 //!   With both sessions in place the CEGIS loop is allocation-stable end to
 //!   end: `OracleStats::maxsat_solvers_constructed` stays at one however
@@ -161,6 +161,6 @@ pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
-pub use repair::{repair_vector, RepairOutcome, Sigma};
+pub use repair::{repair_vector, RepairOutcome};
 pub use session::{Delta, RepairSession, VerifyOutcome, VerifySession};
 pub use stats::SynthesisStats;

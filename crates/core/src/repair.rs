@@ -10,7 +10,10 @@
 //! become repair cubes) by the [`VerifySession`]'s incremental matrix
 //! solver — repair never constructs a solver or an encoding of its own.
 //! FindCandidates' hard probe is the X-extension check of Algorithm 1,
-//! line 13, so it ends the run when `σ[X]` extends to no model of ϕ.
+//! line 13, so it ends the run when `δ[X]` extends to no model of ϕ.
+//! Repair takes the verify check's counterexample [`Delta`] as it is: the
+//! paper's σ (Algorithm 1, line 16) is δ under another name, so the code
+//! and these docs write δ throughout.
 //! The test build keeps the pre-incremental rebuild-per-call path,
 //! `find_candidates_from_scratch`, as the reference for the
 //! repair-equivalence suite.
@@ -20,23 +23,12 @@ use crate::config::Manthan3Config;
 use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use crate::order::Order;
-use crate::session::VerifySession;
+use crate::session::{Delta, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// The counterexample σ of Algorithm 1, line 16, reduced to what repair
-/// reads: `δ[X]` and `δ[Y']`. The paper's witness `π[Y]` is not kept; the
-/// FindCandidates hard probe decides whether one exists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sigma {
-    /// `σ[X]`: the universal assignment of the counterexample (`δ[X]`).
-    pub x: BTreeMap<Var, bool>,
-    /// `σ[Y']`: the outputs of the current candidate functions (`δ[Y']`).
-    pub y_prime: BTreeMap<Var, bool>,
-}
+use std::collections::BTreeSet;
 
 /// Outcome of one repair pass over a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,26 +41,26 @@ pub struct RepairOutcome {
 }
 
 /// The pre-incremental `FindCandi`: rebuilds the whole hard-clause MaxSAT
-/// encoding (matrix, `σ[X]` units, soft clauses, totalizer) on every call.
+/// encoding (matrix, `δ[X]` units, soft clauses, totalizer) on every call.
 /// Kept as the reference implementation for the repair-equivalence suite;
 /// the engine itself always runs on the [`RepairSession`](crate::RepairSession).
 #[cfg(test)]
 #[allow(clippy::result_large_err)]
 pub(crate) fn find_candidates_from_scratch(
     dqbf: &Dqbf,
-    sigma: &Sigma,
+    delta: &Delta,
     oracle: &mut Oracle,
 ) -> Result<Vec<Var>, SynthesisOutcome> {
     use manthan3_maxsat::MaxSatResult;
 
     let mut maxsat = oracle.new_maxsat();
     maxsat.add_hard_cnf(dqbf.matrix());
-    for (&x, &value) in &sigma.x {
+    for (&x, &value) in &delta.x {
         maxsat.add_hard([x.lit(value)]);
     }
     let mut soft_vars = Vec::new();
     for &y in dqbf.existentials() {
-        let target = sigma.y_prime.get(&y).copied().unwrap_or(false);
+        let target = delta.y_prime.get(&y).copied().unwrap_or(false);
         let id = maxsat.add_soft([y.lit(target)], 1);
         soft_vars.push((id, y));
     }
@@ -105,7 +97,7 @@ pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -
         .collect()
 }
 
-/// Repairs the candidate vector against the counterexample `sigma`
+/// Repairs the candidate vector against the counterexample `delta`
 /// (Algorithm 3), starting from the `candidates` selected by a
 /// FindCandidates query (on the persistent repair session, or on the
 /// from-scratch reference path in the repair-equivalence suite). The
@@ -121,7 +113,7 @@ pub fn repair_vector(
     oracle: &mut Oracle,
     vector: &mut HenkinVector,
     order: &Order,
-    sigma: &Sigma,
+    delta: &Delta,
     candidates: Vec<Var>,
     stats: &mut SynthesisStats,
 ) -> RepairOutcome {
@@ -143,16 +135,16 @@ pub fn repair_vector(
         processed += 1;
 
         let hat = y_hat(dqbf, order, yk, config);
-        // G_k = ϕ ∧ (H_k ↔ σ[H_k]) ∧ (Ŷ ↔ σ[Ŷ']) ∧ (y_k ↔ σ[y'_k]),
+        // G_k = ϕ ∧ (H_k ↔ δ[H_k]) ∧ (Ŷ ↔ δ[Ŷ']) ∧ (y_k ↔ δ[y'_k]),
         // expressed as assumptions so the UNSAT core is a subset of the unit
         // constraints (Formula 1).
-        let target_value = sigma.y_prime.get(&yk).copied().unwrap_or(false);
+        let target_value = delta.y_prime.get(&yk).copied().unwrap_or(false);
         let mut assumptions: Vec<Lit> = vec![yk.lit(target_value)];
         for &d in dqbf.dependencies(yk) {
-            assumptions.push(d.lit(sigma.x.get(&d).copied().unwrap_or(false)));
+            assumptions.push(d.lit(delta.x.get(&d).copied().unwrap_or(false)));
         }
         for &yj in &hat {
-            assumptions.push(yj.lit(sigma.y_prime.get(&yj).copied().unwrap_or(false)));
+            assumptions.push(yj.lit(delta.y_prime.get(&yj).copied().unwrap_or(false)));
         }
         let performed_before = oracle.stats().sat_calls;
         let result = session.solve_phi(oracle, &assumptions);
@@ -195,7 +187,7 @@ pub fn repair_vector(
                         continue;
                     }
                     let rho = model.get(yt).unwrap_or(false);
-                    let candidate_output = sigma.y_prime.get(&yt).copied().unwrap_or(false);
+                    let candidate_output = delta.y_prime.get(&yt).copied().unwrap_or(false);
                     if rho != candidate_output {
                         queue.push(yt);
                         queued.insert(yt);
@@ -230,8 +222,8 @@ mod tests {
 
     /// Builds the paper's worked example state right before the repair step:
     /// candidates f1 = ¬x1, f2 = y1, f3 = x3 ∨ (¬x3 ∧ x2) and the
-    /// counterexample σ from Section 5.
-    fn paper_repair_state() -> (Dqbf, HenkinVector, Order, Sigma) {
+    /// counterexample δ from Section 5.
+    fn paper_repair_state() -> (Dqbf, HenkinVector, Order, Delta) {
         let dqbf = Dqbf::paper_example();
         let mut vector = HenkinVector::new();
         let in_x1 = vector.aig_mut().input(x(0).index());
@@ -250,20 +242,20 @@ mod tests {
         state.record_dependency(y(1), y(0));
         let order = Order::from_dependencies(dqbf.existentials(), &state);
 
-        // σ: x = (1,0,0); δ[Y'] = (0,0,0).
-        let sigma = Sigma {
+        // δ: x = (1,0,0); δ[Y'] = (0,0,0).
+        let delta = Delta {
             x: [(x(0), true), (x(1), false), (x(2), false)].into(),
             y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
         };
-        (dqbf, vector, order, sigma)
+        (dqbf, vector, order, delta)
     }
 
     #[test]
     fn find_candidates_selects_y2_on_paper_example() {
-        let (dqbf, _vector, _order, sigma) = paper_repair_state();
+        let (dqbf, _vector, _order, delta) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
-        let candidates = session.find_candidates(&sigma, &mut oracle);
+        let candidates = session.find_candidates(&delta, &mut oracle);
         // With x = (1,0,0), ϕ forces y2 = y1 ∨ ¬x2 = y1 ∨ 1 = 1, so the soft
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
@@ -275,9 +267,9 @@ mod tests {
 
     #[test]
     fn from_scratch_reference_agrees_on_paper_example() {
-        let (dqbf, _vector, _order, sigma) = paper_repair_state();
+        let (dqbf, _vector, _order, delta) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
-        let candidates = find_candidates_from_scratch(&dqbf, &sigma, &mut oracle);
+        let candidates = find_candidates_from_scratch(&dqbf, &delta, &mut oracle);
         assert_eq!(candidates.ok(), Some(vec![y(1)]));
         // The reference path pays a full hard encoding per call.
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
@@ -285,29 +277,29 @@ mod tests {
 
     #[test]
     fn repeated_find_candidates_reuse_one_encoding() {
-        let (dqbf, _vector, _order, sigma) = paper_repair_state();
+        let (dqbf, _vector, _order, delta) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         // A second counterexample with flipped targets: the previous call's
         // assumptions must be fully retracted.
-        let mut flipped = sigma.clone();
+        let mut flipped = delta.clone();
         flipped.y_prime = [(y(0), true), (y(1), true), (y(2), true)].into();
         flipped.x = [(x(0), false), (x(1), true), (x(2), false)].into();
         for round in 0..6 {
-            let s = if round % 2 == 0 { &sigma } else { &flipped };
+            let s = if round % 2 == 0 { &delta } else { &flipped };
             let _ = session.find_candidates(s, &mut oracle);
         }
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
         assert_eq!(oracle.stats().maxsat_calls, 6);
         // The alternating counterexamples stay deterministic: re-querying
-        // the original sigma still selects y2 only.
-        let again = session.find_candidates(&sigma, &mut oracle);
+        // the original delta still selects y2 only.
+        let again = session.find_candidates(&delta, &mut oracle);
         assert_eq!(again.ok(), Some(vec![y(1)]));
     }
 
     #[test]
     fn y_hat_respects_order_and_subsets() {
-        let (dqbf, _vector, order, _sigma) = paper_repair_state();
+        let (dqbf, _vector, order, _delta) = paper_repair_state();
         let config = Manthan3Config::default();
         // For y2 (deps {x1,x2}): y1 has H1 ⊂ H2 and appears after y2 in the
         // order, so Ŷ = {y1}; y3's dependency set is incomparable.
@@ -322,7 +314,7 @@ mod tests {
 
     #[test]
     fn repair_fixes_the_paper_counterexample() {
-        let (dqbf, mut vector, order, sigma) = paper_repair_state();
+        let (dqbf, mut vector, order, delta) = paper_repair_state();
         let config = Manthan3Config::default();
         let mut stats = SynthesisStats::default();
         let mut oracle = Oracle::new(Budget::unlimited());
@@ -330,8 +322,8 @@ mod tests {
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
 
         let candidates = repair_session
-            .find_candidates(&sigma, &mut oracle)
-            .expect("σ[X] extends to a model of ϕ");
+            .find_candidates(&delta, &mut oracle)
+            .expect("δ[X] extends to a model of ϕ");
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -339,7 +331,7 @@ mod tests {
             &mut oracle,
             &mut vector,
             &order,
-            &sigma,
+            &delta,
             candidates,
             &mut stats,
         );
@@ -377,7 +369,7 @@ mod tests {
         vector.set(Var::new(4), !in_x2);
         let state = DependencyState::new(dqbf.existentials());
         let order = Order::from_dependencies(dqbf.existentials(), &state);
-        let sigma = Sigma {
+        let delta = Delta {
             x: [
                 (Var::new(0), false),
                 (Var::new(1), false),
@@ -391,8 +383,8 @@ mod tests {
         let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
         let mut stats = SynthesisStats::default();
         let candidates = repair_session
-            .find_candidates(&sigma, &mut oracle)
-            .expect("σ[X] extends to a model of ϕ");
+            .find_candidates(&delta, &mut oracle)
+            .expect("δ[X] extends to a model of ϕ");
         let outcome = repair_vector(
             &dqbf,
             &config,
@@ -400,7 +392,7 @@ mod tests {
             &mut oracle,
             &mut vector,
             &order,
-            &sigma,
+            &delta,
             candidates,
             &mut stats,
         );

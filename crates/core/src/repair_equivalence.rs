@@ -5,11 +5,11 @@
 //! Three angles, all on `suite(7, 1)`-class instances:
 //!
 //! * **Per-query equivalence** (randomized): for randomly generated
-//!   counterexamples σ, the session's candidate set and the from-scratch
+//!   counterexamples δ, the session's candidate set and the from-scratch
 //!   set must be *optimal solutions of the same objective* — equal
 //!   cardinality (the optimum cost, all softs being unit weight) and each
-//!   feasible for the other encoding (leaving every unselected output pinned to its σ[Y'] value
-//!   keeps `ϕ ∧ σ[X]` satisfiable). Literal set equality is not required:
+//!   feasible for the other encoding (leaving every unselected output pinned to its δ[Y'] value
+//!   keeps `ϕ ∧ δ[X]` satisfiable). Literal set equality is not required:
 //!   distinct optimal solutions are legitimate tie-breaks of the same
 //!   optimum.
 //! * **Loop convergence**: driving the full verify–repair loop from
@@ -28,7 +28,7 @@
 use crate::repair::find_candidates_from_scratch;
 use crate::session::Simulator;
 use crate::{
-    repair_vector, Budget, DependencyState, Manthan3Config, Oracle, Order, RepairSession, Sigma,
+    repair_vector, Budget, Delta, DependencyState, Manthan3Config, Oracle, Order, RepairSession,
     SynthesisOutcome, SynthesisStats, VerifyOutcome, VerifySession,
 };
 use manthan3_cnf::{Lit, Var};
@@ -53,40 +53,40 @@ fn random_valuation(vars: &[Var], state: &mut u64) -> BTreeMap<Var, bool> {
         .collect()
 }
 
-/// Draws a random σ[X] and, if it extends to a model of ϕ (the only shape
-/// whose candidates repair acts on), returns σ with a random candidate
-/// output vector σ[Y'].
-fn random_sigma(
+/// Draws a random δ[X] and, if it extends to a model of ϕ (the only shape
+/// whose candidates repair acts on), returns δ with a random candidate
+/// output vector δ[Y'].
+fn random_delta(
     dqbf: &Dqbf,
     session: &mut VerifySession,
     oracle: &mut Oracle,
     state: &mut u64,
-) -> Option<Sigma> {
+) -> Option<Delta> {
     let x = random_valuation(dqbf.universals(), state);
     let x_assumptions: Vec<Lit> = x.iter().map(|(&v, &b)| v.lit(b)).collect();
     if session.solve_phi(oracle, &x_assumptions) != SolveResult::Sat {
         return None;
     }
-    Some(Sigma {
+    Some(Delta {
         x,
         y_prime: random_valuation(dqbf.existentials(), state),
     })
 }
 
-/// `true` if leaving every output *outside* `selected` pinned to its σ[Y']
-/// value keeps `ϕ ∧ σ[X]` satisfiable — i.e. `selected` is a feasible
+/// `true` if leaving every output *outside* `selected` pinned to its δ[Y']
+/// value keeps `ϕ ∧ δ[X]` satisfiable — i.e. `selected` is a feasible
 /// candidate set for the FindCandidates objective.
 fn is_feasible_candidate_set(
     dqbf: &Dqbf,
-    sigma: &Sigma,
+    delta: &Delta,
     selected: &[Var],
     session: &mut VerifySession,
     oracle: &mut Oracle,
 ) -> bool {
-    let mut assumptions: Vec<Lit> = sigma.x.iter().map(|(&x, &v)| x.lit(v)).collect();
+    let mut assumptions: Vec<Lit> = delta.x.iter().map(|(&x, &v)| x.lit(v)).collect();
     for &y in dqbf.existentials() {
         if !selected.contains(&y) {
-            assumptions.push(y.lit(sigma.y_prime.get(&y).copied().unwrap_or(false)));
+            assumptions.push(y.lit(delta.y_prime.get(&y).copied().unwrap_or(false)));
         }
     }
     session.solve_phi(oracle, &assumptions) == SolveResult::Sat
@@ -108,15 +108,15 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
         }
         let mut repair_session = RepairSession::new(dqbf, &mut oracle);
         for _ in 0..8 {
-            let Some(sigma) = random_sigma(dqbf, &mut verify_session, &mut oracle, &mut rng_state)
+            let Some(delta) = random_delta(dqbf, &mut verify_session, &mut oracle, &mut rng_state)
             else {
                 continue;
             };
             let incremental = repair_session
-                .find_candidates(&sigma, &mut oracle)
-                .expect("σ[X] extends to a model of ϕ");
-            let scratch = find_candidates_from_scratch(dqbf, &sigma, &mut oracle)
-                .expect("σ[X] extends to a model of ϕ");
+                .find_candidates(&delta, &mut oracle)
+                .expect("δ[X] extends to a model of ϕ");
+            let scratch = find_candidates_from_scratch(dqbf, &delta, &mut oracle)
+                .expect("δ[X] extends to a model of ϕ");
 
             // Same optimum cost (every soft is unit weight)…
             assert_eq!(
@@ -132,7 +132,7 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
                 assert!(
                     is_feasible_candidate_set(
                         dqbf,
-                        &sigma,
+                        &delta,
                         selected,
                         &mut verify_session,
                         &mut oracle
@@ -143,7 +143,7 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             }
             compared += 1;
         }
-        // The session answered all its sigmas under assumptions on one
+        // The session answered all its deltas under assumptions on one
         // encoding; every other MaxSAT solver belongs to a from-scratch
         // reference call (which builds one per call).
         assert_eq!(
@@ -153,7 +153,7 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
     }
     assert!(
         compared >= 40,
-        "only {compared} sigma comparisons ran; the suite no longer exercises the query"
+        "only {compared} delta comparisons ran; the suite no longer exercises the query"
     );
 }
 
@@ -208,13 +208,9 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
             VerifyOutcome::Unknown => unreachable!("unlimited budget"),
             VerifyOutcome::CounterExample(delta) => delta,
         };
-        let sigma = Sigma {
-            x: delta.x,
-            y_prime: delta.y_prime,
-        };
         let candidates = match &mut repair_session {
-            Some(session) => session.find_candidates(&sigma, &mut oracle),
-            None => find_candidates_from_scratch(dqbf, &sigma, &mut oracle),
+            Some(session) => session.find_candidates(&delta, &mut oracle),
+            None => find_candidates_from_scratch(dqbf, &delta, &mut oracle),
         };
         let candidates = match candidates {
             Ok(candidates) => candidates,
@@ -228,7 +224,7 @@ fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
             &mut oracle,
             &mut vector,
             &order,
-            &sigma,
+            &delta,
             candidates,
             &mut stats,
         );
@@ -278,7 +274,7 @@ fn loops_converge_to_the_same_verdicts() {
 /// A repair-heavy FindCandidates sweep must be served by exactly one MaxSAT
 /// solver and its hard encoding, every call under assumptions. The workload is
 /// the satisfiable `suite(7, 1)` instance with at least three outputs and
-/// the largest matrix × output product, plus 30 counterexamples σ.
+/// the largest matrix × output product, plus 30 counterexamples δ.
 #[test]
 fn a_repair_sweep_builds_one_hard_encoding() {
     const REPAIR_ITERATIONS: usize = 30;
@@ -296,9 +292,9 @@ fn a_repair_sweep_builds_one_hard_encoding() {
     let mut phi_oracle = Oracle::new(Budget::unlimited());
     let mut phi_session = VerifySession::new(&dqbf, &mut phi_oracle);
     let mut rng_state = 0x0BE5_EED5u64;
-    let mut sigmas = Vec::with_capacity(REPAIR_ITERATIONS);
-    while sigmas.len() < REPAIR_ITERATIONS {
-        sigmas.extend(random_sigma(
+    let mut deltas = Vec::with_capacity(REPAIR_ITERATIONS);
+    while deltas.len() < REPAIR_ITERATIONS {
+        deltas.extend(random_delta(
             &dqbf,
             &mut phi_session,
             &mut phi_oracle,
@@ -308,8 +304,8 @@ fn a_repair_sweep_builds_one_hard_encoding() {
 
     let mut oracle = Oracle::new(Budget::unlimited());
     let mut session = RepairSession::new(&dqbf, &mut oracle);
-    for sigma in &sigmas {
-        let _ = session.find_candidates(sigma, &mut oracle);
+    for delta in &deltas {
+        let _ = session.find_candidates(delta, &mut oracle);
     }
     let stats = oracle.stats();
     assert_eq!(

@@ -3,8 +3,8 @@
 //!
 //! The loop used to rebuild *two* encodings from scratch on every iteration:
 //! the error formula `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` on the verify side, and
-//! the FindCandidates MaxSAT instance `ϕ ∧ (X ↔ σ[X])` with soft
-//! `(Y ↔ σ[Y'])` on the repair side — even though between iterations only a
+//! the FindCandidates MaxSAT instance `ϕ ∧ (X ↔ δ[X])` with soft
+//! `(Y ↔ δ[Y'])` on the repair side — even though between iterations only a
 //! counterexample's valuations and a few candidate cones change. Following
 //! the clausal-abstraction playbook (one persistent solver per abstraction
 //! level, per-iteration state expressed as assumptions), the loop now runs
@@ -55,7 +55,7 @@
 //! totalizer over their relaxation variables are all encoded **once** when
 //! the session opens. A FindCandidates call then pins the
 //! counterexample-dependent valuations purely with assumptions —
-//! `X ↔ σ[X]` directly on the matrix variables, `Y ↔ σ[Y']` via the `t_i`
+//! `X ↔ δ[X]` directly on the matrix variables, `Y ↔ δ[Y']` via the `t_i`
 //! targets — so they are retracted automatically between iterations and the
 //! outputs selected for repair are exactly those with `eq_i` false in the
 //! optimum. No clause is ever added after construction; the CDCL state and
@@ -82,7 +82,6 @@
 
 use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
-use crate::repair::Sigma;
 use manthan3_aig::AigRef;
 use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
@@ -485,7 +484,7 @@ impl VerifySession {
 #[derive(Debug, Clone, Copy)]
 struct RepairSlot {
     output: Var,
-    /// `t_i`: assumed equal to `σ[y'_i]` on each call.
+    /// `t_i`: assumed equal to `δ[y'_i]` on each call.
     target: Var,
     /// The soft unit `(eq_i)` with `eq_i ↔ (y_i ↔ t_i)` as hard clauses.
     soft: SoftId,
@@ -546,15 +545,15 @@ impl RepairSession {
     }
 
     /// Runs `FindCandi` (Algorithm 3, line 2) for the counterexample
-    /// `sigma`, entirely under assumptions on the persistent encoding:
-    /// `X ↔ σ[X]` pins the matrix variables, `t_i ↔ σ[y'_i]` pins the soft
+    /// `delta`, entirely under assumptions on the persistent encoding:
+    /// `X ↔ δ[X]` pins the matrix variables, `t_i ↔ δ[y'_i]` pins the soft
     /// targets. Returns the outputs whose soft constraint was dropped in the
     /// optimum — the candidates to repair.
     ///
-    /// The MaxSAT search opens by probing its hard part, `ϕ ∧ (X ↔ σ[X])`,
+    /// The MaxSAT search opens by probing its hard part, `ϕ ∧ (X ↔ δ[X])`,
     /// which is the X-extension check of Algorithm 1, line 13. So the query
     /// returns the verdict that ends the run instead of candidates when
-    /// `σ[X]` has no extension to a model of ϕ
+    /// `δ[X]` has no extension to a model of ϕ
     /// ([`SynthesisOutcome::Unrealizable`], certified under
     /// `Manthan3Config::certify`) or when the oracle gave up
     /// ([`SynthesisOutcome::Unknown`] with the budget's reason).
@@ -562,15 +561,15 @@ impl RepairSession {
     #[allow(clippy::result_large_err)]
     pub fn find_candidates(
         &mut self,
-        sigma: &Sigma,
+        delta: &Delta,
         oracle: &mut Oracle,
     ) -> Result<Vec<Var>, SynthesisOutcome> {
-        let mut assumptions: Vec<Lit> = Vec::with_capacity(sigma.x.len() + self.slots.len());
-        for (&x, &value) in &sigma.x {
+        let mut assumptions: Vec<Lit> = Vec::with_capacity(delta.x.len() + self.slots.len());
+        for (&x, &value) in &delta.x {
             assumptions.push(x.lit(value));
         }
         for slot in &self.slots {
-            let target = sigma.y_prime.get(&slot.output).copied().unwrap_or(false);
+            let target = delta.y_prime.get(&slot.output).copied().unwrap_or(false);
             assumptions.push(slot.target.lit(target));
         }
         let result = oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions);
@@ -814,17 +813,17 @@ mod tests {
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         let clause_watermark = session.solver_clauses();
 
-        let sigma_a = Sigma {
+        let delta_a = Delta {
             x: [(x(0), true), (x(1), false), (x(2), false)].into(),
             y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
         };
-        let mut sigma_b = sigma_a.clone();
-        sigma_b.x = [(x(0), false), (x(1), true), (x(2), false)].into();
-        sigma_b.y_prime = [(y(0), true), (y(1), true), (y(2), true)].into();
+        let mut delta_b = delta_a.clone();
+        delta_b.x = [(x(0), false), (x(1), true), (x(2), false)].into();
+        delta_b.y_prime = [(y(0), true), (y(1), true), (y(2), true)].into();
 
         for round in 0..200 {
-            let sigma = if round % 2 == 0 { &sigma_a } else { &sigma_b };
-            let candidates = session.find_candidates(sigma, &mut oracle);
+            let delta = if round % 2 == 0 { &delta_a } else { &delta_b };
+            let candidates = session.find_candidates(delta, &mut oracle);
             if round % 2 == 0 {
                 // With x = (1,0,0), ϕ forces y2 = 1, so exactly the y2 soft
                 // is dropped — on every even round, however much solver
@@ -863,7 +862,7 @@ mod tests {
         assert_eq!(oracle.stats().maxsat_calls, 200);
     }
 
-    /// FindCandidates is the X-extension check: a σ[X] that no model of ϕ
+    /// FindCandidates is the X-extension check: a δ[X] that no model of ϕ
     /// extends ends the run as unrealizable, and the same query on a
     /// cancelled budget reports the cancellation and claims nothing.
     #[test]
@@ -875,7 +874,7 @@ mod tests {
         dqbf.add_existential(yv, [xv]);
         dqbf.add_clause([xv.negative()]);
         dqbf.add_clause([yv.positive()]);
-        let sigma = Sigma {
+        let delta = Delta {
             x: [(xv, true)].into(),
             y_prime: [(yv, false)].into(),
         };
@@ -883,7 +882,7 @@ mod tests {
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         assert!(matches!(
-            session.find_candidates(&sigma, &mut oracle),
+            session.find_candidates(&delta, &mut oracle),
             Err(SynthesisOutcome::Unrealizable)
         ));
         assert_eq!(oracle.stats().maxsat_calls, 1);
@@ -894,7 +893,7 @@ mod tests {
         let mut oracle = Oracle::new(budget);
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         assert!(matches!(
-            session.find_candidates(&sigma, &mut oracle),
+            session.find_candidates(&delta, &mut oracle),
             Err(SynthesisOutcome::Unknown(UnknownReason::Cancelled))
         ));
         assert_eq!(oracle.stats().maxsat_calls, 0);

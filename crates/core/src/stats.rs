@@ -8,6 +8,11 @@ use std::time::Duration;
 /// [`SynthesisStats::oracle`] field carries the unified oracle-layer
 /// counters (solver constructions, SAT/MaxSAT calls, conflicts), which the
 /// session-reuse regression tests assert on.
+///
+/// Every engine reports these. A baseline engine (`manthan3-baselines`)
+/// fills [`SynthesisStats::oracle`] and [`SynthesisStats::total_time`]; the
+/// Pedant-like arbiter engine also fills
+/// [`SynthesisStats::unique_definitions`]. Their other fields stay zero.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SynthesisStats {
     /// Number of satisfying assignments used as training data.

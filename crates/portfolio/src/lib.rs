@@ -21,13 +21,19 @@
 //! [`UnknownReason::Cancelled`]. Every report, the winner's included,
 //! reaches the caller through the racer thread's `join`.
 //!
-//! Because every engine runs on the shared oracle layer of `manthan3-core`,
-//! the runner also returns per-engine [`OracleStats`] — the same counters
-//! for all engines, comparable apples-to-apples — plus their merged total.
+//! Each racer's [`EngineReport`] carries the engine's own
+//! [`SynthesisResult`]: its verdict and its
+//! [`SynthesisStats`](manthan3_core::SynthesisStats), whose `total_time`
+//! runs from race start to the racer's return. Every engine runs on the
+//! shared oracle layer of `manthan3-core`, so the stats' [`OracleStats`]
+//! are the same counters for all engines, comparable apples-to-apples; the
+//! runner also returns their merged total.
 //!
-//! The portfolio races engines, not configurations: each entry of
-//! [`PortfolioConfig::engines`] is one racer, run with its configured
-//! settings.
+//! The portfolio races engines, not configurations: every
+//! [`PortfolioEngine`] is one racer, run with its settings from the
+//! [`PortfolioConfig`]. [`PortfolioEngine::synthesize`] is the one place an
+//! engine is constructed; the race, the benchmark harness and the examples
+//! all run engines through it.
 //!
 //! # Examples
 //!
@@ -46,12 +52,12 @@
 
 use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
 use manthan3_core::{
-    Budget, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome, UnknownReason,
+    Budget, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome, SynthesisResult, UnknownReason,
 };
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use std::fmt;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The engines a [`Portfolio`] can race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,6 +77,33 @@ impl PortfolioEngine {
         PortfolioEngine::Hqs2Like,
         PortfolioEngine::PedantLike,
     ];
+
+    /// Runs this engine on `dqbf` under `budget`, with its settings from
+    /// `config`. `budget` is the run's one deadline and cancellation token:
+    /// `config.time_budget` and the engine configurations' own
+    /// `time_budget` fields are not read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dqbf` fails [`Dqbf::validate`].
+    pub fn synthesize(
+        self,
+        config: &PortfolioConfig,
+        dqbf: &Dqbf,
+        budget: Budget,
+    ) -> SynthesisResult {
+        match self {
+            PortfolioEngine::Manthan3 => {
+                Manthan3::new(config.manthan3.clone()).synthesize_with_budget(dqbf, budget)
+            }
+            PortfolioEngine::Hqs2Like => {
+                ExpansionSolver::new(config.expansion.clone()).synthesize_with_budget(dqbf, budget)
+            }
+            PortfolioEngine::PedantLike => {
+                ArbiterSolver::new(config.arbiter.clone()).synthesize_with_budget(dqbf, budget)
+            }
+        }
+    }
 }
 
 impl fmt::Display for PortfolioEngine {
@@ -80,7 +113,7 @@ impl fmt::Display for PortfolioEngine {
             PortfolioEngine::Hqs2Like => "hqs2like",
             PortfolioEngine::PedantLike => "pedantlike",
         };
-        write!(f, "{name}")
+        f.pad(name)
     }
 }
 
@@ -88,12 +121,11 @@ impl fmt::Display for PortfolioEngine {
 ///
 /// The shared `time_budget` here is authoritative: the per-engine
 /// configurations' own `time_budget` fields are ignored, because every
-/// engine runs via its `synthesize_with_budget` entry point on a clone of
-/// the portfolio's armed [`Budget`].
-#[derive(Debug, Clone)]
+/// engine runs through [`PortfolioEngine::synthesize`] on a clone of the
+/// portfolio's armed [`Budget`]. The race runs every engine of
+/// [`PortfolioEngine::ALL`], each on its own thread.
+#[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
-    /// The engines to race, in dispatch order; each runs on its own thread.
-    pub engines: Vec<PortfolioEngine>,
     /// Shared wall-clock budget of the whole race (`None` = unlimited). The
     /// clock is armed when [`Portfolio::run`] starts, not when this
     /// configuration is built.
@@ -106,18 +138,6 @@ pub struct PortfolioConfig {
     /// Engine-specific settings for the arbiter baseline (budget fields
     /// ignored).
     pub arbiter: ArbiterConfig,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            engines: PortfolioEngine::ALL.to_vec(),
-            time_budget: None,
-            manthan3: Manthan3Config::default(),
-            expansion: ExpansionConfig::default(),
-            arbiter: ArbiterConfig::default(),
-        }
-    }
 }
 
 impl PortfolioConfig {
@@ -135,14 +155,10 @@ impl PortfolioConfig {
 pub struct EngineReport {
     /// The engine this report describes.
     pub engine: PortfolioEngine,
-    /// The engine's own verdict (losers typically report
-    /// [`UnknownReason::Cancelled`]).
-    pub outcome: SynthesisOutcome,
-    /// Wall-clock time from race start to this engine's return.
-    pub runtime: Duration,
-    /// The engine's oracle-layer counters — directly comparable across
-    /// engines because they all run on the shared oracle layer.
-    pub oracle: OracleStats,
+    /// The engine's own result: its verdict (losers typically report
+    /// [`UnknownReason::Cancelled`]) and its stats, whose `total_time` runs
+    /// from race start to this engine's return.
+    pub result: SynthesisResult,
     /// `true` if this engine won the race (first decisive verdict).
     pub winner: bool,
 }
@@ -160,7 +176,7 @@ pub struct PortfolioResult {
     /// few milliseconds the losers need to acknowledge cancellation).
     pub wall_time: Duration,
     /// Per-engine reports, in dispatch order (the order of
-    /// [`PortfolioConfig::engines`]).
+    /// [`PortfolioEngine::ALL`]).
     pub reports: Vec<EngineReport>,
 }
 
@@ -190,7 +206,7 @@ impl PortfolioResult {
         // live footprint of every racer's last-observed solver.
         let mut merged = OracleStats::default();
         for report in &self.reports {
-            merged.absorb(&report.oracle);
+            merged.absorb(&report.result.stats.oracle);
         }
         merged
     }
@@ -213,7 +229,7 @@ impl Portfolio {
         &self.config
     }
 
-    /// Races the configured engines on `dqbf` and returns the first decisive
+    /// Races every engine on `dqbf` and returns the first decisive
     /// verdict (every claimed vector is re-checked with the independent
     /// certificate checker before it may win). Blocks until every engine has
     /// returned — with cooperative cancellation that is only milliseconds
@@ -221,31 +237,23 @@ impl Portfolio {
     ///
     /// # Panics
     ///
-    /// Panics if `dqbf` fails [`Dqbf::validate`] or the engine list is
-    /// empty.
+    /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn run(&self, dqbf: &Dqbf) -> PortfolioResult {
         dqbf.validate().expect("well-formed DQBF");
-        assert!(
-            !self.config.engines.is_empty(),
-            "portfolio needs at least one engine"
-        );
         // One budget for the whole race, built now — not when the
         // configuration was built. Clones share the deadline and the token.
         let budget = Budget::new(self.config.time_budget);
-        let race_start = Instant::now();
 
         // Set once, by the first decisive racer: the race's winner.
         let claimed = OnceLock::new();
         // One scoped thread per engine; each returns its report through
         // `join`, so the reports come back in dispatch order.
         let reports: Vec<EngineReport> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .config
-                .engines
-                .iter()
-                .map(|&engine| {
+            let workers: Vec<_> = PortfolioEngine::ALL
+                .into_iter()
+                .map(|engine| {
                     let (budget, claimed) = (&budget, &claimed);
-                    scope.spawn(move || self.race(engine, dqbf, budget, claimed, race_start))
+                    scope.spawn(move || self.race(engine, dqbf, budget, claimed))
                 })
                 .collect();
             workers
@@ -257,12 +265,12 @@ impl Portfolio {
                 })
                 .collect()
         });
-        let wall_time = race_start.elapsed();
+        let wall_time = budget.elapsed();
 
         let winner = reports.iter().find(|r| r.winner);
         PortfolioResult {
             outcome: match winner {
-                Some(report) => report.outcome.clone(),
+                Some(report) => report.result.outcome.clone(),
                 None => SynthesisOutcome::Unknown(aggregate_unknown_reason(&reports)),
             },
             winner: winner.map(|r| r.engine),
@@ -279,13 +287,11 @@ impl Portfolio {
         dqbf: &Dqbf,
         budget: &Budget,
         claimed: &OnceLock<PortfolioEngine>,
-        race_start: Instant,
     ) -> EngineReport {
-        let (outcome, oracle) = self.dispatch(engine, dqbf, budget.clone());
-        let runtime = race_start.elapsed();
+        let result = engine.synthesize(&self.config, dqbf, budget.clone());
         // Only certificate-checked vectors (or falsity proofs) may stop the
         // race.
-        let decisive = match &outcome {
+        let decisive = match &result.outcome {
             SynthesisOutcome::Realizable(vector) => verify::check(dqbf, vector).is_valid(),
             SynthesisOutcome::Unrealizable => true,
             SynthesisOutcome::Unknown(_) => false,
@@ -300,36 +306,8 @@ impl Portfolio {
         }
         EngineReport {
             engine,
-            outcome,
-            runtime,
-            oracle,
+            result,
             winner,
-        }
-    }
-
-    /// Runs one engine under a clone of the race budget.
-    fn dispatch(
-        &self,
-        engine: PortfolioEngine,
-        dqbf: &Dqbf,
-        budget: Budget,
-    ) -> (SynthesisOutcome, OracleStats) {
-        match engine {
-            PortfolioEngine::Manthan3 => {
-                let result = Manthan3::new(self.config.manthan3.clone())
-                    .synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.stats.oracle)
-            }
-            PortfolioEngine::Hqs2Like => {
-                let result = ExpansionSolver::new(self.config.expansion.clone())
-                    .synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.oracle)
-            }
-            PortfolioEngine::PedantLike => {
-                let result = ArbiterSolver::new(self.config.arbiter.clone())
-                    .synthesize_with_budget(dqbf, budget);
-                (result.outcome, result.oracle)
-            }
         }
     }
 }
@@ -346,7 +324,7 @@ fn claim(claimed: &OnceLock<PortfolioEngine>, engine: PortfolioEngine, decisive:
 /// going to the earliest in dispatch order), or `Cancelled` if — against
 /// expectation — that is all there is.
 fn aggregate_unknown_reason(reports: &[EngineReport]) -> UnknownReason {
-    let mut reasons = reports.iter().filter_map(|r| match r.outcome {
+    let mut reasons = reports.iter().filter_map(|r| match r.result.outcome {
         SynthesisOutcome::Unknown(reason) => Some(reason),
         _ => None,
     });
@@ -378,7 +356,7 @@ mod tests {
         assert_eq!(result.winner, Some(winners[0].engine));
         assert_eq!(
             format!("{:?}", result.outcome),
-            format!("{:?}", winners[0].outcome)
+            format!("{:?}", winners[0].result.outcome)
         );
     }
 
@@ -449,18 +427,19 @@ mod tests {
             let manthan3 = result
                 .report(PortfolioEngine::Manthan3)
                 .expect("manthan3 raced");
+            let oracle = &manthan3.result.stats.oracle;
             assert!(
-                manthan3.oracle.sat_solvers_constructed <= 2,
+                oracle.sat_solvers_constructed <= 2,
                 "cancellation must not leak extra solvers (got {})",
-                manthan3.oracle.sat_solvers_constructed
+                oracle.sat_solvers_constructed
             );
             // The repair session invariant holds under racing too: however
             // the cancellation interleaves, at most one MaxSAT solver, and
             // with it one hard encoding, is ever built.
             assert!(
-                manthan3.oracle.maxsat_solvers_constructed <= 1,
+                oracle.maxsat_solvers_constructed <= 1,
                 "cancellation must not leak extra MaxSAT encodings (got {})",
-                manthan3.oracle.maxsat_solvers_constructed
+                oracle.maxsat_solvers_constructed
             );
         }
     }
@@ -468,15 +447,29 @@ mod tests {
     #[test]
     fn reports_come_back_in_dispatch_order() {
         let dqbf = Dqbf::paper_example();
-        let engines = vec![PortfolioEngine::PedantLike, PortfolioEngine::Manthan3];
-        let config = PortfolioConfig {
-            engines: engines.clone(),
-            ..PortfolioConfig::default()
-        };
-        let result = Portfolio::new(config).run(&dqbf);
+        let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
         assert!(result.is_realizable());
         let order: Vec<_> = result.reports.iter().map(|r| r.engine).collect();
-        assert_eq!(order, engines);
+        assert_eq!(order, PortfolioEngine::ALL);
+    }
+
+    #[test]
+    fn every_engine_stops_on_a_cancelled_budget() {
+        let dqbf = Dqbf::paper_example();
+        let config = PortfolioConfig::default();
+        for engine in PortfolioEngine::ALL {
+            let budget = Budget::unlimited();
+            budget.cancel_token().cancel();
+            let result = engine.synthesize(&config, &dqbf, budget);
+            assert!(
+                matches!(
+                    result.outcome,
+                    SynthesisOutcome::Unknown(UnknownReason::Cancelled)
+                ),
+                "{engine}: {:?}",
+                result.outcome
+            );
+        }
     }
 
     #[test]
@@ -484,7 +477,11 @@ mod tests {
         let dqbf = Dqbf::paper_example();
         let result = Portfolio::new(PortfolioConfig::default()).run(&dqbf);
         let merged = result.merged_oracle_stats();
-        let sum: usize = result.reports.iter().map(|r| r.oracle.sat_calls).sum();
+        let sum: usize = result
+            .reports
+            .iter()
+            .map(|r| r.result.stats.oracle.sat_calls)
+            .sum();
         assert_eq!(merged.sat_calls, sum);
         assert!(merged.sat_solvers_constructed >= 1);
     }

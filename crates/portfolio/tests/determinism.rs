@@ -9,8 +9,8 @@
 //! decisive engine can only be preempted by another decisive engine, whose
 //! verdict — by soundness — agrees.
 
-use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
-use manthan3_core::{Manthan3, Manthan3Config, SynthesisOutcome};
+use manthan3_baselines::{ArbiterConfig, ExpansionConfig};
+use manthan3_core::{Budget, Manthan3Config, SynthesisOutcome};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
 use manthan3_gen::Instance;
@@ -19,35 +19,23 @@ use manthan3_portfolio::{Portfolio, PortfolioConfig, PortfolioEngine};
 /// Engine settings shared by the sequential reference runs and the races:
 /// no wall clock (determinism), tight structural budgets (debug-build test
 /// speed).
-fn manthan3_config() -> Manthan3Config {
-    Manthan3Config {
-        num_samples: 60,
-        max_repair_iterations: 40,
-        ..Manthan3Config::default()
-    }
-}
-
-fn expansion_config() -> ExpansionConfig {
-    ExpansionConfig {
-        max_universals: 10,
-        max_copies: 1024,
-        max_ground_clauses: 50_000,
-        ..ExpansionConfig::default()
-    }
-}
-
-fn arbiter_config() -> ArbiterConfig {
-    ArbiterConfig {
-        max_iterations: 80,
-        ..ArbiterConfig::default()
-    }
-}
-
 fn portfolio_config() -> PortfolioConfig {
     PortfolioConfig {
-        manthan3: manthan3_config(),
-        expansion: expansion_config(),
-        arbiter: arbiter_config(),
+        manthan3: Manthan3Config {
+            num_samples: 60,
+            max_repair_iterations: 40,
+            ..Manthan3Config::default()
+        },
+        expansion: ExpansionConfig {
+            max_universals: 10,
+            max_copies: 1024,
+            max_ground_clauses: 50_000,
+            ..ExpansionConfig::default()
+        },
+        arbiter: ArbiterConfig {
+            max_iterations: 80,
+            ..ArbiterConfig::default()
+        },
         ..PortfolioConfig::default()
     }
 }
@@ -62,23 +50,9 @@ fn instances() -> Vec<Instance> {
 
 /// The sequential reference: each engine standalone, unlimited wall clock.
 fn sequential_outcome(engine: PortfolioEngine, instance: &Instance) -> SynthesisOutcome {
-    match engine {
-        PortfolioEngine::Manthan3 => {
-            Manthan3::new(manthan3_config())
-                .synthesize(&instance.dqbf)
-                .outcome
-        }
-        PortfolioEngine::Hqs2Like => {
-            ExpansionSolver::new(expansion_config())
-                .synthesize(&instance.dqbf)
-                .outcome
-        }
-        PortfolioEngine::PedantLike => {
-            ArbiterSolver::new(arbiter_config())
-                .synthesize(&instance.dqbf)
-                .outcome
-        }
-    }
+    engine
+        .synthesize(&portfolio_config(), &instance.dqbf, Budget::unlimited())
+        .outcome
 }
 
 fn synthesized(dqbf: &manthan3_dqbf::Dqbf, outcome: &SynthesisOutcome) -> bool {

@@ -9,12 +9,11 @@
 //! Run with `cargo run --release --example portfolio` (optionally
 //! `-- [--seed N] [--scale N] [--budget-ms N]`).
 
-use manthan3::baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
-use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
+use manthan3::core::{Budget, SynthesisOutcome};
 use manthan3::dqbf::verify;
 use manthan3::gen::suite::suite;
-use manthan3::portfolio::{Portfolio, PortfolioConfig};
-use std::collections::BTreeMap;
+use manthan3::portfolio::{Portfolio, PortfolioConfig, PortfolioEngine};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 fn parse_args() -> (u64, usize, Duration) {
@@ -50,37 +49,15 @@ fn main() {
     );
 
     // Phase 1: the sequential per-engine runs and the post-hoc VBS.
-    let mut solved: BTreeMap<&str, BTreeMap<String, f64>> = BTreeMap::new();
+    let config = PortfolioConfig::with_time_budget(budget);
+    let mut solved: BTreeMap<PortfolioEngine, BTreeMap<String, f64>> = BTreeMap::new();
     let sequential_start = Instant::now();
     for instance in &instances {
-        for engine in ["manthan3", "hqs2like", "pedantlike"] {
+        for engine in PortfolioEngine::ALL {
             let start = Instant::now();
-            let outcome = match engine {
-                "manthan3" => {
-                    Manthan3::new(Manthan3Config {
-                        time_budget: Some(budget),
-                        ..Manthan3Config::default()
-                    })
-                    .synthesize(&instance.dqbf)
-                    .outcome
-                }
-                "hqs2like" => {
-                    ExpansionSolver::new(ExpansionConfig {
-                        time_budget: Some(budget),
-                        ..ExpansionConfig::default()
-                    })
-                    .synthesize(&instance.dqbf)
-                    .outcome
-                }
-                _ => {
-                    ArbiterSolver::new(ArbiterConfig {
-                        time_budget: Some(budget),
-                        ..ArbiterConfig::default()
-                    })
-                    .synthesize(&instance.dqbf)
-                    .outcome
-                }
-            };
+            let outcome = engine
+                .synthesize(&config, &instance.dqbf, Budget::new(config.time_budget))
+                .outcome;
             let elapsed = start.elapsed().as_secs_f64();
             if let SynthesisOutcome::Realizable(vector) = &outcome {
                 if verify::check(&instance.dqbf, vector).is_valid() {
@@ -97,8 +74,8 @@ fn main() {
     for (engine, times) in &solved {
         println!("{engine:<10} synthesized {:>3} instances", times.len());
     }
-    let vbs = |engines: &[&str]| -> usize {
-        let mut set = std::collections::BTreeSet::new();
+    let vbs = |engines: &[PortfolioEngine]| -> usize {
+        let mut set = BTreeSet::new();
         for e in engines {
             if let Some(times) = solved.get(e) {
                 set.extend(times.keys().cloned());
@@ -106,8 +83,8 @@ fn main() {
         }
         set.len()
     };
-    let without = vbs(&["hqs2like", "pedantlike"]);
-    let with = vbs(&["manthan3", "hqs2like", "pedantlike"]);
+    let without = vbs(&[PortfolioEngine::Hqs2Like, PortfolioEngine::PedantLike]);
+    let with = vbs(&PortfolioEngine::ALL);
     println!("\nVBS(HQS2-like + Pedant-like):      {without}");
     println!("VBS(+ Manthan3):                   {with}");
     println!("instances added by Manthan3:       {}", with - without);
@@ -116,17 +93,17 @@ fn main() {
     // wall-clock budget, first decisive verdict wins, losers cancelled.
     let race_start = Instant::now();
     let mut race_solved = 0usize;
-    let mut winners: BTreeMap<String, usize> = BTreeMap::new();
+    let mut winners: BTreeMap<PortfolioEngine, usize> = BTreeMap::new();
+    let portfolio = Portfolio::new(config);
     for instance in &instances {
-        let config = PortfolioConfig::with_time_budget(budget);
-        let result = Portfolio::new(config).run(&instance.dqbf);
+        let result = portfolio.run(&instance.dqbf);
         if let Some(vector) = result.vector() {
             if verify::check(&instance.dqbf, vector).is_valid() {
                 race_solved += 1;
             }
         }
         if let Some(winner) = result.winner {
-            *winners.entry(winner.to_string()).or_default() += 1;
+            *winners.entry(winner).or_default() += 1;
         }
     }
     let race_wall = race_start.elapsed();
