@@ -1,36 +1,35 @@
 //! Tseitin encoding of AIG cones into CNF.
 
 use crate::manager::{Aig, AigRef, Node};
-use manthan3_cnf::{CnfBuilder, Lit};
+use manthan3_cnf::{ClauseSink, Lit, Var};
 use std::collections::HashMap;
 
 impl Aig {
-    /// Encodes the cone of `f` into `builder` and returns a literal that is
+    /// Encodes the cone of `f` into `sink` and returns a literal that is
     /// equivalent to `f`.
     ///
-    /// `input_lit` maps input labels to CNF literals; every label in the
-    /// support of `f` must be present.
+    /// Input label `i` is variable `i` of the sink, the convention of
+    /// `HenkinVector`. The sink must already declare every such variable:
+    /// each gate takes a fresh variable from `sink`, numbered after the ones
+    /// it declares, and would otherwise collide with an input. The sink is
+    /// the SAT solver that uses the clauses, or a [`Cnf`](manthan3_cnf::Cnf)
+    /// when the clauses are wanted as a formula.
     ///
     /// `cache` maps node ids to the literals already encoded for them. Nodes
     /// found there cost no fresh variable or clause, and every node encoded
     /// by this call is added. So repeated encodings of overlapping cones into
-    /// one builder share their Tseitin variables and clauses: this is what
+    /// one sink share their Tseitin variables and clauses: this is what
     /// makes verification incremental when a repair step extends a candidate
     /// cone, and what lets a vector check encode a cone shared by several
     /// outputs once. The cache is keyed by node id, so one cache serves one
-    /// AIG and one builder; mixing caches across AIGs or builders produces
+    /// AIG and one sink; mixing caches across AIGs or sinks produces
     /// nonsense encodings. Pass an empty map to encode from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an input label in the support of `f` has no entry in
-    /// `input_lit`.
     ///
     /// # Examples
     ///
     /// ```
     /// use manthan3_aig::Aig;
-    /// use manthan3_cnf::{CnfBuilder, Var};
+    /// use manthan3_cnf::Cnf;
     /// use std::collections::HashMap;
     ///
     /// let mut aig = Aig::new();
@@ -38,24 +37,20 @@ impl Aig {
     /// let y = aig.input(1);
     /// let f = aig.and(x, y);
     ///
-    /// let mut builder = CnfBuilder::new(2);
-    /// let mut map = HashMap::new();
-    /// map.insert(0usize, Var::new(0).positive());
-    /// map.insert(1usize, Var::new(1).positive());
+    /// // Inputs 0 and 1 are variables 0 and 1 of the formula.
+    /// let mut cnf = Cnf::new(2);
     /// let mut cache = HashMap::new();
-    /// let out = aig.encode_cnf(f, &mut builder, &map, &mut cache);
-    /// builder.assert_lit(out); // force f to be true
-    /// assert!(builder.cnf().num_clauses() >= 3);
+    /// let out = aig.encode_cnf(f, &mut cnf, &mut cache);
+    /// cnf.add_clause([out]); // force f to be true
+    /// assert_eq!((cnf.num_vars(), cnf.num_clauses()), (3, 4));
     /// // The cone is cached: encoding it again adds nothing.
-    /// let vars = builder.num_vars();
-    /// assert_eq!(aig.encode_cnf(f, &mut builder, &map, &mut cache), out);
-    /// assert_eq!(builder.num_vars(), vars);
+    /// assert_eq!(aig.encode_cnf(f, &mut cnf, &mut cache), out);
+    /// assert_eq!((cnf.num_vars(), cnf.num_clauses()), (3, 4));
     /// ```
-    pub fn encode_cnf(
+    pub fn encode_cnf<S: ClauseSink>(
         &self,
         f: AigRef,
-        builder: &mut CnfBuilder,
-        input_lit: &HashMap<usize, Lit>,
+        sink: &mut S,
         cache: &mut HashMap<usize, Lit>,
     ) -> Lit {
         let edge = |cache: &HashMap<usize, Lit>, r: AigRef| {
@@ -65,14 +60,20 @@ impl Aig {
             let lit = match self.node(id) {
                 Node::Constant => {
                     // A fresh literal asserted false stands for the constant.
-                    let l = builder.fresh_lit();
-                    builder.assert_lit(!l);
+                    let l = sink.fresh_var().positive();
+                    sink.add_clause(&[!l]);
                     l
                 }
-                Node::Input(label) => *input_lit
-                    .get(&label)
-                    .unwrap_or_else(|| panic!("no CNF literal for AIG input label {label}")),
-                Node::And(a, b) => builder.and(edge(cache, a), edge(cache, b)),
+                Node::Input(label) => Var::new(label as u32).positive(),
+                Node::And(a, b) => {
+                    // out ↔ (a ∧ b)
+                    let (a, b) = (edge(cache, a), edge(cache, b));
+                    let out = sink.fresh_var().positive();
+                    sink.add_clause(&[!out, a]);
+                    sink.add_clause(&[!out, b]);
+                    sink.add_clause(&[!a, !b, out]);
+                    out
+                }
             };
             cache.insert(id, lit);
         }
@@ -83,27 +84,19 @@ impl Aig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manthan3_cnf::{Assignment, Var};
+    use manthan3_cnf::{Assignment, Cnf};
 
-    fn identity_inputs(num_inputs: usize) -> HashMap<usize, Lit> {
-        (0..num_inputs)
-            .map(|i| (i, Var::new(i as u32).positive()))
-            .collect()
-    }
-
-    /// Encodes every root through one cache into one builder, then checks
+    /// Encodes every root through one cache into one formula, then checks
     /// exhaustively that the CNF is satisfiable under every input assignment
     /// and that each root literal agrees with the AIG evaluation in every
     /// model.
     fn check_encoding(aig: &Aig, roots: &[AigRef], num_inputs: usize) {
-        let mut builder = CnfBuilder::new(num_inputs);
-        let map = identity_inputs(num_inputs);
+        let mut cnf = Cnf::new(num_inputs);
         let mut cache = HashMap::new();
         let outs: Vec<Lit> = roots
             .iter()
-            .map(|&f| aig.encode_cnf(f, &mut builder, &map, &mut cache))
+            .map(|&f| aig.encode_cnf(f, &mut cnf, &mut cache))
             .collect();
-        let cnf = builder.into_cnf();
         let aux = cnf.num_vars() - num_inputs;
         for bits in 0..1u32 << num_inputs {
             let inputs: Vec<bool> = (0..num_inputs).map(|i| bits >> i & 1 == 1).collect();
@@ -171,34 +164,24 @@ mod tests {
         let shared = aig.and(x, y);
         let f = aig.or(shared, z);
         let g = aig.xor(shared, z);
-        let map = identity_inputs(3);
 
         // Encoding f then g with a shared cache must not re-encode `shared`.
-        let mut builder = CnfBuilder::new(3);
+        let mut cnf = Cnf::new(3);
         let mut cache = HashMap::new();
-        let _ = aig.encode_cnf(f, &mut builder, &map, &mut cache);
-        let vars_after_f = builder.num_vars();
-        let _ = aig.encode_cnf(g, &mut builder, &map, &mut cache);
-        let shared_cache_vars = builder.num_vars() - vars_after_f;
+        let _ = aig.encode_cnf(f, &mut cnf, &mut cache);
+        let vars_after_f = cnf.num_vars();
+        let _ = aig.encode_cnf(g, &mut cnf, &mut cache);
+        let shared_cache_vars = cnf.num_vars() - vars_after_f;
 
         // With a fresh cache the second cone re-allocates `shared`'s variable.
-        let mut builder2 = CnfBuilder::new(3);
-        let _ = aig.encode_cnf(f, &mut builder2, &map, &mut HashMap::new());
-        let vars_after_f2 = builder2.num_vars();
-        let _ = aig.encode_cnf(g, &mut builder2, &map, &mut HashMap::new());
-        let fresh_cache_vars = builder2.num_vars() - vars_after_f2;
+        let mut cnf2 = Cnf::new(3);
+        let _ = aig.encode_cnf(f, &mut cnf2, &mut HashMap::new());
+        let vars_after_f2 = cnf2.num_vars();
+        let _ = aig.encode_cnf(g, &mut cnf2, &mut HashMap::new());
+        let fresh_cache_vars = cnf2.num_vars() - vars_after_f2;
         assert!(
             shared_cache_vars < fresh_cache_vars,
             "shared cache allocated {shared_cache_vars} vars, fresh caches {fresh_cache_vars}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no CNF literal")]
-    fn missing_input_mapping_panics() {
-        let mut aig = Aig::new();
-        let x = aig.input(7);
-        let mut builder = CnfBuilder::new(0);
-        let _ = aig.encode_cnf(x, &mut builder, &HashMap::new(), &mut HashMap::new());
     }
 }

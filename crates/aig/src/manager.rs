@@ -103,14 +103,6 @@ impl Aig {
         self.nodes.len()
     }
 
-    /// Number of AND gates.
-    pub fn num_ands(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::And(_, _)))
-            .count()
-    }
-
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
         self.input_ids.len()
@@ -428,7 +420,6 @@ mod tests {
         let g1 = aig.and(x, y);
         let g2 = aig.and(y, x);
         assert_eq!(g1, g2);
-        assert_eq!(aig.num_ands(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the whole process rather than failing the test.
 
 use manthan3_aig::{Aig, AigRef};
-use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
+use manthan3_cnf::{Assignment, Cnf};
 use std::collections::HashMap;
 
 const DEPTH: usize = 200_000;
@@ -31,15 +31,11 @@ fn deep_chain_walks() {
 
     // One fresh variable per gate; the encoding agrees with `eval` on both
     // input assignments, with every gate variable set to its gate's value.
-    let mut builder = CnfBuilder::new(DEPTH);
-    let input_lit: HashMap<usize, Lit> = (0..DEPTH)
-        .map(|label| (label, Var::new(label as u32).positive()))
-        .collect();
+    let mut cnf = Cnf::new(DEPTH);
     let mut cache = HashMap::new();
-    let out = aig.encode_cnf(chain, &mut builder, &input_lit, &mut cache);
-    assert_eq!(builder.num_vars(), 2 * DEPTH - 1);
+    let out = aig.encode_cnf(chain, &mut cnf, &mut cache);
+    assert_eq!(cnf.num_vars(), 2 * DEPTH - 1);
     assert_eq!(cache.len(), 2 * DEPTH - 1);
-    let cnf = builder.into_cnf();
     let mut values = all_true.clone();
     values.resize(2 * DEPTH - 1, true);
     let model = Assignment::from_values(values);

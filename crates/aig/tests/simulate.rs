@@ -8,7 +8,7 @@
 //! exercised too.
 
 use manthan3_aig::{Aig, AigRef};
-use manthan3_cnf::{Assignment, Cnf, CnfBuilder, Lit, Var};
+use manthan3_cnf::{Assignment, Cnf, Lit, Var};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -81,14 +81,12 @@ proptest! {
         input_words in collection::vec(0u64..=u64::MAX, LABELS * 3..=LABELS * 3),
     ) {
         let (aig, outputs) = build(&gates, &roots);
-        let input_lit: HashMap<usize, Lit> =
-            (0..LABELS).map(|label| (label, Var::new(label as u32).positive())).collect();
         let encodings: Vec<(Cnf, Lit)> = outputs
             .iter()
             .map(|&(_, f)| {
-                let mut builder = CnfBuilder::new(LABELS);
-                let out = aig.encode_cnf(f, &mut builder, &input_lit, &mut HashMap::new());
-                (builder.into_cnf(), out)
+                let mut cnf = Cnf::new(LABELS);
+                let out = aig.encode_cnf(f, &mut cnf, &mut HashMap::new());
+                (cnf, out)
             })
             .collect();
 

@@ -82,17 +82,6 @@ impl Cnf {
         self.clauses.push(clause);
     }
 
-    /// Adds a unit clause.
-    pub fn add_unit(&mut self, lit: Lit) {
-        self.add_clause([lit]);
-    }
-
-    /// Appends all clauses of `other` (variable indices are shared).
-    pub fn extend_from(&mut self, other: &Cnf) {
-        self.ensure_vars(other.num_vars);
-        self.clauses.extend(other.clauses.iter().cloned());
-    }
-
     /// Evaluates the formula under a total assignment.
     pub fn eval(&self, assignment: &Assignment) -> bool {
         self.clauses.iter().all(|c| c.eval(assignment))
@@ -173,17 +162,6 @@ mod tests {
         let b = cnf.fresh_var();
         assert_ne!(a, b);
         assert_eq!(cnf.num_vars(), 4);
-    }
-
-    #[test]
-    fn extend_from_shares_variables() {
-        let mut a = Cnf::new(2);
-        a.add_clause([lit(1)]);
-        let mut b = Cnf::new(3);
-        b.add_clause([lit(3)]);
-        a.extend_from(&b);
-        assert_eq!(a.num_vars(), 3);
-        assert_eq!(a.num_clauses(), 2);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * [`Clause`] and [`Cnf`] — clause and formula containers with evaluation,
 //! * [`Assignment`] — total valuations,
 //! * [`dimacs`] — DIMACS parsing and printing,
-//! * [`CnfBuilder`] — a Tseitin-style gate encoder used to build verification
-//!   and repair queries.
+//! * [`ClauseSink`] — the destination of generated clauses: a [`Cnf`] here, a
+//!   SAT solver in `manthan3-sat`, so encoders write straight into the solver
+//!   that uses their clauses.
 //!
 //! # Examples
 //!
@@ -26,15 +27,15 @@
 #![warn(missing_docs)]
 
 mod assignment;
-mod builder;
 mod clause;
 pub mod dimacs;
 mod formula;
 mod lit;
+mod sink;
 
 pub use assignment::Assignment;
-pub use builder::CnfBuilder;
 pub use clause::Clause;
 pub use dimacs::ParseDimacsError;
 pub use formula::Cnf;
 pub use lit::{Lit, Var};
+pub use sink::ClauseSink;

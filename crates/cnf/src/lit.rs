@@ -163,12 +163,6 @@ impl Lit {
         self.0 & 1 == 0
     }
 
-    /// Returns `true` if the literal is negated.
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.0 & 1 == 1
-    }
-
     /// Returns the MiniSat-style code `2 * var + sign` of this literal.
     #[inline]
     pub fn code(self) -> usize {
@@ -271,7 +265,6 @@ mod tests {
         let p = Lit::positive(v);
         let n = Lit::negative(v);
         assert!(p.is_positive());
-        assert!(n.is_negative());
         assert_eq!(!p, n);
         assert_eq!(!n, p);
         assert_eq!(p.var(), v);

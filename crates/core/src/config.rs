@@ -20,8 +20,6 @@ pub struct Manthan3Config {
     pub num_samples: usize,
     /// Upper bound on verification/repair iterations before giving up.
     pub max_repair_iterations: usize,
-    /// Upper bound on individual candidate repairs within one iteration.
-    pub max_repairs_per_iteration: usize,
     /// Random seed (sampling and tie-breaking).
     pub seed: u64,
     /// Run Padoa-based unique-definition extraction before learning
@@ -54,7 +52,6 @@ impl Default for Manthan3Config {
         Manthan3Config {
             num_samples: 16,
             max_repair_iterations: 400,
-            max_repairs_per_iteration: 64,
             seed: 0xDA7E_2023,
             use_unique_definitions: true,
             use_y_features: true,

@@ -30,6 +30,9 @@ use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::BTreeSet;
 
+/// Upper bound on individual candidate repairs within one repair pass.
+const MAX_REPAIRS_PER_ITERATION: usize = 64;
+
 /// Outcome of one repair pass over a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOutcome {
@@ -123,7 +126,7 @@ pub fn repair_vector(
     let mut processed = 0usize;
     let mut index = 0usize;
 
-    while index < queue.len() && processed < config.max_repairs_per_iteration {
+    while index < queue.len() && processed < MAX_REPAIRS_PER_ITERATION {
         // A repair pass cut short by an exhausted budget must not look like
         // the algorithmic stuck case; the engine re-checks the oracle and
         // reports the budget reason.

@@ -21,10 +21,13 @@
 //!   `{a_1, …, a_m}` of the *current* generations. When repair replaces
 //!   `f_i`, the old activation literal is retired (asserted false) and a
 //!   fresh guarded equivalence is added — the solver, its learnt clauses,
-//!   and the shared Tseitin encoding cache survive. Because candidate cones
-//!   grow monotonically inside one shared AIG, re-encoding a repaired
-//!   candidate only pays for the *new* nodes
-//!   ([`Aig::encode_cnf`](manthan3_aig::Aig::encode_cnf)).
+//!   and the Tseitin encoding cache survive. Every clause is encoded
+//!   straight into the error solver, which is the
+//!   [`ClauseSink`](manthan3_cnf::ClauseSink) of both encoders, so no copy
+//!   of the error formula is kept outside it. The cache maps AIG nodes to
+//!   error-solver literals; because candidate cones grow monotonically
+//!   inside one shared AIG, re-encoding a repaired candidate only pays for
+//!   the *new* nodes ([`Aig::encode_cnf`](manthan3_aig::Aig::encode_cnf)).
 //! * the **matrix solver** holds `ϕ` and serves the trivial-falsity check
 //!   and the repair queries `G_k` (whose UNSAT cores become repair cubes),
 //!   the latter under assumptions.
@@ -83,7 +86,7 @@
 use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use manthan3_aig::AigRef;
-use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
+use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver, SoftId};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
@@ -250,20 +253,18 @@ pub struct VerifySession {
     /// Incremental solver over the matrix `ϕ` (the trivial-falsity check,
     /// repair queries `G_k` and their UNSAT cores).
     phi: Solver,
-    /// Incremental solver over the error formula `¬ϕ ∧ (Y' ↔ f)`.
+    /// Incremental solver over the error formula `¬ϕ ∧ (Y' ↔ f)`. Every
+    /// clause of the formula is encoded straight into it; its variables are
+    /// the formula's, then the `¬ϕ` indicators, then the Tseitin and
+    /// activation variables of the candidate generations in encoding order.
     error: Solver,
-    /// Fresh-variable allocator and clause buffer for the error encoding.
-    builder: CnfBuilder,
-    /// Number of builder clauses already fed into `error`.
-    fed_clauses: usize,
     /// Whether `¬ϕ` has been encoded into the error solver (done lazily on
     /// the first verification so preprocessing-only runs never pay for it).
     error_encoded: bool,
-    /// Persistent AIG-node → CNF-literal cache for candidate cones.
+    /// Persistent AIG-node → error-solver-literal cache for candidate cones.
+    /// An AIG input label is the formula variable of the same index, so
+    /// candidate functions read other outputs from the `Y'` variables.
     encode_cache: HashMap<usize, Lit>,
-    /// Identity map: formula variable index → its own positive literal
-    /// (candidate functions read other outputs from the `Y'` variables).
-    input_map: HashMap<usize, Lit>,
     /// Current candidate generation per output.
     slots: BTreeMap<Var, CandidateSlot>,
     /// Number of candidate cones encoded over the session's lifetime.
@@ -286,36 +287,18 @@ impl VerifySession {
         phi.add_cnf(dqbf.matrix());
         phi.ensure_vars(dqbf.num_vars());
 
-        let builder = CnfBuilder::new(dqbf.num_vars());
         let error = oracle.new_solver();
-        let input_map = (0..dqbf.num_vars())
-            .map(|i| (i, Var::new(i as u32).positive()))
-            .collect();
         VerifySession {
             phi,
             error,
-            builder,
-            fed_clauses: 0,
             error_encoded: false,
             encode_cache: HashMap::new(),
-            input_map,
             slots: BTreeMap::new(),
             encodings: 0,
             retired: 0,
             retired_since_maintenance: 0,
             maintenance_runs: 0,
         }
-    }
-
-    /// Feeds clauses buffered in the builder into the error solver.
-    fn flush(&mut self) {
-        let cnf = self.builder.cnf();
-        self.error.ensure_vars(cnf.num_vars());
-        let clauses = cnf.clauses();
-        for clause in &clauses[self.fed_clauses..] {
-            self.error.add_clause(clause.iter().copied());
-        }
-        self.fed_clauses = clauses.len();
     }
 
     /// Checks satisfiability of the bare matrix `ϕ` (a DQBF with an
@@ -364,7 +347,10 @@ impl VerifySession {
         oracle: &mut Oracle,
     ) -> VerifyOutcome {
         if !self.error_encoded {
-            verify::encode_negated_matrix(dqbf, &mut self.builder);
+            // The formula's variables come first, so the indicators and
+            // Tseitin variables are numbered after them.
+            self.error.ensure_vars(dqbf.num_vars());
+            verify::encode_negated_matrix(dqbf, &mut self.error);
             self.error_encoded = true;
         }
         for &y in dqbf.existentials() {
@@ -375,16 +361,12 @@ impl VerifySession {
                 continue;
             }
             let retired = self.slots.get(&y).map(|old| old.activation);
-            // Gate (Tseitin) clauses are unconditional and flow through the
-            // builder; only the per-generation equivalence is guarded.
-            let out = vector.aig().encode_cnf(
-                f,
-                &mut self.builder,
-                &self.input_map,
-                &mut self.encode_cache,
-            );
-            let activation = self.builder.fresh_lit();
-            self.flush();
+            // Gate (Tseitin) clauses are unconditional; only the
+            // per-generation equivalence is guarded.
+            let out = vector
+                .aig()
+                .encode_cnf(f, &mut self.error, &mut self.encode_cache);
+            let activation = self.error.new_activation_lit();
             // activation → (y ↔ out), retractable via the activation guard.
             self.error
                 .add_guarded_clause(activation, [y.negative(), out]);
@@ -405,7 +387,6 @@ impl VerifySession {
             );
             self.encodings += 1;
         }
-        self.flush();
         if self.retired_since_maintenance >= MAINTENANCE_RETIREMENT_INTERVAL {
             self.maintain(oracle);
         }

@@ -5,6 +5,7 @@
 
 use manthan3_core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3_dqbf::verify;
+use manthan3_gen::controller::{controller, ControllerParams};
 use manthan3_gen::suite::suite;
 
 #[test]
@@ -137,43 +138,28 @@ fn many_repair_iterations_share_one_error_solver() {
 /// assumptions on the persistent repair session.
 #[test]
 fn twenty_plus_repair_iterations_build_one_maxsat_encoding() {
-    // One candidate repaired per counterexample round and learning starved
-    // to two samples: the loop has to grind through many iterations.
-    let config = Manthan3Config {
-        num_samples: 2,
-        use_unique_definitions: false,
-        max_repairs_per_iteration: 1,
-        max_repair_iterations: 800,
-        ..Manthan3Config::default()
+    // A full-observation 10-client controller: with the default
+    // configuration the loop grinds through dozens of counterexamples.
+    let engine = Manthan3::new(Manthan3Config::default());
+    let params = ControllerParams {
+        num_clients: 10,
+        observation_window: 10,
     };
-    let engine = Manthan3::new(config);
-    let mut deepest_run = 0usize;
-    for seed in 0..6u64 {
-        let params = manthan3_gen::planted::PlantedParams {
-            num_universals: 14,
-            num_existentials: 20,
-            max_dependencies: 5,
-            ..manthan3_gen::planted::PlantedParams::default()
-        };
-        let instance = manthan3_gen::planted::planted_true(&params, seed);
-        let result = engine.synthesize(&instance.dqbf);
-        let oracle = &result.stats.oracle;
-        deepest_run = deepest_run.max(result.stats.repair_iterations);
-        if result.stats.repair_iterations > 0 {
-            assert_eq!(
-                oracle.maxsat_solvers_constructed, 1,
-                "seed {seed}: {} repair iterations rebuilt the MaxSAT encoding",
-                result.stats.repair_iterations
-            );
-            assert_eq!(oracle.maxsat_calls, result.stats.repair_iterations);
-        }
-        if let SynthesisOutcome::Realizable(vector) = &result.outcome {
-            assert!(verify::check(&instance.dqbf, vector).is_valid());
-        }
+    let instance = controller(&params, 0);
+    let result = engine.synthesize(&instance.dqbf);
+    let oracle = &result.stats.oracle;
+    let iterations = result.stats.repair_iterations;
+    assert_eq!(
+        oracle.maxsat_solvers_constructed, 1,
+        "{iterations} repair iterations rebuilt the MaxSAT encoding"
+    );
+    assert_eq!(oracle.maxsat_calls, iterations);
+    if let SynthesisOutcome::Realizable(vector) = &result.outcome {
+        assert!(verify::check(&instance.dqbf, vector).is_valid());
     }
     assert!(
-        deepest_run >= 20,
-        "no run reached 20 repair iterations (deepest: {deepest_run}); \
+        iterations >= 20,
+        "the run took {iterations} repair iterations, fewer than 20; \
          the acceptance assertion above is too weak"
     );
 }

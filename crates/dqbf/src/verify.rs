@@ -8,7 +8,7 @@
 //! workspace (Manthan3 and both baselines).
 
 use crate::{Dqbf, HenkinVector};
-use manthan3_cnf::{Assignment, CnfBuilder, Lit, Var};
+use manthan3_cnf::{Assignment, ClauseSink, Var};
 use manthan3_sat::{SolveResult, Solver};
 use std::collections::{BTreeMap, HashMap};
 
@@ -50,27 +50,27 @@ impl CheckOutcome {
     }
 }
 
-/// Encodes `¬ϕ(vars)` into `builder`: one indicator per clause that implies
-/// the clause is falsified, plus a disjunction of all indicators. Returns the
-/// indicator literals.
-pub fn encode_negated_matrix(dqbf: &Dqbf, builder: &mut CnfBuilder) -> Vec<Lit> {
+/// Encodes `¬ϕ(vars)` into `sink`: one fresh indicator per clause that
+/// implies the clause is falsified, plus a disjunction of all indicators.
+/// The sink must already declare the formula's variables, so the indicators
+/// are numbered after them.
+pub fn encode_negated_matrix(dqbf: &Dqbf, sink: &mut impl ClauseSink) {
     let mut indicators = Vec::with_capacity(dqbf.num_clauses());
     for clause in dqbf.matrix().clauses() {
-        let n = builder.fresh_lit();
+        let n = sink.fresh_var().positive();
         for &lit in clause {
-            builder.add_clause([!n, !lit]);
+            sink.add_clause(&[!n, !lit]);
         }
         indicators.push(n);
     }
-    builder.add_clause(indicators.clone());
-    indicators
+    sink.add_clause(&indicators);
 }
 
 /// Checks whether `vector` is a Henkin function vector for `dqbf`
 /// (Lemma 1 of the paper).
 ///
-/// The check is fully independent of the synthesis engines: it re-encodes the
-/// functions into CNF and queries a fresh SAT solver.
+/// The check is fully independent of the synthesis engines: it encodes the
+/// error formula straight into a fresh SAT solver and refutes it there.
 ///
 /// # Examples
 ///
@@ -92,25 +92,18 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
     // (b) E(X,Y) = ¬ϕ(X,Y) ∧ (Y ↔ f(X)) must be UNSAT. Because the functions
     // only mention universal variables, the original Y variables can play the
     // role of Y'.
-    let mut builder = CnfBuilder::new(dqbf.num_vars());
-    encode_negated_matrix(dqbf, &mut builder);
-    let input_map: HashMap<usize, Lit> = dqbf
-        .universals()
-        .iter()
-        .map(|&x| (x.index(), x.positive()))
-        .collect();
+    let mut solver = Solver::new();
+    solver.ensure_vars(dqbf.num_vars());
+    encode_negated_matrix(dqbf, &mut solver);
     // One cache for every output: after `substitute_down` the functions share
     // cones, and each shared node is encoded once.
     let mut cache = HashMap::new();
     for &y in dqbf.existentials() {
         let f = vector.get(y).expect("checked above");
-        let out = vector
-            .aig()
-            .encode_cnf(f, &mut builder, &input_map, &mut cache);
-        builder.assert_equiv(y.positive(), out);
+        let out = vector.aig().encode_cnf(f, &mut solver, &mut cache);
+        solver.add_clause([y.negative(), out]);
+        solver.add_clause([y.positive(), !out]);
     }
-    let mut solver = Solver::new();
-    solver.add_cnf(builder.cnf());
     match solver.solve() {
         SolveResult::Unsat => CheckOutcome::Valid,
         SolveResult::Unknown => unreachable!("certificate solver has no budget"),

@@ -137,21 +137,6 @@ pub struct Proof {
     pub steps: Vec<ProofStep>,
 }
 
-impl Proof {
-    /// Number of addition steps.
-    pub fn num_adds(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, ProofStep::Add(_)))
-            .count()
-    }
-
-    /// Number of deletion steps.
-    pub fn num_deletes(&self) -> usize {
-        self.steps.len() - self.num_adds()
-    }
-}
-
 /// A parsed proof is checked (or written) step by borrowed step.
 impl<'a> IntoIterator for &'a Proof {
     type Item = ProofStep<&'a [Lit]>;

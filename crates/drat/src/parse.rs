@@ -239,8 +239,6 @@ mod tests {
                 ProofStep::Add(vec![]),
             ]
         );
-        assert_eq!(p.num_adds(), 2);
-        assert_eq!(p.num_deletes(), 1);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Dataset {
         self.labels[i]
     }
 
-    /// Number of rows with a positive label.
-    pub fn num_positive(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
-
     /// Gini impurity of the label distribution of the rows indexed by `rows`.
     pub fn gini(&self, rows: &[usize]) -> f64 {
         if rows.is_empty() {
@@ -112,7 +107,6 @@ mod tests {
         assert_eq!(d.num_features(), 2);
         assert_eq!(d.features(0), &[true, false]);
         assert!(d.label(0));
-        assert_eq!(d.num_positive(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::lbd::GlueStamps;
 use crate::proof::{Certificate, ProofTracer};
 use crate::restart::RestartScheduler;
 use crate::var_heap::VarHeap;
-use manthan3_cnf::{Assignment, Cnf, Lit, Var};
+use manthan3_cnf::{Assignment, ClauseSink, Cnf, Lit, Var};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -128,6 +128,18 @@ pub struct Solver {
 impl Default for Solver {
     fn default() -> Self {
         Solver::new()
+    }
+}
+
+/// Encoders write straight into the solver: a fresh variable is
+/// [`Solver::new_var`] and a clause goes through [`Solver::add_clause`].
+impl ClauseSink for Solver {
+    fn fresh_var(&mut self) -> Var {
+        self.new_var()
+    }
+
+    fn add_clause(&mut self, clause: &[Lit]) {
+        Solver::add_clause(self, clause.iter().copied());
     }
 }
 

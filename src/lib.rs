@@ -12,7 +12,7 @@
 //!
 //! | module | crate | role |
 //! |--------|-------|------|
-//! | [`cnf`] | `manthan3-cnf` | literals, clauses, DIMACS, Tseitin builder |
+//! | [`cnf`] | `manthan3-cnf` | literals, clauses, DIMACS, clause sink |
 //! | [`sat`] | `manthan3-sat` | CDCL SAT solver: assumptions, cores, activation literals |
 //! | [`maxsat`] | `manthan3-maxsat` | weighted partial MaxSAT (Open-WBO stand-in) |
 //! | [`sampler`] | `manthan3-sampler` | near-uniform sampling (CMSGen stand-in) |

@@ -4,7 +4,9 @@
 use manthan3::aig::{Aig, AigRef};
 use manthan3::baselines::ExpansionSolver;
 use manthan3::cnf::{dimacs, Assignment, Cnf, Lit, Var};
-use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
+use manthan3::core::{
+    Budget, Manthan3, Manthan3Config, Oracle, SynthesisOutcome, VerifyOutcome, VerifySession,
+};
 use manthan3::dqbf::verify::CheckOutcome;
 use manthan3::dqbf::{
     parse_dqdimacs, semantics, unique, verify, write_dqdimacs, Dqbf, HenkinVector,
@@ -134,6 +136,26 @@ fn shared_cone_vector(dqbf: &Dqbf, ops: &[u8]) -> HenkinVector {
     vector.set(y1, f1);
     vector.set(y2, f2);
     vector
+}
+
+/// Sets one candidate generation on `vector`: each output's function folds
+/// its dependencies, picked by `ops`, onto either its previous function (so
+/// the cone grows inside the shared AIG, as repair grows it) or a fresh
+/// constant. Every function respects its dependency set.
+fn next_generation(dqbf: &Dqbf, vector: &mut HenkinVector, ops: &[u8]) {
+    for (j, &y) in dqbf.existentials().iter().enumerate() {
+        let op = ops[j];
+        let previous = vector.get(y).filter(|_| op % 2 == 1);
+        let aig = vector.aig_mut();
+        let start = previous.unwrap_or_else(|| aig.constant(op % 4 >= 2));
+        let leaves: Vec<AigRef> = dqbf
+            .dependencies(y)
+            .iter()
+            .map(|x| aig.input(x.index()))
+            .collect();
+        let f = fold_gates(aig, start, &leaves, &ops[j + 1..]);
+        vector.set(y, f);
+    }
 }
 
 fn brute_force_sat(cnf: &Cnf) -> Option<Assignment> {
@@ -284,6 +306,43 @@ proptest! {
                 }
             }
             other => prop_assert!(false, "unexpected outcome {other:?}"),
+        }
+    }
+
+    /// One [`VerifySession`] answers like a fresh `verify::check` while its
+    /// candidates are swapped generation by generation: `Valid` exactly when
+    /// the check is valid, and every counterexample falsifies the matrix
+    /// with `δ[Y']` the vector's output on `δ[X]`.
+    #[test]
+    fn verify_session_agrees_with_the_fresh_check_across_candidate_swaps(
+        dqbf in arb_dqbf(),
+        generations in proptest::collection::vec(proptest::collection::vec(0..8u8, 6), 2..=4),
+    ) {
+        prop_assume!(dqbf.validate().is_ok());
+        let order = dqbf.existentials().to_vec();
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut session = VerifySession::new(&dqbf, &mut oracle);
+        let mut vector = HenkinVector::new();
+        for ops in &generations {
+            next_generation(&dqbf, &mut vector, ops);
+            let fresh = verify::check(&dqbf, &vector);
+            match session.verify(&dqbf, &vector, &mut oracle) {
+                VerifyOutcome::Valid => prop_assert!(fresh.is_valid()),
+                VerifyOutcome::CounterExample(delta) => {
+                    prop_assert!(!fresh.is_valid());
+                    let mut values = vec![false; dqbf.num_vars()];
+                    for (&v, &b) in delta.x.iter().chain(&delta.y_prime) {
+                        values[v.index()] = b;
+                    }
+                    prop_assert!(!dqbf.eval_matrix(&Assignment::from_values(values.clone())));
+                    let x_values = Assignment::from_values(values[..3].to_vec());
+                    let extended = vector.extend_assignment(&dqbf, &x_values, &order);
+                    for (&y, &value) in &delta.y_prime {
+                        prop_assert_eq!(extended.get(y), Some(value));
+                    }
+                }
+                VerifyOutcome::Unknown => prop_assert!(false, "no budget was set"),
+            }
         }
     }
 
