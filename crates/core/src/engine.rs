@@ -299,11 +299,12 @@ fn stage_order(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
 /// Pipeline stage 5 — **VerifyRepair**: the CEGIS loop on the persistent
 /// twin sessions. Each verify check simulates the vector first and takes a
 /// failing pattern as the counterexample; only when no pattern fails does it
-/// re-solve the incrementally maintained error formula under activation
-/// assumptions, so `Valid` always comes from the solver. FindCandidates
-/// re-solves the persistent MaxSAT encoding under counterexample
-/// assumptions, and is the only query between a counterexample and repair:
-/// its hard probe refutes a δ[X] that no model of ϕ extends. Repair adds
+/// refute the incrementally maintained error formula, one matrix clause at a
+/// time under activation assumptions, so `Valid` always comes from the
+/// solver. FindCandidates re-solves the persistent MaxSAT encoding under
+/// counterexample assumptions, and is the only query between a
+/// counterexample and repair: its hard probe refutes a δ[X] that no model of
+/// ϕ extends. Repair adds
 /// clauses and swaps activation literals — no solver or encoding is ever
 /// reconstructed inside the loop. `observe` sees each counterexample before
 /// repair.
@@ -325,7 +326,14 @@ fn stage_verify_repair(
         ctx.stats.verification_checks += 1;
         let verdict = match simulator.counterexample(ctx.dqbf, &ctx.vector, &mut ctx.oracle) {
             Some(delta) => VerifyOutcome::CounterExample(delta),
-            None => session.verify(ctx.dqbf, &ctx.vector, &mut ctx.oracle),
+            None => {
+                // Only count queries the oracle actually ran (a refused call
+                // leaves the solver untouched).
+                let performed_before = ctx.oracle.stats().sat_calls;
+                let verdict = session.verify(ctx.dqbf, &ctx.vector, &mut ctx.oracle);
+                ctx.stats.verify_sat_calls += ctx.oracle.stats().sat_calls - performed_before;
+                verdict
+            }
         };
         ctx.stats.verification_time += verification_start.elapsed();
         let delta = match verdict {
@@ -690,17 +698,21 @@ mod tests {
         controller(&params, 0).dqbf
     }
 
-    /// Every check runs simulation first, so each one not answered by
-    /// simulation is one error-solver call. The other SAT calls of a run are
-    /// the matrix check and the repair queries `G_k`; each counterexample
-    /// gets exactly one FindCandidates query, which is a MaxSAT call.
-    fn assert_sat_calls_add_up(stats: &SynthesisStats) {
+    /// Every check runs simulation first, and each one not answered by
+    /// simulation refutes the error formula clause by clause: one to |ϕ|
+    /// error-solver calls, and exactly |ϕ| for the closing `Valid` of a run
+    /// that ended Realizable. The other SAT calls of a run are the matrix
+    /// check and the repair queries `G_k`; each counterexample gets exactly
+    /// one FindCandidates query, which is a MaxSAT call.
+    fn assert_sat_calls_add_up(dqbf: &Dqbf, stats: &SynthesisStats) {
         let oracle = &stats.oracle;
-        let error_solver_calls = stats.verification_checks - oracle.sim_counterexamples as usize;
         assert_eq!(
             oracle.sat_calls,
-            1 + error_solver_calls + stats.repair_sat_calls
+            1 + stats.verify_sat_calls + stats.repair_sat_calls
         );
+        let unsimulated = stats.verification_checks - oracle.sim_counterexamples as usize;
+        assert!(unsimulated - 1 + dqbf.num_clauses() <= stats.verify_sat_calls);
+        assert!(stats.verify_sat_calls <= unsimulated * dqbf.num_clauses());
         assert_eq!(oracle.maxsat_calls, stats.repair_iterations);
         assert_eq!(
             oracle.sim_patterns,
@@ -728,14 +740,15 @@ mod tests {
                 "δ {i}'s Y' is not the vector's output: {r:?}"
             );
         }
-        assert_sat_calls_add_up(&result.stats);
+        assert_sat_calls_add_up(&dqbf, &result.stats);
     }
 
     /// `y ↔ x_1 ∧ … ∧ x_20` with the candidate `y := ⊥` in place of a
     /// learned one: it is wrong on one universal assignment in 2^20, too
     /// rare for 512 random patterns. The loop must get that counterexample
     /// from the error solver, and may end `Valid` only on a certified UNSAT
-    /// verify.
+    /// verify. Only the last matrix clause can fail, so both checks query
+    /// the error solver once per clause.
     #[test]
     fn a_counterexample_too_rare_to_simulate_comes_from_sat() {
         let xs: Vec<Var> = (0..20).map(Var::new).collect();
@@ -770,6 +783,7 @@ mod tests {
         let mut deltas = Vec::new();
         let outcome = stage_verify_repair(&mut ctx, |ctx, delta| {
             assert_eq!(ctx.oracle.stats().sim_counterexamples, 0);
+            assert_eq!(ctx.stats.verify_sat_calls, dqbf.num_clauses());
             deltas.push(delta.clone());
         });
         match &outcome {
@@ -785,9 +799,13 @@ mod tests {
         assert_eq!(ctx.stats.verification_checks, 2);
         assert_eq!(stats.sim_patterns, 2 * 512);
         assert_eq!(stats.sim_counterexamples, 0);
-        // The matrix check, two error-solver calls and the repair queries;
-        // the one counterexample got one FindCandidates query.
-        assert_eq!(stats.sat_calls, 1 + 2 + ctx.stats.repair_sat_calls);
+        // The matrix check, |ϕ| error-solver calls per check and the repair
+        // queries; the one counterexample got one FindCandidates query.
+        assert_eq!(ctx.stats.verify_sat_calls, 2 * dqbf.num_clauses());
+        assert_eq!(
+            stats.sat_calls,
+            1 + ctx.stats.verify_sat_calls + ctx.stats.repair_sat_calls
+        );
         assert_eq!(stats.maxsat_calls, 1);
         assert!(stats.certificates_checked > 0);
         assert_eq!(stats.certificates_rejected, 0);
@@ -813,6 +831,7 @@ mod tests {
                 stats.verification_checks,
                 stats.repair_iterations,
                 stats.repairs_applied,
+                stats.verify_sat_calls,
                 stats.repair_sat_calls,
             )
         };

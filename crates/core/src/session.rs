@@ -15,10 +15,15 @@
 //! Keeps two incremental SAT solvers:
 //!
 //! * the **error solver** holds `¬ϕ(X,Y')` (encoded once, lazily, on the
-//!   first verification)
+//!   first verification, with one indicator `d_c` per matrix clause `c`)
 //!   plus one guarded equivalence `a_i → (y_i ↔ f_i)` per candidate
-//!   generation. Each verification solves under the assumptions
-//!   `{a_1, …, a_m}` of the *current* generations. When repair replaces
+//!   generation. Each verification refutes the error formula one matrix
+//!   clause at a time: it solves under the assumptions `{a_1, …, a_m, d_c}`
+//!   of the *current* generations for each `c` in matrix order, and the
+//!   first satisfiable query gives the counterexample
+//!   ([`verify::refute_by_clause`]). The activation literals are a shared
+//!   assumption prefix, so the solver keeps their trail levels from query to
+//!   query and re-decides only `d_c`. When repair replaces
 //!   `f_i`, the old activation literal is retired (asserted false) and a
 //!   fresh guarded equivalence is added — the solver, its learnt clauses,
 //!   and the Tseitin encoding cache survive. Every clause is encoded
@@ -46,8 +51,10 @@
 //! repair iterations and a larger peak heap (`BENCH_simulation.json`). So
 //! the error solver answers only the checks simulation cannot settle: a
 //! counterexample too rare for 512 patterns, and the closing `Valid`, which
-//! only an UNSAT verdict can give (and which is certified under
-//! `Manthan3Config::certify`). The simulation buffers are dropped before the
+//! only UNSAT verdicts can give: one per matrix clause, each certified under
+//! `Manthan3Config::certify`. Asking for one clause at a time made the
+//! closing refutation cheaper than one query over the whole disjunction
+//! (`BENCH_clausewise.json`). The simulation buffers are dropped before the
 //! solver runs.
 //!
 //! # [`RepairSession`] — the repair side
@@ -258,9 +265,10 @@ pub struct VerifySession {
     /// the formula's, then the `¬ϕ` indicators, then the Tseitin and
     /// activation variables of the candidate generations in encoding order.
     error: Solver,
-    /// Whether `¬ϕ` has been encoded into the error solver (done lazily on
-    /// the first verification so preprocessing-only runs never pay for it).
-    error_encoded: bool,
+    /// The `¬ϕ` clause indicators in the error solver, one per matrix clause
+    /// in matrix order; `None` until `¬ϕ` is encoded (done lazily on the
+    /// first verification so preprocessing-only runs never pay for it).
+    indicators: Option<Vec<Lit>>,
     /// Persistent AIG-node → error-solver-literal cache for candidate cones.
     /// An AIG input label is the formula variable of the same index, so
     /// candidate functions read other outputs from the `Y'` variables.
@@ -291,7 +299,7 @@ impl VerifySession {
         VerifySession {
             phi,
             error,
-            error_encoded: false,
+            indicators: None,
             encode_cache: HashMap::new(),
             slots: BTreeMap::new(),
             encodings: 0,
@@ -329,8 +337,12 @@ impl VerifySession {
 
     /// Verifies `vector` against the specification: refreshes the guarded
     /// candidate equivalences for outputs whose function changed since the
-    /// last call, then re-solves the persistent error formula under the
-    /// current activation assumptions.
+    /// last call, then refutes the persistent error formula one matrix
+    /// clause at a time ([`verify::refute_by_clause`]): each query assumes
+    /// the current activation literals plus one `¬ϕ` clause indicator. The
+    /// first satisfiable query gives the counterexample; `Valid` takes one
+    /// UNSAT query per matrix clause, each certified under
+    /// `Manthan3Config::certify`.
     ///
     /// All functions must live in one shared, monotonically growing AIG
     /// (as maintained by the engine's repair loop); the session's encoding
@@ -346,12 +358,11 @@ impl VerifySession {
         vector: &HenkinVector,
         oracle: &mut Oracle,
     ) -> VerifyOutcome {
-        if !self.error_encoded {
+        if self.indicators.is_none() {
             // The formula's variables come first, so the indicators and
             // Tseitin variables are numbered after them.
             self.error.ensure_vars(dqbf.num_vars());
-            verify::encode_negated_matrix(dqbf, &mut self.error);
-            self.error_encoded = true;
+            self.indicators = Some(verify::encode_negated_matrix(dqbf, &mut self.error));
         }
         for &y in dqbf.existentials() {
             // invariant: a HenkinVector is total over the existentials by
@@ -392,7 +403,12 @@ impl VerifySession {
         }
 
         let assumptions: Vec<Lit> = self.slots.values().map(|slot| slot.activation).collect();
-        match oracle.solve_with_assumptions(&mut self.error, &assumptions) {
+        // invariant: the top of this call encodes ¬ϕ when it is missing.
+        let indicators = self.indicators.as_deref().expect("¬ϕ is encoded");
+        let error = &mut self.error;
+        match verify::refute_by_clause(indicators, &assumptions, |query| {
+            oracle.solve_with_assumptions(error, query)
+        }) {
             SolveResult::Unsat => VerifyOutcome::Valid,
             SolveResult::Unknown => VerifyOutcome::Unknown,
             SolveResult::Sat => {
@@ -682,8 +698,12 @@ mod tests {
 
         // Sabotage f2, verify (counterexample), then restore it in several
         // generations; the session must keep using the same two solvers.
+        // Each verify refutes the error formula clause by clause: a
+        // counterexample takes one to |ϕ| queries, `Valid` exactly |ϕ|.
+        let clauses = dqbf.num_clauses();
         let good_f2 = vector.get(y(1)).unwrap();
         for round in 0..4 {
+            let calls_before = oracle.stats().sat_calls;
             let broken = if round % 2 == 0 {
                 vector.aig().constant(round % 4 == 0)
             } else {
@@ -696,14 +716,18 @@ mod tests {
                 matches!(verdict, VerifyOutcome::CounterExample(_)),
                 "round {round}"
             );
+            let calls = oracle.stats().sat_calls - calls_before;
+            assert!((1..=clauses).contains(&calls), "round {round}: {calls}");
             // Consistency with the independent from-scratch checker.
             assert!(!check(&dqbf, &vector).is_valid(), "round {round}");
         }
         vector.set(y(1), good_f2);
+        let calls_before = oracle.stats().sat_calls;
         assert_eq!(
             session.verify(&dqbf, &vector, &mut oracle),
             VerifyOutcome::Valid
         );
+        assert_eq!(oracle.stats().sat_calls - calls_before, clauses);
         assert!(check(&dqbf, &vector).is_valid());
 
         // Round 0 encodes all three candidates; rounds 1–3 and the final
@@ -711,7 +735,62 @@ mod tests {
         assert_eq!(session.candidate_encodings(), 7);
         // One matrix solver + one error solver, despite 5 verification calls.
         assert_eq!(oracle.stats().sat_solvers_constructed, 2);
-        assert_eq!(oracle.stats().sat_calls, 5);
+    }
+
+    /// `∀x1 x2 x3 ∃y. y ↔ x1 ∧ x2 ∧ x3`, as the clauses `(¬y ∨ x_i)` and then
+    /// `(¬x1 ∨ ¬x2 ∨ ¬x3 ∨ y)`. Against `y := ⊥` only the last clause can
+    /// fail, so a refutation that stopped short of the last indicator would
+    /// call the vector valid.
+    #[test]
+    fn only_the_last_clause_can_fail() {
+        let xs = [x(0), x(1), x(2)];
+        let out = y(0);
+        let mut dqbf = Dqbf::new();
+        for &v in &xs {
+            dqbf.add_universal(v);
+            dqbf.add_clause([out.negative(), v.positive()]);
+        }
+        dqbf.add_existential(out, xs);
+        dqbf.add_clause(
+            xs.iter()
+                .map(|v| v.negative())
+                .chain(std::iter::once(out.positive())),
+        );
+        let clauses = dqbf.num_clauses();
+        let mut oracle = Oracle::new(Budget::unlimited()).with_certification(true);
+        let mut session = VerifySession::new(&dqbf, &mut oracle);
+        let mut vector = HenkinVector::new();
+        vector.set(out, AigRef::FALSE);
+
+        match session.verify(&dqbf, &vector, &mut oracle) {
+            VerifyOutcome::CounterExample(delta) => {
+                let value = |v: Var| delta.x.get(&v).or(delta.y_prime.get(&v)).copied();
+                let last = dqbf.clauses().last().expect("four clauses");
+                assert!(
+                    last.iter()
+                        .all(|&l| value(l.var()) == Some(!l.is_positive())),
+                    "δ {delta:?} does not falsify the last clause"
+                );
+            }
+            other => panic!("expected a counterexample, got {other:?}"),
+        }
+        assert_eq!(oracle.stats().sat_calls, clauses);
+
+        // The closing refutation certifies one UNSAT answer per clause.
+        let before = *oracle.stats();
+        let conjunction = xs.iter().fold(AigRef::TRUE, |f, v| {
+            let input = vector.aig_mut().input(v.index());
+            vector.aig_mut().and(f, input)
+        });
+        vector.set(out, conjunction);
+        assert_eq!(
+            session.verify(&dqbf, &vector, &mut oracle),
+            VerifyOutcome::Valid
+        );
+        let after = oracle.stats();
+        assert_eq!(after.sat_calls - before.sat_calls, clauses);
+        assert!(after.certificates_checked - before.certificates_checked >= clauses as u64);
+        assert_eq!(after.certificates_rejected, 0);
     }
 
     /// Hygiene watchdog (ROADMAP "error-solver hygiene"): a repair-heavy run

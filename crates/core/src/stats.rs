@@ -28,6 +28,11 @@ pub struct SynthesisStats {
     /// simulation answered. Both halves are billed to
     /// [`SynthesisStats::verification_time`].
     pub verification_checks: usize,
+    /// Number of error-solver SAT calls made during verification. A check
+    /// that reaches the solver refutes the error formula one matrix clause
+    /// at a time, so it makes between one query and one per matrix clause
+    /// (a `Valid` verdict makes exactly one per clause).
+    pub verify_sat_calls: usize,
     /// Number of counterexamples processed (repair iterations), each
     /// handed to one FindCandidates query.
     pub repair_iterations: usize,

@@ -104,14 +104,21 @@ fn many_repair_iterations_share_one_error_solver() {
             );
             // The matrix check, every verification that simulation did not
             // answer and every repair G_k query went through the same two
-            // solvers, and nothing else did.
+            // solvers, and nothing else did. A verification refutes the
+            // error formula clause by clause: one to |ϕ| queries.
             let oracle = &result.stats.oracle;
-            let error_solver_calls =
-                result.stats.verification_checks - oracle.sim_counterexamples as usize;
             assert_eq!(
                 oracle.sat_calls,
-                1 + error_solver_calls + result.stats.repair_sat_calls,
+                1 + result.stats.verify_sat_calls + result.stats.repair_sat_calls,
                 "seed {seed}: oracle accounting is inconsistent"
+            );
+            let unsimulated =
+                result.stats.verification_checks - oracle.sim_counterexamples as usize;
+            assert!(
+                unsimulated <= result.stats.verify_sat_calls
+                    && result.stats.verify_sat_calls <= unsimulated * instance.dqbf.num_clauses(),
+                "seed {seed}: {} error-solver calls for {unsimulated} checks",
+                result.stats.verify_sat_calls
             );
             // The MaxSAT side is equally incremental: one MaxSAT solver and
             // its hard encoding for the whole run, one assumption-served

@@ -6,9 +6,18 @@
 //! module implements exactly that check against an independent SAT solver,
 //! so it can be used to validate the output of any synthesis engine in this
 //! workspace (Manthan3 and both baselines).
+//!
+//! `¬ϕ` is encoded with one indicator per matrix clause
+//! ([`encode_negated_matrix`]), and E is refuted one clause at a time on the
+//! one solver that holds it ([`refute_by_clause`]): E is UNSAT exactly when
+//! E ∧ d_c is UNSAT for every clause indicator d_c. Each query asks only
+//! whether the vector can falsify clause c, and the queries share the
+//! solver's learnt clauses; on the benchmark's returned vectors that took
+//! fewer conflicts than one query over the whole disjunction. The engine's
+//! `VerifySession` refutes its persistent error formula the same way.
 
 use crate::{Dqbf, HenkinVector};
-use manthan3_cnf::{Assignment, ClauseSink, Var};
+use manthan3_cnf::{Assignment, ClauseSink, Lit, Var};
 use manthan3_sat::{SolveResult, Solver};
 use std::collections::{BTreeMap, HashMap};
 
@@ -52,9 +61,10 @@ impl CheckOutcome {
 
 /// Encodes `¬ϕ(vars)` into `sink`: one fresh indicator per clause that
 /// implies the clause is falsified, plus a disjunction of all indicators.
-/// The sink must already declare the formula's variables, so the indicators
-/// are numbered after them.
-pub fn encode_negated_matrix(dqbf: &Dqbf, sink: &mut impl ClauseSink) {
+/// Returns the indicators, one per matrix clause in matrix order, for
+/// [`refute_by_clause`]. The sink must already declare the formula's
+/// variables, so the indicators are numbered after them.
+pub fn encode_negated_matrix(dqbf: &Dqbf, sink: &mut impl ClauseSink) -> Vec<Lit> {
     let mut indicators = Vec::with_capacity(dqbf.num_clauses());
     for clause in dqbf.matrix().clauses() {
         let n = sink.fresh_var().positive();
@@ -64,13 +74,38 @@ pub fn encode_negated_matrix(dqbf: &Dqbf, sink: &mut impl ClauseSink) {
         indicators.push(n);
     }
     sink.add_clause(&indicators);
+    indicators
+}
+
+/// Refutes the error formula one matrix clause at a time: calls `solve`
+/// under `assumptions` followed by one indicator `d_c`, for each indicator
+/// of [`encode_negated_matrix`] in order, and returns the first answer that
+/// is not UNSAT. A SAT answer's model falsifies clause `c`, so it is a model
+/// of the error formula itself. If every query is UNSAT, the error formula
+/// is UNSAT, because its indicator disjunction needs some `d_c` true.
+pub fn refute_by_clause(
+    indicators: &[Lit],
+    assumptions: &[Lit],
+    mut solve: impl FnMut(&[Lit]) -> SolveResult,
+) -> SolveResult {
+    let mut query = assumptions.to_vec();
+    for &indicator in indicators {
+        query.push(indicator);
+        let result = solve(&query);
+        if result != SolveResult::Unsat {
+            return result;
+        }
+        query.pop();
+    }
+    SolveResult::Unsat
 }
 
 /// Checks whether `vector` is a Henkin function vector for `dqbf`
 /// (Lemma 1 of the paper).
 ///
 /// The check is fully independent of the synthesis engines: it encodes the
-/// error formula straight into a fresh SAT solver and refutes it there.
+/// error formula straight into a fresh SAT solver and refutes it there, one
+/// matrix clause at a time ([`refute_by_clause`]).
 ///
 /// # Examples
 ///
@@ -94,7 +129,7 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
     // role of Y'.
     let mut solver = Solver::new();
     solver.ensure_vars(dqbf.num_vars());
-    encode_negated_matrix(dqbf, &mut solver);
+    let indicators = encode_negated_matrix(dqbf, &mut solver);
     // One cache for every output: after `substitute_down` the functions share
     // cones, and each shared node is encoded once.
     let mut cache = HashMap::new();
@@ -104,9 +139,11 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
         solver.add_clause([y.negative(), out]);
         solver.add_clause([y.positive(), !out]);
     }
-    match solver.solve() {
+    match refute_by_clause(&indicators, &[], |query| {
+        solver.solve_with_assumptions(query)
+    }) {
         SolveResult::Unsat => CheckOutcome::Valid,
-        SolveResult::Unknown => unreachable!("certificate solver has no budget"),
+        SolveResult::Unknown => unreachable!("the vector check's solver has no budget"),
         SolveResult::Sat => {
             let assignment = solver.model();
             let y_outputs = dqbf
@@ -169,6 +206,40 @@ mod tests {
                     full.set(yv, val);
                 }
                 assert!(!dqbf.eval_matrix(&full));
+            }
+            other => panic!("expected Falsified, got {other:?}"),
+        }
+    }
+
+    /// `∀x1 x2 x3 ∃y. y ↔ x1 ∧ x2 ∧ x3`, as the clauses `(¬y ∨ x_i)` and then
+    /// `(¬x1 ∨ ¬x2 ∨ ¬x3 ∨ y)`. Against `y := ⊥` only the last clause can
+    /// fail, so a refutation that stopped short of the last indicator would
+    /// call the vector valid.
+    #[test]
+    fn only_the_last_clause_can_fail() {
+        let xs = [x(0), x(1), x(2)];
+        let out = y(0);
+        let mut dqbf = Dqbf::new();
+        for &v in &xs {
+            dqbf.add_universal(v);
+            dqbf.add_clause([out.negative(), v.positive()]);
+        }
+        dqbf.add_existential(out, xs);
+        dqbf.add_clause(
+            xs.iter()
+                .map(|v| v.negative())
+                .chain(std::iter::once(out.positive())),
+        );
+        let mut v = HenkinVector::new();
+        v.set(out, v.aig().constant(false));
+        match check(&dqbf, &v) {
+            CheckOutcome::Falsified(cex) => {
+                let mut full = cex.assignment.clone();
+                full.set(out, cex.y_outputs[&out]);
+                let last = dqbf.clauses().last().expect("four clauses");
+                assert!(last
+                    .iter()
+                    .all(|&l| full.get(l.var()) == Some(!l.is_positive())));
             }
             other => panic!("expected Falsified, got {other:?}"),
         }
