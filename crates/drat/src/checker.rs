@@ -15,10 +15,40 @@
 //! remaining step — in particular the final empty clause — is trivially
 //! sound.
 //!
-//! Deletions are looked up by normalized literal set. Deletions of unit or
-//! empty clauses are ignored (the drat-trim convention): retracting a unit
-//! would invalidate the persistent trail, and solvers routinely delete
-//! root-satisfied clauses whose units live on.
+//! # Clause storage
+//!
+//! Every clause is stored as a **literal set**: repeated literals are
+//! dropped on the way in, so `(1 ∨ 1 ∨ 2)` is stored, watched and deleted
+//! as `(1 ∨ 2)`. (Two copies of one literal in both watch slots would leave
+//! the clause unwatched on its other literals, and a unit it implies would
+//! be missed.) Literals are kept as codes `2v` / `2v + 1`, so negation is
+//! `code ^ 1` and truth values, watch lists and membership marks are arrays
+//! indexed by literal.
+//!
+//! The literals of all clauses sit back to back in one **arena**; a clause
+//! entry holds its start and length. A deleted clause's literals stay in
+//! the arena until more than half of it is dead; the arena is then
+//! compacted, the surviving entries renumbered, and the watch lists and
+//! deletion chains rebuilt from the surviving clauses.
+//!
+//! Each clause of two or more literals is watched on its first two literals.
+//! A watch is a `(clause, blocker)` pair, as in the solver's own watcher: a
+//! true blocker answers the visit without reading the clause, and for a
+//! binary clause the blocker is the other literal, so the visit never reads
+//! the arena.
+//!
+//! # Deletion
+//!
+//! Deletions are looked up by literal set. An order-independent 64-bit hash
+//! of the set (a sum of per-literal mixes) picks a bucket whose chain is
+//! threaded through the clause entries, newest first; a candidate matches
+//! only if its literal set equals the deleted one. The watches of a deleted
+//! clause are dropped lazily, when a propagation visits them. Deletions of
+//! unit or empty clauses are ignored (the drat-trim convention): retracting
+//! a unit would invalidate the persistent trail, and solvers routinely
+//! delete root-satisfied clauses whose units live on.
+//!
+//! # Entry points
 //!
 //! [`check`] runs that replay once over a whole formula and proof. A
 //! [`Session`] keeps the same state between calls, so it can follow one
@@ -30,15 +60,17 @@
 //! lemma may not, because a later clause can contain its pivot's negation.
 
 use crate::{Lit, ProofStep};
-use std::collections::HashMap;
 
 /// How often the checker polls its cancellation callback, in proof steps.
 const CANCEL_POLL_INTERVAL: usize = 512;
 
-/// Truth value of a variable under the current assignment.
+/// Truth value of a literal under the current assignment.
 const UNASSIGNED: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
+
+/// No clause: the end of a deletion chain, or an empty bucket.
+const NIL: u32 = u32::MAX;
 
 /// Counters describing a successful check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -192,7 +224,7 @@ impl Session {
             }
         }
         self.steps += checker.stats.steps_checked;
-        if checker.contradiction || checker.conflicts_under(assumptions.iter().copied()) {
+        if checker.contradiction || checker.conflicts_under(assumptions.iter().map(|&l| code(l))) {
             CheckOutcome::Verified(checker.stats)
         } else {
             CheckOutcome::Rejected {
@@ -203,30 +235,66 @@ impl Session {
     }
 }
 
-/// One stored clause. Watches point at `lits[0]` and `lits[1]`.
-#[derive(Debug, Clone)]
+/// A DIMACS literal's code: `2v` for `v`, `2v + 1` for `¬v`. Negation is
+/// `code ^ 1`.
+fn code(l: Lit) -> u32 {
+    2 * l.unsigned_abs() + u32::from(l < 0)
+}
+
+/// One stored clause: `len` literal codes from `start` in the arena. The
+/// first two are its watched literals.
+#[derive(Debug, Clone, Copy)]
 struct ClauseEntry {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
+    /// The next clause in this clause's deletion chain, or [`NIL`].
+    next: u32,
     active: bool,
 }
 
-/// Encodes a literal as a watch-list index (`2v` positive, `2v+1` negative).
-fn code(l: Lit) -> usize {
-    let v = l.unsigned_abs() as usize;
-    2 * v + usize::from(l < 0)
+/// A watch-list entry: the clause and a literal of it whose truth answers
+/// the visit without reading the clause (for a binary clause, the other
+/// literal).
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: u32,
+}
+
+/// The deletion hash of a literal set: order-independent, so any order of
+/// one set hashes alike.
+fn set_hash(codes: &[u32]) -> u64 {
+    codes.iter().fold(0u64, |hash, &c| {
+        // The splitmix64 finalizer, one mix per literal.
+        let mut z = u64::from(c).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        hash.wrapping_add(z ^ (z >> 31))
+    })
 }
 
 #[derive(Debug, Clone, Default)]
 struct Checker {
+    /// Every stored clause's literal codes, back to back.
+    arena: Vec<u32>,
+    /// Stored clauses in arrival order (renumbered by compaction).
     clauses: Vec<ClauseEntry>,
-    /// Normalized (sorted, deduplicated) literal set → active clause indices,
-    /// the deletion lookup.
-    by_key: HashMap<Vec<Lit>, Vec<usize>>,
-    /// Watch lists indexed by [`code`]: clauses watching that literal.
-    watches: Vec<Vec<usize>>,
-    /// Truth value per variable index.
-    value: Vec<u8>,
-    trail: Vec<Lit>,
+    /// Arena literals owned by deleted clauses.
+    dead: usize,
+    /// Deletion lookup: chain heads by [`set_hash`], a power-of-two count.
+    buckets: Vec<u32>,
+    /// Active clauses in the deletion chains (those of two or more
+    /// literals).
+    chained: usize,
+    /// Watch lists indexed by literal code: the clauses watching it.
+    watches: Vec<Vec<Watch>>,
+    /// Truth value per literal code.
+    values: Vec<u8>,
+    /// Per literal code: in `set`.
+    marks: Vec<bool>,
+    /// Work buffer: the clause being added or deleted, as a literal set.
+    set: Vec<u32>,
+    trail: Vec<u32>,
     /// Length of the persistent prefix of `trail`; everything beyond it is
     /// a temporary RUP assumption and unwound after the check.
     persistent: usize,
@@ -239,156 +307,284 @@ struct Checker {
 }
 
 impl Checker {
-    fn ensure_var(&mut self, l: Lit) {
-        let v = l.unsigned_abs() as usize;
-        if self.value.len() <= v {
-            self.value.resize(v + 1, UNASSIGNED);
-        }
-        if self.watches.len() <= 2 * v + 1 {
-            self.watches.resize(2 * v + 2, Vec::new());
-        }
-    }
-
-    fn lit_value(&self, l: Lit) -> u8 {
-        match self.value[l.unsigned_abs() as usize] {
-            UNASSIGNED => UNASSIGNED,
-            v if (v == TRUE) == (l > 0) => TRUE,
-            _ => FALSE,
+    fn ensure_lit(&mut self, c: u32) {
+        let size = (c as usize | 1) + 1;
+        if self.values.len() < size {
+            self.values.resize(size, UNASSIGNED);
+            self.marks.resize(size, false);
+            self.watches.resize_with(size, Vec::new);
         }
     }
 
-    /// Assigns `l` true and queues it for propagation.
-    fn enqueue(&mut self, l: Lit) {
-        self.value[l.unsigned_abs() as usize] = if l > 0 { TRUE } else { FALSE };
-        self.trail.push(l);
+    fn value(&self, c: u32) -> u8 {
+        self.values[c as usize]
     }
 
-    fn key(lits: &[Lit]) -> Vec<Lit> {
-        let mut k = lits.to_vec();
-        k.sort_unstable();
-        k.dedup();
-        k
+    /// Assigns `c` true and queues it for propagation.
+    fn enqueue(&mut self, c: u32) {
+        self.values[c as usize] = TRUE;
+        self.values[(c ^ 1) as usize] = FALSE;
+        self.trail.push(c);
+    }
+
+    /// Fills `set` with the distinct literals of `lits`, in order of first
+    /// occurrence, and marks them.
+    fn collect_set(&mut self, lits: &[Lit]) {
+        self.set.clear();
+        for &l in lits {
+            let c = code(l);
+            self.ensure_lit(c);
+            if !self.marks[c as usize] {
+                self.marks[c as usize] = true;
+                self.set.push(c);
+            }
+        }
+    }
+
+    fn clear_marks(&mut self) {
+        for &c in &self.set {
+            self.marks[c as usize] = false;
+        }
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.buckets.len() - 1)
+    }
+
+    /// Watches `clause` on its first two literals, each the other's blocker.
+    fn watch(&mut self, clause: u32, first: u32, second: u32) {
+        self.watches[first as usize].push(Watch {
+            clause,
+            blocker: second,
+        });
+        self.watches[second as usize].push(Watch {
+            clause,
+            blocker: first,
+        });
+    }
+
+    /// Rebuilds the deletion chains over `size` buckets.
+    fn rehash(&mut self, size: usize) {
+        self.buckets.clear();
+        self.buckets.resize(size, NIL);
+        for index in 0..self.clauses.len() {
+            let entry = self.clauses[index];
+            if entry.active && entry.len >= 2 {
+                let start = entry.start as usize;
+                let hash = set_hash(&self.arena[start..start + entry.len as usize]);
+                let bucket = self.bucket(hash);
+                self.clauses[index].next = self.buckets[bucket];
+                self.buckets[bucket] = index as u32;
+            }
+        }
     }
 
     /// Adds a clause to the active set, maintaining watches and the
     /// persistent trail. Callers must follow up with
     /// [`Checker::propagate_persistent`].
     fn add_clause(&mut self, lits: &[Lit]) {
-        for &l in lits {
-            self.ensure_var(l);
-        }
-        if lits.is_empty() {
-            self.contradiction = true;
-            return;
-        }
-        let index = self.clauses.len();
-        let mut stored = lits.to_vec();
+        self.collect_set(lits);
+        self.clear_marks();
+        let mut set = std::mem::take(&mut self.set);
         // Prefer non-falsified literals in the watched slots so the watch
         // invariant (a falsified watch implies the clause was inspected)
         // holds from birth even when the clause arrives late in the proof.
         let mut free = 0usize;
-        for i in 0..stored.len() {
-            if self.lit_value(stored[i]) != FALSE && free < 2 {
-                stored.swap(free, i);
+        for i in 0..set.len() {
+            if self.value(set[i]) != FALSE && free < 2 {
+                set.swap(free, i);
                 free += 1;
             }
         }
         match free {
-            0 => {
-                // Every literal is false under the persistent closure: the
-                // formula is refuted as soon as this clause joins it.
-                self.contradiction = true;
-            }
+            // Every literal is false under the persistent closure (or there
+            // is none): the formula is refuted as soon as this clause joins.
+            0 => self.contradiction = true,
             // Unit under the persistent closure: extend it permanently.
-            1 if self.lit_value(stored[0]) == UNASSIGNED => {
-                self.enqueue(stored[0]);
-            }
+            1 if self.value(set[0]) == UNASSIGNED => self.enqueue(set[0]),
             _ => {}
         }
-        if stored.len() >= 2 {
-            self.watches[code(stored[0])].push(index);
-            self.watches[code(stored[1])].push(index);
-        } else if self.lit_value(stored[0]) == UNASSIGNED {
-            self.enqueue(stored[0]);
+        if !set.is_empty() {
+            let index = u32::try_from(self.clauses.len()).expect("fewer than 2^32 clauses");
+            let start = u32::try_from(self.arena.len()).expect("fewer than 2^32 literals");
+            let mut next = NIL;
+            if let [first, second, ..] = set[..] {
+                self.watch(index, first, second);
+                self.chained += 1;
+                if self.chained > self.buckets.len() {
+                    self.rehash((2 * self.buckets.len()).max(16));
+                }
+                let bucket = self.bucket(set_hash(&set));
+                next = self.buckets[bucket];
+                self.buckets[bucket] = index;
+            }
+            self.arena.extend_from_slice(&set);
+            self.clauses.push(ClauseEntry {
+                start,
+                len: set.len() as u32,
+                next,
+                active: true,
+            });
         }
-        self.by_key.entry(Self::key(lits)).or_default().push(index);
-        self.clauses.push(ClauseEntry {
-            lits: stored,
-            active: true,
-        });
+        self.set = set;
     }
 
-    /// Deletes one active clause matching `lits` (no-op for unknown
-    /// clauses; unit and empty deletions are ignored — see module docs).
+    /// Deletes one active clause with the literal set of `lits` (no-op for
+    /// unknown clauses; unit and empty deletions are ignored — see module
+    /// docs).
     fn delete_clause(&mut self, lits: &[Lit]) {
-        let key = Self::key(lits);
-        if key.len() <= 1 {
-            return;
-        }
-        let Some(indices) = self.by_key.get_mut(&key) else {
-            return;
-        };
-        let Some(pos) = indices.iter().position(|&i| self.clauses[i].active) else {
+        self.collect_set(lits);
+        let found = self.find_chained();
+        self.clear_marks();
+        let Some((bucket, prev, index)) = found else {
             return;
         };
-        let index = indices.swap_remove(pos);
-        if indices.is_empty() {
-            self.by_key.remove(&key);
+        let entry = self.clauses[index as usize];
+        if prev == NIL {
+            self.buckets[bucket] = entry.next;
+        } else {
+            self.clauses[prev as usize].next = entry.next;
         }
-        // A deleted clause is never read again: free its literals, which a
-        // session would otherwise keep for the rest of the run.
-        let entry = &mut self.clauses[index];
-        entry.active = false;
-        let lits = std::mem::take(&mut entry.lits);
-        for &watched in lits.iter().take(2) {
-            let w = code(watched);
-            if let Some(p) = self.watches[w].iter().position(|&i| i == index) {
-                self.watches[w].swap_remove(p);
+        self.clauses[index as usize].active = false;
+        self.chained -= 1;
+        self.dead += entry.len as usize;
+        if 2 * self.dead > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    /// The chained clause whose literal set is the marked `set`: its
+    /// bucket, its predecessor in the chain ([`NIL`] at the head) and its
+    /// index.
+    fn find_chained(&self) -> Option<(usize, u32, u32)> {
+        if self.set.len() < 2 || self.buckets.is_empty() {
+            return None;
+        }
+        let bucket = self.bucket(set_hash(&self.set));
+        let mut prev = NIL;
+        let mut index = self.buckets[bucket];
+        while index != NIL {
+            let entry = self.clauses[index as usize];
+            let start = entry.start as usize;
+            let same = entry.len as usize == self.set.len()
+                && self.arena[start..start + entry.len as usize]
+                    .iter()
+                    .all(|&c| self.marks[c as usize]);
+            if same {
+                return Some((bucket, prev, index));
+            }
+            prev = index;
+            index = entry.next;
+        }
+        None
+    }
+
+    /// Drops the deleted clauses' literals from the arena, renumbers the
+    /// surviving clauses, and rebuilds their watches and deletion chains.
+    /// Only ever called at the persistent level, between proof steps.
+    fn compact(&mut self) {
+        // Every watch sits in the list of its clause's first or second
+        // literal, so clearing those lists clears every watch.
+        for entry in &self.clauses {
+            if entry.len >= 2 {
+                let start = entry.start as usize;
+                for &c in &self.arena[start..start + 2] {
+                    self.watches[c as usize].clear();
+                }
             }
         }
+        let mut top = 0usize;
+        self.clauses.retain(|entry| entry.active);
+        for index in 0..self.clauses.len() {
+            let entry = &mut self.clauses[index];
+            let (start, len) = (entry.start as usize, entry.len as usize);
+            self.arena.copy_within(start..start + len, top);
+            entry.start = top as u32;
+            top += len;
+            if let [first, second, ..] = self.arena[top - len..top] {
+                self.watch(index as u32, first, second);
+            }
+        }
+        self.arena.truncate(top);
+        self.dead = 0;
+        self.rehash(self.chained.next_power_of_two().max(16));
     }
 
     /// Propagates to fixpoint from the current queue head. Returns `false`
     /// on conflict. The trail (persistent or temporary) grows accordingly.
     fn propagate(&mut self) -> bool {
         while self.qhead < self.trail.len() {
-            let l = self.trail[self.qhead];
+            let falsified = self.trail[self.qhead] ^ 1;
             self.qhead += 1;
             self.stats.propagations += 1;
-            // Visit the clauses watching ¬l; each is either satisfied,
-            // re-watched on a non-false literal, unit, or conflicting.
-            let falsified = code(-l);
+            // Visit the clauses watching the falsified literal; each is
+            // either satisfied, re-watched on a non-false literal, unit, or
+            // conflicting. `ws[..kept]` holds the watches that stay.
+            let mut ws = std::mem::take(&mut self.watches[falsified as usize]);
+            let mut kept = 0;
             let mut i = 0;
-            while i < self.watches[falsified].len() {
-                let ci = self.watches[falsified][i];
-                if !self.clauses[ci].active {
-                    self.watches[falsified].swap_remove(i);
-                    continue;
-                }
-                // Normalize so the falsified literal sits in slot 1.
-                if self.clauses[ci].lits[0] == -l {
-                    self.clauses[ci].lits.swap(0, 1);
-                }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == TRUE {
-                    i += 1;
-                    continue;
-                }
-                // Look for a replacement watch beyond the first two slots.
-                let replacement = (2..self.clauses[ci].lits.len())
-                    .find(|&k| self.lit_value(self.clauses[ci].lits[k]) != FALSE);
-                if let Some(k) = replacement {
-                    self.clauses[ci].lits.swap(1, k);
-                    let new_watch = code(self.clauses[ci].lits[1]);
-                    self.watches[new_watch].push(ci);
-                    self.watches[falsified].swap_remove(i);
-                    continue;
-                }
-                if self.lit_value(first) == FALSE {
-                    return false; // conflict
-                }
-                self.enqueue(first);
+            let mut conflict = false;
+            while i < ws.len() {
+                let watch = ws[i];
                 i += 1;
+                if self.value(watch.blocker) == TRUE {
+                    ws[kept] = watch;
+                    kept += 1;
+                    continue;
+                }
+                let entry = self.clauses[watch.clause as usize];
+                if !entry.active {
+                    continue; // a deleted clause: drop its watch
+                }
+                let first = if entry.len == 2 {
+                    // The blocker is the other literal.
+                    watch.blocker
+                } else {
+                    let start = entry.start as usize;
+                    let lits = &mut self.arena[start..start + entry.len as usize];
+                    // Normalize so the falsified literal sits in slot 1.
+                    if lits[0] == falsified {
+                        lits.swap(0, 1);
+                    }
+                    let first = lits[0];
+                    let values = &self.values;
+                    if values[first as usize] != TRUE {
+                        // Look for a replacement watch beyond the first two
+                        // slots.
+                        let replacement =
+                            (2..lits.len()).find(|&k| values[lits[k] as usize] != FALSE);
+                        if let Some(k) = replacement {
+                            lits.swap(1, k);
+                            let moved = lits[1];
+                            self.watches[moved as usize].push(Watch {
+                                clause: watch.clause,
+                                blocker: first,
+                            });
+                            continue;
+                        }
+                    }
+                    first
+                };
+                ws[kept] = Watch {
+                    clause: watch.clause,
+                    blocker: first,
+                };
+                kept += 1;
+                match self.value(first) {
+                    TRUE => {}
+                    FALSE => {
+                        conflict = true;
+                        break;
+                    }
+                    _ => self.enqueue(first),
+                }
+            }
+            // Keep the unvisited rest of the list after a conflict.
+            ws.copy_within(i.., kept);
+            ws.truncate(kept + ws.len() - i);
+            self.watches[falsified as usize] = ws;
+            if conflict {
+                return false;
             }
         }
         true
@@ -409,8 +605,9 @@ impl Checker {
 
     /// Unwinds temporary assumptions back to the persistent prefix.
     fn unwind(&mut self) {
-        for i in self.persistent..self.trail.len() {
-            self.value[self.trail[i].unsigned_abs() as usize] = UNASSIGNED;
+        for &c in &self.trail[self.persistent..] {
+            self.values[c as usize] = UNASSIGNED;
+            self.values[(c ^ 1) as usize] = UNASSIGNED;
         }
         self.trail.truncate(self.persistent);
         self.qhead = self.persistent;
@@ -418,25 +615,25 @@ impl Checker {
 
     /// RUP check: does assuming `¬lits` conflict under unit propagation?
     fn is_rup(&mut self, lits: &[Lit]) -> bool {
-        self.conflicts_under(lits.iter().map(|&l| -l))
+        self.conflicts_under(lits.iter().map(|&l| code(l) ^ 1))
     }
 
-    /// Does assuming every literal of `assumed` on top of the persistent
-    /// trail conflict under unit propagation? The assumptions are unwound
-    /// afterwards.
-    fn conflicts_under(&mut self, assumed: impl IntoIterator<Item = Lit>) -> bool {
-        for l in assumed {
-            self.ensure_var(l);
-            match self.lit_value(l) {
+    /// Does assuming every literal code of `assumed` on top of the
+    /// persistent trail conflict under unit propagation? The assumptions
+    /// are unwound afterwards.
+    fn conflicts_under(&mut self, assumed: impl IntoIterator<Item = u32>) -> bool {
+        for c in assumed {
+            self.ensure_lit(c);
+            match self.value(c) {
                 FALSE => {
-                    // `l` contradicts the current assignment outright (this
+                    // `c` contradicts the current assignment outright (this
                     // also accepts tautological lemmas, e.g. the trivial
                     // core clause of conflicting assumptions).
                     self.unwind();
                     return true;
                 }
                 TRUE => {}
-                _ => self.enqueue(l),
+                _ => self.enqueue(c),
             }
         }
         let conflict = !self.propagate();
@@ -487,14 +684,19 @@ impl Checker {
         let Some(&pivot) = lits.first() else {
             return false;
         };
-        for ci in 0..self.clauses.len() {
-            if !self.clauses[ci].active || !self.clauses[ci].lits.contains(&-pivot) {
+        let negated = code(pivot) ^ 1;
+        for index in 0..self.clauses.len() {
+            let entry = self.clauses[index];
+            let start = entry.start as usize;
+            let side = &self.arena[start..start + entry.len as usize];
+            if !entry.active || !side.contains(&negated) {
                 continue;
             }
             let mut resolvent = lits.to_vec();
-            let side = self.clauses[ci].lits.clone();
             let mut tautology = false;
-            for &sl in side.iter().filter(|&&sl| sl != -pivot) {
+            for &c in side.iter().filter(|&&c| c != negated) {
+                let sl = (c >> 1) as Lit;
+                let sl = if c & 1 == 0 { sl } else { -sl };
                 if lits.contains(&-sl) {
                     tautology = true;
                     break;
@@ -614,6 +816,35 @@ mod tests {
             steps: vec![del(&[1]), add(&[3]), add(&[])],
         };
         assert!(check(&cnf, &proof, || false).is_verified());
+    }
+
+    #[test]
+    fn repeated_literals_are_stored_once() {
+        // Under the unit (−2), (1∨1∨2) is unit on 1 and (−1∨−1∨2) then
+        // conflicts. With the repeated literal in both watch slots neither
+        // clause watches 2, and the refutation is missed.
+        let cnf = vec![vec![1, 1, 2], vec![-1, -1, 2], vec![-2]];
+        let outcome = check(&cnf, [add(&[])], || false);
+        assert!(outcome.is_verified(), "{outcome:?}");
+        let none: [ProofStep; 0] = [];
+        let outcome = Session::new().advance(&cnf, none, &[], || false);
+        assert!(outcome.is_verified(), "{outcome:?}");
+    }
+
+    #[test]
+    fn deleting_either_duplicate_keeps_the_clause() {
+        // (1∨2) and (1∨1∨2) are one literal set. A deletion of either hits
+        // the newest copy, so the formula order decides which survives; the
+        // survivor must propagate as (1∨2) in both orders.
+        let rest = [vec![1, -2], vec![-1, -1, 2], vec![-1, -2]];
+        let steps = [del(&[2, 1, 1]), add(&[2]), add(&[])];
+        for pair in [[vec![1, 2], vec![1, 1, 2]], [vec![1, 1, 2], vec![1, 2]]] {
+            let cnf: Vec<Vec<Lit>> = pair.iter().chain(&rest).cloned().collect();
+            let outcome = check(&cnf, steps.clone(), || false);
+            assert!(outcome.is_verified(), "{cnf:?}: {outcome:?}");
+            let outcome = Session::new().advance(&cnf, steps[..2].to_vec(), &[], || false);
+            assert!(outcome.is_verified(), "{cnf:?}: {outcome:?}");
+        }
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! # Contents
 //!
 //! Two entry points share one checker core: two-watched-literal unit
-//! propagation with a persistent top-level trail, deletion handling
-//! (deletions of unit clauses are ignored, the drat-trim convention that
-//! keeps the persistent trail sound), and a per-lemma RUP check. Both take
-//! the formula and the proof steps as DIMACS integers straight from the
-//! caller, and poll an `is_cancelled` callback between proof chunks so a
-//! long check inside a budgeted synthesis run stays preemptible.
+//! propagation with a persistent top-level trail over clauses stored as
+//! literal sets in one flat arena, deletion by literal set through hash
+//! chains (deletions of unit clauses are ignored, the drat-trim convention
+//! that keeps the persistent trail sound), and a per-lemma RUP check. Both
+//! take the formula and the proof steps as DIMACS integers straight from
+//! the caller, and poll an `is_cancelled` callback between proof chunks so
+//! a long check inside a budgeted synthesis run stays preemptible.
 //!
 //! * [`check`] — the one-shot forward RUP/DRAT checker: one formula, one
 //!   proof, a RAT-on-first-literal fallback for lemmas that are not RUP,
