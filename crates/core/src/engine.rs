@@ -537,6 +537,24 @@ mod tests {
         }
     }
 
+    /// A budget whose deadline the clock cannot represent is no deadline:
+    /// building it must not overflow, and the run synthesizes.
+    #[test]
+    fn an_unrepresentable_time_budget_is_unlimited() {
+        let dqbf = Dqbf::paper_example();
+        let config = Manthan3Config {
+            time_budget: Some(std::time::Duration::MAX),
+            ..Manthan3Config::default()
+        };
+        let result = Manthan3::new(config).synthesize(&dqbf);
+        assert!(
+            matches!(result.outcome, SynthesisOutcome::Realizable(_)),
+            "unexpected outcome {:?}",
+            result.outcome
+        );
+        assert_eq!(result.stats.oracle.budget_exhaustions, 0);
+    }
+
     #[test]
     fn final_functions_respect_dependencies() {
         let dqbf = Dqbf::paper_example();

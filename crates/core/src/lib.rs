@@ -56,12 +56,13 @@
 //!   candidate, the old activation literal is retired and a fresh guarded
 //!   equivalence is appended — the solver, its learnt clauses, and the
 //!   shared encoding cache all survive, so iteration cost tracks the *size
-//!   of the change*, not the size of the formula. Every 32 retirements the
-//!   session runs a maintenance pass on the error solver (learnt-DB
-//!   trimming plus garbage collection of retired generations), so even
-//!   hundreds-of-iterations repair runs keep a bounded solver state. The
-//!   repair queries `G_k` (and their UNSAT cores, which become repair
-//!   cubes) run on the same session's persistent matrix solver.
+//!   of the change*, not the size of the formula. The error solver keeps
+//!   itself bounded: the first solve after every 32 retirements opens with
+//!   a maintenance pass (learnt-DB trimming plus garbage collection of
+//!   retired generations), so even hundreds-of-iterations repair runs keep
+//!   a bounded solver state. The repair queries `G_k` (and their UNSAT
+//!   cores, which become repair cubes) run on the same session's
+//!   persistent matrix solver.
 //! * The [`RepairSession`] is the MaxSAT twin: the FindCandidates encoding
 //!   (matrix hard clauses, per-output target indirections, soft units, and
 //!   the totalizer) is built **once** on the first counterexample, and
@@ -161,6 +162,5 @@ pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
-pub use repair::{repair_vector, RepairOutcome};
 pub use session::{Delta, RepairSession, VerifyOutcome, VerifySession};
 pub use stats::SynthesisStats;

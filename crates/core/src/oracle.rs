@@ -68,12 +68,13 @@ impl Budget {
 
     /// A budget with the given wall-clock allowance (`None` = unlimited).
     /// The clock starts now, so build the budget when the run it governs
-    /// begins.
+    /// begins. An allowance whose deadline the clock cannot represent (such
+    /// as `Duration::MAX`) is no deadline.
     pub fn new(time: Option<Duration>) -> Self {
         let started_at = Instant::now();
         Budget {
             started_at,
-            deadline: time.map(|t| started_at + t),
+            deadline: time.and_then(|t| started_at.checked_add(t)),
             cancel: CancelToken::new(),
         }
     }
@@ -157,10 +158,10 @@ macro_rules! oracle_stats {
             }
 
             /// Bills the solver-layer work between two [`SolverStats`]
-            /// snapshots to the counters with a solver source, and
-            /// refreshes the gauges from the `after` snapshot. Shared by the
-            /// solve paths and the session maintenance hook so every counter
-            /// means the same thing on both.
+            /// snapshots, taken around one admitted SAT or MaxSAT solve
+            /// call, to the counters with a solver source, and refreshes the
+            /// gauges from the `after` snapshot. A solver's maintenance
+            /// passes run inside its solve calls, so this bills them too.
             fn bill_solver_delta(&mut self, before: &SolverStats, after: &SolverStats) {
                 // Exhaustive on purpose: a `SolverStats` field without a
                 // table row is a compile error, not a silently dropped
@@ -272,8 +273,8 @@ oracle_stats! {
     /// across all oracle-routed solvers.
     rephases: u64, counter from rephases;
     /// Learnt clauses live in the most recently observed solver (a gauge,
-    /// refreshed after every billed solve or maintenance pass; summed across
-    /// racers by the portfolio merge).
+    /// refreshed after every billed solve call; summed across racers by the
+    /// portfolio merge).
     learnt_db_live: usize, gauge from learnt_clauses as "learnt_clauses_live";
     /// Glue ≤ 2 learnt clauses in the most recently observed solver (a
     /// gauge, like [`OracleStats::learnt_db_live`]).
@@ -627,16 +628,6 @@ impl Oracle {
     pub(crate) fn note_simulation(&mut self, patterns: u64, counterexample: bool) {
         self.stats.sim_patterns += patterns;
         self.stats.sim_counterexamples += u64::from(counterexample);
-    }
-
-    /// Bills solver work performed *outside* a solve call — the sessions'
-    /// periodic maintenance passes (learnt-DB reduction, level-0 compaction)
-    /// — given [`SolverStats`] snapshots taken around the pass. Keeps
-    /// `OracleStats::arena_collections` complete: most collections happen
-    /// between oracle calls, where the per-solve diff-billing cannot see
-    /// them.
-    pub(crate) fn note_solver_maintenance(&mut self, before: &SolverStats, after: &SolverStats) {
-        self.stats.bill_solver_delta(before, after);
     }
 
     /// Runs one sampling request for `n` samples of `cnf` on a fresh

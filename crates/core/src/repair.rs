@@ -35,7 +35,7 @@ const MAX_REPAIRS_PER_ITERATION: usize = 64;
 
 /// Outcome of one repair pass over a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairOutcome {
+pub(crate) struct RepairOutcome {
     /// Candidates that were actually strengthened/weakened.
     pub repaired: Vec<Var>,
     /// `true` if no candidate could be repaired — the incompleteness case
@@ -109,7 +109,7 @@ pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -
 /// the verification checks, and repair only extends the vector's AIG — it
 /// never rebuilds a solver or an encoding.
 #[allow(clippy::too_many_arguments)]
-pub fn repair_vector(
+pub(crate) fn repair_vector(
     dqbf: &Dqbf,
     config: &Manthan3Config,
     session: &mut VerifySession,
@@ -263,7 +263,6 @@ mod tests {
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
         assert_eq!(candidates.ok(), Some(vec![y(1)]));
-        assert_eq!(session.solves(), 1);
         assert_eq!(oracle.stats().maxsat_calls, 1);
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
     }

@@ -73,17 +73,18 @@
 //! probe of the hard part is the X-extension check (Algorithm 1, line 13),
 //! so this is the one query per counterexample.
 //!
-//! # Literal lifecycle and maintenance cadence
+//! # Literal lifecycle
 //!
 //! Per-iteration state never outlives its solve call on either session: the
 //! verify side swaps candidate generations by *retiring* activation literals
-//! (asserted false, clauses freed by the next maintenance pass), the repair
-//! side pins counterexamples with plain assumptions (nothing to retire).
-//! Both sessions run a bounded-state maintenance pass every
-//! [`MAINTENANCE_RETIREMENT_INTERVAL`] units of churn — retired generations
-//! on the verify side, solve calls on the repair side — halving the learnt
-//! database and compacting level-0-satisfied clauses, so
-//! hundreds-of-iterations runs keep O(encoding) solver state.
+//! (asserted false), the repair side pins counterexamples with plain
+//! assumptions (nothing to retire). Neither session maintains its solvers:
+//! the error solver frees retired generations and halves its learnt
+//! database at the start of the first solve after every 32 retirements, and
+//! the MaxSAT solver runs the same pass every 32 solve calls. The pass runs
+//! inside an oracle solve call, so the budget admits it and the call's
+//! statistics bill it, and hundreds-of-iterations runs keep O(encoding)
+//! solver state.
 //!
 //! All solvers are constructed through the run's [`Oracle`], so budgets and
 //! statistics are shared; `OracleStats::sat_solvers_constructed` staying at
@@ -98,16 +99,6 @@ use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver, SoftId};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Maintenance cadence shared by both sessions. After this many units of
-/// churn — retired candidate generations for [`VerifySession`], solve calls
-/// for [`RepairSession`] — the session runs a solver maintenance pass: the
-/// learnt database is halved (and its growth threshold reset) and clauses
-/// satisfied at level 0 (e.g. retired generations, permanently disabled by
-/// their asserted-false activation literals) are freed. This keeps
-/// hundreds-of-iterations repair runs from accumulating an unbounded solver
-/// state while still amortizing the watch-list rebuild.
-const MAINTENANCE_RETIREMENT_INTERVAL: usize = 32;
 
 /// A model of the error formula: the counterexample parts `δ[X]` and
 /// `δ[Y']`.
@@ -277,12 +268,6 @@ pub struct VerifySession {
     slots: BTreeMap<Var, CandidateSlot>,
     /// Number of candidate cones encoded over the session's lifetime.
     encodings: usize,
-    /// Activation literals retired over the session's lifetime.
-    retired: usize,
-    /// Retirements since the last maintenance pass.
-    retired_since_maintenance: usize,
-    /// Error-solver maintenance passes performed.
-    maintenance_runs: usize,
 }
 
 impl VerifySession {
@@ -303,9 +288,6 @@ impl VerifySession {
             encode_cache: HashMap::new(),
             slots: BTreeMap::new(),
             encodings: 0,
-            retired: 0,
-            retired_since_maintenance: 0,
-            maintenance_runs: 0,
         }
     }
 
@@ -386,8 +368,6 @@ impl VerifySession {
             if let Some(old) = retired {
                 // Permanently disable the previous generation's equivalence.
                 self.error.retire_activation(old);
-                self.retired += 1;
-                self.retired_since_maintenance += 1;
             }
             self.slots.insert(
                 y,
@@ -397,9 +377,6 @@ impl VerifySession {
                 },
             );
             self.encodings += 1;
-        }
-        if self.retired_since_maintenance >= MAINTENANCE_RETIREMENT_INTERVAL {
-            self.maintain(oracle);
         }
 
         let assumptions: Vec<Lit> = self.slots.values().map(|slot| slot.activation).collect();
@@ -435,31 +412,6 @@ impl VerifySession {
         self.encodings
     }
 
-    /// Runs an error-solver maintenance pass immediately: halves the learnt
-    /// database (resetting its growth threshold) and frees the clauses of
-    /// retired candidate generations. Called automatically every 32
-    /// retirements; exposed for callers that drive the session manually.
-    /// The pass runs outside any oracle solve call, so its work is billed
-    /// to the oracle's statistics here.
-    pub fn maintain(&mut self, oracle: &mut Oracle) {
-        let before = self.error.stats();
-        self.error.maintain();
-        oracle.note_solver_maintenance(&before, &self.error.stats());
-        self.retired_since_maintenance = 0;
-        self.maintenance_runs += 1;
-    }
-
-    /// Number of activation literals retired over the session's lifetime
-    /// (one per candidate replaced by repair).
-    pub fn retired_activations(&self) -> usize {
-        self.retired
-    }
-
-    /// Number of error-solver maintenance passes performed so far.
-    pub fn maintenance_runs(&self) -> usize {
-        self.maintenance_runs
-    }
-
     /// Runtime statistics of the persistent error solver (learnt-clause
     /// count, conflicts, …) — the observable the hygiene watchdogs assert
     /// on.
@@ -468,8 +420,8 @@ impl VerifySession {
     }
 
     /// Number of problem clauses currently held by the persistent error
-    /// solver. Bounded across repair generations thanks to the periodic
-    /// maintenance passes.
+    /// solver. Bounded across repair generations: the solver frees retired
+    /// generations in its own maintenance passes.
     pub fn error_solver_clauses(&self) -> usize {
         self.error.num_clauses()
     }
@@ -496,12 +448,6 @@ struct RepairSlot {
 pub struct RepairSession {
     maxsat: MaxSatSolver,
     slots: Vec<RepairSlot>,
-    /// FindCandidates calls answered over the session's lifetime.
-    solves: usize,
-    /// Solve calls since the last maintenance pass.
-    solves_since_maintenance: usize,
-    /// MaxSAT-solver maintenance passes performed.
-    maintenance_runs: usize,
 }
 
 impl RepairSession {
@@ -532,13 +478,7 @@ impl RepairSession {
                 soft,
             });
         }
-        RepairSession {
-            maxsat,
-            slots,
-            solves: 0,
-            solves_since_maintenance: 0,
-            maintenance_runs: 0,
-        }
+        RepairSession { maxsat, slots }
     }
 
     /// Runs `FindCandi` (Algorithm 3, line 2) for the counterexample
@@ -569,13 +509,7 @@ impl RepairSession {
             let target = delta.y_prime.get(&slot.output).copied().unwrap_or(false);
             assumptions.push(slot.target.lit(target));
         }
-        let result = oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions);
-        self.solves += 1;
-        self.solves_since_maintenance += 1;
-        if self.solves_since_maintenance >= MAINTENANCE_RETIREMENT_INTERVAL {
-            self.maintain(oracle);
-        }
-        match result {
+        match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions) {
             MaxSatResult::Optimum { .. } => {
                 let violated: BTreeSet<_> = self.maxsat.violated_softs().into_iter().collect();
                 Ok(self
@@ -590,29 +524,6 @@ impl RepairSession {
         }
     }
 
-    /// Runs a MaxSAT-solver maintenance pass immediately (learnt-DB halving
-    /// and level-0 compaction). Called automatically every
-    /// `MAINTENANCE_RETIREMENT_INTERVAL` solve calls; exposed for callers
-    /// that drive the session manually. The pass runs outside any oracle
-    /// solve call, so its work is billed to the oracle's statistics here.
-    pub fn maintain(&mut self, oracle: &mut Oracle) {
-        let before = self.maxsat.sat_stats();
-        self.maxsat.maintain();
-        oracle.note_solver_maintenance(&before, &self.maxsat.sat_stats());
-        self.solves_since_maintenance = 0;
-        self.maintenance_runs += 1;
-    }
-
-    /// FindCandidates calls answered over the session's lifetime.
-    pub fn solves(&self) -> usize {
-        self.solves
-    }
-
-    /// Number of MaxSAT-solver maintenance passes performed so far.
-    pub fn maintenance_runs(&self) -> usize {
-        self.maintenance_runs
-    }
-
     /// Runtime statistics of the persistent MaxSAT solver's CDCL core —
     /// the observable the repair-side hygiene watchdog asserts on.
     pub fn solver_stats(&self) -> SolverStats {
@@ -620,8 +531,9 @@ impl RepairSession {
     }
 
     /// Number of problem clauses currently held by the persistent MaxSAT
-    /// solver. Constant across iterations (no clause is added after
-    /// construction; maintenance can only shrink it).
+    /// solver. Bounded across iterations: after the lazily encoded
+    /// totalizer no clause is added, and the solver's maintenance passes
+    /// can only shrink it.
     pub fn solver_clauses(&self) -> usize {
         self.maxsat.num_solver_clauses()
     }
@@ -794,9 +706,9 @@ mod tests {
     }
 
     /// Hygiene watchdog (ROADMAP "error-solver hygiene"): a repair-heavy run
-    /// — hundreds of candidate generations on one session — must trigger
-    /// periodic error-solver maintenance, keep the clause database bounded
-    /// (retired generations are freed, the learnt DB is trimmed), and still
+    /// — hundreds of candidate generations on one session — must keep the
+    /// error solver's clause database bounded (the solver's own maintenance
+    /// passes free retired generations and trim the learnt DB), and still
     /// produce correct verdicts on the same two solvers.
     #[test]
     fn long_repair_runs_trigger_maintenance_and_stay_bounded() {
@@ -827,12 +739,7 @@ mod tests {
 
         // Round 0 encodes three fresh generations; every later round swaps
         // exactly one, retiring its predecessor.
-        assert_eq!(session.retired_activations(), 199);
-        assert!(
-            session.maintenance_runs() >= 5,
-            "only {} maintenance passes over 199 retirements",
-            session.maintenance_runs()
-        );
+        assert_eq!(session.candidate_encodings(), 202);
         // Retired generations are freed: the clause database is bounded by
         // the early-run watermark plus at most one maintenance interval of
         // not-yet-collected generations, not by the 199 retired generations.
@@ -852,8 +759,8 @@ mod tests {
             session.error_solver_stats().arena_collections >= 1,
             "no compacting arena collection over 199 retirements"
         );
-        // Maintenance work is billed to the oracle even though it runs
-        // outside solve calls.
+        // Maintenance runs inside admitted solve calls, so the oracle bills
+        // its work with theirs.
         assert!(oracle.stats().arena_collections >= 1);
         assert!(oracle.stats().sat_propagations > 0);
         // Maintenance never constructs new solvers.
@@ -861,10 +768,10 @@ mod tests {
     }
 
     /// Repair-side mirror of the error-solver hygiene watchdog: hundreds of
-    /// FindCandidates calls on one [`RepairSession`] must trigger periodic
-    /// MaxSAT-solver maintenance, keep the clause database bounded by its
-    /// construction-time size (assumptions leave no residue; maintenance
-    /// only shrinks), and keep answering on the same single solver and
+    /// FindCandidates calls on one [`RepairSession`] must keep the MaxSAT
+    /// solver's clause database bounded by its construction-time size
+    /// (assumptions leave no residue; the solver's own maintenance passes
+    /// only shrink it), and keep answering on the same single solver and
     /// single hard encoding.
     #[test]
     fn long_repair_runs_keep_the_maxsat_solver_bounded() {
@@ -892,12 +799,6 @@ mod tests {
             }
         }
 
-        assert_eq!(session.solves(), 200);
-        assert!(
-            session.maintenance_runs() >= 5,
-            "only {} maintenance passes over 200 solves",
-            session.maintenance_runs()
-        );
         // No clause is ever added after construction: the totalizer is part
         // of the persistent encoding and counterexamples ride in as
         // assumptions, so the database never exceeds its construction-time

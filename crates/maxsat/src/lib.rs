@@ -24,10 +24,10 @@
 //! "hard units" that change between iterations (a repair loop's `σ[X]` and
 //! `σ[Y']` valuations, pinned via indirection variables) are retracted by
 //! simply not assuming them on the next call. The underlying CDCL solver and
-//! its learnt clauses survive between calls; periodic
-//! [`MaxSatSolver::maintain`] passes (learnt-DB halving and level-0
-//! compaction, via `Solver::maintain`) keep hundreds-of-calls instances
-//! bounded.
+//! its learnt clauses survive between calls. The instance keeps itself
+//! bounded: the call after every 32nd opens with a maintenance pass
+//! (learnt-DB halving and level-0 compaction, via `Solver::maintain`), so
+//! hundreds-of-calls instances need no maintenance from their owner.
 //!
 //! The only limit the solver itself observes is the
 //! [`CancelToken`](manthan3_sat::CancelToken) of its SAT configuration,

@@ -1,6 +1,10 @@
 use crate::Totalizer;
-use manthan3_cnf::{Assignment, Clause, Cnf, Lit, Var};
+use manthan3_cnf::{Assignment, Cnf, Lit, Var};
 use manthan3_sat::{SolveResult, Solver, SolverConfig, SolverStats};
+
+/// Solve calls after which the next one opens with a maintenance pass (see
+/// [`MaxSatSolver::solve_under_assumptions`]).
+const MAINTENANCE_SOLVES: usize = 32;
 
 /// Identifier of a soft clause, returned by [`MaxSatSolver::add_soft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,6 +55,13 @@ struct SoftClause {
     relax: Lit,
 }
 
+impl SoftClause {
+    /// `true` if `model` satisfies the clause.
+    fn holds(&self, model: &Assignment) -> bool {
+        self.lits.iter().any(|&l| model.lit_value(l))
+    }
+}
+
 /// A weighted partial MaxSAT solver.
 ///
 /// See the [crate-level documentation](crate) for the algorithm and an
@@ -72,12 +83,14 @@ pub struct MaxSatSolver {
     /// between calls and the search usually finishes within a couple of
     /// bound probes instead of a full linear climb. Only valid for the
     /// assumption set it was proved under and the instance it was proved on:
-    /// invalidated on any mutation (`add_hard`/`add_soft`/`maintain`) and on
+    /// invalidated on any mutation (`add_hard`/`add_soft`/maintenance) and on
     /// any assumption-set change, so a stale bound can never seed the search
     /// at a level unrelated to the new query.
     last_optimum: Option<u64>,
     /// The assumption set `last_optimum` was proved under.
     last_assumptions: Vec<Lit>,
+    /// Solve calls since the last maintenance pass.
+    solves_since_maintenance: usize,
     stats: MaxSatStats,
 }
 
@@ -104,6 +117,7 @@ impl MaxSatSolver {
             totalizer: None,
             last_optimum: None,
             last_assumptions: Vec::new(),
+            solves_since_maintenance: 0,
             stats: MaxSatStats::default(),
         }
     }
@@ -214,31 +228,22 @@ impl MaxSatSolver {
         self.solver.num_clauses()
     }
 
-    /// Runs a maintenance pass on the underlying solver: halves the learnt
+    /// The maintenance pass that opens the call after every 32nd admitted
+    /// solve call: drops the warm-start bound, then halves the learnt
     /// database (resetting its growth threshold) and compacts away clauses
-    /// satisfied at level 0. Long-lived incremental instances (one MaxSAT
-    /// solver across hundreds of `solve_under_assumptions` calls) call this
-    /// periodically so the solver state stays bounded, mirroring
-    /// `VerifySession`'s error-solver maintenance. The warm-start bound is
-    /// dropped alongside; the cached totalizer survives (its clauses are
-    /// never level-0 satisfied — relaxation literals are only ever assumed,
-    /// so the relaxation structure stays sound).
-    pub fn maintain(&mut self) {
+    /// satisfied at level 0 (`Solver::maintain`), so an instance that lives
+    /// across hundreds of calls keeps a bounded state. The cached totalizer
+    /// survives: its clauses are never level-0 satisfied, since relaxation
+    /// literals are only ever assumed.
+    fn maintain(&mut self) {
         self.last_optimum = None;
         self.solver.maintain();
+        self.solves_since_maintenance = 0;
     }
 
     /// Finds an assignment satisfying all hard clauses that minimizes the
     /// total weight of violated soft clauses.
-    ///
-    /// An already-cancelled solver is refused up front — the internal
-    /// probes would each be refused anyway, so this skips straight to the
-    /// verdict a cancelled search would reach.
     pub fn solve(&mut self) -> MaxSatResult {
-        if self.is_cancelled() {
-            self.model = None;
-            return MaxSatResult::Unknown;
-        }
         self.solve_under_assumptions(&[])
     }
 
@@ -260,8 +265,24 @@ impl MaxSatSolver {
     /// from the first model's true cost until the bound below it is refuted.
     /// With a stable objective the whole search is typically one or two
     /// probes.
+    ///
+    /// An already-cancelled solver is refused up front — the internal
+    /// probes would each be refused anyway, so this skips straight to the
+    /// verdict a cancelled search would reach, and the refused call does
+    /// not count towards maintenance. Past that check, the call after every
+    /// 32nd opens with a maintenance pass (learnt-DB halving and level-0
+    /// compaction) and searches without a warm start. The pass comes after
+    /// the previous call's verdict, so a caller checks that verdict's
+    /// certificate before the pass logs its deletions.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> MaxSatResult {
         self.model = None;
+        if self.is_cancelled() {
+            return MaxSatResult::Unknown;
+        }
+        if self.solves_since_maintenance == MAINTENANCE_SOLVES {
+            self.maintain();
+        }
+        self.solves_since_maintenance += 1;
         // A warm-start bound is only meaningful for the assumption set it
         // was proved under: a changed set (e.g. a repair loop pinning a
         // disjoint σ) invalidates it, so the search can never start
@@ -406,7 +427,7 @@ impl MaxSatSolver {
         let model = self.model.as_ref().expect("model available");
         self.softs
             .iter()
-            .filter(|s| !Clause::new(s.lits.clone()).eval(model))
+            .filter(|s| !s.holds(model))
             .map(|s| s.weight)
             .sum()
     }
@@ -430,7 +451,7 @@ impl MaxSatSolver {
         self.softs
             .iter()
             .enumerate()
-            .filter(|(_, s)| !Clause::new(s.lits.clone()).eval(model))
+            .filter(|(_, s)| !s.holds(model))
             .map(|(i, _)| SoftId(i))
             .collect()
     }
@@ -439,7 +460,7 @@ impl MaxSatSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manthan3_cnf::Var;
+    use manthan3_cnf::Clause;
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -677,18 +698,59 @@ mod tests {
         let _ = s.violated_softs(); // must panic
     }
 
+    /// 66 calls alternating a feasible and an infeasible pin run two
+    /// maintenance passes, at the start of calls 33 and 65. Each pass frees
+    /// a clause satisfied at level 0, so the database shrinks in exactly
+    /// those calls. Every optimum stays the same, and every hard-UNSAT
+    /// certificate, the ones after a pass included, is accepted.
     #[test]
     fn maintain_keeps_the_instance_correct() {
-        let mut s = MaxSatSolver::new();
+        use manthan3_drat::{check, ProofStep};
+        let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
         s.add_hard([lit(1), lit(2)]);
         s.add_hard([lit(-1), lit(-2)]);
         s.add_soft([lit(1)], 5);
         let cheap = s.add_soft([lit(2)], 1);
-        for _ in 0..10 {
-            assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-            assert_eq!(s.violated_softs(), vec![cheap]);
-            s.maintain();
+        // (a ∨ b) stays attached until a pass finds it satisfied by the
+        // later unit a; a second pair added mid-run gives the second pass
+        // the same work.
+        let satisfied_pair = |s: &mut MaxSatSolver| {
+            let (a, b) = (s.new_var().positive(), s.new_var().positive());
+            s.add_hard([a, b]);
+            s.add_hard([a]);
+        };
+        satisfied_pair(&mut s);
+        let mut passes = Vec::new();
+        for call in 1..=66 {
+            if call == 40 {
+                satisfied_pair(&mut s);
+            }
+            let clauses = s.num_solver_clauses();
+            if call % 2 == 0 {
+                assert_eq!(
+                    s.solve_under_assumptions(&[lit(1)]),
+                    MaxSatResult::Optimum { cost: 1 },
+                    "call {call}"
+                );
+                assert_eq!(s.violated_softs(), vec![cheap], "call {call}");
+            } else {
+                assert_eq!(
+                    s.solve_under_assumptions(&[lit(-1), lit(-2)]),
+                    MaxSatResult::HardUnsat,
+                    "call {call}"
+                );
+                let cert = s.certificate().expect("hard-unsat certificate");
+                let steps = cert.steps().map(ProofStep::from);
+                assert!(
+                    check(cert.cnf(), steps, || false).is_verified(),
+                    "call {call}: certificate rejected"
+                );
+            }
+            if s.num_solver_clauses() < clauses {
+                passes.push(call);
+            }
         }
+        assert_eq!(passes, [33, 65]);
     }
 
     /// A proof-logging MaxSAT solve whose probe loop ends UNSAT yields a

@@ -7,8 +7,9 @@
 //!   over a flat clause arena, VSIDS branching over an indexed activity
 //!   heap (rebuilt when activities are rescaled), phase saving + rephasing,
 //!   Glucose-style EMA restarts, LBD-managed learnt-clause deletion, and
-//!   inter-call maintenance (learnt-DB reduction, level-0 simplification,
-//!   arena compaction),
+//!   maintenance passes (learnt-DB reduction, level-0 simplification,
+//!   arena compaction) that the solver schedules itself, at the start of
+//!   the solve after every 32 retired activation literals,
 //! * incremental solving under **assumptions**, with extraction of an
 //!   **unsatisfiable core** over the assumption literals (the mechanism
 //!   Manthan3 uses to compute repair cubes from `UnsatCore(G_k)`),

@@ -76,6 +76,12 @@ const CLAUSE_DECAY: f64 = 0.999;
 const GC_WASTED_FRACTION: f64 = 0.25;
 /// …and at least this many words are reclaimable.
 const GC_MIN_WASTED_WORDS: usize = 256;
+/// Retired activation literals after which the next solve call opens with a
+/// [`Solver::maintain`] pass, freeing the retired generations' clauses and
+/// halving the learnt database, so a solver that swaps guarded clause
+/// generations for hundreds of solve calls keeps a bounded state while the
+/// watch-list rebuild stays amortized.
+const MAINTENANCE_RETIREMENTS: usize = 32;
 
 enum SearchStatus {
     Sat,
@@ -120,6 +126,8 @@ pub struct Solver {
     model_values: Vec<i8>,
     have_model: bool,
     max_learnts: usize,
+    /// [`Solver::retire_activation`] calls since the last maintenance pass.
+    retired_since_maintenance: usize,
     stats: SolverStats,
     tracer: ProofTracer,
     rng: SmallRng,
@@ -183,6 +191,7 @@ impl Solver {
             model_values: Vec::new(),
             have_model: false,
             max_learnts,
+            retired_since_maintenance: 0,
             stats: SolverStats::default(),
             tracer,
             rng,
@@ -850,7 +859,7 @@ impl Solver {
     /// reduction *raises* the threshold, so a solver that lives across
     /// hundreds of incremental solve calls (e.g. the error solver of a
     /// verify–repair session) accumulates learnt clauses without bound.
-    /// Long-lived owners call this between solve calls to keep the database
+    /// Each [`Solver::maintain`] pass runs this to keep the database
     /// bounded.
     ///
     /// The assumption trail kept for prefix reuse is preserved: clauses that
@@ -936,11 +945,16 @@ impl Solver {
         self.debug_check_watches();
     }
 
-    /// One maintenance pass between solve bursts of a long-lived solver:
-    /// [`Solver::reduce_learnt_db`], then [`Solver::simplify`]. Every
-    /// long-lived owner (the verify and repair sessions, the MaxSAT solver)
-    /// runs this same policy.
+    /// One maintenance pass of a long-lived solver:
+    /// [`Solver::reduce_learnt_db`], then [`Solver::simplify`].
+    ///
+    /// The solver runs this pass itself at the start of the first solve call
+    /// after every 32nd [`Solver::retire_activation`], once that call has
+    /// passed its cancellation check, so its work is part of that call. The
+    /// MaxSAT solver runs it every 32 of its own solve calls. An explicit
+    /// call restarts the retirement count.
     pub fn maintain(&mut self) {
+        self.retired_since_maintenance = 0;
         self.reduce_learnt_db();
         self.simplify();
     }
@@ -1073,8 +1087,9 @@ impl Solver {
     /// assumption prefix plus one varying literal — a MaxSAT descent
     /// tightening a totalizer bound, a verify session swapping one
     /// activation — therefore pay per call for the *changed* suffix only.
-    /// Adding a clause (or running [`Solver::simplify`]) abandons the kept
-    /// trail; [`Solver::reduce_learnt_db`] preserves it.
+    /// Adding a clause (or running [`Solver::simplify`], as the maintenance
+    /// pass that may open the call does) abandons the kept trail;
+    /// [`Solver::reduce_learnt_db`] preserves it.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.have_model = false;
         self.conflict_core.clear();
@@ -1086,6 +1101,13 @@ impl Solver {
         }
         if self.cancelled() {
             return SolveResult::Unknown;
+        }
+        if self.retired_since_maintenance >= MAINTENANCE_RETIREMENTS {
+            self.maintain();
+            if !self.ok {
+                self.tracer.note_unsat(&[]);
+                return SolveResult::Unsat;
+            }
         }
         for a in assumptions {
             self.ensure_vars(a.var().index() + 1);
@@ -1263,9 +1285,12 @@ impl Solver {
     }
 
     /// Permanently disables the guard `activation`: its guarded clauses can
-    /// never be enforced again (the solver may simplify them away). Returns
-    /// `false` if the database is already unsatisfiable.
+    /// never be enforced again. The solver frees them in the maintenance
+    /// pass that opens the first solve call after every 32nd retirement
+    /// ([`Solver::maintain`]). Returns `false` if the database is already
+    /// unsatisfiable.
     pub fn retire_activation(&mut self, activation: Lit) -> bool {
+        self.retired_since_maintenance += 1;
         self.add_clause([!activation])
     }
 

@@ -307,6 +307,45 @@ fn one_session_certifies_every_verdict_of_a_solver() {
     assert_eq!(checked as u64, adds + deletes);
 }
 
+/// A solver that swaps guarded generations frees them on its own: the
+/// solve after the 32nd retirement opens with a maintenance pass, with no
+/// `maintain()` call. The retired generations' clauses leave the database,
+/// their deletions reach the log, and every certificate before and after
+/// the pass verifies with `check`, with a fresh session and with one
+/// session that follows the whole log.
+#[test]
+fn the_solve_after_32_retirements_frees_the_retired_generations() {
+    let mut s = logging_solver(SolverConfig::default());
+    let mut session = Session::new();
+    let mut read = LogPosition::default();
+    let mut solve_deleting = |s: &mut Solver, assumed: Lit| {
+        let deletes = s.proof_steps().1;
+        assert_eq!(s.solve_with_assumptions(&[assumed]), SolveResult::Unsat);
+        let cert = s.certificate().expect("unsat certificate");
+        assert_verified(cert);
+        advance(&mut session, &mut read, cert);
+        s.proof_steps().1 > deletes
+    };
+    for generation in 0..32 {
+        let a = s.new_activation_lit();
+        guarded_pigeonhole(&mut s, 3, 0, Some(a));
+        assert!(
+            !solve_deleting(&mut s, a),
+            "generation {generation}: a solve deleted clauses before the 32nd retirement"
+        );
+        s.retire_activation(a);
+    }
+    let retired = s.num_clauses();
+
+    let a = s.new_activation_lit();
+    guarded_pigeonhole(&mut s, 3, 0, Some(a));
+    let live = s.num_clauses() - retired;
+    assert!(solve_deleting(&mut s, a), "the pass logged no deletions");
+    // Only the live generation's clauses are left.
+    assert!(retired > 0);
+    assert_eq!(s.num_clauses(), live);
+}
+
 #[test]
 fn add_clause_preprocessing_is_logged() {
     let mut s = logging_solver(SolverConfig::default());
