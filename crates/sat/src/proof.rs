@@ -5,9 +5,13 @@
 //! [`ProofTracer`]: original clauses are recorded verbatim, learnt clauses
 //! and level-0 strengthenings become DRAT additions, and every deletion
 //! (learnt-DB reduction, simplification, strengthening replacements)
-//! becomes a DRAT deletion. The resulting *persistent* proof log contains
-//! only assumption-free RUP lemmas, so one log certifies every UNSAT
-//! verdict the solver ever produces:
+//! becomes a DRAT deletion. A clause the solver keeps as the same literal
+//! set, only sorted or deduplicated, logs no step: the checker stores
+//! clauses as sets, and drat-trim matches deletions by literal set, so text
+//! proofs stay checkable when a deletion names the solver's sorted form of
+//! a clause the CNF holds in the caller's order. The resulting
+//! *persistent* proof log contains only assumption-free RUP lemmas, so one
+//! log certifies every UNSAT verdict the solver ever produces:
 //!
 //! * A level-0 refutation appends the empty clause to the log permanently.
 //! * An assumption-scoped UNSAT verdict appends the (assumption-free)

@@ -278,41 +278,44 @@ impl Solver {
             self.ensure_vars(max + 1);
         }
         // The certificate CNF carries the clause exactly as the caller gave
-        // it; any preprocessing below is logged as an add/delete pair.
+        // it. Sorting and deduplicating leave its literal set unchanged, so
+        // they log no step: the checker stores clauses as literal sets, and
+        // drat-trim matches deletions by literal set too, so a later
+        // deletion naming the solver's sorted form finds this clause.
         self.tracer.emit_original(&lits);
-        let input = if self.tracer.is_active() {
-            lits.clone()
-        } else {
-            Vec::new()
-        };
         lits.sort();
         lits.dedup();
-        // Detect tautologies and drop falsified / satisfied literals at level 0.
+        let distinct = lits.len();
+        // Detect tautologies, drop the clause if a literal is satisfied at
+        // level 0, and swap the literals falsified at level 0 behind the
+        // kept ones, so `lits[..write]` is the stripped clause and `lits`
+        // still the whole set. (A swap touches positions up to `i` only, so
+        // the adjacency test still sees the sorted order.)
         let mut write = 0;
-        for i in 0..lits.len() {
+        for i in 0..distinct {
             let l = lits[i];
-            if i + 1 < lits.len() && lits[i + 1] == !l {
+            if i + 1 < distinct && lits[i + 1] == !l {
                 return true; // tautology: p and ¬p are adjacent after sorting
             }
             match self.lit_value(l) {
                 VALUE_TRUE if self.levels[l.var().index()] == 0 => return true,
                 VALUE_FALSE if self.levels[l.var().index()] == 0 => {}
                 _ => {
-                    lits[write] = l;
+                    lits.swap(write, i);
                     write += 1;
                 }
             }
         }
-        lits.truncate(write);
 
-        // Preprocessing changed the clause: derive the processed form (RUP —
-        // the stripped literals are falsified by level-0 facts the checker
-        // has already propagated) and retire the caller's original. The
-        // empty clause is handled below instead, where `ok` goes false.
-        if self.tracer.is_active() && !lits.is_empty() && lits != input {
-            self.tracer.emit_add(&lits);
-            self.tracer.emit_delete(&input);
+        // Stripping shrank the set: derive the shorter clause (RUP — the
+        // stripped literals are falsified by level-0 facts the checker has
+        // already propagated) and retire the whole set. The empty clause is
+        // handled below instead, where `ok` goes false.
+        if 0 < write && write < distinct {
+            self.tracer.emit_add(&lits[..write]);
+            self.tracer.emit_delete(&lits);
         }
+        lits.truncate(write);
 
         match lits.len() {
             0 => {

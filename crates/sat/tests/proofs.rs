@@ -351,9 +351,11 @@ fn add_clause_preprocessing_is_logged() {
     let mut s = logging_solver(SolverConfig::default());
     s.add_clause([lit(1)]);
     // Duplicated, unsorted, and carrying a literal falsified at level 0:
-    // the processed form is logged as an add/delete pair against the
-    // caller's original.
+    // stripping shrinks the set, so the shorter clause is logged as an add
+    // and the unstripped set as a delete.
+    let before = s.proof_steps();
     s.add_clause([lit(3), lit(-1), lit(2), lit(3)]);
+    assert_eq!(s.proof_steps(), (before.0 + 1, before.1 + 1));
     s.add_clause([lit(-2), lit(-3)]);
     s.add_clause([lit(2), lit(-3)]);
     s.add_clause([lit(-2), lit(3)]);
@@ -361,6 +363,76 @@ fn add_clause_preprocessing_is_logged() {
     let cert = s.certificate().expect("unsat verdict yields a certificate");
     assert!(cert.cnf().any(|c| c == [3, -1, 2, 3]));
     assert_verified(cert);
+}
+
+/// A clause the solver keeps as the same literal set logs no proof step,
+/// however the caller ordered or repeated its literals: the checker stores
+/// clauses as sets, so a reordering certifies nothing.
+#[test]
+fn a_reordered_clause_logs_no_step() {
+    let mut s = logging_solver(SolverConfig::default());
+    s.add_clause([lit(3), lit(-1), lit(2), lit(3)]);
+    assert_eq!(s.proof_steps(), (0, 0));
+    // The other seven sign patterns over 1, 2, 3, each out of order.
+    for clause in [
+        [3, 2, 1],
+        [3, -2, 1],
+        [-3, 2, 1],
+        [-3, -2, 1],
+        [3, -2, -1],
+        [-3, 2, -1],
+        [-3, -2, -1],
+    ] {
+        s.add_clause(clause.map(lit));
+    }
+    assert_eq!(s.proof_steps(), (0, 0));
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    let cert = s.certificate().expect("unsat verdict yields a certificate");
+    assert!(cert.cnf().any(|c| c == [3, -1, 2, 3]));
+    assert_verified(cert);
+}
+
+/// A deletion names the solver's sorted form of a clause the CNF holds in
+/// the caller's order. The checker matches it by literal set, and the text
+/// files carry both orders unchanged.
+#[test]
+fn a_sorted_form_deletion_survives_the_text_round_trip() {
+    let mut s = logging_solver(SolverConfig::default());
+    let a = s.new_activation_lit();
+    s.add_guarded_clause(a, [lit(3), lit(2)]);
+    s.retire_activation(a);
+    let deletes = s.proof_steps().1;
+    s.simplify();
+    assert_eq!(s.proof_steps().1, deletes + 1);
+    for clause in [[3, 2], [3, -2], [-3, 2], [-3, -2]] {
+        s.add_clause(clause.map(lit));
+    }
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    let cert = s.certificate().expect("unsat verdict yields a certificate");
+    assert_text_round_trip(cert);
+
+    // The guarded clause's CNF line and its deletion line list the same set
+    // in different orders.
+    let mut guarded = [(!a).to_dimacs() as i32, 2, 3];
+    guarded.sort_unstable();
+    let same_set = |line: &str| {
+        let mut lits: Vec<i32> = line
+            .split_whitespace()
+            .map(|t| t.parse().unwrap())
+            .collect();
+        lits.pop(); // the terminating 0
+        lits.sort_unstable();
+        lits == guarded
+    };
+    let cnf = write_dimacs(cert.cnf());
+    let proof = write_text_proof(cert.steps().map(ProofStep::from));
+    let original = cnf.lines().skip(1).find(|l| same_set(l));
+    let deletion = proof
+        .lines()
+        .filter_map(|l| l.strip_prefix("d "))
+        .find(|l| same_set(l));
+    let (original, deletion) = original.zip(deletion).expect("both lines are written");
+    assert_ne!(original, deletion);
 }
 
 #[test]
