@@ -385,15 +385,6 @@ impl Aig {
     pub(crate) fn node(&self, id: usize) -> Node {
         self.nodes[id]
     }
-
-    /// Returns the label of the input node referenced by `f`, if `f` is a
-    /// (possibly complemented) primary input.
-    pub fn input_label(&self, f: AigRef) -> Option<usize> {
-        match self.nodes[f.node_id()] {
-            Node::Input(label) => Some(label),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -567,8 +558,5 @@ mod tests {
         let b = aig.input(5);
         assert_eq!(a, b);
         assert_eq!(aig.num_inputs(), 1);
-        assert_eq!(aig.input_label(a), Some(5));
-        let g = aig.and(a, AigRef::TRUE);
-        assert_eq!(aig.input_label(g), Some(5));
     }
 }

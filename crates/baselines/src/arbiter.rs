@@ -31,7 +31,6 @@ use manthan3_core::{
 use manthan3_dqbf::{unique, verify, Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Maximum number of arbiter entries per output (each entry is a cube over
 /// the output's dependency set).
@@ -39,24 +38,17 @@ const MAX_ARBITER_ENTRIES: usize = 2048;
 /// Largest dependency-set size for which definitions are extracted.
 const MAX_DEFINITION_DEPS: usize = 8;
 
-/// Budgets and switches for [`ArbiterSolver`].
+/// Budgets for [`ArbiterSolver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArbiterConfig {
     /// Maximum number of CEGIS iterations.
     pub max_iterations: usize,
-    /// Run unique-definition extraction first (the defining feature of the
-    /// Pedant approach; disabling it degrades the engine to pure CEGIS).
-    pub use_definitions: bool,
-    /// Optional wall-clock budget.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for ArbiterConfig {
     fn default() -> Self {
         ArbiterConfig {
             max_iterations: 2000,
-            use_definitions: true,
-            time_budget: None,
         }
     }
 }
@@ -80,15 +72,13 @@ impl ArbiterSolver {
     }
 
     /// Synthesizes a Henkin function vector for `dqbf` by definition
-    /// extraction and arbiter-table CEGIS.
+    /// extraction and arbiter-table CEGIS, with no wall-clock budget.
     ///
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize(&self, dqbf: &Dqbf) -> SynthesisResult {
-        // All oracle calls share one budget: the oracle layer enforces the
-        // engine deadline.
-        self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
+        self.synthesize_with_budget(dqbf, Budget::unlimited())
     }
 
     /// Like [`ArbiterSolver::synthesize`], but under an externally supplied
@@ -126,12 +116,8 @@ impl ArbiterSolver {
         // Phase 1: definitions, on solvers of their own that stop on the
         // engine's cancel token but are not billed to the oracle.
         let mut vector = HenkinVector::new();
-        let defined: Vec<Var> = if self.config.use_definitions {
-            let cancel = oracle.budget().cancel_token();
-            unique::extract_definitions(dqbf, &mut vector, MAX_DEFINITION_DEPS, cancel)
-        } else {
-            Vec::new()
-        };
+        let cancel = oracle.budget().cancel_token();
+        let defined = unique::extract_definitions(dqbf, &mut vector, MAX_DEFINITION_DEPS, cancel);
         stats.unique_definitions = defined.len();
 
         // Phase 2: arbiter tables for the undefined outputs.
@@ -322,13 +308,12 @@ mod tests {
 
     #[test]
     fn respects_iteration_budget() {
-        let dqbf = Dqbf::paper_example();
-        let config = ArbiterConfig {
-            max_iterations: 0,
-            use_definitions: false,
-            ..ArbiterConfig::default()
-        };
+        // No output of this example is uniquely defined, so the arbiter
+        // loop, and with it the iteration cap, decides the run.
+        let dqbf = Dqbf::xor_limitation_example();
+        let config = ArbiterConfig { max_iterations: 0 };
         let result = ArbiterSolver::new(config).synthesize(&dqbf);
+        assert_eq!(result.stats.unique_definitions, 0);
         assert!(matches!(
             result.outcome,
             SynthesisOutcome::Unknown(UnknownReason::IterationLimit)

@@ -20,7 +20,6 @@ use manthan3_core::{
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::HashSet;
-use std::time::Duration;
 
 /// Budgets for [`ExpansionSolver`].
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +31,6 @@ pub struct ExpansionConfig {
     pub max_copies: usize,
     /// Maximum number of grounded clauses.
     pub max_ground_clauses: usize,
-    /// Optional wall-clock budget.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for ExpansionConfig {
@@ -42,7 +39,6 @@ impl Default for ExpansionConfig {
             max_universals: 14,
             max_copies: 4096,
             max_ground_clauses: 400_000,
-            time_budget: None,
         }
     }
 }
@@ -66,15 +62,13 @@ impl ExpansionSolver {
     }
 
     /// Synthesizes a Henkin function vector for `dqbf` by universal
-    /// expansion.
+    /// expansion, with no wall-clock budget.
     ///
     /// # Panics
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize(&self, dqbf: &Dqbf) -> SynthesisResult {
-        // The grounding deadline and the final SAT call share one budget
-        // through the oracle layer.
-        self.synthesize_with_budget(dqbf, Budget::new(self.config.time_budget))
+        self.synthesize_with_budget(dqbf, Budget::unlimited())
     }
 
     /// Like [`ExpansionSolver::synthesize`], but under an externally

@@ -46,9 +46,8 @@
 //! Malformed flag values and unknown flags abort with a diagnostic on stderr
 //! and exit status 2.
 
-use manthan3_bench::{csvio, report, run_suite, EngineKind};
+use manthan3_bench::{csvio, report, run_suite, EngineKind, RunRecord};
 use manthan3_core::{Manthan3, Manthan3Config};
-use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -305,13 +304,9 @@ fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
             };
             let start = Instant::now();
             let result = Manthan3::new(config).synthesize(&instance.dqbf);
-            let elapsed = start.elapsed().as_secs_f64();
-            total_time += elapsed;
-            if let manthan3_core::SynthesisOutcome::Realizable(v) = &result.outcome {
-                if verify::check(&instance.dqbf, v).is_valid() {
-                    synthesized += 1;
-                }
-            }
+            let record = RunRecord::new(EngineKind::Manthan3, instance, result, start.elapsed());
+            total_time += record.seconds();
+            synthesized += usize::from(record.synthesized);
         }
         println!(
             "ablation {name:<22} synthesized {synthesized:>4} / {} (total {total_time:.1}s)",

@@ -28,8 +28,8 @@ fn escape(field: &str) -> String {
 }
 
 /// Parses CSV text produced by [`to_csv`] back into its header and rows
-/// (quoted fields, embedded commas/quotes/newlines included) — the
-/// round-trip the harness column tests rely on.
+/// (quoted fields, embedded commas/quotes/newlines included): the oracle
+/// of this module's `to_csv` round-trip tests.
 ///
 /// Returns `(header, rows)`; an empty input yields an empty header and no
 /// rows.
@@ -78,15 +78,6 @@ pub fn parse_csv(text: &str) -> (Vec<String>, Vec<Vec<String>>) {
     }
     let header = lines.remove(0);
     (header, lines)
-}
-
-/// Reads a CSV file written by [`write_csv`] back into `(header, rows)`.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the file read.
-pub fn read_csv(path: &Path) -> io::Result<(Vec<String>, Vec<Vec<String>>)> {
-    Ok(parse_csv(&fs::read_to_string(path)?))
 }
 
 /// Writes CSV text to a file, creating parent directories as needed.
@@ -158,18 +149,6 @@ mod tests {
         let (header, parsed) = parse_csv("x,y\r\n1,2\r\n");
         assert_eq!(header, vec!["x", "y"]);
         assert_eq!(parsed, vec![vec!["1".to_string(), "2".to_string()]]);
-    }
-
-    #[test]
-    fn round_trips_through_disk() {
-        let dir = std::env::temp_dir().join("manthan3_csv_roundtrip_test");
-        let path = dir.join("runs.csv");
-        let rows = vec![vec!["i1".into(), "3".into(), "1".into()]];
-        write_csv(&path, &["instance", "maxsat_probes", "maxsat_cores"], &rows).unwrap();
-        let (header, parsed) = read_csv(&path).unwrap();
-        assert_eq!(header, vec!["instance", "maxsat_probes", "maxsat_cores"]);
-        assert_eq!(parsed, rows);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl RunRecord {
     /// The record of `engine`'s run on `instance` that returned `result`
     /// after `time`; a claimed vector counts as synthesized only if it
     /// passes the independent certificate check.
-    fn new(
+    pub fn new(
         engine: EngineKind,
         instance: &Instance,
         result: SynthesisResult,

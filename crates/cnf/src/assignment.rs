@@ -70,11 +70,6 @@ impl Assignment {
         self.values[var.index()] = value;
     }
 
-    /// Makes a literal true under this assignment.
-    pub fn set_lit(&mut self, lit: Lit) {
-        self.set(lit.var(), lit.is_positive());
-    }
-
     /// Returns the underlying value vector.
     pub fn as_slice(&self) -> &[bool] {
         &self.values
@@ -139,14 +134,5 @@ mod tests {
         assert!(a.lit_value(Lit::positive(Var::new(0))));
         assert!(!a.lit_value(Lit::negative(Var::new(0))));
         assert!(a.lit_value(Lit::negative(Var::new(1))));
-    }
-
-    #[test]
-    fn set_lit_sets_polarity() {
-        let mut a = Assignment::new_false(2);
-        a.set_lit(Lit::negative(Var::new(0)));
-        a.set_lit(Lit::positive(Var::new(1)));
-        assert!(!a.value(Var::new(0)));
-        assert!(a.value(Var::new(1)));
     }
 }

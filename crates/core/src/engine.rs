@@ -1,16 +1,19 @@
-//! The main synthesis loop (Algorithm 1 of the paper), organised as an
-//! explicit pipeline of stages sharing one [`SynthesisCtx`]:
+//! The main synthesis loop (Algorithm 1 of the paper), organised as a
+//! straight chain of stages:
 //!
 //! ```text
 //! Preprocess → Sample → Learn → Order → VerifyRepair
 //! ```
 //!
-//! Every stage draws its SAT/MaxSAT/sampling power from the context's
-//! [`Oracle`], and the `VerifyRepair` stage runs on a persistent
-//! [`VerifySession`] — the error formula is encoded once and re-solved
-//! under assumptions, with repairs only *adding* clauses. Each verify check
-//! simulates the vector first and solves the error formula only when
-//! simulation finds no counterexample.
+//! Each stage returns what the next one needs, and a stage that settles the
+//! run early breaks the chain with its verdict. Only what lives for the
+//! whole run (formula, configuration, [`Oracle`], statistics) is shared, in
+//! one [`Run`]. `VerifyRepair` is the CEGIS loop [`verify_repair`] on the
+//! persistent twin sessions: the error formula is encoded once and re-solved
+//! under assumptions, repairs only *add* clauses, and each check simulates
+//! the vector before it asks the error solver. The loop takes its
+//! FindCandidates step as an argument, so the repair-equivalence suite
+//! drives this same loop with the from-scratch reference step.
 
 use crate::config::Manthan3Config;
 use crate::learn::learn_candidate;
@@ -22,6 +25,7 @@ use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Var};
 use manthan3_dqbf::{unique, Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Largest dependency-set size for which unique definitions are extracted
@@ -80,51 +84,162 @@ impl SynthesisResult {
     }
 }
 
-/// Shared state of one synthesis run, threaded through the pipeline stages.
-struct SynthesisCtx<'a> {
-    dqbf: &'a Dqbf,
-    config: &'a Manthan3Config,
+/// A stage's result: the artifact the next stage needs, or the verdict
+/// that settles the run early. `?` links the stages.
+type Stage<T> = ControlFlow<SynthesisOutcome, T>;
+
+/// What lives for the whole of one synthesis run; the stages hand every
+/// other artifact on by value.
+pub(crate) struct Run<'a> {
+    pub(crate) dqbf: &'a Dqbf,
+    pub(crate) config: &'a Manthan3Config,
     /// Budgets and statistics for every oracle interaction of the run.
-    oracle: Oracle,
-    stats: SynthesisStats,
-    /// The candidate vector being grown and repaired (one shared AIG).
-    vector: HenkinVector,
-    /// Outputs fixed by unique-definition preprocessing.
-    defined: Vec<Var>,
-    /// Training data for candidate learning.
-    samples: Vec<Assignment>,
-    /// Learned inter-candidate dependency bookkeeping.
-    dependency_state: DependencyState,
-    /// Linear extension of the dependencies (set by the Order stage).
-    order: Option<Order>,
-    /// The persistent incremental verify session (set by Preprocess).
-    session: Option<VerifySession>,
-    /// The persistent assumption-based MaxSAT repair session, opened lazily
-    /// on the first counterexample so runs that never reach repair pay
-    /// nothing for it.
-    repair: Option<RepairSession>,
+    pub(crate) oracle: Oracle,
+    pub(crate) stats: SynthesisStats,
 }
 
-impl<'a> SynthesisCtx<'a> {
-    fn new(dqbf: &'a Dqbf, config: &'a Manthan3Config, oracle: Oracle) -> Self {
-        SynthesisCtx {
+impl<'a> Run<'a> {
+    pub(crate) fn new(dqbf: &'a Dqbf, config: &'a Manthan3Config, oracle: Oracle) -> Self {
+        Run {
             dqbf,
             config,
             oracle,
             stats: SynthesisStats::default(),
-            vector: HenkinVector::new(),
-            defined: Vec::new(),
-            samples: Vec::new(),
-            dependency_state: DependencyState::new(dqbf.existentials()),
-            order: None,
-            session: None,
-            repair: None,
         }
     }
 
     /// Maps an exhausted-oracle verdict to an outcome.
     fn give_up(&self) -> SynthesisOutcome {
         SynthesisOutcome::Unknown(self.oracle.give_up_reason())
+    }
+
+    /// Algorithm 1: the stages in order. `observe` is handed on to
+    /// [`verify_repair`].
+    fn synthesize(
+        &mut self,
+        observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
+    ) -> Stage<SynthesisOutcome> {
+        let mut vector = HenkinVector::new();
+        let (mut session, defined) = self.preprocess(&mut vector)?;
+        let samples = self.sample()?;
+        let dependencies = self.learn(&samples, &defined, &mut vector);
+        // Order: linearise the learned dependencies.
+        let order = Order::from_dependencies(self.dqbf.existentials(), &dependencies);
+        debug_assert_eq!(order.sequence().len(), self.dqbf.existentials().len());
+        // The repair session opens on the first counterexample, so runs
+        // that never reach repair pay nothing for it, and serves every
+        // later FindCandidates query under assumptions.
+        let dqbf = self.dqbf;
+        let mut repair = None;
+        let find_candidates = |delta: &Delta, oracle: &mut Oracle| {
+            repair
+                .get_or_insert_with(|| RepairSession::new(dqbf, oracle))
+                .find_candidates(delta, oracle)
+        };
+        ControlFlow::Continue(verify_repair(
+            self,
+            &mut session,
+            vector,
+            &order,
+            find_candidates,
+            observe,
+        ))
+    }
+
+    /// Stage 1 — **Preprocess**: open the persistent verify session, rule
+    /// out a trivially false matrix, and extract unique definitions into
+    /// `vector`. Returns the session and the defined outputs.
+    fn preprocess(&mut self, vector: &mut HenkinVector) -> Stage<(VerifySession, Vec<Var>)> {
+        let mut session = VerifySession::new(self.dqbf, &mut self.oracle);
+        match session.check_matrix(&mut self.oracle) {
+            SolveResult::Unsat => return ControlFlow::Break(SynthesisOutcome::Unrealizable),
+            SolveResult::Unknown => return ControlFlow::Break(self.give_up()),
+            SolveResult::Sat => {}
+        }
+        let mut defined = Vec::new();
+        if self.config.use_unique_definitions {
+            // Outputs fixed here are skipped by the learning phase: their
+            // definitions respect the Henkin dependencies by construction.
+            defined = unique::extract_definitions(
+                self.dqbf,
+                vector,
+                MAX_UNIQUE_DEFINITION_DEPS,
+                self.oracle.budget().cancel_token(),
+            );
+            self.stats.unique_definitions = defined.len();
+        }
+        // Extraction runs its own SAT solvers outside the oracle, which watch
+        // only the cancel token; re-check the wall clock before moving on.
+        if let Some(reason) = self.oracle.exhausted() {
+            return ControlFlow::Break(SynthesisOutcome::Unknown(reason));
+        }
+        ControlFlow::Continue((session, defined))
+    }
+
+    /// Stage 2 — **Sample**: draw training data from the matrix with one
+    /// sampler that shares the run's budget and cancellation token.
+    fn sample(&mut self) -> Stage<Vec<Assignment>> {
+        let sampling_start = Instant::now();
+        let samples = self.oracle.sample_cnf(
+            self.dqbf.matrix(),
+            self.config.seed,
+            self.config.num_samples,
+        );
+        self.stats.samples = samples.len();
+        self.stats.sampling_time = sampling_start.elapsed();
+        if samples.is_empty() {
+            // Preprocess proved this matrix satisfiable, so only the budget
+            // can empty the batch.
+            return ControlFlow::Break(self.give_up());
+        }
+        ControlFlow::Continue(samples)
+    }
+
+    /// Stage 3 — **Learn**: per output not in `defined`, learn a candidate
+    /// decision tree over its allowed features into `vector`. Returns the
+    /// inter-candidate dependencies the candidates introduce.
+    fn learn(
+        &mut self,
+        samples: &[Assignment],
+        defined: &[Var],
+        vector: &mut HenkinVector,
+    ) -> DependencyState {
+        let learning_start = Instant::now();
+        let existentials = self.dqbf.existentials();
+        let mut dependencies = DependencyState::new(existentials);
+        for &yi in existentials {
+            for &yj in existentials {
+                if yi == yj {
+                    continue;
+                }
+                let hi = self.dqbf.dependencies(yi);
+                let hj = self.dqbf.dependencies(yj);
+                if hj.is_subset(hi) && hj != hi {
+                    // H_j ⊂ H_i ⇒ y_i may depend on y_j (Algorithm 1, lines 3–5).
+                    dependencies.record_subset_constraint(yi, yj);
+                }
+            }
+        }
+        for &y in existentials {
+            if defined.contains(&y) {
+                continue;
+            }
+            // The oracle-routed sampler always emits matrix-width
+            // assignments, so a narrow sample here is an internal contract
+            // violation — fail loudly instead of learning from silently
+            // mislabelled rows.
+            let learned =
+                learn_candidate(self.dqbf, samples, y, &dependencies, vector, self.config)
+                    .unwrap_or_else(|err| panic!("sampler→learn boundary violated: {err}"));
+            debug_assert!(learned.tree_splits < samples.len());
+            vector.set(y, learned.function);
+            for supplier in learned.used_existentials {
+                dependencies.record_dependency(y, supplier);
+            }
+            self.stats.candidates_learned += 1;
+        }
+        self.stats.learning_time = learning_start.elapsed();
+        dependencies
     }
 }
 
@@ -169,221 +284,94 @@ impl Manthan3 {
     ///
     /// Panics if `dqbf` fails [`Dqbf::validate`].
     pub fn synthesize_with_budget(&self, dqbf: &Dqbf, budget: Budget) -> SynthesisResult {
-        self.run(dqbf, budget, |_, _| {})
+        self.run(dqbf, budget, |_, _, _| {})
     }
 
     /// The pipeline behind [`Manthan3::synthesize_with_budget`]. `observe`
-    /// sees every counterexample δ, with the run's state at that moment,
-    /// before repair acts on it.
+    /// sees every counterexample δ, with the run and the vector at that
+    /// moment, before repair acts on it.
     fn run(
         &self,
         dqbf: &Dqbf,
         budget: Budget,
-        observe: impl FnMut(&SynthesisCtx<'_>, &Delta),
+        observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
     ) -> SynthesisResult {
         let oracle = Oracle::new(budget).with_certification(self.config.certify);
         // invariant: documented panic contract — callers must pass a
         // validated DQBF.
         dqbf.validate().expect("well-formed DQBF");
-        let mut ctx = SynthesisCtx::new(dqbf, &self.config, oracle);
-
-        let outcome = stage_preprocess(&mut ctx)
-            .or_else(|| stage_sample(&mut ctx))
-            .or_else(|| stage_learn(&mut ctx))
-            .or_else(|| stage_order(&mut ctx))
-            .unwrap_or_else(|| stage_verify_repair(&mut ctx, observe));
-
-        SynthesisResult::finish(outcome, ctx.stats, ctx.oracle)
+        let mut run = Run::new(dqbf, &self.config, oracle);
+        let (ControlFlow::Continue(outcome) | ControlFlow::Break(outcome)) =
+            run.synthesize(observe);
+        SynthesisResult::finish(outcome, run.stats, run.oracle)
     }
 }
 
-/// Pipeline stage 1 — **Preprocess**: open the persistent oracle session,
-/// rule out a trivially false matrix, and extract unique definitions.
-fn stage_preprocess(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
-    let mut session = VerifySession::new(ctx.dqbf, &mut ctx.oracle);
-    match session.check_matrix(&mut ctx.oracle) {
-        SolveResult::Unsat => return Some(SynthesisOutcome::Unrealizable),
-        SolveResult::Unknown => return Some(ctx.give_up()),
-        SolveResult::Sat => {}
-    }
-    ctx.session = Some(session);
-    if ctx.config.use_unique_definitions {
-        // Outputs fixed here are skipped by the learning phase: their
-        // definitions respect the Henkin dependencies by construction.
-        ctx.defined = unique::extract_definitions(
-            ctx.dqbf,
-            &mut ctx.vector,
-            MAX_UNIQUE_DEFINITION_DEPS,
-            ctx.oracle.budget().cancel_token(),
-        );
-        ctx.stats.unique_definitions = ctx.defined.len();
-    }
-    // Extraction runs its own SAT solvers outside the oracle, which watch
-    // only the cancel token; re-check the wall clock before moving on.
-    if let Some(reason) = ctx.oracle.exhausted() {
-        return Some(SynthesisOutcome::Unknown(reason));
-    }
-    None
-}
-
-/// Pipeline stage 2 — **Sample**: draw training data from the matrix with
-/// one sampler that shares the run's budget and cancellation token.
-fn stage_sample(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
-    let sampling_start = Instant::now();
-    ctx.samples = ctx
-        .oracle
-        .sample_cnf(ctx.dqbf.matrix(), ctx.config.seed, ctx.config.num_samples);
-    ctx.stats.samples = ctx.samples.len();
-    ctx.stats.sampling_time = sampling_start.elapsed();
-    if ctx.samples.is_empty() {
-        // Preprocess proved this matrix satisfiable, so only the budget can
-        // empty the batch.
-        return Some(ctx.give_up());
-    }
-    None
-}
-
-/// Pipeline stage 3 — **Learn**: per undefined output, learn a candidate
-/// decision tree over its allowed features and record the inter-candidate
-/// dependencies it introduces.
-fn stage_learn(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
-    let learning_start = Instant::now();
-    for &yi in ctx.dqbf.existentials() {
-        for &yj in ctx.dqbf.existentials() {
-            if yi == yj {
-                continue;
-            }
-            let hi = ctx.dqbf.dependencies(yi);
-            let hj = ctx.dqbf.dependencies(yj);
-            if hj.is_subset(hi) && hj != hi {
-                // H_j ⊂ H_i ⇒ y_i may depend on y_j (Algorithm 1, lines 3–5).
-                ctx.dependency_state.record_subset_constraint(yi, yj);
-            }
-        }
-    }
-    for &y in ctx.dqbf.existentials() {
-        if ctx.defined.contains(&y) {
-            continue;
-        }
-        // The oracle-routed sampler always emits matrix-width assignments,
-        // so a narrow sample here is an internal contract violation — fail
-        // loudly instead of learning from silently mislabelled rows.
-        let learned = learn_candidate(
-            ctx.dqbf,
-            &ctx.samples,
-            y,
-            &ctx.dependency_state,
-            &mut ctx.vector,
-            ctx.config,
-        )
-        .unwrap_or_else(|err| panic!("sampler→learn boundary violated: {err}"));
-        debug_assert!(learned.tree_splits < ctx.samples.len());
-        ctx.vector.set(y, learned.function);
-        for supplier in learned.used_existentials {
-            ctx.dependency_state.record_dependency(y, supplier);
-        }
-        ctx.stats.candidates_learned += 1;
-    }
-    ctx.stats.learning_time = learning_start.elapsed();
-    None
-}
-
-/// Pipeline stage 4 — **Order**: linearise the learned dependencies.
-fn stage_order(ctx: &mut SynthesisCtx<'_>) -> Option<SynthesisOutcome> {
-    let order = Order::from_dependencies(ctx.dqbf.existentials(), &ctx.dependency_state);
-    debug_assert_eq!(order.sequence().len(), ctx.dqbf.existentials().len());
-    ctx.order = Some(order);
-    None
-}
-
-/// Pipeline stage 5 — **VerifyRepair**: the CEGIS loop on the persistent
-/// twin sessions. Each verify check simulates the vector first and takes a
-/// failing pattern as the counterexample; only when no pattern fails does it
-/// refute the incrementally maintained error formula, one matrix clause at a
-/// time under activation assumptions, so `Valid` always comes from the
-/// solver. FindCandidates re-solves the persistent MaxSAT encoding under
-/// counterexample assumptions, and is the only query between a
-/// counterexample and repair: its hard probe refutes a δ[X] that no model of
-/// ϕ extends. Repair adds
-/// clauses and swaps activation literals — no solver or encoding is ever
-/// reconstructed inside the loop. `observe` sees each counterexample before
-/// repair.
-fn stage_verify_repair(
-    ctx: &mut SynthesisCtx<'_>,
-    mut observe: impl FnMut(&SynthesisCtx<'_>, &Delta),
+/// Stage 5 — **VerifyRepair**: the CEGIS loop from `vector` until it
+/// verifies, repair is stuck, the budget runs out or `max_repair_iterations`
+/// checks have run. Each check simulates the vector first and takes a
+/// failing pattern as the counterexample; only when none fails does it
+/// refute the error formula on `session`, one matrix clause at a time, so
+/// `Valid` always comes from the solver. `find_candidates` is the
+/// FindCandidates step, the only query between a counterexample and repair;
+/// its hard probe refutes a δ[X] that no model of ϕ extends. No solver or
+/// encoding is rebuilt inside the loop. `observe` sees each counterexample,
+/// with the run and the vector, before repair.
+pub(crate) fn verify_repair(
+    run: &mut Run<'_>,
+    session: &mut VerifySession,
+    mut vector: HenkinVector,
+    order: &Order,
+    mut find_candidates: impl FnMut(&Delta, &mut Oracle) -> Stage<Vec<Var>>,
+    mut observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
 ) -> SynthesisOutcome {
-    // invariant: the stage pipeline runs preprocess and ordering before
-    // verify/repair; both stages stored their artifacts in ctx.
-    let mut session = ctx.session.take().expect("preprocess ran");
-    let order = ctx.order.take().expect("order ran");
-    let mut simulator = Simulator::new(ctx.config.seed, order.substitution_order());
-
-    for _ in 0..ctx.config.max_repair_iterations {
-        if let Some(reason) = ctx.oracle.exhausted() {
+    let mut simulator = Simulator::new(run.config.seed, order.substitution_order());
+    for _ in 0..run.config.max_repair_iterations {
+        if let Some(reason) = run.oracle.exhausted() {
             return SynthesisOutcome::Unknown(reason);
         }
         let verification_start = Instant::now();
-        ctx.stats.verification_checks += 1;
-        let verdict = match simulator.counterexample(ctx.dqbf, &ctx.vector, &mut ctx.oracle) {
+        run.stats.verification_checks += 1;
+        let verdict = match simulator.counterexample(run.dqbf, &vector, &mut run.oracle) {
             Some(delta) => VerifyOutcome::CounterExample(delta),
             None => {
                 // Only count queries the oracle actually ran (a refused call
                 // leaves the solver untouched).
-                let performed_before = ctx.oracle.stats().sat_calls;
-                let verdict = session.verify(ctx.dqbf, &ctx.vector, &mut ctx.oracle);
-                ctx.stats.verify_sat_calls += ctx.oracle.stats().sat_calls - performed_before;
+                let performed_before = run.oracle.stats().sat_calls;
+                let verdict = session.verify(run.dqbf, &vector, &mut run.oracle);
+                run.stats.verify_sat_calls += run.oracle.stats().sat_calls - performed_before;
                 verdict
             }
         };
-        ctx.stats.verification_time += verification_start.elapsed();
+        run.stats.verification_time += verification_start.elapsed();
         let delta = match verdict {
             VerifyOutcome::Valid => {
                 // Success: expand inter-candidate references so every
                 // function is over its Henkin dependencies only
                 // (Algorithm 1, line 19).
-                let mut vector = std::mem::take(&mut ctx.vector);
                 vector.substitute_down(&order.substitution_order());
-                debug_assert_eq!(vector.dependency_violation(ctx.dqbf), None);
+                debug_assert_eq!(vector.dependency_violation(run.dqbf), None);
                 return SynthesisOutcome::Realizable(vector);
             }
-            VerifyOutcome::Unknown => return ctx.give_up(),
+            VerifyOutcome::Unknown => return run.give_up(),
             VerifyOutcome::CounterExample(delta) => delta,
         };
-        observe(ctx, &delta);
+        observe(run, &vector, &delta);
 
         let repair_start = Instant::now();
-        ctx.stats.repair_iterations += 1;
-        // The repair session opens on the first counterexample and serves
-        // every later FindCandidates query under assumptions.
-        if ctx.repair.is_none() {
-            ctx.repair = Some(RepairSession::new(ctx.dqbf, &mut ctx.oracle));
-        }
-        // invariant: the branch above creates the session when absent.
-        let repair_session = ctx.repair.as_mut().expect("repair session just opened");
-        let outcome = repair_session
-            .find_candidates(&delta, &mut ctx.oracle)
-            .map(|candidates| {
-                repair_vector(
-                    ctx.dqbf,
-                    ctx.config,
-                    &mut session,
-                    &mut ctx.oracle,
-                    &mut ctx.vector,
-                    &order,
-                    &delta,
-                    candidates,
-                    &mut ctx.stats,
-                )
-            });
-        ctx.stats.repair_time += repair_start.elapsed();
+        run.stats.repair_iterations += 1;
+        let outcome = find_candidates(&delta, &mut run.oracle).map_continue(|candidates| {
+            repair_vector(run, session, &mut vector, order, &delta, candidates)
+        });
+        run.stats.repair_time += repair_start.elapsed();
         let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(verdict) => return verdict,
+            ControlFlow::Continue(outcome) => outcome,
+            ControlFlow::Break(verdict) => return verdict,
         };
         if outcome.stuck {
             // Distinguish the paper's algorithmic incompleteness from a
             // repair pass that was merely starved of oracle budget.
-            if let Some(reason) = ctx.oracle.exhausted() {
+            if let Some(reason) = run.oracle.exhausted() {
                 return SynthesisOutcome::Unknown(reason);
             }
             return SynthesisOutcome::Unknown(UnknownReason::RepairStuck);
@@ -666,6 +654,8 @@ mod tests {
         falsifies_matrix: bool,
         /// Whether δ[Y'] is the vector's output on δ[X].
         y_prime_is_vector_output: bool,
+        /// Whether the run had opened its repair session before δ.
+        repair_session_open: bool,
     }
 
     /// Runs the pipeline and records every counterexample. The vector's
@@ -675,24 +665,24 @@ mod tests {
     fn run_recording(dqbf: &Dqbf, config: Manthan3Config) -> (SynthesisResult, Vec<Recorded>) {
         let mut recorded = Vec::new();
         let mut simulated_so_far = 0;
-        let result = Manthan3::new(config).run(dqbf, Budget::unlimited(), |ctx, delta| {
-            let found = ctx.oracle.stats().sim_counterexamples;
+        let result = Manthan3::new(config).run(dqbf, Budget::unlimited(), |run, vector, delta| {
+            let found = run.oracle.stats().sim_counterexamples;
             let simulated = found > simulated_so_far;
             simulated_so_far = found;
 
-            let mut values = vec![false; ctx.dqbf.num_vars()];
+            let mut values = vec![false; dqbf.num_vars()];
             for (&v, &b) in delta.x.iter().chain(&delta.y_prime) {
                 values[v.index()] = b;
             }
-            let falsifies_matrix = !ctx.dqbf.eval_matrix(&Assignment::from_values(values));
+            let falsifies_matrix = !dqbf.eval_matrix(&Assignment::from_values(values));
 
-            let mut outputs = vec![false; ctx.dqbf.num_vars()];
+            let mut outputs = vec![false; dqbf.num_vars()];
             for (&x, &b) in &delta.x {
                 outputs[x.index()] = b;
             }
-            for _ in ctx.dqbf.existentials() {
-                for &y in ctx.dqbf.existentials() {
-                    outputs[y.index()] = ctx.vector.eval_one(y, &outputs).expect("total vector");
+            for _ in dqbf.existentials() {
+                for &y in dqbf.existentials() {
+                    outputs[y.index()] = vector.eval_one(y, &outputs).expect("total vector");
                 }
             }
             let y_prime_is_vector_output =
@@ -702,6 +692,7 @@ mod tests {
                 simulated,
                 falsifies_matrix,
                 y_prime_is_vector_output,
+                repair_session_open: run.oracle.stats().maxsat_solvers_constructed > 0,
             });
         });
         (result, recorded)
@@ -757,7 +748,11 @@ mod tests {
                 r.y_prime_is_vector_output,
                 "δ {i}'s Y' is not the vector's output: {r:?}"
             );
+            // The engine opens its one repair session lazily, for the
+            // first counterexample's FindCandidates query.
+            assert_eq!(r.repair_session_open, i > 0, "δ {i}: {r:?}");
         }
+        assert_eq!(result.stats.oracle.maxsat_solvers_constructed, 1);
         assert_sat_calls_add_up(&dqbf, &result.stats);
     }
 
@@ -787,23 +782,30 @@ mod tests {
             ..Manthan3Config::default()
         };
         let oracle = Oracle::new(Budget::unlimited()).with_certification(true);
-        let mut ctx = SynthesisCtx::new(&dqbf, &config, oracle);
-        // Preprocess opens the sessions; |H_y| = 20 is past the
+        let mut run = Run::new(&dqbf, &config, oracle);
+        let mut vector = HenkinVector::new();
+        // Preprocess opens the verify session; |H_y| = 20 is past the
         // unique-definition cap, so y stays undefined.
-        assert!(stage_preprocess(&mut ctx).is_none());
-        assert!(ctx.defined.is_empty());
-        ctx.vector.set(y, AigRef::FALSE);
-        ctx.order = Some(Order::from_dependencies(
-            dqbf.existentials(),
-            &ctx.dependency_state,
-        ));
+        let ControlFlow::Continue((mut session, defined)) = run.preprocess(&mut vector) else {
+            panic!("the matrix is satisfiable");
+        };
+        assert!(defined.is_empty());
+        vector.set(y, AigRef::FALSE);
+        let mut repair = RepairSession::new(&dqbf, &mut run.oracle);
 
         let mut deltas = Vec::new();
-        let outcome = stage_verify_repair(&mut ctx, |ctx, delta| {
-            assert_eq!(ctx.oracle.stats().sim_counterexamples, 0);
-            assert_eq!(ctx.stats.verify_sat_calls, dqbf.num_clauses());
-            deltas.push(delta.clone());
-        });
+        let outcome = verify_repair(
+            &mut run,
+            &mut session,
+            vector,
+            &unordered(&dqbf),
+            |delta, oracle| repair.find_candidates(delta, oracle),
+            |run, _, delta| {
+                assert_eq!(run.oracle.stats().sim_counterexamples, 0);
+                assert_eq!(run.stats.verify_sat_calls, dqbf.num_clauses());
+                deltas.push(delta.clone());
+            },
+        );
         match &outcome {
             SynthesisOutcome::Realizable(vector) => assert!(check(&dqbf, vector).is_valid()),
             other => panic!("expected Realizable, got {other:?}"),
@@ -813,20 +815,69 @@ mod tests {
         assert!(!deltas[0].y_prime[&y]);
         // Two checks, both answered by the error solver: the
         // counterexample, then the closing UNSAT, which was certified.
-        let stats = ctx.oracle.stats();
-        assert_eq!(ctx.stats.verification_checks, 2);
+        let stats = run.oracle.stats();
+        assert_eq!(run.stats.verification_checks, 2);
         assert_eq!(stats.sim_patterns, 2 * 512);
         assert_eq!(stats.sim_counterexamples, 0);
         // The matrix check, |ϕ| error-solver calls per check and the repair
         // queries; the one counterexample got one FindCandidates query.
-        assert_eq!(ctx.stats.verify_sat_calls, 2 * dqbf.num_clauses());
+        assert_eq!(run.stats.verify_sat_calls, 2 * dqbf.num_clauses());
         assert_eq!(
             stats.sat_calls,
-            1 + ctx.stats.verify_sat_calls + ctx.stats.repair_sat_calls
+            1 + run.stats.verify_sat_calls + run.stats.repair_sat_calls
         );
         assert_eq!(stats.maxsat_calls, 1);
         assert!(stats.certificates_checked > 0);
         assert_eq!(stats.certificates_rejected, 0);
+    }
+
+    /// The order of a run that learned no inter-candidate dependency.
+    fn unordered(dqbf: &Dqbf) -> Order {
+        Order::from_dependencies(
+            dqbf.existentials(),
+            &DependencyState::new(dqbf.existentials()),
+        )
+    }
+
+    /// A FindCandidates step that returns the real session's candidates and
+    /// then cancels the budget starves the repair pass: it repairs nothing.
+    /// The loop must attribute that to the cancellation, not to the paper's
+    /// incompleteness case.
+    #[test]
+    fn a_repair_pass_starved_by_cancellation_ends_cancelled_not_stuck() {
+        let dqbf = Dqbf::paper_example();
+        let config = Manthan3Config::default();
+        let budget = Budget::unlimited();
+        let mut run = Run::new(&dqbf, &config, Oracle::new(budget.clone()));
+        let mut session = VerifySession::new(&dqbf, &mut run.oracle);
+        let mut repair = RepairSession::new(&dqbf, &mut run.oracle);
+        let mut vector = HenkinVector::new();
+        for &y in dqbf.existentials() {
+            vector.set(y, AigRef::FALSE);
+        }
+
+        let mut steps = 0;
+        let outcome = verify_repair(
+            &mut run,
+            &mut session,
+            vector,
+            &unordered(&dqbf),
+            |delta, oracle| {
+                steps += 1;
+                let candidates = repair.find_candidates(delta, oracle);
+                assert!(matches!(&candidates, ControlFlow::Continue(c) if !c.is_empty()));
+                budget.cancel_token().cancel();
+                candidates
+            },
+            |_, _, _| {},
+        );
+        assert!(
+            matches!(outcome, SynthesisOutcome::Unknown(UnknownReason::Cancelled)),
+            "unexpected outcome {outcome:?}"
+        );
+        assert_eq!(steps, 1);
+        assert_eq!(run.stats.repair_iterations, 1);
+        assert_eq!(run.stats.repairs_applied, 0);
     }
 
     #[test]

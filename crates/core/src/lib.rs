@@ -8,8 +8,10 @@
 //!
 //! # Architecture: a staged pipeline on a persistent oracle layer
 //!
-//! [`Manthan3::synthesize`] runs five explicit stages that share one
-//! `SynthesisCtx` (the run's candidate vector, statistics, and [`Oracle`]):
+//! [`Manthan3::synthesize`] runs five explicit stages as a straight chain:
+//! each returns what the next one needs, a stage that settles the run early
+//! ends it with its verdict, and only the run's [`Oracle`] and statistics
+//! are shared:
 //!
 //! ```text
 //! Preprocess → Sample → Learn → Order → VerifyRepair
@@ -26,7 +28,8 @@
 //!    disjunction of all paths to label 1 (`manthan3-dtree`), recording the
 //!    inter-candidate dependencies this introduces.
 //! 4. **Order** — derive a linear extension of the learned dependencies.
-//! 5. **VerifyRepair** — the CEGIS loop (Algorithms 1 and 3).
+//! 5. **VerifyRepair** — the CEGIS loop (Algorithms 1 and 3), which takes
+//!    its FindCandidates step as an argument.
 //!
 //! Verification is simulation-first. Before each check calls the error
 //! solver, the engine simulates the candidate vector bit-parallel

@@ -19,12 +19,13 @@
 //! repair-equivalence suite.
 
 use crate::config::Manthan3Config;
+use crate::engine::Run;
 #[cfg(test)]
 use crate::engine::SynthesisOutcome;
+#[cfg(test)]
 use crate::oracle::Oracle;
 use crate::order::Order;
 use crate::session::{Delta, VerifySession};
-use crate::stats::SynthesisStats;
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
@@ -48,13 +49,13 @@ pub(crate) struct RepairOutcome {
 /// Kept as the reference implementation for the repair-equivalence suite;
 /// the engine itself always runs on the [`RepairSession`](crate::RepairSession).
 #[cfg(test)]
-#[allow(clippy::result_large_err)]
 pub(crate) fn find_candidates_from_scratch(
     dqbf: &Dqbf,
     delta: &Delta,
     oracle: &mut Oracle,
-) -> Result<Vec<Var>, SynthesisOutcome> {
+) -> std::ops::ControlFlow<SynthesisOutcome, Vec<Var>> {
     use manthan3_maxsat::MaxSatResult;
+    use std::ops::ControlFlow;
 
     let mut maxsat = oracle.new_maxsat();
     maxsat.add_hard_cnf(dqbf.matrix());
@@ -70,14 +71,18 @@ pub(crate) fn find_candidates_from_scratch(
     match oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]) {
         MaxSatResult::Optimum { .. } => {
             let violated: BTreeSet<_> = maxsat.violated_softs().into_iter().collect();
-            Ok(soft_vars
-                .into_iter()
-                .filter(|(id, _)| violated.contains(id))
-                .map(|(_, y)| y)
-                .collect())
+            ControlFlow::Continue(
+                soft_vars
+                    .into_iter()
+                    .filter(|(id, _)| violated.contains(id))
+                    .map(|(_, y)| y)
+                    .collect(),
+            )
         }
-        MaxSatResult::HardUnsat => Err(SynthesisOutcome::Unrealizable),
-        MaxSatResult::Unknown => Err(SynthesisOutcome::Unknown(oracle.give_up_reason())),
+        MaxSatResult::HardUnsat => ControlFlow::Break(SynthesisOutcome::Unrealizable),
+        MaxSatResult::Unknown => {
+            ControlFlow::Break(SynthesisOutcome::Unknown(oracle.give_up_reason()))
+        }
     }
 }
 
@@ -108,17 +113,13 @@ pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -
 /// assumptions, so the UNSAT cores come from the same incremental session as
 /// the verification checks, and repair only extends the vector's AIG — it
 /// never rebuilds a solver or an encoding.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn repair_vector(
-    dqbf: &Dqbf,
-    config: &Manthan3Config,
+    run: &mut Run<'_>,
     session: &mut VerifySession,
-    oracle: &mut Oracle,
     vector: &mut HenkinVector,
     order: &Order,
     delta: &Delta,
     candidates: Vec<Var>,
-    stats: &mut SynthesisStats,
 ) -> RepairOutcome {
     let mut queue: Vec<Var> = candidates;
     let mut queued: BTreeSet<Var> = queue.iter().copied().collect();
@@ -130,31 +131,31 @@ pub(crate) fn repair_vector(
         // A repair pass cut short by an exhausted budget must not look like
         // the algorithmic stuck case; the engine re-checks the oracle and
         // reports the budget reason.
-        if oracle.exhausted().is_some() {
+        if run.oracle.exhausted().is_some() {
             break;
         }
         let yk = queue[index];
         index += 1;
         processed += 1;
 
-        let hat = y_hat(dqbf, order, yk, config);
+        let hat = y_hat(run.dqbf, order, yk, run.config);
         // G_k = ϕ ∧ (H_k ↔ δ[H_k]) ∧ (Ŷ ↔ δ[Ŷ']) ∧ (y_k ↔ δ[y'_k]),
         // expressed as assumptions so the UNSAT core is a subset of the unit
         // constraints (Formula 1).
         let target_value = delta.y_prime.get(&yk).copied().unwrap_or(false);
         let mut assumptions: Vec<Lit> = vec![yk.lit(target_value)];
-        for &d in dqbf.dependencies(yk) {
+        for &d in run.dqbf.dependencies(yk) {
             assumptions.push(d.lit(delta.x.get(&d).copied().unwrap_or(false)));
         }
         for &yj in &hat {
             assumptions.push(yj.lit(delta.y_prime.get(&yj).copied().unwrap_or(false)));
         }
-        let performed_before = oracle.stats().sat_calls;
-        let result = session.solve_phi(oracle, &assumptions);
+        let performed_before = run.oracle.stats().sat_calls;
+        let result = session.solve_phi(&mut run.oracle, &assumptions);
         // Only count G_k queries the oracle actually ran (a refused call
         // leaves the solver untouched).
-        if oracle.stats().sat_calls > performed_before {
-            stats.repair_sat_calls += 1;
+        if run.oracle.stats().sat_calls > performed_before {
+            run.stats.repair_sat_calls += 1;
         }
         match result {
             SolveResult::Unsat => {
@@ -178,14 +179,14 @@ pub(crate) fn repair_vector(
                 };
                 vector.set(yk, new_function);
                 repaired.push(yk);
-                stats.repairs_applied += 1;
+                run.stats.repairs_applied += 1;
             }
             SolveResult::Sat => {
                 // G_k is satisfiable: look for alternative candidates whose
                 // current output disagrees with the witness (lines 15–17).
                 let model = session.phi_model();
                 let hat_set: BTreeSet<Var> = hat.into_iter().collect();
-                for &yt in dqbf.existentials() {
+                for &yt in run.dqbf.existentials() {
                     if hat_set.contains(&yt) || queued.contains(&yt) {
                         continue;
                     }
@@ -262,7 +263,7 @@ mod tests {
         // With x = (1,0,0), ϕ forces y2 = y1 ∨ ¬x2 = y1 ∨ 1 = 1, so the soft
         // constraint y2 ↔ 0 must be dropped; y1 and y3 can keep their
         // candidate outputs (0 and 0).
-        assert_eq!(candidates.ok(), Some(vec![y(1)]));
+        assert_eq!(candidates.continue_value(), Some(vec![y(1)]));
         assert_eq!(oracle.stats().maxsat_calls, 1);
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
     }
@@ -272,7 +273,7 @@ mod tests {
         let (dqbf, _vector, _order, delta) = paper_repair_state();
         let mut oracle = Oracle::new(Budget::unlimited());
         let candidates = find_candidates_from_scratch(&dqbf, &delta, &mut oracle);
-        assert_eq!(candidates.ok(), Some(vec![y(1)]));
+        assert_eq!(candidates.continue_value(), Some(vec![y(1)]));
         // The reference path pays a full hard encoding per call.
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);
     }
@@ -296,7 +297,7 @@ mod tests {
         // The alternating counterexamples stay deterministic: re-querying
         // the original delta still selects y2 only.
         let again = session.find_candidates(&delta, &mut oracle);
-        assert_eq!(again.ok(), Some(vec![y(1)]));
+        assert_eq!(again.continue_value(), Some(vec![y(1)]));
     }
 
     #[test]
@@ -318,24 +319,21 @@ mod tests {
     fn repair_fixes_the_paper_counterexample() {
         let (dqbf, mut vector, order, delta) = paper_repair_state();
         let config = Manthan3Config::default();
-        let mut stats = SynthesisStats::default();
-        let mut oracle = Oracle::new(Budget::unlimited());
-        let mut session = VerifySession::new(&dqbf, &mut oracle);
-        let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
+        let mut run = Run::new(&dqbf, &config, Oracle::new(Budget::unlimited()));
+        let mut session = VerifySession::new(&dqbf, &mut run.oracle);
+        let mut repair_session = RepairSession::new(&dqbf, &mut run.oracle);
 
         let candidates = repair_session
-            .find_candidates(&delta, &mut oracle)
+            .find_candidates(&delta, &mut run.oracle)
+            .continue_value()
             .expect("δ[X] extends to a model of ϕ");
         let outcome = repair_vector(
-            &dqbf,
-            &config,
+            &mut run,
             &mut session,
-            &mut oracle,
             &mut vector,
             &order,
             &delta,
             candidates,
-            &mut stats,
         );
         assert!(!outcome.stuck);
         assert_eq!(outcome.repaired, vec![y(1)]);
@@ -353,9 +351,9 @@ mod tests {
             vector.eval_one(y(1), &values(true, false, false, false)),
             Some(true)
         );
-        assert_eq!(stats.repairs_applied, 1);
+        assert_eq!(run.stats.repairs_applied, 1);
         // The repair query ran on the session's persistent matrix solver.
-        assert_eq!(oracle.stats().sat_solvers_constructed, 2);
+        assert_eq!(run.oracle.stats().sat_solvers_constructed, 2);
     }
 
     #[test]
@@ -380,23 +378,20 @@ mod tests {
             .into(),
             y_prime: [(Var::new(3), false), (Var::new(4), true)].into(),
         };
-        let mut oracle = Oracle::new(Budget::unlimited());
-        let mut session = VerifySession::new(&dqbf, &mut oracle);
-        let mut repair_session = RepairSession::new(&dqbf, &mut oracle);
-        let mut stats = SynthesisStats::default();
+        let mut run = Run::new(&dqbf, &config, Oracle::new(Budget::unlimited()));
+        let mut session = VerifySession::new(&dqbf, &mut run.oracle);
+        let mut repair_session = RepairSession::new(&dqbf, &mut run.oracle);
         let candidates = repair_session
-            .find_candidates(&delta, &mut oracle)
+            .find_candidates(&delta, &mut run.oracle)
+            .continue_value()
             .expect("δ[X] extends to a model of ϕ");
         let outcome = repair_vector(
-            &dqbf,
-            &config,
+            &mut run,
             &mut session,
-            &mut oracle,
             &mut vector,
             &order,
             &delta,
             candidates,
-            &mut stats,
         );
         assert!(outcome.stuck);
         assert!(outcome.repaired.is_empty());

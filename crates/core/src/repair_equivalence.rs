@@ -12,11 +12,11 @@
 //!   keeps `ϕ ∧ δ[X]` satisfiable). Literal set equality is not required:
 //!   distinct optimal solutions are legitimate tie-breaks of the same
 //!   optimum.
-//! * **Loop convergence**: driving the full verify–repair loop from
-//!   identical (constant-false) candidate vectors, the incremental and the
-//!   from-scratch FindCandidates paths must converge to
-//!   the same verdict, and every claimed vector must pass the independent
-//!   certificate check. The loop is the engine's: each check
+//! * **Loop convergence**: driving the engine's own verify–repair loop
+//!   ([`verify_repair`]) from identical (constant-false) candidate vectors,
+//!   once with the session's FindCandidates step and once with the
+//!   from-scratch one, must end in the same verdict, and every claimed
+//!   vector must pass the independent certificate check. Each check
 //!   simulates the vector before it asks the error solver, and
 //!   FindCandidates is the only query between a counterexample and repair,
 //!   its hard probe being the X-extension check that proves a false
@@ -25,12 +25,13 @@
 //!   session builds exactly one MaxSAT solver and its hard encoding, and
 //!   answers every call under assumptions.
 
-use crate::repair::{find_candidates_from_scratch, repair_vector};
-use crate::session::Simulator;
+use crate::engine::{verify_repair, Run};
+use crate::repair::find_candidates_from_scratch;
 use crate::{
     Budget, Delta, DependencyState, Manthan3Config, Oracle, Order, RepairSession, SynthesisOutcome,
-    SynthesisStats, VerifyOutcome, VerifySession,
+    UnknownReason, VerifySession,
 };
+use manthan3_aig::AigRef;
 use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::suite::suite;
@@ -115,9 +116,11 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
             };
             let incremental = repair_session
                 .find_candidates(&delta, &mut oracle)
+                .continue_value()
                 .expect("δ[X] extends to a model of ϕ");
             incremental_calls += 1;
             let scratch = find_candidates_from_scratch(dqbf, &delta, &mut oracle)
+                .continue_value()
                 .expect("δ[X] extends to a model of ϕ");
 
             // Same optimum cost (every soft is unit weight)…
@@ -159,82 +162,37 @@ fn randomized_sigmas_yield_equivalent_candidate_sets() {
     );
 }
 
-/// How one custom verify–repair loop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopVerdict {
-    Valid,
-    Unrealizable,
-    Stuck,
-    IterationLimit,
-}
-
-/// Drives the verify–repair loop from an all-constant-false candidate
-/// vector, selecting repair candidates either on the persistent session
-/// (`incremental`) or with the from-scratch rebuild, and reports how it
-/// converged.
-fn run_loop(dqbf: &Dqbf, incremental: bool) -> (LoopVerdict, usize) {
-    let config = Manthan3Config::default();
-    let mut stats = SynthesisStats::default();
+/// Runs the engine's verify–repair loop ([`verify_repair`]) from an
+/// all-constant-false candidate vector, selecting repair candidates either
+/// on a persistent [`RepairSession`] (`incremental`) or with the
+/// from-scratch rebuild, and returns its verdict.
+fn run_loop(dqbf: &Dqbf, incremental: bool) -> SynthesisOutcome {
+    let config = Manthan3Config {
+        max_repair_iterations: 256,
+        ..Manthan3Config::default()
+    };
     let mut oracle = Oracle::new(Budget::unlimited());
-    let mut verify_session = VerifySession::new(dqbf, &mut oracle);
-    let mut repair_session = incremental.then(|| RepairSession::new(dqbf, &mut oracle));
+    let mut session = VerifySession::new(dqbf, &mut oracle);
+    let mut repair = incremental.then(|| RepairSession::new(dqbf, &mut oracle));
     let order = Order::from_dependencies(
         dqbf.existentials(),
         &DependencyState::new(dqbf.existentials()),
     );
-
-    let mut simulator = Simulator::new(config.seed, order.substitution_order());
     let mut vector = HenkinVector::new();
-    let constant_false = vector.aig().constant(false);
     for &y in dqbf.existentials() {
-        vector.set(y, constant_false);
+        vector.set(y, AigRef::FALSE);
     }
-
-    for iteration in 0..256 {
-        // Simulation first, then the error solver, as in the engine.
-        let verdict = match simulator.counterexample(dqbf, &vector, &mut oracle) {
-            Some(delta) => VerifyOutcome::CounterExample(delta),
-            None => verify_session.verify(dqbf, &vector, &mut oracle),
-        };
-        let delta = match verdict {
-            VerifyOutcome::Valid => {
-                // The claimed vector must survive the independent
-                // from-scratch certificate check, exactly like the engine's.
-                vector.substitute_down(&order.substitution_order());
-                assert!(
-                    verify::check(dqbf, &vector).is_valid(),
-                    "loop-repaired vector fails the certificate check"
-                );
-                return (LoopVerdict::Valid, iteration);
-            }
-            VerifyOutcome::Unknown => unreachable!("unlimited budget"),
-            VerifyOutcome::CounterExample(delta) => delta,
-        };
-        let candidates = match &mut repair_session {
-            Some(session) => session.find_candidates(&delta, &mut oracle),
-            None => find_candidates_from_scratch(dqbf, &delta, &mut oracle),
-        };
-        let candidates = match candidates {
-            Ok(candidates) => candidates,
-            Err(SynthesisOutcome::Unrealizable) => return (LoopVerdict::Unrealizable, iteration),
-            Err(other) => unreachable!("unlimited budget, got {other:?}"),
-        };
-        let outcome = repair_vector(
-            dqbf,
-            &config,
-            &mut verify_session,
-            &mut oracle,
-            &mut vector,
-            &order,
-            &delta,
-            candidates,
-            &mut stats,
-        );
-        if outcome.stuck {
-            return (LoopVerdict::Stuck, iteration);
-        }
-    }
-    (LoopVerdict::IterationLimit, 256)
+    verify_repair(
+        &mut Run::new(dqbf, &config, oracle),
+        &mut session,
+        vector,
+        &order,
+        |delta, oracle| match &mut repair {
+            Some(session) => session.find_candidates(delta, oracle),
+            None => find_candidates_from_scratch(dqbf, delta, oracle),
+        },
+        |_, _, _| {},
+    )
 }
 
 #[test]
@@ -245,26 +203,43 @@ fn loops_converge_to_the_same_verdicts() {
         if dqbf.existentials().is_empty() {
             continue;
         }
-        let (incremental_verdict, _) = run_loop(dqbf, true);
-        let (scratch_verdict, _) = run_loop(dqbf, false);
-        assert_eq!(
-            incremental_verdict, scratch_verdict,
-            "{}: incremental and from-scratch loops diverged",
-            instance.name
-        );
-        match incremental_verdict {
-            LoopVerdict::Valid => {
+        let incremental = run_loop(dqbf, true);
+        let scratch = run_loop(dqbf, false);
+        match (&incremental, &scratch) {
+            (SynthesisOutcome::Realizable(a), SynthesisOutcome::Realizable(b)) => {
+                // Every claimed vector must survive the independent
+                // from-scratch certificate check.
+                for vector in [a, b] {
+                    assert!(
+                        verify::check(dqbf, vector).is_valid(),
+                        "{}: loop-repaired vector fails the certificate check",
+                        instance.name
+                    );
+                }
                 valid_runs += 1;
                 if let Some(expected) = instance.expected {
                     assert!(expected, "{}: repaired a false instance", instance.name);
                 }
             }
-            LoopVerdict::Unrealizable => {
+            (SynthesisOutcome::Unrealizable, SynthesisOutcome::Unrealizable) => {
                 if let Some(expected) = instance.expected {
                     assert!(!expected, "{}: misreported a true instance", instance.name);
                 }
             }
-            LoopVerdict::Stuck | LoopVerdict::IterationLimit => {}
+            // The loop's own two give-ups. On an unlimited budget any
+            // other reason (a solver giving up, a cancellation) is a fault,
+            // and falls through to the divergence panic.
+            (SynthesisOutcome::Unknown(a), SynthesisOutcome::Unknown(b))
+                if a == b
+                    && matches!(
+                        a,
+                        UnknownReason::RepairStuck | UnknownReason::IterationLimit
+                    ) => {}
+            _ => panic!(
+                "{}: incremental and from-scratch loops diverged or gave up on an unlimited \
+                 budget: {incremental:?} vs {scratch:?}",
+                instance.name
+            ),
         }
     }
     assert!(

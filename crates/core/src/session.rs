@@ -99,6 +99,7 @@ use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver, SoftId};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 /// A model of the error formula: the counterexample parts `δ[X]` and
 /// `δ[Y']`.
@@ -489,18 +490,16 @@ impl RepairSession {
     ///
     /// The MaxSAT search opens by probing its hard part, `ϕ ∧ (X ↔ δ[X])`,
     /// which is the X-extension check of Algorithm 1, line 13. So the query
-    /// returns the verdict that ends the run instead of candidates when
+    /// breaks with the verdict that ends the run instead of candidates when
     /// `δ[X]` has no extension to a model of ϕ
     /// ([`SynthesisOutcome::Unrealizable`], certified under
     /// `Manthan3Config::certify`) or when the oracle gave up
     /// ([`SynthesisOutcome::Unknown`] with the budget's reason).
-    // The large `Err` is the run's final verdict, returned at most once.
-    #[allow(clippy::result_large_err)]
     pub fn find_candidates(
         &mut self,
         delta: &Delta,
         oracle: &mut Oracle,
-    ) -> Result<Vec<Var>, SynthesisOutcome> {
+    ) -> ControlFlow<SynthesisOutcome, Vec<Var>> {
         let mut assumptions: Vec<Lit> = Vec::with_capacity(delta.x.len() + self.slots.len());
         for (&x, &value) in &delta.x {
             assumptions.push(x.lit(value));
@@ -512,15 +511,16 @@ impl RepairSession {
         match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions) {
             MaxSatResult::Optimum { .. } => {
                 let violated: BTreeSet<_> = self.maxsat.violated_softs().into_iter().collect();
-                Ok(self
+                let dropped = self
                     .slots
                     .iter()
-                    .filter(|slot| violated.contains(&slot.soft))
-                    .map(|slot| slot.output)
-                    .collect())
+                    .filter(|slot| violated.contains(&slot.soft));
+                ControlFlow::Continue(dropped.map(|slot| slot.output).collect())
             }
-            MaxSatResult::HardUnsat => Err(SynthesisOutcome::Unrealizable),
-            MaxSatResult::Unknown => Err(SynthesisOutcome::Unknown(oracle.give_up_reason())),
+            MaxSatResult::HardUnsat => ControlFlow::Break(SynthesisOutcome::Unrealizable),
+            MaxSatResult::Unknown => {
+                ControlFlow::Break(SynthesisOutcome::Unknown(oracle.give_up_reason()))
+            }
         }
     }
 
@@ -795,7 +795,11 @@ mod tests {
                 // With x = (1,0,0), ϕ forces y2 = 1, so exactly the y2 soft
                 // is dropped — on every even round, however much solver
                 // state has accumulated.
-                assert_eq!(candidates.ok(), Some(vec![y(1)]), "round {round}");
+                assert_eq!(
+                    candidates.continue_value(),
+                    Some(vec![y(1)]),
+                    "round {round}"
+                );
             }
         }
 
@@ -844,7 +848,7 @@ mod tests {
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         assert!(matches!(
             session.find_candidates(&delta, &mut oracle),
-            Err(SynthesisOutcome::Unrealizable)
+            ControlFlow::Break(SynthesisOutcome::Unrealizable)
         ));
         assert_eq!(oracle.stats().maxsat_calls, 1);
         assert_eq!(oracle.stats().budget_exhaustions, 0);
@@ -855,7 +859,7 @@ mod tests {
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         assert!(matches!(
             session.find_candidates(&delta, &mut oracle),
-            Err(SynthesisOutcome::Unknown(UnknownReason::Cancelled))
+            ControlFlow::Break(SynthesisOutcome::Unknown(UnknownReason::Cancelled))
         ));
         assert_eq!(oracle.stats().maxsat_calls, 0);
         assert_eq!(oracle.stats().budget_exhaustions, 1);

@@ -80,8 +80,8 @@ impl PortfolioEngine {
 
     /// Runs this engine on `dqbf` under `budget`, with its settings from
     /// `config`. `budget` is the run's one deadline and cancellation token:
-    /// `config.time_budget` and the engine configurations' own
-    /// `time_budget` fields are not read.
+    /// neither `config.time_budget` nor `config.manthan3.time_budget` is
+    /// read.
     ///
     /// # Panics
     ///
@@ -119,10 +119,11 @@ impl fmt::Display for PortfolioEngine {
 
 /// Configuration of a [`Portfolio`] run.
 ///
-/// The shared `time_budget` here is authoritative: the per-engine
-/// configurations' own `time_budget` fields are ignored, because every
-/// engine runs through [`PortfolioEngine::synthesize`] on a clone of the
-/// portfolio's armed [`Budget`]. The race runs every engine of
+/// The shared `time_budget` here is authoritative. Of the engine
+/// configurations only [`Manthan3Config`] has a budget field of its own,
+/// `time_budget`, and it is ignored, because every engine runs through
+/// [`PortfolioEngine::synthesize`] on a clone of the portfolio's armed
+/// [`Budget`]. The race runs every engine of
 /// [`PortfolioEngine::ALL`], each on its own thread.
 #[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
@@ -130,13 +131,11 @@ pub struct PortfolioConfig {
     /// clock is armed when [`Portfolio::run`] starts, not when this
     /// configuration is built.
     pub time_budget: Option<Duration>,
-    /// Engine-specific settings for Manthan3 (budget fields ignored).
+    /// Engine-specific settings for Manthan3 (its `time_budget` ignored).
     pub manthan3: Manthan3Config,
-    /// Engine-specific settings for the expansion baseline (budget fields
-    /// ignored).
+    /// Engine-specific settings for the expansion baseline.
     pub expansion: ExpansionConfig,
-    /// Engine-specific settings for the arbiter baseline (budget fields
-    /// ignored).
+    /// Engine-specific settings for the arbiter baseline.
     pub arbiter: ArbiterConfig,
 }
 

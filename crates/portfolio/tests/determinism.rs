@@ -30,12 +30,8 @@ fn portfolio_config() -> PortfolioConfig {
             max_universals: 10,
             max_copies: 1024,
             max_ground_clauses: 50_000,
-            ..ExpansionConfig::default()
         },
-        arbiter: ArbiterConfig {
-            max_iterations: 80,
-            ..ArbiterConfig::default()
-        },
+        arbiter: ArbiterConfig { max_iterations: 80 },
         ..PortfolioConfig::default()
     }
 }
