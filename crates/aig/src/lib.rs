@@ -16,17 +16,19 @@
 //! * Nodes are created children-first: an AND gate's operands always have
 //!   smaller node ids than the gate.
 //! * Every walker ([`Aig::simulate`], [`Aig::support`], [`Aig::cone_size`],
-//!   [`Aig::compose`], [`Aig::import`], [`Aig::encode_cnf`]) is one iterative
-//!   post-order over the cone with an explicit stack, so the depth of a cone
-//!   is bounded by memory, not by the call stack.
+//!   [`Aig::compose`], [`Aig::import`], [`Aig::encode_cnf`]) is an iterative
+//!   post-order with an explicit stack, so the depth of a cone is bounded by
+//!   memory, not by the call stack.
 //!
 //! There is one evaluator, [`Aig::simulate`]: bit-parallel simulation of a
-//! list of outputs over `w` words of 64 input patterns each, one post-order
-//! pass per output. Each output's words are written back to an input label,
-//! so an output listed later can read an earlier one, which is how a
-//! Henkin vector whose functions refer to other outputs is simulated in
-//! substitution order. [`Aig::eval`] is its one-word case. The synthesis
-//! engine uses it to find counterexamples without a SAT call.
+//! list of outputs over `w` words of 64 input patterns each, in one
+//! post-order pass over the union of their cones, so a gate shared by
+//! several outputs is simulated once. Each output's words are written back
+//! to an input label, so an output listed later can read an earlier one,
+//! which is how a Henkin vector whose functions refer to other outputs is
+//! simulated in substitution order. [`Aig::eval`] is its one-word case.
+//! The synthesis engine uses it to find counterexamples without a SAT
+//! call.
 //!
 //! # Examples
 //!

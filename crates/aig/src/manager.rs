@@ -76,6 +76,71 @@ pub(crate) enum Node {
     And(AigRef, AigRef),
 }
 
+/// A node's state during [`Aig::simulate`]: the place of its words among
+/// the live ones (or `UNSEEN`/`SEEN` while the walk runs) and the number of
+/// readers, parent gates and written outputs, that have yet to read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Visit {
+    place: u32,
+    readers: u32,
+}
+
+impl Visit {
+    const UNSEEN: Visit = Visit {
+        place: UNSEEN,
+        readers: 0,
+    };
+}
+
+/// [`Visit::place`] of a node the walk has not reached.
+const UNSEEN: u32 = u32::MAX;
+/// [`Visit::place`] of a node the walk has reached but not simulated.
+const SEEN: u32 = u32::MAX - 1;
+/// The step of [`Aig::simulate`]'s order that writes the next output back.
+const WRITE: u32 = u32::MAX;
+/// Tags a node id on [`Aig::simulate`]'s walk stack whose operands have been
+/// pushed. Node ids stay below it, since an [`AigRef`] holds one in 31 bits.
+const FINISH: u32 = 1 << 31;
+
+/// The end of [`Aig::simulate`]'s list of free places.
+const NO_PLACE: u64 = u64::MAX;
+
+/// The live words of [`Aig::simulate`]: `words` words per place, and a
+/// list of the free places threaded through their first words.
+struct Places {
+    words: usize,
+    live: Vec<u64>,
+    free: u64,
+}
+
+impl Places {
+    /// A free place, reused or new.
+    fn take(&mut self) -> usize {
+        if self.free == NO_PLACE {
+            self.live.resize(self.live.len() + self.words, 0);
+            return self.live.len() / self.words - 1;
+        }
+        let place = self.free as usize;
+        self.free = self.live[place * self.words];
+        place
+    }
+
+    /// One reader of node `id` has run: frees its place after the last one.
+    fn release(&mut self, visits: &mut [Visit], id: usize) {
+        visits[id].readers -= 1;
+        if visits[id].readers == 0 {
+            let place = visits[id].place as usize;
+            self.live[place * self.words] = self.free;
+            self.free = place as u64;
+        }
+    }
+
+    /// The words at `place`.
+    fn at(&mut self, place: usize) -> &mut [u64] {
+        &mut self.live[place * self.words..][..self.words]
+    }
+}
+
 /// A structurally hashed And-Inverter Graph.
 ///
 /// Inputs are identified by arbitrary `usize` labels chosen by the caller
@@ -210,7 +275,7 @@ impl Aig {
         // label as an input too; it is still 0 when read, i.e. `false`.
         let out = words.len();
         words.push(0);
-        self.simulate(1, &mut words, &[(out, f)]);
+        self.simulate(1, &mut words, [(out, f)]);
         words[out] & 1 == 1
     }
 
@@ -221,10 +286,21 @@ impl Aig {
     /// `values` holds `words` consecutive `u64`s per input label: bit `j` of
     /// `values[label * words + w]` is the value of that input in pattern
     /// `64 * w + j`. Labels whose words lie past the end of `values` read as
-    /// all-false. Each output costs one post-order pass over its cone, and
-    /// because its words are written back before the next output runs, a
-    /// later function may read an earlier output as an input: list
-    /// suppliers first, as in a substitution order.
+    /// all-false. Because each output's words are written back before the
+    /// next output runs, a later function may read an earlier output as an
+    /// input: list suppliers first, as in a substitution order.
+    ///
+    /// The call walks the union of the outputs' cones once, in post-order,
+    /// so a node shared by several outputs is simulated once; then it
+    /// simulates the nodes in that order. A node's words live only until
+    /// their last reader has run, and their place is reused. The call
+    /// allocates four buffers, whatever the number of outputs: per AIG node
+    /// a place and a reader count, the order, the walk's stack and the live
+    /// words, which also hold the list of free places. An output that
+    /// writes the label of an input the walk has already read makes every
+    /// node simulated so far stale, so the outputs after it start a new walk
+    /// over the updated words. A suppliers-first order never writes such a
+    /// label, so it is simulated in one walk.
     ///
     /// # Panics
     ///
@@ -243,45 +319,111 @@ impl Aig {
     /// let g = aig.and(z, !x);
     /// // One word per label; label 2 receives f, which g then reads.
     /// let mut values = [0b0101, 0b0011, 0, 0];
-    /// aig.simulate(1, &mut values, &[(2, f), (3, g)]);
+    /// aig.simulate(1, &mut values, [(2, f), (3, g)]);
     /// assert_eq!(values[2], 0b0110);
     /// assert_eq!(values[3], 0b0010);
     /// ```
-    pub fn simulate(&self, words: usize, values: &mut [u64], outputs: &[(usize, AigRef)]) {
-        // `slot[id]` is the position of node `id` in the current cone's
-        // post-order; its words are `cone[slot * words..][..words]`. Every
-        // child of a cone node is in the same cone and comes earlier, so
-        // slots left over from an earlier output are never read.
-        let mut slot = vec![0u32; self.nodes.len()];
-        let mut cone: Vec<u64> = Vec::new();
-        for &(label, f) in outputs {
-            cone.clear();
-            for (position, id) in self.post_order(f, |_| false).into_iter().enumerate() {
-                slot[id] = position as u32;
-                match self.nodes[id] {
-                    Node::Constant => cone.resize(cone.len() + words, 0),
-                    Node::Input(input) => match values.get(input * words..(input + 1) * words) {
-                        Some(input_words) => cone.extend_from_slice(input_words),
-                        None => cone.resize(cone.len() + words, 0),
-                    },
-                    Node::And(a, b) => {
-                        let (a_start, a_mask) = (slot[a.node_id()] as usize * words, a.word_mask());
-                        let (b_start, b_mask) = (slot[b.node_id()] as usize * words, b.word_mask());
-                        for w in 0..words {
-                            let word = (cone[a_start + w] ^ a_mask) & (cone[b_start + w] ^ b_mask);
-                            cone.push(word);
+    pub fn simulate<I>(&self, words: usize, values: &mut [u64], outputs: I)
+    where
+        I: IntoIterator<Item = (usize, AigRef)>,
+        I::IntoIter: Clone,
+    {
+        if words == 0 {
+            return;
+        }
+        let mut outputs = outputs.into_iter();
+        let mut visits = vec![Visit::UNSEEN; self.nodes.len()];
+        // Post-order node ids, with `WRITE` where an output is written back.
+        let mut order: Vec<u32> = Vec::with_capacity(self.nodes.len() + outputs.size_hint().0);
+        // Node ids to walk, `FINISH`-tagged once their operands are pushed.
+        let mut stack: Vec<u32> = Vec::new();
+        let mut places = Places {
+            words,
+            live: Vec::new(),
+            free: NO_PLACE,
+        };
+        loop {
+            // Walk: each node once, children first, counting its readers.
+            let epoch = outputs.clone();
+            for (label, f) in outputs.by_ref() {
+                stack.push(f.node_id() as u32);
+                while let Some(entry) = stack.pop() {
+                    let id = (entry & !FINISH) as usize;
+                    if entry & FINISH != 0 {
+                        order.push(id as u32);
+                        if let Node::And(a, b) = self.nodes[id] {
+                            visits[a.node_id()].readers += 1;
+                            visits[b.node_id()].readers += 1;
+                        }
+                    } else if visits[id].place == UNSEEN {
+                        visits[id].place = SEEN;
+                        stack.push(entry | FINISH);
+                        if let Node::And(a, b) = self.nodes[id] {
+                            stack.push(b.node_id() as u32);
+                            stack.push(a.node_id() as u32);
                         }
                     }
                 }
+                visits[f.node_id()].readers += 1;
+                order.push(WRITE);
+                let read = |&id: &u32| visits[id as usize].place != UNSEEN;
+                if self.input_ids.get(&label).is_some_and(read) {
+                    break;
+                }
             }
-            let root = slot[f.node_id()] as usize * words;
-            let root_mask = f.word_mask();
-            for (out, &word) in values[label * words..][..words]
-                .iter_mut()
-                .zip(&cone[root..root + words])
-            {
-                *out = word ^ root_mask;
+            if order.is_empty() {
+                return;
             }
+            // Simulate in walk order; a node's place is freed after its last
+            // reader.
+            let mut writes = epoch;
+            for &step in &order {
+                if step == WRITE {
+                    // invariant: the walk took one output from the same
+                    // sequence per `WRITE`.
+                    let (label, f) = writes.next().expect("an output per write");
+                    let root = places.at(visits[f.node_id()].place as usize);
+                    let root_mask = f.word_mask();
+                    for (out, &word) in values[label * words..][..words].iter_mut().zip(&*root) {
+                        *out = word ^ root_mask;
+                    }
+                    places.release(&mut visits, f.node_id());
+                    continue;
+                }
+                let id = step as usize;
+                let place = places.take();
+                visits[id].place = place as u32;
+                match self.nodes[id] {
+                    Node::Constant => places.at(place).fill(0),
+                    Node::Input(input) => match values.get(input * words..(input + 1) * words) {
+                        Some(input_words) => places.at(place).copy_from_slice(input_words),
+                        None => places.at(place).fill(0),
+                    },
+                    Node::And(a, b) => {
+                        let a_start = visits[a.node_id()].place as usize * words;
+                        let b_start = visits[b.node_id()].place as usize * words;
+                        let (a_mask, b_mask) = (a.word_mask(), b.word_mask());
+                        let live = &mut places.live;
+                        for w in 0..words {
+                            live[place * words + w] =
+                                (live[a_start + w] ^ a_mask) & (live[b_start + w] ^ b_mask);
+                        }
+                        places.release(&mut visits, a.node_id());
+                        places.release(&mut visits, b.node_id());
+                    }
+                }
+            }
+            // Every reader has run, so every count is back to 0; what the
+            // next walk needs reset is the places.
+            for &step in &order {
+                if step != WRITE {
+                    visits[step as usize].place = UNSEEN;
+                }
+            }
+            debug_assert!(visits.iter().all(|v| *v == Visit::UNSEEN));
+            order.clear();
+            places.live.clear();
+            places.free = NO_PLACE;
         }
     }
 

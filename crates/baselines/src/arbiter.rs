@@ -66,11 +66,6 @@ impl ArbiterSolver {
         ArbiterSolver { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &ArbiterConfig {
-        &self.config
-    }
-
     /// Synthesizes a Henkin function vector for `dqbf` by definition
     /// extraction and arbiter-table CEGIS, with no wall-clock budget.
     ///

@@ -56,11 +56,6 @@ impl ExpansionSolver {
         ExpansionSolver { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &ExpansionConfig {
-        &self.config
-    }
-
     /// Synthesizes a Henkin function vector for `dqbf` by universal
     /// expansion, with no wall-clock budget.
     ///

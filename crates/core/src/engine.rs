@@ -19,7 +19,7 @@ use crate::config::Manthan3Config;
 use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
-use crate::repair::repair_vector;
+use crate::repair::{repair_vector, YHats};
 use crate::session::{Delta, RepairSession, Simulator, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Var};
@@ -258,11 +258,6 @@ impl Manthan3 {
         Manthan3 { config }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &Manthan3Config {
-        &self.config
-    }
-
     /// Synthesizes a Henkin function vector for `dqbf` (Algorithm 1), running
     /// the `Preprocess → Sample → Learn → Order → VerifyRepair` pipeline.
     ///
@@ -326,6 +321,7 @@ pub(crate) fn verify_repair(
     mut observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
 ) -> SynthesisOutcome {
     let mut simulator = Simulator::new(run.config.seed, order.substitution_order());
+    let y_hats = YHats::new(run.dqbf, order, run.config);
     for _ in 0..run.config.max_repair_iterations {
         if let Some(reason) = run.oracle.exhausted() {
             return SynthesisOutcome::Unknown(reason);
@@ -360,15 +356,15 @@ pub(crate) fn verify_repair(
 
         let repair_start = Instant::now();
         run.stats.repair_iterations += 1;
-        let outcome = find_candidates(&delta, &mut run.oracle).map_continue(|candidates| {
-            repair_vector(run, session, &mut vector, order, &delta, candidates)
+        let stuck = find_candidates(&delta, &mut run.oracle).map_continue(|candidates| {
+            repair_vector(run, session, &mut vector, &y_hats, &delta, candidates)
         });
         run.stats.repair_time += repair_start.elapsed();
-        let outcome = match outcome {
-            ControlFlow::Continue(outcome) => outcome,
+        let stuck = match stuck {
+            ControlFlow::Continue(stuck) => stuck,
             ControlFlow::Break(verdict) => return verdict,
         };
-        if outcome.stuck {
+        if stuck {
             // Distinguish the paper's algorithmic incompleteness from a
             // repair pass that was merely starved of oracle budget.
             if let Some(reason) = run.oracle.exhausted() {

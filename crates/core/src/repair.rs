@@ -26,23 +26,12 @@ use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use crate::order::Order;
 use crate::session::{Delta, VerifySession};
-use manthan3_cnf::{Lit, Var};
+use manthan3_cnf::Var;
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
-use std::collections::BTreeSet;
 
 /// Upper bound on individual candidate repairs within one repair pass.
 const MAX_REPAIRS_PER_ITERATION: usize = 64;
-
-/// Outcome of one repair pass over a counterexample.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RepairOutcome {
-    /// Candidates that were actually strengthened/weakened.
-    pub repaired: Vec<Var>,
-    /// `true` if no candidate could be repaired — the incompleteness case
-    /// discussed in §5 of the paper.
-    pub stuck: bool,
-}
 
 /// The pre-incremental `FindCandi`: rebuilds the whole hard-clause MaxSAT
 /// encoding (matrix, `δ[X]` units, soft clauses, totalizer) on every call.
@@ -70,7 +59,7 @@ pub(crate) fn find_candidates_from_scratch(
     }
     match oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]) {
         MaxSatResult::Optimum { .. } => {
-            let violated: BTreeSet<_> = maxsat.violated_softs().into_iter().collect();
+            let violated: Vec<_> = maxsat.violated_softs().collect();
             ControlFlow::Continue(
                 soft_vars
                     .into_iter()
@@ -86,44 +75,76 @@ pub(crate) fn find_candidates_from_scratch(
     }
 }
 
-/// Computes `Ŷ` for a repair target `y_k` (Formula 1): existentials whose
-/// dependency set is contained in `H_k` and that appear **after** `y_k` in
-/// the order.
-pub fn y_hat(dqbf: &Dqbf, order: &Order, target: Var, config: &Manthan3Config) -> Vec<Var> {
-    if !config.constrain_y_hat {
-        return Vec::new();
+/// `true` if `other` is in `Ŷ` of the repair target `target` (Formula 1):
+/// an existential whose dependency set is contained in the target's and
+/// that appears **after** the target in the order.
+fn in_y_hat(dqbf: &Dqbf, order: &Order, target: Var, other: Var) -> bool {
+    other != target
+        && dqbf
+            .dependencies(other)
+            .is_subset(dqbf.dependencies(target))
+        && order.position(other) > order.position(target)
+}
+
+/// `Ŷ` of every output under one order, computed once when a run's
+/// verify–repair loop starts: one bit per pair of outputs, indexed by their
+/// positions in `Dqbf::existentials`. Empty when
+/// `Manthan3Config::constrain_y_hat` is off (the ablation).
+#[derive(Debug)]
+pub(crate) struct YHats {
+    outputs: usize,
+    /// Bit `k * outputs + j` is set when output `j` is in `Ŷ` of output `k`.
+    bits: Vec<u64>,
+}
+
+impl YHats {
+    pub(crate) fn new(dqbf: &Dqbf, order: &Order, config: &Manthan3Config) -> Self {
+        let outputs = dqbf.existentials();
+        let n = outputs.len();
+        let mut bits = vec![0u64; (n * n).div_ceil(64)];
+        if config.constrain_y_hat {
+            for (k, &target) in outputs.iter().enumerate() {
+                for (j, &other) in outputs.iter().enumerate() {
+                    if in_y_hat(dqbf, order, target, other) {
+                        let bit = k * n + j;
+                        bits[bit / 64] |= 1 << (bit % 64);
+                    }
+                }
+            }
+        }
+        YHats { outputs: n, bits }
     }
-    let deps = dqbf.dependencies(target);
-    dqbf.existentials()
-        .iter()
-        .copied()
-        .filter(|&other| {
-            other != target
-                && dqbf.dependencies(other).is_subset(deps)
-                && order.position(other) > order.position(target)
-        })
-        .collect()
+
+    /// `true` if output `j` is in `Ŷ` of output `k`.
+    fn contains(&self, k: usize, j: usize) -> bool {
+        let bit = k * self.outputs + j;
+        self.bits[bit / 64] >> (bit % 64) & 1 == 1
+    }
 }
 
 /// Repairs the candidate vector against the counterexample `delta`
 /// (Algorithm 3), starting from the `candidates` selected by a
 /// FindCandidates query (on the persistent repair session, or on the
-/// from-scratch reference path in the repair-equivalence suite). The
-/// `G_k` queries are answered by `session`'s persistent matrix solver under
-/// assumptions, so the UNSAT cores come from the same incremental session as
-/// the verification checks, and repair only extends the vector's AIG — it
-/// never rebuilds a solver or an encoding.
+/// from-scratch reference path in the repair-equivalence suite). `y_hats`
+/// holds each output's `Ŷ`. The `G_k` queries are answered by
+/// `session`'s persistent matrix solver under assumptions, so the UNSAT
+/// cores come from the same incremental session as the verification
+/// checks, and repair only extends the vector's AIG — it never rebuilds a
+/// solver or an encoding.
+///
+/// Returns `true` if no candidate could be repaired: the pass is stuck,
+/// the incompleteness case discussed in §5 of the paper.
 pub(crate) fn repair_vector(
     run: &mut Run<'_>,
     session: &mut VerifySession,
     vector: &mut HenkinVector,
-    order: &Order,
+    y_hats: &YHats,
     delta: &Delta,
     candidates: Vec<Var>,
-) -> RepairOutcome {
+) -> bool {
     let mut queue: Vec<Var> = candidates;
-    let mut queued: BTreeSet<Var> = queue.iter().copied().collect();
-    let mut repaired = Vec::new();
+    let mut assumptions = Vec::new();
+    let mut stuck = true;
     let mut processed = 0usize;
     let mut index = 0usize;
 
@@ -138,16 +159,26 @@ pub(crate) fn repair_vector(
         index += 1;
         processed += 1;
 
-        let hat = y_hat(run.dqbf, order, yk, run.config);
+        let outputs = run.dqbf.existentials();
+        let k = outputs
+            .iter()
+            .position(|&y| y == yk)
+            // invariant: yk came from the formula's own output list.
+            .expect("yk is an output");
         // G_k = ϕ ∧ (H_k ↔ δ[H_k]) ∧ (Ŷ ↔ δ[Ŷ']) ∧ (y_k ↔ δ[y'_k]),
         // expressed as assumptions so the UNSAT core is a subset of the unit
         // constraints (Formula 1).
         let target_value = delta.y_prime.get(&yk).copied().unwrap_or(false);
-        let mut assumptions: Vec<Lit> = vec![yk.lit(target_value)];
+        assumptions.clear();
+        assumptions.push(yk.lit(target_value));
         for &d in run.dqbf.dependencies(yk) {
             assumptions.push(d.lit(delta.x.get(&d).copied().unwrap_or(false)));
         }
-        for &yj in &hat {
+        let hat = outputs
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| y_hats.contains(k, j));
+        for (_, &yj) in hat {
             assumptions.push(yj.lit(delta.y_prime.get(&yj).copied().unwrap_or(false)));
         }
         let performed_before = run.oracle.stats().sat_calls;
@@ -161,13 +192,8 @@ pub(crate) fn repair_vector(
             SolveResult::Unsat => {
                 // The UNSAT core yields the repair cube β (Algorithm 3,
                 // lines 11–13).
-                let core: Vec<Lit> = session
-                    .phi_unsat_core()
-                    .iter()
-                    .copied()
-                    .filter(|l| l.var() != yk)
-                    .collect();
-                let beta = vector.cube(core);
+                let core = session.phi_unsat_core().iter().copied();
+                let beta = vector.cube(core.filter(|l| l.var() != yk));
                 // invariant: yk came from the vector's own output list.
                 let current = vector.get(yk).expect("candidate exists");
                 let new_function = if target_value {
@@ -178,23 +204,22 @@ pub(crate) fn repair_vector(
                     vector.aig_mut().or(current, beta)
                 };
                 vector.set(yk, new_function);
-                repaired.push(yk);
+                stuck = false;
                 run.stats.repairs_applied += 1;
             }
             SolveResult::Sat => {
                 // G_k is satisfiable: look for alternative candidates whose
                 // current output disagrees with the witness (lines 15–17).
-                let model = session.phi_model();
-                let hat_set: BTreeSet<Var> = hat.into_iter().collect();
-                for &yt in run.dqbf.existentials() {
-                    if hat_set.contains(&yt) || queued.contains(&yt) {
+                for (t, &yt) in outputs.iter().enumerate() {
+                    if y_hats.contains(k, t) || queue.contains(&yt) {
                         continue;
                     }
-                    let rho = model.get(yt).unwrap_or(false);
+                    // invariant: G_k was satisfiable, and the matrix solver
+                    // declares every variable of the formula.
+                    let rho = session.phi_value(yt).expect("G_k has a model");
                     let candidate_output = delta.y_prime.get(&yt).copied().unwrap_or(false);
                     if rho != candidate_output {
                         queue.push(yt);
-                        queued.insert(yt);
                     }
                 }
             }
@@ -204,10 +229,7 @@ pub(crate) fn repair_vector(
         }
     }
 
-    RepairOutcome {
-        stuck: repaired.is_empty(),
-        repaired,
-    }
+    stuck
 }
 
 #[cfg(test)]
@@ -304,15 +326,22 @@ mod tests {
     fn y_hat_respects_order_and_subsets() {
         let (dqbf, _vector, order, _delta) = paper_repair_state();
         let config = Manthan3Config::default();
+        let y_hat = |config: &Manthan3Config, target: usize| {
+            let hats = YHats::new(&dqbf, &order, config);
+            let outputs = dqbf.existentials().iter().enumerate();
+            let hat = outputs.filter(|&(j, _)| hats.contains(target, j));
+            hat.map(|(_, &y)| y).collect::<Vec<_>>()
+        };
         // For y2 (deps {x1,x2}): y1 has H1 ⊂ H2 and appears after y2 in the
         // order, so Ŷ = {y1}; y3's dependency set is incomparable.
-        assert_eq!(y_hat(&dqbf, &order, y(1), &config), vec![y(0)]);
+        assert_eq!(dqbf.existentials()[1], y(1));
+        assert_eq!(y_hat(&config, 1), vec![y(0)]);
         // Disabling the constraint empties Ŷ (the ablation).
         let ablated = Manthan3Config {
             constrain_y_hat: false,
             ..Manthan3Config::default()
         };
-        assert!(y_hat(&dqbf, &order, y(1), &ablated).is_empty());
+        assert!(y_hat(&ablated, 1).is_empty());
     }
 
     #[test]
@@ -327,16 +356,20 @@ mod tests {
             .find_candidates(&delta, &mut run.oracle)
             .continue_value()
             .expect("δ[X] extends to a model of ϕ");
-        let outcome = repair_vector(
+        let before = vector.clone();
+        let stuck = repair_vector(
             &mut run,
             &mut session,
             &mut vector,
-            &order,
+            &YHats::new(&dqbf, &order, &config),
             &delta,
             candidates,
         );
-        assert!(!outcome.stuck);
-        assert_eq!(outcome.repaired, vec![y(1)]);
+        assert!(!stuck);
+        // Only y2's function changed: y1 and y3 keep their functions.
+        assert_ne!(vector.get(y(1)), before.get(y(1)));
+        assert_eq!(vector.get(y(0)), before.get(y(0)));
+        assert_eq!(vector.get(y(2)), before.get(y(2)));
         // The repaired candidate now maps the counterexample input to 1, and
         // matches y1 ∨ ¬x2 everywhere y1 is given by f1 = ¬x1.
         let values = |x1: bool, x2: bool, x3: bool, y1: bool| {
@@ -385,15 +418,18 @@ mod tests {
             .find_candidates(&delta, &mut run.oracle)
             .continue_value()
             .expect("δ[X] extends to a model of ϕ");
-        let outcome = repair_vector(
+        let before = vector.clone();
+        let stuck = repair_vector(
             &mut run,
             &mut session,
             &mut vector,
-            &order,
+            &YHats::new(&dqbf, &order, &config),
             &delta,
             candidates,
         );
-        assert!(outcome.stuck);
-        assert!(outcome.repaired.is_empty());
+        assert!(stuck);
+        for &y in dqbf.existentials() {
+            assert_eq!(vector.get(y), before.get(y));
+        }
     }
 }

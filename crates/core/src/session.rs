@@ -54,8 +54,12 @@
 //! only UNSAT verdicts can give: one per matrix clause, each certified under
 //! `Manthan3Config::certify`. Asking for one clause at a time made the
 //! closing refutation cheaper than one query over the whole disjunction
-//! (`BENCH_clausewise.json`). The simulation buffers are dropped before the
-//! solver runs.
+//! (`BENCH_clausewise.json`). A check walks the union of the outputs' cones
+//! once ([`Aig::simulate`](manthan3_aig::Aig::simulate)): a gate that
+//! several candidates share is simulated once, and the check allocates the
+//! pattern words, the kernel's few buffers and, when a pattern fails, the
+//! counterexample, however many outputs the vector has. The simulation
+//! buffers are dropped before the solver runs.
 //!
 //! # [`RepairSession`] — the repair side
 //!
@@ -94,11 +98,11 @@
 use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use manthan3_aig::AigRef;
-use manthan3_cnf::{Assignment, Lit, Var};
+use manthan3_cnf::{Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
-use manthan3_maxsat::{MaxSatResult, MaxSatSolver, SoftId};
+use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
 
 /// A model of the error formula: the counterexample parts `δ[X]` and
@@ -183,10 +187,9 @@ impl Simulator {
         }
         vector.simulate(&self.order, words, &mut values);
 
-        let mut violations = vec![0u32; 64 * words];
-        let mut satisfied = vec![0u64; words];
+        let mut violations = [0u32; 64 * SIMULATION_WORDS];
         for clause in dqbf.matrix().iter() {
-            satisfied.fill(0);
+            let mut satisfied = [0u64; SIMULATION_WORDS];
             for &lit in clause {
                 let negation = if lit.is_positive() { 0 } else { u64::MAX };
                 let start = lit.var().index() * words;
@@ -303,13 +306,10 @@ impl VerifySession {
         oracle.solve_with_assumptions(&mut self.phi, assumptions)
     }
 
-    /// The model of the last satisfiable `ϕ` query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last `ϕ` query was not satisfiable.
-    pub fn phi_model(&self) -> Assignment {
-        self.phi.model()
+    /// The value of `var` in the model of the last `ϕ` query, or `None`
+    /// when that query was not satisfiable.
+    pub fn phi_value(&self, var: Var) -> Option<bool> {
+        self.phi.value(var)
     }
 
     /// The UNSAT core (over the assumption literals) of the last
@@ -429,15 +429,14 @@ impl VerifySession {
 }
 
 /// One output's slot in the persistent FindCandidates encoding: the target
-/// indirection variable pinned by assumptions and the soft clause whose
-/// violation selects the output for repair.
+/// indirection variable pinned by assumptions. Slot `i`'s soft unit
+/// `(eq_i)`, with `eq_i ↔ (y_i ↔ t_i)` as hard clauses, is soft clause `i`
+/// of the MaxSAT solver; its violation selects the output for repair.
 #[derive(Debug, Clone, Copy)]
 struct RepairSlot {
     output: Var,
     /// `t_i`: assumed equal to `δ[y'_i]` on each call.
     target: Var,
-    /// The soft unit `(eq_i)` with `eq_i ↔ (y_i ↔ t_i)` as hard clauses.
-    soft: SoftId,
 }
 
 /// The persistent assumption-based MaxSAT session answering the repair
@@ -473,10 +472,10 @@ impl RepairSession {
             maxsat.add_hard([eql, !yl, !tl]);
             maxsat.add_hard([eql, yl, tl]);
             let soft = maxsat.add_soft([eql], 1);
+            debug_assert_eq!(soft.index(), slots.len());
             slots.push(RepairSlot {
                 output: y,
                 target: t,
-                soft,
             });
         }
         RepairSession { maxsat, slots }
@@ -510,12 +509,13 @@ impl RepairSession {
         }
         match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions) {
             MaxSatResult::Optimum { .. } => {
-                let violated: BTreeSet<_> = self.maxsat.violated_softs().into_iter().collect();
-                let dropped = self
-                    .slots
-                    .iter()
-                    .filter(|slot| violated.contains(&slot.soft));
-                ControlFlow::Continue(dropped.map(|slot| slot.output).collect())
+                // Soft clause `i` is slot `i`'s (see `RepairSession::new`).
+                let dropped = self.maxsat.violated_softs();
+                ControlFlow::Continue(
+                    dropped
+                        .map(|soft| self.slots[soft.index()].output)
+                        .collect(),
+                )
             }
             MaxSatResult::HardUnsat => ControlFlow::Break(SynthesisOutcome::Unrealizable),
             MaxSatResult::Unknown => {
@@ -543,6 +543,7 @@ impl RepairSession {
 mod tests {
     use super::*;
     use crate::oracle::{Budget, UnknownReason};
+    use manthan3_cnf::Assignment;
     use manthan3_dqbf::verify::check;
 
     fn x(i: u32) -> Var {

@@ -117,11 +117,10 @@ impl HenkinVector {
     /// suppliers first. Variables of `order` without a function keep their
     /// words.
     pub fn simulate(&self, order: &[Var], words: usize, values: &mut [u64]) {
-        let outputs: Vec<(usize, AigRef)> = order
+        let outputs = order
             .iter()
-            .filter_map(|y| self.functions.get(y).map(|&f| (y.index(), f)))
-            .collect();
-        self.aig.simulate(words, values, &outputs);
+            .filter_map(|y| self.functions.get(y).map(|&f| (y.index(), f)));
+        self.aig.simulate(words, values, outputs);
     }
 
     /// Completes an assignment of the universal variables into a full

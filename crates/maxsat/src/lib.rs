@@ -50,8 +50,9 @@
 //! let result = solver.solve();
 //! assert_eq!(result, MaxSatResult::Optimum { cost: 1 });
 //! // Exactly one of the two soft clauses is violated.
-//! assert_eq!(solver.violated_softs().len(), 1);
-//! assert!(solver.violated_softs()[0] == s1 || solver.violated_softs()[0] == s2);
+//! let violated: Vec<_> = solver.violated_softs().collect();
+//! assert_eq!(violated.len(), 1);
+//! assert!(violated[0] == s1 || violated[0] == s2);
 //! ```
 
 #![warn(missing_docs)]

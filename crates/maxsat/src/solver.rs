@@ -56,10 +56,23 @@ struct SoftClause {
 }
 
 impl SoftClause {
-    /// `true` if `model` satisfies the clause.
-    fn holds(&self, model: &Assignment) -> bool {
-        self.lits.iter().any(|&l| model.lit_value(l))
+    /// `true` if the model whose values `value` reads satisfies the clause.
+    fn holds(&self, value: impl Fn(Var) -> Option<bool>) -> bool {
+        self.lits
+            .iter()
+            .any(|&l| value(l.var()) == Some(l.is_positive()))
     }
+}
+
+/// What an internal SAT probe assumes besides the caller's assumptions.
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    /// Nothing: is the hard part satisfiable?
+    Hard,
+    /// Every relaxation literal false: can every soft clause hold?
+    AllSofts,
+    /// A totalizer bound literal: at most that many violated weight units.
+    Bound(Lit),
 }
 
 /// A weighted partial MaxSAT solver.
@@ -70,7 +83,9 @@ impl SoftClause {
 pub struct MaxSatSolver {
     solver: Solver,
     softs: Vec<SoftClause>,
-    model: Option<Assignment>,
+    /// The last solve call ended in an optimum. Its model is the internal
+    /// solver's latest one, since the search's last SAT probe found it.
+    has_optimum: bool,
     /// Totalizer over the (weight-replicated) relaxation literals, encoded
     /// lazily on the first bounded search and kept across solve calls;
     /// invalidated when a new soft clause arrives. Without the cache every
@@ -87,8 +102,10 @@ pub struct MaxSatSolver {
     /// any assumption-set change, so a stale bound can never seed the search
     /// at a level unrelated to the new query.
     last_optimum: Option<u64>,
-    /// The assumption set `last_optimum` was proved under.
-    last_assumptions: Vec<Lit>,
+    /// The caller's assumptions of the current (or last) solve call, the set
+    /// `last_optimum` was proved under. A probe appends its own literals
+    /// and removes them when it returns.
+    assumptions: Vec<Lit>,
     /// Solve calls since the last maintenance pass.
     solves_since_maintenance: usize,
     stats: MaxSatStats,
@@ -113,10 +130,10 @@ impl MaxSatSolver {
         MaxSatSolver {
             solver: Solver::with_config(config),
             softs: Vec::new(),
-            model: None,
+            has_optimum: false,
             totalizer: None,
             last_optimum: None,
-            last_assumptions: Vec::new(),
+            assumptions: Vec::new(),
             solves_since_maintenance: 0,
             stats: MaxSatStats::default(),
         }
@@ -275,7 +292,7 @@ impl MaxSatSolver {
     /// the previous call's verdict, so a caller checks that verdict's
     /// certificate before the pass logs its deletions.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> MaxSatResult {
-        self.model = None;
+        self.has_optimum = false;
         if self.is_cancelled() {
             return MaxSatResult::Unknown;
         }
@@ -287,26 +304,35 @@ impl MaxSatSolver {
         // was proved under: a changed set (e.g. a repair loop pinning a
         // disjoint σ) invalidates it, so the search can never start
         // from a bound unrelated — possibly infeasible — for the new query.
-        if self.last_assumptions != assumptions {
+        if self.assumptions != assumptions {
             self.last_optimum = None;
-            self.last_assumptions = assumptions.to_vec();
+            self.assumptions.clear();
+            // Room for the longest probe, so the buffer grows to exactly
+            // that.
+            self.assumptions
+                .reserve_exact(assumptions.len() + self.softs.len().max(1));
+            self.assumptions.extend_from_slice(assumptions);
         }
+        let result = self.search();
+        self.has_optimum = matches!(result, MaxSatResult::Optimum { .. });
+        result
+    }
+
+    /// The optimum search of [`MaxSatSolver::solve_under_assumptions`]
+    /// under `self.assumptions`.
+    fn search(&mut self) -> MaxSatResult {
         // Is the hard part satisfiable at all (under the assumptions)?
-        match self.probe(assumptions) {
+        match self.probe(Probe::Hard) {
             SolveResult::Unsat => return MaxSatResult::HardUnsat,
             SolveResult::Unknown => return MaxSatResult::Unknown,
             SolveResult::Sat => {}
         }
         if self.softs.is_empty() {
-            self.model = Some(self.solver.model());
             return MaxSatResult::Optimum { cost: 0 };
         }
         // Optimistic check: can every soft clause be satisfied?
-        let mut optimistic: Vec<Lit> = assumptions.to_vec();
-        optimistic.extend(self.softs.iter().map(|s| !s.relax));
-        match self.probe(&optimistic) {
+        match self.probe(Probe::AllSofts) {
             SolveResult::Sat => {
-                self.model = Some(self.solver.model());
                 self.last_optimum = Some(0);
                 return MaxSatResult::Optimum { cost: 0 };
             }
@@ -317,7 +343,6 @@ impl MaxSatSolver {
         // A probe at bound `k` asks for a model with at most `k` violated
         // (weight units of) softs: `¬outputs[k]` forbids `k + 1` true
         // relaxations.
-        let mut bounded: Vec<Lit> = Vec::with_capacity(assumptions.len() + 1);
         // Phase 1: find any bounded model, walking the bound up from the
         // warm start while UNSAT. Bounds 1..=total-1 are probeable; once
         // `≤ total - 1` is refuted every soft clause must be violated and
@@ -328,9 +353,8 @@ impl MaxSatSolver {
         let mut refuted = 0u64;
         let mut cost = loop {
             if k >= total {
-                return match self.probe(assumptions) {
+                return match self.probe(Probe::Hard) {
                     SolveResult::Sat => {
-                        self.model = Some(self.solver.model());
                         let cost = self.cost_of_current_model();
                         self.last_optimum = Some(cost);
                         MaxSatResult::Optimum { cost }
@@ -340,18 +364,9 @@ impl MaxSatSolver {
                 };
             }
             let bound_lit = !self.totalizer().outputs()[k as usize];
-            bounded.clear();
-            bounded.extend_from_slice(assumptions);
-            bounded.push(bound_lit);
-            match self.probe(&bounded) {
-                SolveResult::Sat => {
-                    self.model = Some(self.solver.model());
-                    break self.cost_of_current_model();
-                }
-                SolveResult::Unknown => {
-                    self.model = None;
-                    return MaxSatResult::Unknown;
-                }
+            match self.probe(Probe::Bound(bound_lit)) {
+                SolveResult::Sat => break self.cost_of_current_model(),
+                SolveResult::Unknown => return MaxSatResult::Unknown,
                 SolveResult::Unsat => {
                     refuted = k;
                     k += 1;
@@ -359,24 +374,14 @@ impl MaxSatSolver {
             }
         };
         // Phase 2: tighten downward until the next-lower bound is refuted
-        // (or meets a bound phase 1 already refuted). An Unknown exit
-        // clears the model found so far: it is not a proven
-        // optimum, and [`MaxSatSolver::model`] documents that nothing is
-        // available after a non-Optimum outcome.
+        // (or meets a bound phase 1 already refuted). An Unknown exit is
+        // not a proven optimum, so [`MaxSatSolver::violated_softs`] has
+        // nothing to report after it.
         while cost > refuted + 1 {
             let bound_lit = !self.totalizer().outputs()[(cost - 1) as usize];
-            bounded.clear();
-            bounded.extend_from_slice(assumptions);
-            bounded.push(bound_lit);
-            match self.probe(&bounded) {
-                SolveResult::Sat => {
-                    self.model = Some(self.solver.model());
-                    cost = self.cost_of_current_model();
-                }
-                SolveResult::Unknown => {
-                    self.model = None;
-                    return MaxSatResult::Unknown;
-                }
+            match self.probe(Probe::Bound(bound_lit)) {
+                SolveResult::Sat => cost = self.cost_of_current_model(),
+                SolveResult::Unknown => return MaxSatResult::Unknown,
                 SolveResult::Unsat => break,
             }
         }
@@ -393,15 +398,24 @@ impl MaxSatSolver {
             .is_some_and(|token| token.is_cancelled())
     }
 
-    /// One internal SAT probe: polls cancellation first (a cancelled probe
-    /// is not performed and answers `Unknown`, as a probe cancelled
-    /// mid-search does).
-    fn probe(&mut self, assumptions: &[Lit]) -> SolveResult {
+    /// One internal SAT probe under the caller's assumptions and what
+    /// `probe` adds to them: polls cancellation first (a cancelled probe is
+    /// not performed and answers `Unknown`, as a probe cancelled mid-search
+    /// does).
+    fn probe(&mut self, probe: Probe) -> SolveResult {
         if self.is_cancelled() {
             return SolveResult::Unknown;
         }
         self.stats.probes += 1;
-        self.solver.solve_with_assumptions(assumptions)
+        let callers = self.assumptions.len();
+        match probe {
+            Probe::Hard => {}
+            Probe::AllSofts => self.assumptions.extend(self.softs.iter().map(|s| !s.relax)),
+            Probe::Bound(bound) => self.assumptions.push(bound),
+        }
+        let result = self.solver.solve_with_assumptions(&self.assumptions);
+        self.assumptions.truncate(callers);
+        result
     }
 
     /// The persistent totalizer over the weight-replicated relaxation
@@ -422,12 +436,11 @@ impl MaxSatSolver {
         self.totalizer.as_ref().expect("totalizer just encoded")
     }
 
+    /// Total weight of the soft clauses the last SAT probe's model violates.
     fn cost_of_current_model(&self) -> u64 {
-        // invariant: only called after a SAT solve stored a model.
-        let model = self.model.as_ref().expect("model available");
         self.softs
             .iter()
-            .filter(|s| !s.holds(model))
+            .filter(|s| !s.holds(|var| self.solver.value(var)))
             .map(|s| s.weight)
             .sum()
     }
@@ -438,22 +451,27 @@ impl MaxSatSolver {
     ///
     /// Panics if the last solve call did not produce an optimum.
     pub fn model(&self) -> Assignment {
-        // invariant: documented panic contract — callers may only ask for
-        // the model after an Optimum outcome.
-        self.model.clone().expect("no MaxSAT model available")
+        assert!(self.has_optimum, "no MaxSAT model available");
+        let value = |v| self.solver.latest_model_value(Var::new(v as u32));
+        Assignment::from_values(
+            (0..self.solver.num_vars())
+                .map(|v| value(v).unwrap_or(false))
+                .collect(),
+        )
     }
 
-    /// Returns the soft clauses violated by the last optimum's model, in
-    /// insertion order.
-    pub fn violated_softs(&self) -> Vec<SoftId> {
-        // invariant: same contract as `model` — only valid after an Optimum.
-        let model = self.model.as_ref().expect("no MaxSAT model available");
-        self.softs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.holds(model))
-            .map(|(i, _)| SoftId(i))
-            .collect()
+    /// The soft clauses violated by the last optimum's model, in insertion
+    /// order, read off that model as the iterator advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last solve call did not produce an optimum.
+    pub fn violated_softs(&self) -> impl Iterator<Item = SoftId> + '_ {
+        assert!(self.has_optimum, "no MaxSAT model available");
+        let value = |var| self.solver.latest_model_value(var);
+        (0..self.softs.len())
+            .filter(move |&i| !self.softs[i].holds(value))
+            .map(SoftId)
     }
 }
 
@@ -466,6 +484,10 @@ mod tests {
         Lit::from_dimacs(d)
     }
 
+    fn violated(s: &MaxSatSolver) -> Vec<SoftId> {
+        s.violated_softs().collect()
+    }
+
     #[test]
     fn all_softs_satisfiable() {
         let mut s = MaxSatSolver::new();
@@ -473,7 +495,7 @@ mod tests {
         s.add_soft([lit(1)], 1);
         s.add_soft([lit(2)], 1);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 0 });
-        assert!(s.violated_softs().is_empty());
+        assert!(violated(&s).is_empty());
     }
 
     #[test]
@@ -483,7 +505,7 @@ mod tests {
         let s1 = s.add_soft([lit(-1)], 1);
         let s2 = s.add_soft([lit(-2)], 1);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-        let violated = s.violated_softs();
+        let violated = violated(&s);
         assert_eq!(violated.len(), 1);
         assert!(violated[0] == s1 || violated[0] == s2);
     }
@@ -498,7 +520,7 @@ mod tests {
         s.add_soft([lit(1)], 5);
         let cheap = s.add_soft([lit(2)], 1);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-        assert_eq!(s.violated_softs(), vec![cheap]);
+        assert_eq!(violated(&s), vec![cheap]);
         assert!(s.model().value(Var::new(0)));
     }
 
@@ -519,7 +541,7 @@ mod tests {
         s.add_soft([lit(-1)], 1);
         s.add_soft([lit(-2)], 2);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 3 });
-        assert_eq!(s.violated_softs().len(), 2);
+        assert_eq!(violated(&s).len(), 2);
     }
 
     #[test]
@@ -539,7 +561,7 @@ mod tests {
         let broken = s.add_soft([lit(1), lit(2)], 3);
         let fine = s.add_soft([lit(-1), lit(2)], 2);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 3 });
-        assert_eq!(s.violated_softs(), vec![broken]);
+        assert_eq!(violated(&s), vec![broken]);
         let _ = fine;
     }
 
@@ -563,13 +585,13 @@ mod tests {
             s.solve_under_assumptions(&[lit(1), lit(-2)]),
             MaxSatResult::Optimum { cost: 1 }
         );
-        assert_eq!(s.violated_softs(), vec![s1]);
+        assert_eq!(violated(&s), vec![s1]);
         // The previous call's units are retracted, not persisted.
         assert_eq!(
             s.solve_under_assumptions(&[lit(2), lit(-1)]),
             MaxSatResult::Optimum { cost: 1 }
         );
-        assert_eq!(s.violated_softs(), vec![s2]);
+        assert_eq!(violated(&s), vec![s2]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
     }
 
@@ -674,7 +696,7 @@ mod tests {
             s.solve_under_assumptions(&[lit(1)]),
             MaxSatResult::Optimum { cost: 0 }
         );
-        assert!(s.violated_softs().is_empty());
+        assert!(violated(&s).is_empty());
         assert!(s.model().value(Var::new(0)));
     }
 
@@ -732,7 +754,7 @@ mod tests {
                     MaxSatResult::Optimum { cost: 1 },
                     "call {call}"
                 );
-                assert_eq!(s.violated_softs(), vec![cheap], "call {call}");
+                assert_eq!(violated(&s), vec![cheap], "call {call}");
             } else {
                 assert_eq!(
                     s.solve_under_assumptions(&[lit(-1), lit(-2)]),
@@ -887,11 +909,7 @@ mod tests {
             None => assert_eq!(result, MaxSatResult::HardUnsat, "round {round}"),
             Some(opt) => {
                 assert_eq!(result, MaxSatResult::Optimum { cost: opt }, "round {round}");
-                let violated: u64 = solver
-                    .violated_softs()
-                    .iter()
-                    .map(|id| softs[id.index()].1)
-                    .sum();
+                let violated: u64 = solver.violated_softs().map(|id| softs[id.index()].1).sum();
                 assert_eq!(violated, opt, "round {round}");
             }
         }
@@ -974,7 +992,7 @@ mod tests {
                             "round {round} query {query} pins {pins:?}"
                         );
                         assert_eq!(
-                            solver.violated_softs().len() as u64,
+                            solver.violated_softs().count() as u64,
                             opt,
                             "round {round} query {query}"
                         );

@@ -100,6 +100,19 @@ impl ProofTracer {
         }
     }
 
+    /// Records the core clause `{¬l | l ∈ core}` of an assumption-scoped
+    /// UNSAT verdict as an addition.
+    pub(crate) fn emit_core_clause(&mut self, core: &[Lit]) {
+        // A core names at least the failing assumption; the empty clause
+        // goes through `emit_add`, which marks the log refuted.
+        debug_assert!(!core.is_empty());
+        if let ProofTracer::Drat(log) = self {
+            log.proof.extend(core.iter().map(|&l| dimacs(!l)));
+            log.proof.push(0);
+            log.deletions.push(false);
+        }
+    }
+
     /// Records a clause deletion.
     pub fn emit_delete(&mut self, lits: &[Lit]) {
         if let ProofTracer::Drat(log) = self {

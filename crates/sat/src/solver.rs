@@ -83,6 +83,10 @@ const GC_MIN_WASTED_WORDS: usize = 256;
 /// watch-list rebuild stays amortized.
 const MAINTENANCE_RETIREMENTS: usize = 32;
 
+/// Literals a clause may have for [`Solver::add_clause`] to sort and strip
+/// it on the stack; a longer clause takes one heap buffer.
+const INLINE_CLAUSE: usize = 32;
+
 enum SearchStatus {
     Sat,
     Unsat,
@@ -273,7 +277,33 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = clause.into_iter().collect();
+        // The literals are gathered on the stack; only a clause longer than
+        // `INLINE_CLAUSE` takes a heap buffer.
+        let mut inline = [Lit::positive(Var::new(0)); INLINE_CLAUSE];
+        let mut spilled = Vec::new();
+        let mut len = 0;
+        for lit in clause {
+            if len < INLINE_CLAUSE {
+                inline[len] = lit;
+            } else {
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&inline);
+                }
+                spilled.push(lit);
+            }
+            len += 1;
+        }
+        let lits = if len <= INLINE_CLAUSE {
+            &mut inline[..len]
+        } else {
+            &mut spilled[..]
+        };
+        self.add_clause_literals(lits)
+    }
+
+    /// [`Solver::add_clause`] on the clause's literals, in the caller's
+    /// order; leaves `lits` reordered.
+    fn add_clause_literals(&mut self, lits: &mut [Lit]) -> bool {
         if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
             self.ensure_vars(max + 1);
         }
@@ -282,10 +312,16 @@ impl Solver {
         // they log no step: the checker stores clauses as literal sets, and
         // drat-trim matches deletions by literal set too, so a later
         // deletion naming the solver's sorted form finds this clause.
-        self.tracer.emit_original(&lits);
-        lits.sort();
-        lits.dedup();
-        let distinct = lits.len();
+        self.tracer.emit_original(lits);
+        lits.sort_unstable();
+        let mut distinct = 0;
+        for i in 0..lits.len() {
+            if distinct == 0 || lits[i] != lits[distinct - 1] {
+                lits[distinct] = lits[i];
+                distinct += 1;
+            }
+        }
+        let lits = &mut lits[..distinct];
         // Detect tautologies, drop the clause if a literal is satisfied at
         // level 0, and swap the literals falsified at level 0 behind the
         // kept ones, so `lits[..write]` is the stripped clause and `lits`
@@ -313,9 +349,9 @@ impl Solver {
         // handled below instead, where `ok` goes false.
         if 0 < write && write < distinct {
             self.tracer.emit_add(&lits[..write]);
-            self.tracer.emit_delete(&lits);
+            self.tracer.emit_delete(lits);
         }
-        lits.truncate(write);
+        let lits = &lits[..write];
 
         match lits.len() {
             0 => {
@@ -335,7 +371,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(&lits, false);
+                self.attach_clause(lits, false);
                 true
             }
         }
@@ -652,15 +688,14 @@ impl Solver {
             self.seen[idx] = false;
         }
         self.seen[p.var().index()] = false;
-        // Keep only literals that are actual assumptions (the failing literal p
-        // always is), preserving the caller's literal orientation. Assumption
-        // sets can be large — a MaxSAT optimistic probe assumes one soft
-        // relaxation literal per output — so membership goes through a
-        // sorted copy instead of a linear scan per core literal.
-        let mut assumptions = self.assumptions.clone();
-        assumptions.sort();
-        self.conflict_core
-            .retain(|l| assumptions.binary_search(l).is_ok());
+        // `search` decides only assumptions while the level is below their
+        // count, and calls this before any other decision, so every level
+        // above 0 was opened for an assumption: each decision collected
+        // above is an assumption, in the caller's orientation.
+        debug_assert!(self
+            .conflict_core
+            .iter()
+            .all(|l| self.assumptions.contains(l)));
         self.conflict_core.sort();
         self.conflict_core.dedup();
     }
@@ -1128,7 +1163,11 @@ impl Solver {
             .count();
         self.cancel_until(shared);
         self.stats.reused_levels += shared as u64;
-        self.assumptions = assumptions.to_vec();
+        // Exact growth: the copy stays as long as the longest assumption
+        // set, not up to twice that.
+        self.assumptions.clear();
+        self.assumptions.reserve_exact(assumptions.len());
+        self.assumptions.extend_from_slice(assumptions);
         if self.decision_level() == 0 && self.propagate().is_some() {
             self.ok = false;
             self.tracer.emit_add(&[]);
@@ -1155,9 +1194,7 @@ impl Solver {
                         // failing assumption), and together with the
                         // certificate's assumption units it propagates to a
                         // contradiction — the per-solve empty-clause tail.
-                        let core_clause: Vec<Lit> =
-                            self.conflict_core.iter().map(|&l| !l).collect();
-                        self.tracer.emit_add(&core_clause);
+                        self.tracer.emit_core_clause(&self.conflict_core);
                     }
                     self.tracer.note_unsat(&self.assumptions);
                     break SolveResult::Unsat;
@@ -1197,6 +1234,18 @@ impl Solver {
             return None;
         }
         Some(self.model_values[var.index()] == VALUE_TRUE)
+    }
+
+    /// Returns the value of `var` in the model of the latest satisfiable
+    /// solve call, or `None` before the first one or for a variable created
+    /// since. Unlike [`Solver::value`], it stays readable when later calls
+    /// end unsatisfiable or unknown and when clauses are added, so a caller
+    /// that searches over several queries, such as a MaxSAT bound search
+    /// refuting the bound below its best model, reads that model without
+    /// copying it.
+    pub fn latest_model_value(&self, var: Var) -> Option<bool> {
+        let value = *self.model_values.get(var.index())?;
+        Some(value == VALUE_TRUE)
     }
 
     /// Returns the subset of assumption literals involved in the last
