@@ -4,7 +4,8 @@
 //! because it replaces the global allocator with one that counts the heap
 //! allocations each thread makes. They pin what one iteration of the loop
 //! may allocate: `Aig::simulate` a fixed number of buffers however many
-//! outputs it evaluates, and a repeated `Solver::solve_with_assumptions`
-//! query nothing once it has run once.
+//! outputs it evaluates, a repeated `Solver::solve_with_assumptions`
+//! query nothing once it has run once, and a clause-by-clause
+//! `verify::refute_by_clause` on a warm solver nothing either.
 //!
 //! The library itself is empty.

@@ -6,6 +6,7 @@
 
 use manthan3_aig::{Aig, AigRef};
 use manthan3_cnf::{Lit, Var};
+use manthan3_dqbf::{verify, Dqbf};
 use manthan3_sat::{SolveResult, Solver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,4 +125,50 @@ fn a_repeated_assumption_query_refuted_by_propagation_allocates_nothing() {
     let mut core = solver.unsat_core().to_vec();
     core.sort();
     assert_eq!(core, [a, !c]);
+}
+
+/// The clause-by-clause refutation of a valid vector on a warm solver
+/// allocates nothing when propagation refutes every clause: each query
+/// extends and truncates the caller's buffer, and the solver keeps its
+/// assumptions and core in buffers it owns.
+#[test]
+fn a_clause_by_clause_refutation_refuted_by_propagation_allocates_nothing() {
+    // ∀x1 x2 ∃y1 y2. (x1 ∨ y1) ∧ (¬x1 ∨ ¬y1) ∧ (x2 ∨ ¬y2 ∨ x1) ∧ (¬x2 ∨ y2),
+    // realized by y1 := ¬x1 and y2 := x2.
+    let (x1, x2, y1, y2) = (Var::new(0), Var::new(1), Var::new(2), Var::new(3));
+    let mut dqbf = Dqbf::new();
+    dqbf.add_universal(x1);
+    dqbf.add_universal(x2);
+    dqbf.add_existential(y1, [x1]);
+    dqbf.add_existential(y2, [x2]);
+    dqbf.add_clause([x1.positive(), y1.positive()]);
+    dqbf.add_clause([x1.negative(), y1.negative()]);
+    dqbf.add_clause([x2.positive(), y2.negative(), x1.positive()]);
+    dqbf.add_clause([x2.negative(), y2.positive()]);
+    // The error solver's `y ↔ f` links, guarded by one activation literal
+    // as the verify session guards a candidate generation.
+    let mut solver = Solver::new();
+    solver.ensure_vars(dqbf.num_vars());
+    let activation = solver.new_activation_lit();
+    for (y, f) in [
+        (y1.positive(), x1.negative()),
+        (y2.positive(), x2.positive()),
+    ] {
+        solver.add_guarded_clause(activation, [!y, f]);
+        solver.add_guarded_clause(activation, [y, !f]);
+    }
+    let mut query = vec![activation];
+    let mut refute =
+        || verify::refute_by_clause(&dqbf, &mut query, |q| solver.solve_with_assumptions(q));
+    assert_eq!(refute(), SolveResult::Unsat);
+    let made = allocations(|| {
+        for _ in 0..10 {
+            assert_eq!(refute(), SolveResult::Unsat);
+        }
+    });
+    assert_eq!(made, 0, "{made} allocations in 10 refutations");
+    // Propagation alone refuted every query, and the buffer is back to
+    // its prefix.
+    assert_eq!(solver.stats().conflicts, 0);
+    assert_eq!(query, [activation]);
 }

@@ -3,10 +3,9 @@ use crate::{Cnf, Lit, Var};
 /// A destination for generated clauses: something that allocates fresh
 /// variables and takes clauses.
 ///
-/// The Tseitin encoder (`Aig::encode_cnf` in `manthan3-aig`) and the
-/// error-formula encoder (`manthan3_dqbf::verify::encode_negated_matrix`)
-/// write through this trait, so they encode straight into the SAT solver that
-/// refutes the formula. [`Cnf`] implements it too, for callers that want the
+/// The Tseitin encoder (`Aig::encode_cnf` in `manthan3-aig`) writes
+/// through this trait, so the error formula's candidate cones go straight
+/// into the SAT solver that refutes the formula. [`Cnf`] implements it too, for callers that want the
 /// clauses as a formula (the encoder tests evaluate one).
 ///
 /// # Examples

@@ -309,7 +309,7 @@ impl Manthan3 {
 /// refute the error formula on `session`, one matrix clause at a time, so
 /// `Valid` always comes from the solver. `find_candidates` is the
 /// FindCandidates step, the only query between a counterexample and repair;
-/// its hard probe refutes a δ[X] that no model of ϕ extends. No solver or
+/// its MaxSAT search refutes a δ[X] that no model of ϕ extends. No solver or
 /// encoding is rebuilt inside the loop. `observe` sees each counterexample,
 /// with the run and the vector, before repair.
 pub(crate) fn verify_repair(
@@ -449,8 +449,8 @@ mod tests {
 
     #[test]
     fn reports_false_instances_as_unrealizable() {
-        // FindCandidates' hard probe, the X-extension check (Algorithm 1,
-        // line 13), refutes the counterexample with x = 1.
+        // FindCandidates' MaxSAT search doubles as the X-extension check
+        // (Algorithm 1, line 13) and refutes the counterexample with x = 1.
         let result = synthesize(&no_extension_for_x_true());
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
     }

@@ -52,14 +52,16 @@
 //!   session and an enumerator, which watch only the cancellation token).
 //!   The baseline engines in `manthan3-baselines` run on the same layer, so
 //!   all engines share budget semantics and report comparable counters.
-//! * The [`VerifySession`] Tseitin-encodes the error formula
-//!   `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` **once**, guards each candidate
-//!   function's equivalence behind an activation literal, and re-solves
-//!   under assumptions on each verification. When repair replaces a
-//!   candidate, the old activation literal is retired and a fresh guarded
-//!   equivalence is appended — the solver, its learnt clauses, and the
-//!   shared encoding cache all survive, so iteration cost tracks the *size
-//!   of the change*, not the size of the formula. The error solver keeps
+//! * The [`VerifySession`] Tseitin-encodes the candidate half of the error
+//!   formula `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` **once**, guards each
+//!   candidate function's equivalence behind an activation literal, and
+//!   re-solves under assumptions on each verification: the activation
+//!   literals plus one matrix clause's negated literals per query, so `¬ϕ`
+//!   is never encoded. When repair replaces a candidate, the old
+//!   activation literal is retired and a fresh guarded equivalence is
+//!   appended — the solver, its learnt clauses, and the shared encoding
+//!   cache all survive, so iteration cost tracks the *size of the change*,
+//!   not the size of the formula. The error solver keeps
 //!   itself bounded: the first solve after every 32 retirements opens with
 //!   a maintenance pass (learnt-DB trimming plus garbage collection of
 //!   retired generations), so even hundreds-of-iterations repair runs keep
@@ -71,9 +73,11 @@
 //!   the totalizer) is built **once** on the first counterexample, and
 //!   every FindCandidates query is answered under assumptions pinning
 //!   `δ[X]` and `δ[Y']` — counterexample state is retracted automatically
-//!   between iterations, nothing is re-encoded. Its opening hard probe,
-//!   `ϕ ∧ (X ↔ δ[X])`, is the X-extension check of Algorithm 1, line 13, so
-//!   a refutation ends the run as unrealizable with no SAT call of its own.
+//!   between iterations, nothing is re-encoded. The MaxSAT search doubles
+//!   as the X-extension check of Algorithm 1, line 13: a refuted probe
+//!   whose core holds only the pins refutes `ϕ ∧ (X ↔ δ[X])`, and one
+//!   hard probe then certifies that under the pins alone, so a refutation
+//!   ends the run as unrealizable with no SAT call of its own.
 //!   With both sessions in place the CEGIS loop is allocation-stable end to
 //!   end: `OracleStats::maxsat_solvers_constructed` stays at one however
 //!   many repair iterations run, next to `sat_solvers_constructed` at two.

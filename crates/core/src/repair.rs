@@ -9,8 +9,9 @@
 //! and the `G_k` queries (whose UNSAT cores
 //! become repair cubes) by the [`VerifySession`]'s incremental matrix
 //! solver — repair never constructs a solver or an encoding of its own.
-//! FindCandidates' hard probe is the X-extension check of Algorithm 1,
-//! line 13, so it ends the run when `δ[X]` extends to no model of ϕ.
+//! FindCandidates' MaxSAT search doubles as the X-extension check of
+//! Algorithm 1, line 13: its probes refute the hard part when `δ[X]`
+//! extends to no model of ϕ, and that ends the run.
 //! Repair takes the verify check's counterexample [`Delta`] as it is: the
 //! paper's σ (Algorithm 1, line 16) is δ under another name, so the code
 //! and these docs write δ throughout.

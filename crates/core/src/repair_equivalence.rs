@@ -19,8 +19,8 @@
 //!   vector must pass the independent certificate check. Each check
 //!   simulates the vector before it asks the error solver, and
 //!   FindCandidates is the only query between a counterexample and repair,
-//!   its hard probe being the X-extension check that proves a false
-//!   instance unrealizable.
+//!   its MaxSAT search doubling as the X-extension check that proves a
+//!   false instance unrealizable.
 //! * **One encoding per sweep**: a 30-call FindCandidates sweep on one
 //!   session builds exactly one MaxSAT solver and its hard encoding, and
 //!   answers every call under assumptions.

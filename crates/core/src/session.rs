@@ -14,22 +14,23 @@
 //!
 //! Keeps two incremental SAT solvers:
 //!
-//! * the **error solver** holds `¬ϕ(X,Y')` (encoded once, lazily, on the
-//!   first verification, with one indicator `d_c` per matrix clause `c`)
-//!   plus one guarded equivalence `a_i → (y_i ↔ f_i)` per candidate
-//!   generation. Each verification refutes the error formula one matrix
-//!   clause at a time: it solves under the assumptions `{a_1, …, a_m, d_c}`
-//!   of the *current* generations for each `c` in matrix order, and the
-//!   first satisfiable query gives the counterexample
-//!   ([`verify::refute_by_clause`]). The activation literals are a shared
-//!   assumption prefix, so the solver keeps their trail levels from query to
-//!   query and re-decides only `d_c`. When repair replaces
-//!   `f_i`, the old activation literal is retired (asserted false) and a
-//!   fresh guarded equivalence is added — the solver, its learnt clauses,
-//!   and the Tseitin encoding cache survive. Every clause is encoded
-//!   straight into the error solver, which is the
-//!   [`ClauseSink`](manthan3_cnf::ClauseSink) of both encoders, so no copy
-//!   of the error formula is kept outside it. The cache maps AIG nodes to
+//! * the **error solver** holds the candidate cones and one guarded
+//!   equivalence `a_i → (y_i ↔ f_i)` per candidate generation, and no part
+//!   of `¬ϕ(X,Y')`. Each verification refutes the error formula one matrix
+//!   clause at a time: for each `c` in matrix order it solves under the
+//!   activation literals `{a_1, …, a_m}` of the *current* generations
+//!   followed by the negated literals of `c`, and the first satisfiable
+//!   query gives the counterexample ([`verify::refute_by_clause`]). The
+//!   activation literals are a shared assumption prefix, so the solver
+//!   keeps their trail levels from query to query and re-decides only `¬c`.
+//!   The session keeps the query in one buffer, so a query allocates
+//!   nothing once the buffer has room for the longest clause. When repair
+//!   replaces `f_i`, the old activation literal is retired (asserted false)
+//!   and a fresh guarded equivalence is added — the solver, its learnt
+//!   clauses, and the Tseitin encoding cache survive. The cones are encoded
+//!   straight into the error solver, which is the Tseitin encoder's
+//!   [`ClauseSink`](manthan3_cnf::ClauseSink), so no copy of them is kept
+//!   outside it. The cache maps AIG nodes to
 //!   error-solver literals; because candidate cones grow monotonically
 //!   inside one shared AIG, re-encoding a repaired candidate only pays for
 //!   the *new* nodes ([`Aig::encode_cnf`](manthan3_aig::Aig::encode_cnf)).
@@ -73,9 +74,11 @@
 //! targets — so they are retracted automatically between iterations and the
 //! outputs selected for repair are exactly those with `eq_i` false in the
 //! optimum. No clause is ever added after construction; the CDCL state and
-//! the cardinality network survive every iteration. The search's opening
-//! probe of the hard part is the X-extension check (Algorithm 1, line 13),
-//! so this is the one query per counterexample.
+//! the cardinality network survive every iteration. The search doubles as
+//! the X-extension check (Algorithm 1, line 13): it opens with the
+//! optimistic all-softs probe, and a refuted probe whose UNSAT core holds
+//! none of the probe's own literals refutes `ϕ ∧ (X ↔ δ[X])` itself. So
+//! this is the one query per counterexample.
 //!
 //! # Literal lifecycle
 //!
@@ -255,15 +258,15 @@ pub struct VerifySession {
     /// Incremental solver over the matrix `ϕ` (the trivial-falsity check,
     /// repair queries `G_k` and their UNSAT cores).
     phi: Solver,
-    /// Incremental solver over the error formula `¬ϕ ∧ (Y' ↔ f)`. Every
-    /// clause of the formula is encoded straight into it; its variables are
-    /// the formula's, then the `¬ϕ` indicators, then the Tseitin and
+    /// Incremental solver over the `Y' ↔ f` half of the error formula
+    /// `¬ϕ ∧ (Y' ↔ f)`; `¬ϕ` rides in as assumptions, one matrix clause per
+    /// query. Its variables are the formula's, then the Tseitin and
     /// activation variables of the candidate generations in encoding order.
     error: Solver,
-    /// The `¬ϕ` clause indicators in the error solver, one per matrix clause
-    /// in matrix order; `None` until `¬ϕ` is encoded (done lazily on the
-    /// first verification so preprocessing-only runs never pay for it).
-    indicators: Option<Vec<Lit>>,
+    /// The error solver's query buffer: the current activation literals,
+    /// then one matrix clause's negated literals while that clause's query
+    /// runs. Kept across calls, so a verify check allocates no query.
+    query: Vec<Lit>,
     /// Persistent AIG-node → error-solver-literal cache for candidate cones.
     /// An AIG input label is the formula variable of the same index, so
     /// candidate functions read other outputs from the `Y'` variables.
@@ -276,19 +279,21 @@ pub struct VerifySession {
 
 impl VerifySession {
     /// Creates a session for `dqbf`: constructs the two incremental solvers
-    /// through `oracle`. The error formula's `¬ϕ` part is encoded lazily on
-    /// the first [`VerifySession::verify`] call, so a run that ends in
-    /// preprocessing (unsatisfiable matrix, budget) never pays for it.
+    /// through `oracle`. The error solver only declares the formula's
+    /// variables, so the Tseitin variables are numbered after them; the
+    /// candidate cones are encoded on the first [`VerifySession::verify`]
+    /// call.
     pub fn new(dqbf: &Dqbf, oracle: &mut Oracle) -> Self {
         let mut phi = oracle.new_solver();
         phi.add_cnf(dqbf.matrix());
         phi.ensure_vars(dqbf.num_vars());
 
-        let error = oracle.new_solver();
+        let mut error = oracle.new_solver();
+        error.ensure_vars(dqbf.num_vars());
         VerifySession {
             phi,
             error,
-            indicators: None,
+            query: Vec::new(),
             encode_cache: HashMap::new(),
             slots: BTreeMap::new(),
             encodings: 0,
@@ -322,9 +327,9 @@ impl VerifySession {
     /// candidate equivalences for outputs whose function changed since the
     /// last call, then refutes the persistent error formula one matrix
     /// clause at a time ([`verify::refute_by_clause`]): each query assumes
-    /// the current activation literals plus one `¬ϕ` clause indicator. The
-    /// first satisfiable query gives the counterexample; `Valid` takes one
-    /// UNSAT query per matrix clause, each certified under
+    /// the current activation literals plus the negation of one matrix
+    /// clause. The first satisfiable query gives the counterexample; `Valid`
+    /// takes one UNSAT query per matrix clause, each certified under
     /// `Manthan3Config::certify`.
     ///
     /// All functions must live in one shared, monotonically growing AIG
@@ -341,12 +346,6 @@ impl VerifySession {
         vector: &HenkinVector,
         oracle: &mut Oracle,
     ) -> VerifyOutcome {
-        if self.indicators.is_none() {
-            // The formula's variables come first, so the indicators and
-            // Tseitin variables are numbered after them.
-            self.error.ensure_vars(dqbf.num_vars());
-            self.indicators = Some(verify::encode_negated_matrix(dqbf, &mut self.error));
-        }
         for &y in dqbf.existentials() {
             // invariant: a HenkinVector is total over the existentials by
             // construction.
@@ -380,11 +379,11 @@ impl VerifySession {
             self.encodings += 1;
         }
 
-        let assumptions: Vec<Lit> = self.slots.values().map(|slot| slot.activation).collect();
-        // invariant: the top of this call encodes ¬ϕ when it is missing.
-        let indicators = self.indicators.as_deref().expect("¬ϕ is encoded");
+        self.query.clear();
+        self.query
+            .extend(self.slots.values().map(|slot| slot.activation));
         let error = &mut self.error;
-        match verify::refute_by_clause(indicators, &assumptions, |query| {
+        match verify::refute_by_clause(dqbf, &mut self.query, |query| {
             oracle.solve_with_assumptions(error, query)
         }) {
             SolveResult::Unsat => VerifyOutcome::Valid,
@@ -448,6 +447,9 @@ struct RepairSlot {
 pub struct RepairSession {
     maxsat: MaxSatSolver,
     slots: Vec<RepairSlot>,
+    /// The assumption buffer of [`RepairSession::find_candidates`], refilled
+    /// on each call.
+    assumptions: Vec<Lit>,
 }
 
 impl RepairSession {
@@ -478,7 +480,11 @@ impl RepairSession {
                 target: t,
             });
         }
-        RepairSession { maxsat, slots }
+        RepairSession {
+            maxsat,
+            slots,
+            assumptions: Vec::new(),
+        }
     }
 
     /// Runs `FindCandi` (Algorithm 3, line 2) for the counterexample
@@ -487,10 +493,10 @@ impl RepairSession {
     /// targets. Returns the outputs whose soft constraint was dropped in the
     /// optimum — the candidates to repair.
     ///
-    /// The MaxSAT search opens by probing its hard part, `ϕ ∧ (X ↔ δ[X])`,
-    /// which is the X-extension check of Algorithm 1, line 13. So the query
-    /// breaks with the verdict that ends the run instead of candidates when
-    /// `δ[X]` has no extension to a model of ϕ
+    /// The MaxSAT search refutes its hard part, `ϕ ∧ (X ↔ δ[X])`, when no
+    /// model satisfies it, so it doubles as the X-extension check of
+    /// Algorithm 1, line 13. The query breaks with the verdict that ends the
+    /// run instead of candidates when `δ[X]` has no extension to a model of ϕ
     /// ([`SynthesisOutcome::Unrealizable`], certified under
     /// `Manthan3Config::certify`) or when the oracle gave up
     /// ([`SynthesisOutcome::Unknown`] with the budget's reason).
@@ -499,15 +505,14 @@ impl RepairSession {
         delta: &Delta,
         oracle: &mut Oracle,
     ) -> ControlFlow<SynthesisOutcome, Vec<Var>> {
-        let mut assumptions: Vec<Lit> = Vec::with_capacity(delta.x.len() + self.slots.len());
-        for (&x, &value) in &delta.x {
-            assumptions.push(x.lit(value));
-        }
+        self.assumptions.clear();
+        self.assumptions
+            .extend(delta.x.iter().map(|(&x, &value)| x.lit(value)));
         for slot in &self.slots {
             let target = delta.y_prime.get(&slot.output).copied().unwrap_or(false);
-            assumptions.push(slot.target.lit(target));
+            self.assumptions.push(slot.target.lit(target));
         }
-        match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &assumptions) {
+        match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &self.assumptions) {
             MaxSatResult::Optimum { .. } => {
                 // Soft clause `i` is slot `i`'s (see `RepairSession::new`).
                 let dropped = self.maxsat.violated_softs();
@@ -652,7 +657,7 @@ mod tests {
 
     /// `∀x1 x2 x3 ∃y. y ↔ x1 ∧ x2 ∧ x3`, as the clauses `(¬y ∨ x_i)` and then
     /// `(¬x1 ∨ ¬x2 ∨ ¬x3 ∨ y)`. Against `y := ⊥` only the last clause can
-    /// fail, so a refutation that stopped short of the last indicator would
+    /// fail, so a refutation that stopped short of the last clause would
     /// call the vector valid.
     #[test]
     fn only_the_last_clause_can_fail() {
@@ -704,6 +709,81 @@ mod tests {
         assert_eq!(after.sat_calls - before.sat_calls, clauses);
         assert!(after.certificates_checked - before.certificates_checked >= clauses as u64);
         assert_eq!(after.certificates_rejected, 0);
+    }
+
+    /// `∀x ∃^{x}y` with the clauses `(x ∨ ¬x ∨ y)`, a tautology, and
+    /// `(y ∨ x ∨ y)`, which repeats `y`. Both sessions, certifying and not,
+    /// must refute the tautology by its own assumptions `{¬x, x, ¬y}` and
+    /// the repeated clause like any other, with every certificate accepted.
+    #[test]
+    fn tautological_and_repeated_literal_clauses_are_refuted_by_their_assumptions() {
+        let (xv, yv) = (Var::new(0), Var::new(1));
+        let mut dqbf = Dqbf::new();
+        dqbf.add_universal(xv);
+        dqbf.add_existential(yv, [xv]);
+        dqbf.add_clause([xv.positive(), xv.negative(), yv.positive()]);
+        dqbf.add_clause([yv.positive(), xv.positive(), yv.positive()]);
+        for certify in [false, true] {
+            let mut oracle = Oracle::new(Budget::unlimited()).with_certification(certify);
+            let mut session = VerifySession::new(&dqbf, &mut oracle);
+            let mut vector = HenkinVector::new();
+            let input = vector.aig_mut().input(xv.index());
+            // y := x falsifies only the repeated clause, at x = 0, so the
+            // tautology's query comes first and must be refuted.
+            vector.set(yv, input);
+            match session.verify(&dqbf, &vector, &mut oracle) {
+                VerifyOutcome::CounterExample(delta) => {
+                    assert_eq!(delta.x, BTreeMap::from([(xv, false)]), "certify {certify}");
+                    assert_eq!(delta.y_prime, BTreeMap::from([(yv, false)]));
+                }
+                other => panic!("certify {certify}: expected a counterexample, got {other:?}"),
+            }
+            assert_eq!(oracle.stats().sat_calls, 2, "certify {certify}");
+            vector.set(yv, !input);
+            assert_eq!(
+                session.verify(&dqbf, &vector, &mut oracle),
+                VerifyOutcome::Valid,
+                "certify {certify}"
+            );
+            assert_eq!(oracle.stats().sat_calls, 4, "certify {certify}");
+            let stats = oracle.stats();
+            // One certificate per UNSAT answer: the tautology twice, the
+            // repeated clause once.
+            let expected = if certify { 3 } else { 0 };
+            assert_eq!(stats.certificates_checked, expected);
+            assert_eq!(stats.certificates_rejected, 0);
+            assert!(oracle.certification_failure().is_none());
+        }
+    }
+
+    /// The error solver holds the candidate cones and their links, not
+    /// `¬ϕ`: after the first verify its clause count is the same for the
+    /// paper example and for the same matrix with every clause repeated
+    /// three times.
+    #[test]
+    fn the_error_solver_does_not_grow_with_the_matrix() {
+        let paper = Dqbf::paper_example();
+        let mut tripled = paper.clone();
+        for _ in 0..2 {
+            for clause in paper.clauses() {
+                tripled.add_clause(clause.iter().copied());
+            }
+        }
+        assert_eq!(tripled.num_clauses(), 3 * paper.num_clauses());
+        let clauses_after_first_verify = |dqbf: &Dqbf| {
+            let mut oracle = Oracle::new(Budget::unlimited());
+            let mut session = VerifySession::new(dqbf, &mut oracle);
+            assert_eq!(
+                session.verify(dqbf, &paper_vector(), &mut oracle),
+                VerifyOutcome::Valid
+            );
+            assert_eq!(oracle.stats().sat_calls, dqbf.num_clauses());
+            session.error_solver_clauses()
+        };
+        assert_eq!(
+            clauses_after_first_verify(&tripled),
+            clauses_after_first_verify(&paper)
+        );
     }
 
     /// Hygiene watchdog (ROADMAP "error-solver hygiene"): a repair-heavy run

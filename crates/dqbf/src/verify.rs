@@ -7,17 +7,17 @@
 //! so it can be used to validate the output of any synthesis engine in this
 //! workspace (Manthan3 and both baselines).
 //!
-//! `¬ϕ` is encoded with one indicator per matrix clause
-//! ([`encode_negated_matrix`]), and E is refuted one clause at a time on the
-//! one solver that holds it ([`refute_by_clause`]): E is UNSAT exactly when
-//! E ∧ d_c is UNSAT for every clause indicator d_c. Each query asks only
-//! whether the vector can falsify clause c, and the queries share the
-//! solver's learnt clauses; on the benchmark's returned vectors that took
-//! fewer conflicts than one query over the whole disjunction. The engine's
-//! `VerifySession` refutes its persistent error formula the same way.
+//! E is refuted one matrix clause at a time on one solver
+//! ([`refute_by_clause`]): ϕ is false exactly when some clause `c` is, and
+//! `¬c` is a conjunction of literals, so E is UNSAT exactly when the solver
+//! holding `Y' ↔ f` is UNSAT under the assumptions `¬c` for every `c`.
+//! The solver holds no part of `¬ϕ`: each query asks only whether the
+//! vector can falsify clause `c`, and the queries share the solver's learnt
+//! clauses. The engine's `VerifySession` refutes its persistent error
+//! formula the same way.
 
 use crate::{Dqbf, HenkinVector};
-use manthan3_cnf::{Assignment, ClauseSink, Lit, Var};
+use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_sat::{SolveResult, Solver};
 use std::collections::{BTreeMap, HashMap};
 
@@ -59,43 +59,32 @@ impl CheckOutcome {
     }
 }
 
-/// Encodes `¬ϕ(vars)` into `sink`: one fresh indicator per clause that
-/// implies the clause is falsified, plus a disjunction of all indicators.
-/// Returns the indicators, one per matrix clause in matrix order, for
-/// [`refute_by_clause`]. The sink must already declare the formula's
-/// variables, so the indicators are numbered after them.
-pub fn encode_negated_matrix(dqbf: &Dqbf, sink: &mut impl ClauseSink) -> Vec<Lit> {
-    let mut indicators = Vec::with_capacity(dqbf.num_clauses());
-    for clause in dqbf.matrix().clauses() {
-        let n = sink.fresh_var().positive();
-        for &lit in clause {
-            sink.add_clause(&[!n, !lit]);
-        }
-        indicators.push(n);
-    }
-    sink.add_clause(&indicators);
-    indicators
-}
-
-/// Refutes the error formula one matrix clause at a time: calls `solve`
-/// under `assumptions` followed by one indicator `d_c`, for each indicator
-/// of [`encode_negated_matrix`] in order, and returns the first answer that
-/// is not UNSAT. A SAT answer's model falsifies clause `c`, so it is a model
-/// of the error formula itself. If every query is UNSAT, the error formula
-/// is UNSAT, because its indicator disjunction needs some `d_c` true.
+/// Refutes the error formula one matrix clause at a time: for each clause
+/// `c` of `dqbf`'s matrix in order, calls `solve` on `query` extended by
+/// the negations of `c`'s literals, and returns the first answer that is
+/// not UNSAT. `query` holds the caller's assumption prefix on entry and is
+/// restored to it on return, so a caller that keeps the buffer makes no
+/// allocation per query once it has room for the longest clause.
+///
+/// A SAT answer's model falsifies `c`, so it is a model of the error
+/// formula itself. If every query is UNSAT, no model of the solver's
+/// clauses and the prefix falsifies any clause, so the error formula is
+/// UNSAT. A tautological clause, or one that repeats a literal, needs no
+/// special case: assuming both `l` and `¬l` is refuted by the assumptions
+/// themselves, and a repeated assumption is satisfied when it is reached.
 pub fn refute_by_clause(
-    indicators: &[Lit],
-    assumptions: &[Lit],
+    dqbf: &Dqbf,
+    query: &mut Vec<Lit>,
     mut solve: impl FnMut(&[Lit]) -> SolveResult,
 ) -> SolveResult {
-    let mut query = assumptions.to_vec();
-    for &indicator in indicators {
-        query.push(indicator);
-        let result = solve(&query);
+    let prefix = query.len();
+    for clause in dqbf.clauses() {
+        query.extend(clause.iter().map(|&l| !l));
+        let result = solve(query);
+        query.truncate(prefix);
         if result != SolveResult::Unsat {
             return result;
         }
-        query.pop();
     }
     SolveResult::Unsat
 }
@@ -104,8 +93,9 @@ pub fn refute_by_clause(
 /// (Lemma 1 of the paper).
 ///
 /// The check is fully independent of the synthesis engines: it encodes the
-/// error formula straight into a fresh SAT solver and refutes it there, one
-/// matrix clause at a time ([`refute_by_clause`]).
+/// functions and their links `Y ↔ f` straight into a fresh SAT solver and
+/// refutes the error formula there, one matrix clause at a time
+/// ([`refute_by_clause`]).
 ///
 /// # Examples
 ///
@@ -128,8 +118,9 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
     // only mention universal variables, the original Y variables can play the
     // role of Y'.
     let mut solver = Solver::new();
+    // The formula's variables come first, so the Tseitin variables are
+    // numbered after them.
     solver.ensure_vars(dqbf.num_vars());
-    let indicators = encode_negated_matrix(dqbf, &mut solver);
     // One cache for every output: after `substitute_down` the functions share
     // cones, and each shared node is encoded once.
     let mut cache = HashMap::new();
@@ -139,7 +130,7 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
         solver.add_clause([y.negative(), out]);
         solver.add_clause([y.positive(), !out]);
     }
-    match refute_by_clause(&indicators, &[], |query| {
+    match refute_by_clause(dqbf, &mut Vec::new(), |query| {
         solver.solve_with_assumptions(query)
     }) {
         SolveResult::Unsat => CheckOutcome::Valid,
@@ -213,7 +204,7 @@ mod tests {
 
     /// `∀x1 x2 x3 ∃y. y ↔ x1 ∧ x2 ∧ x3`, as the clauses `(¬y ∨ x_i)` and then
     /// `(¬x1 ∨ ¬x2 ∨ ¬x3 ∨ y)`. Against `y := ⊥` only the last clause can
-    /// fail, so a refutation that stopped short of the last indicator would
+    /// fail, so a refutation that stopped short of the last clause would
     /// call the vector valid.
     #[test]
     fn only_the_last_clause_can_fail() {
@@ -240,6 +231,33 @@ mod tests {
                 assert!(last
                     .iter()
                     .all(|&l| full.get(l.var()) == Some(!l.is_positive())));
+            }
+            other => panic!("expected Falsified, got {other:?}"),
+        }
+    }
+
+    /// `∀x ∃^{x}y` with the clauses `(x ∨ ¬x ∨ y)`, a tautology, and
+    /// `(y ∨ x ∨ y)`, which repeats `y`. The first clause's query assumes
+    /// both `x` and `¬x`, so its own assumptions refute it whatever the
+    /// vector; the second is falsified exactly when `x` and `y` are false.
+    #[test]
+    fn tautological_and_repeated_literal_clauses_are_refuted_by_their_assumptions() {
+        let (xv, yv) = (Var::new(0), Var::new(1));
+        let mut dqbf = Dqbf::new();
+        dqbf.add_universal(xv);
+        dqbf.add_existential(yv, [xv]);
+        dqbf.add_clause([xv.positive(), xv.negative(), yv.positive()]);
+        dqbf.add_clause([yv.positive(), xv.positive(), yv.positive()]);
+        let mut v = HenkinVector::new();
+        let input = v.aig_mut().input(xv.index());
+        v.set(yv, !input);
+        assert!(check(&dqbf, &v).is_valid());
+        // y := x falsifies the second clause at x = 0 and nothing else.
+        v.set(yv, input);
+        match check(&dqbf, &v) {
+            CheckOutcome::Falsified(cex) => {
+                assert_eq!(cex.assignment.get(xv), Some(false));
+                assert!(!cex.y_outputs[&yv]);
             }
             other => panic!("expected Falsified, got {other:?}"),
         }

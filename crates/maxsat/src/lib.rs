@@ -14,6 +14,15 @@
 //! warm-started at the previous call's optimum. Integer weights are
 //! supported by replicating relaxation literals inside the totalizer.
 //!
+//! The search opens with the optimistic probe, every soft clause assumed
+//! satisfied, and makes no separate check that the hard clauses are
+//! satisfiable: its first SAT probe shows that. A refuted probe whose UNSAT
+//! core holds none of the probe's own literals (relaxation or bound
+//! literals) shows the hard clauses refuted under the caller's assumptions;
+//! one plain probe under those assumptions then gives the
+//! [`MaxSatResult::HardUnsat`] verdict, so its certificate scopes in the
+//! caller's assumptions alone.
+//!
 //! # Incremental use
 //!
 //! The solver is built for long-lived incremental use, clausal-abstraction

@@ -154,8 +154,9 @@ impl MaxSatSolver {
     /// plus any caller assumptions — were refuted) or an optimum whose
     /// final act was refuting the bound below the reported cost. In both
     /// cases the certificate covers that closing refutation, with the
-    /// probe's assumptions (including any totalizer bound literal) scoped
-    /// in as unit clauses of the certificate CNF. A probe loop that
+    /// probe's assumptions scoped in as unit clauses of the certificate
+    /// CNF: exactly the caller's for a hard-UNSAT verdict, the caller's
+    /// plus the totalizer bound literal for an optimum. A probe loop that
     /// ends on a SAT verdict withdraws the certificate, exactly like
     /// [`Solver::certificate`](manthan3_sat::Solver::certificate).
     pub fn certificate(&self) -> Option<manthan3_sat::Certificate<'_>> {
@@ -280,8 +281,10 @@ impl MaxSatSolver {
     /// the persistent totalizer, warm-started at the previous call's optimum
     /// — walk the bound up from there while UNSAT, then tighten downward
     /// from the first model's true cost until the bound below it is refuted.
-    /// With a stable objective the whole search is typically one or two
-    /// probes.
+    /// It opens with the optimistic all-softs probe, not with a check of the
+    /// hard part: a refuted probe whose core names none of its own literals
+    /// is what shows the hard part refuted. With a stable objective the
+    /// whole search is typically one to three probes.
     ///
     /// An already-cancelled solver is refused up front — the internal
     /// probes would each be refused anyway, so this skips straight to the
@@ -321,23 +324,20 @@ impl MaxSatSolver {
     /// The optimum search of [`MaxSatSolver::solve_under_assumptions`]
     /// under `self.assumptions`.
     fn search(&mut self) -> MaxSatResult {
-        // Is the hard part satisfiable at all (under the assumptions)?
-        match self.probe(Probe::Hard) {
-            SolveResult::Unsat => return MaxSatResult::HardUnsat,
-            SolveResult::Unknown => return MaxSatResult::Unknown,
-            SolveResult::Sat => {}
-        }
-        if self.softs.is_empty() {
-            return MaxSatResult::Optimum { cost: 0 };
-        }
-        // Optimistic check: can every soft clause be satisfied?
+        // Optimistic check: can every soft clause be satisfied? With no
+        // soft clauses it is the hard check itself.
         match self.probe(Probe::AllSofts) {
             SolveResult::Sat => {
                 self.last_optimum = Some(0);
                 return MaxSatResult::Optimum { cost: 0 };
             }
             SolveResult::Unknown => return MaxSatResult::Unknown,
-            SolveResult::Unsat => {}
+            SolveResult::Unsat if self.softs.is_empty() => return MaxSatResult::HardUnsat,
+            SolveResult::Unsat => {
+                if let Some(verdict) = self.hard_refuted(Probe::AllSofts) {
+                    return verdict;
+                }
+            }
         }
         let total = self.totalizer().len() as u64;
         // A probe at bound `k` asks for a model with at most `k` violated
@@ -368,6 +368,9 @@ impl MaxSatSolver {
                 SolveResult::Sat => break self.cost_of_current_model(),
                 SolveResult::Unknown => return MaxSatResult::Unknown,
                 SolveResult::Unsat => {
+                    if let Some(verdict) = self.hard_refuted(Probe::Bound(bound_lit)) {
+                        return verdict;
+                    }
                     refuted = k;
                     k += 1;
                 }
@@ -396,6 +399,39 @@ impl MaxSatSolver {
             .cancel
             .as_ref()
             .is_some_and(|token| token.is_cancelled())
+    }
+
+    /// After `probe` was refuted: when its UNSAT core holds none of the
+    /// probe's own literals, the hard part is refuted under the caller's
+    /// assumptions alone, and [`Probe::Hard`] runs once so the verdict's
+    /// certificate scopes in only those. Returns the verdict that ends the
+    /// search, or `None` to go on with the bound walk: the core named a
+    /// probe literal, or the hard probe found a model after all.
+    fn hard_refuted(&mut self, probe: Probe) -> Option<MaxSatResult> {
+        let core = self.solver.unsat_core();
+        let own = match probe {
+            Probe::Hard => false,
+            Probe::AllSofts => core.iter().any(|&l| self.is_relaxed_soft(l)),
+            Probe::Bound(bound) => core.contains(&bound),
+        };
+        if own {
+            return None;
+        }
+        match self.probe(Probe::Hard) {
+            SolveResult::Unsat => Some(MaxSatResult::HardUnsat),
+            SolveResult::Unknown => Some(MaxSatResult::Unknown),
+            SolveResult::Sat => None,
+        }
+    }
+
+    /// `true` if `lit` is `¬r` for the relaxation literal `r` of a soft
+    /// clause: one of [`Probe::AllSofts`]' own assumptions. Relaxation
+    /// variables are allocated in soft-clause order, so a binary search
+    /// finds the candidate.
+    fn is_relaxed_soft(&self, lit: Lit) -> bool {
+        self.softs
+            .binary_search_by_key(&lit.var(), |s| s.relax.var())
+            .is_ok_and(|i| self.softs[i].relax == !lit)
     }
 
     /// One internal SAT probe under the caller's assumptions and what
@@ -796,6 +832,59 @@ mod tests {
         assert!(s.proof_steps().0 > 0);
     }
 
+    /// Solves under `pins`, expects a hard-UNSAT verdict reached in
+    /// `probes` probes, and checks that its certificate is accepted and
+    /// scopes in exactly `pins`, none of the search's own literals.
+    fn assert_pinned_hard_unsat(s: &mut MaxSatSolver, pins: &[Lit], probes: u64) {
+        use manthan3_drat::{check, ProofStep};
+        let before = s.stats().probes;
+        assert_eq!(s.solve_under_assumptions(pins), MaxSatResult::HardUnsat);
+        assert_eq!(s.stats().probes - before, probes);
+        let cert = s.certificate().expect("hard-unsat certificate");
+        let pinned: Vec<i32> = pins.iter().map(|l| l.to_dimacs() as i32).collect();
+        assert_eq!(cert.assumptions(), pinned);
+        let steps = cert.steps().map(ProofStep::from);
+        assert!(
+            check(cert.cnf(), steps, || false).is_verified(),
+            "certificate rejected"
+        );
+    }
+
+    /// The pin `¬x1` contradicts the hard unit `x1`, so the optimistic
+    /// probe's core is `{¬x1}` alone: the hard probe runs next and its
+    /// certificate lists only the pin, not the relaxation literals.
+    #[test]
+    fn an_optimistic_core_of_pins_alone_ends_in_a_pinned_certificate() {
+        let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
+        s.add_hard([lit(1)]);
+        s.add_soft([lit(2)], 1);
+        s.add_soft([lit(3)], 1);
+        assert_pinned_hard_unsat(&mut s, &[lit(-1)], 2);
+    }
+
+    /// Under the pin `a` the hard part forces `¬p`, so assuming the soft
+    /// `(p)` satisfied fails with a core that names its relaxation literal,
+    /// and the search goes on to the bound probe. `a ∧ ¬p` is refuted only
+    /// by search over `q` and `r`, which learns `¬a`: the bound probe's core
+    /// is `{a}`, so the hard probe runs and the certificate lists only `a`.
+    #[test]
+    fn a_bound_core_of_pins_alone_ends_in_a_pinned_certificate() {
+        let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
+        let (a, p, q, r) = (lit(1), lit(2), lit(3), lit(4));
+        s.add_hard([!a, !p]);
+        for (q, r) in [(q, r), (q, !r), (!q, r), (!q, !r)] {
+            s.add_hard([!a, p, q, r]);
+        }
+        s.add_soft([p], 1);
+        for _ in 0..3 {
+            let free = s.new_var().positive();
+            s.add_soft([free], 1);
+        }
+        // Optimistic, bound 1, hard: the walk stops at the first bound
+        // probe instead of climbing to the fourth soft.
+        assert_pinned_hard_unsat(&mut s, &[a], 3);
+    }
+
     /// The relaxed instance is satisfiable, so the optimum search ends on a
     /// SAT probe: no certificate is claimed, and logging stays off (no
     /// proof steps) unless the configuration asks for it.
@@ -818,9 +907,9 @@ mod tests {
     /// The warm-start bound must not survive an
     /// assumption-set change. Alternating disjoint σ pins with very
     /// different optima stay correct, and every call's probe count is
-    /// bounded by `optimum + 2` (hard check + optimistic check + climb
-    /// from 1) — a stale warm bound from the other pin would seed the
-    /// search at an unrelated level.
+    /// bounded by `optimum + 2` (optimistic check + climb from 1, with one
+    /// probe to spare) — a stale warm bound from the other pin would seed
+    /// the search at an unrelated level.
     #[test]
     fn warm_start_is_invalidated_on_assumption_set_changes() {
         let mut s = MaxSatSolver::new();
@@ -854,9 +943,9 @@ mod tests {
         }
         // Repeating the *same* assumption set keeps the warm start: after
         // one fresh climb re-establishes the bound, the re-query pays the
-        // hard check, the optimistic check, the already-SAT probe at the
-        // warm optimum, and one refuted confirming probe below it —
-        // 4 probes, no climb.
+        // optimistic check, the already-SAT probe at the warm optimum, and
+        // one refuted confirming probe below it — 3 probes, no climb and no
+        // separate hard check.
         assert_eq!(
             s.solve_under_assumptions(&[t, !u]),
             MaxSatResult::Optimum { cost: 3 }
@@ -866,7 +955,7 @@ mod tests {
             s.solve_under_assumptions(&[t, !u]),
             MaxSatResult::Optimum { cost: 3 }
         );
-        assert_eq!(s.stats().probes - before, 4);
+        assert_eq!(s.stats().probes - before, 3);
     }
 
     /// A random clause of one or two literals over `num_vars` variables.

@@ -104,6 +104,10 @@ pub struct Solver {
     /// Every live clause, in allocation order (problem and learnt).
     clause_refs: Vec<ClauseRef>,
     learnt_refs: Vec<ClauseRef>,
+    /// Learnt clauses in `learnt_refs` whose stored glue is ≤ 2, kept up to
+    /// date wherever a learnt clause is attached, has its glue lowered or is
+    /// deleted, so [`Solver::stats`] reads the gauge without a scan.
+    glue2_learnts: usize,
     watches: Vec<Vec<Watcher>>,
     values: Vec<i8>,
     levels: Vec<u32>,
@@ -171,6 +175,7 @@ impl Solver {
             arena: ClauseArena::new(),
             clause_refs: Vec::new(),
             learnt_refs: Vec::new(),
+            glue2_learnts: 0,
             watches: Vec::new(),
             values: Vec::new(),
             levels: Vec::new(),
@@ -208,15 +213,21 @@ impl Solver {
     }
 
     /// Runtime statistics. Gauges (learnt-DB size, glue ≤ 2 count, arena
-    /// occupancy) reflect the state at the time of the call.
+    /// occupancy) reflect the state at the time of the call. Every gauge is
+    /// kept as it changes, so the call is O(1); debug builds check the glue
+    /// count against a scan of the learnt database.
     pub fn stats(&self) -> SolverStats {
         let mut s = self.stats;
         s.learnt_clauses = self.learnt_refs.len();
-        s.glue2_clauses = self
-            .learnt_refs
-            .iter()
-            .filter(|&&c| self.arena.lbd(c) <= 2)
-            .count();
+        s.glue2_clauses = self.glue2_learnts;
+        debug_assert_eq!(
+            self.glue2_learnts,
+            self.learnt_refs
+                .iter()
+                .filter(|&&c| self.arena.lbd(c) <= 2)
+                .count(),
+            "running glue ≤ 2 count disagrees with the learnt database"
+        );
         s.arena_collections = self.arena.collections();
         s.arena_live_words = self.arena.live_words();
         s
@@ -391,6 +402,7 @@ impl Solver {
         self.clause_refs.push(cref);
         if learnt {
             self.learnt_refs.push(cref);
+            self.glue2_learnts += usize::from(self.arena.lbd(cref) <= 2);
         }
         self.watch_clause(cref);
         cref
@@ -571,6 +583,30 @@ impl Solver {
         )
     }
 
+    /// Stores `glue` as the learnt clause's glue, keeping the glue ≤ 2
+    /// count in step.
+    fn set_glue(&mut self, cref: ClauseRef, glue: u32) {
+        let was = self.arena.lbd(cref) <= 2;
+        self.arena.set_lbd(cref, glue);
+        match (was, glue <= 2) {
+            (false, true) => self.glue2_learnts += 1,
+            (true, false) => self.glue2_learnts -= 1,
+            _ => {}
+        }
+    }
+
+    /// Deletes the clause from the arena and logs the deletion, keeping the
+    /// glue ≤ 2 count in step. The caller prunes the clause and watcher
+    /// lists ([`Solver::finish_deletions`]).
+    fn delete_clause(&mut self, cref: ClauseRef) {
+        if self.arena.is_learnt(cref) && self.arena.lbd(cref) <= 2 {
+            self.glue2_learnts -= 1;
+        }
+        let lits = self.traced_lits(cref);
+        self.arena.delete(cref);
+        self.tracer.emit_delete(&lits);
+    }
+
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first), the backtrack level, and the glue of the learnt
     /// clause.
@@ -588,7 +624,7 @@ impl Solver {
             if self.arena.is_learnt(confl) {
                 let g = self.clause_glue(confl);
                 if g < self.arena.lbd(confl) {
-                    self.arena.set_lbd(confl, g);
+                    self.set_glue(confl, g);
                 }
             }
             let start = usize::from(p.is_some());
@@ -749,9 +785,7 @@ impl Solver {
             if self.is_locked(cref) || self.arena.len(cref) <= 2 || self.arena.lbd(cref) <= 2 {
                 continue;
             }
-            let lits = self.traced_lits(cref);
-            self.arena.delete(cref);
-            self.tracer.emit_delete(&lits);
+            self.delete_clause(cref);
             deleted.push(cref);
         }
         self.finish_deletions(&deleted);
@@ -946,9 +980,7 @@ impl Solver {
                 val == VALUE_TRUE && self.levels[idx] == 0
             });
             if satisfied {
-                let lits = self.traced_lits(cref);
-                self.arena.delete(cref);
-                self.tracer.emit_delete(&lits);
+                self.delete_clause(cref);
                 deleted.push(cref);
                 continue;
             }
@@ -1046,7 +1078,7 @@ impl Solver {
                 } else {
                     let asserting = learnt[0];
                     let cref = self.attach_clause(&learnt, true);
-                    self.arena.set_lbd(cref, glue);
+                    self.set_glue(cref, glue);
                     self.bump_clause(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                 }
