@@ -5,8 +5,9 @@
 //! other's allocations.
 
 use manthan3_aig::{Aig, AigRef};
-use manthan3_cnf::{Lit, Var};
-use manthan3_dqbf::{verify, Dqbf};
+use manthan3_cnf::{Assignment, Lit, Var};
+use manthan3_core::{Budget, Oracle, VerifyOutcome, VerifySession};
+use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_sat::{SolveResult, Solver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -171,4 +172,43 @@ fn a_clause_by_clause_refutation_refuted_by_propagation_allocates_nothing() {
     // its prefix.
     assert_eq!(solver.stats().conflicts, 0);
     assert_eq!(query, [activation]);
+}
+
+/// A repeated verify check that ends in a counterexample allocates as much
+/// for a formula with 40 universals as for one with 4: the counterexample
+/// is one assignment of the formula's variables, not one map entry per
+/// variable, and the session reads no model of its Tseitin variables.
+#[test]
+fn a_repeated_counterexample_allocates_nothing_more_for_more_universals() {
+    // ∀x_1…x_n ∃y. (y ∨ x_1 ∨ … ∨ x_n) against y := ⊥: the one query
+    // assumes every literal of the clause false and is satisfied without a
+    // conflict, and its model is the counterexample.
+    let repeated_check = |n: u32| {
+        let xs: Vec<Var> = (0..n).map(Var::new).collect();
+        let y = Var::new(n);
+        let mut dqbf = Dqbf::new();
+        for &x in &xs {
+            dqbf.add_universal(x);
+        }
+        dqbf.add_existential(y, xs.iter().copied());
+        dqbf.add_clause(std::iter::once(y).chain(xs).map(Var::positive));
+        let mut vector = HenkinVector::new();
+        vector.set(y, AigRef::FALSE);
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut session = VerifySession::new(&dqbf, &mut oracle);
+        let expected = VerifyOutcome::CounterExample(Assignment::new_false(dqbf.num_vars()));
+        assert_eq!(session.verify(&dqbf, &vector, &mut oracle), expected);
+        let made = allocations(|| {
+            assert_eq!(session.verify(&dqbf, &vector, &mut oracle), expected);
+        });
+        assert_eq!(session.error_solver_stats().conflicts, 0);
+        made
+    };
+    let (four, forty) = (repeated_check(4), repeated_check(40));
+    assert_eq!(
+        four, forty,
+        "allocations grew with the number of universals"
+    );
+    // The one allocation is the counterexample itself.
+    assert_eq!(four, 1, "{four} allocations for one repeated check");
 }

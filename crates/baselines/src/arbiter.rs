@@ -158,7 +158,7 @@ impl ArbiterSolver {
                     let assumptions: Vec<Lit> = dqbf
                         .universals()
                         .iter()
-                        .map(|&x| x.lit(cex.assignment.get(x).unwrap_or(false)))
+                        .map(|&x| x.lit(cex.value(x)))
                         .collect();
                     let witness = match oracle.solve_with_assumptions(&mut phi_solver, &assumptions)
                     {
@@ -171,11 +171,8 @@ impl ArbiterSolver {
                     // Update arbiter entries from the witness extension.
                     let mut changed = false;
                     for &y in &undefined {
-                        let key: Vec<bool> = deps[&y]
-                            .iter()
-                            .map(|&d| cex.assignment.get(d).unwrap_or(false))
-                            .collect();
-                        let value = witness.get(y).unwrap_or(false);
+                        let key: Vec<bool> = deps[&y].iter().map(|&d| cex.value(d)).collect();
+                        let value = witness.value(y);
                         let table = tables.get_mut(&y).expect("table exists");
                         if table.len() >= MAX_ARBITER_ENTRIES && !table.contains_key(&key) {
                             return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);

@@ -20,7 +20,7 @@ use crate::learn::learn_candidate;
 use crate::oracle::{Budget, Oracle, UnknownReason};
 use crate::order::{DependencyState, Order};
 use crate::repair::{repair_vector, YHats};
-use crate::session::{Delta, RepairSession, Simulator, VerifyOutcome, VerifySession};
+use crate::session::{RepairSession, Simulator, VerifyOutcome, VerifySession};
 use crate::stats::SynthesisStats;
 use manthan3_cnf::{Assignment, Var};
 use manthan3_dqbf::{unique, Dqbf, HenkinVector};
@@ -117,7 +117,7 @@ impl<'a> Run<'a> {
     /// [`verify_repair`].
     fn synthesize(
         &mut self,
-        observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
+        observe: impl FnMut(&Run<'_>, &HenkinVector, &Assignment),
     ) -> Stage<SynthesisOutcome> {
         let mut vector = HenkinVector::new();
         let (mut session, defined) = self.preprocess(&mut vector)?;
@@ -131,7 +131,7 @@ impl<'a> Run<'a> {
         // later FindCandidates query under assumptions.
         let dqbf = self.dqbf;
         let mut repair = None;
-        let find_candidates = |delta: &Delta, oracle: &mut Oracle| {
+        let find_candidates = |delta: &Assignment, oracle: &mut Oracle| {
             repair
                 .get_or_insert_with(|| RepairSession::new(dqbf, oracle))
                 .find_candidates(delta, oracle)
@@ -289,7 +289,7 @@ impl Manthan3 {
         &self,
         dqbf: &Dqbf,
         budget: Budget,
-        observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
+        observe: impl FnMut(&Run<'_>, &HenkinVector, &Assignment),
     ) -> SynthesisResult {
         let oracle = Oracle::new(budget).with_certification(self.config.certify);
         // invariant: documented panic contract — callers must pass a
@@ -317,8 +317,8 @@ pub(crate) fn verify_repair(
     session: &mut VerifySession,
     mut vector: HenkinVector,
     order: &Order,
-    mut find_candidates: impl FnMut(&Delta, &mut Oracle) -> Stage<Vec<Var>>,
-    mut observe: impl FnMut(&Run<'_>, &HenkinVector, &Delta),
+    mut find_candidates: impl FnMut(&Assignment, &mut Oracle) -> Stage<Vec<Var>>,
+    mut observe: impl FnMut(&Run<'_>, &HenkinVector, &Assignment),
 ) -> SynthesisOutcome {
     let mut simulator = Simulator::new(run.config.seed, order.substitution_order());
     let y_hats = YHats::new(run.dqbf, order, run.config);
@@ -643,7 +643,7 @@ mod tests {
     /// One counterexample of a run, as the engine handed it to repair.
     #[derive(Debug, Clone, PartialEq)]
     struct Recorded {
-        delta: Delta,
+        delta: Assignment,
         /// Whether simulation (not the error solver) found it.
         simulated: bool,
         /// Whether δ[X] ∪ δ[Y'] falsifies the matrix.
@@ -666,23 +666,21 @@ mod tests {
             let simulated = found > simulated_so_far;
             simulated_so_far = found;
 
-            let mut values = vec![false; dqbf.num_vars()];
-            for (&v, &b) in delta.x.iter().chain(&delta.y_prime) {
-                values[v.index()] = b;
-            }
-            let falsifies_matrix = !dqbf.eval_matrix(&Assignment::from_values(values));
+            let falsifies_matrix = !dqbf.eval_matrix(delta);
 
             let mut outputs = vec![false; dqbf.num_vars()];
-            for (&x, &b) in &delta.x {
-                outputs[x.index()] = b;
+            for &x in dqbf.universals() {
+                outputs[x.index()] = delta.value(x);
             }
             for _ in dqbf.existentials() {
                 for &y in dqbf.existentials() {
                     outputs[y.index()] = vector.eval_one(y, &outputs).expect("total vector");
                 }
             }
-            let y_prime_is_vector_output =
-                delta.y_prime.iter().all(|(&y, &b)| outputs[y.index()] == b);
+            let y_prime_is_vector_output = dqbf
+                .existentials()
+                .iter()
+                .all(|&y| outputs[y.index()] == delta.value(y));
             recorded.push(Recorded {
                 delta: delta.clone(),
                 simulated,
@@ -807,8 +805,8 @@ mod tests {
             other => panic!("expected Realizable, got {other:?}"),
         }
         assert_eq!(deltas.len(), 1);
-        assert!(deltas[0].x.values().all(|&b| b));
-        assert!(!deltas[0].y_prime[&y]);
+        assert!(xs.iter().all(|&x| deltas[0].value(x)));
+        assert!(!deltas[0].value(y));
         // Two checks, both answered by the error solver: the
         // counterexample, then the closing UNSAT, which was certified.
         let stats = run.oracle.stats();

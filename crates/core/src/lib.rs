@@ -42,6 +42,10 @@
 //! `Valid` always comes from an UNSAT verdict, certified under
 //! [`Manthan3Config::certify`]. `OracleStats::sim_patterns` and
 //! `OracleStats::sim_counterexamples` count the simulation's work and hits.
+//! Either way δ is one [`Assignment`](manthan3_cnf::Assignment) of the
+//! formula's variables ([`VerifyOutcome::CounterExample`]): its universal
+//! entries are `δ[X]`, its existential entries `δ[Y']`, and repair reads
+//! both from it.
 //!
 //! Two pieces make the hot loop incremental:
 //!
@@ -169,5 +173,5 @@ pub use config::Manthan3Config;
 pub use engine::{Manthan3, SynthesisOutcome, SynthesisResult};
 pub use oracle::{Budget, CertificationFailure, Oracle, OracleStats, UnknownReason};
 pub use order::{DependencyState, Order};
-pub use session::{Delta, RepairSession, VerifyOutcome, VerifySession};
+pub use session::{RepairSession, VerifyOutcome, VerifySession};
 pub use stats::SynthesisStats;

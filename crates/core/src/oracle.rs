@@ -784,7 +784,7 @@ mod tests {
         maxsat.add_hard([lit(1), lit(2)]);
         maxsat.add_hard([lit(-1)]);
         maxsat.add_hard([lit(-2)]);
-        maxsat.add_soft([lit(3)], 1);
+        maxsat.add_soft([lit(3)]);
         // Solved outside the oracle, so no check has run yet.
         assert_eq!(solver.solve(), SolveResult::Unsat);
         assert_eq!(maxsat.solve(), MaxSatResult::HardUnsat);
@@ -889,7 +889,7 @@ mod tests {
         maxsat.add_hard([lit(1), lit(2)]);
         maxsat.add_hard([lit(-1)]);
         maxsat.add_hard([lit(-2)]);
-        maxsat.add_soft([lit(3)], 1);
+        maxsat.add_soft([lit(3)]);
         assert_eq!(
             oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]),
             MaxSatResult::HardUnsat
@@ -920,7 +920,7 @@ mod tests {
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut maxsat = oracle.new_maxsat();
         maxsat.add_hard([Var::new(0).positive(), Var::new(1).positive()]);
-        maxsat.add_soft([Var::new(0).negative()], 1);
+        maxsat.add_soft([Var::new(0).negative()]);
         let result = oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]);
         assert_eq!(result, MaxSatResult::Optimum { cost: 0 });
         assert_eq!(oracle.stats().maxsat_solvers_constructed, 1);

@@ -115,7 +115,7 @@ impl Order {
         while !remaining.is_empty() {
             // Pick a variable none of whose dependents is still unplaced
             // *except* variables already known to be unplaceable (cycle
-            // safety: fall back to the smallest remaining variable).
+            // safety: fall back to the largest remaining variable).
             let next = remaining
                 .iter()
                 .copied()

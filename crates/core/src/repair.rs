@@ -12,9 +12,10 @@
 //! FindCandidates' MaxSAT search doubles as the X-extension check of
 //! Algorithm 1, line 13: its probes refute the hard part when `δ[X]`
 //! extends to no model of ϕ, and that ends the run.
-//! Repair takes the verify check's counterexample [`Delta`] as it is: the
-//! paper's σ (Algorithm 1, line 16) is δ under another name, so the code
-//! and these docs write δ throughout.
+//! Repair reads the verify check's counterexample δ, an
+//! [`Assignment`] of the formula's variables, as it is: its universal
+//! entries are `δ[X]` and its existential entries `δ[Y']`. The paper's σ
+//! (Algorithm 1, line 16) is δ under another name.
 //! The test build keeps the pre-incremental rebuild-per-call path,
 //! `find_candidates_from_scratch`, as the reference for the
 //! repair-equivalence suite.
@@ -26,8 +27,8 @@ use crate::engine::SynthesisOutcome;
 #[cfg(test)]
 use crate::oracle::Oracle;
 use crate::order::Order;
-use crate::session::{Delta, VerifySession};
-use manthan3_cnf::Var;
+use crate::session::VerifySession;
+use manthan3_cnf::{Assignment, Var};
 use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 
@@ -41,7 +42,7 @@ const MAX_REPAIRS_PER_ITERATION: usize = 64;
 #[cfg(test)]
 pub(crate) fn find_candidates_from_scratch(
     dqbf: &Dqbf,
-    delta: &Delta,
+    delta: &Assignment,
     oracle: &mut Oracle,
 ) -> std::ops::ControlFlow<SynthesisOutcome, Vec<Var>> {
     use manthan3_maxsat::MaxSatResult;
@@ -49,13 +50,14 @@ pub(crate) fn find_candidates_from_scratch(
 
     let mut maxsat = oracle.new_maxsat();
     maxsat.add_hard_cnf(dqbf.matrix());
-    for (&x, &value) in &delta.x {
-        maxsat.add_hard([x.lit(value)]);
+    let mut universals = dqbf.universals().to_vec();
+    universals.sort_unstable();
+    for x in universals {
+        maxsat.add_hard([x.lit(delta.value(x))]);
     }
     let mut soft_vars = Vec::new();
     for &y in dqbf.existentials() {
-        let target = delta.y_prime.get(&y).copied().unwrap_or(false);
-        let id = maxsat.add_soft([y.lit(target)], 1);
+        let id = maxsat.add_soft([y.lit(delta.value(y))]);
         soft_vars.push((id, y));
     }
     match oracle.solve_maxsat_under_assumptions(&mut maxsat, &[]) {
@@ -140,7 +142,7 @@ pub(crate) fn repair_vector(
     session: &mut VerifySession,
     vector: &mut HenkinVector,
     y_hats: &YHats,
-    delta: &Delta,
+    delta: &Assignment,
     candidates: Vec<Var>,
 ) -> bool {
     let mut queue: Vec<Var> = candidates;
@@ -169,18 +171,18 @@ pub(crate) fn repair_vector(
         // G_k = ϕ ∧ (H_k ↔ δ[H_k]) ∧ (Ŷ ↔ δ[Ŷ']) ∧ (y_k ↔ δ[y'_k]),
         // expressed as assumptions so the UNSAT core is a subset of the unit
         // constraints (Formula 1).
-        let target_value = delta.y_prime.get(&yk).copied().unwrap_or(false);
+        let target_value = delta.value(yk);
         assumptions.clear();
         assumptions.push(yk.lit(target_value));
         for &d in run.dqbf.dependencies(yk) {
-            assumptions.push(d.lit(delta.x.get(&d).copied().unwrap_or(false)));
+            assumptions.push(d.lit(delta.value(d)));
         }
         let hat = outputs
             .iter()
             .enumerate()
             .filter(|&(j, _)| y_hats.contains(k, j));
         for (_, &yj) in hat {
-            assumptions.push(yj.lit(delta.y_prime.get(&yj).copied().unwrap_or(false)));
+            assumptions.push(yj.lit(delta.value(yj)));
         }
         let performed_before = run.oracle.stats().sat_calls;
         let result = session.solve_phi(&mut run.oracle, &assumptions);
@@ -218,8 +220,7 @@ pub(crate) fn repair_vector(
                     // invariant: G_k was satisfiable, and the matrix solver
                     // declares every variable of the formula.
                     let rho = session.phi_value(yt).expect("G_k has a model");
-                    let candidate_output = delta.y_prime.get(&yt).copied().unwrap_or(false);
-                    if rho != candidate_output {
+                    if rho != delta.value(yt) {
                         queue.push(yt);
                     }
                 }
@@ -250,7 +251,7 @@ mod tests {
     /// Builds the paper's worked example state right before the repair step:
     /// candidates f1 = ¬x1, f2 = y1, f3 = x3 ∨ (¬x3 ∧ x2) and the
     /// counterexample δ from Section 5.
-    fn paper_repair_state() -> (Dqbf, HenkinVector, Order, Delta) {
+    fn paper_repair_state() -> (Dqbf, HenkinVector, Order, Assignment) {
         let dqbf = Dqbf::paper_example();
         let mut vector = HenkinVector::new();
         let in_x1 = vector.aig_mut().input(x(0).index());
@@ -270,10 +271,7 @@ mod tests {
         let order = Order::from_dependencies(dqbf.existentials(), &state);
 
         // δ: x = (1,0,0); δ[Y'] = (0,0,0).
-        let delta = Delta {
-            x: [(x(0), true), (x(1), false), (x(2), false)].into(),
-            y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
-        };
+        let delta = Assignment::from_values(vec![true, false, false, false, false, false]);
         (dqbf, vector, order, delta)
     }
 
@@ -308,9 +306,8 @@ mod tests {
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         // A second counterexample with flipped targets: the previous call's
         // assumptions must be fully retracted.
-        let mut flipped = delta.clone();
-        flipped.y_prime = [(y(0), true), (y(1), true), (y(2), true)].into();
-        flipped.x = [(x(0), false), (x(1), true), (x(2), false)].into();
+        // x = (0,1,0); δ[Y'] = (1,1,1).
+        let flipped = Assignment::from_values(vec![false, true, false, true, true, true]);
         for round in 0..6 {
             let s = if round % 2 == 0 { &delta } else { &flipped };
             let _ = session.find_candidates(s, &mut oracle);
@@ -403,15 +400,8 @@ mod tests {
         vector.set(Var::new(4), !in_x2);
         let state = DependencyState::new(dqbf.existentials());
         let order = Order::from_dependencies(dqbf.existentials(), &state);
-        let delta = Delta {
-            x: [
-                (Var::new(0), false),
-                (Var::new(1), false),
-                (Var::new(2), false),
-            ]
-            .into(),
-            y_prime: [(Var::new(3), false), (Var::new(4), true)].into(),
-        };
+        // x = (0,0,0); δ[Y'] = (0,1).
+        let delta = Assignment::from_values(vec![false, false, false, false, true]);
         let mut run = Run::new(&dqbf, &config, Oracle::new(Budget::unlimited()));
         let mut session = VerifySession::new(&dqbf, &mut run.oracle);
         let mut repair_session = RepairSession::new(&dqbf, &mut run.oracle);

@@ -28,15 +28,14 @@
 use crate::engine::{verify_repair, Run};
 use crate::repair::find_candidates_from_scratch;
 use crate::{
-    Budget, Delta, DependencyState, Manthan3Config, Oracle, Order, RepairSession, SynthesisOutcome,
+    Budget, DependencyState, Manthan3Config, Oracle, Order, RepairSession, SynthesisOutcome,
     UnknownReason, VerifySession,
 };
 use manthan3_aig::AigRef;
-use manthan3_cnf::{Lit, Var};
+use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_gen::suite::suite;
 use manthan3_sat::SolveResult;
-use std::collections::BTreeMap;
 
 /// Deterministic splitmix64, so the test needs no RNG dependency.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -47,11 +46,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Random valuation of `vars` driven by the splitmix stream.
-fn random_valuation(vars: &[Var], state: &mut u64) -> BTreeMap<Var, bool> {
-    vars.iter()
-        .map(|&v| (v, splitmix64(state) & 1 == 1))
-        .collect()
+/// Sets `vars` in `delta` to random values drawn from the splitmix stream.
+fn randomize(delta: &mut Assignment, vars: &[Var], state: &mut u64) {
+    for &v in vars {
+        delta.set(v, splitmix64(state) & 1 == 1);
+    }
 }
 
 /// Draws a random δ[X] and, if it extends to a model of ϕ (the only shape
@@ -62,16 +61,19 @@ fn random_delta(
     session: &mut VerifySession,
     oracle: &mut Oracle,
     state: &mut u64,
-) -> Option<Delta> {
-    let x = random_valuation(dqbf.universals(), state);
-    let x_assumptions: Vec<Lit> = x.iter().map(|(&v, &b)| v.lit(b)).collect();
+) -> Option<Assignment> {
+    let mut delta = Assignment::new_false(dqbf.num_vars());
+    randomize(&mut delta, dqbf.universals(), state);
+    let x_assumptions: Vec<Lit> = dqbf
+        .universals()
+        .iter()
+        .map(|&x| x.lit(delta.value(x)))
+        .collect();
     if session.solve_phi(oracle, &x_assumptions) != SolveResult::Sat {
         return None;
     }
-    Some(Delta {
-        x,
-        y_prime: random_valuation(dqbf.existentials(), state),
-    })
+    randomize(&mut delta, dqbf.existentials(), state);
+    Some(delta)
 }
 
 /// `true` if leaving every output *outside* `selected` pinned to its δ[Y']
@@ -79,17 +81,14 @@ fn random_delta(
 /// candidate set for the FindCandidates objective.
 fn is_feasible_candidate_set(
     dqbf: &Dqbf,
-    delta: &Delta,
+    delta: &Assignment,
     selected: &[Var],
     session: &mut VerifySession,
     oracle: &mut Oracle,
 ) -> bool {
-    let mut assumptions: Vec<Lit> = delta.x.iter().map(|(&x, &v)| x.lit(v)).collect();
-    for &y in dqbf.existentials() {
-        if !selected.contains(&y) {
-            assumptions.push(y.lit(delta.y_prime.get(&y).copied().unwrap_or(false)));
-        }
-    }
+    let unselected = dqbf.existentials().iter().filter(|y| !selected.contains(y));
+    let pinned = dqbf.universals().iter().chain(unselected);
+    let assumptions: Vec<Lit> = pinned.map(|&v| v.lit(delta.value(v))).collect();
     session.solve_phi(oracle, &assumptions) == SolveResult::Sat
 }
 

@@ -1,14 +1,14 @@
 //! Persistent incremental oracle sessions: the twin-session architecture of
 //! the verify–repair loop.
 //!
-//! The loop used to rebuild *two* encodings from scratch on every iteration:
-//! the error formula `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` on the verify side, and
-//! the FindCandidates MaxSAT instance `ϕ ∧ (X ↔ δ[X])` with soft
-//! `(Y ↔ δ[Y'])` on the repair side — even though between iterations only a
-//! counterexample's valuations and a few candidate cones change. Following
-//! the clausal-abstraction playbook (one persistent solver per abstraction
-//! level, per-iteration state expressed as assumptions), the loop now runs
-//! on two sessions that both live for the whole synthesis run:
+//! The loop queries two encodings: the error formula
+//! `E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)` on the verify side, and the
+//! FindCandidates MaxSAT instance `ϕ ∧ (X ↔ δ[X])` with soft `(Y ↔ δ[Y'])`
+//! on the repair side. Between iterations only a counterexample's valuations
+//! and a few candidate cones change, so, following the clausal-abstraction
+//! playbook (one persistent solver per abstraction level, per-iteration
+//! state expressed as assumptions), each encoding lives in a session that
+//! lasts the whole synthesis run:
 //!
 //! # [`VerifySession`] — the verify side
 //!
@@ -80,6 +80,14 @@
 //! none of the probe's own literals refutes `ϕ ∧ (X ↔ δ[X])` itself. So
 //! this is the one query per counterexample.
 //!
+//! # The counterexample
+//!
+//! A counterexample δ is one [`Assignment`] of the formula's variables,
+//! whether the simulator or the error solver found it: its universal
+//! entries are `δ[X]` and its existential entries `δ[Y']`, so it falsifies
+//! the matrix as it stands. The error solver's answer is read off its
+//! values of the formula's variables alone, never its Tseitin variables.
+//!
 //! # Literal lifecycle
 //!
 //! Per-iteration state never outlives its solve call on either session: the
@@ -101,22 +109,12 @@
 use crate::engine::SynthesisOutcome;
 use crate::oracle::Oracle;
 use manthan3_aig::AigRef;
-use manthan3_cnf::{Lit, Var};
+use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_dqbf::{verify, Dqbf, HenkinVector};
 use manthan3_maxsat::{MaxSatResult, MaxSatSolver};
 use manthan3_sat::{SolveResult, Solver, SolverStats};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::ControlFlow;
-
-/// A model of the error formula: the counterexample parts `δ[X]` and
-/// `δ[Y']`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delta {
-    /// Values of the universal variables.
-    pub x: BTreeMap<Var, bool>,
-    /// Outputs of the current candidate functions.
-    pub y_prime: BTreeMap<Var, bool>,
-}
 
 /// Words of 64 universal assignments simulated before each verify call, so
 /// 512 patterns. In the sweep over 1, 4, 8 and 16 words recorded in
@@ -180,7 +178,7 @@ impl Simulator {
         dqbf: &Dqbf,
         vector: &HenkinVector,
         oracle: &mut Oracle,
-    ) -> Option<Delta> {
+    ) -> Option<Assignment> {
         let words = SIMULATION_WORDS;
         let mut values = vec![0u64; dqbf.num_vars() * words];
         for &x in dqbf.universals() {
@@ -217,16 +215,11 @@ impl Simulator {
         }
         oracle.note_simulation((64 * words) as u64, best.is_some());
         let lane = best?;
-        let value = |v: &Var| {
-            (
-                *v,
-                values[v.index() * words + lane / 64] >> (lane % 64) & 1 == 1,
-            )
-        };
-        Some(Delta {
-            x: dqbf.universals().iter().map(value).collect(),
-            y_prime: dqbf.existentials().iter().map(value).collect(),
-        })
+        Some(Assignment::from_values(
+            (0..dqbf.num_vars())
+                .map(|v| values[v * words + lane / 64] >> (lane % 64) & 1 == 1)
+                .collect(),
+        ))
     }
 }
 
@@ -238,8 +231,10 @@ pub enum VerifyOutcome {
     Valid,
     /// The oracle gave up before a verdict was reached; the budget says why.
     Unknown,
-    /// The error formula is satisfiable; the model is returned.
-    CounterExample(Delta),
+    /// The error formula is satisfiable: the counterexample δ, an assignment
+    /// of the formula's variables whose universal entries are `δ[X]` and
+    /// whose existential entries are `δ[Y']`.
+    CounterExample(Assignment),
 }
 
 /// One candidate generation: the activation literal guarding its
@@ -388,21 +383,13 @@ impl VerifySession {
         }) {
             SolveResult::Unsat => VerifyOutcome::Valid,
             SolveResult::Unknown => VerifyOutcome::Unknown,
-            SolveResult::Sat => {
-                let model = self.error.model();
-                VerifyOutcome::CounterExample(Delta {
-                    x: dqbf
-                        .universals()
-                        .iter()
-                        .map(|&x| (x, model.get(x).unwrap_or(false)))
-                        .collect(),
-                    y_prime: dqbf
-                        .existentials()
-                        .iter()
-                        .map(|&y| (y, model.get(y).unwrap_or(false)))
-                        .collect(),
-                })
-            }
+            // The formula's variables are the error solver's first ones;
+            // its Tseitin and activation variables stay unread.
+            SolveResult::Sat => VerifyOutcome::CounterExample(Assignment::from_values(
+                (0..dqbf.num_vars())
+                    .map(|v| self.error.value(Var::new(v as u32)) == Some(true))
+                    .collect(),
+            )),
         }
     }
 
@@ -446,6 +433,9 @@ struct RepairSlot {
 #[derive(Debug, Clone)]
 pub struct RepairSession {
     maxsat: MaxSatSolver,
+    /// The universal variables in ascending order, the order in which
+    /// [`RepairSession::find_candidates`] pins them.
+    universals: Vec<Var>,
     slots: Vec<RepairSlot>,
     /// The assumption buffer of [`RepairSession::find_candidates`], refilled
     /// on each call.
@@ -473,15 +463,18 @@ impl RepairSession {
             maxsat.add_hard([!eql, yl, !tl]);
             maxsat.add_hard([eql, !yl, !tl]);
             maxsat.add_hard([eql, yl, tl]);
-            let soft = maxsat.add_soft([eql], 1);
+            let soft = maxsat.add_soft([eql]);
             debug_assert_eq!(soft.index(), slots.len());
             slots.push(RepairSlot {
                 output: y,
                 target: t,
             });
         }
+        let mut universals = dqbf.universals().to_vec();
+        universals.sort_unstable();
         RepairSession {
             maxsat,
+            universals,
             slots,
             assumptions: Vec::new(),
         }
@@ -502,15 +495,16 @@ impl RepairSession {
     /// ([`SynthesisOutcome::Unknown`] with the budget's reason).
     pub fn find_candidates(
         &mut self,
-        delta: &Delta,
+        delta: &Assignment,
         oracle: &mut Oracle,
     ) -> ControlFlow<SynthesisOutcome, Vec<Var>> {
         self.assumptions.clear();
-        self.assumptions
-            .extend(delta.x.iter().map(|(&x, &value)| x.lit(value)));
+        for &x in &self.universals {
+            self.assumptions.push(x.lit(delta.value(x)));
+        }
         for slot in &self.slots {
-            let target = delta.y_prime.get(&slot.output).copied().unwrap_or(false);
-            self.assumptions.push(slot.target.lit(target));
+            self.assumptions
+                .push(slot.target.lit(delta.value(slot.output)));
         }
         match oracle.solve_maxsat_under_assumptions(&mut self.maxsat, &self.assumptions) {
             MaxSatResult::Optimum { .. } => {
@@ -548,7 +542,6 @@ impl RepairSession {
 mod tests {
     use super::*;
     use crate::oracle::{Budget, UnknownReason};
-    use manthan3_cnf::Assignment;
     use manthan3_dqbf::verify::check;
 
     fn x(i: u32) -> Var {
@@ -594,15 +587,8 @@ mod tests {
         // Break f3: constant false. The clause y3 ↔ (x2 ∨ x3) must fail.
         vector.set(y(2), vector.aig().constant(false));
         match session.verify(&dqbf, &vector, &mut oracle) {
-            VerifyOutcome::CounterExample(delta) => {
-                // Replaying δ[X], δ[Y'] on the matrix must falsify it.
-                let mut values = vec![false; dqbf.num_vars()];
-                for (&v, &b) in delta.x.iter().chain(delta.y_prime.iter()) {
-                    values[v.index()] = b;
-                }
-                let assignment = Assignment::from_values(values);
-                assert!(!dqbf.eval_matrix(&assignment));
-            }
+            // Replaying δ on the matrix must falsify it.
+            VerifyOutcome::CounterExample(delta) => assert!(!dqbf.eval_matrix(&delta)),
             other => panic!("expected a counterexample, got {other:?}"),
         }
     }
@@ -682,11 +668,9 @@ mod tests {
 
         match session.verify(&dqbf, &vector, &mut oracle) {
             VerifyOutcome::CounterExample(delta) => {
-                let value = |v: Var| delta.x.get(&v).or(delta.y_prime.get(&v)).copied();
                 let last = dqbf.clauses().last().expect("four clauses");
                 assert!(
-                    last.iter()
-                        .all(|&l| value(l.var()) == Some(!l.is_positive())),
+                    last.iter().all(|&l| !delta.lit_value(l)),
                     "δ {delta:?} does not falsify the last clause"
                 );
             }
@@ -732,9 +716,9 @@ mod tests {
             // tautology's query comes first and must be refuted.
             vector.set(yv, input);
             match session.verify(&dqbf, &vector, &mut oracle) {
+                // x = 0 and y = 0.
                 VerifyOutcome::CounterExample(delta) => {
-                    assert_eq!(delta.x, BTreeMap::from([(xv, false)]), "certify {certify}");
-                    assert_eq!(delta.y_prime, BTreeMap::from([(yv, false)]));
+                    assert_eq!(delta, Assignment::new_false(2), "certify {certify}");
                 }
                 other => panic!("certify {certify}: expected a counterexample, got {other:?}"),
             }
@@ -861,13 +845,9 @@ mod tests {
         let mut session = RepairSession::new(&dqbf, &mut oracle);
         let clause_watermark = session.solver_clauses();
 
-        let delta_a = Delta {
-            x: [(x(0), true), (x(1), false), (x(2), false)].into(),
-            y_prime: [(y(0), false), (y(1), false), (y(2), false)].into(),
-        };
-        let mut delta_b = delta_a.clone();
-        delta_b.x = [(x(0), false), (x(1), true), (x(2), false)].into();
-        delta_b.y_prime = [(y(0), true), (y(1), true), (y(2), true)].into();
+        // δ = (x1, x2, x3, y1, y2, y3).
+        let delta_a = Assignment::from_values(vec![true, false, false, false, false, false]);
+        let delta_b = Assignment::from_values(vec![false, true, false, true, true, true]);
 
         for round in 0..200 {
             let delta = if round % 2 == 0 { &delta_a } else { &delta_b };
@@ -920,10 +900,8 @@ mod tests {
         dqbf.add_existential(yv, [xv]);
         dqbf.add_clause([xv.negative()]);
         dqbf.add_clause([yv.positive()]);
-        let delta = Delta {
-            x: [(xv, true)].into(),
-            y_prime: [(yv, false)].into(),
-        };
+        // x = 1, y = 0.
+        let delta = Assignment::from_values(vec![true, false]);
 
         let mut oracle = Oracle::new(Budget::unlimited());
         let mut session = RepairSession::new(&dqbf, &mut oracle);
@@ -988,10 +966,9 @@ mod tests {
         let delta = simulator
             .counterexample(&dqbf, &vector, &mut oracle)
             .expect("y := ⊥ fails on most patterns");
-        let mut expected: BTreeMap<Var, bool> = xs[..4].iter().map(|&v| (v, false)).collect();
-        expected.insert(xs[4], bit(4));
-        assert_eq!(delta.x, expected);
-        assert_eq!(delta.y_prime, BTreeMap::from([(out, false)]));
+        let mut expected = Assignment::new_false(dqbf.num_vars());
+        expected.set(xs[4], bit(4));
+        assert_eq!(delta, expected);
         assert_eq!(oracle.stats().sim_patterns, patterns as u64);
         assert_eq!(oracle.stats().sim_counterexamples, 1);
         // Simulation never calls a solver.

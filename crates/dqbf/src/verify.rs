@@ -15,23 +15,16 @@
 //! vector can falsify clause `c`, and the queries share the solver's learnt
 //! clauses. The engine's `VerifySession` refutes its persistent error
 //! formula the same way.
+//!
+//! A counterexample is a model δ of E restricted to the formula's
+//! variables: one [`Assignment`] whose universal entries are `δ[X]` and
+//! whose existential entries are the vector's outputs `δ[Y']` on them, so
+//! it falsifies the matrix as it stands.
 
 use crate::{Dqbf, HenkinVector};
 use manthan3_cnf::{Assignment, Lit, Var};
 use manthan3_sat::{SolveResult, Solver};
-use std::collections::{BTreeMap, HashMap};
-
-/// A witness that a candidate vector violates the specification: an
-/// assignment of the universal variables together with the candidate
-/// functions' outputs under which `ϕ` evaluates to false.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterExample {
-    /// Full assignment found by the SAT solver (universal variables are the
-    /// meaningful part).
-    pub assignment: Assignment,
-    /// Outputs of the candidate functions (`δ[Y']` in the paper).
-    pub y_outputs: BTreeMap<Var, bool>,
-}
+use std::collections::HashMap;
 
 /// Result of [`check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,8 +41,10 @@ pub enum CheckOutcome {
         offending: Var,
     },
     /// The error formula is satisfiable: the vector does not realize the
-    /// specification.
-    Falsified(CounterExample),
+    /// specification. The counterexample assigns the formula's variables:
+    /// `δ[X]` to the universals, the vector's outputs `δ[Y']` to the
+    /// existentials.
+    Falsified(Assignment),
 }
 
 impl CheckOutcome {
@@ -135,18 +130,11 @@ pub fn check(dqbf: &Dqbf, vector: &HenkinVector) -> CheckOutcome {
     }) {
         SolveResult::Unsat => CheckOutcome::Valid,
         SolveResult::Unknown => unreachable!("the vector check's solver has no budget"),
-        SolveResult::Sat => {
-            let assignment = solver.model();
-            let y_outputs = dqbf
-                .existentials()
-                .iter()
-                .map(|&y| (y, assignment.get(y).unwrap_or(false)))
-                .collect();
-            CheckOutcome::Falsified(CounterExample {
-                assignment,
-                y_outputs,
-            })
-        }
+        SolveResult::Sat => CheckOutcome::Falsified(Assignment::from_values(
+            (0..dqbf.num_vars())
+                .map(|v| solver.value(Var::new(v as u32)) == Some(true))
+                .collect(),
+        )),
     }
 }
 
@@ -189,15 +177,8 @@ mod tests {
         // Break f3: make it constant false; the clause y3 ↔ (x2 ∨ x3) fails.
         v.set(y(2), v.aig().constant(false));
         match check(&dqbf, &v) {
-            CheckOutcome::Falsified(cex) => {
-                // The counterexample must indeed falsify the matrix when the
-                // candidate outputs are used for Y.
-                let mut full = cex.assignment.clone();
-                for (&yv, &val) in &cex.y_outputs {
-                    full.set(yv, val);
-                }
-                assert!(!dqbf.eval_matrix(&full));
-            }
+            // The counterexample must indeed falsify the matrix.
+            CheckOutcome::Falsified(cex) => assert!(!dqbf.eval_matrix(&cex)),
             other => panic!("expected Falsified, got {other:?}"),
         }
     }
@@ -225,12 +206,8 @@ mod tests {
         v.set(out, v.aig().constant(false));
         match check(&dqbf, &v) {
             CheckOutcome::Falsified(cex) => {
-                let mut full = cex.assignment.clone();
-                full.set(out, cex.y_outputs[&out]);
                 let last = dqbf.clauses().last().expect("four clauses");
-                assert!(last
-                    .iter()
-                    .all(|&l| full.get(l.var()) == Some(!l.is_positive())));
+                assert!(last.iter().all(|&l| !cex.lit_value(l)));
             }
             other => panic!("expected Falsified, got {other:?}"),
         }
@@ -255,10 +232,8 @@ mod tests {
         // y := x falsifies the second clause at x = 0 and nothing else.
         v.set(yv, input);
         match check(&dqbf, &v) {
-            CheckOutcome::Falsified(cex) => {
-                assert_eq!(cex.assignment.get(xv), Some(false));
-                assert!(!cex.y_outputs[&yv]);
-            }
+            // x = 0 and y = 0.
+            CheckOutcome::Falsified(cex) => assert_eq!(cex, Assignment::new_false(2)),
             other => panic!("expected Falsified, got {other:?}"),
         }
     }

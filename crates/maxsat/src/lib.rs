@@ -1,9 +1,10 @@
-//! A weighted partial MaxSAT solver for the Manthan3 reproduction.
+//! A partial MaxSAT solver for the Manthan3 reproduction: every soft clause
+//! has weight 1, the one shape FindCandidates asks for.
 //!
 //! This crate plays the role of Open-WBO in the original Manthan3 toolchain.
 //! Manthan3 uses MaxSAT inside `FindCandi` (Algorithm 3, line 2): the
-//! specification `ϕ(X,Y) ∧ (X ↔ σ[X])` is added as *hard* clauses and each
-//! `(y_i ↔ σ[y'_i])` as a *soft* clause; the candidates selected for repair
+//! specification `ϕ(X,Y) ∧ (X ↔ δ[X])` is added as *hard* clauses and each
+//! `(y_i ↔ δ[y'_i])` as a *soft* clause, for the counterexample δ; the candidates selected for repair
 //! are exactly the outputs whose soft clause is violated in the optimal
 //! solution.
 //!
@@ -11,8 +12,7 @@
 //! variable and searches linearly (UNSAT→SAT, then SAT→UNSAT) over the
 //! number of violated softs, using a totalizer cardinality encoding and
 //! assumption-based bounds on top of the [`manthan3_sat`] CDCL solver,
-//! warm-started at the previous call's optimum. Integer weights are
-//! supported by replicating relaxation literals inside the totalizer.
+//! warm-started at the previous call's optimum.
 //!
 //! The search opens with the optimistic probe, every soft clause assumed
 //! satisfied, and makes no separate check that the hard clauses are
@@ -30,8 +30,8 @@
 //! (the totalizer lazily, cached across solve calls), and per-iteration
 //! state rides in through [`MaxSatSolver::solve_under_assumptions`] — every
 //! internal SAT query is made under the caller's assumption literals, so
-//! "hard units" that change between iterations (a repair loop's `σ[X]` and
-//! `σ[Y']` valuations, pinned via indirection variables) are retracted by
+//! "hard units" that change between iterations (a repair loop's `δ[X]` and
+//! `δ[Y']` valuations, pinned via indirection variables) are retracted by
 //! simply not assuming them on the next call. The underlying CDCL solver and
 //! its learnt clauses survive between calls. The instance keeps itself
 //! bounded: the call after every 32nd opens with a maintenance pass
@@ -54,8 +54,8 @@
 //! let b = Var::new(1).positive();
 //! let mut solver = MaxSatSolver::new();
 //! solver.add_hard([a, b]);        // a ∨ b must hold
-//! let s1 = solver.add_soft([!a], 1); // prefer ¬a
-//! let s2 = solver.add_soft([!b], 1); // prefer ¬b
+//! let s1 = solver.add_soft([!a]); // prefer ¬a
+//! let s2 = solver.add_soft([!b]); // prefer ¬b
 //! let result = solver.solve();
 //! assert_eq!(result, MaxSatResult::Optimum { cost: 1 });
 //! // Exactly one of the two soft clauses is violated.

@@ -1,5 +1,5 @@
 use crate::Totalizer;
-use manthan3_cnf::{Assignment, Cnf, Lit, Var};
+use manthan3_cnf::{Cnf, Lit, Var};
 use manthan3_sat::{SolveResult, Solver, SolverConfig, SolverStats};
 
 /// Solve calls after which the next one opens with a maintenance pass (see
@@ -31,10 +31,10 @@ pub struct MaxSatStats {
 /// Outcome of a [`MaxSatSolver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MaxSatResult {
-    /// An optimal solution was found; `cost` is the total weight of violated
-    /// soft clauses.
+    /// An optimal solution was found; `cost` is the number of violated soft
+    /// clauses.
     Optimum {
-        /// Total weight of violated soft clauses in the optimum.
+        /// Number of violated soft clauses in the optimum.
         cost: u64,
     },
     /// The hard clauses alone (together with the assumptions, for
@@ -51,7 +51,6 @@ pub enum MaxSatResult {
 #[derive(Debug, Clone)]
 struct SoftClause {
     lits: Vec<Lit>,
-    weight: u64,
     relax: Lit,
 }
 
@@ -71,11 +70,11 @@ enum Probe {
     Hard,
     /// Every relaxation literal false: can every soft clause hold?
     AllSofts,
-    /// A totalizer bound literal: at most that many violated weight units.
+    /// A totalizer bound literal: at most that many violated soft clauses.
     Bound(Lit),
 }
 
-/// A weighted partial MaxSAT solver.
+/// A partial MaxSAT solver over unit-weight soft clauses.
 ///
 /// See the [crate-level documentation](crate) for the algorithm and an
 /// example.
@@ -86,7 +85,7 @@ pub struct MaxSatSolver {
     /// The last solve call ended in an optimum. Its model is the internal
     /// solver's latest one, since the search's last SAT probe found it.
     has_optimum: bool,
-    /// Totalizer over the (weight-replicated) relaxation literals, encoded
+    /// Totalizer over the relaxation literals, encoded
     /// lazily on the first bounded search and kept across solve calls;
     /// invalidated when a new soft clause arrives. Without the cache every
     /// solve call re-encoded a fresh totalizer into the same solver, so a
@@ -199,20 +198,15 @@ impl MaxSatSolver {
         self.solver.add_cnf(cnf);
     }
 
-    /// Adds a soft clause with the given positive weight and returns its id.
+    /// Adds a soft clause and returns its id.
     ///
     /// Invalidates the cached totalizer (the next bounded search re-encodes
     /// the cardinality network over the enlarged relaxation set) and the
     /// warm-start bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is zero.
-    pub fn add_soft<C>(&mut self, clause: C, weight: u64) -> SoftId
+    pub fn add_soft<C>(&mut self, clause: C) -> SoftId
     where
         C: IntoIterator<Item = Lit>,
     {
-        assert!(weight > 0, "soft clauses must have positive weight");
         let lits: Vec<Lit> = clause.into_iter().collect();
         for l in &lits {
             self.solver.ensure_vars(l.var().index() + 1);
@@ -222,11 +216,7 @@ impl MaxSatSolver {
         relaxed.push(relax);
         self.solver.add_clause(relaxed);
         let id = SoftId(self.softs.len());
-        self.softs.push(SoftClause {
-            lits,
-            weight,
-            relax,
-        });
+        self.softs.push(SoftClause { lits, relax });
         self.totalizer = None;
         self.last_optimum = None;
         id
@@ -260,7 +250,7 @@ impl MaxSatSolver {
     }
 
     /// Finds an assignment satisfying all hard clauses that minimizes the
-    /// total weight of violated soft clauses.
+    /// number of violated soft clauses.
     pub fn solve(&mut self) -> MaxSatResult {
         self.solve_under_assumptions(&[])
     }
@@ -271,13 +261,13 @@ impl MaxSatSolver {
     ///
     /// This is the incremental entry point: a caller that would otherwise
     /// rebuild the instance per iteration (hard units that change every
-    /// round, e.g. the `σ[X]`/`σ[Y']` valuations of a repair loop) instead
+    /// round, e.g. the `δ[X]`/`δ[Y']` valuations of a repair loop) instead
     /// encodes the invariant structure once and retracts the per-iteration
     /// units by simply not assuming them on the next call. The underlying
     /// CDCL solver, its learnt clauses and the cached totalizer all survive
     /// between calls.
     ///
-    /// The search is a two-phase bound search over the violated weight on
+    /// The search is a two-phase bound search over the violated count on
     /// the persistent totalizer, warm-started at the previous call's optimum
     /// — walk the bound up from there while UNSAT, then tighten downward
     /// from the first model's true cost until the bound below it is refuted.
@@ -305,7 +295,7 @@ impl MaxSatSolver {
         self.solves_since_maintenance += 1;
         // A warm-start bound is only meaningful for the assumption set it
         // was proved under: a changed set (e.g. a repair loop pinning a
-        // disjoint σ) invalidates it, so the search can never start
+        // disjoint δ) invalidates it, so the search can never start
         // from a bound unrelated — possibly infeasible — for the new query.
         if self.assumptions != assumptions {
             self.last_optimum = None;
@@ -341,8 +331,7 @@ impl MaxSatSolver {
         }
         let total = self.totalizer().len() as u64;
         // A probe at bound `k` asks for a model with at most `k` violated
-        // (weight units of) softs: `¬outputs[k]` forbids `k + 1` true
-        // relaxations.
+        // softs: `¬outputs[k]` forbids `k + 1` true relaxations.
         // Phase 1: find any bounded model, walking the bound up from the
         // warm start while UNSAT. Bounds 1..=total-1 are probeable; once
         // `≤ total - 1` is refuted every soft clause must be violated and
@@ -454,46 +443,25 @@ impl MaxSatSolver {
         result
     }
 
-    /// The persistent totalizer over the weight-replicated relaxation
-    /// literals, encoded on first use and reused by every later bounded
-    /// search (re-encoded only after [`MaxSatSolver::add_soft`] grows the
-    /// relaxation set).
+    /// The persistent totalizer over the relaxation literals, encoded on
+    /// first use and reused by every later bounded search (re-encoded only
+    /// after [`MaxSatSolver::add_soft`] grows the relaxation set).
     fn totalizer(&mut self) -> &Totalizer {
         if self.totalizer.is_none() {
-            let mut counters: Vec<Lit> = Vec::new();
-            for s in &self.softs {
-                for _ in 0..s.weight {
-                    counters.push(s.relax);
-                }
-            }
-            self.totalizer = Some(Totalizer::encode(&mut self.solver, &counters));
+            let relaxations: Vec<Lit> = self.softs.iter().map(|s| s.relax).collect();
+            self.totalizer = Some(Totalizer::encode(&mut self.solver, &relaxations));
         }
         // invariant: the branch above encodes the totalizer when absent.
         self.totalizer.as_ref().expect("totalizer just encoded")
     }
 
-    /// Total weight of the soft clauses the last SAT probe's model violates.
+    /// Number of soft clauses the last SAT probe's model violates.
     fn cost_of_current_model(&self) -> u64 {
-        self.softs
+        let violated = self
+            .softs
             .iter()
-            .filter(|s| !s.holds(|var| self.solver.value(var)))
-            .map(|s| s.weight)
-            .sum()
-    }
-
-    /// Returns the model of the last [`MaxSatResult::Optimum`] outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last solve call did not produce an optimum.
-    pub fn model(&self) -> Assignment {
-        assert!(self.has_optimum, "no MaxSAT model available");
-        let value = |v| self.solver.latest_model_value(Var::new(v as u32));
-        Assignment::from_values(
-            (0..self.solver.num_vars())
-                .map(|v| value(v).unwrap_or(false))
-                .collect(),
-        )
+            .filter(|s| !s.holds(|var| self.solver.value(var)));
+        violated.count() as u64
     }
 
     /// The soft clauses violated by the last optimum's model, in insertion
@@ -514,7 +482,7 @@ impl MaxSatSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manthan3_cnf::Clause;
+    use manthan3_cnf::{Assignment, Clause};
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -528,8 +496,8 @@ mod tests {
     fn all_softs_satisfiable() {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]);
-        s.add_soft([lit(1)], 1);
-        s.add_soft([lit(2)], 1);
+        s.add_soft([lit(1)]);
+        s.add_soft([lit(2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 0 });
         assert!(violated(&s).is_empty());
     }
@@ -538,8 +506,8 @@ mod tests {
     fn must_violate_one_soft() {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]); // at least one true
-        let s1 = s.add_soft([lit(-1)], 1);
-        let s2 = s.add_soft([lit(-2)], 1);
+        let s1 = s.add_soft([lit(-1)]);
+        let s2 = s.add_soft([lit(-2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         let violated = violated(&s);
         assert_eq!(violated.len(), 1);
@@ -547,25 +515,11 @@ mod tests {
     }
 
     #[test]
-    fn weights_steer_the_optimum() {
-        // Hard: exactly one of x1, x2 true. Soft: prefer x1 (weight 5) and
-        // x2 (weight 1): the optimum keeps x1 and violates the cheap soft.
-        let mut s = MaxSatSolver::new();
-        s.add_hard([lit(1), lit(2)]);
-        s.add_hard([lit(-1), lit(-2)]);
-        s.add_soft([lit(1)], 5);
-        let cheap = s.add_soft([lit(2)], 1);
-        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-        assert_eq!(violated(&s), vec![cheap]);
-        assert!(s.model().value(Var::new(0)));
-    }
-
-    #[test]
     fn hard_unsat_detected() {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1)]);
         s.add_hard([lit(-1)]);
-        s.add_soft([lit(2)], 1);
+        s.add_soft([lit(2)]);
         assert_eq!(s.solve(), MaxSatResult::HardUnsat);
     }
 
@@ -574,9 +528,9 @@ mod tests {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1)]);
         s.add_hard([lit(2)]);
-        s.add_soft([lit(-1)], 1);
-        s.add_soft([lit(-2)], 2);
-        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 3 });
+        s.add_soft([lit(-1)]);
+        s.add_soft([lit(-2)]);
+        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 2 });
         assert_eq!(violated(&s).len(), 2);
     }
 
@@ -585,7 +539,7 @@ mod tests {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 0 });
-        let _ = s.model();
+        assert!(violated(&s).is_empty());
     }
 
     #[test]
@@ -594,18 +548,10 @@ mod tests {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(-1)]);
         s.add_hard([lit(-2)]);
-        let broken = s.add_soft([lit(1), lit(2)], 3);
-        let fine = s.add_soft([lit(-1), lit(2)], 2);
-        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 3 });
+        let broken = s.add_soft([lit(1), lit(2)]);
+        s.add_soft([lit(-1), lit(2)]);
+        assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         assert_eq!(violated(&s), vec![broken]);
-        let _ = fine;
-    }
-
-    #[test]
-    #[should_panic(expected = "positive weight")]
-    fn zero_weight_rejected() {
-        let mut s = MaxSatSolver::new();
-        s.add_soft([lit(1)], 0);
     }
 
     #[test]
@@ -615,8 +561,8 @@ mod tests {
         // no assumptions the cost-1 optimum is free to pick either.
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]);
-        let s1 = s.add_soft([lit(-1)], 1);
-        let s2 = s.add_soft([lit(-2)], 1);
+        let s1 = s.add_soft([lit(-1)]);
+        let s2 = s.add_soft([lit(-2)]);
         assert_eq!(
             s.solve_under_assumptions(&[lit(1), lit(-2)]),
             MaxSatResult::Optimum { cost: 1 }
@@ -635,7 +581,7 @@ mod tests {
     fn contradictory_assumptions_are_hard_unsat() {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1)]);
-        s.add_soft([lit(2)], 1);
+        s.add_soft([lit(2)]);
         assert_eq!(
             s.solve_under_assumptions(&[lit(-1)]),
             MaxSatResult::HardUnsat
@@ -648,8 +594,8 @@ mod tests {
     fn totalizer_is_encoded_once_across_repeated_solves() {
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]);
-        s.add_soft([lit(-1)], 2);
-        s.add_soft([lit(-2)], 1);
+        s.add_soft([lit(-1)]);
+        s.add_soft([lit(-2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         let vars_after_first = s.solver.num_vars();
         let clauses_after_first = s.num_solver_clauses();
@@ -660,7 +606,7 @@ mod tests {
         assert_eq!(s.solver.num_vars(), vars_after_first);
         assert_eq!(s.num_solver_clauses(), clauses_after_first);
         // A new soft clause invalidates the cache; exactly one re-encoding.
-        s.add_soft([lit(1), lit(2)], 1);
+        s.add_soft([lit(1), lit(2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         let vars_after_growth = s.solver.num_vars();
         assert!(vars_after_growth > vars_after_first);
@@ -674,7 +620,7 @@ mod tests {
         let token = CancelToken::new();
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_cancel(token.clone()));
         s.add_hard([lit(1)]);
-        s.add_soft([lit(-1)], 3);
+        s.add_soft([lit(-1)]);
         token.cancel();
         // Cancellation stops the search with no verdict, never with a
         // best-so-far optimum.
@@ -704,7 +650,7 @@ mod tests {
                 }
             }
         }
-        s.add_soft([var(0, 0).positive()], 1);
+        s.add_soft([var(0, 0).positive()]);
         let canceller = std::thread::spawn({
             let token = token.clone();
             move || {
@@ -724,8 +670,8 @@ mod tests {
     #[test]
     fn soft_free_instances_report_cost_zero_under_assumptions() {
         // No soft clauses at all (a repair session over an existential-free
-        // DQBF): the optimum is trivially 0, a model is available, and the
-        // violated-soft set is empty — no panic on either accessor.
+        // DQBF): the optimum is trivially 0, and the violated-soft set is
+        // empty, with no panic on the accessor.
         let mut s = MaxSatSolver::new();
         s.add_hard([lit(1), lit(2)]);
         assert_eq!(
@@ -733,24 +679,23 @@ mod tests {
             MaxSatResult::Optimum { cost: 0 }
         );
         assert!(violated(&s).is_empty());
-        assert!(s.model().value(Var::new(0)));
     }
 
     #[test]
     #[should_panic(expected = "no MaxSAT model available")]
     fn unknown_outcomes_leave_no_stale_model() {
         // First solve finds an optimum (model stored); a cancelled re-solve
-        // returns Unknown and must clear it, so reading the model
-        // afterwards panics as documented instead of yielding a stale,
-        // unproven one.
+        // returns Unknown and must clear it, so reading the violated softs
+        // afterwards panics as documented instead of reading a stale,
+        // unproven model.
         use manthan3_sat::{CancelToken, SolverConfig};
         let token = CancelToken::new();
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_cancel(token.clone()));
         s.add_hard([lit(1), lit(2)]);
-        s.add_soft([lit(-1)], 1);
-        s.add_soft([lit(-2)], 1);
+        s.add_soft([lit(-1)]);
+        s.add_soft([lit(-2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
-        let _ = s.model();
+        assert_eq!(violated(&s).len(), 1);
         token.cancel();
         assert_eq!(s.solve(), MaxSatResult::Unknown);
         let _ = s.violated_softs(); // must panic
@@ -767,8 +712,8 @@ mod tests {
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
         s.add_hard([lit(1), lit(2)]);
         s.add_hard([lit(-1), lit(-2)]);
-        s.add_soft([lit(1)], 5);
-        let cheap = s.add_soft([lit(2)], 1);
+        s.add_soft([lit(1)]);
+        let cheap = s.add_soft([lit(2)]);
         // (a ∨ b) stays attached until a pass finds it satisfied by the
         // later unit a; a second pair added mid-run gives the second pass
         // the same work.
@@ -821,7 +766,7 @@ mod tests {
         s.add_hard([lit(1), lit(2)]);
         s.add_hard([lit(-1)]);
         s.add_hard([lit(-2)]);
-        s.add_soft([lit(3)], 1);
+        s.add_soft([lit(3)]);
         assert_eq!(s.solve(), MaxSatResult::HardUnsat);
         let cert = s.certificate().expect("hard-unsat probe certificate");
         let steps = cert.steps().map(ProofStep::from);
@@ -857,8 +802,8 @@ mod tests {
     fn an_optimistic_core_of_pins_alone_ends_in_a_pinned_certificate() {
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
         s.add_hard([lit(1)]);
-        s.add_soft([lit(2)], 1);
-        s.add_soft([lit(3)], 1);
+        s.add_soft([lit(2)]);
+        s.add_soft([lit(3)]);
         assert_pinned_hard_unsat(&mut s, &[lit(-1)], 2);
     }
 
@@ -875,10 +820,10 @@ mod tests {
         for (q, r) in [(q, r), (q, !r), (!q, r), (!q, !r)] {
             s.add_hard([!a, p, q, r]);
         }
-        s.add_soft([p], 1);
+        s.add_soft([p]);
         for _ in 0..3 {
             let free = s.new_var().positive();
-            s.add_soft([free], 1);
+            s.add_soft([free]);
         }
         // Optimistic, bound 1, hard: the walk stops at the first bound
         // probe instead of climbing to the fourth soft.
@@ -892,8 +837,8 @@ mod tests {
     fn sat_terminated_searches_withdraw_the_certificate() {
         let mut s = MaxSatSolver::with_config(SolverConfig::default().with_proof_logging(true));
         s.add_hard([lit(1), lit(2)]);
-        s.add_soft([lit(-1)], 1);
-        s.add_soft([lit(-2)], 1);
+        s.add_soft([lit(-1)]);
+        s.add_soft([lit(-2)]);
         assert_eq!(s.solve(), MaxSatResult::Optimum { cost: 1 });
         assert!(s.certificate().is_none());
         let mut silent = MaxSatSolver::new();
@@ -905,7 +850,7 @@ mod tests {
     }
 
     /// The warm-start bound must not survive an
-    /// assumption-set change. Alternating disjoint σ pins with very
+    /// assumption-set change. Alternating disjoint δ pins with very
     /// different optima stay correct, and every call's probe count is
     /// bounded by `optimum + 2` (optimistic check + climb from 1, with one
     /// probe to spare) — a stale warm bound from the other pin would seed
@@ -921,7 +866,7 @@ mod tests {
             s.add_hard([!u, lit(-i)]);
         }
         for i in 1..=4 {
-            s.add_soft([lit(-i)], 1);
+            s.add_soft([lit(-i)]);
         }
         for round in 0..6 {
             let (pins, optimum) = if round % 2 == 0 {
@@ -965,10 +910,10 @@ mod tests {
             .collect()
     }
 
-    /// The least total weight of `softs` violated by an assignment of
+    /// The least number of `softs` violated by an assignment of
     /// `hard ∧ pins`, by enumeration; `None` when no assignment satisfies
     /// `hard ∧ pins`.
-    fn brute_force_optimum(hard: &Cnf, softs: &[(Vec<Lit>, u64)], pins: &[Lit]) -> Option<u64> {
+    fn brute_force_optimum(hard: &Cnf, softs: &[Vec<Lit>], pins: &[Lit]) -> Option<u64> {
         let num_vars = hard.num_vars();
         (0..1u32 << num_vars)
             .map(|bits| {
@@ -976,67 +921,44 @@ mod tests {
             })
             .filter(|a| hard.eval(a) && pins.iter().all(|&p| a.lit_value(p)))
             .map(|a| {
-                softs
-                    .iter()
-                    .filter(|(c, _)| !Clause::new(c.clone()).eval(&a))
-                    .map(|(_, w)| *w)
-                    .sum()
+                let violated = softs.iter().filter(|c| !Clause::new(c.to_vec()).eval(&a));
+                violated.count() as u64
             })
             .min()
     }
 
-    /// Solves `hard` with `softs` and checks the verdict against the
-    /// brute-force optimum, and the model against it.
-    fn assert_brute_force_optimum(round: usize, hard: &Cnf, softs: &[(Vec<Lit>, u64)]) {
-        let mut solver = MaxSatSolver::new();
-        solver.add_hard_cnf(hard);
-        for (c, w) in softs {
-            solver.add_soft(c.clone(), *w);
-        }
-        let result = solver.solve();
-        match brute_force_optimum(hard, softs, &[]) {
-            None => assert_eq!(result, MaxSatResult::HardUnsat, "round {round}"),
-            Some(opt) => {
-                assert_eq!(result, MaxSatResult::Optimum { cost: opt }, "round {round}");
-                let violated: u64 = solver.violated_softs().map(|id| softs[id.index()].1).sum();
-                assert_eq!(violated, opt, "round {round}");
-            }
-        }
-    }
-
-    /// Reference check against brute force on random small instances:
-    /// weighted ones, then unit-weight ones (the shape the repair loop
-    /// produces).
+    /// Reference check against brute force on random small instances over
+    /// four and then five variables.
     #[test]
     fn agrees_with_brute_force() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(2024);
-        for round in 0..30 {
-            let num_vars = 4;
-            let mut hard = Cnf::new(num_vars);
-            for _ in 0..rng.gen_range(1..5) {
-                hard.add_clause(random_clause(&mut rng, num_vars));
+        let mut round = 0;
+        for (seed, rounds, num_vars) in [(2024, 30, 4), (0x0C0E_2026, 40, 5)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..rounds {
+                let mut hard = Cnf::new(num_vars);
+                for _ in 0..rng.gen_range(1..=num_vars) {
+                    hard.add_clause(random_clause(&mut rng, num_vars));
+                }
+                let softs: Vec<Vec<Lit>> = (0..rng.gen_range(1..=num_vars))
+                    .map(|_| random_clause(&mut rng, num_vars))
+                    .collect();
+                let mut solver = MaxSatSolver::new();
+                solver.add_hard_cnf(&hard);
+                for c in &softs {
+                    solver.add_soft(c.iter().copied());
+                }
+                let result = solver.solve();
+                match brute_force_optimum(&hard, &softs, &[]) {
+                    None => assert_eq!(result, MaxSatResult::HardUnsat, "round {round}"),
+                    Some(opt) => {
+                        assert_eq!(result, MaxSatResult::Optimum { cost: opt }, "round {round}");
+                        assert_eq!(solver.violated_softs().count() as u64, opt, "round {round}");
+                    }
+                }
+                round += 1;
             }
-            let softs: Vec<(Vec<Lit>, u64)> = (0..rng.gen_range(1..5))
-                .map(|_| {
-                    let clause = random_clause(&mut rng, num_vars);
-                    (clause, rng.gen_range(1..4) as u64)
-                })
-                .collect();
-            assert_brute_force_optimum(round, &hard, &softs);
-        }
-        let mut rng = SmallRng::seed_from_u64(0x0C0E_2026);
-        for round in 30..70 {
-            let num_vars = 5;
-            let mut hard = Cnf::new(num_vars);
-            for _ in 0..rng.gen_range(1..6) {
-                hard.add_clause(random_clause(&mut rng, num_vars));
-            }
-            let softs: Vec<(Vec<Lit>, u64)> = (0..rng.gen_range(1..6))
-                .map(|_| (random_clause(&mut rng, num_vars), 1))
-                .collect();
-            assert_brute_force_optimum(round, &hard, &softs);
         }
     }
 
@@ -1057,11 +979,11 @@ mod tests {
                 hard.add_clause(random_clause(&mut rng, num_vars));
             }
             solver.add_hard_cnf(&hard);
-            let softs: Vec<(Vec<Lit>, u64)> = (0..num_vars)
-                .map(|v| (vec![Var::new(v as u32).negative()], 1))
+            let softs: Vec<Vec<Lit>> = (0..num_vars)
+                .map(|v| vec![Var::new(v as u32).negative()])
                 .collect();
-            for (c, w) in &softs {
-                solver.add_soft(c.clone(), *w);
+            for c in &softs {
+                solver.add_soft(c.iter().copied());
             }
             for query in 0..25 {
                 let pins: Vec<Lit> = (0..rng.gen_range(0..3))

@@ -14,7 +14,7 @@
 //! |--------|-------|------|
 //! | [`cnf`] | `manthan3-cnf` | literals, clauses, DIMACS, clause sink |
 //! | [`sat`] | `manthan3-sat` | CDCL SAT solver: assumptions, cores, activation literals |
-//! | [`maxsat`] | `manthan3-maxsat` | weighted partial MaxSAT (Open-WBO stand-in) |
+//! | [`maxsat`] | `manthan3-maxsat` | unit-weight partial MaxSAT (Open-WBO stand-in) |
 //! | [`sampler`] | `manthan3-sampler` | near-uniform sampling (CMSGen stand-in) |
 //! | [`aig`] | `manthan3-aig` | And-Inverter Graphs (ABC stand-in) |
 //! | [`dtree`] | `manthan3-dtree` | ID3/Gini decision trees (scikit-learn stand-in) |

@@ -206,7 +206,7 @@ proptest! {
         let mut solver = MaxSatSolver::new();
         solver.add_hard_cnf(&hard);
         for clause in soft.clauses() {
-            solver.add_soft(clause.iter().copied(), 1);
+            solver.add_soft(clause.iter().copied());
         }
         let brute: Option<u64> = (0..1u32 << 4)
             .filter_map(|bits| {
@@ -220,8 +220,7 @@ proptest! {
         match solver.solve() {
             MaxSatResult::Optimum { cost } => {
                 prop_assert_eq!(Some(cost), brute);
-                let model = solver.model();
-                prop_assert!(hard.eval(&model));
+                prop_assert_eq!(solver.violated_softs().count() as u64, cost);
             }
             MaxSatResult::HardUnsat => prop_assert!(brute.is_none()),
             MaxSatResult::Unknown => {
@@ -298,12 +297,10 @@ proptest! {
         match verify::check(&dqbf, &vector) {
             CheckOutcome::Valid => prop_assert!(!falsifiable),
             CheckOutcome::Falsified(witness) => {
-                prop_assert!(falsifies(&witness.assignment));
-                prop_assert!(!dqbf.eval_matrix(&witness.assignment));
-                let extended = vector.extend_assignment(&dqbf, &witness.assignment, &order);
-                for (&y, &value) in &witness.y_outputs {
-                    prop_assert_eq!(extended.get(y), Some(value));
-                }
+                prop_assert!(falsifies(&witness));
+                prop_assert!(!dqbf.eval_matrix(&witness));
+                // The witness's Y entries are the vector's outputs on its X.
+                prop_assert_eq!(vector.extend_assignment(&dqbf, &witness, &order), witness);
             }
             other => prop_assert!(false, "unexpected outcome {other:?}"),
         }
@@ -330,16 +327,9 @@ proptest! {
                 VerifyOutcome::Valid => prop_assert!(fresh.is_valid()),
                 VerifyOutcome::CounterExample(delta) => {
                     prop_assert!(!fresh.is_valid());
-                    let mut values = vec![false; dqbf.num_vars()];
-                    for (&v, &b) in delta.x.iter().chain(&delta.y_prime) {
-                        values[v.index()] = b;
-                    }
-                    prop_assert!(!dqbf.eval_matrix(&Assignment::from_values(values.clone())));
-                    let x_values = Assignment::from_values(values[..3].to_vec());
-                    let extended = vector.extend_assignment(&dqbf, &x_values, &order);
-                    for (&y, &value) in &delta.y_prime {
-                        prop_assert_eq!(extended.get(y), Some(value));
-                    }
+                    prop_assert!(!dqbf.eval_matrix(&delta));
+                    // δ[Y'] is the vector's output on δ[X].
+                    prop_assert_eq!(vector.extend_assignment(&dqbf, &delta, &order), delta);
                 }
                 VerifyOutcome::Unknown => prop_assert!(false, "no budget was set"),
             }
