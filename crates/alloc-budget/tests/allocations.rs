@@ -212,3 +212,19 @@ fn a_repeated_counterexample_allocates_nothing_more_for_more_universals() {
     // The one allocation is the counterexample itself.
     assert_eq!(four, 1, "{four} allocations for one repeated check");
 }
+
+/// A repair cube whose inputs and AND gates already exist is found by
+/// structural hashing alone: building it again allocates nothing, since
+/// `HenkinVector::cube` walks its literals twice instead of collecting them.
+#[test]
+fn building_an_existing_cube_allocates_nothing() {
+    let literals: Vec<Lit> = (0..12u32).map(|i| Var::new(i).lit(i % 3 == 0)).collect();
+    let mut vector = HenkinVector::new();
+    let first = vector.cube(literals.iter().copied());
+    let nodes = vector.aig().num_nodes();
+    let mut again = AigRef::FALSE;
+    let made = allocations(|| again = vector.cube(literals.iter().copied()));
+    assert_eq!(made, 0, "{made} allocations for an existing cube");
+    assert_eq!(again, first);
+    assert_eq!(vector.aig().num_nodes(), nodes);
+}

@@ -37,35 +37,15 @@ use std::collections::BTreeMap;
 const MAX_ARBITER_ENTRIES: usize = 2048;
 /// Largest dependency-set size for which definitions are extracted.
 const MAX_DEFINITION_DEPS: usize = 8;
-
-/// Budgets for [`ArbiterSolver`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArbiterConfig {
-    /// Maximum number of CEGIS iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for ArbiterConfig {
-    fn default() -> Self {
-        ArbiterConfig {
-            max_iterations: 2000,
-        }
-    }
-}
+/// Maximum number of CEGIS iterations.
+const MAX_ITERATIONS: usize = 2000;
 
 /// The definition + arbiter baseline engine. See the
 /// [crate documentation](crate).
-#[derive(Debug, Clone, Default)]
-pub struct ArbiterSolver {
-    config: ArbiterConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ArbiterSolver;
 
 impl ArbiterSolver {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: ArbiterConfig) -> Self {
-        ArbiterSolver { config }
-    }
-
     /// Synthesizes a Henkin function vector for `dqbf` by definition
     /// extraction and arbiter-table CEGIS, with no wall-clock budget.
     ///
@@ -87,17 +67,19 @@ impl ArbiterSolver {
         dqbf.validate().expect("well-formed DQBF");
         let mut oracle = Oracle::new(budget);
         let mut stats = SynthesisStats::default();
-        let outcome = self.run(dqbf, &mut oracle, &mut stats);
+        let outcome = self.run(dqbf, &mut oracle, &mut stats, MAX_ITERATIONS);
         SynthesisResult::finish(outcome, stats, oracle)
     }
 
     /// Extracts definitions, then refines arbiter tables until the vector
-    /// verifies. Records the definitions in `stats.unique_definitions`.
+    /// verifies, for at most `max_iterations` CEGIS iterations. Records the
+    /// definitions in `stats.unique_definitions`.
     fn run(
         &self,
         dqbf: &Dqbf,
         oracle: &mut Oracle,
         stats: &mut SynthesisStats,
+        max_iterations: usize,
     ) -> SynthesisOutcome {
         let mut phi_solver = oracle.new_solver();
         phi_solver.add_cnf(dqbf.matrix());
@@ -132,7 +114,7 @@ impl ArbiterSolver {
         let mut iterations = 0usize;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > max_iterations {
                 return SynthesisOutcome::Unknown(UnknownReason::IterationLimit);
             }
             if let Some(reason) = oracle.exhausted() {
@@ -140,7 +122,11 @@ impl ArbiterSolver {
             }
             // Materialize the arbiter tables into the vector.
             for &y in &undefined {
-                let f = table_to_function(&mut vector, &deps[&y], &tables[&y]);
+                let true_rows = tables[&y]
+                    .iter()
+                    .filter(|&(_, &value)| value)
+                    .map(|(key, _)| key.iter().copied());
+                let f = vector.truth_table(&deps[&y], true_rows);
                 vector.set(y, f);
             }
             // Verify.
@@ -195,24 +181,6 @@ impl ArbiterSolver {
     }
 }
 
-/// Builds the DNF of all table entries mapped to `true` over the dependency
-/// variables.
-fn table_to_function(
-    vector: &mut HenkinVector,
-    deps: &[Var],
-    table: &BTreeMap<Vec<bool>, bool>,
-) -> manthan3_aig::AigRef {
-    let mut cubes = Vec::new();
-    for (key, &value) in table {
-        if !value {
-            continue;
-        }
-        let cube = vector.cube(deps.iter().zip(key).map(|(&d, &bit)| d.lit(bit)));
-        cubes.push(cube);
-    }
-    vector.aig_mut().or_list(&cubes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +189,7 @@ mod tests {
     #[test]
     fn solves_the_paper_example() {
         let dqbf = Dqbf::paper_example();
-        let result = ArbiterSolver::default().synthesize(&dqbf);
+        let result = ArbiterSolver.synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
         // The engine's SAT work went through the shared oracle layer.
@@ -232,7 +200,7 @@ mod tests {
     #[test]
     fn solves_the_xor_limitation_example() {
         let dqbf = Dqbf::xor_limitation_example();
-        let result = ArbiterSolver::default().synthesize(&dqbf);
+        let result = ArbiterSolver.synthesize(&dqbf);
         match result.outcome {
             SynthesisOutcome::Realizable(v) => assert!(check(&dqbf, &v).is_valid()),
             // Cross-output reasoning may also defeat the simplified arbiter
@@ -251,7 +219,7 @@ mod tests {
         dqbf.add_existential(y, [x1]);
         dqbf.add_clause([y.negative(), x2.positive()]);
         dqbf.add_clause([y.positive(), x2.negative()]);
-        let result = ArbiterSolver::default().synthesize(&dqbf);
+        let result = ArbiterSolver.synthesize(&dqbf);
         match result.outcome {
             SynthesisOutcome::Unrealizable | SynthesisOutcome::Unknown(_) => {}
             SynthesisOutcome::Realizable(_) => panic!("false instance cannot be realizable"),
@@ -266,7 +234,7 @@ mod tests {
         dqbf.add_existential(y, [x]);
         dqbf.add_clause([y.positive()]);
         dqbf.add_clause([y.negative()]);
-        let result = ArbiterSolver::default().synthesize(&dqbf);
+        let result = ArbiterSolver.synthesize(&dqbf);
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
     }
 
@@ -290,7 +258,7 @@ mod tests {
         dqbf.add_clause([y2.negative(), x[1].positive(), x[2].positive()]);
         dqbf.add_clause([y2.positive(), x[1].negative()]);
         dqbf.add_clause([y2.positive(), x[2].negative()]);
-        let result = ArbiterSolver::default().synthesize(&dqbf);
+        let result = ArbiterSolver.synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
         assert_eq!(result.stats.unique_definitions, 2);
@@ -303,11 +271,12 @@ mod tests {
         // No output of this example is uniquely defined, so the arbiter
         // loop, and with it the iteration cap, decides the run.
         let dqbf = Dqbf::xor_limitation_example();
-        let config = ArbiterConfig { max_iterations: 0 };
-        let result = ArbiterSolver::new(config).synthesize(&dqbf);
-        assert_eq!(result.stats.unique_definitions, 0);
+        let mut oracle = Oracle::new(Budget::unlimited());
+        let mut stats = SynthesisStats::default();
+        let outcome = ArbiterSolver.run(&dqbf, &mut oracle, &mut stats, 0);
+        assert_eq!(stats.unique_definitions, 0);
         assert!(matches!(
-            result.outcome,
+            outcome,
             SynthesisOutcome::Unknown(UnknownReason::IterationLimit)
         ));
     }

@@ -21,41 +21,20 @@ use manthan3_dqbf::{Dqbf, HenkinVector};
 use manthan3_sat::SolveResult;
 use std::collections::HashSet;
 
-/// Budgets for [`ExpansionSolver`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpansionConfig {
-    /// Maximum number of universal variables (the grounding enumerates
-    /// `2^|X|` assignments).
-    pub max_universals: usize,
-    /// Maximum total number of existential copies `Σ_i 2^|H_i|`.
-    pub max_copies: usize,
-    /// Maximum number of grounded clauses.
-    pub max_ground_clauses: usize,
-}
-
-impl Default for ExpansionConfig {
-    fn default() -> Self {
-        ExpansionConfig {
-            max_universals: 14,
-            max_copies: 4096,
-            max_ground_clauses: 400_000,
-        }
-    }
-}
+/// Largest number of universal variables (the grounding enumerates
+/// `2^|X|` assignments).
+const MAX_UNIVERSALS: usize = 14;
+/// Largest total number of existential copies `Σ_i 2^|H_i|`.
+const MAX_COPIES: usize = 4096;
+/// Largest number of grounded clauses.
+const MAX_GROUND_CLAUSES: usize = 400_000;
 
 /// The expansion-based baseline engine. See the
 /// [crate documentation](crate).
-#[derive(Debug, Clone, Default)]
-pub struct ExpansionSolver {
-    config: ExpansionConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExpansionSolver;
 
 impl ExpansionSolver {
-    /// Creates an engine with the given budgets.
-    pub fn new(config: ExpansionConfig) -> Self {
-        ExpansionSolver { config }
-    }
-
     /// Synthesizes a Henkin function vector for `dqbf` by universal
     /// expansion, with no wall-clock budget.
     ///
@@ -83,7 +62,7 @@ impl ExpansionSolver {
     /// Grounds `dqbf` and reads the Henkin functions off one SAT call.
     fn expand(&self, dqbf: &Dqbf, oracle: &mut Oracle) -> SynthesisOutcome {
         let num_x = dqbf.universals().len();
-        if num_x > self.config.max_universals {
+        if num_x > MAX_UNIVERSALS {
             return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
         }
         // Allocate copy variables y_i^α.
@@ -100,7 +79,7 @@ impl ExpansionSolver {
             }
             copy_base.push(total_copies);
             total_copies += 1usize << d.len();
-            if total_copies > self.config.max_copies {
+            if total_copies > MAX_COPIES {
                 return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
             }
         }
@@ -153,7 +132,7 @@ impl ExpansionSolver {
                 ground.dedup();
                 if seen_clauses.insert(ground.clone()) {
                     ground_clauses += 1;
-                    if ground_clauses > self.config.max_ground_clauses {
+                    if ground_clauses > MAX_GROUND_CLAUSES {
                         return SynthesisOutcome::Unknown(UnknownReason::OracleBudget);
                     }
                     solver.add_clause(ground);
@@ -168,18 +147,14 @@ impl ExpansionSolver {
                 let model = solver.model();
                 let mut vector = HenkinVector::new();
                 for (idx, &y) in existentials.iter().enumerate() {
-                    let mut cubes = Vec::new();
-                    for alpha in 0usize..(1usize << deps[idx].len()) {
-                        let copy = Var::new((copy_base[idx] + alpha) as u32);
-                        if model.get(copy).unwrap_or(false) {
-                            let cube = deps[idx]
-                                .iter()
-                                .enumerate()
-                                .map(|(j, &d)| d.lit(alpha >> j & 1 == 1));
-                            cubes.push(vector.cube(cube));
-                        }
-                    }
-                    let f = vector.aig_mut().or_list(&cubes);
+                    let n = deps[idx].len();
+                    let rows = (0usize..(1usize << n))
+                        .filter(|alpha| {
+                            let copy = Var::new((copy_base[idx] + alpha) as u32);
+                            model.get(copy).unwrap_or(false)
+                        })
+                        .map(|alpha| (0..n).map(move |j| alpha >> j & 1 == 1));
+                    let f = vector.truth_table(&deps[idx], rows);
                     vector.set(y, f);
                 }
                 SynthesisOutcome::Realizable(vector)
@@ -196,7 +171,7 @@ mod tests {
     #[test]
     fn solves_the_paper_example() {
         let dqbf = Dqbf::paper_example();
-        let result = ExpansionSolver::default().synthesize(&dqbf);
+        let result = ExpansionSolver.synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
         // One grounding solver, one final SAT call, via the oracle layer.
@@ -210,7 +185,7 @@ mod tests {
         // expansion engine — the orthogonality the paper's portfolio analysis
         // relies on.
         let dqbf = Dqbf::xor_limitation_example();
-        let result = ExpansionSolver::default().synthesize(&dqbf);
+        let result = ExpansionSolver.synthesize(&dqbf);
         let vector = result.vector().expect("true instance");
         assert!(check(&dqbf, vector).is_valid());
     }
@@ -225,7 +200,7 @@ mod tests {
         dqbf.add_existential(y, [x1]);
         dqbf.add_clause([y.negative(), x2.positive()]);
         dqbf.add_clause([y.positive(), x2.negative()]);
-        let result = ExpansionSolver::default().synthesize(&dqbf);
+        let result = ExpansionSolver.synthesize(&dqbf);
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
     }
 
@@ -236,7 +211,7 @@ mod tests {
         dqbf.add_universal(x);
         dqbf.add_existential(y, [x]);
         dqbf.add_clause([x.negative()]);
-        let result = ExpansionSolver::default().synthesize(&dqbf);
+        let result = ExpansionSolver.synthesize(&dqbf);
         assert!(matches!(result.outcome, SynthesisOutcome::Unrealizable));
     }
 
@@ -249,7 +224,7 @@ mod tests {
         }
         dqbf.add_existential(Var::new(30), xs.iter().copied());
         dqbf.add_clause([Var::new(30).positive(), xs[0].positive()]);
-        let result = ExpansionSolver::default().synthesize(&dqbf);
+        let result = ExpansionSolver.synthesize(&dqbf);
         assert!(matches!(result.outcome, SynthesisOutcome::Unknown(_)));
     }
 
@@ -281,7 +256,7 @@ mod tests {
                 dqbf.add_clause(clause);
             }
             let expected = brute_force_truth(&dqbf, 16).expect("small instance");
-            let result = ExpansionSolver::default().synthesize(&dqbf);
+            let result = ExpansionSolver.synthesize(&dqbf);
             match (&result.outcome, expected) {
                 (SynthesisOutcome::Realizable(v), true) => {
                     assert!(check(&dqbf, v).is_valid(), "round {round}");

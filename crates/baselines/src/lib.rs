@@ -21,6 +21,11 @@
 //!   excels when most outputs are (almost) defined by their dependencies and
 //!   struggles otherwise.
 //!
+//! Both engines are unit structs with no settings: their caps (the
+//! expansion's universal, copy and ground-clause limits, the arbiter's
+//! iteration and table-size limits) are fixed constants, and a run's only
+//! input besides the formula is its [`Budget`](manthan3_core::Budget).
+//!
 //! Both engines return the same
 //! [`SynthesisResult`](manthan3_core::SynthesisResult) as Manthan3, and every
 //! vector they return passes the independent certificate checker in
@@ -35,12 +40,11 @@
 //! # Examples
 //!
 //! ```
-//! use manthan3_baselines::{ExpansionConfig, ExpansionSolver};
+//! use manthan3_baselines::ExpansionSolver;
 //! use manthan3_dqbf::{verify, Dqbf};
 //!
 //! let dqbf = Dqbf::paper_example();
-//! let solver = ExpansionSolver::new(ExpansionConfig::default());
-//! let result = solver.synthesize(&dqbf);
+//! let result = ExpansionSolver.synthesize(&dqbf);
 //! let vector = result.vector().expect("true instance");
 //! assert!(verify::check(&dqbf, vector).is_valid());
 //! ```
@@ -50,5 +54,5 @@
 mod arbiter;
 mod expansion;
 
-pub use arbiter::{ArbiterConfig, ArbiterSolver};
-pub use expansion::{ExpansionConfig, ExpansionSolver};
+pub use arbiter::ArbiterSolver;
+pub use expansion::ExpansionSolver;

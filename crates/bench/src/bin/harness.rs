@@ -36,20 +36,26 @@
 //! `runs.csv` and one row of
 //! `summary_table.csv`; the `oracle_stats!` table in
 //! `manthan3_core::oracle` lists them. `--certify` arms the certifying
-//! solver layer: every SAT and MaxSAT solver the Manthan3-family oracles
-//! construct logs DRAT proofs, and every UNSAT verdict is checked
+//! solver layer of every Manthan3 run (alone, as a portfolio racer and in
+//! each ablation variant): every SAT and MaxSAT solver its oracle
+//! constructs logs DRAT proofs, and every UNSAT verdict is checked
 //! in-process by the independent `manthan3-drat` checker. A rejected
 //! certificate — a soundness alarm — is dumped under the output directory
 //! as a `certify_failure_<instance>_<engine>.cnf` / `.drat` pair for
 //! offline reproduction; under `--engine portfolio` the race's record
-//! carries its Manthan3 racer's rejection too.
+//! carries its Manthan3 racer's rejection too. Every run, the ablations'
+//! included, goes through `manthan3_bench::run_engine` with one
+//! `PortfolioConfig`: the budget and the Manthan3 settings, of which an
+//! ablation variant swaps only the latter.
 //! Malformed flag values and unknown flags abort with a diagnostic on stderr
 //! and exit status 2.
 
 use manthan3_bench::{csvio, report, run_suite, EngineKind, RunRecord};
-use manthan3_core::{Manthan3, Manthan3Config};
+use manthan3_core::Manthan3Config;
 use manthan3_gen::suite::suite;
-use std::path::PathBuf;
+use manthan3_gen::Instance;
+use manthan3_portfolio::PortfolioConfig;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
@@ -145,8 +151,10 @@ fn main() {
         args.engines.len(),
         args.budget
     );
+    let mut config = PortfolioConfig::with_time_budget(args.budget);
+    config.manthan3.certify = args.certify;
     let start = Instant::now();
-    let records = run_suite(&instances, &args.engines, args.budget, args.certify);
+    let records = run_suite(&instances, &args.engines, &config);
     println!("finished in {:?}", start.elapsed());
 
     // A rejected certificate is a soundness alarm: dump the offending CNF
@@ -242,72 +250,69 @@ fn main() {
     println!("\n== summary (paper Section 6 counts) ==\n{summary}");
 
     if args.ablations {
-        run_ablations(&args, &instances);
+        run_ablations(&args.out, &config, &instances);
     }
     println!("\nCSV output written to {}", args.out.display());
 }
 
 /// The ablation study: Manthan3 with individual design choices disabled, on
 /// the true instances of the suite (every instance not known to be false,
-/// since no variant can synthesize a false one).
-fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
-    let instances: Vec<_> = instances
+/// since no variant can synthesize a false one). A variant swaps only the
+/// Manthan3 settings of `config`, so it runs under the same budget and
+/// certification as the suite.
+fn run_ablations(out: &Path, config: &PortfolioConfig, instances: &[Instance]) {
+    let instances: Vec<&Instance> = instances
         .iter()
         .filter(|instance| instance.expected != Some(false))
         .collect();
-    let variants: Vec<(&str, Manthan3Config)> = vec![
-        ("default", Manthan3Config::default()),
+    let base = &config.manthan3;
+    let variants = [
+        ("default", base.clone()),
         (
             "no_y_features",
             Manthan3Config {
                 use_y_features: false,
-                ..Manthan3Config::default()
+                ..base.clone()
             },
         ),
         (
             "no_y_hat_constraint",
             Manthan3Config {
                 constrain_y_hat: false,
-                ..Manthan3Config::default()
+                ..base.clone()
             },
         ),
         (
             "no_unique_definitions",
             Manthan3Config {
                 use_unique_definitions: false,
-                ..Manthan3Config::default()
+                ..base.clone()
             },
         ),
         (
             "samples_50",
             Manthan3Config {
                 num_samples: 50,
-                ..Manthan3Config::default()
+                ..base.clone()
             },
         ),
         (
             "samples_1000",
             Manthan3Config {
                 num_samples: 1000,
-                ..Manthan3Config::default()
+                ..base.clone()
             },
         ),
     ];
     let mut rows = Vec::new();
-    for (name, base) in variants {
-        let mut synthesized = 0usize;
-        let mut total_time = 0.0f64;
-        for instance in &instances {
-            let config = Manthan3Config {
-                time_budget: Some(args.budget),
-                ..base.clone()
-            };
-            let start = Instant::now();
-            let result = Manthan3::new(config).synthesize(&instance.dqbf);
-            let record = RunRecord::new(EngineKind::Manthan3, instance, result, start.elapsed());
-            total_time += record.seconds();
-            synthesized += usize::from(record.synthesized);
-        }
+    for (name, manthan3) in variants {
+        let variant = PortfolioConfig {
+            manthan3,
+            ..config.clone()
+        };
+        let records = run_suite(instances.iter().copied(), &[EngineKind::Manthan3], &variant);
+        let synthesized = records.iter().filter(|record| record.synthesized).count();
+        let total_time: f64 = records.iter().map(RunRecord::seconds).sum();
         println!(
             "ablation {name:<22} synthesized {synthesized:>4} / {} (total {total_time:.1}s)",
             instances.len()
@@ -320,7 +325,7 @@ fn run_ablations(args: &Args, instances: &[manthan3_gen::Instance]) {
         ]);
     }
     csvio::write_csv(
-        &args.out.join("ablations.csv"),
+        &out.join("ablations.csv"),
         &["variant", "synthesized", "instances", "total_seconds"],
         &rows,
     )

@@ -6,8 +6,13 @@
 //!
 //! * [`EngineKind`] / [`run_engine`] / [`run_suite`] — run the three Henkin
 //!   synthesizers (Manthan3 and the two baselines standing in for HQS2 and
-//!   Pedant) on generated instances under a per-instance budget, verifying
-//!   every produced vector with the independent certificate checker,
+//!   Pedant), or their parallel race, on generated instances, verifying
+//!   every produced vector with the independent certificate checker. A
+//!   run's one configuration is a [`PortfolioConfig`]: the
+//!   per-instance budget and the Manthan3 settings (the baselines have
+//!   none). The harness, its ablations and the root package's `portfolio`
+//!   example run every engine and every race through [`run_engine`], and
+//!   so do the acceptance tests wherever a record is all they need,
 //! * [`report`] — Virtual Best Synthesizer (VBS) bookkeeping, cactus and
 //!   scatter series, and the summary table with the counts reported in the
 //!   paper's text (solved per tool, VBS improvement, uniquely solved, …),
@@ -159,32 +164,28 @@ impl RunRecord {
     }
 }
 
-/// Runs `engine` on `instance` with the given per-instance wall-clock budget.
+/// Runs `engine` on `instance` under `config`: `config.time_budget` is the
+/// per-run wall-clock budget (of the whole race for
+/// [`EngineKind::Portfolio`]), and `config.manthan3` the settings of
+/// Manthan3, alone or as a racer. The baselines have no settings.
 ///
 /// Every claimed Henkin vector is re-checked with
 /// [`manthan3_dqbf::verify::check`]; a vector that fails the check is counted
 /// as *not* synthesized (this never happens for the engines in this
-/// workspace, but the harness does not take their word for it).
+/// workspace, but the harness does not take their word for it). The
+/// record's time covers the engine call, not that check.
 ///
-/// With `certify` (`--certify`), UNSAT verdicts are certified in-process:
-/// every solver the Manthan3 oracle constructs logs DRAT proofs, and every
-/// UNSAT answer is checked immediately by the independent `manthan3-drat`
-/// checker. The flag reaches the Manthan3 engine and the portfolio's
-/// Manthan3 racer; the baselines keep their defaults. The certification
-/// rows of the `OracleStats` table report the proof traffic and checking
-/// cost in `runs.csv` and `summary_table.csv`.
-pub fn run_engine(
-    engine: EngineKind,
-    instance: &Instance,
-    budget: Duration,
-    certify: bool,
-) -> RunRecord {
+/// With `config.manthan3.certify` (`--certify`), UNSAT verdicts are
+/// certified in-process: every solver the Manthan3 oracle constructs logs
+/// DRAT proofs, and every UNSAT answer is checked immediately by the
+/// independent `manthan3-drat` checker. The certification rows of the
+/// `OracleStats` table report the proof traffic and checking cost in
+/// `runs.csv` and `summary_table.csv`.
+pub fn run_engine(engine: EngineKind, instance: &Instance, config: &PortfolioConfig) -> RunRecord {
     let start = Instant::now();
-    let mut config = PortfolioConfig::with_time_budget(budget);
-    config.manthan3.certify = certify;
     let result = match engine.sequential() {
-        Some(racer) => racer.synthesize(&config, &instance.dqbf, Budget::new(config.time_budget)),
-        None => race_result(Portfolio::new(config).run(&instance.dqbf)),
+        Some(racer) => racer.synthesize(config, &instance.dqbf, Budget::new(config.time_budget)),
+        None => race_result(Portfolio::new(config.clone()).run(&instance.dqbf)),
     };
     RunRecord::new(engine, instance, result, start.elapsed())
 }
@@ -209,23 +210,23 @@ fn race_result(race: PortfolioResult) -> SynthesisResult {
     }
 }
 
-/// Runs the given engines on every instance, optionally certifying (see
-/// [`run_engine`]). [`EngineKind::ALL`] is the sequential engine set; the
-/// harness adds [`EngineKind::Portfolio`] with `--engine portfolio` and
-/// certifies with `--certify`.
-pub fn run_suite(
-    instances: &[Instance],
+/// Runs the given engines on every instance under `config` (see
+/// [`run_engine`]), instance by instance. [`EngineKind::ALL`] is the
+/// sequential engine set; the harness adds [`EngineKind::Portfolio`] with
+/// `--engine portfolio` and certifies with `--certify`.
+pub fn run_suite<'a>(
+    instances: impl IntoIterator<Item = &'a Instance>,
     engines: &[EngineKind],
-    budget: Duration,
-    certify: bool,
+    config: &PortfolioConfig,
 ) -> Vec<RunRecord> {
-    let mut records = Vec::with_capacity(instances.len() * engines.len());
-    for instance in instances {
-        for &engine in engines {
-            records.push(run_engine(engine, instance, budget, certify));
-        }
-    }
-    records
+    instances
+        .into_iter()
+        .flat_map(|instance| {
+            engines
+                .iter()
+                .map(move |&engine| run_engine(engine, instance, config))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -235,7 +236,10 @@ mod tests {
     use manthan3_gen::planted::{planted_true, PlantedParams};
     use manthan3_portfolio::EngineReport;
 
-    const BUDGET: Duration = Duration::from_secs(5);
+    /// A 5 s per-run budget and the default settings.
+    fn config() -> PortfolioConfig {
+        PortfolioConfig::with_time_budget(Duration::from_secs(5))
+    }
 
     #[test]
     fn all_engines_solve_a_small_planted_instance() {
@@ -247,7 +251,7 @@ mod tests {
         };
         let instance = planted_true(&params, 11);
         for engine in EngineKind::ALL {
-            let record = run_engine(engine, &instance, BUDGET, false);
+            let record = run_engine(engine, &instance, &config());
             assert!(record.synthesized, "{engine} failed: {}", record.outcome);
             assert!(record.decided);
         }
@@ -262,7 +266,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instances = vec![planted_true(&params, 1), planted_true(&params, 2)];
-        let records = run_suite(&instances, &EngineKind::ALL, BUDGET, false);
+        let records = run_suite(&instances, &EngineKind::ALL, &config());
         assert_eq!(records.len(), 6);
     }
 
@@ -291,7 +295,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
+        let record = run_engine(EngineKind::Manthan3, &instance, &config());
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
             record.stats.oracle.sat_propagations > 0,
@@ -312,7 +316,9 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Manthan3, &instance, BUDGET, true);
+        let mut certifying = config();
+        certifying.manthan3.certify = true;
+        let record = run_engine(EngineKind::Manthan3, &instance, &certifying);
         assert!(record.synthesized, "manthan3 failed: {}", record.outcome);
         assert!(
             record.stats.oracle.certificates_checked > 0,
@@ -323,7 +329,7 @@ mod tests {
         assert!(record.stats.certification_failure.is_none());
         // Uncertified runs leave the proof counters (and the failure slot)
         // untouched.
-        let plain = run_engine(EngineKind::Manthan3, &instance, BUDGET, false);
+        let plain = run_engine(EngineKind::Manthan3, &instance, &config());
         assert_eq!(plain.stats.oracle.certificates_checked, 0);
         assert!(plain.stats.certification_failure.is_none());
     }
@@ -394,7 +400,7 @@ mod tests {
             ..PlantedParams::default()
         };
         let instance = planted_true(&params, 11);
-        let record = run_engine(EngineKind::Portfolio, &instance, BUDGET, false);
+        let record = run_engine(EngineKind::Portfolio, &instance, &config());
         assert!(record.synthesized, "portfolio failed: {}", record.outcome);
         assert!(record.decided);
     }

@@ -366,67 +366,39 @@ impl Summary {
             rows.push(vec![format!("decided_{portfolio}"), decided.to_string()]);
         }
         rows.extend(
-            self.counter_rows()
-                .into_iter()
-                .map(|(metric, value)| vec![metric.to_string(), value]),
-        );
-        rows
-    }
-
-    /// The counter rows of the summary, `(metric, value)`: the run-level
-    /// rows derived from the records, then one row per
-    /// [`OracleStats::COLUMNS`] entry.
-    fn counter_rows(&self) -> Vec<(&'static str, String)> {
-        let mut rows = vec![
-            ("repair_iterations", self.repair_iterations.to_string()),
-            (
-                "maxsat_calls_per_repair_iteration",
-                format!("{:.3}", self.maxsat_calls_per_repair_iteration),
-            ),
-            ("sample_wall_s", format!("{:.4}", self.sample_wall_s)),
-            (
-                "sat_propagations_per_sec",
-                format!("{:.1}", self.sat_propagations_per_sec),
-            ),
-        ];
-        rows.extend(
-            OracleStats::COLUMNS
-                .iter()
-                .copied()
-                .zip(self.oracle.values()),
+            [
+                ("repair_iterations", self.repair_iterations.to_string()),
+                (
+                    "maxsat_calls_per_repair_iteration",
+                    format!("{:.3}", self.maxsat_calls_per_repair_iteration),
+                ),
+                ("sample_wall_s", format!("{:.4}", self.sample_wall_s)),
+                (
+                    "sat_propagations_per_sec",
+                    format!("{:.1}", self.sat_propagations_per_sec),
+                ),
+            ]
+            .into_iter()
+            .chain(
+                OracleStats::COLUMNS
+                    .iter()
+                    .copied()
+                    .zip(self.oracle.values()),
+            )
+            .map(|(metric, value)| vec![metric.to_string(), value]),
         );
         rows
     }
 }
 
+/// One line per [`Summary::rows`] row, then an alarm line when a
+/// certificate was rejected.
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "instances:                 {}", self.total_instances)?;
-        for engine in EngineKind::ALL {
-            writeln!(
-                f,
-                "synthesized by {engine:<11} {} (decided {})",
-                self.synthesized[&engine], self.decided[&engine]
-            )?;
-        }
-        writeln!(
-            f,
-            "VBS(HQS2+Pedant):          {}",
-            self.vbs_without_manthan3
-        )?;
-        writeln!(f, "VBS(+Manthan3):            {}", self.vbs_with_manthan3)?;
-        writeln!(f, "Manthan3 unique:           {}", self.manthan3_unique)?;
-        writeln!(f, "Manthan3 fastest:          {}", self.manthan3_fastest)?;
-        writeln!(f, "Manthan3 not HQS2-like:    {}", self.manthan3_not_hqs2)?;
-        writeln!(f, "Manthan3 not Pedant-like:  {}", self.manthan3_not_pedant)?;
-        writeln!(f, "missed by Manthan3:        {}", self.missed_by_manthan3)?;
-        write!(
-            f,
-            "Manthan3 within +10s of VBS: {}",
-            self.manthan3_within_10s_of_vbs
-        )?;
-        for (metric, value) in self.counter_rows() {
-            write!(f, "\n{metric:<34} {value}")?;
+        let mut separator = "";
+        for row in self.rows() {
+            write!(f, "{separator}{:<34} {}", row[0], row[1])?;
+            separator = "\n";
         }
         // A rejected certificate is a soundness alarm.
         if self.oracle.certificates_rejected > 0 {
@@ -434,14 +406,6 @@ impl fmt::Display for Summary {
                 f,
                 "\ncertification ALARM:       {} of {} UNSAT certificates rejected",
                 self.oracle.certificates_rejected, self.oracle.certificates_checked
-            )?;
-        }
-        if let (Some(synthesized), Some(decided)) =
-            (self.portfolio_synthesized, self.portfolio_decided)
-        {
-            write!(
-                f,
-                "\nparallel portfolio:        {synthesized} (decided {decided}, true wall-clock)"
             )?;
         }
         Ok(())
@@ -517,8 +481,7 @@ mod tests {
         assert_eq!(s.missed_by_manthan3, 1);
         assert_eq!(s.manthan3_within_10s_of_vbs, 1);
         let text = s.to_string();
-        assert!(text.contains("Manthan3 unique:           1"));
-        assert!(s.rows().len() >= 9);
+        assert!(text.contains(&format!("\n{:<34} 1\n", "manthan3_unique")));
     }
 
     #[test]
@@ -552,7 +515,9 @@ mod tests {
             .rows()
             .iter()
             .any(|r| r[0] == "synthesized_portfolio" && r[1] == "3"));
-        assert!(s.to_string().contains("parallel portfolio"));
+        assert!(s
+            .to_string()
+            .contains(&format!("\n{:<34} 3\n", "synthesized_portfolio")));
     }
 
     /// The summary's oracle counters are the records' stats merged with
@@ -594,6 +559,77 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r[0] == "certify_wall_s" && r[1] == "2.0000"));
+    }
+
+    /// The row names of `summary_table.csv`, in order (CI greps them), with
+    /// the portfolio's two rows present; every row is also a line of the
+    /// printed summary.
+    #[test]
+    fn summary_rows_keep_their_names_and_order_and_all_print() {
+        const NAMES: [&str; 51] = [
+            "total_instances",
+            "vbs_without_manthan3",
+            "vbs_with_manthan3",
+            "manthan3_unique",
+            "manthan3_fastest",
+            "manthan3_not_hqs2",
+            "manthan3_not_pedant",
+            "missed_by_manthan3",
+            "manthan3_within_10s_of_vbs",
+            "synthesized_manthan3",
+            "decided_manthan3",
+            "synthesized_hqs2like",
+            "decided_hqs2like",
+            "synthesized_pedantlike",
+            "decided_pedantlike",
+            "synthesized_portfolio",
+            "decided_portfolio",
+            "repair_iterations",
+            "maxsat_calls_per_repair_iteration",
+            "sample_wall_s",
+            "sat_propagations_per_sec",
+            "sat_solvers_constructed",
+            "maxsat_solvers_constructed",
+            "samplers_constructed",
+            "sat_calls",
+            "sim_patterns",
+            "sim_counterexamples",
+            "maxsat_calls",
+            "sampler_calls",
+            "sample_shortfalls",
+            "maxsat_probes",
+            "maxsat_cores",
+            "conflicts",
+            "decisions",
+            "sat_propagations",
+            "sat_restarts",
+            "reused_levels",
+            "rephases",
+            "learnt_clauses_live",
+            "glue2_clauses",
+            "arena_collections",
+            "arena_live_words",
+            "models_verified",
+            "certificates_checked",
+            "certificates_rejected",
+            "proof_bytes",
+            "proof_adds",
+            "proof_deletes",
+            "proof_steps_checked",
+            "certify_wall_s",
+            "budget_exhaustions",
+        ];
+        let mut records = sample_records();
+        records.push(record("i1", EngineKind::Portfolio, true, 0.05));
+        let s = summary(&records);
+        let rows = s.rows();
+        let names: Vec<&str> = rows.iter().map(|row| row[0].as_str()).collect();
+        assert_eq!(names, NAMES);
+        let text = s.to_string();
+        for row in &rows {
+            let line = format!("{:<34} {}", row[0], row[1]);
+            assert!(text.lines().any(|l| l == line), "{line:?} in {text}");
+        }
     }
 
     #[test]

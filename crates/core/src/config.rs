@@ -3,8 +3,11 @@ use std::time::Duration;
 /// Configuration of the Manthan3 synthesis engine.
 ///
 /// The defaults correspond to the settings described in the paper scaled to
-/// the laptop-sized instances produced by `manthan3-gen`; the ablation
-/// benchmarks flip the `use_*` switches.
+/// the laptop-sized instances produced by `manthan3-gen`. A comparison run
+/// (`manthan3-bench`, the portfolio) takes this as `PortfolioConfig::manthan3`:
+/// the harness's `--certify` sets `certify`, and its ablations flip the
+/// `use_*`/`constrain_y_hat` switches and `num_samples`. The random seed of
+/// the sampler and the simulator is fixed, so runs of one formula repeat.
 ///
 /// The default training set is small (16 samples). Candidates are decision
 /// trees grown to purity, so they grow with the data, and every verify call
@@ -20,8 +23,6 @@ pub struct Manthan3Config {
     pub num_samples: usize,
     /// Upper bound on verification/repair iterations before giving up.
     pub max_repair_iterations: usize,
-    /// Random seed (sampling and tie-breaking).
-    pub seed: u64,
     /// Run Padoa-based unique-definition extraction before learning
     /// (the role of the UNIQUE tool in the paper's implementation).
     pub use_unique_definitions: bool,
@@ -52,7 +53,6 @@ impl Default for Manthan3Config {
         Manthan3Config {
             num_samples: 16,
             max_repair_iterations: 400,
-            seed: 0xDA7E_2023,
             use_unique_definitions: true,
             use_y_features: true,
             constrain_y_hat: true,

@@ -31,6 +31,9 @@ use std::time::Instant;
 /// Largest dependency-set size for which unique definitions are extracted
 /// explicitly.
 const MAX_UNIQUE_DEFINITION_DEPS: usize = 6;
+/// Seed of the run's random choices: the sampler's and the simulator's
+/// pattern stream. Every run of one formula takes the same choices.
+const SEED: u64 = 0xDA7E_2023;
 
 /// The verdict of a synthesis run.
 #[derive(Debug, Clone)]
@@ -180,11 +183,9 @@ impl<'a> Run<'a> {
     /// sampler that shares the run's budget and cancellation token.
     fn sample(&mut self) -> Stage<Vec<Assignment>> {
         let sampling_start = Instant::now();
-        let samples = self.oracle.sample_cnf(
-            self.dqbf.matrix(),
-            self.config.seed,
-            self.config.num_samples,
-        );
+        let samples = self
+            .oracle
+            .sample_cnf(self.dqbf.matrix(), SEED, self.config.num_samples);
         self.stats.samples = samples.len();
         self.stats.sampling_time = sampling_start.elapsed();
         if samples.is_empty() {
@@ -320,7 +321,7 @@ pub(crate) fn verify_repair(
     mut find_candidates: impl FnMut(&Assignment, &mut Oracle) -> Stage<Vec<Var>>,
     mut observe: impl FnMut(&Run<'_>, &HenkinVector, &Assignment),
 ) -> SynthesisOutcome {
-    let mut simulator = Simulator::new(run.config.seed, order.substitution_order());
+    let mut simulator = Simulator::new(SEED, order.substitution_order());
     let y_hats = YHats::new(run.dqbf, order, run.config);
     for _ in 0..run.config.max_repair_iterations {
         if let Some(reason) = run.oracle.exhausted() {

@@ -43,7 +43,7 @@
 //! The engine calls [`VerifySession::verify`] only on a simulation miss.
 //! Before each check it simulates the current vector on 8 words (512
 //! patterns) of fresh random universal assignments, drawn from one xorshift
-//! stream seeded from `Manthan3Config::seed`, and evaluates the matrix
+//! stream with the engine's fixed seed, and evaluates the matrix
 //! clauses on the simulated values as word ORs. Paper Algorithm 1 accepts
 //! any model of the error formula as δ, and a failing pattern is one: `X`
 //! from the pattern, `Y'` from the simulated outputs. Of the failing

@@ -57,20 +57,40 @@ impl HenkinVector {
 
     /// Builds the conjunction of `literals` in the shared AIG, each literal
     /// read as the input labelled with its variable's index, in the given
-    /// order.
-    pub fn cube(&mut self, literals: impl IntoIterator<Item = Lit>) -> AigRef {
-        let inputs: Vec<AigRef> = literals
+    /// order. The iterator is walked twice, first for the inputs and then
+    /// for the AND chain, so a cube over existing nodes allocates nothing.
+    pub fn cube<I>(&mut self, literals: I) -> AigRef
+    where
+        I: IntoIterator<Item = Lit, IntoIter: Clone>,
+    {
+        let literals = literals.into_iter();
+        for l in literals.clone() {
+            self.aig.input(l.var().index());
+        }
+        literals.fold(AigRef::TRUE, |cube, l| {
+            let input = self.aig.input(l.var().index());
+            self.aig
+                .and(cube, if l.is_positive() { input } else { !input })
+        })
+    }
+
+    /// Builds the function over `deps` that is true exactly on `true_rows`:
+    /// the disjunction of one [`cube`](HenkinVector::cube) per row, in the
+    /// given order. A row holds one value per dependency, in `deps` order.
+    pub fn truth_table<'d, D, R>(
+        &mut self,
+        deps: D,
+        true_rows: impl IntoIterator<Item = R>,
+    ) -> AigRef
+    where
+        D: IntoIterator<Item = &'d Var, IntoIter: Clone> + Copy,
+        R: IntoIterator<Item = bool, IntoIter: Clone>,
+    {
+        let cubes: Vec<AigRef> = true_rows
             .into_iter()
-            .map(|l| {
-                let input = self.aig.input(l.var().index());
-                if l.is_positive() {
-                    input
-                } else {
-                    !input
-                }
-            })
+            .map(|row| self.cube(deps.into_iter().zip(row).map(|(&d, bit)| d.lit(bit))))
             .collect();
-        self.aig.and_list(&inputs)
+        self.aig.or_list(&cubes)
     }
 
     /// The function for `y`, if defined.

@@ -92,18 +92,10 @@ pub fn brute_force_synthesize(dqbf: &Dqbf, limit_bits: u32) -> Option<Option<Hen
         // All assignments satisfied: build the witnessing vector.
         let mut vector = HenkinVector::new();
         for (i, &y) in existentials.iter().enumerate() {
-            let mut cubes = Vec::new();
-            for index in 0..table_sizes[i] {
-                let bit = offsets[i] + index;
-                if tables >> bit & 1 == 1 {
-                    let cube = deps[i]
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &d)| d.lit(index >> j & 1 == 1));
-                    cubes.push(vector.cube(cube));
-                }
-            }
-            let f = vector.aig_mut().or_list(&cubes);
+            let rows = (0..table_sizes[i])
+                .filter(|index| tables >> (offsets[i] + index) & 1 == 1)
+                .map(|index| (0..deps[i].len()).map(move |j| index >> j & 1 == 1));
+            let f = vector.truth_table(&deps[i], rows);
             vector.set(y, f);
         }
         return Some(Some(vector));

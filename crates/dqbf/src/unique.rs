@@ -125,7 +125,7 @@ pub fn extract_definitions(
             SolveResult::Sat => continue,
             SolveResult::Unknown => return extracted,
         }
-        let mut positive_cubes = Vec::new();
+        let mut true_rows = Vec::new();
         for valuation in 0u64..(1u64 << deps.len()) {
             let alpha: Vec<Lit> = deps
                 .iter()
@@ -133,15 +133,16 @@ pub fn extract_definitions(
                 .map(|(i, &d)| d.lit(valuation >> i & 1 == 1))
                 .collect();
             match enumerator.solve_with_assumptions(&alpha) {
-                SolveResult::Sat if enumerator.value(y) == Some(true) => {
-                    positive_cubes.push(vector.cube(alpha));
-                }
+                SolveResult::Sat if enumerator.value(y) == Some(true) => true_rows.push(valuation),
                 // Forced false, or no extension: contributes nothing.
                 SolveResult::Sat | SolveResult::Unsat => {}
                 SolveResult::Unknown => return extracted,
             }
         }
-        let f = vector.aig_mut().or_list(&positive_cubes);
+        let rows = true_rows
+            .into_iter()
+            .map(|valuation| (0..deps.len()).map(move |i| valuation >> i & 1 == 1));
+        let f = vector.truth_table(deps, rows);
         vector.set(y, f);
         extracted.push(y);
     }

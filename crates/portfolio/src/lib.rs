@@ -30,10 +30,13 @@
 //! runner also returns their merged total.
 //!
 //! The portfolio races engines, not configurations: every
-//! [`PortfolioEngine`] is one racer, run with its settings from the
-//! [`PortfolioConfig`]. [`PortfolioEngine::synthesize`] is the one place an
-//! engine is constructed; the race, the benchmark harness and the examples
-//! all run engines through it.
+//! [`PortfolioEngine`] is one racer. A [`PortfolioConfig`] holds the run's
+//! budget and Manthan3's settings; the two baselines have no settings.
+//! [`PortfolioEngine::synthesize`] is the one place an engine is
+//! constructed. The race runs its racers through it, and so does
+//! `manthan3-bench`'s `run_engine`, which the benchmark harness, its
+//! ablations and the `portfolio` example use for every engine run and every
+//! race.
 //!
 //! # Examples
 //!
@@ -50,7 +53,7 @@
 
 #![warn(missing_docs)]
 
-use manthan3_baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
+use manthan3_baselines::{ArbiterSolver, ExpansionSolver};
 use manthan3_core::{
     Budget, Manthan3, Manthan3Config, OracleStats, SynthesisOutcome, SynthesisResult, UnknownReason,
 };
@@ -78,10 +81,10 @@ impl PortfolioEngine {
         PortfolioEngine::PedantLike,
     ];
 
-    /// Runs this engine on `dqbf` under `budget`, with its settings from
-    /// `config`. `budget` is the run's one deadline and cancellation token:
-    /// neither `config.time_budget` nor `config.manthan3.time_budget` is
-    /// read.
+    /// Runs this engine on `dqbf` under `budget`; Manthan3 takes its
+    /// settings from `config.manthan3`. `budget` is the run's one deadline
+    /// and cancellation token: neither `config.time_budget` nor
+    /// `config.manthan3.time_budget` is read.
     ///
     /// # Panics
     ///
@@ -96,12 +99,8 @@ impl PortfolioEngine {
             PortfolioEngine::Manthan3 => {
                 Manthan3::new(config.manthan3.clone()).synthesize_with_budget(dqbf, budget)
             }
-            PortfolioEngine::Hqs2Like => {
-                ExpansionSolver::new(config.expansion.clone()).synthesize_with_budget(dqbf, budget)
-            }
-            PortfolioEngine::PedantLike => {
-                ArbiterSolver::new(config.arbiter.clone()).synthesize_with_budget(dqbf, budget)
-            }
+            PortfolioEngine::Hqs2Like => ExpansionSolver.synthesize_with_budget(dqbf, budget),
+            PortfolioEngine::PedantLike => ArbiterSolver.synthesize_with_budget(dqbf, budget),
         }
     }
 }
@@ -117,13 +116,13 @@ impl fmt::Display for PortfolioEngine {
     }
 }
 
-/// Configuration of a [`Portfolio`] run.
+/// Configuration of a comparison run: a [`Portfolio`] race, or one engine
+/// run through [`PortfolioEngine::synthesize`].
 ///
-/// The shared `time_budget` here is authoritative. Of the engine
-/// configurations only [`Manthan3Config`] has a budget field of its own,
-/// `time_budget`, and it is ignored, because every engine runs through
-/// [`PortfolioEngine::synthesize`] on a clone of the portfolio's armed
-/// [`Budget`]. The race runs every engine of
+/// The shared `time_budget` here is authoritative. Only Manthan3 has
+/// settings; [`Manthan3Config`]'s own `time_budget` is ignored, because
+/// every engine runs through [`PortfolioEngine::synthesize`] on a clone of
+/// the portfolio's armed [`Budget`]. The race runs every engine of
 /// [`PortfolioEngine::ALL`], each on its own thread.
 #[derive(Debug, Clone, Default)]
 pub struct PortfolioConfig {
@@ -133,10 +132,6 @@ pub struct PortfolioConfig {
     pub time_budget: Option<Duration>,
     /// Engine-specific settings for Manthan3 (its `time_budget` ignored).
     pub manthan3: Manthan3Config,
-    /// Engine-specific settings for the expansion baseline.
-    pub expansion: ExpansionConfig,
-    /// Engine-specific settings for the arbiter baseline.
-    pub arbiter: ArbiterConfig,
 }
 
 impl PortfolioConfig {
@@ -221,11 +216,6 @@ impl Portfolio {
     /// Creates a runner with the given configuration.
     pub fn new(config: PortfolioConfig) -> Self {
         Portfolio { config }
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &PortfolioConfig {
-        &self.config
     }
 
     /// Races every engine on `dqbf` and returns the first decisive

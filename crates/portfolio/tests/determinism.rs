@@ -9,7 +9,6 @@
 //! decisive engine can only be preempted by another decisive engine, whose
 //! verdict — by soundness — agrees.
 
-use manthan3_baselines::{ArbiterConfig, ExpansionConfig};
 use manthan3_core::{Budget, Manthan3Config, SynthesisOutcome};
 use manthan3_dqbf::verify;
 use manthan3_gen::suite::suite;
@@ -17,8 +16,8 @@ use manthan3_gen::Instance;
 use manthan3_portfolio::{Portfolio, PortfolioConfig, PortfolioEngine};
 
 /// Engine settings shared by the sequential reference runs and the races:
-/// no wall clock (determinism), tight structural budgets (debug-build test
-/// speed).
+/// no wall clock (determinism) and, for debug-build test speed, a tight
+/// Manthan3 repair budget; the baselines run with their fixed caps.
 fn portfolio_config() -> PortfolioConfig {
     PortfolioConfig {
         manthan3: Manthan3Config {
@@ -26,12 +25,6 @@ fn portfolio_config() -> PortfolioConfig {
             max_repair_iterations: 40,
             ..Manthan3Config::default()
         },
-        expansion: ExpansionConfig {
-            max_universals: 10,
-            max_copies: 1024,
-            max_ground_clauses: 50_000,
-        },
-        arbiter: ArbiterConfig { max_iterations: 80 },
         ..PortfolioConfig::default()
     }
 }

@@ -45,8 +45,7 @@ fn main() {
             }
             SynthesisOutcome::Unknown(reason) => {
                 println!("   Manthan3 gave up ({reason:?}); trying the expansion baseline…");
-                let expansion =
-                    manthan3::baselines::ExpansionSolver::default().synthesize(&instance.dqbf);
+                let expansion = manthan3::baselines::ExpansionSolver.synthesize(&instance.dqbf);
                 match expansion.outcome {
                     SynthesisOutcome::Realizable(_) => println!("   expansion found a controller"),
                     SynthesisOutcome::Unrealizable => {

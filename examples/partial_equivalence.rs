@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --example partial_equivalence`.
 
-use manthan3::baselines::{ArbiterConfig, ArbiterSolver, ExpansionConfig, ExpansionSolver};
+use manthan3::baselines::{ArbiterSolver, ExpansionSolver};
 use manthan3::core::{Manthan3, Manthan3Config, SynthesisOutcome};
 use manthan3::dqbf::verify;
 use manthan3::gen::pec::{pec, PecParams};
@@ -36,9 +36,9 @@ fn main() {
     println!("  stats: {}", manthan3.stats.summary());
 
     // The two baselines the paper compares against.
-    let expansion = ExpansionSolver::new(ExpansionConfig::default()).synthesize(&instance.dqbf);
+    let expansion = ExpansionSolver.synthesize(&instance.dqbf);
     report("hqs2-like expansion", &instance.dqbf, &expansion.outcome);
-    let arbiter = ArbiterSolver::new(ArbiterConfig::default()).synthesize(&instance.dqbf);
+    let arbiter = ArbiterSolver.synthesize(&instance.dqbf);
     report("pedant-like arbiter", &instance.dqbf, &arbiter.outcome);
 }
 

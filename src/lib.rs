@@ -26,7 +26,8 @@
 //! | [`gen`] | `manthan3-gen` | synthetic benchmark families |
 //!
 //! The benchmark harness lives in the unexported `manthan3-bench` crate
-//! (`cargo run --release -p manthan3-bench --bin harness`). The workspace
+//! (`cargo run --release -p manthan3-bench --bin harness`), which the
+//! `portfolio` example also runs its engines through. The workspace
 //! builds offline: `rand` and `proptest` are vendored API stand-ins under
 //! `vendor/`.
 //!

@@ -62,7 +62,7 @@ fn xor_limitation_example_is_never_misreported() {
         !matches!(manthan.outcome, SynthesisOutcome::Unrealizable),
         "true instance declared false"
     );
-    let expansion = ExpansionSolver::default().synthesize(&dqbf);
+    let expansion = ExpansionSolver.synthesize(&dqbf);
     let vector = expansion
         .vector()
         .expect("expansion solves the XOR example");
@@ -89,13 +89,13 @@ fn all_engines_agree_with_ground_truth_on_planted_instances() {
             assert_sound(
                 "expansion",
                 dqbf,
-                &ExpansionSolver::default().synthesize(dqbf).outcome,
+                &ExpansionSolver.synthesize(dqbf).outcome,
                 instance.expected,
             );
             assert_sound(
                 "arbiter",
                 dqbf,
-                &ArbiterSolver::default().synthesize(dqbf).outcome,
+                &ArbiterSolver.synthesize(dqbf).outcome,
                 instance.expected,
             );
         }
@@ -119,7 +119,7 @@ fn pec_instances_are_synthesized_and_verified() {
             &result.outcome,
             instance.expected,
         );
-        let expansion = ExpansionSolver::default().synthesize(&instance.dqbf);
+        let expansion = ExpansionSolver.synthesize(&instance.dqbf);
         assert_sound(
             "expansion/pec",
             &instance.dqbf,
@@ -146,7 +146,7 @@ fn controller_instances_match_their_known_status() {
         0,
     );
     for instance in [&realizable, &unrealizable] {
-        let expansion = ExpansionSolver::default().synthesize(&instance.dqbf);
+        let expansion = ExpansionSolver.synthesize(&instance.dqbf);
         assert_sound(
             "expansion/controller",
             &instance.dqbf,
@@ -162,7 +162,7 @@ fn controller_instances_match_their_known_status() {
         );
     }
     // The realizable side must actually be solved by the expansion engine.
-    assert!(ExpansionSolver::default()
+    assert!(ExpansionSolver
         .synthesize(&realizable.dqbf)
         .outcome
         .is_realizable());
@@ -194,7 +194,7 @@ fn succinct_and_skolem_families_are_solved() {
             &result.outcome,
             instance.expected,
         );
-        let arbiter = ArbiterSolver::default().synthesize(&instance.dqbf);
+        let arbiter = ArbiterSolver.synthesize(&instance.dqbf);
         assert_sound(
             "arbiter",
             &instance.dqbf,
@@ -246,14 +246,9 @@ fn engines_never_contradict_the_brute_force_oracle_on_the_small_suite() {
             ),
             (
                 "expansion",
-                ExpansionSolver::default()
-                    .synthesize(&instance.dqbf)
-                    .outcome,
+                ExpansionSolver.synthesize(&instance.dqbf).outcome,
             ),
-            (
-                "arbiter",
-                ArbiterSolver::default().synthesize(&instance.dqbf).outcome,
-            ),
+            ("arbiter", ArbiterSolver.synthesize(&instance.dqbf).outcome),
         ] {
             assert_sound(name, &instance.dqbf, &outcome, Some(truth));
         }

@@ -256,7 +256,7 @@ proptest! {
     fn engines_are_sound_on_random_dqbf(dqbf in arb_dqbf()) {
         prop_assume!(dqbf.validate().is_ok());
         let truth = semantics::brute_force_truth(&dqbf, 16).expect("small instance");
-        let expansion = ExpansionSolver::default().synthesize(&dqbf);
+        let expansion = ExpansionSolver.synthesize(&dqbf);
         match &expansion.outcome {
             SynthesisOutcome::Realizable(v) => {
                 prop_assert!(truth);
